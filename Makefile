@@ -2,23 +2,28 @@
 # smoke. `make check` is what CI and the roadmap's tier-1 gate run.
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
 # fixed-iteration hot-path micro-benchmarks, serial-vs-parallel cleanup
-# and run-time join comparisons, the TCP data-path saturation comparison
-# (native codec vs gob), and one compressed figure run, written to
-# BENCH_9.json and gated against BENCH_BASELINE.json. CI runs it as a
-# non-blocking artifact step; it is not part of the tier-1 gate.
+# and run-time join comparisons, and one compressed figure run, written
+# to BENCH_9.json and gated against BENCH_BASELINE.json. CI runs it as a
+# non-blocking artifact step; it is not part of the tier-1 gate. The
+# end-to-end benchmark over real TCP is `go run ./benchmark`.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build lint lint-waivers test test-race chaos-smoke fuzz-smoke bench bench-saturation
+.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke fuzz-smoke bench
 
-check: vet build lint lint-waivers test-race chaos-smoke fuzz-smoke
+check: vet build no-gob lint lint-waivers test-race chaos-smoke fuzz-smoke
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+# no-gob keeps the one wire format one: nothing in the tree may link the
+# stdlib reflection codec back in.
+no-gob:
+	! $(GO) list -deps ./... | grep -x encoding/gob
 
 # lint runs the repo's own analyzers (invariants the stock toolchain
 # cannot see: virtual-time discipline, component boundaries, protocol
@@ -45,26 +50,18 @@ test-race:
 # flap — PROTOCOL.md "Membership & replication") must stay exact under
 # the same faults. -count=1 forces a live run.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPGobFallbackExact|TestChaosTCPParallelJoinExact' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact' ./internal/experiments
 
 # bench runs the benchmark regression gate and writes BENCH_9.json.
 # Shrink the figure smoke further with REPRO_DURATION_FACTOR.
 bench:
 	$(GO) run ./cmd/benchgate
 
-# bench-saturation runs only the sustained TCP data-path saturation
-# comparison (native codec vs gob baseline, serial vs parallel join)
-# and writes BENCH_9.json. Like bench, CI runs it as a non-blocking
-# artifact step; the ≥2x native-vs-gob gate is enforced only on
-# multi-core runners (GOMAXPROCS>1).
-bench-saturation:
-	$(GO) run ./cmd/benchgate -saturation-only
-
 # fuzz-smoke gives the protocol fuzzers a short budget on top of
 # replaying the committed corpora (testdata/fuzz). Grown inputs land in
 # GOCACHE, not the repo; promote keepers into testdata by hand. The
-# native frame decoder fuzzer shares the budget so a wire-codec
-# regression fails the same tier-1 gate.
+# wire frame decoder fuzzer (every message kind) shares the budget so a
+# wire-codec regression fails the same tier-1 gate.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorProtocol -fuzztime $(FUZZTIME) ./internal/coordinator
 	$(GO) test -run '^$$' -fuzz FuzzNativeFrame -fuzztime $(FUZZTIME) ./internal/proto

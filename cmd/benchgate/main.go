@@ -1,13 +1,11 @@
 // Command benchgate is the benchmark regression gate: it runs the
 // hot-path micro-benchmarks (internal/bench) at fixed iteration counts,
 // one serial-vs-parallel cleanup comparison, one serial-vs-sharded
-// run-time join comparison, the sustained TCP data-path saturation
-// comparison (native wire codec vs the gob baseline), and one
-// compressed figure run, writes the machine-readable BENCH_9.json
-// report, and exits non-zero if any gated metric regressed more than
-// the threshold against the committed BENCH_BASELINE.json (or, on
-// multi-core machines, if the native codec fails its 2x throughput
-// floor over gob).
+// run-time join comparison, and one compressed figure run, writes the
+// machine-readable BENCH_9.json report, and exits non-zero if any gated
+// metric regressed more than the threshold against the committed
+// BENCH_BASELINE.json. (The TCP data path is measured end to end by
+// `go run ./benchmark`, workload flood_count.)
 //
 // The join and cleanup comparisons record both passes unconditionally;
 // a speedup is only meaningful when the report's gomaxprocs is > 1 (on
@@ -76,23 +74,6 @@ type joinReport struct {
 	SpeedupX float64 `json:"speedup_x"`
 }
 
-// saturationReport is the sustained TCP data-path comparison: the gob
-// baseline against the native codec, serial and sharded receiver join.
-type saturationReport struct {
-	Gob            bench.SaturationRun `json:"gob"`
-	NativeSerial   bench.SaturationRun `json:"native_serial"`
-	NativeParallel bench.SaturationRun `json:"native_parallel"`
-	// SpeedupX is native-parallel tuples/sec over the gob baseline at
-	// the same join parallelism. Gated at >= 2 when gomaxprocs > 1.
-	SpeedupX float64 `json:"speedup_x"`
-}
-
-// saturationGateX is the acceptance floor for the native-vs-gob
-// sustained-throughput ratio, enforced only on multi-core machines
-// (single-CPU boxes record the comparison without gating, like the
-// cleanup and join comparisons).
-const saturationGateX = 2.0
-
 type figureReport struct {
 	ID     string `json:"id"`
 	Passed bool   `json:"passed"`
@@ -121,7 +102,6 @@ type report struct {
 	Cleanup      cleanupReport           `json:"cleanup"`
 	Join         joinReport              `json:"join"`
 	Figure       *figureReport           `json:"figure,omitempty"`
-	Saturation   *saturationReport       `json:"saturation,omitempty"`
 	BaselinePre  map[string]bench.Metric `json:"baseline_pre_pr"`
 	AllocsGainPc map[string]float64      `json:"allocs_improvement_pct"`
 	Gate         gateReport              `json:"gate"`
@@ -133,7 +113,6 @@ func main() {
 	threshold := flag.Float64("threshold", 15, "regression threshold in percent")
 	skipFigure := flag.Bool("skip-figure", false, "skip the compressed figure run")
 	writeBaseline := flag.Bool("write-baseline", false, "write measured metrics to the baseline path and exit")
-	saturationOnly := flag.Bool("saturation-only", false, "run only the TCP saturation comparison (make bench-saturation)")
 	flag.Parse()
 
 	rep := report{
@@ -142,16 +121,6 @@ func main() {
 		BaselinePre:  prePR,
 		AllocsGainPc: map[string]float64{},
 		Gate:         gateReport{ThresholdPct: *threshold, BaselineFile: *baselinePath, Passed: true},
-	}
-
-	if *saturationOnly {
-		runSaturation(&rep)
-		writeReport(*out, &rep)
-		if !rep.Gate.Passed {
-			reportRegressions(rep.Gate.Regressions)
-			os.Exit(1)
-		}
-		return
 	}
 
 	for _, c := range bench.Cases() {
@@ -209,9 +178,7 @@ func main() {
 		fmt.Printf("figure %s passed=%v\n", figRep.ID, figRep.Passed())
 	}
 
-	runSaturation(&rep)
-
-	rep.Gate.Regressions = append(rep.Gate.Regressions, gate(*baselinePath, rep.Metrics, *threshold)...)
+	rep.Gate.Regressions = gate(*baselinePath, rep.Metrics, *threshold)
 	rep.Gate.Passed = len(rep.Gate.Regressions) == 0
 
 	writeReport(*out, &rep)
@@ -219,34 +186,6 @@ func main() {
 	if !rep.Gate.Passed {
 		reportRegressions(rep.Gate.Regressions)
 		os.Exit(1)
-	}
-}
-
-// runSaturation measures the TCP data-path comparison and applies the
-// native-vs-gob throughput gate (multi-core machines only).
-func runSaturation(rep *report) {
-	gob, nSerial, nParallel, err := bench.SaturationComparison()
-	if err != nil {
-		fatal(err)
-	}
-	sat := &saturationReport{Gob: gob, NativeSerial: nSerial, NativeParallel: nParallel}
-	if gob.TuplesPerSec > 0 {
-		sat.SpeedupX = nParallel.TuplesPerSec / gob.TuplesPerSec
-	}
-	rep.Saturation = sat
-	fmt.Printf("saturation gob             %d shards  %12.0f tuples/s  (%d tuples, batch %d)\n",
-		gob.Shards, gob.TuplesPerSec, gob.Tuples, gob.Batch)
-	fmt.Printf("saturation native serial   %d shard   %12.0f tuples/s\n",
-		nSerial.Shards, nSerial.TuplesPerSec)
-	fmt.Printf("saturation native parallel %d shards  %12.0f tuples/s  speedup %.2fx vs gob (gate >=%.1fx at gomaxprocs > 1; here %d)\n",
-		nParallel.Shards, nParallel.TuplesPerSec, sat.SpeedupX, saturationGateX, rep.GoMaxProcs)
-	if rep.GoMaxProcs > 1 && sat.SpeedupX < saturationGateX {
-		rep.Gate.Regressions = append(rep.Gate.Regressions, regression{
-			Metric: "saturation_native_vs_gob", Field: "tuples_per_sec",
-			Baseline: gob.TuplesPerSec * saturationGateX, Measured: nParallel.TuplesPerSec,
-			LimitPct: 0,
-		})
-		rep.Gate.Passed = false
 	}
 }
 

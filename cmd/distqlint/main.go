@@ -31,11 +31,10 @@ import (
 	"repro/internal/analysis/componentboundary"
 	"repro/internal/analysis/obsnaming"
 	"repro/internal/analysis/protoexhaustive"
-	"repro/internal/analysis/senderrcheck"
 	"repro/internal/analysis/shardquiesce"
-	"repro/internal/analysis/spillerrcheck"
 	"repro/internal/analysis/stopfence"
 	"repro/internal/analysis/tracepropagation"
+	"repro/internal/analysis/uncheckederr"
 	"repro/internal/analysis/vclockdiscipline"
 )
 
@@ -45,11 +44,10 @@ var all = []*analysis.Analyzer{
 	componentboundary.Analyzer,
 	obsnaming.Analyzer,
 	protoexhaustive.Analyzer,
-	senderrcheck.Analyzer,
 	shardquiesce.Analyzer,
-	spillerrcheck.Analyzer,
 	stopfence.Analyzer,
 	tracepropagation.Analyzer,
+	uncheckederr.Analyzer,
 	vclockdiscipline.Analyzer,
 }
 

@@ -9,10 +9,10 @@
 //
 // The analyzer enforces, on the proto package itself:
 //
-//   - every gob-registered message type has a //distq:handledby
-//     directive (a type nobody handles is dead protocol surface — or a
-//     handler someone forgot to write);
-//   - every directive names a gob-registered type (a directive on an
+//   - every message type in the wire-kind table (analysis.WireKinds)
+//     has a //distq:handledby directive (a type nobody handles is dead
+//     protocol surface — or a handler someone forgot to write);
+//   - every directive names a type in the table (a directive on an
 //     unregistered type cannot travel the wire) and only known
 //     components.
 //
@@ -75,70 +75,20 @@ func run(pass *analysis.Pass) error {
 type protoDecls struct {
 	handledBy map[string][]string  // type name -> handling components
 	typePos   map[string]token.Pos // type name -> declaration position
-	regNames  []string             // gob-registered type names, in order
-	regPos    map[string]token.Pos // type name -> gob.Register position
+	regNames  []string             // wire-kind table type names, in order
+	regPos    map[string]token.Pos // type name -> table entry position
 }
 
 func summarize(files []*ast.File) *protoDecls {
-	d := &protoDecls{
-		handledBy: make(map[string][]string),
-		typePos:   make(map[string]token.Pos),
-		regPos:    make(map[string]token.Pos),
+	d := &protoDecls{handledBy: make(map[string][]string), regPos: make(map[string]token.Pos)}
+	var directed map[string]string
+	d.typePos, directed = analysis.TypeDirectives(files, HandledByDirective)
+	for name, comps := range directed {
+		d.handledBy[name] = splitNames(comps)
 	}
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				d.typePos[ts.Name.Name] = ts.Pos()
-				for _, doc := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-					if doc == nil {
-						continue
-					}
-					for _, c := range doc.List {
-						if rest, ok := strings.CutPrefix(c.Text, HandledByDirective); ok {
-							d.handledBy[ts.Name.Name] = splitNames(rest)
-						}
-					}
-				}
-			}
-		}
-		gobName, ok := analysis.ImportName(f, "encoding/gob")
-		if !ok || gobName == "_" || gobName == "." {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Register" {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != gobName {
-				return true
-			}
-			arg := call.Args[0]
-			if u, ok := arg.(*ast.UnaryExpr); ok {
-				arg = u.X
-			}
-			if cl, ok := arg.(*ast.CompositeLit); ok {
-				if id, ok := cl.Type.(*ast.Ident); ok {
-					if _, seen := d.regPos[id.Name]; !seen {
-						d.regNames = append(d.regNames, id.Name)
-						d.regPos[id.Name] = call.Pos()
-					}
-				}
-			}
-			return true
-		})
+	for _, k := range analysis.WireKinds(files) {
+		d.regNames = append(d.regNames, k.Name)
+		d.regPos[k.Name] = k.Pos
 	}
 	return d
 }
@@ -149,7 +99,7 @@ func checkRegistry(pass *analysis.Pass) {
 	for _, name := range d.regNames {
 		comps, ok := d.handledBy[name]
 		if !ok {
-			pass.Reportf(d.regPos[name], "proto.%s is gob-registered but carries no %s directive: no component is obliged to handle it", name, HandledByDirective)
+			pass.Reportf(d.regPos[name], "proto.%s is in the wire-kind table but carries no %s directive: no component is obliged to handle it", name, HandledByDirective)
 			continue
 		}
 		for _, c := range comps {
@@ -165,7 +115,7 @@ func checkRegistry(pass *analysis.Pass) {
 	sort.Strings(directed)
 	for _, name := range directed {
 		if _, ok := d.regPos[name]; !ok {
-			pass.Reportf(d.typePos[name], "proto.%s carries a %s directive but is never gob-registered: it cannot travel the wire", name, HandledByDirective)
+			pass.Reportf(d.typePos[name], "proto.%s carries a %s directive but is missing from the wire-kind table: it cannot travel the wire", name, HandledByDirective)
 		}
 	}
 }

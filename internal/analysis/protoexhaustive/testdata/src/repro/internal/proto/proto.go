@@ -4,8 +4,6 @@
 // never travels the wire.
 package proto
 
-import "encoding/gob"
-
 //
 //distq:handledby engine
 type Data struct{ N int }
@@ -27,12 +25,16 @@ type Alien struct{} // want `proto\.Alien: unknown component "martian"`
 
 //
 //distq:handledby engine
-type Ghost struct{} // want `proto\.Ghost carries a //distq:handledby directive but is never gob-registered`
+type Ghost struct{} // want `proto\.Ghost carries a //distq:handledby directive but is missing from the wire-kind table`
 
-func init() {
-	gob.Register(Data{})
-	gob.Register(Tick{})
-	gob.Register(ResultCount{})
-	gob.Register(Orphan{}) // want `proto\.Orphan is gob-registered but carries no //distq:handledby directive`
-	gob.Register(Alien{})
+type wireCodec struct{}
+
+func control[T any]() wireCodec { return wireCodec{} }
+
+var wireKinds = [...]wireCodec{
+	1: control[Data](),
+	2: control[Tick](),
+	3: control[ResultCount](),
+	4: control[Orphan](), // want `proto\.Orphan is in the wire-kind table but carries no //distq:handledby directive`
+	5: control[Alien](),
 }

@@ -3,11 +3,7 @@
 // exemptions, and every directive failure mode.
 package proto
 
-import (
-	"encoding/gob"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Message is any registered value.
 type Message any
@@ -46,7 +42,7 @@ type Tick struct { // want `proto\.Tick: unknown plane "control" in //distq:plan
 // Draft carries a plane directive but never travels the wire.
 //
 //distq:plane data
-type Draft struct { // want `proto\.Draft carries a //distq:plane directive but is never gob-registered`
+type Draft struct { // want `proto\.Draft carries a //distq:plane directive but is missing from the wire-kind table`
 	Note string
 }
 
@@ -85,14 +81,19 @@ type StateTransfer struct {
 	Trace    obs.TraceContext
 }
 
-func init() {
-	gob.Register(Data{})
-	gob.Register(ResultCount{})
-	gob.Register(Installed{})
-	gob.Register(Tick{})
-	gob.Register(CptV{})
-	gob.Register(PtV{})
-	gob.Register(MarkerAck{})
-	gob.Register(SendStates{})
-	gob.Register(StateTransfer{})
+type wireCodec struct{}
+
+func bulk[T any]() wireCodec                  { return wireCodec{} }
+func control[T any](func(*T) []any) wireCodec { return wireCodec{} }
+
+var wireKinds = [...]wireCodec{
+	1: bulk[Data](),
+	2: bulk[StateTransfer](),
+	3: control(func(m *ResultCount) []any { return nil }),
+	4: control(func(m *Installed) []any { return nil }),
+	5: control(func(m *Tick) []any { return nil }),
+	6: control(func(m *CptV) []any { return nil }),
+	7: control(func(m *PtV) []any { return nil }),
+	8: control(func(m *MarkerAck) []any { return nil }),
+	9: control(func(m *SendStates) []any { return nil }),
 }

@@ -8,11 +8,12 @@
 //
 // On the proto package itself the analyzer checks:
 //
-//   - every gob-registered message type either has a Trace field of
-//     type obs.TraceContext or bears //distq:plane data;
+//   - every message type in the wire-kind table (analysis.WireKinds)
+//     either has a Trace field of type obs.TraceContext or bears
+//     //distq:plane data;
 //   - a //distq:plane data message must not carry a Trace field;
 //   - directives are well-formed ("data" is the only known plane) and
-//     sit on gob-registered types.
+//     sit on types in the table.
 //
 // In component packages the analyzer finds "traced scopes" — function
 // bodies with a parameter of a traced proto type, and type-switch case
@@ -67,69 +68,11 @@ func run(pass *analysis.Pass) error {
 // checkProto verifies the message vocabulary: every registered message
 // is either traced or declared data-plane, never both.
 func checkProto(pass *analysis.Pass) {
-	typePos := make(map[string]token.Pos)
-	plane := make(map[string]string)
-	planePos := make(map[string]token.Pos)
-	var regNames []string
-	regPos := make(map[string]token.Pos)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				typePos[ts.Name.Name] = ts.Pos()
-				for _, doc := range []*ast.CommentGroup{gd.Doc, ts.Doc, ts.Comment} {
-					if doc == nil {
-						continue
-					}
-					for _, c := range doc.List {
-						if rest, ok := strings.CutPrefix(c.Text, PlaneDirective); ok {
-							plane[ts.Name.Name] = strings.TrimSpace(rest)
-							planePos[ts.Name.Name] = c.Pos()
-						}
-					}
-				}
-			}
-		}
-		gobName, ok := analysis.ImportName(f, "encoding/gob")
-		if !ok || gobName == "_" || gobName == "." {
-			continue
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || len(call.Args) != 1 {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Register" {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); !ok || x.Name != gobName {
-				return true
-			}
-			arg := call.Args[0]
-			if u, ok := arg.(*ast.UnaryExpr); ok {
-				arg = u.X
-			}
-			if cl, ok := arg.(*ast.CompositeLit); ok {
-				if id, ok := cl.Type.(*ast.Ident); ok {
-					if _, seen := regPos[id.Name]; !seen {
-						regNames = append(regNames, id.Name)
-						regPos[id.Name] = call.Pos()
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	for _, name := range regNames {
+	typePos, plane := analysis.TypeDirectives(pass.Files, PlaneDirective)
+	registered := make(map[string]bool)
+	for _, k := range analysis.WireKinds(pass.Files) {
+		name := k.Name
+		registered[name] = true
 		pos := typePos[name]
 		if pos == token.NoPos {
 			continue
@@ -142,7 +85,8 @@ func checkProto(pass *analysis.Pass) {
 				}
 			}
 		}
-		switch p, declared := plane[name]; {
+		p, declared := plane[name]
+		switch p = strings.TrimSpace(p); {
 		case declared && p != "data":
 			pass.Reportf(pos, "proto.%s: unknown plane %q in %s directive (only \"data\" is known)", name, p, PlaneDirective)
 		case declared && hasTrace:
@@ -151,9 +95,9 @@ func checkProto(pass *analysis.Pass) {
 			pass.Reportf(pos, "proto.%s carries no Trace obs.TraceContext field: control-plane messages must let handlers echo/forward the trace (PR-6); data-plane messages are exempted with %s data", name, PlaneDirective)
 		}
 	}
-	for name := range planePos {
-		if _, ok := regPos[name]; !ok {
-			pass.Reportf(typePos[name], "proto.%s carries a %s directive but is never gob-registered: it cannot travel the wire", name, PlaneDirective)
+	for name := range plane {
+		if !registered[name] {
+			pass.Reportf(typePos[name], "proto.%s carries a %s directive but is missing from the wire-kind table: it cannot travel the wire", name, PlaneDirective)
 		}
 	}
 }

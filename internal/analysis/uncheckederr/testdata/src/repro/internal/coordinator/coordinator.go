@@ -30,6 +30,6 @@ func drive(ep transport.Endpoint, ch *transport.Chan, m mailer, to partition.Nod
 	ep.Node()
 	m.Send("addr", 1)
 
-	//distqlint:allow senderrcheck: best-effort notification on shutdown path
+	//distqlint:allow uncheckederr: best-effort notification on shutdown path
 	ep.Send(to, msg)
 }

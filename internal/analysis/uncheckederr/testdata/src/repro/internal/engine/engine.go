@@ -24,6 +24,6 @@ func flush(s *spill.Store) {
 	_, _ = n, err
 	s.Len()
 
-	//distqlint:allow spillerrcheck: best-effort close on shutdown path
+	//distqlint:allow uncheckederr: best-effort close on shutdown path
 	s.Close()
 }

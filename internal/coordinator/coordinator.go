@@ -984,7 +984,7 @@ func (c *Coordinator) armTimeout() {
 	go func() {
 		select {
 		case <-ch:
-			//distqlint:allow senderrcheck: self-addressed timer; a dead own endpoint means shutdown already won the race
+			//distqlint:allow uncheckederr: self-addressed timer; a dead own endpoint means shutdown already won the race
 			c.ep.Send(c.cfg.Node, proto.RelocTimeout{Epoch: epoch, Seq: seq})
 		case <-c.done:
 		}
@@ -1895,7 +1895,7 @@ func (c *Coordinator) Done() <-chan struct{} { return c.done }
 // Stop halts the coordinator's timer via its own handler.
 func (c *Coordinator) Stop() {
 	if c.ep != nil {
-		//distqlint:allow senderrcheck: best-effort self-stop; a dead own endpoint is already stopped
+		//distqlint:allow uncheckederr: best-effort self-stop; a dead own endpoint is already stopped
 		c.ep.Send(c.cfg.Node, proto.Stop{})
 	}
 }

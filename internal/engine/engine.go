@@ -380,13 +380,13 @@ func (e *Engine) Start() error {
 	}
 	if e.cfg.DynamicJoin {
 		req := proto.JoinRequest{Node: e.cfg.Node, Addr: e.cfg.Addr}
-		//distqlint:allow senderrcheck: retried below with backoff until JoinAck
+		//distqlint:allow uncheckederr: retried below with backoff until JoinAck
 		e.ep.Send(e.cfg.Coordinator, req)
 		go e.retryBackoff("join_request", func() bool {
 			if e.joined.Load() {
 				return true
 			}
-			//distqlint:allow senderrcheck: retried with backoff until JoinAck
+			//distqlint:allow uncheckederr: retried with backoff until JoinAck
 			e.ep.Send(e.cfg.Coordinator, req)
 			return false
 		})
@@ -442,13 +442,13 @@ func (e *Engine) Leave() {
 		return
 	}
 	leave := proto.Leave{Node: e.cfg.Node}
-	//distqlint:allow senderrcheck: retried below with backoff until LeaveAck
+	//distqlint:allow uncheckederr: retried below with backoff until LeaveAck
 	e.ep.Send(e.cfg.Coordinator, leave)
 	go e.retryBackoff("leave", func() bool {
 		if e.leftAck.Load() {
 			return true
 		}
-		//distqlint:allow senderrcheck: retried with backoff until LeaveAck
+		//distqlint:allow uncheckederr: retried with backoff until LeaveAck
 		e.ep.Send(e.cfg.Coordinator, leave)
 		return false
 	})
@@ -1305,7 +1305,7 @@ func (e *Engine) Done() <-chan struct{} { return e.done }
 func (e *Engine) Stop() {
 	if e.ep != nil {
 		// Route through the handler for single-threaded shutdown.
-		//distqlint:allow senderrcheck: best-effort self-stop; a dead own endpoint is already stopped
+		//distqlint:allow uncheckederr: best-effort self-stop; a dead own endpoint is already stopped
 		e.ep.Send(e.cfg.Node, proto.Stop{})
 	}
 }

@@ -245,7 +245,7 @@ func (r *replicator) tailFlush(groups []partition.ID) {
 // is retransmitted on every stats tick until the follower acknowledges
 // it, so a failed immediate send only costs latency.
 func (r *replicator) sendDelta(f partition.NodeID, seq uint64, entries []proto.DeltaEntry) {
-	//distqlint:allow senderrcheck: retransmitted on every stats tick until acknowledged
+	//distqlint:allow uncheckederr: retransmitted on every stats tick until acknowledged
 	r.e.ep.Send(f, proto.StateDelta{From: r.e.cfg.Node, Seq: seq, Entries: entries})
 	r.e.reg.Counter("distq_engine_deltas_out_total").Inc()
 }

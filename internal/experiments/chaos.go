@@ -115,48 +115,30 @@ func chaosClusterConfig(wl workload.Config, duration time.Duration) cluster.Conf
 // relocation protocol, the quiesce fence inside would time out and
 // surface as an error.
 func RunChaos(cc ChaosConfig) (*cluster.Result, error) {
-	duration := cc.Duration
-	if duration <= 0 {
-		duration = 3 * time.Minute
-	}
-	cfg := chaosClusterConfig(chaosWorkload(), duration)
-	cfg.JoinParallelism = cc.JoinParallelism
-
-	inner := transport.NewInproc()
-	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), cc.Faults)
-	defer fnet.Close()
-	if cc.Drop != nil {
-		n := cc.DropCount
-		if n <= 0 {
-			n = 1
-		}
-		fnet.DropMatching(n, cc.Drop)
-	}
-	cfg.Network = fnet
-	return cluster.Run(cfg)
+	return runChaosOver(transport.NewInproc(), cc)
 }
 
-// RunChaosTCP executes one faulted run over the real TCP transport in
-// the given wire mode: WireAuto exercises the negotiated native
-// data-plane codec (coalescing + credit backpressure) under faults,
-// WireLegacy pins the pre-negotiation gob framing so the compatibility
-// fallback is held to the same exactness bar.
-func RunChaosTCP(cc ChaosConfig, mode transport.WireMode) (*cluster.Result, error) {
-	duration := cc.Duration
-	if duration <= 0 {
-		duration = 3 * time.Minute
-	}
-	cfg := chaosClusterConfig(chaosWorkload(), duration)
-	cfg.JoinParallelism = cc.JoinParallelism
-
-	inner := transport.NewTCP(map[partition.NodeID]string{
+// RunChaosTCP executes the same faulted run over the real TCP
+// transport, so the wire codec, write coalescing and credit
+// backpressure are held to the same exactness bar under faults.
+func RunChaosTCP(cc ChaosConfig) (*cluster.Result, error) {
+	return runChaosOver(transport.NewTCP(map[partition.NodeID]string{
 		cluster.CoordinatorNode: "127.0.0.1:0",
 		cluster.GeneratorNode:   "127.0.0.1:0",
 		cluster.AppServerNode:   "127.0.0.1:0",
 		"e1":                    "127.0.0.1:0",
 		"e2":                    "127.0.0.1:0",
-	})
-	inner.SetWireMode(mode)
+	}), cc)
+}
+
+func runChaosOver(inner transport.Network, cc ChaosConfig) (*cluster.Result, error) {
+	duration := cc.Duration
+	if duration <= 0 {
+		duration = 3 * time.Minute
+	}
+	cfg := chaosClusterConfig(chaosWorkload(), duration)
+	cfg.JoinParallelism = cc.JoinParallelism
+
 	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), cc.Faults)
 	defer fnet.Close()
 	if cc.Drop != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/proto"
 	"repro/internal/stats"
-	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 )
 
@@ -125,16 +124,16 @@ func TestChaosSeededMatrix(t *testing.T) {
 }
 
 // TestChaosTCPNativeExact re-runs the seeded fault schedule over the
-// real TCP transport with the negotiated native codec (zero-copy
-// framing, write coalescing, credit backpressure): the wire-format
-// change must not cost a single result under faults.
+// real TCP transport (every message on the wire codec, zero-copy bulk
+// framing, write coalescing, credit backpressure): the wire format
+// must not cost a single result under faults.
 func TestChaosTCPNativeExact(t *testing.T) {
 	res, err := RunChaosTCP(ChaosConfig{Faults: faulty.Config{
 		Seed:      11,
 		DropProb:  0.03,
 		DupProb:   0.03,
 		DelayProb: 0.05,
-	}}, transport.WireAuto)
+	}})
 	if err != nil {
 		t.Fatalf("tcp-native chaos run hung or failed: %v", err)
 	}
@@ -142,24 +141,6 @@ func TestChaosTCPNativeExact(t *testing.T) {
 	t.Logf("tcp-native: relocations=%d aborted=%d retries=%d generated=%d results=%d",
 		res.Relocations, res.AbortedRelocations,
 		countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
-}
-
-// TestChaosTCPGobFallbackExact holds the compatibility fallback (the
-// pre-negotiation untagged gob framing, as spoken with an old peer) to
-// the same exactness bar over the same fault schedule.
-func TestChaosTCPGobFallbackExact(t *testing.T) {
-	res, err := RunChaosTCP(ChaosConfig{Faults: faulty.Config{
-		Seed:      11,
-		DropProb:  0.03,
-		DupProb:   0.03,
-		DelayProb: 0.05,
-	}}, transport.WireLegacy)
-	if err != nil {
-		t.Fatalf("tcp-gob chaos run hung or failed: %v", err)
-	}
-	assertExact(t, res)
-	t.Logf("tcp-gob: relocations=%d aborted=%d generated=%d results=%d",
-		res.Relocations, res.AbortedRelocations, res.Generated, res.RuntimeSet.Len())
 }
 
 // TestChaosCrashRecovery kills an engine mid-run and revives it from

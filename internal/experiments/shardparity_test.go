@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 )
 
@@ -103,7 +102,7 @@ func TestChaosParallelJoinExact(t *testing.T) {
 }
 
 // TestChaosTCPParallelJoinExact stacks every data-plane layer at once:
-// the negotiated native wire codec (coalescing + credit backpressure)
+// the wire codec (coalescing + credit backpressure)
 // over real sockets, the shard pool at parallelism 4, and a seeded
 // fault schedule — the result set must still match the fault-free
 // serial baseline exactly.
@@ -116,7 +115,7 @@ func TestChaosTCPParallelJoinExact(t *testing.T) {
 			DupProb:   0.03,
 			DelayProb: 0.05,
 		},
-	}, transport.WireAuto)
+	})
 	if err != nil {
 		t.Fatalf("tcp-native parallel chaos run hung or failed: %v", err)
 	}

@@ -102,8 +102,8 @@ const (
 // protocol messages: which distributed trace an operation belongs to and
 // which span (on which node) is its parent. The zero value means
 // "untraced"; spans started under it become roots of fresh traces.
-// TraceContext is a plain value type so proto messages can embed it and
-// gob-encode it without registration.
+// TraceContext is a plain value type so proto messages can embed it; the
+// wire codec (proto/wire.go) encodes it as two u64s and a string.
 type TraceContext struct {
 	TraceID uint64 `json:"trace_id,omitempty"`
 	// SpanID / Node identify the parent span within its node's tracer

@@ -3,12 +3,11 @@
 // generator node hosting the split operators, and the application server
 // consuming results. Data-path payloads (tuple batches, state snapshots)
 // use the compact binary codecs of packages tuple and join; the message
-// envelopes themselves travel as gob frames over the transport.
+// envelopes around them travel in the canonical binary encoding of
+// wire.go, whose kind table is the registry of every message below.
 package proto
 
 import (
-	"encoding/gob"
-
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
@@ -40,7 +39,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Message is any value registered below; transports move Messages opaquely.
+// Message is any value registered in the wire-kind table (wire.go);
+// transports move Messages opaquely.
 type Message any
 
 // Hello registers a node with the coordinator.
@@ -645,49 +645,4 @@ type DemoteAck struct {
 	Node  partition.NodeID
 	// Trace is echoed from the Demote being acknowledged.
 	Trace obs.TraceContext
-}
-
-func init() {
-	gob.Register(Hello{})
-	gob.Register(Data{})
-	gob.Register(PauseMarker{})
-	gob.Register(MarkerAck{})
-	gob.Register(StatsReport{})
-	gob.Register(ResultCount{})
-	gob.Register(ResultData{})
-	gob.Register(CptV{})
-	gob.Register(PtV{})
-	gob.Register(Pause{})
-	gob.Register(SendStates{})
-	gob.Register(StateTransfer{})
-	gob.Register(Installed{})
-	gob.Register(Remap{})
-	gob.Register(RemapAck{})
-	gob.Register(ForceSpill{})
-	gob.Register(SpillDone{})
-	gob.Register(RelocTimeout{})
-	gob.Register(RelocAbort{})
-	gob.Register(RelocAbortAck{})
-	gob.Register(Checkpoint{})
-	gob.Register(CheckpointDone{})
-	gob.Register(StartCleanup{})
-	gob.Register(CleanupDone{})
-	gob.Register(Stop{})
-	gob.Register(Tick{})
-	gob.Register(Drain{})
-	gob.Register(DrainAck{})
-	gob.Register(Quiesce{})
-	gob.Register(QuiesceAck{})
-	gob.Register(JoinRequest{})
-	gob.Register(JoinAck{})
-	gob.Register(MemberAddr{})
-	gob.Register(Leave{})
-	gob.Register(LeaveAck{})
-	gob.Register(ReplicaMap{})
-	gob.Register(StateDelta{})
-	gob.Register(DeltaAck{})
-	gob.Register(Promote{})
-	gob.Register(PromoteAck{})
-	gob.Register(Demote{})
-	gob.Register(DemoteAck{})
 }

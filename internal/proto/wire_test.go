@@ -2,10 +2,19 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // wireMessages covers every natively encodable shape, including the
@@ -150,10 +159,210 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestWireKindOfControlMessagesIsNone(t *testing.T) {
-	for _, msg := range []Message{Hello{}, Pause{}, Remap{}, Drain{}, Stop{}} {
-		if k := WireKindOf(msg); k != WireNone {
-			t.Errorf("%T classified as native kind %d", msg, k)
+// everyMessage builds one value of every type in the kind table with
+// every field, at every depth, set to a distinct non-zero value, so a
+// field missing from a field list decodes as zero and is caught — also
+// for fields added after this test was written. Integers get values a
+// narrower encoding would truncate; slices and maps get three entries.
+func everyMessage() []Message {
+	n := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i))
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 3, 3))
+			for i := 0; i < 3; i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Map:
+			v.Set(reflect.MakeMap(v.Type()))
+			for i := 0; i < 3; i++ {
+				k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+				fill(k)
+				fill(e)
+				v.SetMapIndex(k, e)
+			}
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", n))
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Uint8: // bytes, and DeltaKind, whose range is 0..3
+			v.SetUint(uint64(1 + n%3))
+		case reflect.Uint32:
+			v.SetUint(uint64(math.MaxUint32 - n))
+		case reflect.Uint64:
+			v.SetUint(1<<40 + uint64(n))
+		case reflect.Int64:
+			v.SetInt(-1<<40 - int64(n))
+		case reflect.Int: // plain counts, and the Kind/Phase enums sent as one byte
+			v.SetInt(int64(1 + n%200))
+		default:
+			panic("everyMessage: no fill rule for " + v.Type().String())
+		}
+	}
+	var out []Message
+	for _, c := range wireKinds {
+		if c.typ != nil {
+			v := reflect.New(c.typ).Elem()
+			fill(v)
+			out = append(out, v.Interface())
+		}
+	}
+	return out
+}
+
+// TestWireEveryMessage round-trips one fully populated value of every
+// message type: exact size, exact value, exact re-encoding, and an
+// error — never a panic — on every truncated prefix and on a trailing
+// byte. Data and ResultData end in an unframed payload ("the rest of
+// the body"), so past their fixed header a shorter or longer body is
+// simply another valid message; there the canonical property is checked
+// instead.
+func TestWireEveryMessage(t *testing.T) {
+	msgs := everyMessage()
+	if len(msgs) != 42 {
+		t.Errorf("kind table holds %d message types, want 42", len(msgs))
+	}
+	for _, msg := range msgs {
+		name := reflect.TypeOf(msg).Name()
+		kind := WireKindOf(msg)
+		body := AppendWire(nil, msg)
+		if got := WireSize(msg); got != len(body) {
+			t.Errorf("%s: WireSize %d, encoded %d bytes", name, got, len(body))
+		}
+		dec, err := DecodeWire(kind, body)
+		if err != nil {
+			t.Errorf("%s: decode: %v", name, err)
+			continue
+		}
+		if !reflect.DeepEqual(dec, msg) {
+			t.Errorf("%s: round trip changed the value:\n  in  %+v\n  out %+v", name, msg, dec)
+		}
+		if re := AppendWire(nil, dec); !bytes.Equal(re, body) {
+			t.Errorf("%s: re-encode mismatch:\n  in  %x\n  out %x", name, body, re)
+		}
+		openEnded := kind == WireData || kind == WireResultData
+		mutations := [][]byte{append(append([]byte(nil), body...), 0)}
+		for i := range body {
+			mutations = append(mutations, body[:i])
+		}
+		for _, mut := range mutations {
+			got, err := DecodeWire(kind, mut)
+			switch {
+			case err != nil:
+			case !openEnded:
+				t.Errorf("%s: decoder accepted a %d-byte body for a %d-byte encoding", name, len(mut), len(body))
+			case !bytes.Equal(AppendWire(nil, got), mut):
+				t.Errorf("%s: accepted %d-byte body is not canonical", name, len(mut))
+			}
+		}
+	}
+}
+
+// TestWireTableComplete parses proto.go and fails when a declared
+// message (a type carrying //distq:handledby) is missing from the kind
+// table, or the table holds a type that is not a declared message.
+func TestWireTableComplete(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "proto.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, declared := analysis.TypeDirectives([]*ast.File{f}, "//distq:handledby")
+	if len(declared) < 42 {
+		t.Fatalf("found only %d message declarations in proto.go", len(declared))
+	}
+	inTable := make(map[string]bool)
+	for k, c := range wireKinds {
+		if c.typ == nil {
+			if k != int(WireNone) {
+				t.Errorf("kind %d is a hole in the table", k)
+			}
+			continue
+		}
+		if inTable[c.typ.Name()] {
+			t.Errorf("%s registered twice", c.typ.Name())
+		}
+		inTable[c.typ.Name()] = true
+		if _, ok := declared[c.typ.Name()]; !ok {
+			t.Errorf("kind %d: %s is not a message declared in proto.go", k, c.typ.Name())
+		}
+	}
+	for name := range declared {
+		if !inTable[name] {
+			t.Errorf("proto.%s is declared but missing from the wire-kind table: it cannot travel the wire", name)
+		}
+	}
+}
+
+// TestWireControlDecodeOwnsMemory: only the bulk kinds may alias the
+// frame body; a control message must survive the body being recycled.
+func TestWireControlDecodeOwnsMemory(t *testing.T) {
+	for _, msg := range everyMessage() {
+		kind := WireKindOf(msg)
+		bulk := kind >= WireData && kind <= WireStateDelta
+		if kind.AliasesBody() != bulk {
+			t.Errorf("%T: AliasesBody = %v", msg, kind.AliasesBody())
+		}
+		if bulk {
+			continue
+		}
+		body := AppendWire(nil, msg)
+		dec, err := DecodeWire(kind, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := reflect.DeepEqual(dec, msg)
+		for i := range body {
+			body[i] = 0xEE
+		}
+		if before && !reflect.DeepEqual(dec, msg) {
+			t.Errorf("%T aliases the frame body: scribbling over it changed the message", msg)
+		}
+	}
+}
+
+// TestWireRejectsNonCanonicalControl covers the two control-side rules
+// the bulk kinds do not have: booleans are 0 or 1, map keys ascend.
+func TestWireRejectsNonCanonicalControl(t *testing.T) {
+	ack := PromoteAck{Epoch: 1, Node: "e", Installed: true}
+	body := AppendWire(nil, ack)
+	boolAt := 8 + 2 + 1 // epoch, node
+	if body[boolAt] != 1 {
+		t.Fatalf("test is out of step with PromoteAck's layout: %x", body)
+	}
+	body[boolAt] = 2
+	if _, err := DecodeWire(WireKindOf(ack), body); err == nil || !strings.Contains(err.Error(), "bool") {
+		t.Errorf("bool byte 2 accepted (err: %v)", err)
+	}
+
+	rep := StatsReport{Node: "e", ReplLag: map[partition.ID]int64{1: 10, 2: 20}}
+	body = AppendWire(nil, rep)
+	first := 2 + 1 + 6*8 + 4 // node, six 8-byte scalars, entry count
+	if binary.LittleEndian.Uint32(body[first:]) != 1 || binary.LittleEndian.Uint32(body[first+12:]) != 2 {
+		t.Fatalf("ReplLag not encoded in ascending key order: %x", body)
+	}
+	for _, key := range []uint32{2, 3} { // duplicate, then descending
+		binary.LittleEndian.PutUint32(body[first:], key)
+		if _, err := DecodeWire(WireKindOf(rep), body); err == nil || !strings.Contains(err.Error(), "ascending") {
+			t.Errorf("first key %d before key 2 accepted (err: %v)", key, err)
+		}
+	}
+}
+
+// TestWireKindOfUnregistered: values that are not registered messages
+// (including pointers to registered ones) have no kind and no size.
+func TestWireKindOfUnregistered(t *testing.T) {
+	for _, v := range []Message{nil, 42, "x", &Hello{}, ReplicaEntry{}, DeltaEntry{}} {
+		if k := WireKindOf(v); k != WireNone {
+			t.Errorf("%T classified as wire kind %d", v, k)
+		}
+		if n := WireSize(v); n != 0 {
+			t.Errorf("%T: WireSize %d", v, n)
 		}
 	}
 }
@@ -162,7 +371,7 @@ func TestWireKindOfControlMessagesIsNone(t *testing.T) {
 // Invariants: the decoder never panics, and any body it accepts is
 // canonical — re-encoding the decoded message reproduces it exactly.
 func FuzzNativeFrame(f *testing.F) {
-	for _, msg := range wireMessages() {
+	for _, msg := range append(wireMessages(), everyMessage()...) {
 		f.Add(byte(WireKindOf(msg)), AppendWire(nil, msg))
 	}
 	// Mutated shapes that exercise the error paths.

@@ -310,7 +310,7 @@ func (e *endpoint) Send(to partition.NodeID, msg proto.Message) error {
 			// A delayed message that can no longer be delivered (the
 			// receiver detached meanwhile) is a drop, which the fault
 			// model already permits for eligible messages.
-			//distqlint:allow senderrcheck: delayed delivery has no caller to return to; loss is within the fault model
+			//distqlint:allow uncheckederr: delayed delivery has no caller to return to; loss is within the fault model
 			e.inner.Send(to, msg)
 		}()
 		return nil

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,80 +18,25 @@ import (
 // transfer of an entire engine fits comfortably below this).
 const maxFrameSize = 1 << 30
 
-// Wire-format constants (PROTOCOL.md "Wire format").
-//
-// A dialing endpoint opens every connection with a preamble whose first
-// four bytes, read as a little-endian uint32 by a pre-negotiation
-// receiver, exceed maxFrameSize: an old binary rejects the "frame" and
-// hangs up, which the dialer detects as a failed hello and falls back
-// to the legacy untagged-gob framing.
-var preambleMagic = [4]byte{'D', 'Q', 'W', 0xF1}
-
-// ackMagic opens the receiver's hello reply, distinguishing it from
-// stray bytes on a half-configured socket.
-var ackMagic = [2]byte{0xD9, 'Q'}
-
-// wireVersion is the preamble/ack protocol version.
-const wireVersion = 1
-
-// flagNative marks a dialer that can speak the native data-plane codec.
-const flagNative = 0x01
-
-// Frame kind tags on negotiated connections. Native data-plane kinds
-// 1..4 are byte(proto.WireKind); frameGob wraps any message in a gob
-// envelope; frameCredit is the transport-internal credit grant.
+// Wire format (PROTOCOL.md "Wire format"). A dialing endpoint opens
+// every connection with a hello — helloMagic, wireVersion, its node id —
+// and the receiver answers with an ack — ackMagic, wireVersion, its
+// data-path credit window. Anything else is an error and the connection
+// is dropped. Frames follow: [len u32][kind u8][body].
 const (
-	frameGob    byte = 0x00
+	helloMagic = "DQW\xF1"
+	ackMagic   = "\xD9Q"
+	// wireVersion must match on both sides. Version 1 was the PR-9
+	// negotiated format that still carried gob.
+	wireVersion = 2
+	// helloAckSize is the ack: magic(2) version(1) creditWindow(8).
+	helloAckSize = 2 + 1 + 8
+	// maxNodeIDLen bounds the node id a hello may carry.
+	maxNodeIDLen = 256
+	// frameCredit tags the transport's own credit-grant frame; every
+	// other kind byte is a proto.WireKind.
 	frameCredit byte = 0x7F
-)
 
-// wireCodec is a connection's negotiated framing.
-type wireCodec uint8
-
-const (
-	// codecLegacy frames are untagged [len][gob envelope] — the
-	// pre-negotiation wire format, kept as the compatibility fallback.
-	codecLegacy wireCodec = iota
-	// codecGob frames are tagged but every message rides a gob envelope.
-	codecGob
-	// codecNative frames carry data-plane messages in the proto wire
-	// codec; control messages still ride tagged gob envelopes.
-	codecNative
-)
-
-// WireMode selects how a TCP network's endpoints negotiate framing.
-// It exists for mixed-version tests and for measuring the gob baseline;
-// production binaries use the default WireAuto. Set it before Attach.
-type WireMode int
-
-const (
-	// WireAuto offers the native codec at hello and falls back to
-	// tagged gob (new peer that declined) or legacy framing (old peer).
-	WireAuto WireMode = iota
-	// WireGob negotiates but never offers or chooses the native codec:
-	// the data plane stays on gob envelopes (credit is disabled, since
-	// credit accounting is part of the native path).
-	WireGob
-	// WireLegacy behaves exactly like a pre-negotiation binary: no
-	// preamble on dial, and inbound preambles are rejected as oversized
-	// frames. Mixed-version tests use it to stand in for an old peer.
-	WireLegacy
-)
-
-// Credit grants byte credits for the data path: the receiver's
-// dispatcher sends one after its handler has consumed roughly half the
-// advertised window, letting the sender's blocked Data/ResultData
-// sends proceed. Transport-internal: the receiving endpoint's read
-// loop applies grants directly and never delivers them to handlers.
-type Credit struct {
-	Bytes uint64
-}
-
-func init() {
-	gob.Register(Credit{})
-}
-
-const (
 	// defaultCreditWindow is the per-(sender,receiver) byte window
 	// advertised at hello. ~256 default-sized tuple batches may be in
 	// flight before a sender blocks.
@@ -103,9 +46,7 @@ const (
 	// (the split router then parks the batch exactly as it does for a
 	// dead connection).
 	defaultCreditTimeout = 15 * time.Second
-	// handshakeTimeout bounds the dialer's wait for the hello ack; an
-	// old peer never answers (it hangs up on the preamble), so this is
-	// the mixed-version fallback latency ceiling.
+	// handshakeTimeout bounds the dialer's wait for the hello ack.
 	handshakeTimeout = 3 * time.Second
 	// coalesceWatermark flushes a connection once this many coalesced
 	// bytes are buffered, bounding data-path latency under load.
@@ -122,12 +63,6 @@ const (
 	encScratchMax = 1 << 20
 )
 
-// tcpEnvelope is the gob-encoded wire form of one non-native message.
-type tcpEnvelope struct {
-	From partition.NodeID
-	Msg  proto.Message
-}
-
 // TCP is a Network whose nodes listen on real TCP sockets. A static
 // directory maps node IDs to addresses (the experiment binaries pass
 // localhost ports). Outgoing connections are established lazily and
@@ -135,17 +70,15 @@ type tcpEnvelope struct {
 // delivery per pair. Each receiving node dispatches inbound frames from
 // all connections through a single queue, so its handler runs serially.
 //
-// Framing is negotiated per connection at hello (see PROTOCOL.md "Wire
-// format"): both peers new → tagged frames with the native data-plane
-// codec and credit-based backpressure; old peer on either side →
-// legacy untagged gob frames, indistinguishable from the old binary.
+// Every connection opens with one hello and then carries tagged frames
+// [len][kind][body] in the proto wire codec, with credit-based
+// backpressure on the data path (see PROTOCOL.md "Wire format").
 type TCP struct {
 	mu            sync.RWMutex
 	directory     map[partition.NodeID]string
 	metrics       map[partition.NodeID]*Metrics
 	endpoints     []*tcpEndpoint
 	closed        bool
-	wireMode      WireMode
 	creditWindow  int64
 	creditTimeout time.Duration
 }
@@ -164,14 +97,6 @@ func NewTCP(directory map[partition.NodeID]string) *TCP {
 	}
 }
 
-// SetWireMode selects the framing negotiation policy for endpoints of
-// this network. Call before Attach.
-func (n *TCP) SetWireMode(m WireMode) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.wireMode = m
-}
-
 // SetCreditWindow overrides the advertised data-path credit window in
 // bytes (0 disables credit). Call before Attach.
 func (n *TCP) SetCreditWindow(bytes int64) {
@@ -186,12 +111,6 @@ func (n *TCP) SetCreditTimeout(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.creditTimeout = d
-}
-
-func (n *TCP) wireModeOf() WireMode {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.wireMode
 }
 
 func (n *TCP) creditWindowOf() int64 {
@@ -231,7 +150,7 @@ func (n *TCP) Addr(node partition.NodeID) (string, bool) {
 
 // senderCredit is one destination's data-path byte window on the
 // sending side: consumed before each Data/ResultData frame, refilled
-// by the receiver's Credit grants.
+// by the receiver's credit-grant frames.
 type senderCredit struct {
 	mu    sync.Mutex
 	avail int64
@@ -325,31 +244,26 @@ type tcpEndpoint struct {
 
 	mu    sync.Mutex
 	conns map[partition.NodeID]*tcpConn
-	// legacy records peers that failed the hello (old binaries): later
-	// redials skip the preamble and go straight to legacy framing.
-	legacy map[partition.NodeID]bool
-	down   bool
+	down  bool
 
 	// recvMu guards the receiving-side grant bookkeeping, keyed by the
-	// peer named in the connection's preamble.
+	// peer named in the connection's hello.
 	recvMu sync.Mutex
 	recv   map[partition.NodeID]*recvCredit
 }
 
 type tcpConn struct {
-	mu    sync.Mutex
-	c     net.Conn
-	w     *bufio.Writer
-	codec wireCodec
+	mu sync.Mutex
+	c  net.Conn
+	w  *bufio.Writer
 	// credit is the destination's data-path window (nil when the peer
-	// advertised none — gob/legacy connections, or credit disabled).
+	// advertised none: credit disabled).
 	credit *senderCredit
 	// dirty marks coalesced frames awaiting the paced flush.
 	dirty bool
-	// enc is the connection's native-frame encode scratch: the pooled
-	// frame buffer data-plane payloads are appended into via AppendWire,
-	// reused frame to frame under mu (trimmed back to encScratchMax
-	// after oversized frames).
+	// enc is the connection's encode scratch: every frame is built in it
+	// via AppendWire and reused frame to frame under mu (dropped after a
+	// frame beyond encScratchMax).
 	enc []byte
 }
 
@@ -384,7 +298,6 @@ func (n *TCP) Attach(node partition.NodeID, h Handler) (Endpoint, error) {
 		done:     make(chan struct{}),
 		stop:     make(chan struct{}),
 		conns:    make(map[partition.NodeID]*tcpConn),
-		legacy:   make(map[partition.NodeID]bool),
 		recv:     make(map[partition.NodeID]*recvCredit),
 		metrics:  metrics,
 	}
@@ -434,108 +347,17 @@ func (e *tcpEndpoint) acceptLoop() {
 	}
 }
 
-// readLoop serves one inbound connection. The first four bytes decide
-// its era: the hello preamble's magic starts negotiation; anything else
-// is a legacy frame length from an old peer.
+// readLoop serves one inbound connection: the hello, then tagged
+// frames [len u32][kind u8][body] where len covers kind and body. Any
+// malformed hello or frame drops the connection; the sender's next
+// write observes the reset and redials.
 func (e *tcpEndpoint) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReaderSize(c, 1<<16)
-	var first [4]byte
-	if _, err := io.ReadFull(r, first[:]); err != nil {
+	peer, err := e.acceptHello(c, r)
+	if err != nil {
 		return
 	}
-	if first == preambleMagic && e.net.wireModeOf() != WireLegacy {
-		e.negotiatedLoop(c, r)
-		return
-	}
-	e.legacyLoop(r, first)
-}
-
-// legacyLoop reads untagged [len][gob envelope] frames, the wire format
-// of pre-negotiation binaries. first holds the already-consumed length
-// prefix of the first frame. (In WireLegacy mode an inbound preamble
-// also lands here: its magic reads as an oversized length and the
-// connection is dropped, exactly what an old binary does.)
-func (e *tcpEndpoint) legacyLoop(r *bufio.Reader, first [4]byte) {
-	lenBuf := first
-	for {
-		size := binary.LittleEndian.Uint32(lenBuf[:])
-		if size > maxFrameSize {
-			return
-		}
-		bp, body := takeReadBuf(int(size))
-		if _, err := io.ReadFull(r, body); err != nil {
-			releaseReadBuf(bp)
-			return
-		}
-		var env tcpEnvelope
-		err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env)
-		// gob copies everything out of body, so the buffer recycles
-		// before the envelope is even enqueued.
-		releaseReadBuf(bp)
-		if err != nil {
-			return
-		}
-		if cg, ok := env.Msg.(Credit); ok {
-			e.applyGrant(env.From, int64(cg.Bytes))
-		} else if !e.deliver(envelope{from: env.From, msg: env.Msg, size: 4 + int(size)}) {
-			return
-		}
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return
-		}
-	}
-}
-
-// negotiatedLoop finishes the hello (preamble body + ack) and then
-// reads tagged frames: [len u32][kind u8][body], where len covers kind
-// and body.
-func (e *tcpEndpoint) negotiatedLoop(c net.Conn, r *bufio.Reader) {
-	// Preamble body: version(1) flags(1) idlen(2) id.
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return
-	}
-	version, flags := hdr[0], hdr[1]
-	idLen := int(binary.LittleEndian.Uint16(hdr[2:]))
-	if version == 0 || idLen == 0 || idLen > 256 {
-		return
-	}
-	idBuf := make([]byte, idLen)
-	if _, err := io.ReadFull(r, idBuf); err != nil {
-		return
-	}
-	peer := partition.NodeID(idBuf)
-
-	native := flags&flagNative != 0 && e.net.wireModeOf() == WireAuto
-	var window int64
-	codecByte := byte(0)
-	if native {
-		codecByte = 1
-		window = e.net.creditWindowOf()
-		if window < 0 {
-			window = 0
-		}
-	}
-	// Ack: magic(2) version(1) codec(1) creditWindow(4). The receiver
-	// never writes on this connection again, so no lock is needed.
-	var ack [8]byte
-	copy(ack[:], ackMagic[:])
-	ack[2] = wireVersion
-	ack[3] = codecByte
-	binary.LittleEndian.PutUint32(ack[4:], uint32(window))
-	if _, err := c.Write(ack[:]); err != nil {
-		return
-	}
-	if window > 0 {
-		// Register (or refresh, after a redial) the peer's grant
-		// bookkeeping. Entries persist for the endpoint's lifetime —
-		// a stale one for a vanished peer simply never accrues.
-		e.recvMu.Lock()
-		e.recv[peer] = &recvCredit{window: window}
-		e.recvMu.Unlock()
-	}
-
 	for {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
@@ -551,43 +373,71 @@ func (e *tcpEndpoint) negotiatedLoop(c net.Conn, r *bufio.Reader) {
 			return
 		}
 		kind, payload := body[0], body[1:]
-		frameBytes := 4 + int(size)
-		switch kind {
-		case frameCredit:
-			if len(payload) != 8 {
-				releaseReadBuf(bp)
-				return
-			}
+		if kind == frameCredit && len(payload) == 8 {
 			e.applyGrant(peer, int64(binary.LittleEndian.Uint64(payload)))
 			releaseReadBuf(bp)
-		case frameGob:
-			var env tcpEnvelope
-			err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env)
+			continue
+		}
+		// frameCredit is not a message kind, so a malformed grant fails
+		// here like any other unknown or corrupt frame.
+		msg, err := proto.DecodeWire(proto.WireKind(kind), payload)
+		if err != nil {
 			releaseReadBuf(bp)
-			if err != nil {
-				return
-			}
-			if cg, ok := env.Msg.(Credit); ok {
-				e.applyGrant(env.From, int64(cg.Bytes))
-			} else if !e.deliver(envelope{from: env.From, msg: env.Msg, size: frameBytes}) {
-				return
-			}
-		default:
-			msg, err := proto.DecodeWire(proto.WireKind(kind), payload)
-			if err != nil {
-				releaseReadBuf(bp)
-				return
-			}
+			return
+		}
+		env := envelope{from: peer, msg: msg, size: 4 + int(size), credited: creditEligible(proto.WireKind(kind))}
+		if proto.WireKind(kind).AliasesBody() {
 			// The message's payload slices alias the frame buffer; the
 			// dispatcher recycles it after the handler returns.
-			env := envelope{from: peer, msg: msg, size: frameBytes, buf: bp}
-			env.credited = kind == byte(proto.WireData) || kind == byte(proto.WireResultData)
-			if !e.deliver(env) {
-				releaseReadBuf(bp)
-				return
-			}
+			env.buf = bp
+		} else {
+			releaseReadBuf(bp)
+		}
+		if !e.deliver(env) {
+			releaseReadBuf(env.buf)
+			return
 		}
 	}
+}
+
+// acceptHello reads a dialer's hello — magic(4) version(1) idlen(2) id —
+// and answers with the ack: magic(2) version(1) creditWindow(8). The
+// receiver never writes on this connection again, so no lock is needed.
+func (e *tcpEndpoint) acceptHello(c net.Conn, r *bufio.Reader) (partition.NodeID, error) {
+	var hdr [7]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return "", fmt.Errorf("hello: %w", err)
+	}
+	if string(hdr[:4]) != helloMagic {
+		return "", errors.New("hello: bad magic")
+	}
+	if hdr[4] != wireVersion {
+		return "", fmt.Errorf("hello: version mismatch: peer speaks %d, this node %d", hdr[4], wireVersion)
+	}
+	idLen := int(binary.LittleEndian.Uint16(hdr[5:]))
+	if idLen == 0 || idLen > maxNodeIDLen {
+		return "", fmt.Errorf("hello: node id length %d", idLen)
+	}
+	id := make([]byte, idLen)
+	if _, err := io.ReadFull(r, id); err != nil {
+		return "", fmt.Errorf("hello: %w", err)
+	}
+	peer := partition.NodeID(id)
+
+	window := max(e.net.creditWindowOf(), 0)
+	ack := binary.LittleEndian.AppendUint64(append([]byte(ackMagic), wireVersion), uint64(window))
+	if _, err := c.Write(ack); err != nil {
+		return "", fmt.Errorf("hello: ack: %w", err)
+	}
+	if window > 0 {
+		// Register (or refresh, after a redial) the peer's grant
+		// bookkeeping. Entries persist for the endpoint's lifetime —
+		// a stale one for a vanished peer simply never accrues.
+		e.recvMu.Lock()
+		e.recv[peer] = &recvCredit{window: window}
+		e.recvMu.Unlock()
+	}
+	return peer, nil
 }
 
 // deliver enqueues one inbound envelope unless the endpoint is closing,
@@ -642,10 +492,13 @@ func (e *tcpEndpoint) noteConsumed(from partition.NodeID, frameBytes int) {
 	if grant == 0 {
 		return
 	}
-	if err := e.Send(from, Credit{Bytes: uint64(grant)}); err != nil {
-		// The sender is unreachable; its connection (and the debt the
-		// grant would have repaid) died with it, so the grant is moot.
-		return
+	// If the sender is unreachable or the write fails, its connection —
+	// and the debt the grant would have repaid — died with it, so the
+	// grant is moot (the next Send observes the sticky write error).
+	if conn, err := e.conn(from); err == nil {
+		_, _ = conn.writeFrame(frameCredit, 8, func(b []byte) []byte {
+			return binary.LittleEndian.AppendUint64(b, uint64(grant))
+		})
 	}
 }
 
@@ -700,14 +553,6 @@ func releaseReadBuf(bp *[]byte) {
 	}
 }
 
-// frameBufPool recycles gob encode buffers across Sends. Pooling is
-// safe here because the body is fully copied onto the connection's
-// bufio.Writer before the buffer is returned; the in-process transport
-// must NOT pool, since it hands message references to the receiver.
-var frameBufPool = sync.Pool{
-	New: func() any { return new(bytes.Buffer) },
-}
-
 // Node implements Endpoint.
 func (e *tcpEndpoint) Node() partition.NodeID { return e.node }
 
@@ -719,29 +564,41 @@ func creditEligible(kind proto.WireKind) bool {
 	return kind == proto.WireData || kind == proto.WireResultData
 }
 
+// coalesces reports whether a kind may wait in the connection's write
+// buffer for the watermark or the paced flush: only the steady-flow
+// payloads are worth trading latency for syscalls. Everything else —
+// control messages, state transfers (which gate relocation steps) —
+// flushes immediately.
+func coalesces(kind proto.WireKind) bool {
+	return kind == proto.WireData || kind == proto.WireResultData || kind == proto.WireStateDelta
+}
+
 // Send implements Endpoint.
 func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 	var start time.Time
 	if e.metrics != nil {
 		start = time.Now()
 	}
+	kind := proto.WireKindOf(msg)
+	if kind == proto.WireNone {
+		return fmt.Errorf("transport: send to %s: %T is not a registered wire message", to, msg)
+	}
 	conn, err := e.conn(to)
 	if err != nil {
 		return err
 	}
-	kind := proto.WireKindOf(msg)
+	size := proto.WireSize(msg)
 	if conn.credit != nil && creditEligible(kind) {
 		// Charge exactly the framed size the receiver will count.
-		need := int64(4 + 1 + proto.WireSize(msg))
-		err := conn.credit.consume(need, e.net.creditTimeoutOf(), e.stop,
+		err := conn.credit.consume(int64(4+1+size), e.net.creditTimeoutOf(), e.stop,
 			func() { e.metrics.creditBlocked(to) })
 		if err != nil {
 			return fmt.Errorf("transport: send to %s: %w", to, err)
 		}
 	}
-	conn.mu.Lock()
-	frameBytes, err := conn.writeFrame(e.node, msg, kind)
-	conn.mu.Unlock()
+	frameBytes, err := conn.writeFrame(byte(kind), size, func(b []byte) []byte {
+		return proto.AppendWire(b, msg)
+	})
 	if err != nil {
 		// Drop the broken connection so a retry can redial.
 		e.mu.Lock()
@@ -758,87 +615,34 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 	return nil
 }
 
-// writeFrame encodes one message under the connection's codec,
-// reporting its exact wire size (length prefix + tag + body). The
-// caller holds c.mu. Small data-plane frames coalesce in the bufio
-// writer until the watermark or the paced flush; everything else —
-// control messages, credit grants, state transfers — flushes
-// immediately (pushing any coalesced frames ahead of it, so per-
-// connection FIFO order is preserved).
-func (c *tcpConn) writeFrame(from partition.NodeID, msg proto.Message, kind proto.WireKind) (int, error) {
-	coalesce := false
-	var frameBytes int
-	switch {
-	case c.codec == codecNative && kind != proto.WireNone:
-		body := proto.WireSize(msg)
-		if body+1 > maxFrameSize {
-			return 0, fmt.Errorf("native frame of %d bytes exceeds limit", body+1)
-		}
-		b := c.enc[:0]
-		b = binary.LittleEndian.AppendUint32(b, uint32(body+1))
-		b = append(b, byte(kind))
-		b = proto.AppendWire(b, msg)
-		c.enc = b
-		frameBytes = len(b)
-		if _, err := c.w.Write(b); err != nil {
-			return 0, err
-		}
-		if cap(c.enc) > encScratchMax {
-			c.enc = nil
-		}
-		// State transfers gate relocation steps; only the steady-flow
-		// payloads are worth trading latency for syscalls.
-		coalesce = kind != proto.WireStateTransfer
-	case c.codec != codecLegacy && isCreditMsg(msg):
-		cg := msg.(Credit)
-		var b [13]byte
-		binary.LittleEndian.PutUint32(b[:], 9)
-		b[4] = frameCredit
-		binary.LittleEndian.PutUint64(b[5:], cg.Bytes)
-		frameBytes = len(b)
-		if _, err := c.w.Write(b[:]); err != nil {
-			return 0, err
-		}
-	default:
-		body := frameBufPool.Get().(*bytes.Buffer)
-		body.Reset()
-		defer frameBufPool.Put(body)
-		if err := gob.NewEncoder(body).Encode(&tcpEnvelope{From: from, Msg: msg}); err != nil {
-			return 0, fmt.Errorf("encode frame: %w", err)
-		}
-		tag := 0
-		if c.codec != codecLegacy {
-			tag = 1
-		}
-		if body.Len()+tag > maxFrameSize {
-			return 0, fmt.Errorf("gob frame of %d bytes exceeds limit", body.Len()+tag)
-		}
-		var hdr [5]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(body.Len()+tag))
-		hdr[4] = frameGob
-		if _, err := c.w.Write(hdr[:4+tag]); err != nil {
-			return 0, err
-		}
-		if _, err := c.w.Write(body.Bytes()); err != nil {
-			return 0, err
-		}
-		frameBytes = 4 + tag + body.Len()
+// writeFrame writes one [len u32][kind u8][body] frame, body appending
+// exactly size bytes, and reports its wire size. Coalescable frames
+// wait in the bufio writer until the watermark or the paced flush;
+// everything else flushes immediately, pushing any coalesced frames
+// ahead of it so per-connection FIFO order is preserved.
+func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int, error) {
+	if size+1 > maxFrameSize {
+		return 0, fmt.Errorf("frame of %d bytes exceeds limit", size+1)
 	}
-	if coalesce {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := binary.LittleEndian.AppendUint32(c.enc[:0], uint32(size+1))
+	b = body(append(b, kind))
+	c.enc = b
+	if cap(c.enc) > encScratchMax {
+		c.enc = nil
+	}
+	if _, err := c.w.Write(b); err != nil {
+		return 0, err
+	}
+	if coalesces(proto.WireKind(kind)) {
 		c.dirty = true
-		if c.w.Buffered() >= coalesceWatermark {
-			c.dirty = false
-			return frameBytes, c.w.Flush()
+		if c.w.Buffered() < coalesceWatermark {
+			return len(b), nil
 		}
-		return frameBytes, nil
 	}
 	c.dirty = false
-	return frameBytes, c.w.Flush()
-}
-
-func isCreditMsg(msg proto.Message) bool {
-	_, ok := msg.(Credit)
-	return ok
+	return len(b), c.w.Flush()
 }
 
 // flushLoop is the paced flush for coalesced frames: small data-plane
@@ -898,23 +702,13 @@ func (e *tcpEndpoint) conn(to partition.NodeID) (*tcpConn, error) {
 		e.mu.Unlock()
 		return c, nil
 	}
-	legacyPeer := e.legacy[to]
 	e.mu.Unlock()
 
 	addr, ok := e.net.Addr(to)
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown node %s", to)
 	}
-	mode := e.net.wireModeOf()
-	c, err := e.dial(addr, mode, legacyPeer)
-	if err == errLegacyPeer {
-		// The peer hung up on the hello: an old binary. Remember and
-		// redial with legacy framing.
-		e.mu.Lock()
-		e.legacy[to] = true
-		e.mu.Unlock()
-		c, err = e.dial(addr, mode, true)
-	}
+	c, err := e.dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s (%s): %w", to, addr, err)
 	}
@@ -932,73 +726,58 @@ func (e *tcpEndpoint) conn(to partition.NodeID) (*tcpConn, error) {
 	return c, nil
 }
 
-// errLegacyPeer reports a failed hello: the peer rejected the preamble
-// (or answered garbage), so it predates negotiation.
-var errLegacyPeer = errors.New("transport: peer rejected hello")
-
-// dial opens and (unless legacy) negotiates one connection.
-func (e *tcpEndpoint) dial(addr string, mode WireMode, legacyPeer bool) (*tcpConn, error) {
+// dial opens one connection and performs the hello. A failed hello says
+// why: the peer hung up, answered something that is not an ack, speaks
+// another version, or never answered.
+func (e *tcpEndpoint) dial(addr string) (*tcpConn, error) {
+	id := string(e.node)
+	if len(id) == 0 || len(id) > maxNodeIDLen {
+		return nil, fmt.Errorf("hello: node id %q must be 1..%d bytes", id, maxNodeIDLen)
+	}
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	if mode == WireLegacy || legacyPeer {
-		return &tcpConn{c: raw, w: bufio.NewWriterSize(raw, connWriterSize), codec: codecLegacy}, nil
-	}
-
-	flags := byte(0)
-	if mode == WireAuto {
-		flags |= flagNative
-	}
-	id := string(e.node)
-	if len(id) > 256 {
+	credit, err := hello(raw, id)
+	if err != nil {
 		raw.Close()
-		return nil, fmt.Errorf("node id %q too long for hello", id)
+		return nil, err
 	}
-	pre := make([]byte, 0, 8+len(id))
-	pre = append(pre, preambleMagic[:]...)
-	pre = append(pre, wireVersion, flags)
-	pre = binary.LittleEndian.AppendUint16(pre, uint16(len(id)))
-	pre = append(pre, id...)
-	if _, err := raw.Write(pre); err != nil {
-		raw.Close()
-		return nil, errLegacyPeer
-	}
-	raw.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	var ack [8]byte
-	if _, err := io.ReadFull(raw, ack[:]); err != nil || ack[0] != ackMagic[0] || ack[1] != ackMagic[1] {
-		raw.Close()
-		return nil, errLegacyPeer
-	}
-	raw.SetReadDeadline(time.Time{})
-	codec := codecGob
-	var credit *senderCredit
-	if ack[3] == 1 {
-		codec = codecNative
-		if window := int64(binary.LittleEndian.Uint32(ack[4:])); window > 0 {
-			credit = newSenderCredit(window)
-		}
-	}
-	return &tcpConn{c: raw, w: bufio.NewWriterSize(raw, connWriterSize), codec: codec, credit: credit}, nil
+	return &tcpConn{c: raw, w: bufio.NewWriterSize(raw, connWriterSize), credit: credit}, nil
 }
 
-// Codec reports the negotiated codec name of the cached connection to
-// a peer ("", "legacy", "gob", or "native"), for tests and diagnostics.
-func (e *tcpEndpoint) Codec(to partition.NodeID) string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, ok := e.conns[to]
-	if !ok {
-		return ""
+// hello sends the dialer's hello on raw and reads the ack, returning
+// the peer's advertised credit window (nil when it advertises none).
+func hello(raw net.Conn, id string) (*senderCredit, error) {
+	pre := binary.LittleEndian.AppendUint16(append([]byte(helloMagic), wireVersion), uint16(len(id)))
+	pre = append(pre, id...)
+	if _, err := raw.Write(pre); err != nil {
+		return nil, fmt.Errorf("hello: %w", err)
 	}
-	switch c.codec {
-	case codecGob:
-		return "gob"
-	case codecNative:
-		return "native"
-	default:
-		return "legacy"
+	if err := raw.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return nil, fmt.Errorf("hello: %w", err)
 	}
+	var ack [helloAckSize]byte
+	if _, err := io.ReadFull(raw, ack[:]); err != nil {
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			return nil, fmt.Errorf("hello: ack timeout after %v", handshakeTimeout)
+		}
+		return nil, fmt.Errorf("hello: peer hung up before the ack: %w", err)
+	}
+	if string(ack[:2]) != ackMagic {
+		return nil, fmt.Errorf("hello: bad magic in ack % x", ack[:2])
+	}
+	if ack[2] != wireVersion {
+		return nil, fmt.Errorf("hello: version mismatch: peer speaks %d, this node %d", ack[2], wireVersion)
+	}
+	// The ack was the last thing this side ever reads on raw, so the
+	// deadline is left to lapse. The window travels as the int64 that
+	// SetCreditWindow takes: no value is truncated in transit.
+	if window := int64(binary.LittleEndian.Uint64(ack[3:])); window > 0 {
+		return newSenderCredit(window), nil
+	}
+	return nil, nil
 }
 
 // Close implements Endpoint.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -41,78 +42,166 @@ func rawDial(t *testing.T, n *TCP, node partition.NodeID) net.Conn {
 	return c
 }
 
-// TestTCPPartialFrameDiscarded writes a truncated frame (the length
-// prefix promises more bytes than ever arrive) and closes mid-stream;
-// the receiver must drop the connection without delivering anything,
-// and keep serving other connections.
+// rawHello dials node, performs the dialer's half of the hello as peer
+// "raw", and returns the connection ready for frames.
+func rawHello(t *testing.T, n *TCP, node partition.NodeID) net.Conn {
+	t.Helper()
+	c := rawDial(t, n, node)
+	t.Cleanup(func() { c.Close() })
+	if _, err := hello(c, "raw"); err != nil {
+		t.Fatalf("hello rejected: %v", err)
+	}
+	return c
+}
+
+// helloBytes builds a dialer's hello by hand.
+func helloBytes(version byte, id string) []byte {
+	b := binary.LittleEndian.AppendUint16(append([]byte(helloMagic), version), uint16(len(id)))
+	return append(b, id...)
+}
+
+// frame builds one [len][kind][body] frame.
+func frame(kind proto.WireKind, body []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(1+len(body)))
+	return append(append(b, byte(kind)), body...)
+}
+
+// expectDropped asserts the receiver hangs up on c (observed as EOF).
+func expectDropped(t *testing.T, c net.Conn, why string) {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("%s: receiver kept the connection open (read err: %v)", why, err)
+	}
+}
+
+// expectHealthy sends one real message and checks the recorder then
+// holds exactly want: rejected connections must neither deliver
+// anything nor disturb other senders.
+func expectHealthy(t *testing.T, a Endpoint, rec *recorder, want int) {
+	t.Helper()
+	if err := a.Send("b", proto.Hello{Node: "a", Kind: proto.KindEngine}); err != nil {
+		t.Fatal(err)
+	}
+	rec.wait(t, want)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.msgs) != want {
+		t.Fatalf("a rejected connection produced a delivery: %d messages, want %d", len(rec.msgs), want)
+	}
+}
+
+// TestTCPBadHelloDropped: a connection that does not open with a valid
+// hello — no hello at all (a bare frame, which is also what a pre-PR-9
+// peer would send), another version, an empty node id — is dropped
+// before any frame is read.
+func TestTCPBadHelloDropped(t *testing.T) {
+	n, a, rec := tcpPair(t)
+	for name, opening := range map[string][]byte{
+		"no hello":      frame(proto.WireData, make([]byte, 16)),
+		"wrong version": helloBytes(wireVersion+1, "raw"),
+		"empty node id": helloBytes(wireVersion, ""),
+	} {
+		c := rawDial(t, n, "b")
+		if _, err := c.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		expectDropped(t, c, name)
+		c.Close()
+	}
+	expectHealthy(t, a, rec, 1)
+}
+
+// TestTCPBadFrameDropsConnection: after a valid hello, a frame with an
+// unknown kind, a body its kind's decoder rejects, a malformed credit
+// grant, a zero length or a length beyond the limit makes the receiver
+// hang up instead of guessing (or allocating).
+func TestTCPBadFrameDropsConnection(t *testing.T) {
+	n, a, rec := tcpPair(t)
+	msg := proto.Hello{Node: "raw", Kind: proto.KindEngine}
+	kind, body := proto.WireKindOf(msg), proto.AppendWire(nil, msg)
+	for name, bad := range map[string][]byte{
+		"unknown kind":     frame(200, []byte{1, 2, 3}),
+		"kind zero":        frame(proto.WireNone, []byte("gob")),
+		"truncated body":   frame(kind, body[:len(body)-1]),
+		"trailing byte":    frame(kind, append(body[:len(body):len(body)], 0)),
+		"short grant":      frame(proto.WireKind(frameCredit), []byte{1, 2, 3}),
+		"zero length":      {0, 0, 0, 0},
+		"oversized length": binary.LittleEndian.AppendUint32(nil, maxFrameSize+1),
+	} {
+		c := rawHello(t, n, "b")
+		if _, err := c.Write(bad); err != nil {
+			t.Fatal(err)
+		}
+		expectDropped(t, c, name)
+	}
+	expectHealthy(t, a, rec, 1)
+}
+
+// TestTCPPartialFrameDiscarded writes a whole frame followed by a
+// truncated one (the length prefix promises more bytes than ever
+// arrive) and closes mid-stream: the whole frame is delivered, the
+// partial one is discarded, and other connections keep being served.
 func TestTCPPartialFrameDiscarded(t *testing.T) {
 	n, a, rec := tcpPair(t)
-
-	c := rawDial(t, n, "b")
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], 100)
-	if _, err := c.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte{0xde, 0xad}); err != nil {
+	c := rawHello(t, n, "b")
+	drain := proto.Drain{Token: 7}
+	whole := frame(proto.WireKindOf(drain), proto.AppendWire(nil, drain))
+	partial := frame(proto.WireData, make([]byte, 100))[:6]
+	if _, err := c.Write(append(whole, partial...)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-
-	// A healthy sender is unaffected.
-	if err := a.Send("b", proto.Hello{Node: "a", Kind: proto.KindEngine}); err != nil {
-		t.Fatal(err)
-	}
 	rec.wait(t, 1)
+	expectHealthy(t, a, rec, 2)
 	rec.mu.Lock()
-	got := len(rec.msgs)
-	rec.mu.Unlock()
-	if got != 1 {
-		t.Fatalf("partial frame produced a delivery: %d messages", got)
+	defer rec.mu.Unlock()
+	if rec.msgs[0] != proto.Message(drain) || rec.from[0] != "raw" {
+		t.Fatalf("first delivery = %#v from %q, want the raw peer's Drain", rec.msgs[0], rec.from[0])
 	}
 }
 
-// TestTCPGarbageFrameDropsConnection sends a complete frame whose body
-// is not valid gob; the receiver must close that connection (observed
-// as EOF on our side) and deliver nothing from it.
-func TestTCPGarbageFrameDropsConnection(t *testing.T) {
-	n, a, rec := tcpPair(t)
-
-	c := rawDial(t, n, "b")
-	body := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := c.Write(append(lenBuf[:], body...)); err != nil {
-		t.Fatal(err)
+// TestTCPCreditFrameIsNotAMessageKind pins the one number the transport
+// and the proto kind table must never share.
+func TestTCPCreditFrameIsNotAMessageKind(t *testing.T) {
+	if _, err := proto.DecodeWire(proto.WireKind(frameCredit), make([]byte, 8)); err == nil {
+		t.Fatalf("proto registers a message at kind %#x, the transport's credit frame", frameCredit)
 	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("receiver kept a poisoned connection open (read err: %v)", err)
-	}
-	c.Close()
-
-	if err := a.Send("b", proto.Hello{Node: "a", Kind: proto.KindEngine}); err != nil {
-		t.Fatal(err)
-	}
-	rec.wait(t, 1)
 }
 
-// TestTCPOversizedFrameRejected sends a length prefix beyond the frame
-// limit; the receiver must hang up instead of allocating for it.
-func TestTCPOversizedFrameRejected(t *testing.T) {
-	n, _, _ := tcpPair(t)
-
-	c := rawDial(t, n, "b")
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(maxFrameSize+1))
-	if _, err := c.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
+// TestTCPHelloFailureSaysWhy runs the dialer's hello against peers that
+// botch the ack in each distinguishable way; the error (which Send
+// wraps) must name it.
+func TestTCPHelloFailureSaysWhy(t *testing.T) {
+	ack := func(magic string, version byte) []byte {
+		return binary.LittleEndian.AppendUint64(append([]byte(magic), version), 1<<20)
 	}
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("receiver accepted an oversized frame header (read err: %v)", err)
+	for _, tc := range []struct {
+		name   string
+		answer []byte // nil: hang up; empty: stay silent
+		want   string
+	}{
+		{"hang up", nil, "hung up"},
+		{"garbage", ack("XX", wireVersion), "bad magic"},
+		{"other version", ack(ackMagic, wireVersion+1), "version mismatch"},
+		{"silence", []byte{}, "ack timeout"},
+	} {
+		dialer, peer := net.Pipe()
+		go func() {
+			io.ReadFull(peer, make([]byte, len(helloBytes(wireVersion, "a"))))
+			if tc.answer == nil {
+				peer.Close()
+			} else if len(tc.answer) > 0 {
+				peer.Write(tc.answer)
+			}
+		}()
+		_, err := hello(dialer, "a")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: hello error = %v, want it to say %q", tc.name, err, tc.want)
+		}
+		dialer.Close()
+		peer.Close()
 	}
-	c.Close()
 }
 
 // TestTCPMidStreamResetRedials breaks the sender's cached connection
@@ -182,7 +271,7 @@ func TestTCPReceiverRestartRedial(t *testing.T) {
 	// rather than Send success.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_ = a.Send("b", hello) //distqlint:allow senderrcheck: probing a dead conn until the redial lands
+		_ = a.Send("b", hello) //distqlint:allow uncheckederr: probing a dead conn until the redial lands
 		rec.mu.Lock()
 		got := len(rec.msgs)
 		rec.mu.Unlock()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,9 +88,8 @@ func (s *dataSink) waitData(t *testing.T, n int) {
 	}
 }
 
-// twoNetPair wires a sender on netA to a receiver on netB, as two
-// separately configured TCP networks (mixed wire modes / versions)
-// sharing one address space.
+// twoNetPair wires a sender on netA to a receiver on netB (usually the
+// same network).
 func twoNetPair(t *testing.T, netA, netB *TCP, h Handler) Endpoint {
 	t.Helper()
 	if _, err := netB.Attach("b", h); err != nil {
@@ -111,10 +111,11 @@ func freshDir() map[partition.NodeID]string {
 	return map[partition.NodeID]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"}
 }
 
-// TestTCPNativeNegotiationRoundTrip sends every natively encoded
-// data-plane message between two current-version peers and checks the
-// contents arrive intact over the negotiated codec.
-func TestTCPNativeNegotiationRoundTrip(t *testing.T) {
+// TestTCPBulkKindsRoundTrip sends every bulk data-plane message (the
+// kinds whose decode aliases the pooled frame buffer) plus two control
+// messages with variable-length fields, and checks the contents arrive
+// intact and in order.
+func TestTCPBulkKindsRoundTrip(t *testing.T) {
 	n := NewTCP(freshDir())
 	defer n.Close()
 	sink := newDataSink()
@@ -124,9 +125,6 @@ func TestTCPNativeNegotiationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink.waitData(t, 1)
-	if got := a.(*tcpEndpoint).Codec("b"); got != "native" {
-		t.Fatalf("negotiated codec = %q, want native", got)
-	}
 
 	xfer := proto.StateTransfer{
 		Epoch:    7,
@@ -144,7 +142,9 @@ func TestTCPNativeNegotiationRoundTrip(t *testing.T) {
 		Trace: obs.TraceContext{TraceID: 1, SpanID: 2, Node: "a"},
 	}
 	res := proto.ResultData{Node: "a", Payload: []byte("results"), Phase: proto.PhaseCleanup}
-	for _, msg := range []proto.Message{xfer, delta, res} {
+	stats := proto.StatsReport{Node: "a", MemBytes: 1 << 33, ReplLag: map[partition.ID]int64{7: 70, 2: 20}, ReplVersion: 4}
+	rmap := proto.ReplicaMap{Version: 4, Entries: []proto.ReplicaEntry{{Group: 2, Primary: "a", Follower: "b"}, {Group: 7, Primary: "b", Follower: "a"}}}
+	for _, msg := range []proto.Message{xfer, delta, res, stats, rmap} {
 		if err := a.Send("b", msg); err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestTCPNativeNegotiationRoundTrip(t *testing.T) {
 		sink.mu.Lock()
 		have := len(sink.others)
 		sink.mu.Unlock()
-		if have >= 3 {
+		if have >= 5 {
 			break
 		}
 		select {
@@ -180,74 +180,15 @@ func TestTCPNativeNegotiationRoundTrip(t *testing.T) {
 	if !ok || gr.Node != "a" || string(gr.Payload) != "results" || gr.Phase != proto.PhaseCleanup {
 		t.Fatalf("ResultData mangled: %+v", sink.others[2])
 	}
-}
-
-// TestTCPMixedVersionFallback pairs a current-version endpoint with a
-// legacy-mode peer in both directions: the hello must fall back to the
-// old untagged gob framing and traffic must still flow.
-func TestTCPMixedVersionFallback(t *testing.T) {
-	t.Run("new-sender/old-receiver", func(t *testing.T) {
-		nNew, nOld := NewTCP(freshDir()), NewTCP(freshDir())
-		nOld.SetWireMode(WireLegacy)
-		defer nNew.Close()
-		defer nOld.Close()
-		sink := newDataSink()
-		a := twoNetPair(t, nNew, nOld, sink.handle)
-		if err := a.Send("b", proto.Data{Payload: []byte("fallback"), MapVersion: 1}); err != nil {
-			t.Fatal(err)
-		}
-		sink.waitData(t, 1)
-		if string(sink.payloads[0]) != "fallback" {
-			t.Fatalf("payload = %q", sink.payloads[0])
-		}
-		if got := a.(*tcpEndpoint).Codec("b"); got != "legacy" {
-			t.Fatalf("codec = %q, want legacy", got)
-		}
-	})
-	t.Run("old-sender/new-receiver", func(t *testing.T) {
-		nNew, nOld := NewTCP(freshDir()), NewTCP(freshDir())
-		nOld.SetWireMode(WireLegacy)
-		defer nNew.Close()
-		defer nOld.Close()
-		sink := newDataSink()
-		a := twoNetPair(t, nOld, nNew, sink.handle)
-		if err := a.Send("b", proto.Data{Payload: []byte("upstream"), MapVersion: 2}); err != nil {
-			t.Fatal(err)
-		}
-		sink.waitData(t, 1)
-		if string(sink.payloads[0]) != "upstream" || sink.versions[0] != 2 {
-			t.Fatalf("payload = %q version %d", sink.payloads[0], sink.versions[0])
-		}
-	})
-}
-
-// TestTCPWireGobNegotiated covers the middle generation: a peer that
-// understands tagged frames but declines the native codec.
-func TestTCPWireGobNegotiated(t *testing.T) {
-	nNew, nGob := NewTCP(freshDir()), NewTCP(freshDir())
-	nGob.SetWireMode(WireGob)
-	defer nNew.Close()
-	defer nGob.Close()
-	sink := newDataSink()
-	// The gob-only peer dials the current-version receiver: the receiver
-	// offers native but must respect the dialer's declined capability.
-	a := twoNetPair(t, nGob, nNew, sink.handle)
-	if err := a.Send("b", proto.Data{Payload: []byte("tagged-gob"), MapVersion: 9}); err != nil {
-		t.Fatal(err)
-	}
-	sink.waitData(t, 1)
-	if string(sink.payloads[0]) != "tagged-gob" || sink.versions[0] != 9 {
-		t.Fatalf("payload = %q version %d", sink.payloads[0], sink.versions[0])
-	}
-	if got := a.(*tcpEndpoint).Codec("b"); got != "gob" {
-		t.Fatalf("codec = %q, want gob", got)
+	if !reflect.DeepEqual(sink.others[3], proto.Message(stats)) || !reflect.DeepEqual(sink.others[4], proto.Message(rmap)) {
+		t.Fatalf("control messages mangled: %+v, %+v", sink.others[3], sink.others[4])
 	}
 }
 
-// TestTCPMidStreamResetKeepsCodec severs an established native
-// connection; the redial must land back on the native codec (the
-// negotiation is per-connection, not a sticky downgrade).
-func TestTCPMidStreamResetKeepsCodec(t *testing.T) {
+// TestTCPMidStreamResetDataRecovers severs an established connection
+// under coalesced data frames; the sender must redial (a fresh hello
+// and a fresh credit window) and deliver again.
+func TestTCPMidStreamResetDataRecovers(t *testing.T) {
 	n := NewTCP(freshDir())
 	defer n.Close()
 	sink := newDataSink()
@@ -258,10 +199,6 @@ func TestTCPMidStreamResetKeepsCodec(t *testing.T) {
 	}
 	sink.waitData(t, 1)
 	ep := a.(*tcpEndpoint)
-	if got := ep.Codec("b"); got != "native" {
-		t.Fatalf("pre-reset codec = %q", got)
-	}
-
 	ep.mu.Lock()
 	conn := ep.conns["b"]
 	ep.mu.Unlock()
@@ -269,10 +206,10 @@ func TestTCPMidStreamResetKeepsCodec(t *testing.T) {
 
 	// Data frames coalesce, so the write that discovers the dead socket
 	// may be the paced flush rather than the Send itself; probe until
-	// the redial lands, then confirm delivery and codec.
+	// the redial lands.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_ = a.Send("b", proto.Data{Payload: []byte("two"), MapVersion: 1}) //distqlint:allow senderrcheck: probing a reset conn until the redial lands
+		_ = a.Send("b", proto.Data{Payload: []byte("two"), MapVersion: 1}) //distqlint:allow uncheckederr: probing a reset conn until the redial lands
 		sink.mu.Lock()
 		have := len(sink.payloads)
 		sink.mu.Unlock()
@@ -284,8 +221,39 @@ func TestTCPMidStreamResetKeepsCodec(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := ep.Codec("b"); got != "native" {
-		t.Fatalf("post-redial codec = %q, want native", got)
+	ep.mu.Lock()
+	redialed := ep.conns["b"]
+	ep.mu.Unlock()
+	if redialed == conn || redialed == nil || redialed.credit == nil {
+		t.Fatalf("no fresh connection with a credit window after the reset: %+v", redialed)
+	}
+}
+
+// TestTCPCreditWindowAbove4GiB: the ack used to carry the window as a
+// uint32, so SetCreditWindow(4 GiB) arrived as 0 — backpressure silently
+// off. The sender must see the window it was promised.
+func TestTCPCreditWindowAbove4GiB(t *testing.T) {
+	const window = 1<<32 + 4096
+	n := NewTCP(freshDir())
+	n.SetCreditWindow(window)
+	defer n.Close()
+	sink := newDataSink()
+	a := twoNetPair(t, n, n, sink.handle)
+	if err := a.Send("b", proto.Data{Payload: make([]byte, 100)}); err != nil {
+		t.Fatal(err)
+	}
+	sink.waitData(t, 1)
+	ep := a.(*tcpEndpoint)
+	ep.mu.Lock()
+	credit := ep.conns["b"].credit
+	ep.mu.Unlock()
+	if credit == nil {
+		t.Fatal("a window above 4 GiB turned credit off")
+	}
+	credit.mu.Lock()
+	defer credit.mu.Unlock()
+	if want := int64(window - (4 + 1 + 8 + 100)); credit.avail != want {
+		t.Fatalf("window after one 113-byte frame = %d, want %d", credit.avail, want)
 	}
 }
 

@@ -2,11 +2,11 @@
 // implementations share one contract:
 //
 //   - inproc: goroutine/channel based, for tests and fast experiments;
-//   - tcp: length-prefixed frames over real sockets on localhost, for
-//     the multi-process cluster binaries. Framing is negotiated per
-//     connection: new peers speak the native data-plane codec with
-//     write coalescing and credit-based backpressure, old peers get the
-//     original untagged gob frames (PROTOCOL.md "Wire format").
+//   - tcp: real sockets on localhost, for the multi-process cluster
+//     binaries. Every connection opens with one hello and then carries
+//     [len][kind][body] frames in the proto wire codec, with write
+//     coalescing and credit-based backpressure on the data path
+//     (PROTOCOL.md "Wire format").
 //
 // Contract: delivery is FIFO per (sender, receiver) pair, and each node's
 // handler is invoked serially (one message at a time), which gives every
