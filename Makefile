@@ -3,14 +3,15 @@
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
 # fixed-iteration hot-path micro-benchmarks, serial-vs-parallel cleanup
 # and run-time join comparisons, and one compressed figure run, written
-# to BENCH_9.json and gated against BENCH_BASELINE.json. CI runs it as a
+# to BENCH_13.json and gated against BENCH_BASELINE.json. CI runs it as a
 # non-blocking artifact step; it is not part of the tier-1 gate. The
-# end-to-end benchmark over real TCP is `go run ./benchmark`.
+# end-to-end benchmark over real TCP is `go run ./benchmark`; `make
+# e2e-smoke` is its two-second-per-workload exactness check.
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke fuzz-smoke bench
+.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench
 
 check: vet build no-gob lint lint-waivers test-race chaos-smoke fuzz-smoke
 
@@ -52,7 +53,14 @@ test-race:
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact' ./internal/experiments
 
-# bench runs the benchmark regression gate and writes BENCH_9.json.
+# e2e-smoke runs the four end-to-end workloads over real TCP for two
+# seconds each (about 20 s in all): every workload checks its result
+# count against the oracle and the command exits non-zero on any
+# "# FAILED".
+e2e-smoke:
+	$(GO) run ./benchmark -seconds 2
+
+# bench runs the benchmark regression gate and writes BENCH_13.json.
 # Shrink the figure smoke further with REPRO_DURATION_FACTOR.
 bench:
 	$(GO) run ./cmd/benchgate

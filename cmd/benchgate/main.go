@@ -2,7 +2,7 @@
 // hot-path micro-benchmarks (internal/bench) at fixed iteration counts,
 // one serial-vs-parallel cleanup comparison, one serial-vs-sharded
 // run-time join comparison, and one compressed figure run, writes the
-// machine-readable BENCH_9.json report, and exits non-zero if any gated
+// machine-readable BENCH_13.json report, and exits non-zero if any gated
 // metric regressed more than the threshold against the committed
 // BENCH_BASELINE.json. (The TCP data path is measured end to end by
 // `go run ./benchmark`, workload flood_count.)
@@ -33,18 +33,38 @@ import (
 	"repro/internal/vclock"
 )
 
-// Pre-PR baselines for the two gated join benchmarks, captured at
-// N=300000 with the shared-payload harness before the allocation-lean
-// join core landed. BENCH_4.json carries them so the before/after
-// comparison travels with the report.
+// Pre-PR figures of the join and batch benchmarks, measured on the
+// 2-core reference box at the commit before the pointer-free resident
+// layout landed (map-of-lists tables over an arena of tuple.Tuple), so
+// the before/after comparison travels with the report. The old
+// operator kept the harness's one shared payload slice by reference, so
+// its B/op and live bytes exclude the 40 payload bytes per tuple that
+// the new operator copies (and that a real engine held in decode slabs):
+// add 40 to compare like with like.
 var prePR = map[string]bench.Metric{
 	"join_process_count_only": {
 		Name: "join_process_count_only", N: 300_000,
-		NsPerOp: 283.7, AllocsPerOp: 0.0869, BytesPerOp: 163.3,
+		NsPerOp: 249.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.8,
+	},
+	"join_resident_bytes_per_tuple": {
+		Name: "join_resident_bytes_per_tuple", N: 300_000,
+		NsPerOp: 224.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
+	},
+	"join_process_parallel": {
+		Name: "join_process_parallel", N: 300_000,
+		NsPerOp: 225.2, AllocsPerOp: 0.0200, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
+	},
+	"join_process_observed": {
+		Name: "join_process_observed", N: 300_000,
+		NsPerOp: 218.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
 	},
 	"join_process_materializing": {
 		Name: "join_process_materializing", N: 300_000,
-		NsPerOp: 110020.9, AllocsPerOp: 3329.3744, BytesPerOp: 80066.2,
+		NsPerOp: 19302.0, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
+	},
+	"batch_round_trip": {
+		Name: "batch_round_trip", N: 2_000,
+		NsPerOp: 24403.6, AllocsPerOp: 3.0255, BytesPerOp: 45056.6,
 	},
 }
 
@@ -108,7 +128,7 @@ type report struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_9.json", "report output path")
+	out := flag.String("out", "BENCH_13.json", "report output path")
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
 	threshold := flag.Float64("threshold", 15, "regression threshold in percent")
 	skipFigure := flag.Bool("skip-figure", false, "skip the compressed figure run")
@@ -123,18 +143,19 @@ func main() {
 		Gate:         gateReport{ThresholdPct: *threshold, BaselineFile: *baselinePath, Passed: true},
 	}
 
-	for _, c := range bench.Cases() {
+	cases := bench.Cases()
+	for _, c := range cases {
 		m := bench.Run(c, 0)
 		rep.Metrics = append(rep.Metrics, m)
-		fmt.Printf("%-28s n=%-8d %12.1f ns/op %12.4f allocs/op %12.1f B/op\n",
-			m.Name, m.N, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
+		fmt.Printf("%-30s n=%-8d %12.1f ns/op %12.4f allocs/op %12.1f B/op %10.1f live B/op\n",
+			m.Name, m.N, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp, m.LiveBytesPerOp)
 		if pre, ok := prePR[m.Name]; ok && pre.AllocsPerOp > 0 {
 			rep.AllocsGainPc[m.Name] = 100 * (pre.AllocsPerOp - m.AllocsPerOp) / pre.AllocsPerOp
 		}
 	}
 
 	if *writeBaseline {
-		writeBaselineFile(*baselinePath, rep.Metrics)
+		writeBaselineFile(*baselinePath, cases, rep.Metrics)
 		return
 	}
 
@@ -239,6 +260,8 @@ func gate(path string, metrics []bench.Metric, thresholdPct float64) []regressio
 				baseV, measV = b.AllocsPerOp, m.AllocsPerOp
 			case "bytes_per_op":
 				baseV, measV = b.BytesPerOp, m.BytesPerOp
+			case "live_bytes_per_op":
+				baseV, measV = b.LiveBytesPerOp, m.LiveBytesPerOp
 			default:
 				fatal(fmt.Errorf("baseline %s: unknown gate field %q", b.Name, field))
 			}
@@ -255,13 +278,14 @@ func gate(path string, metrics []bench.Metric, thresholdPct float64) []regressio
 	return regs
 }
 
-func writeBaselineFile(path string, metrics []bench.Metric) {
+func writeBaselineFile(path string, cases []bench.Case, metrics []bench.Metric) {
 	base := baselineFile{Schema: "distq-bench-baseline/1"}
-	for _, m := range metrics {
-		base.Metrics = append(base.Metrics, baselineMetric{
-			Metric: m,
-			Gate:   []string{"allocs_per_op", "bytes_per_op"},
-		})
+	for i, m := range metrics {
+		gate := []string{"allocs_per_op", "bytes_per_op"}
+		if cases[i].GateLive {
+			gate = append(gate, "live_bytes_per_op")
+		}
+		base.Metrics = append(base.Metrics, baselineMetric{Metric: m, Gate: gate})
 	}
 	buf, err := json.MarshalIndent(&base, "", "  ")
 	if err != nil {

@@ -249,7 +249,8 @@ func (c *Cluster) handleGenerator(from NodeID, msg proto.Message) {
 }
 
 // Ingest pushes one tuple into the given join input. Tuples are batched;
-// call Flush to force delivery of partial batches.
+// call Flush to force delivery of partial batches. The payload is copied
+// before Ingest returns, so the caller may reuse its buffer.
 func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	if stream < 0 || stream >= c.opts.Inputs {
 		return fmt.Errorf("distq: stream %d out of range (inputs=%d)", stream, c.opts.Inputs)

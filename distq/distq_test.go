@@ -1,6 +1,7 @@
 package distq
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sync"
 	"testing"
@@ -277,5 +278,47 @@ func TestClusterWithFilter(t *testing.T) {
 	}
 	if want := int64(100) * 56; resident != want {
 		t.Fatalf("resident=%d, want %d (100 surviving tuples, no payloads)", resident, want)
+	}
+}
+
+// TestIngestCopiesPayload feeds every tuple from one buffer that is
+// overwritten between calls, as a caller reading a socket would, and
+// checks the bytes that reached the engines' state. Ingest must have
+// copied the payload before it returned — the split router once kept the
+// caller's slice until the batch filled.
+func TestIngestCopiesPayload(t *testing.T) {
+	const inputs, n = 2, 3000
+	c, err := NewCluster(Options{Engines: []NodeID{"m1", "m2"}, Inputs: inputs, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	buf := make([]byte, 8)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(buf, uint64(i))
+		if err := c.Ingest(i%inputs, uint64(i%97), buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, e := range c.engines {
+		for _, id := range e.Op().ResidentIDs() {
+			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
+				for _, tp := range l {
+					seen++
+					// Tuple i is its stream's (i/inputs)-th.
+					want := tp.Seq*inputs + uint64(stream)
+					if got := binary.LittleEndian.Uint64(tp.Payload); got != want {
+						t.Fatalf("stream %d seq %d stored payload %d, ingested %d", stream, tp.Seq, got, want)
+					}
+				}
+			}
+		}
+	}
+	if seen != n {
+		t.Fatalf("%d tuples resident, ingested %d", seen, n)
 	}
 }

@@ -68,27 +68,38 @@ func CleanupGens() []*join.GroupSnapshot {
 
 // Case is one gated micro-benchmark: Make returns a fresh-state
 // per-iteration op. DefaultN is the fixed iteration count the gate
-// runs (and the count baseline numbers were captured at).
+// runs (and the count baseline numbers were captured at). GateLive
+// additionally gates Metric.LiveBytesPerOp, for a case whose point is
+// the memory its state holds rather than what it allocates on the way.
 type Case struct {
 	Name     string
 	DefaultN int
 	Make     func() func(i int)
+	GateLive bool
+}
+
+// processCountOnly is the count-only join over the shared bench tuples.
+func processCountOnly() func(int) {
+	op := join.New(3, partition.NewFunc(120), nil)
+	return func(i int) {
+		if _, err := op.Process(Tuple(i)); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // Cases lists the gated micro-benchmarks in stable output order.
 func Cases() []Case {
 	return []Case{
+		{Name: "join_process_count_only", DefaultN: 300_000, Make: processCountOnly},
 		{
-			Name:     "join_process_count_only",
+			// What a stored tuple costs in live heap: a 40-byte payload,
+			// its record, and the slack of lists and pages still filling.
+			// The figure is a count, not a time: it repeats exactly.
+			Name:     "join_resident_bytes_per_tuple",
 			DefaultN: 300_000,
-			Make: func() func(int) {
-				op := join.New(3, partition.NewFunc(120), nil)
-				return func(i int) {
-					if _, err := op.Process(Tuple(i)); err != nil {
-						panic(err)
-					}
-				}
-			},
+			Make:     processCountOnly,
+			GateLive: true,
 		},
 		{
 			// The sharded operator driven serially: gates that shard
@@ -215,6 +226,9 @@ type Metric struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
+	// LiveBytesPerOp is the heap the case's state still holds after a
+	// forced collection, per operation.
+	LiveBytesPerOp float64 `json:"live_bytes_per_op"`
 }
 
 // Run measures one case over n iterations (DefaultN when n <= 0) on
@@ -238,12 +252,17 @@ func Run(c Case, n int) Metric {
 	}
 	elapsed := vclock.WallSince(start)
 	runtime.ReadMemStats(&after)
+	runtime.GC()
+	var live runtime.MemStats
+	runtime.ReadMemStats(&live)
+	runtime.KeepAlive(op)
 	return Metric{
-		Name:        c.Name,
-		N:           n,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(n),
-		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(n),
-		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
+		Name:           c.Name,
+		N:              n,
+		NsPerOp:        float64(elapsed.Nanoseconds()) / float64(n),
+		AllocsPerOp:    float64(after.Mallocs-before.Mallocs) / float64(n),
+		BytesPerOp:     float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
+		LiveBytesPerOp: max(0, float64(live.HeapAlloc)-float64(before.HeapAlloc)) / float64(n),
 	}
 }
 

@@ -594,6 +594,10 @@ func (e *Engine) quiesceShards() error {
 }
 
 func (e *Engine) onData(m proto.Data) error {
+	// Ownership: the operator stores its own copy of every payload, so
+	// the decoded batch (and the slab its payloads share) need only live
+	// until Process returns. The replication buffer below is the one
+	// consumer that keeps decoded tuples beyond this handler.
 	batch, err := tuple.DecodeBatch(m.Payload)
 	if err != nil {
 		return fmt.Errorf("decode batch: %w", err)

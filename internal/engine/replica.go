@@ -99,16 +99,6 @@ func newReplicator(e *Engine) *replicator {
 	}
 }
 
-func snapshotBytes(s *join.GroupSnapshot) int64 {
-	var n int64
-	for _, l := range s.Tuples {
-		for i := range l {
-			n += l[i].MemSize()
-		}
-	}
-	return n
-}
-
 // applyMap reconciles the outbound streams with a new follower
 // assignment. Groups newly assigned (or reassigned to a different
 // follower) are marked for a full-snapshot seed; groups no longer ours
@@ -174,7 +164,7 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 			continue
 		}
 		delete(r.standby, g)
-		r.standbyBytes -= snapshotBytes(sb)
+		r.standbyBytes -= sb.MemBytes()
 	}
 	for _, g := range r.e.cfg.StandbyStore.Groups() {
 		if follows[g] || r.promoted[g] {
@@ -434,13 +424,13 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 			// after a flap would duplicate them.
 			delete(r.promoted, ent.Group)
 			if old := r.standby[ent.Group]; old != nil {
-				r.standbyBytes -= snapshotBytes(old)
+				r.standbyBytes -= old.MemBytes()
 			}
 			if _, err := r.e.cfg.StandbyStore.Remove(ent.Group); err != nil {
 				return fmt.Errorf("clear standby segments of group %d: %w", ent.Group, err)
 			}
 			r.standby[ent.Group] = snap
-			r.standbyBytes += snapshotBytes(snap)
+			r.standbyBytes += snap.MemBytes()
 		case proto.DeltaSegment:
 			seg, err := join.DecodeSnapshot(ent.Payload)
 			if err != nil {
@@ -527,7 +517,7 @@ func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 	if err := r.e.cfg.StandbyStore.Write(seg); err != nil {
 		return fmt.Errorf("demote standby of group %d: %w", g, err)
 	}
-	r.standbyBytes -= snapshotBytes(sb)
+	r.standbyBytes -= sb.MemBytes()
 	r.standby[g] = &join.GroupSnapshot{
 		ID:          g,
 		Gen:         gen + 1,
@@ -594,7 +584,7 @@ func (r *replicator) promote(groups []partition.ID) (int, error) {
 				return installed, fmt.Errorf("install standby of group %d: %w", g, err)
 			}
 			delete(r.standby, g)
-			r.standbyBytes -= snapshotBytes(sb)
+			r.standbyBytes -= sb.MemBytes()
 			installed++
 		}
 		if err := r.adoptSegments(g); err != nil {

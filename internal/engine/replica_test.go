@@ -65,7 +65,7 @@ func expectNoPromoteAck(t *testing.T, r *rig) {
 func sumStandby(r *replicator) int64 {
 	var n int64
 	for _, sb := range r.standby {
-		n += snapshotBytes(sb)
+		n += sb.MemBytes()
 	}
 	return n
 }

@@ -13,10 +13,10 @@
 //
 // Internally the operator's groups are divided among one or more shards
 // (stable assignment: partition ID mod shard count). Each shard owns its
-// groups, arena, and probe scratch exclusively, so distinct shards can be
-// driven from distinct goroutines concurrently (the engine's shard-worker
-// pool); the single-shard operator behaves exactly like the historical
-// serial implementation. Cross-shard aggregates (MemBytes, Output, Stats)
+// groups (tables, records, payload pages) and its probe scratch
+// exclusively, so distinct shards can be driven from distinct goroutines
+// concurrently (the engine's shard-worker pool); the single-shard operator
+// behaves like a serial one. Cross-shard aggregates (MemBytes, Output, Stats)
 // and the group-level state operations (spill extraction, relocation,
 // install, snapshots, purge) are not synchronized and must only be called
 // while no shard is processing — the engine quiesces its pool before every
@@ -25,6 +25,7 @@ package join
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -69,92 +70,139 @@ type Operator struct {
 // state and may be driven concurrently; one shard must only be driven by
 // one goroutine at a time.
 type Shard struct {
-	op        *Operator
-	idx       int
-	groups    map[partition.ID]*group
+	op  *Operator
+	idx int
+	// groups is indexed by partition ID / shard count (the shard's IDs
+	// are exactly those ≡ idx mod shard count); nil = not resident.
+	groups    []*group
 	totalSize int64
 	output    uint64
 	// scratch buffers reused across probes to avoid per-tuple allocation.
-	lists [][]tuple.Tuple
+	lists [][]rec
 	seqs  []uint64
 }
 
-// arena allocates per-key tuple storage out of fixed-size chunks, so
-// the per-tuple insert path almost never hits the allocator: a chunk
-// serves hundreds of list carves, and a list that outgrows its carve is
-// moved to a doubled carve (amortized O(1) copies, like a bare append)
-// without an allocation of its own. Abandoned carves stay unused inside
-// their chunk until the whole generation is dropped by a spill or
-// relocation, which bounds the waste to a constant factor — the
-// memory-layout trade-off arXiv:2112.02480 §4 makes for hash joins.
-type arena struct {
-	cur []tuple.Tuple
+// rec is one resident tuple; its stream and key are implied by the list
+// holding it. The payload lives at pages[page][off : off+n]. Like every
+// type a group allocates per tuple or per key it holds no pointer, so
+// the collector never scans tuple state (DESIGN.md "Resident state
+// layout").
+type rec struct {
+	seq  uint64
+	ts   vclock.Time
+	page uint32
+	off  uint32
+	n    uint32
 }
 
-// arenaChunkTuples is the arena chunk size (~28 KiB of tuple headers).
-const arenaChunkTuples = 512
+// list locates the tuples of one (key, input): recs[chunk][off : off+n],
+// with room to grow in place up to cap.
+type list struct {
+	chunk, off uint32
+	n, cap     uint32
+}
 
-// carve returns an empty slice with capacity n backed by the arena.
-// Carves never overlap: the capacity is clipped with a full slice
-// expression and the arena's cursor advances past it.
-func (a *arena) carve(n int) []tuple.Tuple {
-	if cap(a.cur)-len(a.cur) < n {
-		size := arenaChunkTuples
-		if n > size {
-			size = n
+// slot is one cell of a group's open-addressing key table.
+type slot struct {
+	key uint64
+	ent uint32 // entry index + 1; 0 = empty
+}
+
+// slab hands out non-overlapping runs of T from fixed-size chunks that
+// are never re-copied, so a run's (chunk, offset) address is stable and
+// 32-bit offsets suffice however large the group grows. Space inside a
+// chunk is not handed out again while any of its runs is in use, but a
+// chunk whose runs have all been released is reused or dropped: runs
+// carved around the same time tend to be released around the same time,
+// so what a slab holds stays proportional to what is in use.
+type slab[T any] struct {
+	chunks [][]T
+	refs   []uint32 // per chunk: runs carved and not released
+	cur    uint32   // chunk being carved + 1; 0 = none
+	spare  []T      // an emptied shared chunk awaiting reuse, or nil
+}
+
+// carve reserves a run of n elements and returns its address. A run
+// longer than a quarter chunk gets a chunk of its own, so the end of a
+// shared chunk wastes less than that.
+func (s *slab[T]) carve(n, chunkLen int) (chunk, off uint32) {
+	if 4*n > chunkLen {
+		s.chunks = append(s.chunks, make([]T, n))
+		s.refs = append(s.refs, 1)
+		return uint32(len(s.chunks) - 1), 0
+	}
+	if s.cur == 0 || cap(s.chunks[s.cur-1])-len(s.chunks[s.cur-1]) < n {
+		if s.cur != 0 && s.refs[s.cur-1] == 0 {
+			s.drop(s.cur-1, chunkLen)
 		}
-		a.cur = make([]tuple.Tuple, 0, size)
+		c := s.spare
+		s.spare = nil
+		if c == nil {
+			c = make([]T, 0, chunkLen)
+		}
+		s.chunks = append(s.chunks, c)
+		s.refs = append(s.refs, 0)
+		s.cur = uint32(len(s.chunks))
 	}
-	start := len(a.cur)
-	a.cur = a.cur[:start+n]
-	return a.cur[start : start : start+n]
+	c := s.chunks[s.cur-1]
+	s.chunks[s.cur-1] = c[:len(c)+n]
+	s.refs[s.cur-1]++
+	return s.cur - 1, uint32(len(c))
 }
 
-// keyList is the per-(input, key) tuple storage. The table holds a
-// pointer so inserts mutate the list in place instead of re-writing the
-// map entry on every tuple.
-type keyList struct {
-	tuples []tuple.Tuple
-}
-
-// initialKeyListCap is the first carve size of a key's tuple list.
-const initialKeyListCap = 8
-
-// grown returns the list's tuples with room for at least one more
-// element, moving them to a doubled arena carve when full.
-func (l *keyList) grown(a *arena) []tuple.Tuple {
-	ts := l.tuples
-	if len(ts) < cap(ts) {
-		return ts
+// release gives back one run of chunk.
+func (s *slab[T]) release(chunk uint32, chunkLen int) {
+	if s.refs[chunk]--; s.refs[chunk] == 0 && chunk+1 != s.cur {
+		s.drop(chunk, chunkLen)
 	}
-	n := 2 * len(ts)
-	if n < initialKeyListCap {
-		n = initialKeyListCap
+}
+
+// drop lets go of a chunk without live runs, keeping a shared one as
+// the spare the next carve starts on: growing lists release runs as fast
+// as they carve them, and a chunk reused at once is not zeroed again.
+func (s *slab[T]) drop(chunk uint32, chunkLen int) {
+	if cap(s.chunks[chunk]) == chunkLen {
+		s.spare = s.chunks[chunk][:0]
 	}
-	nl := a.carve(n)
-	return append(nl, ts...)
+	s.chunks[chunk] = nil
 }
 
-func (l *keyList) append(a *arena, t tuple.Tuple) {
-	l.tuples = append(l.grown(a), t)
-}
+const (
+	recChunkLen  = 1024     // records per chunk (32 KiB)
+	pageBytes    = 64 << 10 // payload page size
+	firstListCap = 4        // a key's first list run
+	minSlots     = 16
+	// hashMul spreads keys over the slots (Fibonacci hashing); the keys
+	// of one group share their partition's residue, so low bits cannot.
+	hashMul = 0x9E3779B97F4A7C15
+)
 
-// group is the in-memory state of one partition group: per-input hash
-// tables over the join key, restricted to the current generation.
+// group is the in-memory state of one partition group, restricted to
+// the current generation: one key table whose entry holds the per-input
+// lists side by side, the records those lists point into, and the
+// append-only pages holding the payload bytes.
 type group struct {
-	id     partition.ID
-	gen    uint32
-	tables []map[uint64]*keyList
-	size   int64
-	cum    int64 // lifetime bytes ever inserted (survives spills)
-	count  int
+	id  partition.ID
+	gen uint32
+	// slots is the key table (linear probing, power-of-two length, at
+	// most half full); entry e's lists are lists[e*inputs : (e+1)*inputs].
+	// An entry is never removed on its own: one whose lists are all
+	// empty is dead weight that Purge reclaims by rebuilding.
+	slots []slot
+	shift uint8 // 64 - log2(len(slots))
+	lists []list
+	recs  slab[rec]
+	pages slab[byte]
+
+	size  int64
+	cum   int64 // lifetime bytes ever inserted (survives spills)
+	count int
 	// counts tracks resident tuples per input, so snapshots can
 	// preallocate their flattened per-input slices exactly.
 	counts []int
-	// arena backs the tables' per-key tuple lists for the current
-	// generation; it is replaced wholesale when the generation turns
-	// over (spill extraction).
-	arena  arena
+	// purged counts tuples dropped by Purge since the generation's
+	// storage was last rebuilt: their records' payload bytes are dead.
+	purged int
 	output uint64 // lifetime results produced by this group (P_output)
 	// spilledTs is the maximum timestamp among tuples ever spilled from
 	// this group (windowed mode): resident tuples at or before
@@ -162,6 +210,129 @@ type group struct {
 	// state and must not be purged (they are spilled instead).
 	spilledTs   vclock.Time
 	everSpilled bool
+}
+
+func newGroup(id partition.ID, gen uint32, inputs int) *group {
+	return &group{id: id, gen: gen, counts: make([]int, inputs)}
+}
+
+// seek returns the slot holding key or, if there is none, the empty slot
+// where it belongs.
+func (g *group) seek(key uint64) *slot {
+	mask := uint64(len(g.slots) - 1)
+	for h := key * hashMul >> g.shift; ; h = (h + 1) & mask {
+		if s := &g.slots[h]; s.ent == 0 || s.key == key {
+			return s
+		}
+	}
+}
+
+// entry returns the index in g.lists of key's first list, adding an
+// entry with empty lists if the key is new. It is the one table probe a
+// tuple pays: the caller reads the other inputs' lists and appends to
+// its own through the same index.
+func (g *group) entry(key uint64) int {
+	inputs := len(g.counts)
+	if 2*len(g.lists) >= inputs*len(g.slots) {
+		old := g.slots
+		g.slots = make([]slot, max(minSlots, 2*len(old)))
+		g.shift = uint8(64 - bits.TrailingZeros(uint(len(g.slots))))
+		for _, s := range old {
+			if s.ent != 0 {
+				*g.seek(s.key) = s
+			}
+		}
+	}
+	s := g.seek(key)
+	if s.ent == 0 {
+		g.lists = append(g.lists, make([]list, inputs)...)
+		*s = slot{key: key, ent: uint32(len(g.lists) / inputs)}
+	}
+	return int(s.ent-1) * inputs
+}
+
+// run returns the records of l.
+func (g *group) run(l list) []rec {
+	if l.n == 0 {
+		return nil // a list that never held a tuple has no run yet
+	}
+	return g.recs.chunks[l.chunk][l.off : l.off+l.n]
+}
+
+// insert stores t at the end of l, or — when ordered — at its timestamp
+// position (binary insertion into the tail, so slightly out-of-order
+// arrivals keep the list sorted for windowBounds). The payload is copied
+// into the group's pages.
+func (g *group) insert(l *list, t *tuple.Tuple, ordered bool) {
+	r := rec{seq: t.Seq, ts: t.Ts, n: uint32(len(t.Payload))}
+	if r.n > 0 {
+		r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
+		copy(g.pages.chunks[r.page][r.off:], t.Payload)
+	}
+	if l.n == l.cap {
+		// Move the list to a run half or a third longer, 2× every other
+		// step (amortized O(1) copies): contiguous lists at the price of
+		// slack, the layout trade-off arXiv:2112.02480 §4 measures.
+		old := *l
+		l.cap = max(firstListCap, l.cap+l.cap/uint32(1+bits.OnesCount32(l.cap)))
+		l.chunk, l.off = g.recs.carve(int(l.cap), recChunkLen)
+		if old.cap > 0 {
+			copy(g.run(*l), g.run(old))
+			g.recs.release(old.chunk, recChunkLen)
+		}
+	}
+	l.n++
+	rs := g.run(*l)
+	i := len(rs) - 1
+	if ordered && i > 0 && rs[i-1].ts > r.ts {
+		i = sort.Search(i, func(j int) bool { return rs[j].ts > r.ts })
+		copy(rs[i+1:], rs[i:])
+	}
+	rs[i] = r
+}
+
+// view rebuilds the Tuple that r stores in input stream's list of key.
+// The payload aliases the group's page, whose written bytes never
+// change.
+func (g *group) view(stream int, key uint64, r *rec) tuple.Tuple {
+	t := tuple.Tuple{Stream: uint8(stream), Key: key, Seq: r.seq, Ts: r.ts}
+	if r.n > 0 {
+		t.Payload = g.pages.chunks[r.page][r.off : r.off+r.n : r.off+r.n]
+	}
+	return t
+}
+
+// add stores t in input stream's list of entry e, without probing, and
+// accounts for it.
+func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple, ordered bool) {
+	g.insert(&g.lists[e+stream], t, ordered)
+	sz := t.MemSize()
+	g.size += sz
+	g.count++
+	g.counts[stream]++
+	s.totalSize += sz
+}
+
+// load appends every tuple of a snapshot to g, in snapshot order. A
+// tuple's input is the list it came in, as for the snapshot's encoding.
+func (s *Shard) load(g *group, tuples [][]tuple.Tuple) {
+	for stream, l := range tuples {
+		for j := range l {
+			s.add(g, g.entry(l[j].Key), stream, &l[j], false)
+		}
+	}
+}
+
+// unload empties g's current generation and returns it flattened.
+func (s *Shard) unload(g *group) [][]tuple.Tuple {
+	tuples := g.snapshot()
+	s.totalSize -= g.size
+	*g = group{
+		id: g.id, gen: g.gen, cum: g.cum, output: g.output, counts: g.counts,
+		spilledTs: g.spilledTs, everSpilled: g.everSpilled,
+	}
+	clear(g.counts)
+	return tuples
 }
 
 // New returns a serial (single-shard) m-way join operator over inputs
@@ -187,8 +358,8 @@ func NewSharded(inputs int, part partition.Func, shards int, emit EmitFunc) *Ope
 		o.shards[i] = &Shard{
 			op:     o,
 			idx:    i,
-			groups: make(map[partition.ID]*group),
-			lists:  make([][]tuple.Tuple, inputs),
+			groups: make([]*group, (part.N()+shards-1)/shards),
+			lists:  make([][]rec, inputs),
 			seqs:   make([]uint64, inputs),
 		}
 	}
@@ -207,12 +378,34 @@ func (o *Operator) Shard(i int) *Shard { return o.shards[i] }
 // ShardIndex reports which shard owns the partition group of a join key,
 // so batch dispatchers can bucket tuples without touching shard state.
 func (o *Operator) ShardIndex(key uint64) int {
-	return int(o.part.Of(key)) % len(o.shards)
+	shard, _ := o.locate(o.part.Of(key))
+	return shard
 }
 
-// shardOf returns the shard owning partition group id.
-func (o *Operator) shardOf(id partition.ID) *Shard {
-	return o.shards[int(id)%len(o.shards)]
+// locate returns the shard owning partition group id and the group's
+// index in it (one 32-bit division serves both).
+func (o *Operator) locate(id partition.ID) (shard, index int) {
+	n := uint32(len(o.shards))
+	return int(uint32(id) % n), int(uint32(id) / n)
+}
+
+// find returns the shard owning group id, the group's index in it (-1 if
+// id is beyond the partition function's range) and the group, if resident.
+func (o *Operator) find(id partition.ID) (*Shard, int, *group) {
+	si, i := o.locate(id)
+	if s := o.shards[si]; i < len(s.groups) {
+		return s, i, s.groups[i]
+	}
+	return o.shards[si], -1, nil
+}
+
+// resident calls fn for every resident group in partition ID order.
+func (o *Operator) resident(fn func(*Shard, *group)) {
+	for id := 0; id < o.part.N(); id++ {
+		if s, _, g := o.find(partition.ID(id)); g != nil {
+			fn(s, g)
+		}
+	}
 }
 
 // MemBytes reports the total resident operator-state size in bytes.
@@ -237,22 +430,22 @@ func (o *Operator) Output() uint64 {
 // (including groups whose current generation is empty).
 func (o *Operator) Groups() int {
 	n := 0
-	for _, s := range o.shards {
-		n += len(s.groups)
-	}
+	o.resident(func(*Shard, *group) { n++ })
 	return n
 }
 
 // Process runs one tuple through the join: probe the other inputs'
 // resident tables in the tuple's partition group, emit/count all matches,
 // then insert the tuple into its own table. It returns the number of
-// results produced.
+// results produced. The operator stores its own copy of t.Payload: the
+// caller's buffer is free for reuse as soon as Process returns.
 func (o *Operator) Process(t tuple.Tuple) (uint64, error) {
 	if int(t.Stream) >= o.inputs {
 		return 0, fmt.Errorf("join: tuple for stream %d in %d-way join", t.Stream, o.inputs)
 	}
 	id := o.part.Of(t.Key)
-	return o.shardOf(id).process(id, t), nil
+	si, i := o.locate(id)
+	return o.shards[si].process(id, i, &t), nil
 }
 
 // Process runs one tuple through this shard's slice of the join. It
@@ -264,68 +457,60 @@ func (s *Shard) Process(t tuple.Tuple) (uint64, error) {
 		return 0, fmt.Errorf("join: tuple for stream %d in %d-way join", t.Stream, s.op.inputs)
 	}
 	id := s.op.part.Of(t.Key)
-	if int(id)%len(s.op.shards) != s.idx {
+	si, i := s.op.locate(id)
+	if si != s.idx {
 		return 0, fmt.Errorf("join: tuple for partition %d routed to shard %d of %d", id, s.idx, len(s.op.shards))
 	}
-	return s.process(id, t), nil
+	return s.process(id, i, &t), nil
 }
 
 // process is the per-tuple hot path, called with a validated stream and
-// this shard's own partition ID.
-func (s *Shard) process(id partition.ID, t tuple.Tuple) uint64 {
+// this shard's own partition ID and its index in groups. One table probe
+// finds the key's entry; the other inputs' lists in it are the matches
+// and the tuple's own list takes the insert. t is passed by pointer: a
+// by-value copy reloads the one-byte Stream as a word, which waits for
+// the store buffer to drain the previous tuple's cache-missing writes.
+func (s *Shard) process(id partition.ID, index int, t *tuple.Tuple) uint64 {
 	o := s.op
-	g, ok := s.groups[id]
-	if !ok {
+	g := s.groups[index]
+	if g == nil {
 		g = newGroup(id, 0, o.inputs)
-		s.groups[id] = g
+		s.groups[index] = g
 	}
-	produced := s.probe(g, &t)
+	e := g.entry(t.Key)
+	produced := s.probe(g, g.lists[e:e+o.inputs], t)
 	g.output += produced
 	s.output += produced
-
-	tab := g.tables[t.Stream]
-	kl := tab[t.Key]
-	if kl == nil {
-		kl = &keyList{}
-		tab[t.Key] = kl
-	}
-	if o.window > 0 {
-		// Keep per-key lists timestamp-sorted so window probes can
-		// binary-search their bounds.
-		kl.insertOrdered(&g.arena, t)
-	} else {
-		kl.append(&g.arena, t)
-	}
-	sz := t.MemSize()
-	g.size += sz
-	g.cum += sz
-	g.count++
-	g.counts[t.Stream]++
-	s.totalSize += sz
+	// Windowed lists stay timestamp-sorted so window probes can
+	// binary-search their bounds.
+	s.add(g, e, int(t.Stream), t, o.window > 0)
+	g.cum += t.MemSize()
 	return produced
 }
 
 // probe counts (and, when materializing, emits) the matches of t against
-// the other inputs' resident tuples in group g.
-func (s *Shard) probe(g *group, t *tuple.Tuple) uint64 {
+// the other inputs' resident tuples, whose lists are ls. Count-only
+// probing of an unbounded join reads nothing but the list lengths.
+func (s *Shard) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
 	o := s.op
 	count := uint64(1)
-	for i := 0; i < o.inputs; i++ {
+	for i, l := range ls {
 		if i == int(t.Stream) {
 			continue
 		}
-		var l []tuple.Tuple
-		if kl := g.tables[i][t.Key]; kl != nil {
-			l = kl.tuples
+		n := int(l.n)
+		if o.window > 0 || o.emit != nil {
+			rs := g.run(l)
+			if o.window > 0 {
+				rs = windowBounds(rs, t.Ts, o.window)
+			}
+			s.lists[i] = rs
+			n = len(rs)
 		}
-		if o.window > 0 {
-			l = windowBounds(l, t.Ts, o.window)
-		}
-		if len(l) == 0 {
+		if n == 0 {
 			return 0
 		}
-		s.lists[i] = l
-		count *= uint64(len(l))
+		count *= uint64(n)
 	}
 	if o.emit != nil {
 		s.seqs[t.Stream] = t.Seq
@@ -348,7 +533,7 @@ func (s *Shard) enumerate(t *tuple.Tuple, input int) {
 		return
 	}
 	for i := range s.lists[input] {
-		s.seqs[input] = s.lists[input][i].Seq
+		s.seqs[input] = s.lists[input][i].seq
 		s.enumerate(t, input+1)
 	}
 }
@@ -367,29 +552,14 @@ func (o *Operator) ProcessBatch(b *tuple.Batch) (uint64, error) {
 	return total, nil
 }
 
-func newGroup(id partition.ID, gen uint32, inputs int) *group {
-	tables := make([]map[uint64]*keyList, inputs)
-	for i := range tables {
-		tables[i] = make(map[uint64]*keyList)
-	}
-	return &group{id: id, gen: gen, tables: tables, counts: make([]int, inputs)}
-}
-
 // Stats returns the per-group statistics the local adaptation controller
 // feeds into the spill/move policies, sorted by partition ID for
 // determinism.
 func (o *Operator) Stats() []core.GroupStats {
-	n := 0
-	for _, s := range o.shards {
-		n += len(s.groups)
-	}
-	stats := make([]core.GroupStats, 0, n)
-	for _, s := range o.shards {
-		for _, g := range s.groups {
-			stats = append(stats, core.GroupStats{ID: g.id, Size: g.size, CumBytes: g.cum, Output: g.output})
-		}
-	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].ID < stats[j].ID })
+	stats := make([]core.GroupStats, 0, o.part.N())
+	o.resident(func(_ *Shard, g *group) {
+		stats = append(stats, core.GroupStats{ID: g.id, Size: g.size, CumBytes: g.cum, Output: g.output})
+	})
 	return stats
 }
 
@@ -436,42 +606,56 @@ func (s *GroupSnapshot) MemBytes() int64 {
 	return n
 }
 
-// snapshotTables flattens hash tables into per-input tuple slices with a
-// deterministic order (key, then insertion order). counts carries the
-// exact per-input tuple totals so every flattened slice is allocated
-// once at its final size; the copies detach the snapshot from the
-// group's arena.
-func snapshotTables(tables []map[uint64]*keyList, counts []int) [][]tuple.Tuple {
-	out := make([][]tuple.Tuple, len(tables))
-	for i, tab := range tables {
-		keys := make([]uint64, 0, len(tab))
-		for k := range tab {
-			keys = append(keys, k)
+// snapshot flattens the group's lists into per-input tuple slices with a
+// deterministic order (key, then list order). counts carries the exact
+// per-input tuple totals so every flattened slice is allocated once at
+// its final size. Payloads alias the group's pages rather than copying
+// them: written page bytes never change, and the pages outlive the
+// generation for as long as a snapshot references them.
+func (g *group) snapshot() [][]tuple.Tuple {
+	inputs := len(g.counts)
+	keys := make([]slot, 0, len(g.lists)/inputs)
+	for _, s := range g.slots {
+		if s.ent != 0 {
+			keys = append(keys, s)
 		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		flat := make([]tuple.Tuple, 0, counts[i])
-		for _, k := range keys {
-			flat = append(flat, tab[k].tuples...)
+	}
+	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
+	out := make([][]tuple.Tuple, inputs)
+	for i := range out {
+		flat := make([]tuple.Tuple, 0, g.counts[i])
+		for _, s := range keys {
+			rs := g.run(g.lists[int(s.ent-1)*inputs+i])
+			for j := range rs {
+				flat = append(flat, g.view(i, s.key, &rs[j]))
+			}
 		}
 		out[i] = flat
 	}
 	return out
 }
 
+// snapshotOf wraps tuples in the group's snapshot header.
+func (g *group) snapshotOf(tuples [][]tuple.Tuple) *GroupSnapshot {
+	return &GroupSnapshot{
+		ID: g.id, Gen: g.gen, Output: g.output, CumBytes: g.cum,
+		SpilledTs: g.spilledTs, EverSpilled: g.everSpilled, Tuples: tuples,
+	}
+}
+
 // ExtractForSpill removes the resident (current-generation) tuples of the
 // given group and returns them as a snapshot tagged with the generation
 // they belonged to. The group stays registered with an advanced generation
-// and empty tables, so new tuples with the same partition ID accumulate
+// and empty state, so new tuples with the same partition ID accumulate
 // into a fresh generation, as described in paper §3. Extracting a group
 // with no resident tuples returns nil.
 func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
-	s := o.shardOf(id)
-	g, ok := s.groups[id]
-	if !ok || g.count == 0 {
+	s, _, g := o.find(id)
+	if g == nil || g.count == 0 {
 		return nil
 	}
-	snap := &GroupSnapshot{ID: id, Gen: g.gen, Output: g.output, CumBytes: g.cum, Tuples: snapshotTables(g.tables, g.counts)}
-	for _, l := range snap.Tuples {
+	tuples := s.unload(g)
+	for _, l := range tuples {
 		for i := range l {
 			if !g.everSpilled || l[i].Ts > g.spilledTs {
 				g.spilledTs = l[i].Ts
@@ -479,17 +663,8 @@ func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
 			g.everSpilled = true
 		}
 	}
-	snap.SpilledTs = g.spilledTs
-	snap.EverSpilled = g.everSpilled
-	s.totalSize -= g.size
+	snap := g.snapshotOf(tuples)
 	g.gen++
-	g.size = 0
-	g.count = 0
-	for i := range g.tables {
-		g.tables[i] = make(map[uint64]*keyList)
-		g.counts[i] = 0
-	}
-	g.arena = arena{}
 	return snap
 }
 
@@ -500,17 +675,12 @@ func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
 // receiver continues the same generation, since the transferred tuples
 // stay active in memory.
 func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
-	s := o.shardOf(id)
-	g, ok := s.groups[id]
-	if !ok {
+	s, i, g := o.find(id)
+	if g == nil {
 		return nil
 	}
-	snap := &GroupSnapshot{ID: id, Gen: g.gen, Output: g.output, CumBytes: g.cum, Tuples: snapshotTables(g.tables, g.counts)}
-	snap.SpilledTs = g.spilledTs
-	snap.EverSpilled = g.everSpilled
-	s.totalSize -= g.size
-	delete(s.groups, id)
-	return snap
+	s.groups[i] = nil
+	return g.snapshotOf(s.unload(g))
 }
 
 // Install registers a relocated group snapshot at this operator. New
@@ -518,38 +688,10 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 // the installed tuples. Installing over an existing group is an error:
 // the relocation protocol guarantees a group lives on exactly one machine.
 func (o *Operator) Install(snap *GroupSnapshot) error {
-	if len(snap.Tuples) != o.inputs {
-		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Tuples), o.inputs)
-	}
-	s := o.shardOf(snap.ID)
-	if _, ok := s.groups[snap.ID]; ok {
+	if _, _, g := o.find(snap.ID); g != nil {
 		return fmt.Errorf("join: group %d already resident", snap.ID)
 	}
-	g := newGroup(snap.ID, snap.Gen, o.inputs)
-	g.output = snap.Output
-	for i, l := range snap.Tuples {
-		for j := range l {
-			t := l[j]
-			kl := g.tables[i][t.Key]
-			if kl == nil {
-				kl = &keyList{}
-				g.tables[i][t.Key] = kl
-			}
-			kl.append(&g.arena, t)
-			g.size += t.MemSize()
-			g.count++
-			g.counts[i]++
-		}
-	}
-	g.cum = snap.CumBytes
-	if g.cum < g.size {
-		g.cum = g.size
-	}
-	g.spilledTs = snap.SpilledTs
-	g.everSpilled = snap.EverSpilled
-	s.totalSize += g.size
-	s.groups[snap.ID] = g
-	return nil
+	return o.Merge(snap)
 }
 
 // Merge folds a replicated group snapshot into this operator: if the
@@ -563,35 +705,18 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 	if len(snap.Tuples) != o.inputs {
 		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Tuples), o.inputs)
 	}
-	s := o.shardOf(snap.ID)
-	g, ok := s.groups[snap.ID]
-	if !ok {
-		return o.Install(snap)
+	s, i, g := o.find(snap.ID)
+	if i < 0 {
+		return fmt.Errorf("join: group %d outside the %d partitions", snap.ID, o.part.N())
 	}
-	for i, l := range snap.Tuples {
-		for j := range l {
-			t := l[j]
-			kl := g.tables[i][t.Key]
-			if kl == nil {
-				kl = &keyList{}
-				g.tables[i][t.Key] = kl
-			}
-			kl.append(&g.arena, t)
-			g.size += t.MemSize()
-			g.count++
-			g.counts[i]++
-			s.totalSize += t.MemSize()
-		}
+	if g == nil {
+		g = newGroup(snap.ID, snap.Gen, o.inputs)
+		g.output, g.spilledTs = snap.Output, snap.SpilledTs
+		s.groups[i] = g
 	}
-	if g.cum < snap.CumBytes {
-		g.cum = snap.CumBytes
-	}
-	if g.cum < g.size {
-		g.cum = g.size
-	}
-	if snap.SpilledTs > g.spilledTs {
-		g.spilledTs = snap.SpilledTs
-	}
+	s.load(g, snap.Tuples)
+	g.cum = max(g.cum, snap.CumBytes, g.size)
+	g.spilledTs = max(g.spilledTs, snap.SpilledTs)
 	g.everSpilled = g.everSpilled || snap.EverSpilled
 	return nil
 }
@@ -601,33 +726,16 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 // memory-resident generation with the disk-resident ones. Returns nil if
 // the group is not resident.
 func (o *Operator) ResidentSnapshot(id partition.ID) *GroupSnapshot {
-	g, ok := o.shardOf(id).groups[id]
-	if !ok {
+	_, _, g := o.find(id)
+	if g == nil {
 		return nil
 	}
-	return &GroupSnapshot{
-		ID:          id,
-		Gen:         g.gen,
-		Output:      g.output,
-		CumBytes:    g.cum,
-		SpilledTs:   g.spilledTs,
-		EverSpilled: g.everSpilled,
-		Tuples:      snapshotTables(g.tables, g.counts),
-	}
+	return g.snapshotOf(g.snapshot())
 }
 
 // ResidentIDs returns the sorted IDs of all resident groups.
 func (o *Operator) ResidentIDs() []partition.ID {
-	n := 0
-	for _, s := range o.shards {
-		n += len(s.groups)
-	}
-	ids := make([]partition.ID, 0, n)
-	for _, s := range o.shards {
-		for id := range s.groups {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]partition.ID, 0, o.part.N())
+	o.resident(func(_ *Shard, g *group) { ids = append(ids, g.id) })
 	return ids
 }

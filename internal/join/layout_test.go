@@ -1,0 +1,268 @@
+package join
+
+import (
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/partition"
+	"repro/internal/tuple"
+	"repro/internal/vclock"
+)
+
+// TestKeyTableAdversarialKeys drives the key table through the cases an
+// open-addressing table gets wrong first: the keys at both ends of the
+// key space (no key value may double as the empty marker) and a long
+// run of keys that all hash to one home slot, at every size the table
+// passes through while they arrive.
+func TestKeyTableAdversarialKeys(t *testing.T) {
+	keys := []uint64{0, math.MaxUint64}
+	// Keys whose hash shares its top 8 bits share their home slot in
+	// every table of up to 256 slots.
+	const home = 0xA7
+	for k := uint64(1); len(keys) < 2+64; k++ {
+		if k*hashMul>>56 == home {
+			keys = append(keys, k)
+		}
+	}
+	op := New(2, partition.NewFunc(1), nil)
+	var history []tuple.Tuple
+	feed := func(stream uint8, key uint64) {
+		tp := tuple.Tuple{Stream: stream, Key: key, Seq: uint64(len(history))}
+		history = append(history, tp)
+		if _, err := op.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, k := range keys {
+		feed(0, k)
+		if i%3 == 0 {
+			feed(0, k)
+		}
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		feed(1, keys[i])
+	}
+	if got, want := op.Output(), OracleCount(2, history); got != want {
+		t.Fatalf("%d results, oracle %d", got, want)
+	}
+	snap := op.ResidentSnapshot(0)
+	if snap.TupleCount() != len(history) {
+		t.Fatalf("%d tuples resident, fed %d", snap.TupleCount(), len(history))
+	}
+	for i := 1; i < len(snap.Tuples[1]); i++ {
+		if snap.Tuples[1][i-1].Key >= snap.Tuples[1][i].Key {
+			t.Fatalf("snapshot keys out of order at %d: %d then %d", i, snap.Tuples[1][i-1].Key, snap.Tuples[1][i].Key)
+		}
+	}
+}
+
+// TestKeyTableGrowsToAMillionKeys grows one group's table from empty
+// through every doubling up to 2^21 slots.
+func TestKeyTableGrowsToAMillionKeys(t *testing.T) {
+	const n = 1 << 20
+	op := New(2, partition.NewFunc(1), nil)
+	history := make([]tuple.Tuple, 0, n+n/4)
+	for i := 0; i < n; i++ {
+		// Spread over the key space, distinct: an odd multiplier is a
+		// bijection on uint64.
+		history = append(history, tuple.Tuple{Stream: 0, Key: uint64(i) * 0xD6E8FEB86659FD93, Seq: uint64(i)})
+	}
+	for i := 0; i < n; i += 4 {
+		history = append(history, tuple.Tuple{Stream: 1, Key: history[i].Key, Seq: uint64(i)})
+	}
+	for i := range history {
+		if _, err := op.Process(history[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := op.Output(), OracleCount(2, history); got != want {
+		t.Fatalf("%d results, oracle %d", got, want)
+	}
+	_, _, g := op.find(0)
+	if entries := len(g.lists) / 2; entries != n {
+		t.Fatalf("%d table entries for %d distinct keys", entries, n)
+	}
+}
+
+// TestLargePayloadGetsItsOwnPage stores payloads around and beyond the
+// page size next to small ones and reads them all back.
+func TestLargePayloadGetsItsOwnPage(t *testing.T) {
+	op := New(2, partition.NewFunc(1), nil)
+	sizes := []int{1, pageBytes / 4, pageBytes/4 + 1, 40, pageBytes, 3*pageBytes + 7, 0, 40}
+	for i, n := range sizes {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(i + j)
+		}
+		if _, err := op.Process(tuple.Tuple{Stream: 0, Key: 9, Seq: uint64(i), Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		for j := range payload {
+			payload[j] = 0xFF // the operator must hold its own copy
+		}
+	}
+	got := op.ResidentSnapshot(0).Tuples[0]
+	if len(got) != len(sizes) {
+		t.Fatalf("%d tuples resident, stored %d", len(got), len(sizes))
+	}
+	for i, tp := range got {
+		if len(tp.Payload) != sizes[i] {
+			t.Fatalf("tuple %d: payload of %d bytes, stored %d", i, len(tp.Payload), sizes[i])
+		}
+		for j, b := range tp.Payload {
+			if b != byte(i+j) {
+				t.Fatalf("tuple %d: payload byte %d is %#x, stored %#x", i, j, b, byte(i+j))
+			}
+		}
+	}
+}
+
+// pointerFree reports whether values of t contain no pointers the
+// collector would have to trace.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// TestResidentRecordIsPointerFree pins the property the layout exists
+// for: everything a group allocates per tuple or per key is allocated
+// noscan, so the collector's mark work does not grow with the state.
+func TestResidentRecordIsPointerFree(t *testing.T) {
+	var g group
+	for name, typ := range map[string]reflect.Type{
+		"record":       reflect.TypeOf(g.recs.chunks).Elem().Elem(),
+		"payload page": reflect.TypeOf(g.pages.chunks).Elem().Elem(),
+		"list":         reflect.TypeOf(g.lists).Elem(),
+		"table slot":   reflect.TypeOf(g.slots).Elem(),
+	} {
+		if !pointerFree(typ) {
+			t.Errorf("%s type %v contains pointers", name, typ)
+		}
+	}
+	if size := reflect.TypeOf(rec{}).Size(); size > 32 {
+		t.Errorf("a record takes %d bytes, want at most 32", size)
+	}
+	if pointerFree(reflect.TypeOf(tuple.Tuple{})) {
+		t.Error("pointerFree accepts tuple.Tuple, which holds a slice")
+	}
+}
+
+// liveHeap forces a collection and returns the bytes still allocated.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestResidentBytesPerTuple bounds what a stored tuple really costs: 40
+// payload bytes, a 32-byte record, and the slack of lists and pages
+// that are still filling.
+func TestResidentBytesPerTuple(t *testing.T) {
+	const n = 200_000
+	payload := make([]byte, 40)
+	before := liveHeap()
+	op := New(3, partition.NewFunc(16), nil)
+	for i := 0; i < n; i++ {
+		tp := tuple.Tuple{Stream: uint8(i % 3), Key: uint64(i / 3 % 2000), Seq: uint64(i), Payload: payload}
+		if _, err := op.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perTuple := float64(liveHeap()-before) / n
+	runtime.KeepAlive(op)
+	t.Logf("%.1f live heap bytes per stored tuple", perTuple)
+	if perTuple > 120 {
+		t.Fatalf("%.1f live heap bytes per stored tuple, want at most 120", perTuple)
+	}
+}
+
+// TestWindowedStateStaysBounded feeds a windowed operator a key space
+// that keeps advancing, so every key's lists fill, expire and are never
+// touched again. The table's entries, the records and the payload bytes
+// of expired tuples must all be reclaimed: after the first window the
+// entry count and the live heap stop growing.
+func TestWindowedStateStaysBounded(t *testing.T) {
+	const (
+		window   = 100 * time.Millisecond
+		perRound = 30_000 // tuples per window length
+	)
+	payload := make([]byte, 40)
+	op := NewWindowed(3, partition.NewFunc(4), window, nil)
+	entries := func() int {
+		n := 0
+		op.resident(func(_ *Shard, g *group) { n += len(g.lists) / 3 })
+		return n
+	}
+	i := 0
+	round := func() {
+		for end := i + perRound; i < end; i++ {
+			ts := vclock.Time(time.Duration(i) * window / perRound)
+			tp := tuple.Tuple{Stream: uint8(i % 3), Key: uint64(i / 6), Seq: uint64(i), Ts: ts, Payload: payload}
+			if _, err := op.Process(tp); err != nil {
+				t.Fatal(err)
+			}
+			if i%1000 == 999 {
+				op.Purge(ts.Add(-window))
+			}
+		}
+	}
+	before := liveHeap()
+	round()
+	round()
+	entriesEarly, heapEarly := entries(), liveHeap()-before
+	for r := 0; r < 10; r++ {
+		round()
+	}
+	entriesLate, heapLate := entries(), liveHeap()-before
+	t.Logf("after 2 windows: %d entries, %d KiB; after 12: %d entries, %d KiB; %d tuples resident",
+		entriesEarly, heapEarly>>10, entriesLate, heapLate>>10, op.MemBytes()/(&tuple.Tuple{Payload: payload}).MemSize())
+	if entriesLate > 2*entriesEarly {
+		t.Fatalf("table entries grew from %d to %d over a steady window", entriesEarly, entriesLate)
+	}
+	if heapLate > 2*heapEarly {
+		t.Fatalf("live heap grew from %d to %d bytes over a steady window", heapEarly, heapLate)
+	}
+	runtime.KeepAlive(op)
+}
+
+// TestPurgeCompactsInPlace checks that a purge which drops tuples
+// without tipping a group into a rebuild allocates nothing.
+func TestPurgeCompactsInPlace(t *testing.T) {
+	op := NewWindowed(2, partition.NewFunc(1), time.Hour, nil)
+	for i := 0; i < 4000; i++ {
+		tp := tuple.Tuple{Stream: uint8(i % 2), Key: uint64(i % 50), Seq: uint64(i), Ts: vclock.Time(i)}
+		if _, err := op.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cutoff, purged := vclock.Time(0), 0
+	allocs := testing.AllocsPerRun(10, func() {
+		cutoff += 100
+		purged += op.Purge(cutoff)
+	})
+	if purged != 1100 { // AllocsPerRun runs the function once more to warm up
+		t.Fatalf("purged %d tuples, want 1100", purged)
+	}
+	if allocs != 0 {
+		t.Fatalf("a purge allocated %.1f times, want 0", allocs)
+	}
+}

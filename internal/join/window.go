@@ -37,11 +37,11 @@ func NewWindowedSharded(inputs int, part partition.Func, window time.Duration, s
 // Window reports the operator's window (0 = unbounded).
 func (o *Operator) Window() time.Duration { return o.window }
 
-// windowBounds narrows a timestamp-sorted tuple list to those within the
-// window of ts using binary search.
-func windowBounds(l []tuple.Tuple, ts vclock.Time, window time.Duration) []tuple.Tuple {
-	lo := sort.Search(len(l), func(i int) bool { return l[i].Ts >= ts.Add(-window) })
-	hi := sort.Search(len(l), func(i int) bool { return l[i].Ts > ts.Add(window) })
+// windowBounds narrows a timestamp-sorted record list to those within
+// the window of ts using binary search.
+func windowBounds(l []rec, ts vclock.Time, window time.Duration) []rec {
+	lo := sort.Search(len(l), func(i int) bool { return l[i].ts >= ts.Add(-window) })
+	hi := sort.Search(len(l), func(i int) bool { return l[i].ts > ts.Add(window) })
 	return l[lo:hi]
 }
 
@@ -55,65 +55,61 @@ func windowBounds(l []tuple.Tuple, ts vclock.Time, window time.Duration) []tuple
 // after which the cleanup phase produces their pending matches. The
 // groups' lifetime counters are untouched: purged data still counts
 // toward the productivity history.
+//
+// Lists are compacted in place, so a purge allocates nothing — but the
+// dropped tuples' payload bytes and the entries of keys whose lists all
+// emptied stay behind. A group holding more dropped tuples than live
+// ones, or more empty entries than live ones, is rebuilt from its live
+// tuples, which keeps a windowed operator's memory bounded by its window.
 func (o *Operator) Purge(cutoff vclock.Time) int {
 	purged := 0
-	for _, s := range o.shards {
-		for _, g := range s.groups {
-			for i := range g.tables {
-				tab := g.tables[i]
-				for key, kl := range tab {
-					l := kl.tuples
-					// Expired prefix [0, n).
-					n := sort.Search(len(l), func(i int) bool { return l[i].Ts >= cutoff })
-					if n == 0 {
-						continue
-					}
-					// Within the prefix, only tuples newer than the spilled
-					// watermark plus the window are free of pending matches.
-					lo := 0
-					if g.everSpilled {
-						safe := g.spilledTs.Add(o.window)
-						lo = sort.Search(n, func(i int) bool { return l[i].Ts > safe })
-					}
-					if lo >= n {
-						continue
-					}
-					for j := lo; j < n; j++ {
-						sz := l[j].MemSize()
-						g.size -= sz
-						s.totalSize -= sz
-					}
-					g.count -= n - lo
-					g.counts[i] -= n - lo
-					purged += n - lo
-					rest := make([]tuple.Tuple, 0, len(l)-(n-lo))
-					rest = append(rest, l[:lo]...)
-					rest = append(rest, l[n:]...)
-					if len(rest) == 0 {
-						delete(tab, key)
-					} else {
-						kl.tuples = rest
-					}
-				}
+	o.resident(func(s *Shard, g *group) {
+		empty := 0
+		for e := 0; e < len(g.lists); e += o.inputs {
+			live := uint32(0)
+			for i := 0; i < o.inputs; i++ {
+				l := &g.lists[e+i]
+				purged += s.purgeList(g, i, l, cutoff)
+				live += l.n
+			}
+			if live == 0 {
+				empty++
 			}
 		}
-	}
+		if g.purged > g.count || 2*empty*o.inputs > len(g.lists) {
+			s.load(g, s.unload(g))
+		}
+	})
 	return purged
 }
 
-// insertOrdered appends t to the list, keeping it timestamp-sorted even
-// under slightly out-of-order arrivals (binary insertion into the tail).
-func (l *keyList) insertOrdered(a *arena, t tuple.Tuple) {
-	ts := l.grown(a)
-	if n := len(ts); n == 0 || ts[n-1].Ts <= t.Ts {
-		l.tuples = append(ts, t)
-		return
+// purgeList drops the purgeable expired tuples of one list of input
+// stream and returns how many it dropped.
+func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int {
+	rs := g.run(*l)
+	// Expired prefix [0, n).
+	n := sort.Search(len(rs), func(i int) bool { return rs[i].ts >= cutoff })
+	// Within the prefix, only tuples newer than the spilled watermark
+	// plus the window are free of pending matches.
+	lo := 0
+	if g.everSpilled {
+		safe := g.spilledTs.Add(s.op.window)
+		lo = sort.Search(n, func(i int) bool { return rs[i].ts > safe })
 	}
-	i := sort.Search(len(ts), func(i int) bool { return ts[i].Ts > t.Ts })
-	ts = append(ts, tuple.Tuple{})
-	copy(ts[i+1:], ts[i:])
-	ts[i] = t
-	l.tuples = ts
+	for j := lo; j < n; j++ {
+		t := g.view(stream, 0, &rs[j]) // the accounted size ignores the key
+		g.size -= t.MemSize()
+		s.totalSize -= t.MemSize()
+	}
+	if lo >= n {
+		return 0
+	}
+	copy(rs[lo:], rs[n:])
+	l.n -= uint32(n - lo)
+	g.count -= n - lo
+	g.counts[stream] -= n - lo
+	g.purged += n - lo
+	return n - lo
 }
 
 // WindowedOracle computes the reference result of a windowed m-way join:

@@ -9,6 +9,7 @@
 package split
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -26,18 +27,28 @@ const DefaultBatchSize = 256
 // side of the relocation protocol. Route/Flush are called by the stream
 // feeder goroutine; HandleControl is called by the transport handler.
 // All state is guarded by one mutex.
+//
+// Route encodes each tuple straight into its owner's pending wire
+// buffer, so the router never keeps a reference to the caller's payload:
+// a tuple's bytes are copied before Route returns.
 type Router struct {
 	ep          transport.Endpoint
 	coordinator partition.NodeID
 	pf          partition.Func
 	batchSize   int
 
-	mu        sync.Mutex
-	owner     []partition.NodeID
-	version   uint64
-	paused    map[partition.ID]bool
+	mu      sync.Mutex
+	version uint64
+	// dest is the partition map in dense form: the index in pending of
+	// each partition's owner.
+	dest    []int
+	pending []outbox
+	// paused marks the partitions whose tuples are parked in buffered;
+	// nPaused counts them, nBuffered the parked tuples.
+	paused    []bool
+	nPaused   int
 	buffered  map[partition.ID][]tuple.Tuple
-	pending   map[partition.NodeID]*tuple.Batch
+	nBuffered int
 	sent      uint64
 	bufPeak   int
 	sendFails int
@@ -45,6 +56,17 @@ type Router struct {
 	// addNode, when set, extends the transport's node directory on
 	// MemberAddr (dynamically joined engines over TCP).
 	addNode func(partition.NodeID, string)
+}
+
+// outbox is the batch under construction for one engine: the Data
+// payload's wire bytes, whose leading tuple count is patched in at send.
+type outbox struct {
+	node partition.NodeID
+	buf  []byte
+	n    int
+	// size is the last sent payload's length, the next buffer's
+	// capacity: with fixed-size tuples every buffer is exactly sized.
+	size int
 }
 
 // New returns a Router over the given initial partition map snapshot.
@@ -55,17 +77,32 @@ func New(ep transport.Endpoint, coordinator partition.NodeID, pf partition.Func,
 	if batchSize <= 0 {
 		batchSize = DefaultBatchSize
 	}
-	return &Router{
+	r := &Router{
 		ep:          ep,
 		coordinator: coordinator,
 		pf:          pf,
 		batchSize:   batchSize,
-		owner:       append([]partition.NodeID(nil), owner...),
 		version:     version,
-		paused:      make(map[partition.ID]bool),
+		dest:        make([]int, len(owner)),
+		paused:      make([]bool, len(owner)),
 		buffered:    make(map[partition.ID][]tuple.Tuple),
-		pending:     make(map[partition.NodeID]*tuple.Batch),
-	}, nil
+	}
+	for id, node := range owner {
+		r.dest[id] = r.outboxLocked(node)
+	}
+	return r, nil
+}
+
+// outboxLocked returns the index in pending of node's outbox, adding an
+// empty one for a node seen for the first time.
+func (r *Router) outboxLocked(node partition.NodeID) int {
+	for i := range r.pending {
+		if r.pending[i].node == node {
+			return i
+		}
+	}
+	r.pending = append(r.pending, outbox{node: node})
+	return len(r.pending) - 1
 }
 
 // Route enqueues one tuple toward its partition's owner, buffering it if
@@ -75,36 +112,44 @@ func (r *Router) Route(t tuple.Tuple) error {
 	defer r.mu.Unlock()
 	id := r.pf.Of(t.Key)
 	if r.paused[id] {
-		r.buffered[id] = append(r.buffered[id], t)
-		if n := r.bufferedCountLocked(); n > r.bufPeak {
-			r.bufPeak = n
-		}
+		t.Payload = append([]byte(nil), t.Payload...)
+		r.parkLocked(id, t)
 		return nil
 	}
-	return r.enqueueLocked(id, t)
+	return r.enqueueLocked(id, &t)
 }
 
-func (r *Router) enqueueLocked(id partition.ID, t tuple.Tuple) error {
-	owner := r.owner[id]
-	b := r.pending[owner]
-	if b == nil {
-		b = &tuple.Batch{}
-		r.pending[owner] = b
+// parkLocked holds t, whose payload the router must own, until its
+// partition is remapped.
+func (r *Router) parkLocked(id partition.ID, t tuple.Tuple) {
+	r.buffered[id] = append(r.buffered[id], t)
+	r.nBuffered++
+	r.bufPeak = max(r.bufPeak, r.nBuffered)
+}
+
+func (r *Router) enqueueLocked(id partition.ID, t *tuple.Tuple) error {
+	ob := &r.pending[r.dest[id]]
+	if ob.n == 0 {
+		// A fresh buffer per batch: the in-proc transport hands
+		// Data.Payload to the receiver by reference.
+		ob.buf = make([]byte, 4, max(ob.size, 4+t.EncodedSize()))
 	}
-	b.Tuples = append(b.Tuples, t)
-	if len(b.Tuples) >= r.batchSize {
-		return r.sendLocked(owner)
+	ob.buf = t.AppendTo(ob.buf)
+	ob.n++
+	if ob.n >= r.batchSize {
+		return r.sendLocked(ob)
 	}
 	return nil
 }
 
-func (r *Router) sendLocked(owner partition.NodeID) error {
-	b := r.pending[owner]
-	if b == nil || len(b.Tuples) == 0 {
+func (r *Router) sendLocked(ob *outbox) error {
+	if ob.n == 0 {
 		return nil
 	}
-	delete(r.pending, owner)
-	if err := r.ep.Send(owner, proto.Data{Payload: b.Encode(), MapVersion: r.version}); err != nil {
+	payload, n := ob.buf, ob.n
+	binary.LittleEndian.PutUint32(payload, uint32(n))
+	ob.buf, ob.n, ob.size = nil, 0, len(payload)
+	if err := r.ep.Send(ob.node, proto.Data{Payload: payload, MapVersion: r.version}); err != nil {
 		// The owner is unreachable — typically dead before the
 		// coordinator's watchdog Pause lands here. Park the batch: mark
 		// its partitions paused and keep the tuples buffered, so feeding
@@ -112,31 +157,35 @@ func (r *Router) sendLocked(owner partition.NodeID) error {
 		// relocation) releases them toward the new owner. The
 		// coordinator discovers the death through its own heartbeat
 		// watchdog; the router only preserves the tuples.
+		b, derr := tuple.DecodeBatch(payload)
+		if derr != nil {
+			return fmt.Errorf("split: re-reading an unsent batch: %w", derr)
+		}
 		for _, t := range b.Tuples {
 			id := r.pf.Of(t.Key)
-			r.paused[id] = true
-			r.buffered[id] = append(r.buffered[id], t)
-		}
-		if n := r.bufferedCountLocked(); n > r.bufPeak {
-			r.bufPeak = n
+			r.pauseLocked(id)
+			r.parkLocked(id, t)
 		}
 		r.sendFails++
 		return nil
 	}
-	r.sent += uint64(len(b.Tuples))
+	r.sent += uint64(n)
 	return nil
+}
+
+func (r *Router) pauseLocked(id partition.ID) {
+	if !r.paused[id] {
+		r.paused[id] = true
+		r.nPaused++
+	}
 }
 
 // Flush sends all partial batches.
 func (r *Router) Flush() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.flushAllLocked()
-}
-
-func (r *Router) flushAllLocked() error {
-	for owner := range r.pending {
-		if err := r.sendLocked(owner); err != nil {
+	for i := range r.pending {
+		if err := r.sendLocked(&r.pending[i]); err != nil {
 			return err
 		}
 	}
@@ -167,15 +216,7 @@ func (r *Router) BufferedPeak() int {
 func (r *Router) PausedPartitions() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.paused)
-}
-
-func (r *Router) bufferedCountLocked() int {
-	n := 0
-	for _, l := range r.buffered {
-		n += len(l)
-	}
-	return n
+	return r.nPaused
 }
 
 // Version reports the current partition map version.
@@ -189,7 +230,7 @@ func (r *Router) Version() uint64 {
 func (r *Router) Owner(id partition.ID) partition.NodeID {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.owner[id]
+	return r.pending[r.dest[id]].node
 }
 
 // HandleControl processes Pause, Remap, and MemberAddr messages,
@@ -236,13 +277,13 @@ func (r *Router) SendFailures() int {
 // path), start buffering the moving partitions, then emit the marker.
 func (r *Router) pause(m proto.Pause) error {
 	r.mu.Lock()
-	if err := r.sendLocked(m.Owner); err != nil {
+	if err := r.sendLocked(&r.pending[r.outboxLocked(m.Owner)]); err != nil {
 		r.mu.Unlock()
 		return err
 	}
 	for _, id := range m.Partitions {
-		if int(id) < len(r.owner) {
-			r.paused[id] = true
+		if int(id) < len(r.dest) {
+			r.pauseLocked(id)
 		}
 	}
 	r.mu.Unlock()
@@ -257,25 +298,30 @@ func (r *Router) remap(m proto.Remap) error {
 	if m.Version > r.version {
 		r.version = m.Version
 	}
+	to := r.outboxLocked(m.Owner)
 	var release []tuple.Tuple
 	for _, id := range m.Partitions {
-		if int(id) >= len(r.owner) {
+		if int(id) >= len(r.dest) {
 			continue
 		}
-		r.owner[id] = m.Owner
-		delete(r.paused, id)
+		r.dest[id] = to
+		if r.paused[id] {
+			r.paused[id] = false
+			r.nPaused--
+		}
 		release = append(release, r.buffered[id]...)
 		delete(r.buffered, id)
 	}
-	for _, t := range release {
-		if err := r.enqueueLocked(r.pf.Of(t.Key), t); err != nil {
+	r.nBuffered -= len(release)
+	for i := range release {
+		if err := r.enqueueLocked(r.pf.Of(release[i].Key), &release[i]); err != nil {
 			r.mu.Unlock()
 			return err
 		}
 	}
 	// Flush immediately so released tuples are not held back behind the
 	// batch threshold.
-	err := r.sendLocked(m.Owner)
+	err := r.sendLocked(&r.pending[to])
 	r.mu.Unlock()
 	if err != nil {
 		return err

@@ -337,3 +337,45 @@ func TestMemberAddrExtendsDirectory(t *testing.T) {
 		t.Fatalf("directory = %v, want m3 -> 127.0.0.1:7103", got)
 	}
 }
+
+// TestRouteCopiesPayload routes every tuple from one buffer that is
+// overwritten between calls. Staged, parked and already-sent tuples must
+// all keep the bytes they were routed with: the router owns a copy by
+// the time Route returns, and hands each batch its own buffer (the
+// in-proc transport delivers Data.Payload by reference).
+func TestRouteCopiesPayload(t *testing.T) {
+	ep := &fakeEndpoint{}
+	r := newRouter(t, ep, 3)
+	if _, err := r.HandleControl(proto.Pause{Epoch: 1, Owner: "m2", Partitions: []partition.ID{1}}); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1)
+	for key := uint64(0); key < 16; key++ {
+		buf[0] = byte(key)
+		if err := r.Route(tuple.Tuple{Key: key, Seq: key, Payload: buf}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf[0] = 0xFF
+	if _, err := r.HandleControl(proto.Remap{Epoch: 1, Version: 2, Partitions: []partition.ID{1}, Owner: "m1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, m := range ep.messages() {
+		if _, ok := m.msg.(proto.Data); !ok {
+			continue
+		}
+		for _, tu := range decodeData(t, m.msg) {
+			seen++
+			if len(tu.Payload) != 1 || tu.Payload[0] != byte(tu.Key) {
+				t.Fatalf("key %d delivered with payload %v", tu.Key, tu.Payload)
+			}
+		}
+	}
+	if seen != 16 {
+		t.Fatalf("%d tuples delivered, routed 16", seen)
+	}
+}
