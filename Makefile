@@ -45,11 +45,12 @@ test-race:
 
 # chaos-smoke replays the seeded fault-injection matrix (fixed seeds,
 # PROTOCOL.md "Failure model"): randomized control-plane drop/dup/delay
-# schedules plus the crash/checkpoint-recovery script must preserve
-# liveness and exact results, and the membership scenarios (runtime
-# join, graceful leave, follower promotion, spilled failover, heartbeat
-# flap — PROTOCOL.md "Membership & replication") must stay exact under
-# the same faults. -count=1 forces a live run.
+# schedules must preserve liveness and exact results, and the
+# membership scenarios (runtime join, graceful leave, follower
+# promotion, spilled failover, heartbeat flap, and the restart-reseed
+# script: crash, fail over, restart empty, fail over onto the restarted
+# engine — PROTOCOL.md "Membership & replication" and "Cold restart")
+# must stay exact under the same faults. -count=1 forces a live run.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact' ./internal/experiments
 

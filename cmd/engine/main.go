@@ -25,7 +25,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -51,7 +50,6 @@ func main() {
 		fraction    = flag.Float64("spill-fraction", 0.3, "k%: share of state pushed per spill")
 		policyName  = flag.String("policy", "less-productive", "spill policy: less-productive|more-productive|largest|smallest|random")
 		storeDir    = flag.String("store", "", "segment store directory (default in-memory)")
-		ckptDir     = flag.String("checkpoint", "", "checkpoint directory: restored at startup, written on shutdown")
 		monAddr     = flag.String("monitor", "", "HTTP monitoring address serving /healthz and /stats (empty disables)")
 		scale       = flag.Float64("scale", 1, "virtual time compression factor (must match the generator's)")
 		joinPar     = flag.Int("join-parallelism", 1, "join shard workers (0 or 1 = serial data path)")
@@ -126,15 +124,6 @@ func main() {
 	if err := e.Attach(net); err != nil {
 		log.Fatal(err)
 	}
-	if *ckptDir != "" {
-		n, err := checkpoint.Load(e.Op(), *ckptDir)
-		if err != nil {
-			log.Fatalf("restore checkpoint: %v", err)
-		}
-		if n > 0 {
-			log.Printf("engine %s: restored %d partition groups from %s", *node, n, *ckptDir)
-		}
-	}
 	if err := e.Start(); err != nil {
 		log.Fatal(err)
 	}
@@ -179,14 +168,6 @@ func main() {
 	case <-e.Done():
 	case <-vclock.WallTimeout(5 * time.Second):
 		log.Printf("engine %s: handler did not acknowledge stop", *node)
-	}
-	if *ckptDir != "" {
-		n, err := checkpoint.Save(e.Op(), *ckptDir)
-		if err != nil {
-			log.Printf("engine %s: checkpoint failed: %v", *node, err)
-		} else {
-			log.Printf("engine %s: checkpointed %d partition groups to %s", *node, n, *ckptDir)
-		}
 	}
 	log.Printf("engine %s: %d results, %d spills, %d bytes spilled",
 		*node, e.Op().Output(), e.SpillManager().Count(), e.SpillManager().SpilledBytes())

@@ -125,9 +125,6 @@ func main() {
 			}
 		case proto.CleanupDone:
 			cleanupCh <- m
-		case proto.CheckpointDone:
-			// The standalone generator never requests checkpoints; a
-			// stray ack is harmless.
 		}
 	})
 	if err != nil {

@@ -242,9 +242,6 @@ func (c *Cluster) handleGenerator(from NodeID, msg proto.Message) {
 		case c.quiesceCh <- struct{}{}:
 		default:
 		}
-	case proto.CheckpointDone:
-		// The embedded cluster never requests checkpoints; a stray ack
-		// is harmless.
 	}
 }
 

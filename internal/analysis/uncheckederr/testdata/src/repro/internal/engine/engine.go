@@ -1,11 +1,8 @@
-// Package engine exercises every way a spill/checkpoint error can be
+// Package engine exercises every way a spill store error can be
 // discarded, plus the handled and waived forms.
 package engine
 
-import (
-	"repro/internal/checkpoint"
-	"repro/internal/spill"
-)
+import "repro/internal/spill"
 
 func flush(s *spill.Store) {
 	s.Write(nil)       // want `discarded error from spill\.Write`
@@ -14,14 +11,14 @@ func flush(s *spill.Store) {
 	_ = s.Write(nil)   // want `discarded error from spill\.Write`
 	buf, _ := s.Read() // want `discarded error from spill\.Read`
 	_ = buf
-	_, _ = checkpoint.Save("dir") // want `discarded error from checkpoint\.Save`
+	_, _ = spill.Open("dir") // want `discarded error from spill\.Open`
 
 	// Bound errors and error-free calls are fine.
 	if err := s.Write(nil); err != nil {
 		panic(err)
 	}
-	n, err := checkpoint.Save("dir")
-	_, _ = n, err
+	st, err := spill.Open("dir")
+	_, _ = st, err
 	s.Len()
 
 	//distqlint:allow uncheckederr: best-effort close on shutdown path

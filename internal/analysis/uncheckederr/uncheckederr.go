@@ -8,13 +8,12 @@
 //     loud. Matched by signature: a method named Send taking
 //     (partition.NodeID, proto.Message) and returning error, on any
 //     receiver (the Endpoint interface or a concrete endpoint).
-//   - spill and checkpoint store I/O. Spilled partition groups and
-//     checkpoints are the durable half of the paper's exact-once cleanup
-//     guarantee: a swallowed Write/Read/Remove/Spill/Save/Load error
-//     silently loses state that the cleanup phase will later report as
-//     "clean". Matched by package: any function or method declared in
-//     repro/internal/spill or repro/internal/checkpoint whose final
-//     result is error.
+//   - spill store I/O. Spilled partition groups are the durable half of
+//     the paper's exact-once cleanup guarantee: a swallowed
+//     Write/Read/Remove/Spill/Install error silently loses state that
+//     the cleanup phase will later report as "clean". Matched by
+//     package: any function or method declared in repro/internal/spill
+//     whose final result is error.
 //
 // The error counts as discarded when the call stands alone as a
 // statement (including go/defer), or when the error's position on the
@@ -42,13 +41,13 @@ type target struct {
 
 var targets = []target{
 	{endpointSend, "an unhandled send failure is a silent protocol stall"},
-	{storeIO, "spill/checkpoint I/O errors are part of the exact-once cleanup guarantee"},
+	{storeIO, "spill store I/O errors are part of the exact-once cleanup guarantee"},
 }
 
 // Analyzer implements the unchecked-error check.
 var Analyzer = &analysis.Analyzer{
 	Name: "uncheckederr",
-	Doc:  "errors from transport sends and spill/checkpoint store I/O must be handled, not discarded",
+	Doc:  "errors from transport sends and spill store I/O must be handled, not discarded",
 	Run:  run,
 }
 
@@ -123,14 +122,10 @@ func endpointSend(pass *analysis.Pass, fn *types.Func, sig *types.Signature) str
 	})
 }
 
-// storeIO matches everything declared in the store packages.
+// storeIO matches everything declared in the spill store package.
 func storeIO(_ *analysis.Pass, fn *types.Func, _ *types.Signature) string {
-	if fn.Pkg() == nil {
+	if fn.Pkg() == nil || fn.Pkg().Path() != "repro/internal/spill" {
 		return ""
 	}
-	switch fn.Pkg().Path() {
-	case "repro/internal/spill", "repro/internal/checkpoint":
-		return fn.Pkg().Name() + "." + fn.Name()
-	}
-	return ""
+	return fn.Pkg().Name() + "." + fn.Name()
 }

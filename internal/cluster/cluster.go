@@ -7,10 +7,9 @@
 // Run executes the paper's experiment shape: a run-time phase of a given
 // virtual duration, a quiesce + drain fence, and an optional cleanup
 // phase, returning the series and counters the figures plot. For
-// fault-injection scripts that interleave feeding with crashes,
-// checkpoints and restarts, New returns a Cluster whose phases are
-// driven explicitly (Start / Feed / Checkpoint / Crash / Restart /
-// Quiesce / Drain / Finish).
+// fault-injection scripts that interleave feeding with crashes and
+// restarts, New returns a Cluster whose phases are driven explicitly
+// (Start / Feed / Crash / Restart / Quiesce / Drain / Finish).
 package cluster
 
 import (
@@ -93,10 +92,6 @@ type Config struct {
 	// StoreDir, when set, gives each engine a file-backed segment store
 	// under StoreDir/<node>; empty means in-memory stores.
 	StoreDir string
-	// CheckpointDir, when set, gives each engine a checkpoint directory
-	// under CheckpointDir/<node>, enabling the Checkpoint message and
-	// crash recovery via Restart.
-	CheckpointDir string
 	// Network overrides the transport (default in-process). Wrap the
 	// default with transport/faulty and pass it here to inject faults.
 	Network transport.Network
@@ -104,7 +99,7 @@ type Config struct {
 	// the coordinator assigns every partition group a follower engine,
 	// primaries stream state deltas to keep the followers warm, and the
 	// watchdog fails a dead engine's groups over to their followers
-	// instead of waiting for checkpoint-restore (see coordinator.Config).
+	// instead of parking them until it returns (see coordinator.Config).
 	Replicate bool
 	// RelocTimeout / RelocMaxRetries / HeartbeatTimeout forward to the
 	// coordinator's hardening knobs (see coordinator.Config); at zero
@@ -390,7 +385,7 @@ func New(cfg Config) (*Cluster, error) {
 
 // buildEngine constructs (but does not attach) one engine node from the
 // cluster config; Restart uses it to rebuild a crashed engine over the
-// same durable directories, Join to admit a new one at run time
+// same store directories, Join to admit a new one at run time
 // (dynamic makes it introduce itself with JoinRequest instead of Hello).
 func (c *Cluster) buildEngine(node partition.NodeID, dynamic bool) (*engine.Engine, error) {
 	var store, standby spill.Store
@@ -407,10 +402,6 @@ func (c *Cluster) buildEngine(node partition.NodeID, dynamic bool) (*engine.Engi
 			return nil, err
 		}
 		standby = sb
-	}
-	ckptDir := ""
-	if c.cfg.CheckpointDir != "" {
-		ckptDir = filepath.Join(c.cfg.CheckpointDir, string(node))
 	}
 	e, err := engine.New(engine.Config{
 		Node:               node,
@@ -432,7 +423,6 @@ func (c *Cluster) buildEngine(node partition.NodeID, dynamic bool) (*engine.Engi
 		Window:             c.cfg.Window,
 		StatsInterval:      c.cfg.StatsInterval,
 		SpillCheckInterval: c.cfg.SpillCheckInterval,
-		CheckpointDir:      ckptDir,
 		DynamicJoin:        dynamic,
 	}, c.clock)
 	if err != nil {
@@ -631,13 +621,6 @@ func (c *Cluster) Drain() error {
 	return c.feeder.drain(live)
 }
 
-// Checkpoint asks node to persist its operator state, waiting for the
-// acknowledgment. Call after a Drain fence so the checkpoint captures
-// exactly the tuples fed so far.
-func (c *Cluster) Checkpoint(node partition.NodeID) (proto.CheckpointDone, error) {
-	return c.feeder.checkpoint(node)
-}
-
 // Crash kills an engine without any shutdown protocol: its endpoint
 // closes, its volatile state is lost, and (when the transport supports
 // isolation) traffic to and from it blackholes like a dead machine's.
@@ -658,10 +641,12 @@ func (c *Cluster) Crash(node partition.NodeID) error {
 	return nil
 }
 
-// Restart rebuilds a crashed engine over its durable directories,
-// restores the latest checkpoint generation, and rejoins it to the
-// cluster. The engine's Hello triggers the coordinator's revival path,
-// which remaps (and thereby unpauses) its partitions.
+// Restart brings a crashed engine back as a new, empty life under the
+// same name, over its store directories. Its Hello triggers the
+// coordinator's revival path: groups failed over meanwhile are demoted
+// away (with the stale segments the reopened store still holds), what
+// it still owns is remapped (and thereby unpaused), and under Replicate
+// it is seeded again as a follower.
 func (c *Cluster) Restart(node partition.NodeID) error {
 	if !c.crashed[node] {
 		return fmt.Errorf("cluster: engine %s is not crashed", node)
@@ -672,9 +657,6 @@ func (c *Cluster) Restart(node partition.NodeID) error {
 	}
 	if err := e.Attach(c.net); err != nil {
 		return err
-	}
-	if _, err := e.Restore(); err != nil {
-		return fmt.Errorf("cluster: restore %s: %w", node, err)
 	}
 	if iso, ok := c.net.(isolater); ok {
 		iso.Restore(node)

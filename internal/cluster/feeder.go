@@ -27,7 +27,6 @@ type feeder struct {
 
 	drainCh   chan proto.DrainAck
 	quiesceCh chan struct{}
-	ckptCh    chan proto.CheckpointDone
 	token     uint64
 
 	// next / fedUntil make the pacing resumable: Feed can be called in
@@ -46,7 +45,6 @@ func newFeeder(clock vclock.Clock, gen *workload.Generator, flushInterval time.D
 		log:           obs.NewLogger(obs.LoggerConfig{Node: string(GeneratorNode), Kind: "generator", Now: clock.Now}),
 		drainCh:       make(chan proto.DrainAck, 64),
 		quiesceCh:     make(chan struct{}, 1),
-		ckptCh:        make(chan proto.CheckpointDone, 8),
 		next:          make([]vclock.Time, gen.Config().Streams),
 	}
 }
@@ -81,11 +79,6 @@ func (f *feeder) handle(from partition.NodeID, msg proto.Message) {
 		case f.quiesceCh <- struct{}{}:
 		default:
 		}
-	case proto.CheckpointDone:
-		select {
-		case f.ckptCh <- m:
-		default:
-		}
 	default:
 		f.log.Warn("unexpected_message", obs.F("type", fmt.Sprintf("%T", msg)), obs.F("from", string(from)))
 	}
@@ -116,29 +109,6 @@ func (f *feeder) feed(d time.Duration) error {
 			return nil
 		}
 		f.clock.Sleep(f.flushInterval)
-	}
-}
-
-// checkpoint asks node to persist its operator state and waits for the
-// acknowledgment.
-func (f *feeder) checkpoint(node partition.NodeID) (proto.CheckpointDone, error) {
-	if err := f.ep.Send(node, proto.Checkpoint{}); err != nil {
-		return proto.CheckpointDone{}, err
-	}
-	timeout := vclock.WallTimeout(30 * time.Second)
-	for {
-		select {
-		case done := <-f.ckptCh:
-			if done.Node != node {
-				continue // stale ack from an earlier checkpoint
-			}
-			if done.Error != "" {
-				return done, fmt.Errorf("cluster: checkpoint on %s: %s", node, done.Error)
-			}
-			return done, nil
-		case <-timeout:
-			return proto.CheckpointDone{}, fmt.Errorf("cluster: checkpoint on %s timed out", node)
-		}
 	}
 }
 

@@ -75,7 +75,7 @@ type Config struct {
 	// assignment as a ReplicaMap on each lb tick, and — when the
 	// watchdog declares a primary dead — promotes the followers
 	// (Promote/PromoteAck) and commits a new partition map instead of
-	// parking the groups until a checkpoint-restore.
+	// parking the groups until the engine returns.
 	Replicate bool
 	// OnError, when set, receives every error surfaced by the
 	// coordinator's handler (in addition to the error counter and log),
@@ -389,7 +389,7 @@ func New(cfg Config, clock vclock.Clock) (*Coordinator, error) {
 	c.reg.Help("distq_coordinator_engine_mem_bytes", "per-engine memory usage from the latest stats report")
 	c.reg.Help("distq_coordinator_member_joins_total", "engines admitted into the running cluster (active after first report)")
 	c.reg.Help("distq_coordinator_member_leaves_total", "engines drained of their partitions and released")
-	c.reg.Help("distq_coordinator_promotions_total", "completed follower promotions (failover without checkpoint replay)")
+	c.reg.Help("distq_coordinator_promotions_total", "completed follower promotions (failover from the warm standby)")
 	c.reg.Help("distq_coordinator_demotions_total", "revived engines demoted back to follower duty")
 	c.reg.Help("distq_coordinator_promotion_seconds", "virtual seconds from watchdog-declared death to the failover's last remap ack")
 	c.reg.Help("distq_coordinator_replication_lag_bytes", "per-engine replication lag from the latest stats report")

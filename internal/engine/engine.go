@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cleanup"
 	"repro/internal/core"
 	"repro/internal/join"
@@ -90,10 +89,6 @@ type Config struct {
 	// of their timestamp, and expired state is purged on every stats
 	// tick — the paper's infinite-streams-with-finite-windows case.
 	Window time.Duration
-	// CheckpointDir, when set, enables the Checkpoint message and the
-	// Restore path: the engine persists its resident operator state
-	// there on request and reloads the latest generation on Restore.
-	CheckpointDir string
 	// SmoothingAlpha, when positive, switches the local controller to
 	// the paper's amortized productivity model (§2): an exponentially
 	// weighted moving average over per-period Δoutput/Δbytes, updated on
@@ -196,11 +191,10 @@ type Engine struct {
 
 	// pendingReloc tracks the in-flight relocation this engine sends.
 	pendingReloc *relocState
-	// savedXfer retains the extracted state of the last outbound
-	// relocation so a retried SendStates re-ships identical bytes and a
-	// RelocAbort can reinstall the state locally. One relocation's
-	// encoded state at most; replaced on the next CptV.
-	savedXfer *savedTransfer
+	// savedXfer retains the last outbound relocation and its group
+	// images, so a retried SendStates re-ships them and a RelocAbort
+	// installs them back. One relocation at most; dropped on the next CptV.
+	savedXfer *relocState
 	// installedEpochs / abortedEpochs make the receiver side of the
 	// protocol idempotent under duplicated or late deliveries: an
 	// already-installed epoch's duplicate StateTransfer is re-acked
@@ -258,17 +252,23 @@ type Engine struct {
 	lastReport atomic.Pointer[proto.StatsReport]
 }
 
+// relocState is one outbound relocation epoch: the partitions offered
+// and, once SendStates took them out of operator and store, their
+// images.
 type relocState struct {
 	epoch    uint64
 	receiver partition.NodeID
 	parts    []partition.ID
+	images   []*spill.Image
 }
 
-// savedTransfer is the encoded outbound state transfer of one epoch.
-type savedTransfer struct {
-	epoch    uint64
-	receiver partition.NodeID
-	msg      proto.StateTransfer
+// message encodes the taken images for the wire.
+func (x *relocState) message(trace obs.TraceContext) proto.StateTransfer {
+	m := proto.StateTransfer{Epoch: x.epoch, Trace: trace}
+	for _, im := range x.images {
+		m.Images = append(m.Images, spill.AppendImage(nil, im))
+	}
+	return m
 }
 
 // New builds an engine; Attach must be called before Start. It rejects
@@ -502,8 +502,8 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 	// Every non-Data message is a barrier for the parallel join path:
 	// the shard pool is quiesced before the handler touches operator
 	// state, so the marker fence, spill victim selection, the 8-step
-	// relocation protocol, checkpointing, drain, and cleanup all see the
-	// same consistent single-threaded view as the serial engine.
+	// relocation protocol, drain, and cleanup all see the same
+	// consistent single-threaded view as the serial engine.
 	if _, isData := msg.(proto.Data); !isData {
 		if qerr := e.quiesceShards(); qerr != nil {
 			e.log.Error("shard_worker_error", obs.FErr(qerr))
@@ -527,8 +527,6 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 		err = e.onRelocAbort(m)
 	case proto.ForceSpill:
 		err = e.onForceSpill(m)
-	case proto.Checkpoint:
-		err = e.onCheckpoint(from, m)
 	case proto.Drain:
 		err = e.onDrain(from, m)
 	case proto.StartCleanup:
@@ -645,11 +643,10 @@ func (e *Engine) onTick(m proto.Tick) error {
 		if e.mode != core.NormalMode || !e.cfg.LocalSpill {
 			return nil
 		}
-		// Memory-tier standby counts toward the local budget: a
-		// standby-heavy follower must shed its own operator state (the
+		// A standby-heavy follower must shed its own operator state (the
 		// standby itself only leaves memory on the primary's spill
 		// markers, keeping segment boundaries aligned).
-		amount := e.cfg.Spill.SpillAmount(e.op.MemBytes() + e.repl.standbyBytes)
+		amount := e.cfg.Spill.SpillAmount(e.memBytes())
 		if amount <= 0 {
 			return nil
 		}
@@ -723,11 +720,8 @@ func (e *Engine) reportStats() error {
 		return sizes[id]
 	}
 	report := proto.StatsReport{
-		Node: e.cfg.Node,
-		// Memory-tier standby is real memory: without it a follower
-		// over-reports headroom and the coordinator's M_query−M_cluster
-		// forced-spill arithmetic undercounts the cluster.
-		MemBytes:     e.op.MemBytes() + e.repl.standbyBytes,
+		Node:         e.cfg.Node,
+		MemBytes:     e.memBytes(),
 		Groups:       e.op.Groups(),
 		Output:       e.op.Output(),
 		SpillCount:   e.mgr.Count(),
@@ -751,6 +745,13 @@ func (e *Engine) reportStats() error {
 	}
 	return e.reportResults()
 }
+
+// memBytes is what this engine holds in memory: the operator's resident
+// state plus the memory tier of its standby images. The local spill
+// check and the StatsReport both charge it — without the standby a
+// follower over-reports headroom and the coordinator's
+// M_query−M_cluster forced-spill arithmetic undercounts the cluster.
+func (e *Engine) memBytes() int64 { return e.op.MemBytes() + e.repl.standbyBytes }
 
 // reportGroupMetrics exports per-group tracker statistics as labeled
 // gauges for the top Config.GroupMetrics most productive groups; gauges
@@ -845,22 +846,23 @@ func (e *Engine) onCptV(m proto.CptV) error {
 	return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: parts, Trace: m.Trace})
 }
 
-// onSendStates implements protocol step 5/6: extract the moving groups —
-// resident generation plus their disk segments, which follow the group so
-// cleanup stays local — and ship them to the receiver. If the transfer
-// cannot be sent (receiver unreachable), the extracted state is
-// reinstalled locally: an aborted relocation must never lose state.
+// onSendStates implements protocol step 5/6: take the moving groups out
+// of this engine — each one's whole image, so the disk segments follow
+// the group and cleanup stays local — and ship them to the receiver.
 //
-// The extracted transfer is retained (savedXfer): a retried SendStates
-// re-ships the identical encoded state instead of re-extracting (the
-// groups are gone from the operator by then), and a RelocAbort
-// reinstalls from it. A SendStates for an epoch that is neither pending
-// nor saved is stale — the relocation was aborted — and is ignored.
+// The images are retained (savedXfer): a retried SendStates re-ships
+// them (the groups are gone from the operator by then) and a RelocAbort
+// installs them back, as does a failed extraction or send right here —
+// an aborted relocation must never lose state. A SendStates for an
+// epoch that is neither pending nor saved is stale and is ignored.
 func (e *Engine) onSendStates(m proto.SendStates) error {
-	if x := e.savedXfer; x != nil && x.epoch == m.Epoch {
-		return e.ep.Send(x.receiver, x.msg)
+	if e.abortedEpochs[m.Epoch] {
+		return nil // stale: this engine already rolled the epoch back
 	}
-	if e.pendingReloc == nil && m.Directed && !e.abortedEpochs[m.Epoch] {
+	if x := e.savedXfer; x != nil && x.epoch == m.Epoch {
+		return e.ep.Send(x.receiver, x.message(m.Trace))
+	}
+	if e.pendingReloc == nil && m.Directed {
 		// A directed relocation (drain of a departing engine) skips the
 		// CptV/PtV round — the coordinator chose the partitions — so the
 		// pending state a CptV would have recorded is synthesized here.
@@ -878,71 +880,61 @@ func (e *Engine) onSendStates(m proto.SendStates) error {
 	span.SetAttr("epoch", fmt.Sprintf("%d", m.Epoch))
 	span.SetAttr("receiver", string(m.Receiver))
 	span.SetAttr("partitions", fmt.Sprintf("%d", len(m.Partitions)))
-	// Forward the trace so the receiver's install span joins too.
-	xfer := proto.StateTransfer{Epoch: m.Epoch, Trace: m.Trace}
-	var residents []*join.GroupSnapshot
-	var segments []*join.GroupSnapshot
+	x := e.pendingReloc
+	var memBytes, diskBytes int64
+	var err error
 	for _, id := range m.Partitions {
-		if snap := e.op.RemoveForRelocation(id); snap != nil {
-			residents = append(residents, snap)
-			xfer.Resident = append(xfer.Resident, join.EncodeSnapshot(snap))
+		var im *spill.Image
+		im, err = e.release(id)
+		if !im.Empty() {
+			x.images = append(x.images, im)
+			mem, disk := im.Bytes()
+			memBytes, diskBytes = memBytes+mem, diskBytes+disk
 		}
-		e.repl.forgetOwned(id)
-		if e.tracker != nil {
-			e.tracker.Forget(id)
-		}
-		segs, err := e.cfg.Store.Remove(id)
 		if err != nil {
-			span.Abort(e.clock.Now(), err.Error())
-			return fmt.Errorf("extract segments of group %d: %w", id, err)
-		}
-		for _, seg := range segs {
-			segments = append(segments, seg)
-			xfer.Segments = append(xfer.Segments, join.EncodeSnapshot(seg))
+			break
 		}
 	}
-	if err := e.ep.Send(m.Receiver, xfer); err != nil {
-		span.Abort(e.clock.Now(), "transfer send: "+err.Error())
-		for _, snap := range residents {
-			if ierr := e.op.Install(snap); ierr != nil {
-				return fmt.Errorf("reinstall after failed transfer: %v (transfer: %w)", ierr, err)
-			}
-		}
-		for _, seg := range segments {
-			if werr := e.cfg.Store.Write(seg); werr != nil {
-				return fmt.Errorf("restore segments after failed transfer: %v (transfer: %w)", werr, err)
-			}
+	if err == nil {
+		// Forward the trace so the receiver's install span joins too.
+		err = e.ep.Send(m.Receiver, x.message(m.Trace))
+	}
+	if err != nil {
+		span.Abort(e.clock.Now(), err.Error())
+		if ierr := e.install(x.images); ierr != nil {
+			// Keep what did not land for the RelocAbort to install, and
+			// never re-ship it: part of the epoch's state is local again.
+			e.savedXfer, e.abortedEpochs[m.Epoch] = x, true
+			return fmt.Errorf("reinstall after failed transfer: %v (transfer: %w)", ierr, err)
 		}
 		return fmt.Errorf("state transfer to %s failed, state reinstalled locally: %w", m.Receiver, err)
 	}
-	span.SetAttr("resident_groups", fmt.Sprintf("%d", len(residents)))
-	span.SetAttr("segments", fmt.Sprintf("%d", len(segments)))
+	span.SetAttr("groups", fmt.Sprintf("%d", len(x.images)))
+	span.SetAttr("mem_bytes", fmt.Sprintf("%d", memBytes))
+	span.SetAttr("disk_bytes", fmt.Sprintf("%d", diskBytes))
 	span.End(e.clock.Now())
-	e.savedXfer = &savedTransfer{epoch: m.Epoch, receiver: m.Receiver, msg: xfer}
+	e.savedXfer = x
 	e.reg.Counter("distq_engine_relocations_out_total").Inc()
 	return nil
 }
 
-// reinstallSaved puts the saved transfer's state back into this
-// engine's operator and store (sender-side relocation rollback).
-func (e *Engine) reinstallSaved() error {
-	x := e.savedXfer
-	for _, buf := range x.msg.Resident {
-		snap, err := join.DecodeSnapshot(buf)
-		if err != nil {
-			return fmt.Errorf("decode saved state: %w", err)
-		}
-		if err := e.op.Install(snap); err != nil {
-			return fmt.Errorf("reinstall saved state: %w", err)
-		}
+// release ends this engine's ownership of group id: it stops replicating
+// and tracking the group and takes its image out of operator and store.
+func (e *Engine) release(id partition.ID) (*spill.Image, error) {
+	e.repl.forgetOwned(id)
+	if e.tracker != nil {
+		e.tracker.Forget(id)
 	}
-	for _, buf := range x.msg.Segments {
-		seg, err := join.DecodeSnapshot(buf)
-		if err != nil {
-			return fmt.Errorf("decode saved segment: %w", err)
-		}
-		if err := e.cfg.Store.Write(seg); err != nil {
-			return fmt.Errorf("restore saved segment: %w", err)
+	return spill.Take(e.op, e.cfg.Store, id)
+}
+
+// install moves group images into this engine's operator and store —
+// a relocation's receiving end and its sender's rollback alike. Images
+// that landed are emptied: a call after an error continues, not repeats.
+func (e *Engine) install(images []*spill.Image) error {
+	for _, im := range images {
+		if err := im.Install(e.op, e.cfg.Store); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -962,7 +954,7 @@ func (e *Engine) onRelocAbort(m proto.RelocAbort) error {
 	case e.installedEpochs[m.Epoch]:
 		ack.Installed = true
 	case e.savedXfer != nil && e.savedXfer.epoch == m.Epoch:
-		if err := e.reinstallSaved(); err != nil {
+		if err := e.install(e.savedXfer.images); err != nil {
 			// State integrity beats protocol progress: keep savedXfer
 			// and let the coordinator's retry re-attempt the rollback.
 			return fmt.Errorf("relocation abort epoch %d: %w", m.Epoch, err)
@@ -995,29 +987,20 @@ func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
 	}
 	span := e.tracer.StartChild(obs.SpanRelocationReceive, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", fmt.Sprintf("%d", m.Epoch))
-	span.SetAttr("resident_groups", fmt.Sprintf("%d", len(m.Resident)))
-	span.SetAttr("segments", fmt.Sprintf("%d", len(m.Segments)))
-	for _, buf := range m.Resident {
-		snap, err := join.DecodeSnapshot(buf)
-		if err != nil {
+	span.SetAttr("groups", fmt.Sprintf("%d", len(m.Images)))
+	// Decode everything before installing anything: a corrupt transfer
+	// must not leave half of itself behind.
+	images := make([]*spill.Image, len(m.Images))
+	for i, buf := range m.Images {
+		var err error
+		if images[i], err = spill.DecodeImage(buf); err != nil {
 			span.Abort(e.clock.Now(), err.Error())
 			return fmt.Errorf("decode transferred state: %w", err)
 		}
-		if err := e.op.Install(snap); err != nil {
-			span.Abort(e.clock.Now(), err.Error())
-			return err
-		}
 	}
-	for _, buf := range m.Segments {
-		seg, err := join.DecodeSnapshot(buf)
-		if err != nil {
-			span.Abort(e.clock.Now(), err.Error())
-			return fmt.Errorf("decode transferred segment: %w", err)
-		}
-		if err := e.cfg.Store.Write(seg); err != nil {
-			span.Abort(e.clock.Now(), err.Error())
-			return err
-		}
+	if err := e.install(images); err != nil {
+		span.Abort(e.clock.Now(), err.Error())
+		return err
 	}
 	span.End(e.clock.Now())
 	e.installedEpochs[m.Epoch] = true
@@ -1047,45 +1030,11 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 	return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: bytes, Seq: m.Seq, Trace: m.Trace})
 }
 
-// onCheckpoint persists the resident operator state into the configured
-// checkpoint directory and reports the outcome to the requester.
-func (e *Engine) onCheckpoint(from partition.NodeID, m proto.Checkpoint) error {
-	span := e.tracer.StartChild(obs.SpanCheckpoint, string(e.cfg.Node), e.clock.Now(), m.Trace)
-	done := proto.CheckpointDone{Node: e.cfg.Node, Trace: m.Trace}
-	if e.cfg.CheckpointDir == "" {
-		done.Error = "no checkpoint directory configured"
-	} else if n, err := checkpoint.Save(e.op, e.cfg.CheckpointDir); err != nil {
-		done.Groups = n
-		done.Error = err.Error()
-	} else {
-		done.Groups = n
-	}
-	span.SetAttr("groups", strconv.Itoa(done.Groups))
-	if done.Error != "" {
-		span.Abort(e.clock.Now(), done.Error)
-	} else {
-		span.End(e.clock.Now())
-	}
-	return e.ep.Send(from, done)
-}
-
-// Restore loads the latest checkpoint generation into the operator.
-// Call it on a freshly built engine before Start (the handler must not
-// be processing messages yet); restart recovery pairs it with a
-// reopened file-backed spill store over the same directory, whose disk
-// segments survived the crash.
-func (e *Engine) Restore() (int, error) {
-	if e.cfg.CheckpointDir == "" {
-		return 0, nil
-	}
-	return checkpoint.Load(e.op, e.cfg.CheckpointDir)
-}
-
 // Crash simulates an abrupt machine failure: message processing halts
 // (everything still queued is discarded), timers stop, and the endpoint
-// detaches. In-memory state is not preserved — recovery goes through a
-// fresh engine over the same checkpoint and store directories, Restore,
-// and re-Attach. Callable from any goroutine.
+// detaches. In-memory state is not preserved — a fresh engine under the
+// same name rejoins empty and is re-seeded as a follower (PROTOCOL.md
+// "Cold restart"). Callable from any goroutine.
 func (e *Engine) Crash() {
 	e.crashed.Store(true)
 	if e.pool != nil {
@@ -1116,9 +1065,9 @@ func (e *Engine) onJoinAck(m proto.JoinAck) error {
 }
 
 // onPromote installs this engine's warm standby copies of the groups as
-// resident operator state — failover without a checkpoint replay. The
-// coordinator's trace context parents the install span under its
-// promotion span. Idempotent per epoch (retries re-ack).
+// resident operator state. The coordinator's trace context parents the
+// install span under its promotion span. Idempotent per epoch (retries
+// re-ack).
 func (e *Engine) onPromote(m proto.Promote) error {
 	ack := proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true, Trace: m.Trace}
 	if e.promotedEpochs[m.Epoch] {
@@ -1157,21 +1106,19 @@ func (e *Engine) onDemote(m proto.Demote) error {
 	e.repl.tailFlush(m.Groups)
 	dropped := 0
 	for _, id := range m.Groups {
-		e.repl.forgetOwned(id)
-		if e.op.RemoveForRelocation(id) != nil {
+		im, err := e.release(id)
+		if err != nil {
+			return fmt.Errorf("drop demoted group %d: %w", id, err)
+		}
+		if im.Mem != nil {
 			dropped++
-		}
-		if e.tracker != nil {
-			e.tracker.Forget(id)
-		}
-		if _, err := e.cfg.Store.Remove(id); err != nil {
-			return fmt.Errorf("drop segments of demoted group %d: %w", id, err)
 		}
 	}
 	e.demotedEpochs[m.Epoch] = true
 	e.reg.Counter("distq_engine_demotions_total").Inc()
 	e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventDemote,
-		Detail: fmt.Sprintf("epoch %d: %d stale groups dropped (%d resident)", m.Epoch, len(m.Groups), dropped)})
+		Detail: fmt.Sprintf("epoch %d: %d stale groups dropped (%d with state); %d groups, %d segments left",
+			m.Epoch, len(m.Groups), dropped, e.op.Groups(), e.cfg.Store.SegmentCount())})
 	return e.ep.Send(e.cfg.Coordinator, ack)
 }
 

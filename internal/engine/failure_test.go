@@ -10,6 +10,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/spill"
 	"repro/internal/transport"
+	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
 
@@ -125,10 +126,11 @@ func TestEngineSurvivesMalformedData(t *testing.T) {
 // snapshots are rejected.
 func TestEngineSurvivesMalformedStateTransfer(t *testing.T) {
 	r := newRig(t, nil)
-	r.gc.ep.Send("m1", proto.StateTransfer{Epoch: 1, Resident: [][]byte{{1, 2, 3}}})
+	good := spill.AppendImage(nil, &spill.Image{Mem: snap(1, 0, []tuple.Tuple{mk(0, 1, 1)}, nil)})
+	r.gc.ep.Send("m1", proto.StateTransfer{Epoch: 1, Images: [][]byte{good, {1, 2, 3}}})
 	r.drain(t)
 	if r.engine.Op().Groups() != 0 {
-		t.Fatal("malformed transfer installed state")
+		t.Fatal("malformed transfer installed state (even its well-formed part must wait for a whole transfer)")
 	}
 	// No Installed ack must have been produced.
 	select {

@@ -1,14 +1,17 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/proto"
+	"repro/internal/spill"
 	"repro/internal/tuple"
+	"repro/internal/vclock"
 )
 
 // replicator is the engine's replication controller: the primary side
@@ -20,24 +23,29 @@ import (
 //
 // The stream is a simple sender-driven reliable channel per
 // (primary, follower) pair: deltas carry a dense sequence number, the
-// follower applies them in order (re-acking duplicates, ignoring gaps),
-// and the primary retransmits everything unacknowledged on every stats
-// tick.
+// follower applies them in order (answering duplicates and gaps with
+// the sequence it stands at), and the primary retransmits everything
+// unacknowledged on every stats tick. Sequence numbers only mean
+// something within one life of each end, so both ends stamp their
+// messages with their incarnation (onDelta, onAck).
 //
-// Replication is spill-aware (tiered standby). A group's seed carries
-// its disk segments alongside the resident snapshot, and every later
-// spill of a replicated group rides the delta stream as a spill marker;
-// the follower demotes the matching fraction of its standby into its
-// own local standby store, stamped with the primary's generation. The
-// standby therefore mirrors the primary's memory/disk split, segment
+// Replication is spill-aware (tiered standby). A group's seed is its
+// whole image — memory tier and disk segments — and every later spill
+// of a replicated group rides the delta stream as a spill marker; the
+// follower demotes the matching fraction of its standby into its own
+// local standby store, stamped with the primary's generation. The
+// standby is thus the group's image held outside the operator (memory
+// tier in the standby map, disk tier in cfg.StandbyStore), its segment
 // boundaries stay aligned with the primary's generations (the cleanup
 // phase emits cross-generation matches exactly once only because of
 // that alignment), and a promotion is exact even for groups that
-// spilled: the memory tier merges into the operator and the segments
-// are adopted into the engine's own store, where cleanup and
-// relocation already know how to handle them.
+// spilled: it installs the image into the engine's operator and store,
+// where cleanup and relocation already know how to handle it.
 type replicator struct {
 	e *Engine
+	// incarnation identifies this engine life on the deltas and acks it
+	// sends: its boot time, so a later life always compares higher.
+	incarnation uint64
 	// version is the highest ReplicaMap version applied.
 	version uint64
 	// followerOf maps the groups this engine primaries (per the applied
@@ -47,8 +55,8 @@ type replicator struct {
 	followerOf map[partition.ID]partition.NodeID
 	// streams holds the outbound per-follower state.
 	streams map[partition.NodeID]*replStream
-	// applied is the highest delta sequence applied, per primary.
-	applied map[partition.NodeID]uint64
+	// inbound is the follower-side cursor of each primary's stream.
+	inbound map[partition.NodeID]inbound
 	// standby holds the memory tier of the warm follower copies, keyed
 	// by group; the disk tier lives in cfg.StandbyStore.
 	standby      map[partition.ID]*join.GroupSnapshot
@@ -59,8 +67,15 @@ type replicator struct {
 	promoted map[partition.ID]bool
 }
 
+// inbound is where this follower stands in one primary's delta stream:
+// the primary life it follows and the highest sequence applied in it.
+type inbound struct{ incarnation, applied uint64 }
+
 // replStream is the outbound replication state toward one follower.
 type replStream struct {
+	// followerLife is the follower's incarnation as of its latest ack
+	// (0 until one arrives).
+	followerLife uint64
 	// tracked is the set of groups currently streamed to this follower.
 	tracked map[partition.ID]bool
 	// needSeed marks groups awaiting a full-snapshot seed; the data-path
@@ -90,12 +105,13 @@ func newReplStream() *replStream {
 
 func newReplicator(e *Engine) *replicator {
 	return &replicator{
-		e:          e,
-		followerOf: make(map[partition.ID]partition.NodeID),
-		streams:    make(map[partition.NodeID]*replStream),
-		applied:    make(map[partition.NodeID]uint64),
-		standby:    make(map[partition.ID]*join.GroupSnapshot),
-		promoted:   make(map[partition.ID]bool),
+		e:           e,
+		incarnation: uint64(vclock.WallNow().UnixNano()),
+		followerOf:  make(map[partition.ID]partition.NodeID),
+		streams:     make(map[partition.NodeID]*replStream),
+		inbound:     make(map[partition.NodeID]inbound),
+		standby:     make(map[partition.ID]*join.GroupSnapshot),
+		promoted:    make(map[partition.ID]bool),
 	}
 }
 
@@ -159,12 +175,10 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 	// primary is this engine now, and a promote retry still needs any
 	// standby a partial failure left behind.
 	var firstErr error
-	for g, sb := range r.standby {
-		if follows[g] || r.promoted[g] {
-			continue
+	for g := range r.standby {
+		if !follows[g] && !r.promoted[g] {
+			r.setStandby(g, nil)
 		}
-		delete(r.standby, g)
-		r.standbyBytes -= sb.MemBytes()
 	}
 	for _, g := range r.e.cfg.StandbyStore.Groups() {
 		if follows[g] || r.promoted[g] {
@@ -175,6 +189,21 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 		}
 	}
 	return firstErr
+}
+
+// setStandby replaces the memory tier of group g's standby image (nil
+// drops it) and keeps standbyBytes — what the engine reports and spills
+// against — equal to the bytes the standby map holds.
+func (r *replicator) setStandby(g partition.ID, mem *join.GroupSnapshot) {
+	if old := r.standby[g]; old != nil {
+		r.standbyBytes -= old.MemBytes()
+	}
+	if mem == nil {
+		delete(r.standby, g)
+		return
+	}
+	r.standby[g] = mem
+	r.standbyBytes += mem.MemBytes()
 }
 
 // bufferAppend records one stored tuple for its group's follower. Runs
@@ -221,13 +250,19 @@ func (r *replicator) tailFlush(groups []partition.ID) {
 			delete(s.needSeed, g)
 			delete(s.tracked, g)
 		}
-		if len(entries) == 0 {
-			continue
-		}
-		s.nextSeq++
-		s.pending = append(s.pending, pendingDelta{seq: s.nextSeq, entries: entries})
-		r.sendDelta(f, s.nextSeq, entries)
+		r.ship(f, s, entries)
 	}
+}
+
+// ship cuts entries (if any) as the stream's next delta: sent now, then
+// retransmitted with the rest of pending until acknowledged.
+func (r *replicator) ship(f partition.NodeID, s *replStream, entries []proto.DeltaEntry) {
+	if len(entries) == 0 {
+		return
+	}
+	s.nextSeq++
+	s.pending = append(s.pending, pendingDelta{seq: s.nextSeq, entries: entries})
+	r.sendDelta(f, s.nextSeq, entries)
 }
 
 // sendDelta ships one packaged delta to follower f. The send error is
@@ -236,7 +271,7 @@ func (r *replicator) tailFlush(groups []partition.ID) {
 // it, so a failed immediate send only costs latency.
 func (r *replicator) sendDelta(f partition.NodeID, seq uint64, entries []proto.DeltaEntry) {
 	//distqlint:allow uncheckederr: retransmitted on every stats tick until acknowledged
-	r.e.ep.Send(f, proto.StateDelta{From: r.e.cfg.Node, Seq: seq, Entries: entries})
+	r.e.ep.Send(f, proto.StateDelta{From: r.e.cfg.Node, Incarnation: r.incarnation, Seq: seq, Entries: entries})
 	r.e.reg.Counter("distq_engine_deltas_out_total").Inc()
 }
 
@@ -265,16 +300,10 @@ func (r *replicator) noteSpill(groups []partition.ID) {
 			if snap == nil || snap.Gen == 0 {
 				continue // group vanished between spill and hook; nothing to mark
 			}
-			var gen [4]byte
-			binary.LittleEndian.PutUint32(gen[:], snap.Gen-1)
-			entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark, Payload: gen[:]})
+			entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark,
+				Payload: binary.LittleEndian.AppendUint32(nil, snap.Gen-1)})
 		}
-		if len(entries) == 0 {
-			continue
-		}
-		s.nextSeq++
-		s.pending = append(s.pending, pendingDelta{seq: s.nextSeq, entries: entries})
-		r.sendDelta(f, s.nextSeq, entries)
+		r.ship(f, s, entries)
 	}
 }
 
@@ -284,100 +313,55 @@ func (r *replicator) noteSpill(groups []partition.ID) {
 // be read stays marked for seeding and is retried next tick; the first
 // such error is returned after all followers are serviced.
 func (r *replicator) tick() error {
-	if len(r.streams) == 0 {
-		return nil
-	}
 	var firstErr error
-	followers := make([]partition.NodeID, 0, len(r.streams))
-	for f := range r.streams {
-		followers = append(followers, f)
-	}
-	sort.Slice(followers, func(i, j int) bool { return followers[i] < followers[j] })
-	for _, f := range followers {
+	for _, f := range sortedKeys(r.streams) {
 		s := r.streams[f]
 		var entries []proto.DeltaEntry
-		if len(s.needSeed) > 0 {
-			ids := make([]partition.ID, 0, len(s.needSeed))
-			for g := range s.needSeed {
-				ids = append(ids, g)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, g := range ids {
-				seeds, err := r.seedEntries(g)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue // keep needSeed set; retried next tick
+		for _, g := range sortedKeys(s.needSeed) {
+			im, err := spill.Copy(r.e.op, r.e.cfg.Store, g)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("seed of group %d: %w", g, err)
 				}
-				entries = append(entries, seeds...)
-				delete(s.needSeed, g)
-				delete(s.cur, g) // anything buffered pre-seed is inside the snapshot
+				continue // keep needSeed set; retried next tick
 			}
+			// A group with no state at all needs no seed: the follower
+			// builds its standby from the appends alone.
+			if !im.Empty() {
+				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: spill.AppendImage(nil, im)})
+			}
+			delete(s.needSeed, g)
+			delete(s.cur, g) // anything buffered pre-seed is inside the snapshot
 		}
-		if len(s.cur) > 0 {
-			ids := make([]partition.ID, 0, len(s.cur))
-			for g, buf := range s.cur {
-				if len(buf) > 0 {
-					ids = append(ids, g)
-				}
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-			for _, g := range ids {
+		for _, g := range sortedKeys(s.cur) {
+			if len(s.cur[g]) > 0 {
 				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: s.cur[g]})
-				delete(s.cur, g)
 			}
-		}
-		if len(entries) > 0 {
-			s.nextSeq++
-			s.pending = append(s.pending, pendingDelta{seq: s.nextSeq, entries: entries})
+			delete(s.cur, g)
 		}
 		for _, p := range s.pending {
 			r.sendDelta(f, p.seq, p.entries)
 		}
+		r.ship(f, s, entries)
 	}
 	return firstErr
 }
 
-// seedEntries builds the full seed of one group: the resident snapshot
-// first, then one segment entry per spilled generation in order. A
-// group with no state at all needs no seed (the follower builds its
-// standby from the appends alone); a group whose state is entirely on
-// disk gets a synthesized empty memory tier at the post-spill
-// generation so the follower's standby lands on the right boundary.
-func (r *replicator) seedEntries(g partition.ID) ([]proto.DeltaEntry, error) {
-	snap := r.e.op.ResidentSnapshot(g)
-	segs, err := r.e.cfg.Store.Read(g)
-	if err != nil {
-		return nil, fmt.Errorf("read segments for seed of group %d: %w", g, err)
+// sortedKeys returns m's keys in ascending order, so deltas are cut the
+// same way on every run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if snap == nil && len(segs) == 0 {
-		return nil, nil
-	}
-	if snap == nil {
-		last := segs[len(segs)-1]
-		snap = &join.GroupSnapshot{
-			ID:          g,
-			Gen:         last.Gen + 1,
-			Output:      last.Output,
-			CumBytes:    last.CumBytes,
-			SpilledTs:   last.SpilledTs,
-			EverSpilled: true,
-			Tuples:      make([][]tuple.Tuple, r.e.cfg.Inputs),
-		}
-	}
-	entries := make([]proto.DeltaEntry, 0, 1+len(segs))
-	entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: join.EncodeSnapshot(snap)})
-	for _, seg := range segs {
-		entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSegment, Payload: join.EncodeSnapshot(seg)})
-	}
-	return entries, nil
+	slices.Sort(keys)
+	return keys
 }
 
 // lag returns the per-group replication lag in bytes: appends not yet
 // packaged, deltas sent but unacknowledged, and — for groups still
-// awaiting their seed — the group's whole resident size (sizeOf) plus
-// its spilled segments, which the seed must ship too.
+// awaiting their seed — both tiers of the image the seed must ship: the
+// group's resident size (sizeOf) plus its spilled segments.
 func (r *replicator) lag(sizeOf func(partition.ID) int64) map[partition.ID]int64 {
 	if r.version == 0 {
 		return nil
@@ -401,20 +385,29 @@ func (r *replicator) lag(sizeOf func(partition.ID) int64) map[partition.ID]int64
 
 // onDelta is the follower side: apply one in-order delta to the standby
 // copies (or, for a group this engine already promoted, straight into
-// the resident operator state — the demoted old primary's tail flush),
-// re-ack duplicates, ignore gaps (the primary retransmits in order).
+// the resident operator state — the demoted old primary's tail flush).
+// Duplicates and gaps are answered with the sequence this follower
+// stands at: the primary retransmits in order, and the ack's
+// incarnation tells it when the follower it was feeding has restarted
+// empty. A newer life of the primary starts the cursor over (it numbers
+// from 1); an older life's delta is a straggler and is dropped.
 func (r *replicator) onDelta(m proto.StateDelta) error {
-	last := r.applied[m.From]
-	if m.Seq <= last {
-		return r.e.ep.Send(m.From, proto.DeltaAck{Node: r.e.cfg.Node, Seq: last, Trace: m.Trace})
+	in := r.inbound[m.From]
+	if m.Incarnation < in.incarnation {
+		return nil
 	}
-	if m.Seq != last+1 {
-		return nil // gap: an earlier delta is still in flight
+	if m.Incarnation > in.incarnation {
+		in = inbound{incarnation: m.Incarnation}
+		r.inbound[m.From] = in
+	}
+	ack := proto.DeltaAck{Node: r.e.cfg.Node, Incarnation: r.incarnation, Seq: in.applied, Trace: m.Trace}
+	if m.Seq != in.applied+1 {
+		return r.e.ep.Send(m.From, ack)
 	}
 	for _, ent := range m.Entries {
 		switch ent.Kind {
 		case proto.DeltaSeed:
-			snap, err := join.DecodeSnapshot(ent.Payload)
+			im, err := spill.DecodeImage(ent.Payload)
 			if err != nil {
 				return fmt.Errorf("decode seed for group %d: %w", ent.Group, err)
 			}
@@ -423,21 +416,12 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 			// from an earlier life — segments included, or a re-seed
 			// after a flap would duplicate them.
 			delete(r.promoted, ent.Group)
-			if old := r.standby[ent.Group]; old != nil {
-				r.standbyBytes -= old.MemBytes()
-			}
 			if _, err := r.e.cfg.StandbyStore.Remove(ent.Group); err != nil {
 				return fmt.Errorf("clear standby segments of group %d: %w", ent.Group, err)
 			}
-			r.standby[ent.Group] = snap
-			r.standbyBytes += snap.MemBytes()
-		case proto.DeltaSegment:
-			seg, err := join.DecodeSnapshot(ent.Payload)
-			if err != nil {
-				return fmt.Errorf("decode segment for group %d: %w", ent.Group, err)
-			}
-			if err := r.e.cfg.StandbyStore.Write(seg); err != nil {
-				return fmt.Errorf("store standby segment of group %d: %w", ent.Group, err)
+			r.setStandby(ent.Group, im.Mem)
+			if err := im.WriteDisk(r.e.cfg.StandbyStore); err != nil {
+				return fmt.Errorf("store standby segments of group %d: %w", ent.Group, err)
 			}
 		case proto.DeltaSpillMark:
 			if len(ent.Payload) != 4 {
@@ -475,17 +459,18 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 			return fmt.Errorf("delta entry for group %d: unknown kind %d", ent.Group, ent.Kind)
 		}
 	}
-	r.applied[m.From] = m.Seq
+	in.applied = m.Seq
+	r.inbound[m.From] = in
 	r.e.reg.Counter("distq_engine_deltas_in_total").Inc()
-	return r.e.ep.Send(m.From, proto.DeltaAck{Node: r.e.cfg.Node, Seq: m.Seq, Trace: m.Trace})
+	ack.Seq = m.Seq
+	return r.e.ep.Send(m.From, ack)
 }
 
 // demoteStandby mirrors a primary spill on the follower: the memory
-// tier of the group's standby becomes a local segment stamped with the
-// primary's spilled generation, and a fresh empty memory tier starts at
-// the next generation. The spill watermark advances exactly like the
-// primary's ExtractForSpill so a later promotion restores the same
-// windowed-purge behaviour.
+// tier of the group's standby is sealed as a local segment at the
+// primary's spilled generation — by the join helper the primary's own
+// extraction uses, so boundary and purge watermark agree — and a fresh
+// empty memory tier starts at the next generation.
 func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 	sb := r.standby[g]
 	if sb == nil {
@@ -495,38 +480,11 @@ func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 		// current generation.
 		sb = &join.GroupSnapshot{ID: g, Tuples: make([][]tuple.Tuple, r.e.cfg.Inputs)}
 	}
-	spilledTs := sb.SpilledTs
-	everSpilled := sb.EverSpilled
-	for _, l := range sb.Tuples {
-		for i := range l {
-			if !everSpilled || l[i].Ts > spilledTs {
-				spilledTs = l[i].Ts
-			}
-			everSpilled = true
-		}
-	}
-	seg := &join.GroupSnapshot{
-		ID:          g,
-		Gen:         gen,
-		Output:      sb.Output,
-		CumBytes:    sb.CumBytes,
-		SpilledTs:   spilledTs,
-		EverSpilled: true,
-		Tuples:      sb.Tuples,
-	}
-	if err := r.e.cfg.StandbyStore.Write(seg); err != nil {
+	next := sb.Seal(gen)
+	if err := r.e.cfg.StandbyStore.Write(sb); err != nil {
 		return fmt.Errorf("demote standby of group %d: %w", g, err)
 	}
-	r.standbyBytes -= sb.MemBytes()
-	r.standby[g] = &join.GroupSnapshot{
-		ID:          g,
-		Gen:         gen + 1,
-		Output:      sb.Output,
-		CumBytes:    sb.CumBytes,
-		SpilledTs:   spilledTs,
-		EverSpilled: true,
-		Tuples:      make([][]tuple.Tuple, r.e.cfg.Inputs),
-	}
+	r.setStandby(g, next)
 	return nil
 }
 
@@ -550,11 +508,29 @@ func decodeAppends(buf []byte, inputs int) ([][]tuple.Tuple, int64, error) {
 	return tuples, bytes, nil
 }
 
-// onAck prunes a follower's acknowledged deltas.
+// onAck prunes a follower's acknowledged deltas. An ack from a newer
+// life of the follower than the one this stream was feeding means the
+// standby built so far died with the old life: every group streamed
+// there is seeded again and the stream renumbers from 1, as the new
+// life's cursor expects. (With no earlier ack nothing was ever pruned;
+// the new life consumes the stream from its start.) An older life's ack
+// is a straggler.
 func (r *replicator) onAck(m proto.DeltaAck) {
 	s := r.streams[m.Node]
-	if s == nil {
+	if s == nil || m.Incarnation < s.followerLife {
 		return
+	}
+	if m.Incarnation > s.followerLife {
+		restarted := s.followerLife != 0
+		s.followerLife = m.Incarnation
+		if restarted {
+			for g := range s.tracked {
+				s.needSeed[g] = true
+			}
+			clear(s.cur)
+			s.pending, s.nextSeq = nil, 0
+			return
+		}
 	}
 	i := 0
 	for i < len(s.pending) && s.pending[i].seq <= m.Seq {
@@ -563,65 +539,35 @@ func (r *replicator) onAck(m proto.DeltaAck) {
 	s.pending = s.pending[i:]
 }
 
-// promote turns the standby copies of groups into resident operator
-// state (no checkpoint replay — this is the whole point of keeping
-// followers warm). The memory tier merges into the operator first —
-// even when empty, so the group registers at its post-spill generation
-// — then the standby segments are adopted into the engine's own store,
-// where cleanup and relocation pick them up with no new code paths.
-// Groups without any standby had no replicated state and simply start
-// empty. The standby is deleted only after its merge succeeds: a failed
-// merge returns with the warm state intact, so the coordinator's
-// Promote retry re-enters here and tries again instead of finding
-// nothing and acking an install that never happened. Returns how many
-// standby groups were installed.
+// promote turns the standby images of groups into resident state: each
+// is installed into the engine's operator and store like a relocated
+// group. The memory tier merges even when empty, so the group registers
+// at its post-spill generation; groups without any standby had no
+// replicated state and simply start empty. Each tier leaves the standby
+// only once it landed, so the coordinator's Promote retry after a
+// failed install finishes the job instead of finding nothing and acking
+// an install that never happened. Returns how many groups' memory tiers
+// were installed.
 func (r *replicator) promote(groups []partition.ID) (int, error) {
 	installed := 0
 	for _, g := range groups {
 		r.promoted[g] = true
-		if sb := r.standby[g]; sb != nil {
-			if err := r.e.op.Merge(sb); err != nil {
-				return installed, fmt.Errorf("install standby of group %d: %w", g, err)
-			}
-			delete(r.standby, g)
-			r.standbyBytes -= sb.MemBytes()
+		disk, err := r.e.cfg.StandbyStore.Read(g)
+		if err != nil {
+			return installed, fmt.Errorf("read standby segments of group %d: %w", g, err)
+		}
+		im := spill.Image{Mem: r.standby[g], Disk: disk}
+		err = im.Install(r.e.op, r.e.cfg.Store)
+		if im.Mem == nil && r.standby[g] != nil {
+			r.setStandby(g, nil)
 			installed++
 		}
-		if err := r.adoptSegments(g); err != nil {
-			return installed, fmt.Errorf("adopt standby segments of group %d: %w", g, err)
+		if err != nil {
+			return installed, fmt.Errorf("install standby of group %d: %w", g, err)
+		}
+		if _, err := r.e.cfg.StandbyStore.Remove(g); err != nil {
+			return installed, fmt.Errorf("clear standby segments of group %d: %w", g, err)
 		}
 	}
 	return installed, nil
-}
-
-// adoptSegments moves a promoted group's standby segments into the
-// engine's own store. Idempotent across promote retries: generations
-// already present in the engine store are not re-written, and the
-// standby side is cleared only after every missing generation landed.
-func (r *replicator) adoptSegments(g partition.ID) error {
-	segs, err := r.e.cfg.StandbyStore.Read(g)
-	if err != nil {
-		return err
-	}
-	if len(segs) == 0 {
-		return nil
-	}
-	have, err := r.e.cfg.Store.Read(g)
-	if err != nil {
-		return err
-	}
-	existing := make(map[uint32]bool, len(have))
-	for _, seg := range have {
-		existing[seg.Gen] = true
-	}
-	for _, seg := range segs {
-		if existing[seg.Gen] {
-			continue
-		}
-		if err := r.e.cfg.Store.Write(seg); err != nil {
-			return err
-		}
-	}
-	_, err = r.e.cfg.StandbyStore.Remove(g)
-	return err
 }

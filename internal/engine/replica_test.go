@@ -31,6 +31,11 @@ func appendPayload(ts ...tuple.Tuple) []byte {
 	return buf
 }
 
+// seedPayload encodes a group image the way the primary's seed does.
+func seedPayload(mem *join.GroupSnapshot, disk ...*join.GroupSnapshot) []byte {
+	return spill.AppendImage(nil, &spill.Image{Mem: mem, Disk: disk})
+}
+
 func markPayload(gen uint32) []byte {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], gen)
@@ -82,7 +87,7 @@ func TestPromoteRetryKeepsStandbyAfterFailedMerge(t *testing.T) {
 	// two-input operator: op.Merge fails after the standby is built.
 	bad := snap(1, 0, []tuple.Tuple{mk(0, 1, 1)}, nil, nil)
 	if err := m2.ep.Send("m1", proto.StateDelta{From: "m2", Seq: 1,
-		Entries: []proto.DeltaEntry{{Group: 1, Kind: proto.DeltaSeed, Payload: join.EncodeSnapshot(bad)}}}); err != nil {
+		Entries: []proto.DeltaEntry{{Group: 1, Kind: proto.DeltaSeed, Payload: seedPayload(bad)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if ack := expect[proto.DeltaAck](t, m2); ack.Seq != 1 {
@@ -114,7 +119,7 @@ func TestPromoteRetryKeepsStandbyAfterFailedMerge(t *testing.T) {
 	// Promote now installs it.
 	good := snap(1, 0, []tuple.Tuple{mk(0, 1, 1)}, nil)
 	if err := m2.ep.Send("m1", proto.StateDelta{From: "m2", Seq: 2,
-		Entries: []proto.DeltaEntry{{Group: 1, Kind: proto.DeltaSeed, Payload: join.EncodeSnapshot(good)}}}); err != nil {
+		Entries: []proto.DeltaEntry{{Group: 1, Kind: proto.DeltaSeed, Payload: seedPayload(good)}}}); err != nil {
 		t.Fatal(err)
 	}
 	if ack := expect[proto.DeltaAck](t, m2); ack.Seq != 2 {
@@ -243,9 +248,10 @@ func TestSeedCarriesSegmentsAndPromoteAdoptsThem(t *testing.T) {
 
 	// Seed: memory tier at generation 2, segments for generations 0,1.
 	if err := m2.ep.Send("m1", proto.StateDelta{From: "m2", Seq: 1, Entries: []proto.DeltaEntry{
-		{Group: g, Kind: proto.DeltaSeed, Payload: join.EncodeSnapshot(snap(g, 2, []tuple.Tuple{mk(0, 2, 3)}, nil))},
-		{Group: g, Kind: proto.DeltaSegment, Payload: join.EncodeSnapshot(snap(g, 0, []tuple.Tuple{mk(0, 2, 1)}, nil))},
-		{Group: g, Kind: proto.DeltaSegment, Payload: join.EncodeSnapshot(snap(g, 1, []tuple.Tuple{mk(0, 2, 2)}, nil))},
+		{Group: g, Kind: proto.DeltaSeed, Payload: seedPayload(
+			snap(g, 2, []tuple.Tuple{mk(0, 2, 3)}, nil),
+			snap(g, 0, []tuple.Tuple{mk(0, 2, 1)}, nil),
+			snap(g, 1, []tuple.Tuple{mk(0, 2, 2)}, nil))},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -321,10 +327,13 @@ func TestSeedCarriesSegmentsAndPromoteAdoptsThem(t *testing.T) {
 
 // TestFollowerDeltaStreamProperty drives onDelta with a seeded random
 // mix of in-order deltas, duplicates, gaps, seed replacements, spill
-// markers, and malformed payloads, checking after every step that the
-// byte counter matches the standby copies exactly, the applied sequence
-// only advances on well-formed in-order deltas, and duplicates are
-// re-acked without effect.
+// markers, malformed payloads, restarts of the primary (a newer
+// incarnation numbering from 1 again) and stragglers from its earlier
+// lives, checking after every step that the byte counter matches the
+// standby copies exactly, the applied sequence only advances on
+// well-formed in-order deltas of the primary's current life, duplicates
+// and gaps are answered with the sequence the follower stands at, and
+// stragglers get no answer at all.
 func TestFollowerDeltaStreamProperty(t *testing.T) {
 	sbStore := spill.NewMemStore()
 	r := newRig(t, func(c *Config) { c.StandbyStore = sbStore })
@@ -332,9 +341,10 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 
 	var (
-		seq     uint64 // last in-order sequence the engine accepted
+		life    uint64 = 10 // the primary's current incarnation
+		seq     uint64      // last in-order sequence the engine accepted in it
 		lastGen = map[partition.ID]uint32{}
-		sent    []proto.StateDelta // well-formed deltas, for duplicates
+		sent    []proto.StateDelta // well-formed deltas of this life, for duplicates
 	)
 	send := func(d proto.StateDelta) {
 		t.Helper()
@@ -342,20 +352,28 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	expectAck := func(why string) {
+		t.Helper()
+		ack := expect[proto.DeltaAck](t, m2)
+		if ack.Seq != seq || ack.Incarnation != r.engine.repl.incarnation {
+			t.Fatalf("%s: ack = %+v, want seq %d of follower life %d", why, ack, seq, r.engine.repl.incarnation)
+		}
+	}
 	wellFormed := func(entries ...proto.DeltaEntry) {
 		t.Helper()
-		d := proto.StateDelta{From: "m2", Seq: seq + 1, Entries: entries}
+		d := proto.StateDelta{From: "m2", Incarnation: life, Seq: seq + 1, Entries: entries}
 		send(d)
 		seq++
 		sent = append(sent, d)
-		if ack := expect[proto.DeltaAck](t, m2); ack.Seq != seq {
-			t.Fatalf("ack seq = %d, want %d", ack.Seq, seq)
-		}
+		expectAck("in-order delta")
+	}
+	appendEntry := func(g partition.ID, i int) proto.DeltaEntry {
+		return proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(mk(0, uint64(g), uint64(i)))}
 	}
 
-	for i := 0; i < 150; i++ {
+	for i := 0; i < 200; i++ {
 		g := partition.ID(rng.Intn(4))
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(12); {
 		case op < 4: // append
 			n := 1 + rng.Intn(3)
 			ts := make([]tuple.Tuple, n)
@@ -364,17 +382,22 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 					Payload: make([]byte, 1+rng.Intn(32))}
 			}
 			wellFormed(proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(ts...)})
-		case op < 5: // seed replacement (drops the group's standby segments too)
-			gen := lastGen[g] + 1
-			lastGen[g] = gen
-			wellFormed(proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed,
-				Payload: join.EncodeSnapshot(snap(g, gen, []tuple.Tuple{mk(0, uint64(g), uint64(i))}, nil))})
-			if got := sbStore.BytesOf(g); got != 0 {
-				t.Fatalf("iter %d: %d standby segment bytes survive a re-seed of group %d", i, got, g)
+		case op < 6: // seed replacement: the whole image, replacing both standby tiers
+			segs := make([]*join.GroupSnapshot, rng.Intn(3))
+			for j := range segs {
+				segs[j] = snap(g, uint32(j), []tuple.Tuple{mk(0, uint64(g), uint64(i))}, nil)
 			}
-		case op < 6: // segment
-			wellFormed(proto.DeltaEntry{Group: g, Kind: proto.DeltaSegment,
-				Payload: join.EncodeSnapshot(snap(g, lastGen[g], []tuple.Tuple{mk(0, uint64(g), uint64(i))}, nil))})
+			gen := uint32(len(segs))
+			lastGen[g] = gen
+			mem := snap(g, gen, []tuple.Tuple{mk(0, uint64(g), uint64(i))}, nil)
+			wellFormed(proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: seedPayload(mem, segs...)})
+			want := int64(0)
+			for _, seg := range segs {
+				want += int64(seg.EncodedSize())
+			}
+			if got := sbStore.BytesOf(g); got != want {
+				t.Fatalf("iter %d: standby segments of group %d hold %d bytes after a re-seed, want exactly the seed's %d", i, g, got, want)
+			}
 		case op < 7: // spill marker: demotes the memory tier
 			gen := lastGen[g] + 1
 			lastGen[g] = gen
@@ -392,46 +415,116 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 				continue
 			}
 			send(sent[rng.Intn(len(sent))])
-			if ack := expect[proto.DeltaAck](t, m2); ack.Seq != seq {
-				t.Fatalf("iter %d: duplicate re-acked with %d, want last applied %d", i, ack.Seq, seq)
-			}
-		case op < 9: // gap: ignored until the missing delta arrives
-			send(proto.StateDelta{From: "m2", Seq: seq + 2 + uint64(rng.Intn(3)),
-				Entries: []proto.DeltaEntry{{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(mk(0, uint64(g), 1))}}})
+			expectAck("duplicate")
+		case op < 9: // gap: not applied, answered with where the follower stands
+			send(proto.StateDelta{From: "m2", Incarnation: life, Seq: seq + 2 + uint64(rng.Intn(3)),
+				Entries: []proto.DeltaEntry{appendEntry(g, 1)}})
+			expectAck("gap")
+		case op < 10: // the primary restarts: its new life numbers from 1 again
+			life += 1 + uint64(rng.Intn(3))
+			seq, sent = 0, nil
+			wellFormed(appendEntry(g, i))
+		case op < 11: // straggler from a life of the primary that is over: dropped, unanswered
+			send(proto.StateDelta{From: "m2", Incarnation: life - 1, Seq: seq + 1,
+				Entries: []proto.DeltaEntry{appendEntry(g, 2)}})
 		default: // malformed: rejected without advancing the sequence
 			var ent proto.DeltaEntry
 			switch rng.Intn(3) {
 			case 0: // truncated spill marker
 				ent = proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark, Payload: []byte{1, 2, 3}}
-			case 1: // garbage snapshot
-				ent = proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: []byte("not a snapshot")}
-			default: // unknown kind
-				ent = proto.DeltaEntry{Group: g, Kind: proto.DeltaKind(9), Payload: nil}
+			case 1: // garbage image
+				ent = proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: []byte("not a group image")}
+			default: // a retired or unknown kind
+				ent = proto.DeltaEntry{Group: g, Kind: proto.DeltaKind(2 + 7*rng.Intn(2)), Payload: nil}
 			}
-			send(proto.StateDelta{From: "m2", Seq: seq + 1, Entries: []proto.DeltaEntry{ent}})
+			send(proto.StateDelta{From: "m2", Incarnation: life, Seq: seq + 1, Entries: []proto.DeltaEntry{ent}})
 		}
 
 		r.drain(t)
 		if got, want := r.engine.repl.standbyBytes, sumStandby(r.engine.repl); got != want {
 			t.Fatalf("iter %d: standbyBytes = %d, standby copies hold %d", i, got, want)
 		}
-		if got := r.engine.repl.applied["m2"]; got != seq {
-			t.Fatalf("iter %d: applied seq = %d, want %d", i, got, seq)
+		if got, want := r.engine.repl.inbound["m2"], (inbound{incarnation: life, applied: seq}); got != want {
+			t.Fatalf("iter %d: stream cursor = %+v, want %+v", i, got, want)
 		}
 	}
 
-	// A final well-formed delta proves the stream is not wedged: gaps
-	// and malformed deltas never advanced the sequence, so seq+1 is
-	// still the next in-order delta.
-	wellFormed(proto.DeltaEntry{Group: 0, Kind: proto.DeltaAppend, Payload: appendPayload(mk(0, 0, 9999))})
+	// A final well-formed delta proves the stream is not wedged: gaps,
+	// stragglers and malformed deltas never advanced the sequence, so
+	// seq+1 is still the next in-order delta.
+	wellFormed(appendEntry(0, 9999))
 	r.drain(t)
-	if got := r.engine.repl.applied["m2"]; got != seq {
-		t.Fatalf("final applied seq = %d, want %d", got, seq)
-	}
 	// No stray acks beyond the ones the model accounted for.
 	select {
 	case m := <-m2.msgs:
 		t.Fatalf("unexpected trailing message to the primary: %+v", m.msg)
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// TestPrimaryReseedsRestartedFollower is the primary's half of the
+// incarnation rule. A follower that restarted empty answers the
+// primary's next delta (a gap, to it) with sequence 0 under its new
+// incarnation; the primary must then seed every group it streams there
+// again and renumber from 1. Before incarnations the fresh follower
+// stayed silent on the gap and the stream never recovered.
+func TestPrimaryReseedsRestartedFollower(t *testing.T) {
+	r := newRig(t, nil)
+	m2 := newPeer(t, r.net, "m2")
+	tick := func() proto.StateDelta {
+		t.Helper()
+		if err := r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}); err != nil {
+			t.Fatal(err)
+		}
+		return expect[proto.StateDelta](t, m2)
+	}
+	ackFrom := func(life, seq uint64) {
+		t.Helper()
+		if err := m2.ep.Send("m1", proto.DeltaAck{Node: "m2", Incarnation: life, Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+		// Fence the handler. (The drain's own stats report runs the
+		// replication tick too: it retransmits whatever is pending and
+		// packages whatever is due.)
+		r.drain(t)
+	}
+
+	r.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1), mk(0, 2, 2)))
+	r.gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: []proto.ReplicaEntry{
+		{Group: 1, Primary: "m1", Follower: "m2"},
+		{Group: 2, Primary: "m1", Follower: "m2"},
+	}})
+	seed := tick()
+	if seed.Seq != 1 || seed.Incarnation != r.engine.repl.incarnation || len(seed.Entries) != 2 {
+		t.Fatalf("first delta = seq %d life %d with %d entries, want the two seeds as seq 1 of life %d",
+			seed.Seq, seed.Incarnation, len(seed.Entries), r.engine.repl.incarnation)
+	}
+	ackFrom(100, 1)
+	r.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 3)))
+	if d := tick(); d.Seq != 2 || d.Entries[0].Kind != proto.DeltaAppend {
+		t.Fatalf("second delta = %+v, want the append as seq 2", d)
+	}
+	stream := r.engine.repl.streams["m2"]
+
+	// A straggling ack from the follower's older life changes nothing.
+	ackFrom(99, 2)
+	if len(stream.pending) != 1 || stream.pending[0].seq != 2 {
+		t.Fatalf("an older life's ack touched the retransmit buffer: %+v", stream.pending)
+	}
+
+	// The follower restarts: its new life stands at 0. The fence's tick
+	// has already cut the new seeds.
+	ackFrom(200, 0)
+	if len(stream.pending) != 1 || stream.pending[0].seq != 1 || stream.nextSeq != 1 {
+		t.Fatalf("after the follower's restart the stream holds %+v (next seq %d), want the re-seed alone as seq 1",
+			stream.pending, stream.nextSeq)
+	}
+	reseed := stream.pending[0].entries
+	if len(reseed) != 2 || reseed[0].Kind != proto.DeltaSeed || reseed[1].Kind != proto.DeltaSeed {
+		t.Fatalf("re-seed = %+v, want one seed per streamed group", reseed)
+	}
+	im, err := spill.DecodeImage(reseed[0].Payload)
+	if err != nil || im.Mem == nil || im.Mem.TupleCount() != 2 {
+		t.Fatalf("re-seed of group 1 = %+v (err %v), want its two resident tuples", im, err)
 	}
 }

@@ -2,8 +2,8 @@
 // transport (internal/transport/faulty) and assert the paper's
 // exactness invariant survives — every join result is produced exactly
 // once, no matter which relocation-protocol message the network loses,
-// duplicates, or delays, and no matter whether an engine crashes and
-// recovers from its checkpoint.
+// duplicates, or delays. (The scenarios that crash, promote and restart
+// engines live in membership.go.)
 //
 // Every scenario is seeded and deterministic in its fault schedule, so
 // a failure reproduces. The assertions mirror the coordinator's
@@ -187,113 +187,6 @@ func CheckExactness(res, baseline *cluster.Result) []string {
 		bad = append(bad, fmt.Sprintf("%d extra results not in baseline (first: %s)", len(extra), extra[0]))
 	}
 	return bad
-}
-
-// CrashRecoveryResult carries the chaos crash run and its baseline.
-type CrashRecoveryResult struct {
-	Res      *cluster.Result
-	Baseline *cluster.Result
-	// CheckpointGroups is how many partition groups the pre-crash
-	// checkpoint persisted (the restore reloads the same generation).
-	CheckpointGroups int
-}
-
-// RunCrashRecovery scripts the engine kill/restart scenario: feed and
-// fence, checkpoint the victim, crash it, let the heartbeat watchdog
-// pause its partitions, keep feeding (tuples for the dead engine buffer
-// at the split host), restart the victim from its checkpoint, wait for
-// the revival remap, and finish. The result must match a continuous
-// fault-free run exactly.
-func RunCrashRecovery(checkpointDir string) (*CrashRecoveryResult, error) {
-	const (
-		phase1 = time.Minute
-		phase2 = time.Minute
-	)
-	victim := partition.NodeID("e2")
-	wl := chaosWorkload()
-
-	cfg := chaosClusterConfig(wl, phase1+phase2)
-	cfg.Strategy = core.NoAdapt{} // the revival path is under test, not relocation
-	cfg.CheckpointDir = checkpointDir
-	// Twelve missed stats reports before the watchdog fires: at Scale 600
-	// this is ~100ms of wall silence, wide enough that a healthy engine
-	// under -race contention is never spuriously declared dead, yet the
-	// real crash is still detected well inside the script's 30s await.
-	cfg.HeartbeatTimeout = 60 * time.Second
-	cfg.StatsInterval = 5 * time.Second
-	cfg.LBInterval = 5 * time.Second // watchdog runs on the lb tick
-
-	inner := transport.NewInproc()
-	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), faulty.Config{})
-	defer fnet.Close()
-	cfg.Network = fnet
-
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	if err := c.Feed(phase1); err != nil {
-		return nil, err
-	}
-	// Fence the data path so the checkpoint captures exactly the
-	// phase-1 tuples, then checkpoint and kill the victim.
-	if err := c.Drain(); err != nil {
-		return nil, err
-	}
-	done, err := c.Checkpoint(victim)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Crash(victim); err != nil {
-		return nil, err
-	}
-	// No input flows until the watchdog has declared the victim dead
-	// AND the pause has taken effect at the split host; from then on
-	// its tuples buffer instead of chasing a closed endpoint. Awaiting
-	// only the watchdog flag is a race: the flag flips before the Pause
-	// is delivered, and the phase-2 feed is a catch-up burst (its
-	// virtual schedule is already in the past), so on a loaded box the
-	// whole phase could be routed into the dead engine first.
-	if !c.Await(30*time.Second, func() bool {
-		return !c.EngineAlive(victim) && c.PartitionsPaused() > 0
-	}) {
-		return nil, fmt.Errorf("watchdog never declared %s dead and paused its partitions", victim)
-	}
-	if err := c.Feed(phase2); err != nil {
-		return nil, err
-	}
-	if err := c.Restart(victim); err != nil {
-		return nil, err
-	}
-	if !c.Await(30*time.Second, func() bool {
-		return c.EngineAlive(victim) && c.PendingResumes() == 0
-	}) {
-		return nil, fmt.Errorf("revival remap for %s never completed", victim)
-	}
-	if err := c.Quiesce(); err != nil {
-		return nil, err
-	}
-	if err := c.Drain(); err != nil {
-		return nil, err
-	}
-	res, err := c.Finish()
-	if err != nil {
-		return nil, err
-	}
-
-	baseline, err := cluster.Run(func() cluster.Config {
-		b := chaosClusterConfig(wl, phase1+phase2)
-		b.Strategy = core.NoAdapt{}
-		return b
-	}())
-	if err != nil {
-		return nil, err
-	}
-	return &CrashRecoveryResult{Res: res, Baseline: baseline, CheckpointGroups: done.Groups}, nil
 }
 
 // countEvents tallies event kinds for chaos assertions.

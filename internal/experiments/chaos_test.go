@@ -142,28 +142,3 @@ func TestChaosTCPNativeExact(t *testing.T) {
 		res.Relocations, res.AbortedRelocations,
 		countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
 }
-
-// TestChaosCrashRecovery kills an engine mid-run and revives it from
-// its checkpoint; the watchdog pauses its partitions so the downtime
-// input buffers at the split host, and the revival remap replays it.
-// The joined output must match a continuous fault-free run exactly.
-func TestChaosCrashRecovery(t *testing.T) {
-	crr, err := RunCrashRecovery(t.TempDir())
-	if err != nil {
-		t.Fatalf("crash-recovery run failed: %v", err)
-	}
-	if crr.CheckpointGroups == 0 {
-		t.Error("checkpoint saved no partition groups")
-	}
-	for _, v := range CheckExactness(crr.Res, crr.Baseline) {
-		t.Error(v)
-	}
-	if n := countEvents(crr.Res.Events, stats.EventEngineDead); n == 0 {
-		t.Error("watchdog never recorded an engine-dead event")
-	}
-	if n := countEvents(crr.Res.Events, stats.EventEngineAlive); n == 0 {
-		t.Error("revival never recorded an engine-alive event")
-	}
-	t.Logf("crash recovery: checkpointed %d groups, generated=%d results=%d baseline=%d",
-		crr.CheckpointGroups, crr.Res.Generated, crr.Res.RuntimeSet.Len(), crr.Baseline.RuntimeSet.Len())
-}

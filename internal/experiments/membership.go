@@ -12,8 +12,8 @@
 // Each scenario is a deterministic script over the virtual clock. The
 // fences matter: before a failover the script drains the data path and
 // awaits ReplicationSettled, so the follower's standby provably holds
-// everything the victim held — the promotion is then lossless without
-// any checkpoint replay.
+// everything the victim held — the promotion is then lossless from the
+// warm standby alone.
 package experiments
 
 import (
@@ -24,6 +24,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/partition"
+	"repro/internal/proto"
+	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 	"repro/internal/vclock"
@@ -55,29 +57,52 @@ func membershipClusterConfig(engines []partition.NodeID, wl workload.Config) clu
 	}
 }
 
-// membershipCluster builds the scripted cluster over a faulty
-// transport. The caller owns both returned handles.
-func membershipCluster(engines []partition.NodeID, faults faulty.Config) (*cluster.Cluster, *faulty.Network, error) {
+// membershipCluster builds and starts the scripted cluster over a
+// faulty transport (tune, if not nil, adjusts the shared config first).
+// stop releases both.
+func membershipCluster(engines []partition.NodeID, faults faulty.Config, tune func(*cluster.Config)) (c *cluster.Cluster, fnet *faulty.Network, stop func(), err error) {
 	cfg := membershipClusterConfig(engines, chaosWorkload())
-	inner := transport.NewInproc()
-	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), faults)
+	if tune != nil {
+		tune(&cfg)
+	}
+	fnet = faulty.New(transport.NewInproc(), vclock.NewScaled(cfg.Scale), faults)
 	cfg.Network = fnet
-	c, err := cluster.New(cfg)
+	if c, err = cluster.New(cfg); err == nil {
+		err = c.Start()
+	}
 	if err != nil {
 		fnet.Close()
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return c, fnet, nil
+	return c, fnet, func() { c.Close(); fnet.Close() }, nil
+}
+
+// settle fences the data path so replication can settle: after it every
+// byte a primary holds is also in its follower's standby.
+func settle(c *cluster.Cluster) error {
+	if err := c.Drain(); err != nil {
+		return err
+	}
+	if !c.Await(30*time.Second, c.ReplicationSettled) {
+		return fmt.Errorf("replication never settled (lag %d bytes)", c.ReplicationLagTotal())
+	}
+	return nil
 }
 
 // finishMembership runs the common tail of every scenario: quiesce the
-// coordinator, drain the data path, and collect the result.
-func finishMembership(c *cluster.Cluster) (*cluster.Result, error) {
+// coordinator, drain the data path, run the cleanup phase if the
+// scenario spilled, and collect the result.
+func finishMembership(c *cluster.Cluster, cleanup bool) (*cluster.Result, error) {
 	if err := c.Quiesce(); err != nil {
 		return nil, err
 	}
 	if err := c.Drain(); err != nil {
 		return nil, err
+	}
+	if cleanup {
+		if err := c.RunCleanup(); err != nil {
+			return nil, err
+		}
 	}
 	return c.Finish()
 }
@@ -98,15 +123,11 @@ func RunMembershipBaseline() (*cluster.Result, error) {
 // admission and the rebalance that sheds state onto it, then feed
 // phase 2. The result must match the fault-free baseline exactly.
 func RunChaosJoin(faults faulty.Config) (*cluster.Result, error) {
-	c, fnet, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults)
+	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	defer fnet.Close()
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
+	defer stop()
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
@@ -123,7 +144,7 @@ func RunChaosJoin(faults faulty.Config) (*cluster.Result, error) {
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	return finishMembership(c)
+	return finishMembership(c, false)
 }
 
 // RunChaosLeave scripts a graceful departure under faults: feed
@@ -131,15 +152,11 @@ func RunChaosJoin(faults faulty.Config) (*cluster.Result, error) {
 // directed drain of its partition groups and the LeaveAck, then feed
 // phase 2 on the survivors.
 func RunChaosLeave(faults faulty.Config) (*cluster.Result, error) {
-	c, fnet, err := membershipCluster([]partition.NodeID{"e1", "e2", "e3"}, faults)
+	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2", "e3"}, faults, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	defer fnet.Close()
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
+	defer stop()
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
@@ -156,49 +173,33 @@ func RunChaosLeave(faults faulty.Config) (*cluster.Result, error) {
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	return finishMembership(c)
+	return finishMembership(c, false)
 }
 
 // RunChaosPromote scripts the fast-failover path under faults: feed
 // phase 1, fence the data path and await ReplicationSettled (the
 // followers' standby copies provably hold everything), crash e2, await
 // the watchdog death and the follower promotion that re-homes its
-// groups onto e1 without any checkpoint replay, then feed phase 2.
+// groups onto e1 from its warm standby, then feed phase 2.
 func RunChaosPromote(faults faulty.Config) (*cluster.Result, error) {
-	c, fnet, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults)
+	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	defer fnet.Close()
-	if err := c.Start(); err != nil {
+	defer stop()
+	if err := c.Feed(membershipPhase); err != nil {
+		return nil, err
+	}
+	if err := settle(c); err != nil {
+		return nil, err
+	}
+	if err := failOver(c, "e2", 1); err != nil {
 		return nil, err
 	}
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	// Fence the data path so replication can settle: after this every
-	// byte the victim holds is also in its follower's standby.
-	if err := c.Drain(); err != nil {
-		return nil, err
-	}
-	if !c.Await(30*time.Second, c.ReplicationSettled) {
-		return nil, fmt.Errorf("replication never settled (lag %d bytes)", c.ReplicationLagTotal())
-	}
-	victim := partition.NodeID("e2")
-	if err := c.Crash(victim); err != nil {
-		return nil, err
-	}
-	if !c.Await(30*time.Second, func() bool {
-		return c.Promotions() >= 1 && c.PartitionsPaused() == 0
-	}) {
-		return nil, fmt.Errorf("promotion never completed (promotions %d, paused %d)",
-			c.Promotions(), c.PartitionsPaused())
-	}
-	if err := c.Feed(membershipPhase); err != nil {
-		return nil, err
-	}
-	return finishMembership(c)
+	return finishMembership(c, false)
 }
 
 // SpilledFailoverResult carries the spilled-failover run, its
@@ -227,6 +228,48 @@ func spilledFailoverSpill() core.SpillConfig {
 	return core.SpillConfig{MemThreshold: 16 << 10, Fraction: 0.4}
 }
 
+// spilledCluster starts the cluster the spilling scenarios script: e1
+// and e2 with local spills on and file-backed stores under storeDir.
+func spilledCluster(storeDir string, faults faulty.Config, heartbeat time.Duration) (*cluster.Cluster, func(), error) {
+	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, func(cfg *cluster.Config) {
+		cfg.LocalSpill = true
+		cfg.Spill = spilledFailoverSpill()
+		cfg.StoreDir = storeDir
+		if heartbeat > 0 {
+			cfg.HeartbeatTimeout = heartbeat
+		}
+	})
+	return c, stop, err
+}
+
+// settleSpilled waits until victim holds disk segments — that spilled
+// fraction is exactly what the tiered standby exists to preserve — then
+// settles: the fence counts spilled bytes too, so after it the
+// follower's standby holds the victim's memory tier and all of its
+// segments. It returns the victim's last stats report.
+func settleSpilled(c *cluster.Cluster, victim partition.NodeID) (proto.StatsReport, error) {
+	if !c.Await(30*time.Second, func() bool {
+		s := c.EngineStats(victim)
+		return s.SpilledBytes > 0 && s.DiskSegments > 0
+	}) {
+		return proto.StatsReport{}, fmt.Errorf("victim %s never spilled (stats %+v)", victim, c.EngineStats(victim))
+	}
+	err := settle(c)
+	return c.EngineStats(victim), err
+}
+
+// failOver crashes victim and awaits the run's n-th promotion.
+func failOver(c *cluster.Cluster, victim partition.NodeID, n int) error {
+	if err := c.Crash(victim); err != nil {
+		return err
+	}
+	if !c.Await(30*time.Second, func() bool { return c.Promotions() >= n && c.PartitionsPaused() == 0 }) {
+		return fmt.Errorf("promotion %d never completed (promotions %d, paused %d, membership %v, errors %v)",
+			n, c.Promotions(), c.PartitionsPaused(), c.Membership(), c.Errors())
+	}
+	return nil
+}
+
 // RunChaosSpilledFailover scripts the failover-with-disk-state path
 // under seeded faults: feed phase 1 with local spills on (file-backed
 // stores under storeDir), await the victim's spill, fence the data path
@@ -237,78 +280,30 @@ func spilledFailoverSpill() core.SpillConfig {
 // exactly: before segments replicated, this scenario demonstrably lost
 // the victim's spilled fraction.
 func RunChaosSpilledFailover(storeDir string, faults faulty.Config) (*SpilledFailoverResult, error) {
-	cfg := membershipClusterConfig([]partition.NodeID{"e1", "e2"}, chaosWorkload())
-	cfg.LocalSpill = true
-	cfg.Spill = spilledFailoverSpill()
-	cfg.StoreDir = storeDir
-	inner := transport.NewInproc()
-	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), faults)
-	defer fnet.Close()
-	cfg.Network = fnet
-	c, err := cluster.New(cfg)
+	c, stop, err := spilledCluster(storeDir, faults, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	if err := c.Feed(membershipPhase); err != nil {
-		return nil, err
-	}
+	defer stop()
 	victim, survivor := partition.NodeID("e2"), partition.NodeID("e1")
-	// The victim must hold disk segments before it dies — that spilled
-	// fraction is exactly what the tiered standby exists to preserve.
-	if !c.Await(30*time.Second, func() bool {
-		s := c.EngineStats(victim)
-		return s.SpilledBytes > 0 && s.DiskSegments > 0
-	}) {
-		return nil, fmt.Errorf("victim %s never spilled (stats %+v)", victim, c.EngineStats(victim))
-	}
-	// Fence the data path so replication can settle: the settle fence
-	// counts spilled bytes too, so after it the follower's standby holds
-	// the victim's memory tier and all of its segments.
-	if err := c.Drain(); err != nil {
+	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	if !c.Await(30*time.Second, c.ReplicationSettled) {
-		return nil, fmt.Errorf("replication never settled (lag %d bytes)", c.ReplicationLagTotal())
-	}
-	victimStats := c.EngineStats(victim)
-	if err := c.Crash(victim); err != nil {
+	victimStats, err := settleSpilled(c, victim)
+	if err != nil {
 		return nil, err
 	}
-	if !c.Await(30*time.Second, func() bool {
-		return c.Promotions() >= 1 && c.PartitionsPaused() == 0
-	}) {
-		return nil, fmt.Errorf("promotion never completed (promotions %d, paused %d)",
-			c.Promotions(), c.PartitionsPaused())
+	if err := failOver(c, victim, 1); err != nil {
+		return nil, err
 	}
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	if err := c.Quiesce(); err != nil {
-		return nil, err
-	}
-	if err := c.Drain(); err != nil {
-		return nil, err
-	}
-	if err := c.RunCleanup(); err != nil {
-		return nil, err
-	}
-	res, err := c.Finish()
+	res, err := finishMembership(c, true)
 	if err != nil {
 		return nil, err
 	}
-
-	baseline, err := cluster.Run(func() cluster.Config {
-		b := membershipClusterConfig([]partition.NodeID{"e1", "e2"}, chaosWorkload())
-		b.Replicate = false
-		b.LocalSpill = true
-		b.Spill = spilledFailoverSpill()
-		b.RunCleanup = true
-		return b
-	}())
+	baseline, err := runSpilledBaseline(2)
 	if err != nil {
 		return nil, err
 	}
@@ -319,6 +314,125 @@ func RunChaosSpilledFailover(storeDir string, faults faulty.Config) (*SpilledFai
 		VictimSegments:          victimStats.DiskSegments,
 		SurvivorCleanupSegments: res.Cleanup.PerNode[survivor].Segments,
 	}, nil
+}
+
+// runSpilledBaseline is the fault-free twin of the spilling failover
+// scenarios: the same workload fed for the given number of phases on
+// two static engines with local spills and a cleanup phase, no
+// replication, no membership transitions.
+func runSpilledBaseline(phases int) (*cluster.Result, error) {
+	b := membershipClusterConfig([]partition.NodeID{"e1", "e2"}, chaosWorkload())
+	b.Duration = time.Duration(phases) * membershipPhase
+	b.Replicate = false
+	b.LocalSpill = true
+	b.Spill = spilledFailoverSpill()
+	b.RunCleanup = true
+	return cluster.Run(b)
+}
+
+// CrashRecoveryResult carries the restart-reseed run, its fault-free
+// baseline, and the evidence its assertions need.
+type CrashRecoveryResult struct {
+	Res      *cluster.Result
+	Baseline *cluster.Result
+	// VictimSegments is what the restarted engine's reopened store still
+	// held: its disk tier as of its last stats report before the crash.
+	VictimSegments int
+	// RejoinDemote is the restarted engine's own demote event; its
+	// detail ends with what the engine held afterwards.
+	RejoinDemote string
+	// Groups owned by the restarted engine just before the second crash
+	// and after the promotion that followed it, and by the second
+	// victim when it died.
+	RejoinerOwnedBefore, RejoinerOwnedAfter, SecondVictimOwned int
+}
+
+// RunCrashRecovery scripts cold restart as "rejoin empty and be seeded
+// again", on the spilled-failover cluster: feed, settle, crash e2 (its
+// groups fail over to e1), restart e2 over its store directory — it
+// restores nothing; the coordinator demotes the groups it lost, which
+// drops the stale segments the reopened store still holds, and e1 seeds
+// it as its follower again — feed, settle, then crash e1, whose groups
+// now fail over to the restarted e2. Feed once more and run cleanup.
+// Runtime ∪ cleanup results must match the fault-free baseline exactly,
+// which they can only do if the second failover found a complete
+// standby on an engine that started its second life empty.
+func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResult, error) {
+	// Promoting every group of an engine means writing its standby
+	// segments as files, which under -race can keep a handler busy past
+	// the other scenarios' 100 ms (wall) of heartbeat grace. A spurious
+	// death here is a second simultaneous failure, which factor-2
+	// replication does not promise to survive, so this scenario waits
+	// longer before it believes one.
+	c, stop, err := spilledCluster(storeDir, faults, 3*time.Minute)
+	if err != nil {
+		return nil, err
+	}
+	defer stop()
+	rejoiner, second := partition.NodeID("e2"), partition.NodeID("e1")
+	if err := c.Feed(membershipPhase); err != nil {
+		return nil, err
+	}
+	// The first victim's segments stay behind in its store directory:
+	// the restart reopens that store.
+	victimStats, err := settleSpilled(c, rejoiner)
+	if err != nil {
+		return nil, err
+	}
+	out := &CrashRecoveryResult{VictimSegments: victimStats.DiskSegments}
+	if err := failOver(c, rejoiner, 1); err != nil {
+		return nil, err
+	}
+
+	if err := c.Restart(rejoiner); err != nil {
+		return nil, err
+	}
+	if !c.Await(30*time.Second, func() bool {
+		return c.EngineAlive(rejoiner) && c.Demotions() >= 1 && c.PendingDemotes() == 0 && c.PendingResumes() == 0
+	}) {
+		return nil, fmt.Errorf("restarted %s never demoted (alive %v, demotions %d, pending %d)",
+			rejoiner, c.EngineAlive(rejoiner), c.Demotions(), c.PendingDemotes())
+	}
+	// The restarted engine owns nothing, so the coordinator may shed
+	// state onto it like onto a joiner. The second kill must not race
+	// that relocation (an engine dying mid-relocation is another
+	// scenario): wait for it to land, or for the wait to lapse if the
+	// planner found nothing worth moving, then idle a beat.
+	c.Await(5*time.Second, func() bool { return c.Owned(rejoiner) > 0 && c.PartitionsPaused() == 0 })
+	c.Idle(10 * time.Second) // two lb ticks
+	if err := c.Feed(membershipPhase); err != nil {
+		return nil, err
+	}
+	if _, err := settleSpilled(c, second); err != nil {
+		return nil, fmt.Errorf("after the restart: %w", err)
+	}
+	// A shed that started late must not be caught between shipping its
+	// state and its Remap; partitions are paused for exactly that span.
+	if !c.Await(30*time.Second, func() bool { return c.PartitionsPaused() == 0 }) {
+		return nil, fmt.Errorf("%d partitions still paused before the second crash", c.PartitionsPaused())
+	}
+	out.RejoinerOwnedBefore, out.SecondVictimOwned = c.Owned(rejoiner), c.Owned(second)
+	if err := failOver(c, second, 2); err != nil {
+		return nil, err
+	}
+	out.RejoinerOwnedAfter = c.Owned(rejoiner)
+	if err := c.Feed(membershipPhase); err != nil {
+		return nil, err
+	}
+	if out.Res, err = finishMembership(c, true); err != nil {
+		return nil, err
+	}
+	for _, ev := range out.Res.Events {
+		// The engine's own demote event (the coordinator logs one for
+		// the same node too) starts with the epoch.
+		if ev.Node == rejoiner && ev.Kind == stats.EventDemote && strings.HasPrefix(ev.Detail, "epoch ") {
+			out.RejoinDemote = ev.Detail
+		}
+	}
+	if out.Baseline, err = runSpilledBaseline(3); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // CheckSpilledFailoverExactness compares the spilled-failover run
@@ -383,23 +497,16 @@ type FlapResult struct {
 // result set must stay exact: no duplicates from the stale copy, no
 // losses from the failover.
 func RunChaosFlap(faults faulty.Config) (*FlapResult, error) {
-	c, fnet, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults)
+	c, fnet, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Close()
-	defer fnet.Close()
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
+	defer stop()
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	if err := c.Drain(); err != nil {
+	if err := settle(c); err != nil {
 		return nil, err
-	}
-	if !c.Await(30*time.Second, c.ReplicationSettled) {
-		return nil, fmt.Errorf("replication never settled (lag %d bytes)", c.ReplicationLagTotal())
 	}
 	victim := partition.NodeID("e2")
 	// Isolate, don't crash: the victim keeps running and heartbeating
@@ -423,7 +530,7 @@ func RunChaosFlap(faults faulty.Config) (*FlapResult, error) {
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	res, err := finishMembership(c)
+	res, err := finishMembership(c, false)
 	if err != nil {
 		return nil, err
 	}

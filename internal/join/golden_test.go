@@ -68,7 +68,7 @@ func checkGolden(t *testing.T, name string, snap *GroupSnapshot) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: encoded snapshot differs from the committed bytes (%d vs %d bytes): spill segments, StateTransfer, DeltaSeed and checkpoint files would no longer be bit-compatible", name, len(got), len(want))
+		t.Fatalf("%s: encoded snapshot differs from the committed bytes (%d vs %d bytes): spill segments and the group images in StateTransfer and DeltaSeed would no longer be bit-compatible", name, len(got), len(want))
 	}
 }
 

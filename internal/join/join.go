@@ -654,18 +654,31 @@ func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
 	if g == nil || g.count == 0 {
 		return nil
 	}
-	tuples := s.unload(g)
-	for _, l := range tuples {
+	snap := g.snapshotOf(s.unload(g))
+	next := snap.Seal(g.gen)
+	g.gen, g.spilledTs, g.everSpilled = next.Gen, next.SpilledTs, true
+	return snap
+}
+
+// Seal turns s — a group's memory tier — into the spilled segment of
+// generation gen: it advances the purge watermark over the tuples s
+// holds and returns the empty memory tier that follows at gen+1. The
+// primary's spill extraction and the follower's standby demotion both
+// seal through here, so their boundaries and watermarks agree. Sealing
+// a sealed segment at its own generation only yields the tier after it.
+func (s *GroupSnapshot) Seal(gen uint32) *GroupSnapshot {
+	for _, l := range s.Tuples {
 		for i := range l {
-			if !g.everSpilled || l[i].Ts > g.spilledTs {
-				g.spilledTs = l[i].Ts
+			if !s.EverSpilled || l[i].Ts > s.SpilledTs {
+				s.SpilledTs, s.EverSpilled = l[i].Ts, true
 			}
-			g.everSpilled = true
 		}
 	}
-	snap := g.snapshotOf(tuples)
-	g.gen++
-	return snap
+	s.Gen, s.EverSpilled = gen, true
+	return &GroupSnapshot{
+		ID: s.ID, Gen: gen + 1, Output: s.Output, CumBytes: s.CumBytes,
+		SpilledTs: s.SpilledTs, EverSpilled: true, Tuples: make([][]tuple.Tuple, len(s.Tuples)),
+	}
 }
 
 // RemoveForRelocation removes the group entirely (resident tuples,

@@ -17,15 +17,13 @@ const snapshotMagic = 0x53504731
 // state-relocation transfers: a fixed header, per-input tuple lists, and a
 // trailing CRC-32 over everything before it.
 func EncodeSnapshot(s *GroupSnapshot) []byte {
-	size := 4 + 4 + 4 + 8 + 8 + 8 + 1 + 2
-	for _, l := range s.Tuples {
-		size += 4
-		for i := range l {
-			size += l[i].EncodedSize()
-		}
-	}
-	size += 4 // crc
-	buf := make([]byte, 0, size)
+	return AppendSnapshot(make([]byte, 0, s.EncodedSize()), s)
+}
+
+// AppendSnapshot appends EncodeSnapshot(s) to buf (spill.AppendImage
+// embeds snapshots without copying them).
+func AppendSnapshot(buf []byte, s *GroupSnapshot) []byte {
+	start := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, snapshotMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.ID))
 	buf = binary.LittleEndian.AppendUint32(buf, s.Gen)
@@ -44,7 +42,19 @@ func EncodeSnapshot(s *GroupSnapshot) []byte {
 			buf = l[i].AppendTo(buf)
 		}
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// EncodedSize reports the exact length of EncodeSnapshot(s).
+func (s *GroupSnapshot) EncodedSize() int {
+	size := 4 + 4 + 4 + 8 + 8 + 8 + 1 + 2 + 4 // header, crc
+	for _, l := range s.Tuples {
+		size += 4
+		for i := range l {
+			size += l[i].EncodedSize()
+		}
+	}
+	return size
 }
 
 // DecodeSnapshot parses a snapshot produced by EncodeSnapshot, verifying

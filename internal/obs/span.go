@@ -77,8 +77,8 @@ const (
 
 // Span names of the distributed-trace children introduced with trace
 // propagation: the coordinator's await phases and the engine-side
-// acknowledgment points of the relocation protocol, plus the engine's
-// checkpoint save. All are children of a root span through TraceContext.
+// acknowledgment points of the relocation protocol. All are children of
+// a root span through TraceContext.
 const (
 	// Coordinator await phases, one span per protocol wait.
 	SpanRelocWaitPtV      = "relocation_wait_ptv"
@@ -88,8 +88,6 @@ const (
 	// Sender-engine protocol points (cptv choice, marker fence).
 	SpanRelocationCptV   = "relocation_cptv"
 	SpanRelocationMarker = "relocation_marker"
-	// SpanCheckpoint covers one checkpoint save on an engine.
-	SpanCheckpoint = "checkpoint"
 )
 
 // Attribute values for the status attr.

@@ -205,16 +205,15 @@ type SendStates struct {
 	Trace obs.TraceContext
 }
 
-// StateTransfer carries the moving partition groups: the resident
-// generation snapshots and any disk-resident segments, each encoded with
-// join.EncodeSnapshot. Disk segments follow the group so cleanup stays
-// local to the group's final owner (step 6).
+// StateTransfer carries the moving partition groups, one encoded group
+// image (spill.AppendImage: memory tier plus disk segments) each. Disk
+// segments follow the group so cleanup stays local to the group's final
+// owner (step 6).
 //
 //distq:handledby engine
 type StateTransfer struct {
-	Epoch    uint64
-	Resident [][]byte
-	Segments [][]byte
+	Epoch  uint64
+	Images [][]byte
 	// Trace is forwarded from the SendStates that ordered the transfer.
 	Trace obs.TraceContext
 }
@@ -319,30 +318,6 @@ type RelocAbortAck struct {
 	Node      partition.NodeID
 	Installed bool
 	// Trace is echoed from the RelocAbort being acknowledged.
-	Trace obs.TraceContext
-}
-
-// Checkpoint asks an engine to persist its resident operator state to
-// its checkpoint directory (crash-recovery drills, operational
-// snapshots). The engine answers the requester with CheckpointDone.
-//
-//distq:handledby engine
-type Checkpoint struct {
-	// Trace parents the engine's checkpoint span (zero when the requester
-	// is untraced).
-	Trace obs.TraceContext
-}
-
-// CheckpointDone reports a checkpoint outcome to the requester (the
-// experiment harness on the generator node). A non-empty Error means
-// the checkpoint failed and must not be trusted.
-//
-//distq:handledby generator
-type CheckpointDone struct {
-	Node   partition.NodeID
-	Groups int
-	Error  string
-	// Trace is echoed from the Checkpoint being answered.
 	Trace obs.TraceContext
 }
 
@@ -532,19 +507,24 @@ type ReplicaEntry struct {
 
 // StateDelta carries incremental replication state from a primary to a
 // follower: the tuples appended to the primary's groups since the last
-// delta, pre-encoded per group, full snapshot seeds (plus their spilled
-// disk segments) for groups the follower has not been initialized with,
-// and spill markers demoting the follower's matching standby fraction
-// to its local store. Seq orders deltas per
-// (primary, follower) pair; the follower applies them in order and
-// re-acks duplicates, and the primary retransmits everything unacked on
-// each stats tick.
+// delta, pre-encoded per group, full group-image seeds (memory tier plus
+// spilled disk segments) for groups the follower has not been
+// initialized with, and spill markers demoting the follower's matching
+// standby fraction to its local store. Seq orders deltas per (primary,
+// follower) pair within one life of the primary: the follower applies
+// them in order, re-acks duplicates and answers gaps with its last
+// applied Seq, and the primary retransmits everything unacked on each
+// stats tick.
 //
 //distq:handledby engine
 type StateDelta struct {
-	From    partition.NodeID
-	Seq     uint64
-	Entries []DeltaEntry
+	From partition.NodeID
+	// Incarnation identifies the sending primary's life (its boot time).
+	// Seq restarts at 1 with every life: a follower seeing a newer one
+	// starts counting afresh, and drops an older one's stragglers.
+	Incarnation uint64
+	Seq         uint64
+	Entries     []DeltaEntry
 	// Trace identifies the primary's replication tick, if traced.
 	Trace obs.TraceContext
 }
@@ -555,15 +535,11 @@ type DeltaKind uint8
 const (
 	// DeltaAppend carries tuple-encoded appends since the last delta.
 	DeltaAppend DeltaKind = 0
-	// DeltaSeed carries a full join.EncodeSnapshot image of the group's
-	// resident state, replacing any follower state for the group.
+	// DeltaSeed carries the group's whole image (spill.AppendImage),
+	// replacing any follower state for the group; the follower keeps it
+	// two-tier like the primary. (2, DeltaSegment, is retired: segments
+	// ride inside the seed.)
 	DeltaSeed DeltaKind = 1
-	// DeltaSegment carries one spilled disk segment (a full
-	// join.EncodeSnapshot image of an extracted generation). Segments
-	// ride immediately after their group's seed in the same delta; the
-	// follower re-spills them into its own local store so the standby
-	// stays two-tier like the primary.
-	DeltaSegment DeltaKind = 2
 	// DeltaSpillMark tells the follower the primary spilled the group:
 	// the payload is the spilled generation (uint32 little-endian), and
 	// the follower demotes its current memory-tier standby into a local
@@ -574,8 +550,8 @@ const (
 
 // DeltaEntry is one group's increment within a StateDelta (nested, not
 // a standalone message). Kind selects the payload encoding: appends are
-// tuple-encoded, seeds and segments are join.EncodeSnapshot images, and
-// spill markers carry the spilled generation.
+// tuple-encoded, seeds are group images, and spill markers carry the
+// spilled generation.
 type DeltaEntry struct {
 	Group   partition.ID
 	Kind    DeltaKind
@@ -589,16 +565,19 @@ type DeltaEntry struct {
 //distq:handledby engine
 type DeltaAck struct {
 	Node partition.NodeID
-	Seq  uint64
+	// Incarnation identifies the acknowledging follower's life. A primary
+	// that sees it advance knows the standby it was feeding is gone: it
+	// re-seeds every group it streams there and renumbers from 1.
+	Incarnation uint64
+	Seq         uint64
 	// Trace is echoed from the StateDelta being acknowledged.
 	Trace obs.TraceContext
 }
 
 // Promote orders a follower to install its warm copies of Groups as
 // resident operator state: the watchdog declared their primary (From)
-// dead and the coordinator is failing the groups over without a
-// checkpoint replay. Idempotent per epoch — a follower that already
-// promoted the epoch re-acks.
+// dead and the coordinator is failing the groups over. Idempotent per
+// epoch — a follower that already promoted the epoch re-acks.
 //
 //distq:handledby engine
 type Promote struct {

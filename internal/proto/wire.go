@@ -84,8 +84,7 @@ var wireKinds = [...]wireCodec{
 	19: control(func(m *RelocTimeout) []any { return []any{&m.Epoch, &m.Seq, &m.Trace} }),
 	20: control(func(m *RelocAbort) []any { return []any{&m.Epoch, &m.Trace} }),
 	21: control(func(m *RelocAbortAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed, &m.Trace} }),
-	22: control(func(m *Checkpoint) []any { return []any{&m.Trace} }),
-	23: control(func(m *CheckpointDone) []any { return []any{&m.Node, &m.Groups, &m.Error, &m.Trace} }),
+	// 22, 23: retired (Checkpoint, CheckpointDone). Kinds are never reused.
 	24: control(func(m *StartCleanup) []any { return []any{&m.Trace} }),
 	25: control(func(m *CleanupDone) []any {
 		return []any{&m.Node, &m.Groups, &m.Segments, &m.Tuples, &m.Results, &m.ElapsedNs, &m.Error, &m.Trace}
@@ -102,7 +101,7 @@ var wireKinds = [...]wireCodec{
 	35: control(func(m *Leave) []any { return []any{&m.Node, &m.Trace} }),
 	36: control(func(m *LeaveAck) []any { return []any{&m.Node, &m.Trace} }),
 	37: control(func(m *ReplicaMap) []any { return []any{&m.Version, &m.Entries, &m.Trace} }),
-	38: control(func(m *DeltaAck) []any { return []any{&m.Node, &m.Seq, &m.Trace} }),
+	38: control(func(m *DeltaAck) []any { return []any{&m.Node, &m.Incarnation, &m.Seq, &m.Trace} }),
 	39: control(func(m *Promote) []any { return []any{&m.Epoch, &m.From, &m.Groups, &m.Trace} }),
 	40: control(func(m *PromoteAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed, &m.Trace} }),
 	41: control(func(m *Demote) []any { return []any{&m.Epoch, &m.Groups, &m.Trace} }),
@@ -230,7 +229,7 @@ func DecodeWire(kind WireKind, body []byte) (Message, error) {
 	return msg, nil
 }
 
-// ---- bulk data-plane codecs (layouts frozen since PR 9) ----
+// ---- bulk data-plane codecs (a layout change bumps transport's wireVersion) ----
 
 // wireStrLen is the encoded size of a length-prefixed string.
 func wireStrLen(s string) int { return 2 + len(s) }
@@ -287,11 +286,8 @@ func decodeResultData(r *wireReader) (ResultData, error) {
 }
 
 func sizeStateTransfer(m StateTransfer) int {
-	n := 8 + wireTraceLen(m.Trace) + 4 + 4
-	for _, b := range m.Resident {
-		n += 4 + len(b)
-	}
-	for _, b := range m.Segments {
+	n := 8 + wireTraceLen(m.Trace) + 4
+	for _, b := range m.Images {
 		n += 4 + len(b)
 	}
 	return n
@@ -300,13 +296,8 @@ func sizeStateTransfer(m StateTransfer) int {
 func appendStateTransfer(dst []byte, m StateTransfer) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, m.Epoch)
 	dst = appendWireTrace(dst, m.Trace)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Resident)))
-	for _, b := range m.Resident {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-		dst = append(dst, b...)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Segments)))
-	for _, b := range m.Segments {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Images)))
+	for _, b := range m.Images {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
 		dst = append(dst, b...)
 	}
@@ -322,15 +313,12 @@ func decodeStateTransfer(r *wireReader) (StateTransfer, error) {
 	if m.Trace, err = r.takeTrace(); err != nil {
 		return m, err
 	}
-	if m.Resident, err = decodeByteLists(r); err != nil {
-		return m, err
-	}
-	m.Segments, err = decodeByteLists(r)
+	m.Images, err = decodeByteLists(r)
 	return m, err
 }
 
 func sizeStateDelta(m StateDelta) int {
-	n := wireStrLen(string(m.From)) + 8 + wireTraceLen(m.Trace) + 4
+	n := wireStrLen(string(m.From)) + 8 + 8 + wireTraceLen(m.Trace) + 4
 	for _, e := range m.Entries {
 		n += 4 + 1 + 4 + len(e.Payload)
 	}
@@ -339,6 +327,7 @@ func sizeStateDelta(m StateDelta) int {
 
 func appendStateDelta(dst []byte, m StateDelta) []byte {
 	dst = appendWireStr(dst, string(m.From))
+	dst = binary.LittleEndian.AppendUint64(dst, m.Incarnation)
 	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
 	dst = appendWireTrace(dst, m.Trace)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Entries)))
@@ -358,6 +347,9 @@ func decodeStateDelta(r *wireReader) (StateDelta, error) {
 		return m, err
 	}
 	m.From = partition.NodeID(from)
+	if m.Incarnation, err = r.takeU64(); err != nil {
+		return m, err
+	}
 	if m.Seq, err = r.takeU64(); err != nil {
 		return m, err
 	}
@@ -404,7 +396,7 @@ func decodeStateDelta(r *wireReader) (StateDelta, error) {
 }
 
 // decodeByteLists parses a u32-counted list of length-prefixed byte
-// slices (StateTransfer's Resident/Segments shape).
+// slices (StateTransfer's Images).
 func decodeByteLists(r *wireReader) ([][]byte, error) {
 	n, err := r.takeU32()
 	if err != nil {

@@ -35,12 +35,6 @@ func NewManager(op *join.Operator, store Store, policy core.Policy) *Manager {
 	return &Manager{op: op, store: store, policy: policy}
 }
 
-// Policy reports the manager's victim selection policy.
-func (m *Manager) Policy() core.Policy { return m.policy }
-
-// Store reports the segment store.
-func (m *Manager) Store() Store { return m.store }
-
 // Spill pushes at least amount bytes of resident state to the store (or
 // everything resident, if less) and returns what was spilled. A zero or
 // negative amount is a no-op.

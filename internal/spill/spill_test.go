@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"errors"
 	"os"
 	"reflect"
 	"testing"
@@ -256,5 +257,131 @@ func TestManagerSegmentsReadableAfterSpill(t *testing.T) {
 	}
 	if total != res.Tuples {
 		t.Fatalf("store holds %d tuples, spill reported %d", total, res.Tuples)
+	}
+}
+
+// TestStoreWriteReplacesGeneration: writing a (group, generation) the
+// store already holds replaces it — one segment, one segment's bytes —
+// which is what lets a retried Image.Install converge.
+func TestStoreWriteReplacesGeneration(t *testing.T) {
+	for name, s := range testStores(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := s.Write(mkSnap(1, 0, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Write(mkSnap(1, 1, 2)); err != nil {
+				t.Fatal(err)
+			}
+			want := mkSnap(1, 0, 7)
+			if err := s.Write(want); err != nil {
+				t.Fatal(err)
+			}
+			segs, err := s.Read(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) != 2 || s.SegmentCount() != 2 || !reflect.DeepEqual(segs[0], want) || segs[1].Gen != 1 {
+				t.Fatalf("after rewriting generation 0: %d segments read, %d counted, first = %+v", len(segs), s.SegmentCount(), segs[0])
+			}
+			size := int64(want.EncodedSize() + segs[1].EncodedSize())
+			if s.Bytes() != size || s.BytesOf(1) != size {
+				t.Fatalf("Bytes = %d, BytesOf = %d, want %d (the replaced segment must not be counted)", s.Bytes(), s.BytesOf(1), size)
+			}
+		})
+	}
+}
+
+// TestFileStoreReopenSkipsTornWrite: a crash between writing a
+// segment's temp file and renaming it leaves g<id>-<gen>.seg.tmp
+// behind. Reopening must not index it (Sscanf alone parses that name
+// as a segment, and the phantom's Read failure then takes the whole
+// group's cleanup and removal down with it) and sweeps it.
+func TestFileStoreReopenSkipsTornWrite(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Write(mkSnap(1, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	torn := dir + "/g1-2.seg.tmp"
+	if err := os.WriteFile(torn, []byte("half a segm"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.SegmentCount() != 1 || s2.Bytes() != s1.Bytes() {
+		t.Fatalf("reopened store indexes %d segments (%d bytes), want the 1 published (%d bytes)", s2.SegmentCount(), s2.Bytes(), s1.Bytes())
+	}
+	if segs, err := s2.Remove(1); err != nil || len(segs) != 1 {
+		t.Fatalf("Remove after reopen: %d segments, err %v", len(segs), err)
+	}
+	if _, err := os.Stat(torn); !os.IsNotExist(err) {
+		t.Fatalf("torn temp file survived the reopen (stat err %v)", err)
+	}
+}
+
+// TestFileStoreRemoveFailureKeepsIndexAndDiskInStep injects a failure
+// at the second file of a three-segment group. The index must forget
+// exactly the one segment that was deleted (and return it), keep
+// describing the two still on disk — so neither a reopen resurrects
+// forgotten segments nor Bytes drifts — and a second Remove finishes.
+func TestFileStoreRemoveFailureKeepsIndexAndDiskInStep(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var size [3]int64
+	for gen := range size {
+		snap := mkSnap(1, uint32(gen), 2+gen)
+		if err := s.Write(snap); err != nil {
+			t.Fatal(err)
+		}
+		size[gen] = int64(snap.EncodedSize())
+	}
+	if err := s.Write(mkSnap(2, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	other := s.BytesOf(2)
+
+	calls := 0
+	s.remove = func(path string) error {
+		if calls++; calls == 2 {
+			return errors.New("injected remove failure")
+		}
+		return os.Remove(path)
+	}
+	removed, err := s.Remove(1)
+	if err == nil || len(removed) != 1 || removed[0].Gen != 0 {
+		t.Fatalf("failing Remove returned %d segments, err %v; want generation 0 alone and an error", len(removed), err)
+	}
+	inStep := func(when string, st *FileStore) {
+		t.Helper()
+		if st.SegmentCount() != 3 || st.BytesOf(1) != size[1]+size[2] || st.Bytes() != size[1]+size[2]+other {
+			t.Fatalf("%s: %d segments, group 1 %d bytes, total %d; want 3, %d, %d",
+				when, st.SegmentCount(), st.BytesOf(1), st.Bytes(), size[1]+size[2], size[1]+size[2]+other)
+		}
+		segs, err := st.Read(1)
+		if err != nil || len(segs) != 2 || segs[0].Gen != 1 || segs[1].Gen != 2 {
+			t.Fatalf("%s: group 1 reads %d segments (err %v), want generations 1 and 2", when, len(segs), err)
+		}
+	}
+	inStep("after the failed Remove", s)
+	reopened, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inStep("reopened", reopened)
+
+	removed, err = s.Remove(1)
+	if err != nil || len(removed) != 2 {
+		t.Fatalf("second Remove: %d segments, err %v", len(removed), err)
+	}
+	if s.SegmentCount() != 1 || s.Bytes() != other || s.BytesOf(1) != 0 || len(s.Groups()) != 1 {
+		t.Fatalf("after the second Remove: %d segments, %d bytes, groups %v", s.SegmentCount(), s.Bytes(), s.Groups())
 	}
 }

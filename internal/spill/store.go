@@ -6,10 +6,14 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/join"
@@ -20,13 +24,17 @@ import (
 // same group are returned in generation order, which the cleanup phase
 // relies on. Implementations are safe for concurrent use.
 type Store interface {
-	// Write persists one generation snapshot.
+	// Write persists one generation snapshot. Writing a (group,
+	// generation) the store already holds replaces it, so a retried
+	// install converges instead of duplicating the segment.
 	Write(snap *join.GroupSnapshot) error
 	// Read returns all segments of the group, sorted by generation.
 	Read(id partition.ID) ([]*join.GroupSnapshot, error)
 	// Remove returns and deletes all segments of the group, sorted by
 	// generation — used when a group relocates and its disk-resident
-	// generations follow it to the receiving machine.
+	// generations follow it to the receiving machine. On error the
+	// returned segments are the ones already deleted; the rest are still
+	// stored.
 	Remove(id partition.ID) ([]*join.GroupSnapshot, error)
 	// Groups returns the sorted IDs of all groups with segments.
 	Groups() []partition.ID
@@ -42,26 +50,108 @@ type Store interface {
 	Close() error
 }
 
-// MemStore is an in-memory Store for tests and for experiments where disk
-// latency is irrelevant.
-type MemStore struct {
+// index is what both stores know about their segments: per group, in
+// ascending generation order, with the totals the accounting reads.
+type index struct {
 	mu    sync.Mutex
-	segs  map[partition.ID][]memSegment
+	segs  map[partition.ID][]segment
 	count int
 	bytes int64
 }
 
-// memSegment remembers a segment's encoded size next to the decoded
-// snapshot so byte accounting never has to re-encode.
-type memSegment struct {
-	snap *join.GroupSnapshot
+// segment is one index entry. snap is set by MemStore only; FileStore
+// keeps the snapshot in the segment's file.
+type segment struct {
+	gen  uint32
 	size int64
+	snap *join.GroupSnapshot
 }
 
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{segs: make(map[partition.ID][]memSegment)}
+// put indexes seg under id, replacing an entry of the same generation.
+func (x *index) put(id partition.ID, seg segment) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.segs == nil {
+		x.segs = make(map[partition.ID][]segment)
+	}
+	segs := x.segs[id]
+	i := sort.Search(len(segs), func(i int) bool { return segs[i].gen >= seg.gen })
+	if i < len(segs) && segs[i].gen == seg.gen {
+		x.bytes += seg.size - segs[i].size
+		segs[i] = seg
+		return
+	}
+	x.segs[id] = slices.Insert(segs, i, seg)
+	x.count++
+	x.bytes += seg.size
 }
+
+// of returns a copy of the group's entries.
+func (x *index) of(id partition.ID) []segment {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return slices.Clone(x.segs[id])
+}
+
+// drop forgets the group's first n entries (Remove deletes in order).
+func (x *index) drop(id partition.ID, n int) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if n = min(n, len(x.segs[id])); n == 0 {
+		return
+	}
+	for _, seg := range x.segs[id][:n] {
+		x.count--
+		x.bytes -= seg.size
+	}
+	if x.segs[id] = x.segs[id][n:]; len(x.segs[id]) == 0 {
+		delete(x.segs, id)
+	}
+}
+
+// Groups implements Store.
+func (x *index) Groups() []partition.ID {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	ids := make([]partition.ID, 0, len(x.segs))
+	for id := range x.segs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
+}
+
+// SegmentCount implements Store.
+func (x *index) SegmentCount() int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.count
+}
+
+// Bytes implements Store.
+func (x *index) Bytes() int64 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.bytes
+}
+
+// BytesOf implements Store.
+func (x *index) BytesOf(id partition.ID) int64 {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	var n int64
+	for _, seg := range x.segs[id] {
+		n += seg.size
+	}
+	return n
+}
+
+// MemStore is an in-memory Store for tests and for experiments where disk
+// latency is irrelevant.
+type MemStore struct{ index }
+
+// NewMemStore returns an empty in-memory store.
+func NewMemStore() *MemStore { return &MemStore{} }
 
 // Write implements Store.
 func (s *MemStore) Write(snap *join.GroupSnapshot) error {
@@ -71,22 +161,15 @@ func (s *MemStore) Write(snap *join.GroupSnapshot) error {
 	if err != nil {
 		return fmt.Errorf("spill: encode segment: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.segs[snap.ID] = append(s.segs[snap.ID], memSegment{snap: cp, size: int64(len(buf))})
-	segs := s.segs[snap.ID]
-	sort.Slice(segs, func(i, j int) bool { return segs[i].snap.Gen < segs[j].snap.Gen })
-	s.count++
-	s.bytes += int64(len(buf))
+	s.put(snap.ID, segment{gen: snap.Gen, size: int64(len(buf)), snap: cp})
 	return nil
 }
 
 // Read implements Store.
 func (s *MemStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*join.GroupSnapshot, len(s.segs[id]))
-	for i, seg := range s.segs[id] {
+	segs := s.of(id)
+	out := make([]*join.GroupSnapshot, len(segs))
+	for i, seg := range segs {
 		out[i] = seg.snap
 	}
 	return out, nil
@@ -94,54 +177,9 @@ func (s *MemStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
 
 // Remove implements Store.
 func (s *MemStore) Remove(id partition.ID) ([]*join.GroupSnapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	segs := s.segs[id]
-	delete(s.segs, id)
-	s.count -= len(segs)
-	out := make([]*join.GroupSnapshot, len(segs))
-	for i, seg := range segs {
-		out[i] = seg.snap
-		s.bytes -= seg.size
-	}
-	return out, nil
-}
-
-// Groups implements Store.
-func (s *MemStore) Groups() []partition.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]partition.ID, 0, len(s.segs))
-	for id := range s.segs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// SegmentCount implements Store.
-func (s *MemStore) SegmentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Bytes implements Store.
-func (s *MemStore) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// BytesOf implements Store.
-func (s *MemStore) BytesOf(id partition.ID) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, seg := range s.segs[id] {
-		n += seg.size
-	}
-	return n
+	out, err := s.Read(id)
+	s.drop(id, len(out))
+	return out, err
 }
 
 // Close implements Store.
@@ -151,52 +189,50 @@ func (s *MemStore) Close() error { return nil }
 // directory, named g<ID>-<gen>.seg.
 type FileStore struct {
 	dir string
-
-	mu    sync.Mutex
-	gens  map[partition.ID][]uint32
-	sizes map[partition.ID]int64
-	count int
-	bytes int64
+	// remove deletes one segment file (os.Remove; tests inject failures).
+	remove func(string) error
+	index
 }
 
 // NewFileStore creates (if needed) dir and returns a file-backed store.
-// An existing directory is scanned so a store can be reopened.
+// An existing directory is scanned so a store can be reopened: only
+// published segments are indexed, and temp files a crash left between
+// write and rename are swept.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("spill: create store dir: %w", err)
 	}
-	s := &FileStore{dir: dir, gens: make(map[partition.ID][]uint32), sizes: make(map[partition.ID]int64)}
+	s := &FileStore{dir: dir, remove: os.Remove}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("spill: scan store dir: %w", err)
 	}
 	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".seg.tmp") {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return nil, fmt.Errorf("spill: sweep torn segment: %w", err)
+			}
+			continue
+		}
 		var id partition.ID
 		var gen uint32
-		if _, err := fmt.Sscanf(e.Name(), "g%d-%d.seg", &id, &gen); err != nil {
+		// Sscanf ignores trailing input, so insist on the exact name.
+		if _, err := fmt.Sscanf(e.Name(), "g%d-%d.seg", &id, &gen); err != nil || e.Name() != segName(id, gen) {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			return nil, fmt.Errorf("spill: stat segment: %w", err)
 		}
-		s.gens[id] = append(s.gens[id], gen)
-		s.sizes[id] += info.Size()
-		s.count++
-		s.bytes += info.Size()
-	}
-	for id := range s.gens {
-		g := s.gens[id]
-		sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
+		s.put(id, segment{gen: gen, size: info.Size()})
 	}
 	return s, nil
 }
 
-// Dir reports the store's directory.
-func (s *FileStore) Dir() string { return s.dir }
+func segName(id partition.ID, gen uint32) string { return fmt.Sprintf("g%d-%d.seg", id, gen) }
 
 func (s *FileStore) segPath(id partition.ID, gen uint32) string {
-	return filepath.Join(s.dir, fmt.Sprintf("g%d-%d.seg", id, gen))
+	return filepath.Join(s.dir, segName(id, gen))
 }
 
 // Write implements Store.
@@ -210,95 +246,44 @@ func (s *FileStore) Write(snap *join.GroupSnapshot) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("spill: publish segment: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.gens[snap.ID] = append(s.gens[snap.ID], snap.Gen)
-	g := s.gens[snap.ID]
-	sort.Slice(g, func(i, j int) bool { return g[i] < g[j] })
-	s.sizes[snap.ID] += int64(len(buf))
-	s.count++
-	s.bytes += int64(len(buf))
+	s.put(snap.ID, segment{gen: snap.Gen, size: int64(len(buf))})
 	return nil
 }
 
 // Read implements Store.
 func (s *FileStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
-	s.mu.Lock()
-	gens := append([]uint32(nil), s.gens[id]...)
-	s.mu.Unlock()
-	out := make([]*join.GroupSnapshot, 0, len(gens))
-	for _, gen := range gens {
-		buf, err := os.ReadFile(s.segPath(id, gen))
+	segs := s.of(id)
+	out := make([]*join.GroupSnapshot, 0, len(segs))
+	for _, seg := range segs {
+		buf, err := os.ReadFile(s.segPath(id, seg.gen))
 		if err != nil {
 			return nil, fmt.Errorf("spill: read segment: %w", err)
 		}
 		snap, err := join.DecodeSnapshot(buf)
 		if err != nil {
-			return nil, fmt.Errorf("spill: decode segment g%d-%d: %w", id, gen, err)
+			return nil, fmt.Errorf("spill: decode segment g%d-%d: %w", id, seg.gen, err)
 		}
 		out = append(out, snap)
 	}
 	return out, nil
 }
 
-// Remove implements Store.
+// Remove implements Store. The index forgets exactly the files that
+// were deleted, so a failure part-way leaves it describing what is
+// still on disk.
 func (s *FileStore) Remove(id partition.ID) ([]*join.GroupSnapshot, error) {
 	out, err := s.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	gens := s.gens[id]
-	delete(s.gens, id)
-	delete(s.sizes, id)
-	s.count -= len(gens)
-	s.mu.Unlock()
-	for _, snap := range out {
-		path := s.segPath(id, snap.Gen)
-		info, err := os.Stat(path)
-		if err == nil {
-			s.mu.Lock()
-			s.bytes -= info.Size()
-			s.mu.Unlock()
-		}
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("spill: remove segment: %w", err)
+	for i, snap := range out {
+		if err := s.remove(s.segPath(id, snap.Gen)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			s.drop(id, i)
+			return out[:i], fmt.Errorf("spill: remove segment: %w", err)
 		}
 	}
+	s.drop(id, len(out))
 	return out, nil
-}
-
-// Groups implements Store.
-func (s *FileStore) Groups() []partition.ID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]partition.ID, 0, len(s.gens))
-	for id := range s.gens {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// SegmentCount implements Store.
-func (s *FileStore) SegmentCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count
-}
-
-// Bytes implements Store.
-func (s *FileStore) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
-// BytesOf implements Store.
-func (s *FileStore) BytesOf(id partition.ID) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sizes[id]
 }
 
 // Close implements Store. Segments remain on disk for a later reopen.

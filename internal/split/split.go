@@ -277,12 +277,18 @@ func (r *Router) SendFailures() int {
 // path), start buffering the moving partitions, then emit the marker.
 func (r *Router) pause(m proto.Pause) error {
 	r.mu.Lock()
-	if err := r.sendLocked(&r.pending[r.outboxLocked(m.Owner)]); err != nil {
+	owner := r.outboxLocked(m.Owner)
+	if err := r.sendLocked(&r.pending[owner]); err != nil {
 		r.mu.Unlock()
 		return err
 	}
 	for _, id := range m.Partitions {
-		if int(id) < len(r.dest) {
+		// A Pause names the owner the coordinator moves the partition
+		// away from. One that names anybody but the partition's current
+		// destination was overtaken by the Remap that ended its
+		// adaptation (the network delayed or duplicated it): pausing now
+		// would park the partition with no Remap left to release it.
+		if int(id) < len(r.dest) && r.dest[id] == owner {
 			r.pauseLocked(id)
 		}
 	}

@@ -379,3 +379,31 @@ func TestRouteCopiesPayload(t *testing.T) {
 		t.Fatalf("%d tuples delivered, routed 16", seen)
 	}
 }
+
+// TestPauseOvertakenByItsRemapIsIgnored: a Pause the network delayed or
+// duplicated past the Remap that ended its adaptation names an owner the
+// partition no longer routes to. Pausing then would park the partition
+// forever — no further Remap is coming — so the router must ignore it.
+// (Seen as a promoted group whose input never resumed: the watchdog's
+// per-tick Pause for the dead owner, delayed past the promotion's
+// Remap.)
+func TestPauseOvertakenByItsRemapIsIgnored(t *testing.T) {
+	ep := &fakeEndpoint{}
+	r := newRouter(t, ep, 10)
+	pause := proto.Pause{Epoch: 3, Partitions: []partition.ID{0, 2}, Owner: "m1"}
+	r.HandleControl(pause)
+	r.HandleControl(proto.Remap{Epoch: 4, Partitions: []partition.ID{0}, Owner: "m2", Version: 2})
+	if _, err := r.HandleControl(pause); err != nil { // the straggler
+		t.Fatal(err)
+	}
+	if got := r.PausedPartitions(); got != 1 {
+		t.Fatalf("%d partitions paused, want only partition 2 (still m1's, still awaiting its Remap)", got)
+	}
+	before := len(ep.messages())
+	r.Route(mkTuple(0))
+	r.Flush()
+	msgs := ep.messages()[before:]
+	if len(msgs) != 1 || msgs[0].to != "m2" {
+		t.Fatalf("tuple for the remapped partition: %d messages (first to %v), want one batch to m2", len(msgs), msgs)
+	}
+}

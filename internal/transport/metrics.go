@@ -110,10 +110,7 @@ func approxSize(msg proto.Message) int {
 		return envelope + len(m.Payload)
 	case proto.StateTransfer:
 		n := envelope
-		for _, b := range m.Resident {
-			n += len(b)
-		}
-		for _, b := range m.Segments {
+		for _, b := range m.Images {
 			n += len(b)
 		}
 		return n

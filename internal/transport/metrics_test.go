@@ -211,7 +211,7 @@ func TestApproxSizeCountsPayloads(t *testing.T) {
 	if data < small+1000 {
 		t.Fatalf("approxSize(Data) = %d, want >= %d", data, small+1000)
 	}
-	xfer := approxSize(proto.StateTransfer{Resident: [][]byte{make([]byte, 300)}, Segments: [][]byte{make([]byte, 200)}})
+	xfer := approxSize(proto.StateTransfer{Images: [][]byte{make([]byte, 300), make([]byte, 200)}})
 	if xfer < small+500 {
 		t.Fatalf("approxSize(StateTransfer) = %d, want >= %d", xfer, small+500)
 	}

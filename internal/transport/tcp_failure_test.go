@@ -123,6 +123,8 @@ func TestTCPBadFrameDropsConnection(t *testing.T) {
 	for name, bad := range map[string][]byte{
 		"unknown kind":     frame(200, []byte{1, 2, 3}),
 		"kind zero":        frame(proto.WireNone, []byte("gob")),
+		"retired kind 22":  frame(22, make([]byte, 18)), // what version 2 sent as kind 22: just a trace
+		"retired kind 23":  frame(23, make([]byte, 30)),
 		"truncated body":   frame(kind, body[:len(body)-1]),
 		"trailing byte":    frame(kind, append(body[:len(body):len(body)], 0)),
 		"short grant":      frame(proto.WireKind(frameCredit), []byte{1, 2, 3}),
@@ -184,6 +186,9 @@ func TestTCPHelloFailureSaysWhy(t *testing.T) {
 		{"hang up", nil, "hung up"},
 		{"garbage", ack("XX", wireVersion), "bad magic"},
 		{"other version", ack(ackMagic, wireVersion+1), "version mismatch"},
+		// A mixed pair: version 2 laid StateTransfer, StateDelta and
+		// DeltaAck out differently and still had kinds 22/23.
+		{"version 2 peer", ack(ackMagic, 2), "version mismatch"},
 		{"silence", []byte{}, "ack timeout"},
 	} {
 		dialer, peer := net.Pipe()

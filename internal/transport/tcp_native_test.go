@@ -52,8 +52,7 @@ func copyMessage(msg proto.Message) proto.Message {
 	}
 	switch m := msg.(type) {
 	case proto.StateTransfer:
-		m.Resident = cpList(m.Resident)
-		m.Segments = cpList(m.Segments)
+		m.Images = cpList(m.Images)
 		return m
 	case proto.StateDelta:
 		entries := make([]proto.DeltaEntry, len(m.Entries))
@@ -127,14 +126,14 @@ func TestTCPBulkKindsRoundTrip(t *testing.T) {
 	sink.waitData(t, 1)
 
 	xfer := proto.StateTransfer{
-		Epoch:    7,
-		Resident: [][]byte{[]byte("groupA"), []byte("groupB")},
-		Segments: [][]byte{[]byte("spill-seg")},
-		Trace:    obs.TraceContext{TraceID: 11, SpanID: 13, Node: "coord"},
+		Epoch:  7,
+		Images: [][]byte{[]byte("groupA"), []byte("groupB")},
+		Trace:  obs.TraceContext{TraceID: 11, SpanID: 13, Node: "coord"},
 	}
 	delta := proto.StateDelta{
-		From: "a",
-		Seq:  5,
+		From:        "a",
+		Incarnation: 9,
+		Seq:         5,
 		Entries: []proto.DeltaEntry{
 			{Group: 1, Kind: proto.DeltaSeed, Payload: []byte("seed-img")},
 			{Group: 2, Kind: proto.DeltaAppend, Payload: []byte("append")},
@@ -166,12 +165,11 @@ func TestTCPBulkKindsRoundTrip(t *testing.T) {
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
 	gx, ok := sink.others[0].(proto.StateTransfer)
-	if !ok || gx.Epoch != 7 || len(gx.Resident) != 2 || string(gx.Resident[1]) != "groupB" ||
-		len(gx.Segments) != 1 || gx.Trace != xfer.Trace {
+	if !ok || gx.Epoch != 7 || len(gx.Images) != 2 || string(gx.Images[1]) != "groupB" || gx.Trace != xfer.Trace {
 		t.Fatalf("StateTransfer mangled: %+v", sink.others[0])
 	}
 	gd, ok := sink.others[1].(proto.StateDelta)
-	if !ok || gd.From != "a" || gd.Seq != 5 || len(gd.Entries) != 2 ||
+	if !ok || gd.From != "a" || gd.Incarnation != 9 || gd.Seq != 5 || len(gd.Entries) != 2 ||
 		gd.Entries[0].Kind != proto.DeltaSeed || string(gd.Entries[0].Payload) != "seed-img" ||
 		gd.Entries[1].Kind != proto.DeltaAppend || string(gd.Entries[1].Payload) != "append" || gd.Trace != delta.Trace {
 		t.Fatalf("StateDelta mangled: %+v", sink.others[1])

@@ -326,16 +326,15 @@ func TestTCPStateTransferMessage(t *testing.T) {
 	}
 	a, _ := n.Attach("a", func(partition.NodeID, proto.Message) {})
 	msg := proto.StateTransfer{
-		Epoch:    3,
-		Resident: [][]byte{{1, 2, 3}},
-		Segments: [][]byte{{4, 5}, {6}},
+		Epoch:  3,
+		Images: [][]byte{{1, 2, 3}, {4, 5}, {6}},
 	}
 	if err := a.Send("b", msg); err != nil {
 		t.Fatal(err)
 	}
 	rec.wait(t, 1)
 	got := rec.msgs[0].(proto.StateTransfer)
-	if got.Epoch != 3 || len(got.Resident) != 1 || len(got.Segments) != 2 {
+	if got.Epoch != 3 || len(got.Images) != 3 {
 		t.Fatalf("got %+v", got)
 	}
 }
