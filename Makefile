@@ -3,7 +3,7 @@
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
 # fixed-iteration hot-path micro-benchmarks, serial-vs-parallel cleanup
 # and run-time join comparisons, and one compressed figure run, written
-# to BENCH_13.json and gated against BENCH_BASELINE.json. CI runs it as a
+# to BENCH_15.json and gated against BENCH_BASELINE.json. CI runs it as a
 # non-blocking artifact step; it is not part of the tier-1 gate. The
 # end-to-end benchmark over real TCP is `go run ./benchmark`; `make
 # e2e-smoke` is its two-second-per-workload exactness check.
@@ -11,7 +11,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench
+.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench bench-pairs
 
 check: vet build no-gob lint lint-waivers test-race chaos-smoke fuzz-smoke
 
@@ -61,10 +61,19 @@ chaos-smoke:
 e2e-smoke:
 	$(GO) run ./benchmark -seconds 2
 
-# bench runs the benchmark regression gate and writes BENCH_13.json.
+# bench runs the benchmark regression gate and writes BENCH_15.json.
 # Shrink the figure smoke further with REPRO_DURATION_FACTOR.
 bench:
 	$(GO) run ./cmd/benchgate
+
+# bench-pairs compares the working tree against BASE on one end-to-end
+# workload: N alternating pairs of 20-second runs (seeds 1..N), then each
+# side's median and quartiles per end-to-end metric, the pairs the change
+# won and whether the medians differ by more than BASE's inter-quartile
+# distance.  make bench-pairs BASE=680b2c7 WORKLOAD=flood_count N=10
+N ?= 10
+bench-pairs:
+	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # fuzz-smoke gives the protocol fuzzers a short budget on top of
 # replaying the committed corpora (testdata/fuzz). Grown inputs land in

@@ -2,7 +2,7 @@
 // hot-path micro-benchmarks (internal/bench) at fixed iteration counts,
 // one serial-vs-parallel cleanup comparison, one serial-vs-sharded
 // run-time join comparison, and one compressed figure run, writes the
-// machine-readable BENCH_13.json report, and exits non-zero if any gated
+// machine-readable BENCH_15.json report, and exits non-zero if any gated
 // metric regressed more than the threshold against the committed
 // BENCH_BASELINE.json. (The TCP data path is measured end to end by
 // `go run ./benchmark`, workload flood_count.)
@@ -33,38 +33,23 @@ import (
 	"repro/internal/vclock"
 )
 
-// Pre-PR figures of the join and batch benchmarks, measured on the
-// 2-core reference box at the commit before the pointer-free resident
-// layout landed (map-of-lists tables over an arena of tuple.Tuple), so
-// the before/after comparison travels with the report. The old
-// operator kept the harness's one shared payload slice by reference, so
-// its B/op and live bytes exclude the 40 payload bytes per tuple that
-// the new operator copies (and that a real engine held in decode slabs):
-// add 40 to compare like with like.
+// Pre-PR figures of the codec benchmarks, measured on the 2-core
+// reference box at the commit before the engine stopped decoding its
+// batches (680b2c7), so the before/after comparison travels with the
+// report. batch_stream did not exist there: its entry is what reading the
+// same 256-tuple batch cost then: one DecodeBatch of it.
 var prePR = map[string]bench.Metric{
-	"join_process_count_only": {
-		Name: "join_process_count_only", N: 300_000,
-		NsPerOp: 249.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.8,
-	},
-	"join_resident_bytes_per_tuple": {
-		Name: "join_resident_bytes_per_tuple", N: 300_000,
-		NsPerOp: 224.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
-	},
-	"join_process_parallel": {
-		Name: "join_process_parallel", N: 300_000,
-		NsPerOp: 225.2, AllocsPerOp: 0.0200, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
-	},
-	"join_process_observed": {
-		Name: "join_process_observed", N: 300_000,
-		NsPerOp: 218.6, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
-	},
-	"join_process_materializing": {
-		Name: "join_process_materializing", N: 300_000,
-		NsPerOp: 19302.0, AllocsPerOp: 0.0199, BytesPerOp: 166.7, LiveBytesPerOp: 96.7,
+	"tuple_decode": {
+		Name: "tuple_decode", N: 1_000_000,
+		NsPerOp: 69.2, AllocsPerOp: 1.0000, BytesPerOp: 48.0,
 	},
 	"batch_round_trip": {
 		Name: "batch_round_trip", N: 2_000,
-		NsPerOp: 24403.6, AllocsPerOp: 3.0255, BytesPerOp: 45056.6,
+		NsPerOp: 44867.6, AllocsPerOp: 3.0290, BytesPerOp: 45056.7,
+	},
+	"batch_stream": {
+		Name: "batch_stream", N: 20_000,
+		NsPerOp: 19802.9, AllocsPerOp: 2.0001, BytesPerOp: 26624.0,
 	},
 }
 
@@ -128,7 +113,7 @@ type report struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_13.json", "report output path")
+	out := flag.String("out", "BENCH_15.json", "report output path")
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
 	threshold := flag.Float64("threshold", 15, "regression threshold in percent")
 	skipFigure := flag.Bool("skip-figure", false, "skip the compressed figure run")

@@ -3,7 +3,7 @@ package distq
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -88,10 +88,11 @@ type Cluster struct {
 	coord   *coordinator.Coordinator
 	engines map[NodeID]*engine.Engine
 
-	mu      sync.Mutex
-	seqs    []uint64
-	drained bool
-	closed  bool
+	// seqs numbers each input's tuples; drained and closed gate Ingest.
+	// Atomics, so the router's lock is the only one a tuple takes.
+	seqs    []atomic.Uint64
+	drained atomic.Bool
+	closed  atomic.Bool
 
 	drainCh   chan proto.DrainAck
 	quiesceCh chan struct{}
@@ -115,7 +116,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c := &Cluster{
 		opts:      opts,
 		clock:     vclock.NewScaled(opts.TimeScale),
-		seqs:      make([]uint64, opts.Inputs),
+		seqs:      make([]atomic.Uint64, opts.Inputs),
 		engines:   make(map[NodeID]*engine.Engine, len(opts.Engines)),
 		drainCh:   make(chan proto.DrainAck, 64),
 		quiesceCh: make(chan struct{}, 1),
@@ -252,18 +253,13 @@ func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	if stream < 0 || stream >= c.opts.Inputs {
 		return fmt.Errorf("distq: stream %d out of range (inputs=%d)", stream, c.opts.Inputs)
 	}
-	c.mu.Lock()
-	if c.drained || c.closed {
-		c.mu.Unlock()
+	if c.drained.Load() || c.closed.Load() {
 		return fmt.Errorf("distq: cluster is drained or closed")
 	}
-	seq := c.seqs[stream]
-	c.seqs[stream]++
-	c.mu.Unlock()
 	return c.router.Route(tuple.Tuple{
 		Stream:  uint8(stream),
 		Key:     key,
-		Seq:     seq,
+		Seq:     c.seqs[stream].Add(1) - 1,
 		Ts:      c.clock.Now(),
 		Payload: payload,
 	})
@@ -279,13 +275,9 @@ func (c *Cluster) Now() vclock.Time { return c.clock.Now() }
 // any in-flight relocation), then fences the FIFO data paths so every
 // ingested tuple is fully processed. After Drain, Ingest fails.
 func (c *Cluster) Drain() error {
-	c.mu.Lock()
-	if c.drained {
-		c.mu.Unlock()
+	if !c.drained.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.drained = true
-	c.mu.Unlock()
 
 	if err := c.ep.Send(cluster.CoordinatorNode, proto.Quiesce{}); err != nil {
 		return err
@@ -339,10 +331,7 @@ func (c *Cluster) Drain() error {
 // produced (delivered to OnResult with PhaseCleanup when set). Call it
 // after Drain.
 func (c *Cluster) Cleanup() (CleanupSummary, error) {
-	c.mu.Lock()
-	drained := c.drained
-	c.mu.Unlock()
-	if !drained {
+	if !c.drained.Load() {
 		return CleanupSummary{}, fmt.Errorf("distq: Cleanup before Drain")
 	}
 	return c.app.RunCleanup(c.opts.Engines)
@@ -383,13 +372,9 @@ func (c *Cluster) Snapshot() Stats {
 
 // Close stops timers and detaches from the network.
 func (c *Cluster) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	var stopped []<-chan struct{}
 	if c.coord != nil {
 		c.coord.Stop()

@@ -322,3 +322,62 @@ func TestIngestCopiesPayload(t *testing.T) {
 		t.Fatalf("%d tuples resident, ingested %d", seen, n)
 	}
 }
+
+// Ingest is documented as callable from any goroutine, and its sequence
+// numbers and drained/closed gate are atomics beside the router's lock:
+// concurrent callers must still give every tuple of a stream its own
+// sequence number, 0..n-1 with none skipped, and lose none.
+func TestIngestFromManyGoroutines(t *testing.T) {
+	const inputs, workers, each = 2, 4, 2000
+	c, err := NewCluster(Options{Engines: []NodeID{"m1", "m2"}, Inputs: inputs, Partitions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := c.Ingest(i%inputs, uint64(w*each+i), nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ingest(0, 1, nil); err == nil {
+		t.Fatal("Ingest after Drain succeeded")
+	}
+	seen := make([]map[uint64]bool, inputs)
+	for i := range seen {
+		seen[i] = make(map[uint64]bool)
+	}
+	for _, e := range c.engines {
+		for _, id := range e.Op().ResidentIDs() {
+			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
+				for _, tp := range l {
+					if seen[stream][tp.Seq] {
+						t.Fatalf("stream %d: sequence number %d given twice", stream, tp.Seq)
+					}
+					seen[stream][tp.Seq] = true
+				}
+			}
+		}
+	}
+	for stream, s := range seen {
+		if want := workers * each / inputs; len(s) != want {
+			t.Fatalf("stream %d holds %d tuples, ingested %d", stream, len(s), want)
+		}
+		for seq := uint64(0); seq < uint64(len(s)); seq++ {
+			if !s[seq] {
+				t.Fatalf("stream %d: sequence number %d skipped", stream, seq)
+			}
+		}
+	}
+}

@@ -3,11 +3,14 @@
 // storage must not outlive the call that handed them over unless they
 // pass through Clone() (or an equivalent deep copy) first.
 //
-// Three sources are tracked through the dataflow engine
+// Four sources are tracked through the dataflow engine
 // (repro/internal/analysis/dataflow):
 //
 //   - tuple.Result parameters: per the EmitFunc contract, Result.Seqs
 //     is the producer's scratch buffer, reused for the next match;
+//   - tuple variables filled by BatchReader.Next(&t): a view whose
+//     Payload aliases the encoded run (on the data path, the transport's
+//     recycled frame buffer);
 //   - tuple.DecodeSlab calls whose slab argument is rooted in a field,
 //     global, or parameter (a shared slab that is reused across calls;
 //     a function-local fresh slab is the legal batch-aliasing pattern);
@@ -20,9 +23,9 @@
 // the function (fields, maps, globals, caller-visible pointers), sent
 // on a channel, returned, captured by a goroutine, or passed to an
 // in-module callee whose computed summary retains its argument.
-// tuple.Result.Clone() launders taint — as does any value-typed copy,
-// which the engine recognizes structurally (append of value elements
-// into a fresh slice is clean).
+// Clone() (tuple.Result, tuple.Tuple) and Tuple.CloneInto launder taint
+// — as does any value-typed copy, which the engine recognizes
+// structurally (append of value elements into a fresh slice is clean).
 //
 // Deliberate ownership transfers carry a //distqlint:allow aliasretain
 // waiver with a rationale.
@@ -91,6 +94,21 @@ func checkFunc(pass *analysis.Pass, sums *dataflow.Summarizer, ftype *ast.FuncTy
 			}
 		}
 	}
+	// ... and the variables a batch cursor yields its views into.
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !isCursorNext(pass, call) {
+			return true
+		}
+		if addr, ok := call.Args[0].(*ast.UnaryExpr); ok {
+			if id, ok := addr.X.(*ast.Ident); ok {
+				if v := varOf(pass.Info, id); v != nil {
+					scratch[v] = fmt.Sprintf("tuple view %q yielded by a batch cursor", id.Name)
+				}
+			}
+		}
+		return true
+	})
 
 	cfg := dataflow.TaintConfig{
 		Info: pass.Info,
@@ -130,7 +148,7 @@ func checkFunc(pass *analysis.Pass, sums *dataflow.Summarizer, ftype *ast.FuncTy
 		},
 		Sanitizes: func(call *ast.CallExpr) bool {
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			return ok && sel.Sel.Name == "Clone"
+			return ok && (sel.Sel.Name == "Clone" || sel.Sel.Name == "CloneInto")
 		},
 		Summary: func(call *ast.CallExpr) *dataflow.Summary {
 			return sums.ForCall(pass.Info, call)
@@ -163,6 +181,16 @@ func poolReturn(esc dataflow.Escape) bool {
 		return false
 	}
 	return poolNamed(sel.X)
+}
+
+// isCursorNext reports whether call is (*tuple.BatchReader).Next.
+func isCursorNext(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := dataflow.CalleeFunc(pass.Info, call)
+	if fn == nil || fn.Name() != "Next" || fn.Pkg() == nil || fn.Pkg().Path() != TuplePath {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && strings.HasSuffix(recv.Type().String(), ".BatchReader")
 }
 
 // slabDecode reports whether call is tuple.DecodeSlab with a shared

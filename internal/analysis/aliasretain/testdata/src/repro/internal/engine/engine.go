@@ -1,7 +1,7 @@
 // Package engine exercises every aliasretain shape: the pre-PR-4
 // shipped bug (a retained scratch Seqs buffer), the legal Clone and
-// value-copy patterns, shared-slab decoding, pooled frames, and
-// retention hidden behind an in-module helper.
+// value-copy patterns, shared-slab decoding, batch-cursor views, pooled
+// frames, and retention hidden behind an in-module helper.
 package engine
 
 import (
@@ -19,6 +19,9 @@ type Engine struct {
 	payload  []byte
 	slab     []byte
 	results  chan tuple.Result
+	parked   []tuple.Tuple
+	work     chan tuple.Tuple
+	runs     chan []byte
 }
 
 // retainScratch is the PR-4 shipped-bug shape: the emitted Result is
@@ -121,6 +124,65 @@ func decodeFresh(buf []byte) ([]tuple.Tuple, error) {
 		buf = buf[used:]
 	}
 	return out, nil
+}
+
+// keepView parks what a batch cursor yields: the view's payload is the
+// frame buffer, which the transport recycles after the handler.
+func (e *Engine) keepView(r tuple.BatchReader) {
+	var t tuple.Tuple
+	for r.Next(&t) {
+		e.parked = append(e.parked, t) // want `tuple view "t" yielded by a batch cursor is stored without Clone\(\)`
+	}
+}
+
+// sendView leaks a view to another goroutine.
+func (e *Engine) sendView(r tuple.BatchReader) {
+	var t tuple.Tuple
+	for r.Next(&t) {
+		e.work <- t // want `tuple view "t" yielded by a batch cursor is sent on a channel without Clone\(\)`
+	}
+}
+
+// keepViewPayload retains just the aliasing slice.
+func (e *Engine) keepViewPayload(r tuple.BatchReader) {
+	var t tuple.Tuple
+	if r.Next(&t) {
+		e.payload = t.Payload // want `tuple view "t" yielded by a batch cursor is stored without Clone\(\)`
+	}
+}
+
+// onData is the data path's shape: each view is re-encoded for the
+// replication buffer, handed to the join by value (which copies the
+// payload into its pages), or re-encoded into a run for a shard worker.
+func (e *Engine) onData(r tuple.BatchReader) {
+	run := make([]byte, 0, 64)
+	var t tuple.Tuple
+	for r.Next(&t) {
+		e.payload = t.AppendTo(e.payload)
+		e.process(t)
+		run = t.AppendTo(run)
+	}
+	e.runs <- run
+}
+
+// process copies the payload bytes it keeps, like the join's pages.
+func (e *Engine) process(t tuple.Tuple) {
+	copy(e.slab, t.Payload)
+	e.last.Key = t.Key
+}
+
+// parkClones is the legal way to keep what a cursor yields.
+func (e *Engine) parkClones(r tuple.BatchReader) []tuple.Tuple {
+	var slab []byte
+	var out []tuple.Tuple
+	var t tuple.Tuple
+	for r.Next(&t) {
+		e.parked = append(e.parked, t.Clone())
+		var own tuple.Tuple
+		own, slab = t.CloneInto(slab)
+		out = append(out, own)
+	}
+	return out
 }
 
 // framePool mirrors the TCP transport's frame-buffer recycler.

@@ -37,3 +37,34 @@ func DecodeSlab(buf, slab []byte) (Tuple, int, []byte, error) {
 	slab = append(slab, buf...)
 	return Tuple{Payload: slab[n:]}, len(buf), slab, nil
 }
+
+// Clone returns a copy of t that owns its payload.
+func (t Tuple) Clone() Tuple {
+	c, _ := t.CloneInto(nil)
+	return c
+}
+
+// CloneInto returns a copy of t whose payload lives in slab.
+func (t Tuple) CloneInto(slab []byte) (Tuple, []byte) {
+	n := len(slab)
+	slab = append(slab, t.Payload...)
+	return Tuple{Key: t.Key, Seq: t.Seq, Payload: slab[n:]}, slab
+}
+
+// AppendTo appends the binary encoding of t to dst (a value copy).
+func (t *Tuple) AppendTo(dst []byte) []byte {
+	return append(append(dst, byte(t.Key)), t.Payload...)
+}
+
+// BatchReader is a cursor over an encoded run; Next yields views whose
+// Payload aliases the run.
+type BatchReader struct{ buf []byte }
+
+// Next sets t to a view of the next tuple.
+func (r *BatchReader) Next(t *Tuple) bool {
+	if len(r.buf) == 0 {
+		return false
+	}
+	t.Payload, r.buf = r.buf[:1], r.buf[1:]
+	return true
+}

@@ -78,6 +78,15 @@ type Case struct {
 	GateLive bool
 }
 
+// batch256 is one full split-router batch of bench tuples.
+func batch256() *tuple.Batch {
+	var batch tuple.Batch
+	for i := 0; i < 256; i++ {
+		batch.Tuples = append(batch.Tuples, Tuple(i))
+	}
+	return &batch
+}
+
 // processCountOnly is the count-only join over the shared bench tuples.
 func processCountOnly() func(int) {
 	op := join.New(3, partition.NewFunc(120), nil)
@@ -170,14 +179,32 @@ func Cases() []Case {
 			Name:     "batch_round_trip",
 			DefaultN: 2_000,
 			Make: func() func(int) {
-				var batch tuple.Batch
-				for i := 0; i < 256; i++ {
-					batch.Tuples = append(batch.Tuples, Tuple(i))
-				}
+				batch := batch256()
 				return func(int) {
 					buf := batch.Encode()
 					if _, err := tuple.DecodeBatch(buf); err != nil {
 						panic(err)
+					}
+				}
+			},
+		},
+		{
+			// What the engine's data path does to a received batch: one
+			// structural scan, then a view per tuple. Gated at zero
+			// allocations.
+			Name:     "batch_stream",
+			DefaultN: 20_000,
+			Make: func() func(int) {
+				buf := batch256().Encode()
+				var sink uint64
+				return func(int) {
+					r, err := tuple.ReadBatch(buf)
+					if err != nil {
+						panic(err)
+					}
+					var t tuple.Tuple
+					for r.Next(&t) {
+						sink += t.Key + uint64(len(t.Payload))
 					}
 				}
 			},

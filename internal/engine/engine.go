@@ -343,6 +343,21 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		e.pool = newShardPool(e)
 	}
 	e.mgr = spill.NewManager(e.op, c.Store, c.Policy)
+	// A reopened store holds segments of an earlier life. Their groups
+	// resume in the empty generation after the last stored one, watermark
+	// included (Seal on the segment's header; no segment is read in full);
+	// numbered from 0 again, the next spill would replace a surviving
+	// segment. A group this engine lost to a failover meanwhile is dropped,
+	// tiers and all, by the Demote that follows its rejoin.
+	for _, g := range c.Store.Groups() {
+		last, err := c.Store.Last(g)
+		if err == nil {
+			err = e.op.Merge(last.Seal(last.Gen))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("engine %s: resume stored group %d: %w", c.Node, g, err)
+		}
+	}
 	// A reopened standby store may hold segments from a previous life;
 	// the coordinator re-seeds followers from scratch after a restart,
 	// and stale segments would duplicate the re-seeded ones.
@@ -591,43 +606,42 @@ func (e *Engine) quiesceShards() error {
 	return e.pool.quiesce()
 }
 
+// onData joins a batch straight off the wire: each tuple is a view into
+// m.Payload (the transport's frame buffer, recycled when the handler
+// returns), valid only for its turn of the loop. Everything that keeps a
+// tuple copies it — the operator into its pages, the replication buffer
+// and the shard pool by re-encoding — so nothing here allocates per
+// tuple, and nothing per batch on the serial path. A malformed batch is
+// rejected whole, before its first tuple is processed.
 func (e *Engine) onData(m proto.Data) error {
-	// Ownership: the operator stores its own copy of every payload, so
-	// the decoded batch (and the slab its payloads share) need only live
-	// until Process returns. The replication buffer below is the one
-	// consumer that keeps decoded tuples beyond this handler.
-	batch, err := tuple.DecodeBatch(m.Payload)
+	r, err := tuple.ReadBatch(m.Payload)
 	if err != nil {
 		return fmt.Errorf("decode batch: %w", err)
 	}
-	tuples := batch.Tuples
-	if e.cfg.PreFilter != nil {
-		// The pre-filter chain is applied on the handler (stateless
-		// operators carry no concurrency contract), compacting the
-		// batch in place before it is dispatched or processed.
-		kept := tuples[:0]
-		for i := range tuples {
-			if t, ok := e.cfg.PreFilter.Apply(tuples[i]); ok {
-				kept = append(kept, t)
+	replicate := len(e.repl.followerOf) > 0
+	var t tuple.Tuple
+	for r.Next(&t) {
+		if e.cfg.PreFilter != nil {
+			// The pre-filter chain runs on the handler (stateless
+			// operators carry no concurrency contract).
+			var ok bool
+			if t, ok = e.cfg.PreFilter.Apply(t); !ok {
+				continue
 			}
 		}
-		tuples = kept
-	}
-	if len(e.repl.followerOf) > 0 {
-		// Replication taps the post-PreFilter stream: exactly what enters
-		// the join's state is what a follower must be able to reproduce.
-		for i := range tuples {
-			e.repl.bufferAppend(e.pf.Of(tuples[i].Key), tuples[i])
+		if replicate {
+			// Replication taps the post-PreFilter stream: exactly what enters
+			// the join's state is what a follower must be able to reproduce.
+			e.repl.bufferAppend(e.pf.Of(t.Key), &t)
+		}
+		if e.pool != nil {
+			e.pool.add(&t, len(m.Payload))
+		} else if _, err := e.op.Process(t); err != nil {
+			return err
 		}
 	}
 	if e.pool != nil {
-		e.pool.dispatch(tuples)
-	} else {
-		for i := range tuples {
-			if _, err := e.op.Process(tuples[i]); err != nil {
-				return err
-			}
-		}
+		e.pool.dispatch()
 	}
 	e.maybeFlushResults(false)
 	return nil

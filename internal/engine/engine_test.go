@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -410,5 +412,102 @@ func TestEngineStatsSnapshotConcurrentRead(t *testing.T) {
 	expect[proto.StatsReport](t, r.gc)
 	if s := r.engine.StatsSnapshot(); s.Output != 1 || s.MemBytes == 0 {
 		t.Fatalf("snapshot = %+v", s)
+	}
+}
+
+// An engine restarted over the file store of its previous life (no
+// replication: the memory tier is gone, the segments are not) must carry
+// on each stored group's generation numbering; numbering from 0 again, its
+// next spill replaced the surviving segment.
+func TestEngineRestartResumesStoredGenerations(t *testing.T) {
+	dir := t.TempDir()
+	life := func() *rig {
+		store, err := spill.NewFileStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newRig(t, func(c *Config) { c.Store = store })
+	}
+	spillAll := func(r *rig) {
+		r.gc.ep.Send("m1", proto.ForceSpill{Amount: 1 << 20})
+		expect[proto.SpillDone](t, r.gc)
+	}
+
+	first := life()
+	first.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1), mk(1, 1, 2)))
+	spillAll(first) // everything it held is on disk when it goes down
+	first.drain(t)
+	runtime := first.engine.Op().Output()
+	first.engine.Stop()
+	<-first.engine.Done()
+
+	second := life()
+	second.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 3), mk(1, 1, 4)))
+	spillAll(second)
+	second.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 5)))
+	second.app.ep.Send("m1", proto.StartCleanup{})
+	done := expect[proto.CleanupDone](t, second.app)
+	runtime += second.engine.Op().Output()
+
+	if done.Segments != 2 {
+		t.Fatalf("cleanup saw %d segments, want both lives' (2)", done.Segments)
+	}
+	// Oracle: 3 tuples of input 0 × 2 of input 1 on the one key.
+	if runtime != 2 || runtime+done.Results != 6 {
+		t.Fatalf("runtime %d + cleanup %d results, want 2 + 4", runtime, done.Results)
+	}
+}
+
+// Resuming costs a header per group, not a read of its segments: a stored
+// segment whose body is damaged does not stop the engine from starting
+// (cleanup, which needs the body, is where the checksum speaks up). And a
+// group the engine resumed but lost to a failover while it was down goes
+// with the Demote that follows its rejoin, both tiers.
+func TestEngineRestartReadsHeadersOnlyAndDemoteDropsResumedGroups(t *testing.T) {
+	for _, damaged := range []bool{false, true} {
+		dir := t.TempDir()
+		life := func() *rig {
+			store, err := spill.NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := newRig(t, func(c *Config) { c.Store = store })
+			r.store = store
+			return r
+		}
+		first := life()
+		first.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1), mk(1, 1, 2)))
+		first.gc.ep.Send("m1", proto.ForceSpill{Amount: 1 << 20})
+		expect[proto.SpillDone](t, first.gc)
+		first.engine.Stop()
+		<-first.engine.Done()
+
+		if damaged {
+			segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+			if len(segs) != 1 {
+				t.Fatalf("stored segments %v, want one", segs)
+			}
+			buf, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[len(buf)-5] ^= 0xFF // the last tuple's payload, before the checksum
+			if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		second := life() // New would fail on a full read of the damaged segment
+		if got := second.engine.Op().Groups(); got != 1 {
+			t.Fatalf("damaged=%v: %d groups resumed, want the stored one", damaged, got)
+		}
+		if damaged {
+			continue // Demote reads what it removes
+		}
+		second.gc.ep.Send("m1", proto.Demote{Epoch: 1, Groups: second.store.Groups()})
+		expect[proto.DemoteAck](t, second.gc)
+		if g, n := second.engine.Op().Groups(), second.store.SegmentCount(); g != 0 || n != 0 {
+			t.Fatalf("after the demote: %d groups resident, %d segments stored; want none", g, n)
+		}
 	}
 }

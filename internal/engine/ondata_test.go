@@ -1,0 +1,188 @@
+package engine
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/partition"
+	"repro/internal/proto"
+	"repro/internal/transport"
+	"repro/internal/tuple"
+	"repro/internal/vclock"
+)
+
+// The serial data path joins a batch straight off the wire: nothing is
+// allocated per batch (AllocsPerRun divides by the runs and rounds down,
+// so the operator's amortized growth — a record chunk every few batches
+// — rounds to 0 and a single per-batch allocation to 1).
+func TestOnDataAllocsPerBatch(t *testing.T) {
+	e := mustNew(t, Config{Node: "m1", Inputs: 2, Partitions: 4}, vclock.NewManual())
+	var b tuple.Batch
+	for i := 0; i < 64; i++ {
+		b.Tuples = append(b.Tuples, mk(uint8(i%2), uint64(i/2%16), uint64(i)))
+	}
+	m := proto.Data{Payload: b.Encode()}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := e.onData(m); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("onData allocates %v times per batch, want 0", got)
+	}
+	if e.op.Output() == 0 {
+		t.Fatal("the batches joined nothing")
+	}
+}
+
+// A malformed batch is rejected whole: none of the well-formed tuples in
+// front of the damage reaches the join or the replication buffer.
+func TestOnDataRejectsMalformedBatchWhole(t *testing.T) {
+	good := dataMsg(t, mk(0, 1, 1), mk(1, 1, 2), mk(0, 1, 3)).Payload
+	count := func(n uint32) []byte {
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(b, n)
+		return b
+	}
+	for _, parallelism := range []int{1, 4} {
+		for name, payload := range map[string][]byte{
+			"short header":          good[:3],
+			"count beyond capacity": count(1 << 30),
+			"count too small":       count(2),
+			"truncated payload":     good[:len(good)-1],
+			"trailing bytes":        append(bytes.Clone(good), 0),
+		} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, parallelism), func(t *testing.T) {
+				r := newRig(t, func(c *Config) { c.JoinParallelism = parallelism })
+				r.gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: []proto.ReplicaEntry{{Group: 1, Primary: "m1", Follower: "m2"}}})
+				r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // the (empty) group needs no seed any more
+				expect[proto.StatsReport](t, r.gc)
+				r.gen.ep.Send("m1", proto.Data{Payload: payload})
+				r.drain(t)
+				if out, mem := r.engine.Op().Output(), r.engine.Op().MemBytes(); out != 0 || mem != 0 {
+					t.Fatalf("join holds %d bytes and produced %d results from a rejected batch", mem, out)
+				}
+				if buffered := r.engine.repl.streams["m2"].cur; len(buffered) != 0 {
+					t.Fatalf("replication buffer holds %d groups from a rejected batch", len(buffered))
+				}
+				logged := false
+				for _, ent := range r.engine.log.Recent(0) {
+					logged = logged || ent.Event == "handler_error"
+				}
+				if !logged {
+					t.Fatal("the rejection was not logged")
+				}
+			})
+		}
+	}
+}
+
+// poisonNet overwrites every Data payload the moment its handler
+// returns — the worst the TCP transport's recycled frame buffer may do
+// to a frame the engine is done with.
+type poisonNet struct{ transport.Network }
+
+func (n poisonNet) Attach(node partition.NodeID, h transport.Handler) (transport.Endpoint, error) {
+	return n.Network.Attach(node, func(from partition.NodeID, msg proto.Message) {
+		h(from, msg)
+		if d, ok := msg.(proto.Data); ok {
+			for i := range d.Payload {
+				d.Payload[i] = 0xAA
+			}
+		}
+	})
+}
+
+// Over real TCP a Data payload aliases the connection's pooled frame
+// buffer. Whatever the engine keeps of a batch — join state, the
+// replication buffer, the shard workers' runs — must be its own copy by
+// the time the handler returns.
+func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", parallelism), func(t *testing.T) {
+			tcp := transport.NewTCP(map[partition.NodeID]string{
+				"m1": "127.0.0.1:0", "m2": "127.0.0.1:0", "gc": "127.0.0.1:0", "app": "127.0.0.1:0", "gen": "127.0.0.1:0",
+			})
+			t.Cleanup(func() { tcp.Close() })
+			e := mustNew(t, Config{
+				Node: "m1", Coordinator: "gc", AppServer: "app", Inputs: 2, Partitions: 4,
+				JoinParallelism: parallelism, StatsInterval: time.Hour, SpillCheckInterval: time.Hour,
+			}, vclock.NewManual())
+			if err := e.Attach(poisonNet{tcp}); err != nil {
+				t.Fatal(err)
+			}
+			gc, gen, m2 := newPeer(t, tcp, "gc"), newPeer(t, tcp, "gen"), newPeer(t, tcp, "m2")
+			newPeer(t, tcp, "app")
+			if err := e.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var entries []proto.ReplicaEntry
+			for g := partition.ID(0); g < 4; g++ {
+				entries = append(entries, proto.ReplicaEntry{Group: g, Primary: "m1", Follower: "m2"})
+			}
+			gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: entries})
+			gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // empty groups: seeded by nothing
+			expect[proto.StatsReport](t, gc)
+
+			var want []tuple.Tuple
+			for batch := 0; batch < 8; batch++ {
+				var b tuple.Batch
+				for i := 0; i < 64; i++ {
+					seq := uint64(batch*64 + i)
+					tp := tuple.Tuple{Stream: uint8(i % 2), Key: seq % 23, Seq: seq, Ts: vclock.Time(seq),
+						Payload: bytes.Repeat([]byte{byte(seq)}, 1+i%40)}
+					b.Tuples = append(b.Tuples, tp)
+					want = append(want, tp)
+				}
+				if err := gen.ep.Send("m1", proto.Data{Payload: b.Encode()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gen.ep.Send("m1", proto.Drain{Token: 1})
+			expect[proto.DrainAck](t, gen)
+
+			bySeq := make(map[uint64]tuple.Tuple, len(want))
+			for _, tp := range want {
+				bySeq[tp.Seq] = tp
+			}
+			check := func(where string, got tuple.Tuple) {
+				t.Helper()
+				w, ok := bySeq[got.Seq]
+				if !ok || w.Stream != got.Stream || w.Key != got.Key || w.Ts != got.Ts || !bytes.Equal(w.Payload, got.Payload) {
+					t.Fatalf("%s holds %v with payload %x, sent %v with payload %x", where, got, got.Payload, w, w.Payload)
+				}
+			}
+			stored := 0
+			for _, g := range e.Op().ResidentIDs() {
+				for _, l := range e.Op().ResidentSnapshot(g).Tuples {
+					for _, tp := range l {
+						check("join state", tp)
+						stored++
+					}
+				}
+			}
+			// The drain's stats report cut the buffered appends into a delta.
+			replicated := 0
+			for _, ent := range expect[proto.StateDelta](t, m2).Entries {
+				if ent.Kind != proto.DeltaAppend {
+					t.Fatalf("delta entry of kind %d, want appends only", ent.Kind)
+				}
+				r, err := tuple.ReadRun(ent.Payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var tp tuple.Tuple
+				for r.Next(&tp) {
+					check("replication delta", tp)
+					replicated++
+				}
+			}
+			if stored != len(want) || replicated != len(want) {
+				t.Fatalf("join state holds %d and the delta %d of %d tuples", stored, replicated, len(want))
+			}
+			e.Stop()
+		})
+	}
+}

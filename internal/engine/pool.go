@@ -14,13 +14,15 @@ import (
 // backpressures instead of queueing unbounded state.
 const shardWorkBuffer = 4
 
-// shardItem is one unit of work for a shard worker: either a run of
-// same-shard tuples (batch order preserved, so a partition group's
-// tuples stay FIFO) or a barrier, acknowledged by closing ack once every
-// item enqueued before it has been fully processed.
+// shardItem is one unit of work for a shard worker: either a run of n
+// same-shard tuples, encoded back to back (batch order preserved, so a
+// partition group's tuples stay FIFO), or a barrier, acknowledged by
+// closing ack once every item enqueued before it has been fully
+// processed.
 type shardItem struct {
-	tuples []tuple.Tuple
-	ack    chan struct{}
+	run []byte
+	n   int
+	ack chan struct{}
 }
 
 // shardWorker drives one join shard from a dedicated goroutine.
@@ -46,10 +48,9 @@ type shardPool struct {
 	stop    chan struct{}
 	stopped sync.Once
 	wg      sync.WaitGroup
-	// counts/starts are dispatch scratch, reused across batches; safe
-	// because dispatch only runs on the serial handler goroutine.
-	counts []int
-	starts []int
+	// runs holds the batch being bucketed, one item per shard; touched
+	// only by the serial handler goroutine.
+	runs []shardItem
 }
 
 // newShardPool builds the pool over the engine's operator shards; start
@@ -60,8 +61,7 @@ func newShardPool(e *Engine) *shardPool {
 		e:       e,
 		workers: make([]*shardWorker, n),
 		stop:    make(chan struct{}),
-		counts:  make([]int, n),
-		starts:  make([]int, n),
+		runs:    make([]shardItem, n),
 	}
 	for i := range p.workers {
 		p.workers[i] = &shardWorker{shard: e.op.Shard(i), work: make(chan shardItem, shardWorkBuffer)}
@@ -104,15 +104,17 @@ func (p *shardPool) run(idx int, w *shardWorker) {
 				close(item.ack)
 				continue
 			}
-			for i := range item.tuples {
-				n, err := w.shard.Process(item.tuples[i])
+			r := tuple.TrustedRun(item.run, item.n)
+			tuples += uint64(item.n)
+			tuplesCtr.Add(float64(item.n))
+			var t tuple.Tuple
+			for r.Next(&t) {
+				n, err := w.shard.Process(t)
 				if err != nil && w.err == nil {
 					w.err = err
 				}
 				results += n
 			}
-			tuples += uint64(len(item.tuples))
-			tuplesCtr.Add(float64(len(item.tuples)))
 		}
 	}
 }
@@ -131,42 +133,31 @@ func (p *shardPool) drainAcks(w *shardWorker) {
 	}
 }
 
-// dispatch buckets a decoded batch by owning shard (one flat allocation
-// per batch) and hands each non-empty bucket to its worker, preserving
-// the batch order within every shard. It does not wait for processing:
-// data pipelines across batches until the next control-message barrier.
-func (p *shardPool) dispatch(tuples []tuple.Tuple) {
-	if len(tuples) == 0 {
-		return
+// add appends t, re-encoded, to its shard's run (one memmove of the
+// tuple's bytes; t may be a view). batch is the encoded size of the batch
+// t came from: a shard's first tuple sizes its run at an even share plus a
+// quarter, and append absorbs skew beyond that. Every batch gets fresh
+// runs because the workers read the last ones while the handler fills the
+// next.
+func (p *shardPool) add(t *tuple.Tuple, batch int) {
+	run := &p.runs[p.e.op.ShardIndex(t.Key)]
+	if run.run == nil {
+		share := batch / len(p.runs)
+		run.run = make([]byte, 0, share+share/4+t.EncodedSize())
 	}
-	op := p.e.op
-	for i := range p.counts {
-		p.counts[i] = 0
-	}
-	for i := range tuples {
-		p.counts[op.ShardIndex(tuples[i].Key)]++
-	}
-	// One backing array for all buckets; workers receive disjoint
-	// sub-slices, so the handler must not touch it after dispatch.
-	flat := make([]tuple.Tuple, len(tuples))
-	off := 0
-	for i, c := range p.counts {
-		p.starts[i] = off
-		off += c
-	}
-	fill := p.starts
-	for i := range tuples {
-		w := op.ShardIndex(tuples[i].Key)
-		flat[fill[w]] = tuples[i]
-		fill[w]++
-	}
-	off = 0
-	for i, c := range p.counts {
-		if c == 0 {
-			continue
+	run.run = t.AppendTo(run.run)
+	run.n++
+}
+
+// dispatch hands each non-empty run to its worker. It does not wait for
+// processing: data pipelines across batches until the next
+// control-message barrier.
+func (p *shardPool) dispatch() {
+	for i, run := range p.runs {
+		if run.n > 0 {
+			p.send(p.workers[i], run)
 		}
-		p.send(p.workers[i], shardItem{tuples: flat[off : off+c]})
-		off += c
+		p.runs[i] = shardItem{}
 	}
 }
 

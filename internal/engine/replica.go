@@ -209,7 +209,7 @@ func (r *replicator) setStandby(g partition.ID, mem *join.GroupSnapshot) {
 // bufferAppend records one stored tuple for its group's follower. Runs
 // on the data path for every tuple entering the join, so the not-a-
 // primary and awaiting-seed cases must stay map-lookup cheap.
-func (r *replicator) bufferAppend(g partition.ID, t tuple.Tuple) {
+func (r *replicator) bufferAppend(g partition.ID, t *tuple.Tuple) {
 	f, ok := r.followerOf[g]
 	if !ok {
 		return
@@ -489,20 +489,23 @@ func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 }
 
 // decodeAppends parses a tuple-encoded append payload into per-input
-// tuple lists.
+// tuple lists that own their payloads, all in one slab per entry.
 func decodeAppends(buf []byte, inputs int) ([][]tuple.Tuple, int64, error) {
+	r, err := tuple.ReadRun(buf)
+	if err != nil {
+		return nil, 0, err
+	}
 	tuples := make([][]tuple.Tuple, inputs)
+	slab := make([]byte, 0, tuple.PayloadBytes(len(buf), r.Len()))
 	var bytes int64
-	for len(buf) > 0 {
-		t, used, err := tuple.Decode(buf)
-		if err != nil {
-			return nil, 0, err
-		}
-		buf = buf[used:]
+	var t tuple.Tuple
+	for r.Next(&t) {
 		if int(t.Stream) >= inputs {
 			return nil, 0, fmt.Errorf("append tuple for input %d of %d", t.Stream, inputs)
 		}
-		tuples[t.Stream] = append(tuples[t.Stream], t)
+		var own tuple.Tuple
+		own, slab = t.CloneInto(slab)
+		tuples[t.Stream] = append(tuples[t.Stream], own)
 		bytes += t.MemSize()
 	}
 	return tuples, bytes, nil

@@ -13,6 +13,9 @@ import (
 // snapshotMagic identifies an encoded GroupSnapshot ("SPG1").
 const snapshotMagic = 0x53504731
 
+// SnapshotHeaderSize is the length of an encoded snapshot's fixed header.
+const SnapshotHeaderSize = 4 + 4 + 4 + 8 + 8 + 8 + 1 + 2
+
 // EncodeSnapshot serializes a group snapshot for the spill store and for
 // state-relocation transfers: a fixed header, per-input tuple lists, and a
 // trailing CRC-32 over everything before it.
@@ -47,7 +50,7 @@ func AppendSnapshot(buf []byte, s *GroupSnapshot) []byte {
 
 // EncodedSize reports the exact length of EncodeSnapshot(s).
 func (s *GroupSnapshot) EncodedSize() int {
-	size := 4 + 4 + 4 + 8 + 8 + 8 + 1 + 2 + 4 // header, crc
+	size := SnapshotHeaderSize + 4 // crc
 	for _, l := range s.Tuples {
 		size += 4
 		for i := range l {
@@ -61,27 +64,18 @@ func (s *GroupSnapshot) EncodedSize() int {
 // magic and checksum, so a torn or corrupted spill segment is detected
 // rather than silently yielding wrong cleanup results.
 func DecodeSnapshot(buf []byte) (*GroupSnapshot, error) {
-	if len(buf) < 4+4+4+8+8+8+1+2+4 {
+	if len(buf) < SnapshotHeaderSize+4 {
 		return nil, fmt.Errorf("join: snapshot too short: %d bytes", len(buf))
 	}
 	body, sum := buf[:len(buf)-4], binary.LittleEndian.Uint32(buf[len(buf)-4:])
 	if crc32.ChecksumIEEE(body) != sum {
 		return nil, fmt.Errorf("join: snapshot checksum mismatch")
 	}
-	if binary.LittleEndian.Uint32(body) != snapshotMagic {
-		return nil, fmt.Errorf("join: bad snapshot magic %#x", binary.LittleEndian.Uint32(body))
+	s, err := DecodeSnapshotHeader(body)
+	if err != nil {
+		return nil, err
 	}
-	s := &GroupSnapshot{
-		ID:  partition.ID(binary.LittleEndian.Uint32(body[4:])),
-		Gen: binary.LittleEndian.Uint32(body[8:]),
-	}
-	s.Output = binary.LittleEndian.Uint64(body[12:])
-	s.CumBytes = int64(binary.LittleEndian.Uint64(body[20:]))
-	s.SpilledTs = vclock.Time(binary.LittleEndian.Uint64(body[28:]))
-	s.EverSpilled = body[36] == 1
-	inputs := int(binary.LittleEndian.Uint16(body[37:]))
-	rest := body[39:]
-	s.Tuples = make([][]tuple.Tuple, inputs)
+	inputs, rest := len(s.Tuples), body[SnapshotHeaderSize:]
 	slab := makePayloadSlab(rest, inputs)
 	for i := 0; i < inputs; i++ {
 		if len(rest) < 4 {
@@ -111,6 +105,29 @@ func DecodeSnapshot(buf []byte) (*GroupSnapshot, error) {
 		return nil, fmt.Errorf("join: %d trailing bytes in snapshot", len(rest))
 	}
 	return s, nil
+}
+
+// DecodeSnapshotHeader parses only the fixed header at the front of an
+// encoded snapshot: the group's generation, counters and purge watermark,
+// with Tuples sized to the input count and every list empty. The checksum
+// is not read, so a store can learn where a group's numbering stands (see
+// Seal) from a segment's first SnapshotHeaderSize bytes.
+func DecodeSnapshotHeader(buf []byte) (*GroupSnapshot, error) {
+	if len(buf) < SnapshotHeaderSize {
+		return nil, fmt.Errorf("join: snapshot too short: %d bytes", len(buf))
+	}
+	if binary.LittleEndian.Uint32(buf) != snapshotMagic {
+		return nil, fmt.Errorf("join: bad snapshot magic %#x", binary.LittleEndian.Uint32(buf))
+	}
+	return &GroupSnapshot{
+		ID:          partition.ID(binary.LittleEndian.Uint32(buf[4:])),
+		Gen:         binary.LittleEndian.Uint32(buf[8:]),
+		Output:      binary.LittleEndian.Uint64(buf[12:]),
+		CumBytes:    int64(binary.LittleEndian.Uint64(buf[20:])),
+		SpilledTs:   vclock.Time(binary.LittleEndian.Uint64(buf[28:])),
+		EverSpilled: buf[36] == 1,
+		Tuples:      make([][]tuple.Tuple, binary.LittleEndian.Uint16(buf[37:])),
+	}, nil
 }
 
 // makePayloadSlab pre-scans the encoded tuple-list region of a snapshot

@@ -10,6 +10,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/tuple"
+	"repro/internal/vclock"
 )
 
 func mkSnap(id partition.ID, gen uint32, n int) *join.GroupSnapshot {
@@ -72,6 +73,41 @@ func TestStoreGenerationOrder(t *testing.T) {
 				if seg.Gen != uint32(i) {
 					t.Fatalf("segment %d has gen %d", i, seg.Gen)
 				}
+			}
+		})
+	}
+}
+
+// Last is the header of the highest generation, without tuples: sealing it
+// gives the same next memory tier a full read of the group does.
+func TestStoreLast(t *testing.T) {
+	for name, s := range testStores(t) {
+		t.Run(name, func(t *testing.T) {
+			if h, err := s.Last(7); h != nil || err != nil {
+				t.Fatalf("Last of an unknown group = %+v, %v", h, err)
+			}
+			for _, gen := range []uint32{2, 0, 1} {
+				snap := mkSnap(7, gen, 3)
+				snap.Seal(gen) // stored segments are sealed: watermark set
+				snap.SpilledTs += vclock.Time(gen)
+				if err := s.Write(snap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, err := s.Last(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			im, err := Copy(join.New(2, partition.NewFunc(8), nil), s, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := im.Disk[2]; h.Gen != 2 || h.Output != want.Output || h.SpilledTs != want.SpilledTs ||
+				len(h.Tuples) != 2 || h.Tuples[0] != nil || h.Tuples[1] != nil {
+				t.Fatalf("Last = %+v, want the header of %+v", h, want)
+			}
+			if next := h.Seal(h.Gen); !reflect.DeepEqual(next, im.Mem) {
+				t.Fatalf("sealing the header gives %+v, a full read %+v", next, im.Mem)
 			}
 		})
 	}

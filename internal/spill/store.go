@@ -8,6 +8,7 @@ package spill
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/partition"
+	"repro/internal/tuple"
 )
 
 // Store persists spilled partition-group generations. Segments for the
@@ -36,6 +38,10 @@ type Store interface {
 	// returned segments are the ones already deleted; the rest are still
 	// stored.
 	Remove(id partition.ID) ([]*join.GroupSnapshot, error)
+	// Last returns the header of the group's last segment — generation,
+	// counters and purge watermark, no tuples — or nil if the group has
+	// none. It costs a few bytes of I/O, not a Read.
+	Last(id partition.ID) (*join.GroupSnapshot, error)
 	// Groups returns the sorted IDs of all groups with segments.
 	Groups() []partition.ID
 	// SegmentCount reports the total number of stored segments.
@@ -175,6 +181,17 @@ func (s *MemStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
 	return out, nil
 }
 
+// Last implements Store.
+func (s *MemStore) Last(id partition.ID) (*join.GroupSnapshot, error) {
+	segs := s.of(id)
+	if len(segs) == 0 {
+		return nil, nil
+	}
+	h := *segs[len(segs)-1].snap
+	h.Tuples = make([][]tuple.Tuple, len(h.Tuples))
+	return &h, nil
+}
+
 // Remove implements Store.
 func (s *MemStore) Remove(id partition.ID) ([]*join.GroupSnapshot, error) {
 	out, err := s.Read(id)
@@ -266,6 +283,24 @@ func (s *FileStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
 		out = append(out, snap)
 	}
 	return out, nil
+}
+
+// Last implements Store.
+func (s *FileStore) Last(id partition.ID) (*join.GroupSnapshot, error) {
+	segs := s.of(id)
+	if len(segs) == 0 {
+		return nil, nil
+	}
+	f, err := os.Open(s.segPath(id, segs[len(segs)-1].gen))
+	if err != nil {
+		return nil, fmt.Errorf("spill: read segment header: %w", err)
+	}
+	defer f.Close()
+	buf := make([]byte, join.SnapshotHeaderSize)
+	if _, err := io.ReadFull(f, buf); err != nil {
+		return nil, fmt.Errorf("spill: read segment header: %w", err)
+	}
+	return join.DecodeSnapshotHeader(buf)
 }
 
 // Remove implements Store. The index forgets exactly the files that

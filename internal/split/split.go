@@ -112,8 +112,7 @@ func (r *Router) Route(t tuple.Tuple) error {
 	defer r.mu.Unlock()
 	id := r.pf.Of(t.Key)
 	if r.paused[id] {
-		t.Payload = append([]byte(nil), t.Payload...)
-		r.parkLocked(id, t)
+		r.parkLocked(id, t.Clone())
 		return nil
 	}
 	return r.enqueueLocked(id, &t)
@@ -157,14 +156,15 @@ func (r *Router) sendLocked(ob *outbox) error {
 		// relocation) releases them toward the new owner. The
 		// coordinator discovers the death through its own heartbeat
 		// watchdog; the router only preserves the tuples.
-		b, derr := tuple.DecodeBatch(payload)
+		rd, derr := tuple.ReadBatch(payload)
 		if derr != nil {
 			return fmt.Errorf("split: re-reading an unsent batch: %w", derr)
 		}
-		for _, t := range b.Tuples {
+		var t tuple.Tuple
+		for rd.Next(&t) {
 			id := r.pf.Of(t.Key)
 			r.pauseLocked(id)
-			r.parkLocked(id, t)
+			r.parkLocked(id, t.Clone())
 		}
 		r.sendFails++
 		return nil

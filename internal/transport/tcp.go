@@ -263,9 +263,9 @@ type tcpConn struct {
 	credit *senderCredit
 	// dirty marks coalesced frames awaiting the paced flush.
 	dirty bool
-	// enc is the connection's encode scratch: every frame is built in it
-	// via AppendWire and reused frame to frame under mu (dropped after a
-	// frame beyond encScratchMax).
+	// enc is the encode scratch of frames too large for w's buffer (state
+	// transfers, seeds), reused under mu and dropped after a frame beyond
+	// encScratchMax. Every other frame is encoded in w's buffer itself.
 	enc []byte
 }
 
@@ -618,22 +618,39 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 }
 
 // writeFrame writes one [len u32][kind u8][body] frame, body appending
-// exactly size bytes, and reports its wire size. Coalescable frames
-// wait in the bufio writer until the watermark or the paced flush;
-// everything else flushes immediately, pushing any coalesced frames
-// ahead of it so per-connection FIFO order is preserved.
+// exactly size bytes, and reports its wire size. The frame is encoded
+// straight into the bufio writer's free space (making room by flushing
+// what is buffered, which preserves order); only a frame larger than the
+// whole buffer is built in enc first. Coalescable frames wait in the
+// writer until the watermark or the paced flush; everything else flushes
+// immediately, pushing any coalesced frames ahead of it so
+// per-connection FIFO order is preserved.
 func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int, error) {
 	if size+1 > maxFrameSize {
 		return 0, fmt.Errorf("frame of %d bytes exceeds limit", size+1)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	b := binary.LittleEndian.AppendUint32(c.enc[:0], uint32(size+1))
-	b = body(append(b, kind))
-	c.enc = b
-	if cap(c.enc) > encScratchMax {
-		c.enc = nil
+	frame := 4 + 1 + size
+	direct := frame <= c.w.Size()
+	b := c.enc[:0]
+	if direct {
+		if frame > c.w.Available() {
+			if err := c.w.Flush(); err != nil {
+				return 0, err
+			}
+		}
+		b = c.w.AvailableBuffer()
 	}
+	b = body(append(binary.LittleEndian.AppendUint32(b, uint32(size+1)), kind))
+	if !direct {
+		c.enc = b
+		if cap(c.enc) > encScratchMax {
+			c.enc = nil
+		}
+	}
+	// For a frame built in AvailableBuffer this Write only advances the
+	// writer: source and destination are the same bytes.
 	if _, err := c.w.Write(b); err != nil {
 		return 0, err
 	}

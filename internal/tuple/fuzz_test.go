@@ -34,13 +34,36 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add(b.Encode())
 	f.Add([]byte{})
 	f.Add([]byte{0x02, 0x00, 0x00, 0x00})
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0xff})
+	f.Add(append(b.Encode(), 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batch, err := DecodeBatch(data)
+		r, rerr := ReadBatch(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeBatch says %v, the cursor %v", err, rerr)
+		}
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(batch.Encode(), data) {
 			t.Fatal("batch re-encode mismatch")
+		}
+		// The cursor yields the same tuples, as views into data, and a
+		// bare run of them reads the same.
+		run, err := ReadRun(data[4:])
+		if err != nil || run.Len() != r.Len() || r.Len() != len(batch.Tuples) {
+			t.Fatalf("cursor over %d tuples counts %d, as a run %d (%v)", len(batch.Tuples), r.Len(), run.Len(), err)
+		}
+		re := data[:4:4]
+		var v, w Tuple
+		for r.Next(&v) && run.Next(&w) {
+			if len(v.Payload) > 0 && &v.Payload[0] != &w.Payload[0] {
+				t.Fatal("a view does not alias its buffer")
+			}
+			re = v.AppendTo(re)
+		}
+		if !bytes.Equal(re, data) || run.Len() != 0 {
+			t.Fatal("cursor re-encode mismatch")
 		}
 	})
 }

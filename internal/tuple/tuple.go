@@ -63,30 +63,62 @@ func Decode(buf []byte) (Tuple, int, error) {
 }
 
 // DecodeSlab parses one tuple from the front of buf, copying its payload
-// into slab (which must have been preallocated with enough capacity to
-// avoid regrowth — see PayloadBytes) and returning the extended slab.
-// With a nil slab the payload gets its own allocation, like Decode.
-// Payload subslices are capacity-clipped, so later slab appends can
-// never alias an earlier tuple's payload even if the slab does regrow.
+// into slab (see CloneInto) and returning the extended slab.
 func DecodeSlab(buf, slab []byte) (Tuple, int, []byte, error) {
-	if len(buf) < headerSize {
+	size := EncodedLen(buf)
+	if size < 0 {
 		return Tuple{}, 0, slab, fmt.Errorf("tuple: short buffer: %d bytes", len(buf))
 	}
+	if len(buf) < size {
+		return Tuple{}, 0, slab, fmt.Errorf("tuple: truncated payload: need %d bytes, have %d", size, len(buf))
+	}
 	var t Tuple
+	t.view(buf)
+	slab = t.own(slab)
+	return t, size, slab, nil
+}
+
+// view sets t to the tuple at the front of buf, which the caller has
+// checked to hold a whole one, and returns its encoded size. Nothing is
+// copied: t.Payload aliases buf.
+func (t *Tuple) view(buf []byte) int {
+	size := headerSize + int(binary.LittleEndian.Uint32(buf[25:]))
 	t.Stream = buf[0]
 	t.Key = binary.LittleEndian.Uint64(buf[1:])
 	t.Seq = binary.LittleEndian.Uint64(buf[9:])
 	t.Ts = vclock.Time(binary.LittleEndian.Uint64(buf[17:]))
-	plen := int(binary.LittleEndian.Uint32(buf[25:]))
-	if len(buf) < headerSize+plen {
-		return Tuple{}, 0, slab, fmt.Errorf("tuple: truncated payload: need %d bytes, have %d", headerSize+plen, len(buf))
+	t.Payload = nil
+	if size > headerSize {
+		t.Payload = buf[headerSize:size:size]
 	}
-	if plen > 0 {
+	return size
+}
+
+// CloneInto returns a copy of t whose payload is appended to slab, and
+// the extended slab — how a view (see BatchReader) becomes a tuple its
+// holder owns. A slab preallocated with enough capacity (PayloadBytes)
+// never regrows; with a nil slab the payload gets its own allocation.
+// Payload subslices are capacity-clipped, so later slab appends can
+// never alias an earlier tuple's payload even if the slab does regrow.
+func (t Tuple) CloneInto(slab []byte) (Tuple, []byte) {
+	slab = t.own(slab)
+	return t, slab
+}
+
+// own moves t's payload into slab, in place.
+func (t *Tuple) own(slab []byte) []byte {
+	if len(t.Payload) > 0 {
 		start := len(slab)
-		slab = append(slab, buf[headerSize:headerSize+plen]...)
+		slab = append(slab, t.Payload...)
 		t.Payload = slab[start:len(slab):len(slab)]
 	}
-	return t, headerSize + plen, slab, nil
+	return slab
+}
+
+// Clone returns a copy of t that owns its payload.
+func (t Tuple) Clone() Tuple {
+	c, _ := t.CloneInto(nil)
+	return c
 }
 
 // EncodedLen reports the total encoded size of the tuple at the front of
@@ -154,38 +186,92 @@ func (b *Batch) Encode() []byte {
 	return b.AppendTo(make([]byte, 0, b.EncodedSize()))
 }
 
-// DecodeBatch parses a batch produced by Encode. All tuple payloads are
-// decoded out of one per-batch slab allocation instead of one
-// allocation each.
+// DecodeBatch parses a batch produced by Encode into tuples that own
+// their payloads, all copied into one per-batch slab allocation.
 func DecodeBatch(buf []byte) (Batch, error) {
-	if len(buf) < 4 {
-		return Batch{}, fmt.Errorf("tuple: short batch buffer: %d bytes", len(buf))
+	r, err := ReadBatch(buf)
+	if err != nil {
+		return Batch{}, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	buf = buf[4:]
-	// Validate the count against the buffer before allocating: a corrupt
-	// header must not drive a multi-gigabyte allocation.
-	if maxPossible := len(buf) / headerSize; n > maxPossible {
-		return Batch{}, fmt.Errorf("tuple: batch count %d exceeds buffer capacity %d", n, maxPossible)
-	}
-	b := Batch{Tuples: make([]Tuple, 0, n)}
+	b := Batch{Tuples: make([]Tuple, r.Len())}
 	var slab []byte
-	if p := PayloadBytes(len(buf), n); p > 0 {
+	if p := PayloadBytes(len(buf)-4, r.Len()); p > 0 {
 		slab = make([]byte, 0, p)
 	}
-	for i := 0; i < n; i++ {
-		t, used, grown, err := DecodeSlab(buf, slab)
-		if err != nil {
-			return Batch{}, fmt.Errorf("tuple: batch element %d: %w", i, err)
-		}
-		slab = grown
-		b.Tuples = append(b.Tuples, t)
-		buf = buf[used:]
-	}
-	if len(buf) != 0 {
-		return Batch{}, fmt.Errorf("tuple: %d trailing bytes after batch", len(buf))
+	for i := range b.Tuples {
+		r.Next(&b.Tuples[i])
+		slab = b.Tuples[i].own(slab)
 	}
 	return b, nil
+}
+
+// BatchReader is a cursor over an encoded run of tuples. Opening one
+// (ReadBatch, ReadRun) checks the whole run's structure, so a malformed
+// run is rejected before its first tuple is seen; Next then yields views:
+// tuples whose Payload aliases the run's buffer and must be copied
+// (Clone, CloneInto, AppendTo) by whoever keeps them longer than the
+// buffer. A BatchReader is a small value; copying one forks the cursor.
+type BatchReader struct {
+	buf []byte // the tuples not yet yielded
+	n   int    // how many they are
+}
+
+// ReadBatch opens a cursor over a batch as Batch.AppendTo writes it: a
+// uint32 count followed by exactly that many tuples.
+func ReadBatch(buf []byte) (BatchReader, error) {
+	if len(buf) < 4 {
+		return BatchReader{}, fmt.Errorf("tuple: short batch buffer: %d bytes", len(buf))
+	}
+	n, maxPossible := binary.LittleEndian.Uint32(buf), (len(buf)-4)/headerSize
+	// Checked first: a corrupt count must not size anything (callers
+	// allocate by Len), nor wrap where int is 32 bits.
+	if uint64(n) > uint64(maxPossible) {
+		return BatchReader{}, fmt.Errorf("tuple: batch count %d exceeds buffer capacity %d", n, maxPossible)
+	}
+	return scan(buf[4:], int(n))
+}
+
+// ReadRun opens a cursor over tuples encoded back to back with no count
+// in front, as repeated Tuple.AppendTo writes them.
+func ReadRun(buf []byte) (BatchReader, error) { return scan(buf, -1) }
+
+// TrustedRun opens a cursor over a run of n tuples the caller encoded
+// itself (Tuple.AppendTo, n times) and so need not be checked again; on
+// any other bytes Next may panic.
+func TrustedRun(buf []byte, n int) BatchReader { return BatchReader{buf: buf, n: n} }
+
+// scan walks the tuple lengths of buf, which must hold exactly want
+// tuples (any number when want < 0) and nothing else.
+func scan(buf []byte, want int) (BatchReader, error) {
+	n, off := 0, 0
+	for n != want && off < len(buf) {
+		size := EncodedLen(buf[off:])
+		if size < 0 || size > len(buf)-off {
+			return BatchReader{}, fmt.Errorf("tuple: batch element %d: truncated: %d bytes left", n, len(buf)-off)
+		}
+		off += size
+		n++
+	}
+	if n < want {
+		return BatchReader{}, fmt.Errorf("tuple: batch element %d: buffer ends before it", n)
+	}
+	if off != len(buf) {
+		return BatchReader{}, fmt.Errorf("tuple: %d trailing bytes after batch", len(buf)-off)
+	}
+	return BatchReader{buf: buf, n: n}, nil
+}
+
+// Len reports how many tuples the cursor has yet to yield.
+func (r *BatchReader) Len() int { return r.n }
+
+// Next sets t to a view of the next tuple, or reports false at the end.
+func (r *BatchReader) Next(t *Tuple) bool {
+	if r.n == 0 {
+		return false
+	}
+	r.buf = r.buf[t.view(r.buf):]
+	r.n--
+	return true
 }
 
 // ID identifies a tuple by its stream and sequence number. Result identity
