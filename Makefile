@@ -11,7 +11,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench bench-pairs
+.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench bench-pairs loc
 
 check: vet build no-gob lint lint-waivers test-race chaos-smoke fuzz-smoke
 
@@ -74,6 +74,13 @@ bench:
 N ?= 10
 bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
+
+# loc prints the line count simplification PRs quote — non-test Go
+# outside benchmark/ and testdata/, whole tree and internal/coordinator —
+# and, with BASE, the same at that revision and the delta.
+#   make loc BASE=d3d9c36
+loc:
+	scripts/loc.sh $(BASE)
 
 # fuzz-smoke gives the protocol fuzzers a short budget on top of
 # replaying the committed corpora (testdata/fuzz). Grown inputs land in

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -8,7 +10,30 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/partition"
+	"repro/internal/proto"
+	"repro/internal/transport"
 )
+
+// remapTap records, by epoch, every Remap that reaches the split host.
+type remapTap struct {
+	transport.Network
+	mu     sync.Mutex
+	remaps map[uint64]proto.Remap
+}
+
+func (n *remapTap) Attach(node partition.NodeID, h transport.Handler) (transport.Endpoint, error) {
+	if node != GeneratorNode {
+		return n.Network.Attach(node, h)
+	}
+	return n.Network.Attach(node, func(from partition.NodeID, msg proto.Message) {
+		if m, ok := msg.(proto.Remap); ok {
+			n.mu.Lock()
+			n.remaps[m.Epoch] = m
+			n.mu.Unlock()
+		}
+		h(from, msg)
+	})
+}
 
 // TestRelocationTraceReassembles drives a full 8-step relocation across
 // the coordinator and engines, then rebuilds the distributed trace from
@@ -22,6 +47,9 @@ func TestRelocationTraceReassembles(t *testing.T) {
 	cfg.InitialWeights = []int{4, 1, 1}
 	cfg.Strategy = core.NewLazyDisk(core.RelocationConfig{Threshold: 0.8, MinGap: 20 * time.Second})
 	cfg.Duration = 3 * time.Minute
+	tap := &remapTap{Network: transport.NewInproc(), remaps: make(map[uint64]proto.Remap)}
+	defer tap.Close()
+	cfg.Network = tap
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +86,17 @@ func TestRelocationTraceReassembles(t *testing.T) {
 		from, to := root.Attrs["sender"], root.Attrs["receiver"]
 		if from == "" || to == "" || from == to {
 			t.Fatalf("root attrs missing endpoints: %v", root.Attrs)
+		}
+		// The commit's Remap (the step relocation_wait_remap_ack awaits)
+		// reaches the split host under the relocation's trace, like
+		// every other step the coordinator's driver sends.
+		epoch, _ := strconv.ParseUint(root.Attrs["epoch"], 10, 64)
+		tap.mu.Lock()
+		remap, ok := tap.remaps[epoch]
+		tap.mu.Unlock()
+		if !ok || string(remap.Owner) != to || remap.Trace.TraceID != tree.TraceID {
+			t.Fatalf("split host saw Remap %+v (seen %v) for epoch %d, want owner %s under trace %016x",
+				remap, ok, epoch, to, tree.TraceID)
 		}
 		// Expected child -> recording node: the coordinator's four await
 		// phases on gc, the sender's cptv/marker/send on the source

@@ -237,7 +237,7 @@ func TestForcedSpillFlow(t *testing.T) {
 	if fs.Amount != 450 {
 		t.Fatalf("ForceSpill = %+v", fs)
 	}
-	r.m2.ep.Send("gc", proto.SpillDone{Node: "m2", Bytes: 450})
+	r.m2.ep.Send("gc", proto.SpillDone{Node: "m2", Bytes: 450, Seq: fs.Seq})
 	waitFor(t, func() bool { return r.coord.ForcedSpills() == 1 })
 	if r.coord.Events().Count("forced-spill") != 1 {
 		t.Fatal("forced-spill event missing")

@@ -66,8 +66,8 @@ func FErr(err error) Field {
 	return Field{Key: "err", str: err.Error()}
 }
 
-// value renders the field's value.
-func (f Field) value() string {
+// Value renders the field's value (span attributes share it with log lines).
+func (f Field) Value() string {
 	if f.isNum {
 		return strconv.FormatInt(f.num, 10)
 	}
@@ -259,7 +259,7 @@ func renderFields(fields []Field) string {
 		}
 		b.WriteString(f.Key)
 		b.WriteByte('=')
-		b.WriteString(quoteIfNeeded(f.value()))
+		b.WriteString(quoteIfNeeded(f.Value()))
 	}
 	return b.String()
 }

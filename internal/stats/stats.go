@@ -133,6 +133,7 @@ const (
 	EventRelocation  = "relocation"
 	EventRetry       = "reloc-retry"
 	EventAbort       = "reloc-abort"
+	EventExhausted   = "reloc-exhausted" // a protocol step ran out of retries; Detail names the escalation
 	EventEngineDead  = "engine-dead"
 	EventEngineAlive = "engine-alive"
 	EventJoin        = "member-join"
