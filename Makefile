@@ -50,9 +50,11 @@ test-race:
 # promotion, spilled failover, heartbeat flap, and the restart-reseed
 # script: crash, fail over, restart empty, fail over onto the restarted
 # engine — PROTOCOL.md "Membership & replication" and "Cold restart")
-# must stay exact under the same faults. -count=1 forces a live run.
+# must stay exact under the same faults — two of them again over TCP
+# with every frame overwritten the moment its handler returns
+# (PROTOCOL.md "Buffer ownership"). -count=1 forces a live run.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact|TestChaosTCPPoisonedRelocation|TestChaosTCPPoisonedFailover' ./internal/experiments
 
 # e2e-smoke runs the four end-to-end workloads over real TCP for two
 # seconds each (about 20 s in all): every workload checks its result
@@ -76,8 +78,9 @@ bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # loc prints the line count simplification PRs quote — non-test Go
-# outside benchmark/ and testdata/, whole tree and internal/coordinator —
-# and, with BASE, the same at that revision and the delta.
+# outside benchmark/ and testdata/: whole tree, internal/coordinator, and
+# the lint suite (internal/analysis + cmd/distqlint) — and, with BASE,
+# the same at that revision and the delta.
 #   make loc BASE=d3d9c36
 loc:
 	scripts/loc.sh $(BASE)

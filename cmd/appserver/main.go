@@ -87,7 +87,7 @@ func main() {
 			}
 		case proto.Drain:
 			// Fence: every result enqueued before this message is tallied.
-			if err := ep.Send(from, proto.DrainAck{Token: m.Token, Node: cluster.AppServerNode, Trace: m.Trace}); err != nil {
+			if err := ep.Send(from, proto.DrainAck{Token: m.Token, Node: cluster.AppServerNode}); err != nil {
 				log.Printf("drain ack to %s: %v", from, err)
 			}
 		}

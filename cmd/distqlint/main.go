@@ -27,26 +27,22 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/aliasretain"
 	"repro/internal/analysis/componentboundary"
 	"repro/internal/analysis/obsnaming"
 	"repro/internal/analysis/protoexhaustive"
 	"repro/internal/analysis/shardquiesce"
 	"repro/internal/analysis/stopfence"
-	"repro/internal/analysis/tracepropagation"
 	"repro/internal/analysis/uncheckederr"
 	"repro/internal/analysis/vclockdiscipline"
 )
 
 // all lists every analyzer in the suite, in report order.
 var all = []*analysis.Analyzer{
-	aliasretain.Analyzer,
 	componentboundary.Analyzer,
 	obsnaming.Analyzer,
 	protoexhaustive.Analyzer,
 	shardquiesce.Analyzer,
 	stopfence.Analyzer,
-	tracepropagation.Analyzer,
 	uncheckederr.Analyzer,
 	vclockdiscipline.Analyzer,
 }

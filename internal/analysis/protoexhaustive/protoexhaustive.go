@@ -7,16 +7,11 @@
 //	//distq:handledby coordinator, engine
 //	type Tick struct{ ... }
 //
-// The analyzer enforces, on the proto package itself:
-//
-//   - every message type in the wire-kind table (analysis.WireKinds)
-//     has a //distq:handledby directive (a type nobody handles is dead
-//     protocol surface — or a handler someone forgot to write);
-//   - every directive names a type in the table (a directive on an
-//     unregistered type cannot travel the wire) and only known
-//     components.
-//
-// And on every type switch whose cases mention proto types:
+// The analyzer enforces, on the proto package itself, that directives
+// name only known components. (That the directed types are exactly the
+// wire-kind table's is proto's own TestWireTableComplete, which reads
+// the real table.) And on every type switch whose cases mention proto
+// types:
 //
 //   - the switch is attributable to a component, either through a
 //     //distq:handles <component> comment on or directly above its
@@ -29,7 +24,6 @@ package protoexhaustive
 
 import (
 	"go/ast"
-	"go/token"
 	"sort"
 	"strings"
 
@@ -71,69 +65,32 @@ func run(pass *analysis.Pass) error {
 	return checkSwitches(pass)
 }
 
-// A protoDecls summary of the proto package's source.
-type protoDecls struct {
-	handledBy map[string][]string  // type name -> handling components
-	typePos   map[string]token.Pos // type name -> declaration position
-	regNames  []string             // wire-kind table type names, in order
-	regPos    map[string]token.Pos // type name -> table entry position
-}
-
-func summarize(files []*ast.File) *protoDecls {
-	d := &protoDecls{handledBy: make(map[string][]string), regPos: make(map[string]token.Pos)}
-	var directed map[string]string
-	d.typePos, directed = analysis.TypeDirectives(files, HandledByDirective)
-	for name, comps := range directed {
-		d.handledBy[name] = splitNames(comps)
-	}
-	for _, k := range analysis.WireKinds(files) {
-		d.regNames = append(d.regNames, k.Name)
-		d.regPos[k.Name] = k.Pos
-	}
-	return d
-}
-
-// checkRegistry runs the proto-package self-checks.
+// checkRegistry runs the proto-package self-check.
 func checkRegistry(pass *analysis.Pass) {
-	d := summarize(pass.Files)
-	for _, name := range d.regNames {
-		comps, ok := d.handledBy[name]
-		if !ok {
-			pass.Reportf(d.regPos[name], "proto.%s is in the wire-kind table but carries no %s directive: no component is obliged to handle it", name, HandledByDirective)
-			continue
-		}
-		for _, c := range comps {
+	typePos, directed := analysis.TypeDirectives(pass.Files, HandledByDirective)
+	for name, comps := range directed {
+		for _, c := range splitNames(comps) {
 			if !components[c] {
-				pass.Reportf(d.typePos[name], "proto.%s: unknown component %q in %s directive", name, c, HandledByDirective)
+				pass.Reportf(typePos[name], "proto.%s: unknown component %q in %s directive", name, c, HandledByDirective)
 			}
-		}
-	}
-	var directed []string
-	for name := range d.handledBy {
-		directed = append(directed, name)
-	}
-	sort.Strings(directed)
-	for _, name := range directed {
-		if _, ok := d.regPos[name]; !ok {
-			pass.Reportf(d.typePos[name], "proto.%s carries a %s directive but is missing from the wire-kind table: it cannot travel the wire", name, HandledByDirective)
 		}
 	}
 }
 
 // checkSwitches verifies every proto type switch in the package.
 func checkSwitches(pass *analysis.Pass) error {
-	var decls *protoDecls
+	var directed map[string]string // proto type -> its handledby list
 	for _, file := range pass.Files {
 		protoName, ok := analysis.ImportName(file, ProtoPath)
 		if !ok || protoName == "_" || protoName == "." {
 			continue
 		}
-		if decls == nil {
+		if directed == nil {
 			pkg, err := pass.Loader.Load(ProtoPath)
 			if err != nil {
 				return err
 			}
-			decls = summarize(pkg.Files)
+			_, directed = analysis.TypeDirectives(pkg.Files, HandledByDirective)
 		}
 		annotations := handlesAnnotations(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -163,8 +120,8 @@ func checkSwitches(pass *analysis.Pass) error {
 				return true
 			}
 			var missing []string
-			for name, comps := range decls.handledBy {
-				for _, c := range comps {
+			for name, comps := range directed {
+				for _, c := range splitNames(comps) {
 					if c == component && !handled[name] {
 						missing = append(missing, name)
 					}

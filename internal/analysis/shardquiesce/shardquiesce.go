@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/dataflow"
 )
 
 // guardedPkgs are the packages whose state the quiesce barrier guards.
@@ -221,7 +220,7 @@ func checkGoroutine(pass *analysis.Pass, g *ast.GoStmt) {
 		return
 	}
 	// go p.run(i, w): inline the same-package callee one level deep.
-	fn := dataflow.CalleeFunc(pass.Info, g.Call)
+	fn := analysis.CalleeFunc(pass.Info, g.Call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != pass.Path {
 		return
 	}

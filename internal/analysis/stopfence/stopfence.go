@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/dataflow"
 )
 
 // Analyzer implements the goroutine stop-fence check.
@@ -135,7 +134,7 @@ func fenced(pass *analysis.Pass, g *ast.GoStmt, closed map[string]bool) bool {
 		return fencedBody(fl.Body, nil, closed)
 	}
 	// Same-package callee: inline one level.
-	if fn := dataflow.CalleeFunc(pass.Info, g.Call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pass.Path {
+	if fn := analysis.CalleeFunc(pass.Info, g.Call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pass.Path {
 		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -81,7 +81,7 @@ func (a *AppServer) handle(from partition.NodeID, msg proto.Message) {
 		a.cleanupCh <- m
 	case proto.Drain:
 		// Fence: all results enqueued before this message are processed.
-		if err := a.ep.Send(from, proto.DrainAck{Token: m.Token, Node: AppServerNode, Trace: m.Trace}); err != nil {
+		if err := a.ep.Send(from, proto.DrainAck{Token: m.Token, Node: AppServerNode}); err != nil {
 			a.log.Error("drain_ack_error", obs.FErr(err))
 		}
 	default:

@@ -273,7 +273,9 @@ func TestSpillPlusRelocationExactness(t *testing.T) {
 	}
 }
 
-func TestActiveDiskForcesSpills(t *testing.T) {
+// activeDiskConfig is a run in which the active-disk strategy must force
+// spills: two engines whose productivity differs strongly.
+func activeDiskConfig() Config {
 	cfg := baseConfig()
 	cfg.Engines = []partition.NodeID{"m1", "m2"}
 	// Give m1's partitions a much higher join rate so productivity
@@ -290,7 +292,11 @@ func TestActiveDiskForcesSpills(t *testing.T) {
 	cfg.LocalSpill = true
 	cfg.Spill = core.SpillConfig{MemThreshold: 1 << 30, Fraction: 0.3} // local never triggers
 	cfg.Duration = 3 * time.Minute
-	res, err := Run(cfg)
+	return cfg
+}
+
+func TestActiveDiskForcesSpills(t *testing.T) {
+	res, err := Run(activeDiskConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,3 +152,34 @@ func TestRelocationTraceReassembles(t *testing.T) {
 		ids[tree.TraceID] = true
 	}
 }
+
+// TestForcedSpillTraceReassembles: ForceSpill carries the coordinator's
+// decision span to the engine, so every completed forced spill is one
+// tree — the coordinator's forced_spill root with the victim's spill
+// span as its only child.
+func TestForcedSpillTraceReassembles(t *testing.T) {
+	res, err := Run(activeDiskConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	for _, tree := range trace.ByName(trace.Build(res.Spans), obs.SpanForcedSpill) {
+		root := tree.Root.Span
+		if !root.Complete || root.Attrs["status"] != obs.StatusOK {
+			continue // the run can end with a forced spill in flight
+		}
+		completed++
+		if len(tree.Orphans) != 0 || len(tree.Root.Children) != 1 {
+			t.Fatalf("forced spill has %d children and %d orphans, want one spill child:\n%s",
+				len(tree.Root.Children), len(tree.Orphans), tree.Render())
+		}
+		child := tree.Root.Children[0].Span
+		if child.Name != obs.SpanSpill || child.Node != root.Attrs["node"] || child.TraceID != tree.TraceID ||
+			!child.Complete || child.Attrs["kind"] != "forced" {
+			t.Fatalf("forced spill of %s has child %+v:\n%s", root.Attrs["node"], child, tree.Render())
+		}
+	}
+	if completed == 0 || completed != res.ForcedSpills {
+		t.Fatalf("reassembled %d completed forced-spill trees, counter says %d", completed, res.ForcedSpills)
+	}
+}

@@ -726,14 +726,14 @@ func (c *Coordinator) pauseDead(node partition.NodeID) {
 // A name that already left is refused — resurrecting it could confuse
 // stale protocol traffic from its previous life with the new one.
 func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
-	c.learnMemberAddr(m.Node, m.Addr, m.Trace)
+	c.learnMemberAddr(m.Node, m.Addr)
 	if info, ok := c.engines[m.Node]; ok {
 		if info.member() == MemberLeft {
 			return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: false,
-				Reason: "node name previously left the cluster", Trace: m.Trace})
+				Reason: "node name previously left the cluster"})
 		}
 		c.heartbeat(m.Node)
-		return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: true, Trace: m.Trace})
+		return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: true})
 	}
 	now := c.clock.Now()
 	info := &engineInfo{memSeries: stats.NewSeries(string(m.Node)), lastSeen: now}
@@ -748,7 +748,7 @@ func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
 	c.memMu.Unlock()
 	c.events.Add(stats.Event{T: now, Node: m.Node, Kind: stats.EventJoin, Detail: "admitted; awaiting first report"})
 	c.log.Info("engine_admitted", obs.F("engine", string(m.Node)))
-	return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: true, Trace: m.Trace})
+	return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: true})
 }
 
 // learnMemberAddr records a dynamically joined engine's transport
@@ -758,7 +758,7 @@ func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
 // all previously learned addresses to the joiner itself. Must run
 // before the JoinAck is sent — the ack is routed by directory too.
 // Idempotent per (node, addr); handler-goroutine only.
-func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string, tr obs.TraceContext) {
+func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string) {
 	if addr == "" || c.memberAddrs[node] == addr {
 		return
 	}
@@ -772,7 +772,7 @@ func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string, tr obs
 		d.AddNode(node, addr)
 	}
 	c.log.Info("member_addr", obs.F("engine", string(node)), obs.F("addr", addr))
-	msg := proto.MemberAddr{Node: node, Addr: addr, Trace: tr}
+	msg := proto.MemberAddr{Node: node, Addr: addr}
 	if err := c.ep.Send(c.cfg.SplitHost, msg); err != nil {
 		c.fail(fmt.Errorf("member addr to split host: %w", err))
 	}
@@ -788,7 +788,7 @@ func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string, tr obs
 		if other == node {
 			continue
 		}
-		if err := c.ep.Send(node, proto.MemberAddr{Node: other, Addr: oaddr, Trace: tr}); err != nil {
+		if err := c.ep.Send(node, proto.MemberAddr{Node: other, Addr: oaddr}); err != nil {
 			c.fail(fmt.Errorf("member addr replay to %s: %w", node, err))
 		}
 	}
@@ -803,7 +803,7 @@ func (c *Coordinator) onLeave(m proto.Leave) error {
 		return fmt.Errorf("leave from unknown engine %s", m.Node)
 	}
 	if info.member() == MemberLeft {
-		return c.ep.Send(m.Node, proto.LeaveAck{Node: m.Node, Trace: m.Trace})
+		return c.ep.Send(m.Node, proto.LeaveAck{Node: m.Node})
 	}
 	c.heartbeat(m.Node)
 	if info.member() != MemberDraining {

@@ -582,12 +582,12 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 // onPauseMarker acknowledges the drain fence (protocol step 4): the
 // transport is FIFO, so the marker's arrival proves every earlier tuple
 // for the moving partitions was processed. The trace context the split
-// host echoed from the coordinator's Pause parents the fence span under
+// host forwarded from the coordinator's Pause parents the fence span under
 // the relocation's trace.
 func (e *Engine) onPauseMarker(m proto.PauseMarker) error {
 	span := e.tracer.StartChild(obs.SpanRelocationMarker, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
-	if err := e.ep.Send(e.cfg.Coordinator, proto.MarkerAck{Epoch: m.Epoch, Node: e.cfg.Node, Trace: m.Trace}); err != nil {
+	if err := e.ep.Send(e.cfg.Coordinator, proto.MarkerAck{Epoch: m.Epoch, Node: e.cfg.Node}); err != nil {
 		span.Abort(e.clock.Now(), err.Error())
 		return err
 	}
@@ -832,7 +832,7 @@ func (e *Engine) reportResults() error {
 // sides agree on the moving set.
 func (e *Engine) onCptV(m proto.CptV) error {
 	if e.pendingReloc != nil && e.pendingReloc.epoch == m.Epoch {
-		return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: e.pendingReloc.parts, Trace: m.Trace})
+		return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: e.pendingReloc.parts})
 	}
 	span := e.tracer.StartChild(obs.SpanRelocationCptV, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
@@ -857,7 +857,7 @@ func (e *Engine) onCptV(m proto.CptV) error {
 	}
 	span.SetAttr("partitions", strconv.Itoa(len(parts)))
 	span.End(e.clock.Now())
-	return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: parts, Trace: m.Trace})
+	return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: parts})
 }
 
 // onSendStates implements protocol step 5/6: take the moving groups out
@@ -963,7 +963,7 @@ func (e *Engine) install(images []*spill.Image) error {
 // every non-installed case the epoch is marked aborted so a transfer
 // arriving late is discarded rather than forking the state.
 func (e *Engine) onRelocAbort(m proto.RelocAbort) error {
-	ack := proto.RelocAbortAck{Epoch: m.Epoch, Node: e.cfg.Node, Trace: m.Trace}
+	ack := proto.RelocAbortAck{Epoch: m.Epoch, Node: e.cfg.Node}
 	switch {
 	case e.installedEpochs[m.Epoch]:
 		ack.Installed = true
@@ -997,7 +997,7 @@ func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
 		return nil
 	}
 	if e.installedEpochs[m.Epoch] {
-		return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node, Trace: m.Trace})
+		return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node})
 	}
 	span := e.tracer.StartChild(obs.SpanRelocationReceive, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", fmt.Sprintf("%d", m.Epoch))
@@ -1019,7 +1019,7 @@ func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
 	span.End(e.clock.Now())
 	e.installedEpochs[m.Epoch] = true
 	e.reg.Counter("distq_engine_relocations_in_total").Inc()
-	return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node, Trace: m.Trace})
+	return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node})
 }
 
 // onForceSpill implements the active-disk start_ss event. A duplicated
@@ -1027,7 +1027,7 @@ func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
 // with the recorded outcome instead of spilling twice.
 func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 	if m.Seq != 0 && m.Seq == e.lastForceSeq {
-		return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: e.lastForceBytes, Seq: m.Seq, Trace: m.Trace})
+		return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: e.lastForceBytes, Seq: m.Seq})
 	}
 	var bytes int64
 	if err := func() error {
@@ -1041,7 +1041,7 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 		return err
 	}
 	e.lastForceSeq, e.lastForceBytes = m.Seq, bytes
-	return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: bytes, Seq: m.Seq, Trace: m.Trace})
+	return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: bytes, Seq: m.Seq})
 }
 
 // Crash simulates an abrupt machine failure: message processing halts
@@ -1083,7 +1083,7 @@ func (e *Engine) onJoinAck(m proto.JoinAck) error {
 // install span under its promotion span. Idempotent per epoch (retries
 // re-ack).
 func (e *Engine) onPromote(m proto.Promote) error {
-	ack := proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true, Trace: m.Trace}
+	ack := proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true}
 	if e.promotedEpochs[m.Epoch] {
 		return e.ep.Send(e.cfg.Coordinator, ack)
 	}
@@ -1113,7 +1113,7 @@ func (e *Engine) onPromote(m proto.Promote) error {
 // here but never delivered merge into their resident state over the
 // ordinary delta stream. Idempotent per epoch.
 func (e *Engine) onDemote(m proto.Demote) error {
-	ack := proto.DemoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Trace: m.Trace}
+	ack := proto.DemoteAck{Epoch: m.Epoch, Node: e.cfg.Node}
 	if e.demotedEpochs[m.Epoch] {
 		return e.ep.Send(e.cfg.Coordinator, ack)
 	}
@@ -1144,7 +1144,7 @@ func (e *Engine) onDrain(from partition.NodeID, m proto.Drain) error {
 	// app server) to the wire before acknowledging, so the ack cannot
 	// imply "drained" while data frames sit in a write buffer.
 	transport.FlushOutbound(e.ep)
-	return e.ep.Send(from, proto.DrainAck{Token: m.Token, Node: e.cfg.Node, Trace: m.Trace})
+	return e.ep.Send(from, proto.DrainAck{Token: m.Token, Node: e.cfg.Node})
 }
 
 // onCleanup runs the disk-phase cleanup over this engine's store and

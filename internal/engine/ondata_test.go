@@ -79,51 +79,42 @@ func TestOnDataRejectsMalformedBatchWhole(t *testing.T) {
 	}
 }
 
-// poisonNet overwrites every Data payload the moment its handler
-// returns — the worst the TCP transport's recycled frame buffer may do
-// to a frame the engine is done with.
-type poisonNet struct{ transport.Network }
-
-func (n poisonNet) Attach(node partition.NodeID, h transport.Handler) (transport.Endpoint, error) {
-	return n.Network.Attach(node, func(from partition.NodeID, msg proto.Message) {
-		h(from, msg)
-		if d, ok := msg.(proto.Data); ok {
-			for i := range d.Payload {
-				d.Payload[i] = 0xAA
-			}
+// recycle overwrites frames the way the TCP transport's pooled read
+// buffer may be the moment the handler they were delivered to returns
+// (PROTOCOL.md "Buffer ownership"). The tests here call Engine.Handle
+// themselves, so the frames are theirs to recycle; whole clusters run
+// over poisoned TCP in internal/experiments.
+func recycle(frames ...[]byte) {
+	for _, f := range frames {
+		for i := range f {
+			f[i] = 0xAA
 		}
-	})
+	}
 }
 
-// Over real TCP a Data payload aliases the connection's pooled frame
-// buffer. Whatever the engine keeps of a batch — join state, the
+// Whatever the engine keeps of a Data batch — join state, the
 // replication buffer, the shard workers' runs — must be its own copy by
 // the time the handler returns.
 func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", parallelism), func(t *testing.T) {
-			tcp := transport.NewTCP(map[partition.NodeID]string{
-				"m1": "127.0.0.1:0", "m2": "127.0.0.1:0", "gc": "127.0.0.1:0", "app": "127.0.0.1:0", "gen": "127.0.0.1:0",
-			})
-			t.Cleanup(func() { tcp.Close() })
+			net := transport.NewInproc()
+			t.Cleanup(func() { net.Close() })
 			e := mustNew(t, Config{
 				Node: "m1", Coordinator: "gc", AppServer: "app", Inputs: 2, Partitions: 4,
 				JoinParallelism: parallelism, StatsInterval: time.Hour, SpillCheckInterval: time.Hour,
 			}, vclock.NewManual())
-			if err := e.Attach(poisonNet{tcp}); err != nil {
+			if err := e.Attach(net); err != nil {
 				t.Fatal(err)
 			}
-			gc, gen, m2 := newPeer(t, tcp, "gc"), newPeer(t, tcp, "gen"), newPeer(t, tcp, "m2")
-			newPeer(t, tcp, "app")
-			if err := e.Start(); err != nil {
-				t.Fatal(err)
-			}
+			gc, gen, m2 := newPeer(t, net, "gc"), newPeer(t, net, "gen"), newPeer(t, net, "m2")
+			newPeer(t, net, "app")
 			var entries []proto.ReplicaEntry
 			for g := partition.ID(0); g < 4; g++ {
 				entries = append(entries, proto.ReplicaEntry{Group: g, Primary: "m1", Follower: "m2"})
 			}
-			gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: entries})
-			gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // empty groups: seeded by nothing
+			e.Handle("gc", proto.ReplicaMap{Version: 1, Entries: entries})
+			e.Handle("gc", proto.Tick{Kind: proto.TickStats}) // empty groups: seeded by nothing
 			expect[proto.StatsReport](t, gc)
 
 			var want []tuple.Tuple
@@ -136,11 +127,11 @@ func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
 					b.Tuples = append(b.Tuples, tp)
 					want = append(want, tp)
 				}
-				if err := gen.ep.Send("m1", proto.Data{Payload: b.Encode()}); err != nil {
-					t.Fatal(err)
-				}
+				frame := b.Encode()
+				e.Handle("gen", proto.Data{Payload: frame})
+				recycle(frame)
 			}
-			gen.ep.Send("m1", proto.Drain{Token: 1})
+			e.Handle("gen", proto.Drain{Token: 1})
 			expect[proto.DrainAck](t, gen)
 
 			bySeq := make(map[uint64]tuple.Tuple, len(want))

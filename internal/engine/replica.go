@@ -68,8 +68,13 @@ type replicator struct {
 }
 
 // inbound is where this follower stands in one primary's delta stream:
-// the primary life it follows and the highest sequence applied in it.
-type inbound struct{ incarnation, applied uint64 }
+// the primary life it follows, the highest sequence applied in it, and
+// how many entries of delta applied+1 have landed already — a delta
+// that failed part-way resumes there when the primary retransmits it.
+type inbound struct {
+	incarnation, applied uint64
+	landed               int
+}
 
 // replStream is the outbound replication state toward one follower.
 type replStream struct {
@@ -398,14 +403,19 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 	}
 	if m.Incarnation > in.incarnation {
 		in = inbound{incarnation: m.Incarnation}
-		r.inbound[m.From] = in
 	}
-	ack := proto.DeltaAck{Node: r.e.cfg.Node, Incarnation: r.incarnation, Seq: in.applied, Trace: m.Trace}
+	defer func() { r.inbound[m.From] = in }()
+	ack := proto.DeltaAck{Node: r.e.cfg.Node, Incarnation: r.incarnation, Seq: in.applied}
 	if m.Seq != in.applied+1 {
 		return r.e.ep.Send(m.From, ack)
 	}
-	for _, ent := range m.Entries {
-		switch ent.Kind {
+	// The retransmit of a delta that failed part-way redoes the failed
+	// entry (a seed replaces; a marker touches the standby only after its
+	// store write) but none before it: a re-applied append duplicates
+	// tuples, a re-applied marker seals a second, smaller segment over
+	// the one it already wrote.
+	for ; in.landed < len(m.Entries); in.landed++ {
+		switch ent := m.Entries[in.landed]; ent.Kind {
 		case proto.DeltaSeed:
 			im, err := spill.DecodeImage(ent.Payload)
 			if err != nil {
@@ -459,8 +469,7 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 			return fmt.Errorf("delta entry for group %d: unknown kind %d", ent.Group, ent.Kind)
 		}
 	}
-	in.applied = m.Seq
-	r.inbound[m.From] = in
+	in.applied, in.landed = m.Seq, 0
 	r.e.reg.Counter("distq_engine_deltas_in_total").Inc()
 	ack.Seq = m.Seq
 	return r.e.ep.Send(m.From, ack)

@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -526,5 +531,120 @@ func TestPrimaryReseedsRestartedFollower(t *testing.T) {
 	im, err := spill.DecodeImage(reseed[0].Payload)
 	if err != nil || im.Mem == nil || im.Mem.TupleCount() != 2 {
 		t.Fatalf("re-seed of group 1 = %+v (err %v), want its two resident tuples", im, err)
+	}
+}
+
+// failNthWrite is a standby store whose n-th Write fails.
+type failNthWrite struct {
+	spill.Store
+	n int
+}
+
+func (s *failNthWrite) Write(snap *join.GroupSnapshot) error {
+	if s.n--; s.n == 0 {
+		return errors.New("injected write failure")
+	}
+	return s.Store.Write(snap)
+}
+
+// TestDeltaResumesAtTheFailedEntry: a delta whose n-th store write fails
+// is not applied, and its retransmit picks up at the entry that
+// failed — the follower ends up holding exactly what a fault-free twin
+// holds. Re-applying from the top instead duplicates the appends in
+// front of the failure and lets the first marker seal its segment again
+// over a different memory tier.
+func TestDeltaResumesAtTheFailedEntry(t *testing.T) {
+	const g = partition.ID(1)
+	delta := proto.StateDelta{From: "m2", Seq: 1, Entries: []proto.DeltaEntry{
+		{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(mk(0, 1, 1), mk(1, 1, 2))},
+		{Group: g, Kind: proto.DeltaSpillMark, Payload: markPayload(0)},
+		{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(mk(0, 1, 3))},
+		{Group: g, Kind: proto.DeltaSpillMark, Payload: markPayload(1)},
+	}}
+	// follower hands the delta to an engine over the given standby store
+	// — sends times: only the last may be applied — and returns what the
+	// engine then holds of the group, encoded.
+	follower := func(t *testing.T, store spill.Store, sends int) (mem []byte, bytes int64, disk [][]byte) {
+		r := newRig(t, func(c *Config) { c.StandbyStore = store })
+		newPeer(t, r.net, "m2")
+		for i := 1; i <= sends; i++ {
+			r.engine.Handle("m2", delta)
+			if applied := r.engine.repl.inbound["m2"].applied == 1; applied != (i == sends) {
+				t.Fatalf("send %d of %d: applied = %v", i, sends, applied)
+			}
+		}
+		segs, err := store.Read(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			disk = append(disk, join.EncodeSnapshot(seg))
+		}
+		return join.EncodeSnapshot(r.engine.repl.standby[g]), r.engine.repl.standbyBytes, disk
+	}
+	wantMem, wantBytes, wantDisk := follower(t, spill.NewMemStore(), 1)
+	if len(wantDisk) != 2 {
+		t.Fatalf("the fault-free twin stored %d segments, want 2", len(wantDisk))
+	}
+	for n := 1; n <= 2; n++ {
+		mem, bytes, disk := follower(t, &failNthWrite{Store: spill.NewMemStore(), n: n}, 2)
+		if !reflect.DeepEqual(mem, wantMem) || bytes != wantBytes || !reflect.DeepEqual(disk, wantDisk) {
+			t.Errorf("write %d failed once: follower holds memory tier %x (%d bytes) and segments %x,\nits fault-free twin %x (%d bytes) and %x",
+				n, mem, bytes, disk, wantMem, wantBytes, wantDisk)
+		}
+	}
+}
+
+// TestFollowerKeepsNothingOfTheFrame: a StateDelta's entry payloads
+// alias the frame it arrived in. The standby a follower builds from
+// seeds, appends and markers — and so what a promotion installs — must
+// be its own copy by the time each delta's handler returns.
+func TestFollowerKeepsNothingOfTheFrame(t *testing.T) {
+	const g = partition.ID(1)
+	r := newRig(t, nil)
+	sent := make([]tuple.Tuple, 6)
+	for i := range sent {
+		sent[i] = tuple.Tuple{Stream: uint8(i % 2), Key: 1, Seq: uint64(i), Ts: vclock.Time(i),
+			Payload: bytes.Repeat([]byte{byte(i + 1)}, 5+7*i)}
+	}
+	for seq, entries := range [][]proto.DeltaEntry{
+		{{Group: g, Kind: proto.DeltaSeed, Payload: seedPayload(
+			snap(g, 1, []tuple.Tuple{sent[2]}, []tuple.Tuple{sent[1]}), snap(g, 0, []tuple.Tuple{sent[0]}, nil))}},
+		{{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(sent[3], sent[4])},
+			{Group: g, Kind: proto.DeltaSpillMark, Payload: markPayload(1)},
+			{Group: g, Kind: proto.DeltaAppend, Payload: appendPayload(sent[5])}},
+	} {
+		r.engine.Handle("m2", proto.StateDelta{From: "m2", Seq: uint64(seq + 1), Entries: entries})
+		for _, ent := range entries {
+			recycle(ent.Payload)
+		}
+	}
+	r.engine.Handle("gc", proto.Promote{Epoch: 1, From: "m2", Groups: []partition.ID{g}})
+	if ack := expect[proto.PromoteAck](t, r.gc); !ack.Installed {
+		t.Fatalf("PromoteAck = %+v", ack)
+	}
+
+	segs, err := r.store.Read(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 2 {
+		t.Fatalf("promotion adopted %d segments, want generations 0 and 1", len(segs))
+	}
+	var got []tuple.Tuple
+	for _, tier := range append(segs, r.engine.Op().ResidentSnapshot(g)) {
+		for _, l := range tier.Tuples {
+			got = append(got, l...)
+		}
+	}
+	slices.SortFunc(got, func(a, b tuple.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })
+	if len(got) != len(sent) {
+		t.Fatalf("the promoted group holds\n%v\nits primary sent\n%v", got, sent)
+	}
+	for i := range sent {
+		if !reflect.DeepEqual(got[i], sent[i]) {
+			t.Errorf("the promoted group holds %v with payload %x, its primary sent %v with payload %x",
+				got[i], got[i].Payload, sent[i], sent[i].Payload)
+		}
 	}
 }

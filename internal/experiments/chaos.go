@@ -122,13 +122,18 @@ func RunChaos(cc ChaosConfig) (*cluster.Result, error) {
 // transport, so the wire codec, write coalescing and credit
 // backpressure are held to the same exactness bar under faults.
 func RunChaosTCP(cc ChaosConfig) (*cluster.Result, error) {
-	return runChaosOver(transport.NewTCP(map[partition.NodeID]string{
+	return runChaosOver(chaosTCP(), cc)
+}
+
+// chaosTCP is a loopback TCP network for the two-engine chaos clusters.
+func chaosTCP() *transport.TCP {
+	return transport.NewTCP(map[partition.NodeID]string{
 		cluster.CoordinatorNode: "127.0.0.1:0",
 		cluster.GeneratorNode:   "127.0.0.1:0",
 		cluster.AppServerNode:   "127.0.0.1:0",
 		"e1":                    "127.0.0.1:0",
 		"e2":                    "127.0.0.1:0",
-	}), cc)
+	})
 }
 
 func runChaosOver(inner transport.Network, cc ChaosConfig) (*cluster.Result, error) {

@@ -58,14 +58,18 @@ func membershipClusterConfig(engines []partition.NodeID, wl workload.Config) clu
 }
 
 // membershipCluster builds and starts the scripted cluster over a
-// faulty transport (tune, if not nil, adjusts the shared config first).
-// stop releases both.
+// faulty transport (tune, if not nil, adjusts the shared config first;
+// a Network it sets is the transport the faults wrap, in-process
+// otherwise). stop releases both.
 func membershipCluster(engines []partition.NodeID, faults faulty.Config, tune func(*cluster.Config)) (c *cluster.Cluster, fnet *faulty.Network, stop func(), err error) {
 	cfg := membershipClusterConfig(engines, chaosWorkload())
 	if tune != nil {
 		tune(&cfg)
 	}
-	fnet = faulty.New(transport.NewInproc(), vclock.NewScaled(cfg.Scale), faults)
+	if cfg.Network == nil {
+		cfg.Network = transport.NewInproc()
+	}
+	fnet = faulty.New(cfg.Network, vclock.NewScaled(cfg.Scale), faults)
 	cfg.Network = fnet
 	if c, err = cluster.New(cfg); err == nil {
 		err = c.Start()
@@ -182,7 +186,12 @@ func RunChaosLeave(faults faulty.Config) (*cluster.Result, error) {
 // the watchdog death and the follower promotion that re-homes its
 // groups onto e1 from its warm standby, then feed phase 2.
 func RunChaosPromote(faults faulty.Config) (*cluster.Result, error) {
-	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, nil)
+	return runChaosPromoteOver(transport.NewInproc(), faults)
+}
+
+func runChaosPromoteOver(inner transport.Network, faults faulty.Config) (*cluster.Result, error) {
+	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults,
+		func(cfg *cluster.Config) { cfg.Network = inner })
 	if err != nil {
 		return nil, err
 	}

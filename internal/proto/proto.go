@@ -49,15 +49,11 @@ type Message any
 type Hello struct {
 	Node partition.NodeID
 	Kind Kind
-	// Trace identifies the node-startup span, if any (zero when
-	// untraced).
-	Trace obs.TraceContext
 }
 
 // Data carries an encoded tuple.Batch from a split operator to a query
 // engine, stamped with the partition map version it was routed under.
 //
-//distq:plane data
 //distq:handledby engine
 type Data struct {
 	Payload    []byte
@@ -73,7 +69,7 @@ type Data struct {
 //distq:handledby engine
 type PauseMarker struct {
 	Epoch uint64
-	// Trace is echoed from the Pause that triggered the marker, so the
+	// Trace is forwarded from the Pause that triggered the marker, so the
 	// sender's drain-fence span joins the coordinator's relocation trace.
 	Trace obs.TraceContext
 }
@@ -85,8 +81,6 @@ type PauseMarker struct {
 type MarkerAck struct {
 	Epoch uint64
 	Node  partition.NodeID
-	// Trace is echoed from the PauseMarker that fenced the drain.
-	Trace obs.TraceContext
 }
 
 // StatsReport is the light-weight statistic each query engine pushes to
@@ -111,14 +105,11 @@ type StatsReport struct {
 	// applied; the coordinator's replication-settled fence requires every
 	// active engine to have caught up to the broadcast version.
 	ReplVersion uint64
-	// Trace identifies the reporting tick, if traced (zero otherwise).
-	Trace obs.TraceContext
 }
 
 // ResultCount reports a batch of produced results from an engine to the
 // application server (count-only mode).
 //
-//distq:plane data
 //distq:handledby appserver
 type ResultCount struct {
 	Node  partition.NodeID
@@ -128,7 +119,6 @@ type ResultCount struct {
 // ResultData carries encoded tuple.Result values to the application
 // server (materializing mode, used by exactness tests and examples).
 //
-//distq:plane data
 //distq:handledby appserver
 type ResultData struct {
 	Node    partition.NodeID
@@ -159,8 +149,10 @@ type CptV struct {
 	// engine warms up on cheap state first (Bala-Join's cost framing).
 	LowProd bool
 	// Trace parents the sender's spans under the coordinator's relocation
-	// decision span. Trace contexts ride only these control-plane
-	// messages — never Data — so the data hot path stays allocation-free.
+	// decision span. Only the coordinator's step messages carry a trace
+	// context, plus the two that forward a step's context to a span on
+	// another node (PauseMarker, StateTransfer); acks, reports, data,
+	// membership and replication messages do not (TestTraceFieldSet).
 	Trace obs.TraceContext
 }
 
@@ -171,8 +163,6 @@ type PtV struct {
 	Epoch      uint64
 	Node       partition.NodeID
 	Partitions []partition.ID
-	// Trace is echoed from the CptV being answered.
-	Trace obs.TraceContext
 }
 
 // Pause tells the split host to buffer tuples of the moving partitions
@@ -183,7 +173,7 @@ type Pause struct {
 	Epoch      uint64
 	Partitions []partition.ID
 	Owner      partition.NodeID
-	// Trace is echoed onto the PauseMarker pushed to Owner.
+	// Trace is forwarded on the PauseMarker pushed to Owner.
 	Trace obs.TraceContext
 }
 
@@ -225,8 +215,6 @@ type StateTransfer struct {
 type Installed struct {
 	Epoch uint64
 	Node  partition.NodeID
-	// Trace is echoed from the StateTransfer whose install completed.
-	Trace obs.TraceContext
 }
 
 // Remap updates the split host's partition map to the new owner and
@@ -247,8 +235,6 @@ type Remap struct {
 //distq:handledby coordinator
 type RemapAck struct {
 	Epoch uint64
-	// Trace is echoed from the Remap being acknowledged.
-	Trace obs.TraceContext
 }
 
 // ForceSpill is the coordinator's active-disk command: the engine must
@@ -273,8 +259,6 @@ type SpillDone struct {
 	Node  partition.NodeID
 	Bytes int64
 	Seq   uint64
-	// Trace is echoed from the ForceSpill being acknowledged.
-	Trace obs.TraceContext
 }
 
 // RelocTimeout is the coordinator's self-addressed await-phase timer:
@@ -288,8 +272,6 @@ type SpillDone struct {
 type RelocTimeout struct {
 	Epoch uint64
 	Seq   uint64
-	// Trace identifies the await phase's relocation span.
-	Trace obs.TraceContext
 }
 
 // RelocAbort rolls an engine out of relocation epoch Epoch: a sender
@@ -317,18 +299,12 @@ type RelocAbortAck struct {
 	Epoch     uint64
 	Node      partition.NodeID
 	Installed bool
-	// Trace is echoed from the RelocAbort being acknowledged.
-	Trace obs.TraceContext
 }
 
 // StartCleanup tells an engine to run its disk-phase cleanup.
 //
 //distq:handledby engine
-type StartCleanup struct {
-	// Trace parents the engine's cleanup span, if the requester is
-	// traced.
-	Trace obs.TraceContext
-}
+type StartCleanup struct{}
 
 // CleanupDone reports an engine's cleanup outcome. A non-empty Error
 // means the cleanup aborted (e.g. a corrupted segment failed its
@@ -343,17 +319,12 @@ type CleanupDone struct {
 	Results   uint64
 	ElapsedNs int64
 	Error     string
-	// Trace is echoed from the StartCleanup whose cleanup finished.
-	Trace obs.TraceContext
 }
 
 // Stop shuts a node down at the end of an experiment.
 //
 //distq:handledby coordinator, engine
-type Stop struct {
-	// Trace identifies the shutdown decision, if traced.
-	Trace obs.TraceContext
-}
+type Stop struct{}
 
 // Tick is a node's self-addressed timer message: routing timers through
 // the transport keeps every node single-threaded (timers and messages are
@@ -362,8 +333,6 @@ type Stop struct {
 //distq:handledby coordinator, engine
 type Tick struct {
 	Kind string
-	// Trace identifies the arming span, if any (zero for plain timers).
-	Trace obs.TraceContext
 }
 
 // Timer kinds carried by Tick.
@@ -380,8 +349,6 @@ const (
 //distq:handledby engine, appserver
 type Drain struct {
 	Token uint64
-	// Trace identifies the requester's span, if any (zero when untraced).
-	Trace obs.TraceContext
 }
 
 // DrainAck acknowledges a Drain.
@@ -390,8 +357,6 @@ type Drain struct {
 type DrainAck struct {
 	Token uint64
 	Node  partition.NodeID
-	// Trace is echoed from the Drain being acknowledged.
-	Trace obs.TraceContext
 }
 
 // Quiesce asks the coordinator to stop starting new adaptations and to
@@ -399,18 +364,12 @@ type DrainAck struct {
 // run-time phase with it: quiesce, then drain, then cleanup.
 //
 //distq:handledby coordinator
-type Quiesce struct {
-	// Trace identifies the harness's fence span, if any.
-	Trace obs.TraceContext
-}
+type Quiesce struct{}
 
 // QuiesceAck acknowledges a Quiesce once the coordinator is idle.
 //
 //distq:handledby generator
-type QuiesceAck struct {
-	// Trace is echoed from the Quiesce being acknowledged.
-	Trace obs.TraceContext
-}
+type QuiesceAck struct{}
 
 // JoinRequest asks the coordinator to admit a new engine into the
 // running cluster. The engine retries it with jittered backoff until a
@@ -425,8 +384,6 @@ type JoinRequest struct {
 	// coordinator extends its own directory and disseminates the address
 	// via MemberAddr. Empty on registration-based transports (in-proc).
 	Addr string
-	// Trace identifies the engine's startup span, if any.
-	Trace obs.TraceContext
 }
 
 // JoinAck admits (or refuses) a joining engine. After admission the
@@ -440,8 +397,6 @@ type JoinAck struct {
 	// Reason explains a refusal (e.g. the node name collides with an
 	// engine that left).
 	Reason string
-	// Trace is echoed from the JoinRequest being answered.
-	Trace obs.TraceContext
 }
 
 // MemberAddr disseminates a dynamically joined engine's transport
@@ -456,8 +411,6 @@ type JoinAck struct {
 type MemberAddr struct {
 	Node partition.NodeID
 	Addr string
-	// Trace is echoed from the JoinRequest that introduced the node.
-	Trace obs.TraceContext
 }
 
 // Leave announces that an engine wants to depart gracefully. The
@@ -468,8 +421,6 @@ type MemberAddr struct {
 //distq:handledby coordinator
 type Leave struct {
 	Node partition.NodeID
-	// Trace identifies the engine's shutdown span, if any.
-	Trace obs.TraceContext
 }
 
 // LeaveAck confirms that a departing engine owns no partitions and may
@@ -478,8 +429,6 @@ type Leave struct {
 //distq:handledby engine
 type LeaveAck struct {
 	Node partition.NodeID
-	// Trace is echoed from the Leave being acknowledged.
-	Trace obs.TraceContext
 }
 
 // ReplicaMap is the coordinator's broadcast of the desired follower
@@ -493,8 +442,6 @@ type LeaveAck struct {
 type ReplicaMap struct {
 	Version uint64
 	Entries []ReplicaEntry
-	// Trace identifies the coordinator's membership span, if any.
-	Trace obs.TraceContext
 }
 
 // ReplicaEntry assigns one partition group's follower (nested in
@@ -525,8 +472,6 @@ type StateDelta struct {
 	Incarnation uint64
 	Seq         uint64
 	Entries     []DeltaEntry
-	// Trace identifies the primary's replication tick, if traced.
-	Trace obs.TraceContext
 }
 
 // DeltaKind discriminates the payload of one DeltaEntry.
@@ -570,8 +515,6 @@ type DeltaAck struct {
 	// re-seeds every group it streams there and renumbers from 1.
 	Incarnation uint64
 	Seq         uint64
-	// Trace is echoed from the StateDelta being acknowledged.
-	Trace obs.TraceContext
 }
 
 // Promote orders a follower to install its warm copies of Groups as
@@ -599,8 +542,6 @@ type PromoteAck struct {
 	Epoch     uint64
 	Node      partition.NodeID
 	Installed bool
-	// Trace is echoed from the Promote being acknowledged.
-	Trace obs.TraceContext
 }
 
 // Demote tells a revived engine that Groups were failed over away from
@@ -622,6 +563,4 @@ type Demote struct {
 type DemoteAck struct {
 	Epoch uint64
 	Node  partition.NodeID
-	// Trace is echoed from the Demote being acknowledged.
-	Trace obs.TraceContext
 }

@@ -49,10 +49,10 @@ const (
 
 // wireKinds is the single registry of what may travel the wire: index =
 // kind byte. Kinds are append-only and never renumbered; 0x7F is taken
-// by the transport's credit frame. distqlint reads this table (every
-// entry needs a //distq:handledby directive and a Trace field or a
-// //distq:plane data exemption), and TestWireTableComplete fails when a
-// message declared in proto.go is missing from it.
+// by the transport's credit frame. TestWireTableComplete fails unless
+// the table's types are exactly the messages proto.go declares (a type
+// carrying //distq:handledby); TestTraceFieldSet names the ten that
+// carry a Trace.
 var wireKinds = [...]wireCodec{
 	WireData:          bulk[Data](sizeData, appendData, decodeData),
 	WireResultData:    bulk[ResultData](sizeResultData, appendResultData, decodeResultData),
@@ -62,50 +62,50 @@ var wireKinds = [...]wireCodec{
 	// Control messages: fields returns pointers to the message's fields
 	// in wire order — the one statement of its layout.
 
-	5: control(func(m *Hello) []any { return []any{&m.Node, &m.Kind, &m.Trace} }),
+	5: control(func(m *Hello) []any { return []any{&m.Node, &m.Kind} }),
 	6: control(func(m *PauseMarker) []any { return []any{&m.Epoch, &m.Trace} }),
-	7: control(func(m *MarkerAck) []any { return []any{&m.Epoch, &m.Node, &m.Trace} }),
+	7: control(func(m *MarkerAck) []any { return []any{&m.Epoch, &m.Node} }),
 	8: control(func(m *StatsReport) []any {
 		return []any{&m.Node, &m.MemBytes, &m.Groups, &m.Output, &m.SpillCount, &m.SpilledBytes,
-			&m.DiskSegments, &m.ReplLag, &m.ReplVersion, &m.Trace}
+			&m.DiskSegments, &m.ReplLag, &m.ReplVersion}
 	}),
 	9:  control(func(m *ResultCount) []any { return []any{&m.Node, &m.Delta} }),
 	10: control(func(m *CptV) []any { return []any{&m.Epoch, &m.Amount, &m.Receiver, &m.LowProd, &m.Trace} }),
-	11: control(func(m *PtV) []any { return []any{&m.Epoch, &m.Node, &m.Partitions, &m.Trace} }),
+	11: control(func(m *PtV) []any { return []any{&m.Epoch, &m.Node, &m.Partitions} }),
 	12: control(func(m *Pause) []any { return []any{&m.Epoch, &m.Partitions, &m.Owner, &m.Trace} }),
 	13: control(func(m *SendStates) []any {
 		return []any{&m.Epoch, &m.Partitions, &m.Receiver, &m.Directed, &m.Trace}
 	}),
-	14: control(func(m *Installed) []any { return []any{&m.Epoch, &m.Node, &m.Trace} }),
+	14: control(func(m *Installed) []any { return []any{&m.Epoch, &m.Node} }),
 	15: control(func(m *Remap) []any { return []any{&m.Epoch, &m.Partitions, &m.Owner, &m.Version, &m.Trace} }),
-	16: control(func(m *RemapAck) []any { return []any{&m.Epoch, &m.Trace} }),
+	16: control(func(m *RemapAck) []any { return []any{&m.Epoch} }),
 	17: control(func(m *ForceSpill) []any { return []any{&m.Amount, &m.Seq, &m.Trace} }),
-	18: control(func(m *SpillDone) []any { return []any{&m.Node, &m.Bytes, &m.Seq, &m.Trace} }),
-	19: control(func(m *RelocTimeout) []any { return []any{&m.Epoch, &m.Seq, &m.Trace} }),
+	18: control(func(m *SpillDone) []any { return []any{&m.Node, &m.Bytes, &m.Seq} }),
+	19: control(func(m *RelocTimeout) []any { return []any{&m.Epoch, &m.Seq} }),
 	20: control(func(m *RelocAbort) []any { return []any{&m.Epoch, &m.Trace} }),
-	21: control(func(m *RelocAbortAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed, &m.Trace} }),
+	21: control(func(m *RelocAbortAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed} }),
 	// 22, 23: retired (Checkpoint, CheckpointDone). Kinds are never reused.
-	24: control(func(m *StartCleanup) []any { return []any{&m.Trace} }),
+	24: control(func(m *StartCleanup) []any { return nil }),
 	25: control(func(m *CleanupDone) []any {
-		return []any{&m.Node, &m.Groups, &m.Segments, &m.Tuples, &m.Results, &m.ElapsedNs, &m.Error, &m.Trace}
+		return []any{&m.Node, &m.Groups, &m.Segments, &m.Tuples, &m.Results, &m.ElapsedNs, &m.Error}
 	}),
-	26: control(func(m *Stop) []any { return []any{&m.Trace} }),
-	27: control(func(m *Tick) []any { return []any{&m.Kind, &m.Trace} }),
-	28: control(func(m *Drain) []any { return []any{&m.Token, &m.Trace} }),
-	29: control(func(m *DrainAck) []any { return []any{&m.Token, &m.Node, &m.Trace} }),
-	30: control(func(m *Quiesce) []any { return []any{&m.Trace} }),
-	31: control(func(m *QuiesceAck) []any { return []any{&m.Trace} }),
-	32: control(func(m *JoinRequest) []any { return []any{&m.Node, &m.Addr, &m.Trace} }),
-	33: control(func(m *JoinAck) []any { return []any{&m.Node, &m.Accepted, &m.Reason, &m.Trace} }),
-	34: control(func(m *MemberAddr) []any { return []any{&m.Node, &m.Addr, &m.Trace} }),
-	35: control(func(m *Leave) []any { return []any{&m.Node, &m.Trace} }),
-	36: control(func(m *LeaveAck) []any { return []any{&m.Node, &m.Trace} }),
-	37: control(func(m *ReplicaMap) []any { return []any{&m.Version, &m.Entries, &m.Trace} }),
-	38: control(func(m *DeltaAck) []any { return []any{&m.Node, &m.Incarnation, &m.Seq, &m.Trace} }),
+	26: control(func(m *Stop) []any { return nil }),
+	27: control(func(m *Tick) []any { return []any{&m.Kind} }),
+	28: control(func(m *Drain) []any { return []any{&m.Token} }),
+	29: control(func(m *DrainAck) []any { return []any{&m.Token, &m.Node} }),
+	30: control(func(m *Quiesce) []any { return nil }),
+	31: control(func(m *QuiesceAck) []any { return nil }),
+	32: control(func(m *JoinRequest) []any { return []any{&m.Node, &m.Addr} }),
+	33: control(func(m *JoinAck) []any { return []any{&m.Node, &m.Accepted, &m.Reason} }),
+	34: control(func(m *MemberAddr) []any { return []any{&m.Node, &m.Addr} }),
+	35: control(func(m *Leave) []any { return []any{&m.Node} }),
+	36: control(func(m *LeaveAck) []any { return []any{&m.Node} }),
+	37: control(func(m *ReplicaMap) []any { return []any{&m.Version, &m.Entries} }),
+	38: control(func(m *DeltaAck) []any { return []any{&m.Node, &m.Incarnation, &m.Seq} }),
 	39: control(func(m *Promote) []any { return []any{&m.Epoch, &m.From, &m.Groups, &m.Trace} }),
-	40: control(func(m *PromoteAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed, &m.Trace} }),
+	40: control(func(m *PromoteAck) []any { return []any{&m.Epoch, &m.Node, &m.Installed} }),
 	41: control(func(m *Demote) []any { return []any{&m.Epoch, &m.Groups, &m.Trace} }),
-	42: control(func(m *DemoteAck) []any { return []any{&m.Epoch, &m.Node, &m.Trace} }),
+	42: control(func(m *DemoteAck) []any { return []any{&m.Epoch, &m.Node} }),
 }
 
 // wireCodec is one table entry: a message type and its codec.
@@ -318,7 +318,7 @@ func decodeStateTransfer(r *wireReader) (StateTransfer, error) {
 }
 
 func sizeStateDelta(m StateDelta) int {
-	n := wireStrLen(string(m.From)) + 8 + 8 + wireTraceLen(m.Trace) + 4
+	n := wireStrLen(string(m.From)) + 8 + 8 + 4
 	for _, e := range m.Entries {
 		n += 4 + 1 + 4 + len(e.Payload)
 	}
@@ -329,7 +329,6 @@ func appendStateDelta(dst []byte, m StateDelta) []byte {
 	dst = appendWireStr(dst, string(m.From))
 	dst = binary.LittleEndian.AppendUint64(dst, m.Incarnation)
 	dst = binary.LittleEndian.AppendUint64(dst, m.Seq)
-	dst = appendWireTrace(dst, m.Trace)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Entries)))
 	for _, e := range m.Entries {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(e.Group))
@@ -351,9 +350,6 @@ func decodeStateDelta(r *wireReader) (StateDelta, error) {
 		return m, err
 	}
 	if m.Seq, err = r.takeU64(); err != nil {
-		return m, err
-	}
-	if m.Trace, err = r.takeTrace(); err != nil {
 		return m, err
 	}
 	n, err := r.takeU32()

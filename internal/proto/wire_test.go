@@ -40,7 +40,6 @@ func wireMessages() []Message {
 				{Group: 6, Kind: DeltaAppend, Payload: nil},
 				{Group: 5, Kind: DeltaSpillMark, Payload: []byte{2, 0, 0, 0}},
 			},
-			Trace: obs.TraceContext{TraceID: 1, SpanID: 2, Node: "e2"},
 		},
 		StateDelta{From: "e1", Seq: 0},
 	}
@@ -108,7 +107,6 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 		From:    "e1",
 		Seq:     9,
 		Entries: []DeltaEntry{{Group: 3, Kind: DeltaSeed, Payload: []byte("p")}},
-		Trace:   obs.TraceContext{TraceID: 1, SpanID: 2, Node: "n"},
 	})
 
 	cases := []struct {
@@ -138,8 +136,7 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 	// Out-of-range kind byte. The empty-Entries encoding of the same
 	// header still writes the entry count, so its length is exactly where
 	// the first entry starts; the kind byte sits 4 (group) bytes later.
-	prefix := len(AppendWire(nil, StateDelta{From: "e1", Seq: 9,
-		Trace: obs.TraceContext{TraceID: 1, SpanID: 2, Node: "n"}}))
+	prefix := len(AppendWire(nil, StateDelta{From: "e1", Seq: 9}))
 	mut := append([]byte(nil), valid...)
 	mut[prefix+4] = byte(DeltaSpillMark) + 1
 	if _, err := DecodeWire(WireStateDelta, mut); err == nil || !strings.Contains(err.Error(), "kind byte") {
@@ -295,6 +292,37 @@ func TestWireTableComplete(t *testing.T) {
 		if !inTable[name] {
 			t.Errorf("proto.%s is declared but missing from the wire-kind table: it cannot travel the wire", name)
 		}
+	}
+}
+
+// TestTraceFieldSet: a trace context rides exactly the messages whose
+// receiver records a span under it or, for the other steps, whose sender
+// is the coordinator's plan driver (which stamps every step alike) — the
+// eight step messages of coordinator/plan.go and the two that forward a
+// step's context to a span on another node. Nothing echoes one back.
+func TestTraceFieldSet(t *testing.T) {
+	traced := map[string]bool{
+		"CptV": true, "Pause": true, "SendStates": true, "Remap": true, "RelocAbort": true,
+		"ForceSpill": true, "Promote": true, "Demote": true, // steps
+		"PauseMarker": true, "StateTransfer": true, // forwards of Pause's and SendStates'
+	}
+	for _, c := range wireKinds {
+		if c.typ == nil {
+			continue
+		}
+		f, has := c.typ.FieldByName("Trace")
+		switch {
+		case has && f.Type != reflect.TypeFor[obs.TraceContext]():
+			t.Errorf("%s.Trace is a %s", c.typ.Name(), f.Type)
+		case has && !traced[c.typ.Name()]:
+			t.Errorf("%s carries a Trace nothing reads: only steps and their two forwards do", c.typ.Name())
+		case !has && traced[c.typ.Name()]:
+			t.Errorf("%s lost its Trace: its receiver's span falls out of the adaptation's tree", c.typ.Name())
+		}
+		delete(traced, c.typ.Name())
+	}
+	for name := range traced {
+		t.Errorf("%s is not in the wire-kind table", name)
 	}
 }
 

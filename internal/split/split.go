@@ -332,5 +332,5 @@ func (r *Router) remap(m proto.Remap) error {
 	if err != nil {
 		return err
 	}
-	return r.ep.Send(r.coordinator, proto.RemapAck{Epoch: m.Epoch, Trace: m.Trace})
+	return r.ep.Send(r.coordinator, proto.RemapAck{Epoch: m.Epoch})
 }

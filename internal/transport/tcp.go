@@ -29,8 +29,9 @@ const (
 	// wireVersion must match on both sides. Version 1 was the PR-9
 	// negotiated format that still carried gob; version 2 shipped group
 	// state as separate resident/segment lists and deltas without an
-	// incarnation.
-	wireVersion = 3
+	// incarnation; version 3 carried a trace context on every control
+	// message and on StateDelta.
+	wireVersion = 4
 	// helloAckSize is the ack: magic(2) version(1) creditWindow(8).
 	helloAckSize = 2 + 1 + 8
 	// maxNodeIDLen bounds the node id a hello may carry.

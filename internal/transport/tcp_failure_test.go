@@ -189,6 +189,10 @@ func TestTCPHelloFailureSaysWhy(t *testing.T) {
 		// A mixed pair: version 2 laid StateTransfer, StateDelta and
 		// DeltaAck out differently and still had kinds 22/23.
 		{"version 2 peer", ack(ackMagic, 2), "version mismatch"},
+		// Version 3 ended every control message and StateDelta's header
+		// with an 18-byte-or-longer trace context; only ten messages
+		// still carry one.
+		{"version 3 peer", ack(ackMagic, 3), "version mismatch"},
 		{"silence", []byte{}, "ack timeout"},
 	} {
 		dialer, peer := net.Pipe()

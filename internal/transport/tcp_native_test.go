@@ -138,7 +138,6 @@ func TestTCPBulkKindsRoundTrip(t *testing.T) {
 			{Group: 1, Kind: proto.DeltaSeed, Payload: []byte("seed-img")},
 			{Group: 2, Kind: proto.DeltaAppend, Payload: []byte("append")},
 		},
-		Trace: obs.TraceContext{TraceID: 1, SpanID: 2, Node: "a"},
 	}
 	res := proto.ResultData{Node: "a", Payload: []byte("results"), Phase: proto.PhaseCleanup}
 	stats := proto.StatsReport{Node: "a", MemBytes: 1 << 33, ReplLag: map[partition.ID]int64{7: 70, 2: 20}, ReplVersion: 4}
@@ -171,7 +170,7 @@ func TestTCPBulkKindsRoundTrip(t *testing.T) {
 	gd, ok := sink.others[1].(proto.StateDelta)
 	if !ok || gd.From != "a" || gd.Incarnation != 9 || gd.Seq != 5 || len(gd.Entries) != 2 ||
 		gd.Entries[0].Kind != proto.DeltaSeed || string(gd.Entries[0].Payload) != "seed-img" ||
-		gd.Entries[1].Kind != proto.DeltaAppend || string(gd.Entries[1].Payload) != "append" || gd.Trace != delta.Trace {
+		gd.Entries[1].Kind != proto.DeltaAppend || string(gd.Entries[1].Payload) != "append" {
 		t.Fatalf("StateDelta mangled: %+v", sink.others[1])
 	}
 	gr, ok := sink.others[2].(proto.ResultData)

@@ -1,8 +1,9 @@
 #!/bin/sh
 # loc: the line count every simplification PR quotes — non-test Go
 # outside benchmark/ and testdata/, the code a reader has to hold in
-# their head — for the working tree and for internal/coordinator alone
-# and, given BASE, the same at that revision and the delta against it.
+# their head — for the working tree, for internal/coordinator and for
+# the lint suite (internal/analysis + cmd/distqlint) and, given BASE, the
+# same at that revision and the delta against it.
 #
 #   scripts/loc.sh [BASE]
 #   make loc BASE=d3d9c36
@@ -11,11 +12,13 @@
 # ignored); nothing is written.
 set -eu
 cd "$(git rev-parse --show-toplevel)"
-# counted PREFIX: of the paths on stdin, the counted ones under PREFIX.
+# counted PREFIXES: of the paths on stdin, the counted ones under one of
+# PREFIXES (a|b).
 counted() {
-	grep '\.go$' | grep -v -e '_test\.go$' -e '^benchmark/' -e '/testdata/' | grep "^$1" || true
+	grep '\.go$' | grep -v -e '_test\.go$' -e '^benchmark/' -e '/testdata/' | grep -E "^($1)" || true
 }
-# here PREFIX / at REV PREFIX: counted lines in the working tree / in REV.
+lint='internal/analysis/|cmd/distqlint/'
+# here PREFIXES / at REV PREFIXES: counted lines in the working tree / in REV.
 here() {
 	git ls-files --cached --others --exclude-standard | counted "$1" |
 		while read -r f; do [ ! -f "$f" ] || cat "$f"; done | wc -l | tr -d ' '
@@ -27,8 +30,10 @@ at() {
 now=$(here '')
 echo "non-test Go lines (excluding benchmark/, testdata/): $now"
 echo "  internal/coordinator: $(here internal/coordinator/)"
+echo "  internal/analysis + cmd/distqlint: $(here "$lint")"
 [ $# -ge 1 ] && [ -n "$1" ] || exit 0
 was=$(at "$1" '')
 echo "at $1: $was"
 echo "  internal/coordinator: $(at "$1" internal/coordinator/)"
+echo "  internal/analysis + cmd/distqlint: $(at "$1" "$lint")"
 echo "delta: $((now - was))"
