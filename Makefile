@@ -11,7 +11,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke fuzz-smoke bench bench-pairs loc
+.PHONY: check vet build no-gob lint lint-waivers test test-race chaos-smoke e2e-smoke cluster-smoke fuzz-smoke bench bench-pairs loc
 
 check: vet build no-gob lint lint-waivers test-race chaos-smoke fuzz-smoke
 
@@ -63,6 +63,13 @@ chaos-smoke:
 e2e-smoke:
 	$(GO) run ./benchmark -seconds 2
 
+# cluster-smoke runs the four node binaries as README's localhost
+# cluster for about a second: the generator must exit 0, the coordinator
+# relocate at least once, and the application server's final count equal
+# the results the engines logged (scripts/cluster-smoke.sh).
+cluster-smoke:
+	scripts/cluster-smoke.sh
+
 # bench runs the benchmark regression gate and writes BENCH_15.json.
 # Shrink the figure smoke further with REPRO_DURATION_FACTOR.
 bench:
@@ -78,9 +85,10 @@ bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # loc prints the line count simplification PRs quote — non-test Go
-# outside benchmark/ and testdata/: whole tree, internal/coordinator, and
-# the lint suite (internal/analysis + cmd/distqlint) — and, with BASE,
-# the same at that revision and the delta.
+# outside benchmark/ and testdata/: whole tree, internal/coordinator, the
+# lint suite (internal/analysis + cmd/distqlint) and the wiring (distq,
+# internal/cluster, the four node binaries) — and, with BASE, the same at
+# that revision and the delta.
 #   make loc BASE=d3d9c36
 loc:
 	scripts/loc.sh $(BASE)

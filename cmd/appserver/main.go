@@ -1,7 +1,9 @@
 // Command appserver runs the application server: the node consuming the
-// query's output stream in the paper's Figure 1 architecture. It tallies
-// result counts from the engines and logs the running throughput. See
-// cmd/engine for a full localhost cluster example.
+// query's output stream in the paper's Figure 1 architecture. It is
+// flags, monitoring and signal handling over cluster.AppServer — the
+// node the harness and the distq facade run — tallying the engines'
+// result counts and logging the running throughput. See cmd/engine for a
+// full localhost cluster example.
 package main
 
 import (
@@ -9,17 +11,13 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/monitor"
-	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/proto"
 	"repro/internal/transport"
-	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
 
@@ -32,23 +30,21 @@ func main() {
 	)
 	flag.Parse()
 
-	var total atomic.Uint64
-	dir := map[partition.NodeID]string{cluster.AppServerNode: *listen}
-	net := transport.NewTCP(dir)
+	net := transport.NewTCP(map[partition.NodeID]string{cluster.AppServerNode: *listen})
 	defer net.Close()
-	reg := obs.NewRegistry()
-	reg.Help("distq_appserver_results_total", "result tuples received from the engines")
-	net.Instrument(cluster.AppServerNode, transport.NewMetrics(reg, "appserver"))
-	logger := obs.NewLogger(obs.LoggerConfig{Node: string(cluster.AppServerNode), Kind: "appserver"})
-	logger.SetOutput(os.Stderr)
+	// Count-only, as the engine binaries report: no result sets are kept.
+	app := cluster.NewAppServer(vclock.NewScaled(1), false, nil)
+	// Mirror structured log events to stderr alongside the process log.
+	app.Logger().SetOutput(os.Stderr)
+	net.Instrument(cluster.AppServerNode, transport.NewMetrics(app.Registry(), "appserver"))
 	if *monAddr != "" {
 		mon, err := monitor.StartServer(monitor.Config{
 			Addr: *monAddr,
 			Snapshot: func() monitor.Snapshot {
-				return monitor.Snapshot{Kind: "appserver", Output: total.Load()}
+				return monitor.Snapshot{Kind: "appserver", Output: app.Results()}
 			},
-			Registry:        reg,
-			Logger:          logger,
+			Registry:        app.Registry(),
+			Logger:          app.Logger(),
 			EnableProfiling: *pprofOn,
 		})
 		if err != nil {
@@ -57,42 +53,7 @@ func main() {
 		defer mon.Close()
 		log.Printf("appserver monitoring on http://%s/metrics", mon.Addr())
 	}
-	results := reg.Counter("distq_appserver_results_total")
-	var ep transport.Endpoint
-	ep, err := net.Attach(cluster.AppServerNode, func(from partition.NodeID, msg proto.Message) {
-		//distq:handles appserver
-		switch m := msg.(type) {
-		case proto.ResultCount:
-			total.Add(m.Delta)
-			results.Add(float64(m.Delta))
-		case proto.ResultData:
-			// Materializing engines ship encoded results; count them.
-			var n uint64
-			for buf := m.Payload; len(buf) > 0; {
-				_, used, err := decodeResultSize(buf)
-				if err != nil {
-					log.Printf("bad result data from %s: %v", from, err)
-					return
-				}
-				buf = buf[used:]
-				n++
-			}
-			total.Add(n)
-			results.Add(float64(n))
-		case proto.CleanupDone:
-			if m.Error != "" {
-				log.Printf("cleanup on %s failed: %s", m.Node, m.Error)
-			} else {
-				log.Printf("cleanup on %s: %d results from %d spilled tuples", m.Node, m.Results, m.Tuples)
-			}
-		case proto.Drain:
-			// Fence: every result enqueued before this message is tallied.
-			if err := ep.Send(from, proto.DrainAck{Token: m.Token, Node: cluster.AppServerNode}); err != nil {
-				log.Printf("drain ack to %s: %v", from, err)
-			}
-		}
-	})
-	if err != nil {
+	if err := app.Attach(net); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("application server listening on %s", *listen)
@@ -105,18 +66,12 @@ func main() {
 	for {
 		select {
 		case <-tick.C:
-			now := total.Load()
+			now := app.Results()
 			log.Printf("results: %d (+%d)", now, now-last)
 			last = now
 		case <-sig:
-			log.Printf("final result count: %d", total.Load())
+			log.Printf("final result count: %d", app.Results())
 			return
 		}
 	}
-}
-
-// decodeResultSize parses one encoded result's length without keeping it.
-func decodeResultSize(buf []byte) (struct{}, int, error) {
-	_, used, err := tuple.DecodeResult(buf)
-	return struct{}{}, used, err
 }

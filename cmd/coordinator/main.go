@@ -1,8 +1,10 @@
 // Command coordinator runs the global coordinator (GC) as its own OS
 // process: it collects statistics from the engines over TCP, decides
 // relocations and forced spills under the chosen strategy, and
-// orchestrates the 8-step relocation protocol. See cmd/engine for a full
-// localhost cluster example.
+// orchestrates the 8-step relocation protocol. Its flags fill a
+// cluster.Config, whose Map and CoordinatorConfig are what the harness
+// builds its coordinator from. See cmd/engine for a full localhost
+// cluster example.
 package main
 
 import (
@@ -18,9 +20,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/nodeflag"
-	"repro/internal/partition"
 	"repro/internal/transport"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -59,16 +61,7 @@ func main() {
 	dir[cluster.CoordinatorNode] = *listen
 	dir[cluster.GeneratorNode] = *genAddr
 
-	assign := partition.UniformAssign(engineNames)
-	if w, err := nodeflag.ParseWeights(*weights, len(engineNames)); err != nil {
-		log.Fatal(err)
-	} else if w != nil {
-		assign, err = partition.WeightedAssign(engineNames, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	masterMap, err := partition.NewMap(*partitions, assign)
+	w, err := nodeflag.ParseWeights(*weights, len(engineNames))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,20 +84,24 @@ func main() {
 		log.Fatalf("unknown strategy %q", *strategy)
 	}
 
-	net := transport.NewTCP(dir)
-	defer net.Close()
-	gc, err := coordinator.New(coordinator.Config{
-		Node:             cluster.CoordinatorNode,
-		SplitHost:        cluster.GeneratorNode,
+	cfg := cluster.Config{
 		Engines:          engineNames,
+		InitialWeights:   w,
+		Workload:         workload.Config{Partitions: *partitions},
 		Strategy:         strat,
-		Map:              masterMap,
 		LBInterval:       *lbEvery,
 		Replicate:        *replicate,
 		HeartbeatTimeout: *hbTimeout,
 		RelocTimeout:     *relTimeout,
 		RelocMaxRetries:  *relRetries,
-	}, vclock.NewScaled(*scale))
+	}
+	masterMap, err := cfg.Map()
+	if err != nil {
+		log.Fatal(err)
+	}
+	net := transport.NewTCP(dir)
+	defer net.Close()
+	gc, err := coordinator.New(cfg.CoordinatorConfig(masterMap), vclock.NewScaled(*scale))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,9 @@
 //	generator -listen 127.0.0.1:7002 -gc 127.0.0.1:7000 -app 127.0.0.1:7001 \
 //	          -engines m1=127.0.0.1:7101,m2=127.0.0.1:7102 -duration 10m
 //
-// The engine runs until interrupted.
+// The engine runs until interrupted. Its flags fill a cluster.Config,
+// whose EngineConfig and NodeStores are what the harness builds its
+// engines from.
 package main
 
 import (
@@ -31,9 +33,9 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/nodeflag"
 	"repro/internal/partition"
-	"repro/internal/spill"
 	"repro/internal/transport"
 	"repro/internal/vclock"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -89,32 +91,27 @@ func main() {
 		log.Fatalf("unknown policy %q", *policyName)
 	}
 
-	var store spill.Store
-	if *storeDir != "" {
-		fs, err := spill.NewFileStore(*storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		store = fs
+	// The engine's own spill store in -store, its standby tier (what it
+	// holds as a follower) under -store/standby.
+	store, standby, err := cluster.NodeStores(*storeDir)
+	if err != nil {
+		log.Fatal(err)
 	}
+	cfg := cluster.Config{
+		Workload:        workload.Config{Streams: *inputs, Partitions: *partitions},
+		Spill:           core.SpillConfig{MemThreshold: *threshold, Fraction: *fraction},
+		LocalSpill:      *threshold > 0,
+		Policy:          func(partition.NodeID) core.Policy { return policy },
+		JoinParallelism: *joinPar,
+		GroupMetrics:    *groupMet,
+	}
+	ec := cfg.EngineConfig(partition.NodeID(*node), store, standby)
+	ec.DynamicJoin = *joinCluster
+	ec.Addr = *listen
 
 	net := transport.NewTCP(dir)
 	defer net.Close()
-	e, err := engine.New(engine.Config{
-		Node:            partition.NodeID(*node),
-		Coordinator:     cluster.CoordinatorNode,
-		AppServer:       cluster.AppServerNode,
-		Inputs:          *inputs,
-		Partitions:      *partitions,
-		Spill:           core.SpillConfig{MemThreshold: *threshold, Fraction: *fraction},
-		LocalSpill:      *threshold > 0,
-		Policy:          policy,
-		Store:           store,
-		JoinParallelism: *joinPar,
-		GroupMetrics:    *groupMet,
-		DynamicJoin:     *joinCluster,
-		Addr:            *listen,
-	}, vclock.NewScaled(*scale))
+	e, err := engine.New(ec, vclock.NewScaled(*scale))
 	if err != nil {
 		log.Fatal(err)
 	}

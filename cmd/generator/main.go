@@ -1,7 +1,9 @@
-// Command generator runs the stream generator node: it hosts the split
-// operators, paces the paper's synthetic workload over TCP to the
-// engines, and drives the end-of-run fence (quiesce, drain) and the
-// cleanup phase. See cmd/engine for a full localhost cluster example.
+// Command generator runs the stream generator node: flags, trace
+// record/replay and monitoring over cluster.SplitHost and cluster.Feeder —
+// the split-operator host and paced workload the harness runs. It paces
+// the paper's synthetic workload over TCP to the engines and drives the
+// end-of-run fence (quiesce, drain) and the cleanup phase. See
+// cmd/engine for a full localhost cluster example.
 package main
 
 import (
@@ -9,15 +11,13 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/nodeflag"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/proto"
-	"repro/internal/split"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/tuple"
@@ -42,7 +42,7 @@ func main() {
 		scale        = flag.Float64("scale", 1, "virtual time compression factor")
 		cleanup      = flag.Bool("cleanup", true, "run the disk-phase cleanup after draining")
 		seed         = flag.Int64("seed", 42, "workload seed")
-		record       = flag.String("record", "", "record the fed tuples into a trace file")
+		recordTo     = flag.String("record", "", "record the fed tuples into a trace file")
 		replay       = flag.String("replay", "", "replay a recorded trace instead of the synthetic workload")
 		monAddr      = flag.String("monitor", "", "HTTP monitoring address serving /healthz, /stats, and /metrics (empty disables)")
 	)
@@ -59,29 +59,28 @@ func main() {
 	dir[cluster.GeneratorNode] = *listen
 	dir[cluster.CoordinatorNode] = *gcAddr
 	dir[cluster.AppServerNode] = *appAddr
-
-	assign := partition.UniformAssign(engineNames)
-	if w, err := nodeflag.ParseWeights(*weights, len(engineNames)); err != nil {
-		log.Fatal(err)
-	} else if w != nil {
-		assign, err = partition.WeightedAssign(engineNames, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	pmap, err := partition.NewMap(*partitions, assign)
+	w, err := nodeflag.ParseWeights(*weights, len(engineNames))
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	gen, err := workload.New(workload.Config{
-		Streams:      *streams,
-		Partitions:   *partitions,
-		Classes:      []workload.Class{{Fraction: 1, JoinRate: *joinRate, TupleRange: *tupleRange}},
-		InterArrival: *interArrival,
-		PayloadBytes: *payload,
-		Seed:         *seed,
-	})
+	cfg := cluster.Config{
+		Engines:        engineNames,
+		InitialWeights: w,
+		Workload: workload.Config{
+			Streams:      *streams,
+			Partitions:   *partitions,
+			Classes:      []workload.Class{{Fraction: 1, JoinRate: *joinRate, TupleRange: *tupleRange}},
+			InterArrival: *interArrival,
+			PayloadBytes: *payload,
+			Seed:         *seed,
+		},
+	}
+	// The same map the coordinator builds from the same flags.
+	pmap, err := cfg.Map()
+	if err != nil {
+		log.Fatal(err)
+	}
+	gen, err := workload.New(cfg.Workload)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -103,56 +102,22 @@ func main() {
 		defer mon.Close()
 		log.Printf("generator monitoring on http://%s/metrics", mon.Addr())
 	}
-
-	drainCh := make(chan proto.DrainAck, 64)
-	quiesceCh := make(chan struct{}, 1)
-	cleanupCh := make(chan proto.CleanupDone, 64)
-	var router *split.Router
-	ep, err := net.Attach(cluster.GeneratorNode, func(from partition.NodeID, msg proto.Message) {
-		if handled, err := router.HandleControl(msg); handled {
-			if err != nil {
-				log.Printf("router: %v", err)
-			}
-			return
-		}
-		switch m := msg.(type) {
-		case proto.DrainAck:
-			drainCh <- m
-		case proto.QuiesceAck:
-			select {
-			case quiesceCh <- struct{}{}:
-			default:
-			}
-		case proto.CleanupDone:
-			cleanupCh <- m
-		}
-	})
+	host, err := cluster.NewSplitHost(net, clock, pmap)
 	if err != nil {
 		log.Fatal(err)
 	}
-	owner, version := pmap.Snapshot()
-	router, err = split.New(ep, cluster.CoordinatorNode, gen.PartitionFunc(), owner, version, split.DefaultBatchSize)
-	if err != nil {
-		log.Fatal(err)
-	}
-	router.DirectoryExtender(net.AddNode)
+	// Mirror structured log events to stderr alongside the process log.
+	host.Logger().SetOutput(os.Stderr)
+	router := host.Router()
 
+	// record sees every tuple on its way to the router.
+	record := func(tuple.Tuple) error { return nil }
 	var recorder *trace.Writer
-	if *record != "" {
-		recorder, err = trace.Create(*record, *streams)
-		if err != nil {
+	if *recordTo != "" {
+		if recorder, err = trace.Create(*recordTo, *streams); err != nil {
 			log.Fatal(err)
 		}
-	}
-	feed := func(t tuple.Tuple) {
-		if recorder != nil {
-			if err := recorder.Append(&t); err != nil {
-				log.Fatalf("record: %v", err)
-			}
-		}
-		if err := router.Route(t); err != nil {
-			log.Fatalf("route: %v", err)
-		}
+		record = func(t tuple.Tuple) error { return recorder.Append(&t) }
 	}
 
 	var fed uint64
@@ -177,7 +142,12 @@ func main() {
 					log.Fatalf("flush: %v", err)
 				}
 			}
-			feed(t)
+			if err := record(t); err != nil {
+				log.Fatalf("record: %v", err)
+			}
+			if err := router.Route(t); err != nil {
+				log.Fatalf("route: %v", err)
+			}
 			fed++
 		}
 		if err := router.Flush(); err != nil {
@@ -185,65 +155,31 @@ func main() {
 		}
 	} else {
 		log.Printf("generator feeding %d streams for %v (virtual, scale %gx)", *streams, *duration, *scale)
-		end := vclock.Time(*duration)
-		next := make([]vclock.Time, *streams)
-		for {
-			now := clock.Now()
-			for s := 0; s < *streams; s++ {
-				for next[s] <= now && next[s] < end {
-					feed(gen.Next(s, next[s]))
-					next[s] = next[s].Add(*interArrival)
-				}
-			}
-			if err := router.Flush(); err != nil {
-				log.Fatalf("flush: %v", err)
-			}
-			if now >= end {
-				break
-			}
-			clock.Sleep(150 * time.Millisecond)
+		feeder := cluster.NewFeeder(clock, gen, router)
+		feeder.Record = record
+		if err := feeder.Feed(*duration); err != nil {
+			log.Fatal(err)
 		}
-		for s := 0; s < *streams; s++ {
-			fed += gen.Emitted(s)
-		}
+		fed = feeder.Generated()
 	}
 	if recorder != nil {
 		if err := recorder.Close(); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("recorded %d tuples to %s", recorder.Count(), *record)
+		log.Printf("recorded %d tuples to %s", recorder.Count(), *recordTo)
 	}
 	log.Printf("run-time phase done: %d tuples fed; quiescing", fed)
 
-	// Fence: quiesce the coordinator, then drain the engines.
-	if err := ep.Send(cluster.CoordinatorNode, proto.Quiesce{}); err != nil {
+	// Fence: quiesce the coordinator, then drain the engines and, behind
+	// their results, the application server. An engine that cannot be
+	// reached is skipped (logged by the split host): its groups failed
+	// over to a follower, which is drained under its own name if static,
+	// or flushes results continuously if it joined dynamically.
+	if err := host.Quiesce(); err != nil {
 		log.Fatal(err)
 	}
-	select {
-	case <-quiesceCh:
-	case <-vclock.WallTimeout(60 * time.Second):
-		log.Fatal("quiesce timed out")
-	}
-	if err := router.Flush(); err != nil {
+	if err := host.Drain(engineNames); err != nil {
 		log.Fatal(err)
-	}
-	drains := 0
-	for _, node := range engineNames {
-		if err := ep.Send(node, proto.Drain{Token: 1}); err != nil {
-			// A dead engine cannot drain; its groups failed over to a
-			// follower (which is drained under its own name if static,
-			// or flushes results continuously if it joined dynamically).
-			log.Printf("drain %s skipped: %v", node, err)
-			continue
-		}
-		drains++
-	}
-	for i := 0; i < drains; i++ {
-		select {
-		case <-drainCh:
-		case <-vclock.WallTimeout(60 * time.Second):
-			log.Fatal("drain timed out")
-		}
 	}
 	if n := router.SendFailures(); n > 0 {
 		log.Printf("%d data batches parked on unreachable owners and re-released after remap", n)
@@ -251,26 +187,18 @@ func main() {
 	log.Printf("drained; peak pause buffer %d tuples", router.BufferedPeak())
 
 	if *cleanup {
+		summary, err := host.RunCleanup(engineNames)
 		for _, node := range engineNames {
-			if err := ep.Send(node, proto.StartCleanup{}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		var results uint64
-		var tuples int
-		for range engineNames {
-			select {
-			case done := <-cleanupCh:
-				results += done.Results
-				tuples += done.Tuples
+			if done, ok := summary.PerNode[node]; ok {
 				log.Printf("cleanup %s: %d groups, %d segments, %d tuples, %d results in %v",
 					done.Node, done.Groups, done.Segments, done.Tuples, done.Results,
 					time.Duration(done.ElapsedNs))
-			case <-vclock.WallTimeout(5 * time.Minute):
-				log.Fatal("cleanup timed out")
 			}
 		}
-		fmt.Printf("cleanup total: %d missed results from %d spilled tuples\n", results, tuples)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("cleanup total: %d missed results from %d spilled tuples\n", summary.Results, summary.Tuples)
 	}
 	log.Printf("experiment complete")
 }

@@ -2,17 +2,13 @@ package distq
 
 import (
 	"fmt"
-	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/coordinator"
-	"repro/internal/engine"
-	"repro/internal/partition"
+	"repro/internal/core"
 	"repro/internal/proto"
-	"repro/internal/spill"
-	"repro/internal/split"
 	"repro/internal/transport"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -77,26 +73,15 @@ type Options struct {
 // Cluster is a running distributed join: a split host routing ingested
 // tuples to partitioned engine instances under an adaptive coordinator.
 type Cluster struct {
-	opts    Options
-	clock   vclock.Clock
-	net     transport.Network
-	ownsNet bool
-
-	router  *split.Router
-	ep      transport.Endpoint
-	app     *cluster.AppServer
-	coord   *coordinator.Coordinator
-	engines map[NodeID]*engine.Engine
+	opts  Options
+	c     *cluster.Cluster
+	clock vclock.Clock
 
 	// seqs numbers each input's tuples; drained and closed gate Ingest.
 	// Atomics, so the router's lock is the only one a tuple takes.
 	seqs    []atomic.Uint64
 	drained atomic.Bool
 	closed  atomic.Bool
-
-	drainCh   chan proto.DrainAck
-	quiesceCh chan struct{}
-	token     uint64
 }
 
 // NewCluster assembles and starts a Cluster.
@@ -113,137 +98,46 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.TimeScale <= 0 {
 		opts.TimeScale = 1
 	}
-	c := &Cluster{
-		opts:      opts,
-		clock:     vclock.NewScaled(opts.TimeScale),
-		seqs:      make([]atomic.Uint64, opts.Inputs),
-		engines:   make(map[NodeID]*engine.Engine, len(opts.Engines)),
-		drainCh:   make(chan proto.DrainAck, 64),
-		quiesceCh: make(chan struct{}, 1),
+	c, err := cluster.NewStreaming(opts.config())
+	if err != nil {
+		return nil, err
 	}
-	c.net = opts.Network
-	if c.net == nil {
-		c.net = transport.NewInproc()
-		c.ownsNet = true
-	}
-	if err := c.assemble(); err != nil {
+	if err := c.Start(); err != nil {
 		c.Close()
 		return nil, err
 	}
-	return c, nil
+	return &Cluster{opts: opts, c: c, clock: c.Clock(), seqs: make([]atomic.Uint64, opts.Inputs)}, nil
 }
 
-func (c *Cluster) assemble() error {
-	opts := c.opts
-	assign := partition.UniformAssign(opts.Engines)
-	if opts.InitialWeights != nil {
-		var err error
-		assign, err = partition.WeightedAssign(opts.Engines, opts.InitialWeights)
-		if err != nil {
-			return err
-		}
+// config states the cluster the options describe: the one place Options
+// become a cluster.Config.
+func (o Options) config() cluster.Config {
+	cfg := cluster.Config{
+		Engines:        o.Engines,
+		Workload:       WorkloadConfig{Streams: o.Inputs, Partitions: o.Partitions},
+		InitialWeights: o.InitialWeights,
+		Strategy:       o.Strategy.Build(),
+		Spill:          o.Spill,
+		LocalSpill:     o.Spill.MemThreshold > 0,
+		// The i-th engine's policy is seeded i+1 (RandomVictims only).
+		Policy: func(node NodeID) core.Policy {
+			return o.Policy.Build(int64(slices.Index(o.Engines, node) + 1))
+		},
+		Materialize:        o.OnResult != nil,
+		PreFilter:          o.Filter,
+		Window:             o.Window,
+		Scale:              o.TimeScale,
+		JoinParallelism:    o.JoinParallelism,
+		StoreDir:           o.StoreDir,
+		Network:            o.Network,
+		StatsInterval:      o.StatsInterval,
+		SpillCheckInterval: o.SpillCheckInterval,
+		LBInterval:         o.LBInterval,
 	}
-	masterMap, err := partition.NewMap(opts.Partitions, assign)
-	if err != nil {
-		return err
+	if o.OnResult != nil {
+		cfg.OnResult = func(p proto.Phase, r tuple.Result) { o.OnResult(Phase(p), r) }
 	}
-
-	materialize := opts.OnResult != nil
-	var onResult func(proto.Phase, tuple.Result)
-	if materialize {
-		onResult = func(p proto.Phase, r tuple.Result) { c.opts.OnResult(Phase(p), r) }
-	}
-	c.app = cluster.NewAppServer(c.clock, materialize, onResult)
-	if err := c.app.Attach(c.net); err != nil {
-		return err
-	}
-
-	c.coord, err = coordinator.New(coordinator.Config{
-		Node:       cluster.CoordinatorNode,
-		SplitHost:  cluster.GeneratorNode,
-		Engines:    opts.Engines,
-		Strategy:   opts.Strategy.Build(),
-		Map:        masterMap,
-		LBInterval: opts.LBInterval,
-	}, c.clock)
-	if err != nil {
-		return err
-	}
-	if err := c.coord.Attach(c.net); err != nil {
-		return err
-	}
-
-	for i, node := range opts.Engines {
-		var store spill.Store
-		if opts.StoreDir != "" {
-			fs, err := spill.NewFileStore(filepath.Join(opts.StoreDir, string(node)))
-			if err != nil {
-				return err
-			}
-			store = fs
-		}
-		e, err := engine.New(engine.Config{
-			Node:               node,
-			Coordinator:        cluster.CoordinatorNode,
-			AppServer:          cluster.AppServerNode,
-			Inputs:             opts.Inputs,
-			Partitions:         opts.Partitions,
-			Spill:              opts.Spill,
-			LocalSpill:         opts.Spill.MemThreshold > 0,
-			Policy:             opts.Policy.Build(int64(i + 1)),
-			Store:              store,
-			Materialize:        materialize,
-			PreFilter:          opts.Filter,
-			Window:             opts.Window,
-			JoinParallelism:    opts.JoinParallelism,
-			StatsInterval:      opts.StatsInterval,
-			SpillCheckInterval: opts.SpillCheckInterval,
-		}, c.clock)
-		if err != nil {
-			return err
-		}
-		if err := e.Attach(c.net); err != nil {
-			return err
-		}
-		c.engines[node] = e
-	}
-
-	ep, err := c.net.Attach(cluster.GeneratorNode, c.handleGenerator)
-	if err != nil {
-		return err
-	}
-	c.ep = ep
-	owner, version := masterMap.Snapshot()
-	c.router, err = split.New(ep, cluster.CoordinatorNode, partition.NewFunc(opts.Partitions), owner, version, split.DefaultBatchSize)
-	if err != nil {
-		return err
-	}
-
-	if err := c.coord.Start(); err != nil {
-		return err
-	}
-	for _, e := range c.engines {
-		if err := e.Start(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Cluster) handleGenerator(from NodeID, msg proto.Message) {
-	if handled, _ := c.router.HandleControl(msg); handled {
-		return
-	}
-	//distq:handles generator
-	switch m := msg.(type) {
-	case proto.DrainAck:
-		c.drainCh <- m
-	case proto.QuiesceAck:
-		select {
-		case c.quiesceCh <- struct{}{}:
-		default:
-		}
-	}
+	return cfg
 }
 
 // Ingest pushes one tuple into the given join input. Tuples are batched;
@@ -256,7 +150,7 @@ func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	if c.drained.Load() || c.closed.Load() {
 		return fmt.Errorf("distq: cluster is drained or closed")
 	}
-	return c.router.Route(tuple.Tuple{
+	return c.c.Router().Route(tuple.Tuple{
 		Stream:  uint8(stream),
 		Key:     key,
 		Seq:     c.seqs[stream].Add(1) - 1,
@@ -266,64 +160,23 @@ func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 }
 
 // Flush forces delivery of partially filled batches.
-func (c *Cluster) Flush() error { return c.router.Flush() }
+func (c *Cluster) Flush() error { return c.c.Router().Flush() }
 
 // Now reports the cluster's current virtual time.
 func (c *Cluster) Now() vclock.Time { return c.clock.Now() }
 
 // Drain ends the run-time phase: it quiesces the coordinator (finishing
 // any in-flight relocation), then fences the FIFO data paths so every
-// ingested tuple is fully processed. After Drain, Ingest fails.
+// ingested tuple is fully processed and every OnResult callback for the
+// run-time phase has fired. After Drain, Ingest fails.
 func (c *Cluster) Drain() error {
 	if !c.drained.CompareAndSwap(false, true) {
 		return nil
 	}
-
-	if err := c.ep.Send(cluster.CoordinatorNode, proto.Quiesce{}); err != nil {
+	if err := c.c.Quiesce(); err != nil {
 		return err
 	}
-	select {
-	case <-c.quiesceCh:
-	case <-vclock.WallTimeout(30 * time.Second):
-		return fmt.Errorf("distq: quiesce timed out")
-	}
-	if err := c.router.Flush(); err != nil {
-		return err
-	}
-	c.token++
-	for _, node := range c.opts.Engines {
-		if err := c.ep.Send(node, proto.Drain{Token: c.token}); err != nil {
-			return err
-		}
-	}
-	pending := len(c.opts.Engines)
-	timeout := vclock.WallTimeout(60 * time.Second)
-	for pending > 0 {
-		select {
-		case ack := <-c.drainCh:
-			if ack.Token == c.token {
-				pending--
-			}
-		case <-timeout:
-			return fmt.Errorf("distq: drain timed out with %d engines pending", pending)
-		}
-	}
-	// Fence the application server too, so every OnResult callback for
-	// the run-time phase has fired before Drain returns.
-	c.token++
-	if err := c.ep.Send(cluster.AppServerNode, proto.Drain{Token: c.token}); err != nil {
-		return err
-	}
-	for {
-		select {
-		case ack := <-c.drainCh:
-			if ack.Token == c.token {
-				return nil
-			}
-		case <-timeout:
-			return fmt.Errorf("distq: app-server drain timed out")
-		}
-	}
+	return c.c.Drain()
 }
 
 // Cleanup runs the disk phase on every engine: disk-resident partition
@@ -334,7 +187,7 @@ func (c *Cluster) Cleanup() (CleanupSummary, error) {
 	if !c.drained.Load() {
 		return CleanupSummary{}, fmt.Errorf("distq: Cleanup before Drain")
 	}
-	return c.app.RunCleanup(c.opts.Engines)
+	return c.c.AppServer().RunCleanup(c.opts.Engines)
 }
 
 // Stats is a point-in-time view of the cluster.
@@ -357,16 +210,17 @@ type Stats struct {
 // Snapshot reports current statistics. It is only exact after Drain; while
 // streaming it reflects the engines' last statistics reports.
 func (c *Cluster) Snapshot() Stats {
-	s := Stats{MemBytes: make(map[NodeID]int64, len(c.engines))}
-	for node, e := range c.engines {
+	s := Stats{MemBytes: make(map[NodeID]int64, len(c.opts.Engines))}
+	for _, node := range c.opts.Engines {
+		e := c.c.Engine(node)
 		s.Output += e.Op().Output()
 		s.MemBytes[node] = e.Op().MemBytes()
 		s.Spills += e.SpillManager().Count()
 		s.SpilledBytes += e.SpillManager().SpilledBytes()
 	}
-	s.Relocations = c.coord.Relocations()
-	s.ForcedSpills = c.coord.ForcedSpills()
-	s.Duplicates = c.app.Duplicates()
+	s.Relocations = c.c.Coordinator().Relocations()
+	s.ForcedSpills = c.c.Coordinator().ForcedSpills()
+	s.Duplicates = c.c.AppServer().Duplicates()
 	return s
 }
 
@@ -375,18 +229,5 @@ func (c *Cluster) Close() error {
 	if !c.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	var stopped []<-chan struct{}
-	if c.coord != nil {
-		c.coord.Stop()
-		stopped = append(stopped, c.coord.Done())
-	}
-	for _, e := range c.engines {
-		e.Stop()
-		stopped = append(stopped, e.Done())
-	}
-	cluster.AwaitStopped(5*time.Second, stopped...)
-	if c.ownsNet {
-		return c.net.Close()
-	}
-	return nil
+	return c.c.Close()
 }

@@ -304,7 +304,8 @@ func TestIngestCopiesPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	for _, e := range c.engines {
+	for _, node := range c.opts.Engines {
+		e := c.c.Engine(node)
 		for _, id := range e.Op().ResidentIDs() {
 			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
 				for _, tp := range l {
@@ -358,7 +359,8 @@ func TestIngestFromManyGoroutines(t *testing.T) {
 	for i := range seen {
 		seen[i] = make(map[uint64]bool)
 	}
-	for _, e := range c.engines {
+	for _, node := range c.opts.Engines {
+		e := c.c.Engine(node)
 		for _, id := range e.Op().ResidentIDs() {
 			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
 				for _, tp := range l {

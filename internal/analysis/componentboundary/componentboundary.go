@@ -11,8 +11,12 @@
 //     and wire them.
 //   - repro/internal/experiments alone among internal packages may
 //     import cluster.
-//   - entry points above the composition root (cmd/*, distq, examples)
-//     are outside the rule.
+//   - repro/distq, the public facade, builds its clusters through the
+//     composition root like everybody else: it may import cluster, and
+//     not coordinator, engine or split.
+//   - the other entry points above the composition root (cmd/*,
+//     examples) are outside the rule: a node binary is a main over its
+//     one component.
 //
 // Breaking these edges is how exact-once cleanup and the 8-step
 // relocation protocol silently rot: a coordinator that reaches into an
@@ -31,6 +35,8 @@ const (
 	enginePath      = "repro/internal/engine"
 	clusterPath     = "repro/internal/cluster"
 	experimentsPath = "repro/internal/experiments"
+	splitPath       = "repro/internal/split"
+	distqPath       = "repro/distq"
 	internalPrefix  = "repro/internal/"
 )
 
@@ -55,6 +61,14 @@ func run(pass *analysis.Pass) error {
 
 // forbidden reports why importer may not import target, or "".
 func forbidden(importer, target string) string {
+	if importer == distqPath {
+		switch target {
+		case coordinatorPath, enginePath, splitPath:
+			return importer + " may not import " + target +
+				": only the cluster composition root constructs components"
+		}
+		return ""
+	}
 	if !strings.HasPrefix(importer, internalPrefix) {
 		return "" // entry points above the composition root are exempt
 	}

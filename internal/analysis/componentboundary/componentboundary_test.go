@@ -15,5 +15,6 @@ func TestAnalyzer(t *testing.T) {
 		"repro/internal/cluster",     // composition root: allowed
 		"repro/internal/experiments", // may drive the harness
 		"repro/cmd/tool",             // entry points are exempt
+		"repro/distq",                // ... but the facade goes through the root
 	)
 }

@@ -18,12 +18,16 @@ import (
 // AppServer is the application-server node: it consumes result counts
 // (run-time throughput) and, in materializing mode, the full results with
 // duplicate detection. It also acts as the control endpoint for the
-// cleanup phase. The public distq facade reuses it.
+// cleanup phase. The harness, the distq facade and cmd/appserver all run
+// this one.
 type AppServer struct {
 	clock       vclock.Clock
+	net         transport.Network
 	ep          transport.Endpoint
 	materialize bool
 	log         *obs.Logger
+	reg         *obs.Registry
+	results     *obs.Counter
 
 	onResult func(proto.Phase, tuple.Result)
 
@@ -45,9 +49,12 @@ func NewAppServer(clock vclock.Clock, materialize bool, onResult func(proto.Phas
 		clock:       clock,
 		materialize: materialize,
 		log:         obs.NewLogger(obs.LoggerConfig{Node: string(AppServerNode), Kind: "appserver", Now: clock.Now}),
+		reg:         obs.NewRegistry(),
 		throughput:  stats.NewSeries("output"),
 		cleanupCh:   make(chan proto.CleanupDone, 64),
 	}
+	a.reg.Help("distq_appserver_results_total", "result tuples counted by the engines' reports")
+	a.results = a.reg.Counter("distq_appserver_results_total")
 	if materialize {
 		a.runtimeSet = tuple.NewResultSet()
 		a.cleanupSet = tuple.NewResultSet()
@@ -62,6 +69,7 @@ func (a *AppServer) Attach(net transport.Network) error {
 		return err
 	}
 	a.ep = ep
+	a.net = net
 	return nil
 }
 
@@ -69,6 +77,7 @@ func (a *AppServer) handle(from partition.NodeID, msg proto.Message) {
 	//distq:handles appserver
 	switch m := msg.(type) {
 	case proto.ResultCount:
+		a.results.Add(float64(m.Delta))
 		a.mu.Lock()
 		a.cumulative += m.Delta
 		a.throughput.Add(a.clock.Now(), float64(a.cumulative))
@@ -79,8 +88,14 @@ func (a *AppServer) handle(from partition.NodeID, msg proto.Message) {
 		}
 	case proto.CleanupDone:
 		a.cleanupCh <- m
+	case proto.MemberAddr:
+		// An engine in a process of its own introduces itself ahead of the
+		// Drain it passes on: nobody else tells this node where engines
+		// live, and the ack has to find its way back.
+		transport.AddNode(a.net, m.Node, m.Addr)
 	case proto.Drain:
-		// Fence: all results enqueued before this message are processed.
+		// Fence: every result the sender enqueued before this message is
+		// processed. An engine relays its Drain here behind its results.
 		if err := a.ep.Send(from, proto.DrainAck{Token: m.Token, Node: AppServerNode}); err != nil {
 			a.log.Error("drain_ack_error", obs.FErr(err))
 		}
@@ -127,21 +142,41 @@ func (a *AppServer) Duplicates() int {
 	return a.dups
 }
 
-// RunCleanup orders every engine to run its disk phase and gathers the
-// reports. Engines clean up concurrently, as the machines of the paper's
-// cluster do.
+// Results reports the run-time results counted so far.
+func (a *AppServer) Results() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.cumulative
+}
+
+// Registry exposes the node's metrics registry (monitoring endpoints,
+// transport instrumentation).
+func (a *AppServer) Registry() *obs.Registry { return a.reg }
+
+// Logger exposes the node's structured logger.
+func (a *AppServer) Logger() *obs.Logger { return a.log }
+
+// RunCleanup drives the disk phase from this node (see gatherCleanup).
 func (a *AppServer) RunCleanup(engines []partition.NodeID) (CleanupSummary, error) {
+	return gatherCleanup(a.ep, a.cleanupCh, engines)
+}
+
+// gatherCleanup orders every engine to run its disk phase and gathers
+// the reports, which come back to the node that asked: reports is where
+// its handler puts them. Engines clean up concurrently, as the machines
+// of the paper's cluster do.
+func gatherCleanup(ep transport.Endpoint, reports <-chan proto.CleanupDone, engines []partition.NodeID) (CleanupSummary, error) {
 	summary := CleanupSummary{PerNode: make(map[partition.NodeID]proto.CleanupDone, len(engines))}
 	for _, node := range engines {
-		if err := a.ep.Send(node, proto.StartCleanup{}); err != nil {
+		if err := ep.Send(node, proto.StartCleanup{}); err != nil {
 			return summary, err
 		}
 	}
-	timeout := vclock.WallTimeout(120 * time.Second)
+	timeout := vclock.WallTimeout(5 * time.Minute)
 	var failed []string
 	for range engines {
 		select {
-		case done := <-a.cleanupCh:
+		case done := <-reports:
 			summary.PerNode[done.Node] = done
 			summary.Results += done.Results
 			summary.Tuples += done.Tuples

@@ -1,8 +1,13 @@
-// Package cluster wires a full experiment: a stream generator node
-// hosting the split operators, N query engine nodes, the global
-// coordinator, and an application server collecting results — all
-// communicating only through a transport (in-process channels by default,
-// TCP for the multi-process binaries) under a shared virtual clock.
+// Package cluster is the composition root: the one place the paper's
+// four node kinds — a stream generator node hosting the split operators,
+// N query engine nodes, the global coordinator, and an application
+// server collecting results — are built and wired, communicating only
+// through a transport (in-process channels by default, or TCP) under a
+// virtual clock. A Config states the cluster; SplitHost (with Feeder on
+// top) and AppServer are the two node kinds that live here, the other
+// two are configured here (Config.CoordinatorConfig, Config.EngineConfig).
+// The experiment harness (New), the distq facade (NewStreaming) and the
+// node binaries under cmd/ (one node each) all assemble from these.
 //
 // Run executes the paper's experiment shape: a run-time phase of a given
 // virtual duration, a quiesce + drain fence, and an optional cleanup
@@ -20,12 +25,11 @@ import (
 	"time"
 
 	"repro/internal/coordinator"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/proto"
-	"repro/internal/spill"
+	"repro/internal/split"
 	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/tuple"
@@ -39,121 +43,6 @@ const (
 	GeneratorNode   = partition.NodeID("gen")
 	AppServerNode   = partition.NodeID("app")
 )
-
-// Config describes one experiment.
-type Config struct {
-	// Engines lists the query engine nodes (the paper's processors).
-	Engines []partition.NodeID
-	// Workload parameterizes the synthetic input streams.
-	Workload workload.Config
-	// InitialWeights skews the initial partition distribution over the
-	// engines (e.g. 3,1,1 for the paper's 60/20/20 setup); nil means
-	// uniform.
-	InitialWeights []int
-	// Strategy is the coordinator's adaptation strategy (default NoAdapt).
-	Strategy core.Strategy
-	// Spill configures the local overflow spill (threshold + k%).
-	Spill core.SpillConfig
-	// LocalSpill enables the engines' ss_timer overflow check.
-	LocalSpill bool
-	// Policy builds the per-engine spill victim policy (default
-	// less-productive).
-	Policy func(node partition.NodeID) core.Policy
-	// Materialize ships full results to the application server and
-	// keeps duplicate-checked result sets (exactness tests, examples).
-	Materialize bool
-	// EnumerateResults makes engines enumerate (but not ship) every
-	// result, so run-time and cleanup costs include result production.
-	EnumerateResults bool
-	// SmoothingAlpha, when positive, switches the engines to the
-	// amortized (EWMA) productivity model. Overrides Policy's default
-	// only; an explicit Policy still wins for spill victims.
-	SmoothingAlpha float64
-	// Window, when positive, runs the join with a sliding time window
-	// (virtual) and periodic state purging.
-	Window time.Duration
-	// Scale compresses virtual time (default 600: 1 v-minute = 100 ms).
-	Scale float64
-	// Duration is the virtual length of the run-time phase.
-	Duration time.Duration
-	// RunCleanup executes the disk phase after the run-time phase.
-	RunCleanup bool
-	// CleanupParallelism bounds each engine's cleanup worker pool
-	// (0 = GOMAXPROCS; see engine.Config).
-	CleanupParallelism int
-	// JoinParallelism sizes each engine's join shard-worker pool
-	// (0 or 1 = serial data path; see engine.Config). The result set is
-	// identical at any setting.
-	JoinParallelism int
-	// GroupMetrics, when positive, makes every engine export per-group
-	// productivity gauges for its top GroupMetrics groups (see
-	// engine.Config).
-	GroupMetrics int
-	// StoreDir, when set, gives each engine a file-backed segment store
-	// under StoreDir/<node>; empty means in-memory stores.
-	StoreDir string
-	// Network overrides the transport (default in-process). Wrap the
-	// default with transport/faulty and pass it here to inject faults.
-	Network transport.Network
-	// Replicate enables per-group replication and follower promotion:
-	// the coordinator assigns every partition group a follower engine,
-	// primaries stream state deltas to keep the followers warm, and the
-	// watchdog fails a dead engine's groups over to their followers
-	// instead of parking them until it returns (see coordinator.Config).
-	Replicate bool
-	// RelocTimeout / RelocMaxRetries / HeartbeatTimeout forward to the
-	// coordinator's hardening knobs (see coordinator.Config); at zero
-	// the relocation deadlines and heartbeat watchdog stay disarmed,
-	// which is right for the loss-free in-process transport.
-	RelocTimeout     time.Duration
-	RelocMaxRetries  int
-	HeartbeatTimeout time.Duration
-	// StatsInterval, SpillCheckInterval, LBInterval are the virtual
-	// timer periods (sr_timer, ss_timer, lb_timer).
-	StatsInterval      time.Duration
-	SpillCheckInterval time.Duration
-	LBInterval         time.Duration
-	// FlushInterval is the feeder's pacing granularity (virtual).
-	FlushInterval time.Duration
-}
-
-func (c *Config) withDefaults() (Config, error) {
-	out := *c
-	if len(out.Engines) == 0 {
-		return out, fmt.Errorf("cluster: no engines")
-	}
-	if out.Strategy == nil {
-		out.Strategy = core.NoAdapt{}
-	}
-	if out.Policy == nil {
-		if out.SmoothingAlpha > 0 {
-			// Leave the engine's policy nil so the smoothed default
-			// (SmoothedLessProductive over the engine's tracker) applies.
-			out.Policy = func(partition.NodeID) core.Policy { return nil }
-		} else {
-			out.Policy = func(partition.NodeID) core.Policy { return core.LessProductivePolicy{} }
-		}
-	}
-	if out.Scale <= 0 {
-		out.Scale = 600
-	}
-	if out.Duration <= 0 {
-		return out, fmt.Errorf("cluster: non-positive duration")
-	}
-	if out.StatsInterval <= 0 {
-		out.StatsInterval = 5 * time.Second
-	}
-	if out.SpillCheckInterval <= 0 {
-		out.SpillCheckInterval = 2 * time.Second
-	}
-	if out.LBInterval <= 0 {
-		out.LBInterval = 10 * time.Second
-	}
-	if out.FlushInterval <= 0 {
-		out.FlushInterval = 150 * time.Millisecond
-	}
-	return out, nil
-}
 
 // CleanupSummary aggregates the disk-phase outcome across engines.
 type CleanupSummary struct {
@@ -254,21 +143,26 @@ type isolater interface {
 	Restore(partition.NodeID)
 }
 
-// Cluster is a wired experiment whose phases are driven explicitly.
-// All methods are meant to be called from one goroutine, in script
-// order; the cluster's nodes run concurrently underneath.
+// Cluster is a wired cluster — the paper's four node kinds on one
+// network — whose phases are driven explicitly. All methods are meant to
+// be called from one goroutine, in script order; the cluster's nodes run
+// concurrently underneath.
 type Cluster struct {
 	cfg   Config
 	clock vclock.Clock
 	net   transport.Network
 	// ownNet records whether Close should close the transport.
 	ownNet bool
-	gen    *workload.Generator
 	master *partition.Map
 	app    *AppServer
 	coord  *coordinator.Coordinator
-	feeder *feeder
-	instr  transport.Instrumentable
+	host   *SplitHost
+	// feeder paces the synthetic workload into host; nil in a streaming
+	// cluster, whose caller routes its own tuples.
+	feeder *Feeder
+	// instr, when not nil, is the network as where each node's transport
+	// metrics are registered before it attaches.
+	instr transport.Instrumentable
 
 	engines map[partition.NodeID]*engine.Engine
 	// nodes is the live membership list: the static Engines config plus
@@ -288,150 +182,116 @@ type Cluster struct {
 	cleanup    CleanupSummary
 	ranCleanup bool
 	started    bool
+	stopped    bool
 	finished   bool
 }
 
-// New wires a cluster without starting it.
+// New wires the experiment cluster of cfg without starting it: the four
+// node kinds, each node's transport metrics recorded into its registry
+// (both built-in transports support that), and the workload Feed paces.
 func New(cfg Config) (*Cluster, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
 	gen, err := workload.New(cfg.Workload)
 	if err != nil {
 		return nil, err
 	}
+	c, err := wire(cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	c.feeder = NewFeeder(c.clock, gen, c.host.Router())
+	return c, nil
+}
+
+// NewStreaming wires the same cluster for a caller that routes its own
+// tuples through Router: no workload (Feed fails) and no transport
+// metrics — nobody reads them, and they cost five labelled registry
+// lookups a message.
+func NewStreaming(cfg Config) (*Cluster, error) { return wire(cfg, false) }
+
+// wire builds the cluster's nodes on its network.
+func wire(cfg Config, instrument bool) (*Cluster, error) {
+	if cfg.Scale <= 0 {
+		cfg.Scale = 600
+	}
 	c := &Cluster{
 		cfg:     cfg,
 		clock:   vclock.NewScaled(cfg.Scale),
-		gen:     gen,
+		net:     cfg.Network,
 		engines: make(map[partition.NodeID]*engine.Engine, len(cfg.Engines)),
 		nodes:   append([]partition.NodeID(nil), cfg.Engines...),
 		crashed: make(map[partition.NodeID]bool),
 	}
-
-	c.net = cfg.Network
 	if c.net == nil {
 		c.net = transport.NewInproc()
 		c.ownNet = true
 	}
-	c.instr, _ = c.net.(transport.Instrumentable)
-
-	// Initial partition placement.
-	assign := partition.UniformAssign(cfg.Engines)
-	if cfg.InitialWeights != nil {
-		assign, err = partition.WeightedAssign(cfg.Engines, cfg.InitialWeights)
-		if err != nil {
-			return nil, err
-		}
+	if instrument {
+		c.instr, _ = c.net.(transport.Instrumentable)
 	}
-	c.master, err = partition.NewMap(cfg.Workload.Partitions, assign)
-	if err != nil {
-		return nil, err
-	}
-
-	// Application server.
-	c.app = NewAppServer(c.clock, cfg.Materialize, nil)
-	if err := c.app.Attach(c.net); err != nil {
-		return nil, err
-	}
-
-	// Coordinator.
-	c.coord, err = coordinator.New(coordinator.Config{
-		Node:             CoordinatorNode,
-		SplitHost:        GeneratorNode,
-		Engines:          cfg.Engines,
-		Strategy:         cfg.Strategy,
-		Map:              c.master,
-		LBInterval:       cfg.LBInterval,
-		RelocTimeout:     cfg.RelocTimeout,
-		RelocMaxRetries:  cfg.RelocMaxRetries,
-		HeartbeatTimeout: cfg.HeartbeatTimeout,
-		Replicate:        cfg.Replicate,
-		OnError:          c.recordErr,
-	}, c.clock)
-	if err != nil {
-		return nil, err
-	}
-	// Record transport metrics into each node's registry when the
-	// network supports instrumentation (both built-in transports do).
-	if c.instr != nil {
-		c.instr.Instrument(CoordinatorNode, transport.NewMetrics(c.coord.Registry(), "coordinator"))
-	}
-	if err := c.coord.Attach(c.net); err != nil {
-		return nil, err
-	}
-
-	// Engines.
-	for _, node := range cfg.Engines {
-		e, err := c.buildEngine(node, false)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.Attach(c.net); err != nil {
-			return nil, err
-		}
-		c.engines[node] = e
-	}
-
-	// Generator node: feeder + split host.
-	c.feeder = newFeeder(c.clock, gen, cfg.FlushInterval)
-	owner, version := c.master.Snapshot()
-	if err := c.feeder.attach(c.net, owner, version); err != nil {
+	if err := c.build(); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// buildEngine constructs (but does not attach) one engine node from the
-// cluster config; Restart uses it to rebuild a crashed engine over the
-// same store directories, Join to admit a new one at run time
-// (dynamic makes it introduce itself with JoinRequest instead of Hello).
-func (c *Cluster) buildEngine(node partition.NodeID, dynamic bool) (*engine.Engine, error) {
-	var store, standby spill.Store
-	if c.cfg.StoreDir != "" {
-		fs, err := spill.NewFileStore(filepath.Join(c.cfg.StoreDir, string(node)))
-		if err != nil {
-			return nil, err
-		}
-		store = fs
-		// The standby tier gets its own subdirectory: its segments must
-		// not be visible to cleanup until a promotion adopts them.
-		sb, err := spill.NewFileStore(filepath.Join(c.cfg.StoreDir, string(node), "standby"))
-		if err != nil {
-			return nil, err
-		}
-		standby = sb
+// build creates and attaches the nodes: application server, coordinator
+// over the initial map, engines, split host.
+func (c *Cluster) build() (err error) {
+	if c.master, err = c.cfg.Map(); err != nil {
+		return err
 	}
-	e, err := engine.New(engine.Config{
-		Node:               node,
-		Coordinator:        CoordinatorNode,
-		AppServer:          AppServerNode,
-		Inputs:             c.cfg.Workload.Streams,
-		Partitions:         c.cfg.Workload.Partitions,
-		Spill:              c.cfg.Spill,
-		LocalSpill:         c.cfg.LocalSpill,
-		Policy:             c.cfg.Policy(node),
-		Store:              store,
-		StandbyStore:       standby,
-		Materialize:        c.cfg.Materialize,
-		EnumerateResults:   c.cfg.EnumerateResults,
-		SmoothingAlpha:     c.cfg.SmoothingAlpha,
-		CleanupParallelism: c.cfg.CleanupParallelism,
-		JoinParallelism:    c.cfg.JoinParallelism,
-		GroupMetrics:       c.cfg.GroupMetrics,
-		Window:             c.cfg.Window,
-		StatsInterval:      c.cfg.StatsInterval,
-		SpillCheckInterval: c.cfg.SpillCheckInterval,
-		DynamicJoin:        dynamic,
-	}, c.clock)
+	c.app = NewAppServer(c.clock, c.cfg.Materialize, c.cfg.OnResult)
+	if err := c.app.Attach(c.net); err != nil {
+		return err
+	}
+	cc := c.cfg.CoordinatorConfig(c.master)
+	cc.OnError = c.recordErr
+	if c.coord, err = coordinator.New(cc, c.clock); err != nil {
+		return err
+	}
+	if c.instr != nil {
+		c.instr.Instrument(CoordinatorNode, transport.NewMetrics(c.coord.Registry(), "coordinator"))
+	}
+	if err := c.coord.Attach(c.net); err != nil {
+		return err
+	}
+	for _, node := range c.cfg.Engines {
+		if err := c.addEngine(node, false); err != nil {
+			return err
+		}
+	}
+	c.host, err = NewSplitHost(c.net, c.clock, c.master)
+	return err
+}
+
+// addEngine builds and attaches one engine node from the cluster
+// config: New for the static engines, Restart to rebuild a crashed one
+// over the same store directories, Join to admit a new one at run time
+// (dynamic makes it introduce itself with JoinRequest instead of Hello).
+func (c *Cluster) addEngine(node partition.NodeID, dynamic bool) error {
+	var dir string
+	if c.cfg.StoreDir != "" {
+		dir = filepath.Join(c.cfg.StoreDir, string(node))
+	}
+	store, standby, err := NodeStores(dir)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	ec := c.cfg.EngineConfig(node, store, standby)
+	ec.DynamicJoin = dynamic
+	e, err := engine.New(ec, c.clock)
+	if err != nil {
+		return err
 	}
 	if c.instr != nil {
 		c.instr.Instrument(node, transport.NewMetrics(e.Registry(), "engine"))
 	}
-	return e, nil
+	if err := e.Attach(c.net); err != nil {
+		return err
+	}
+	c.engines[node] = e
+	return nil
 }
 
 func (c *Cluster) recordErr(err error) {
@@ -453,6 +313,17 @@ func (c *Cluster) Errors() []error {
 // Clock exposes the cluster's virtual clock (for script pacing).
 func (c *Cluster) Clock() vclock.Clock { return c.clock }
 
+// Router exposes the split host's router, through which a streaming
+// cluster's caller routes and flushes its tuples.
+func (c *Cluster) Router() *split.Router { return c.host.Router() }
+
+// AppServer, Coordinator and Engine (the current instance of that node,
+// nil if unknown) expose the nodes for reading counters; an engine's
+// operator state only once drained.
+func (c *Cluster) AppServer() *AppServer                       { return c.app }
+func (c *Cluster) Coordinator() *coordinator.Coordinator       { return c.coord }
+func (c *Cluster) Engine(node partition.NodeID) *engine.Engine { return c.engines[node] }
+
 // EngineAlive reports the coordinator watchdog's view of node.
 func (c *Cluster) EngineAlive(node partition.NodeID) bool { return c.coord.EngineAlive(node) }
 
@@ -464,7 +335,7 @@ func (c *Cluster) PendingResumes() int { return c.coord.PendingResumes() }
 // currently buffering. The watchdog's EngineAlive flag flips before the
 // Pause reaches the split host, so crash scripts that must not feed a
 // dead engine's partitions await this too.
-func (c *Cluster) PartitionsPaused() int { return c.feeder.router.PausedPartitions() }
+func (c *Cluster) PartitionsPaused() int { return c.host.Router().PausedPartitions() }
 
 // Join builds, attaches, and starts a new engine at run time: it
 // introduces itself to the coordinator with JoinRequest and, once its
@@ -478,19 +349,11 @@ func (c *Cluster) Join(node partition.NodeID) error {
 	if _, ok := c.engines[node]; ok {
 		return fmt.Errorf("cluster: engine %s already exists", node)
 	}
-	e, err := c.buildEngine(node, true)
-	if err != nil {
+	if err := c.addEngine(node, true); err != nil {
 		return err
 	}
-	if err := e.Attach(c.net); err != nil {
-		return err
-	}
-	if err := e.Start(); err != nil {
-		return err
-	}
-	c.engines[node] = e
 	c.nodes = append(c.nodes, node)
-	return nil
+	return c.engines[node].Start()
 }
 
 // Leave asks an engine to depart gracefully: the coordinator drains its
@@ -583,7 +446,12 @@ func (c *Cluster) Start() error {
 
 // Feed paces the synthetic streams for a further virtual duration,
 // continuing the schedule where the previous Feed ended.
-func (c *Cluster) Feed(d time.Duration) error { return c.feeder.feed(d) }
+func (c *Cluster) Feed(d time.Duration) error {
+	if c.feeder == nil {
+		return fmt.Errorf("cluster: a streaming cluster has no workload to feed")
+	}
+	return c.feeder.Feed(d)
+}
 
 // Idle lets the cluster run without input for a virtual duration (e.g.
 // waiting out the heartbeat watchdog after a crash).
@@ -606,19 +474,23 @@ func (c *Cluster) Await(watchdog time.Duration, cond func() bool) bool {
 
 // Quiesce fences the coordinator: no further adaptations start, and any
 // in-flight relocation has completed or aborted.
-func (c *Cluster) Quiesce() error { return c.feeder.quiesce(CoordinatorNode) }
+func (c *Cluster) Quiesce() error { return c.host.Quiesce() }
 
-// Drain fences the data path through every live engine and the
-// application server. Crashed engines are skipped: their unprocessed
-// input is gone, which is exactly what crash tests measure.
-func (c *Cluster) Drain() error {
+// Drain fences the data path through every live engine and, behind
+// each engine's results, the application server. Crashed engines are
+// skipped: their unprocessed input is gone, which is exactly what crash
+// tests measure.
+func (c *Cluster) Drain() error { return c.host.Drain(c.live()) }
+
+// live lists the engines that have not crashed, in membership order.
+func (c *Cluster) live() []partition.NodeID {
 	live := make([]partition.NodeID, 0, len(c.nodes))
 	for _, node := range c.nodes {
 		if !c.crashed[node] {
 			live = append(live, node)
 		}
 	}
-	return c.feeder.drain(live)
+	return live
 }
 
 // Crash kills an engine without any shutdown protocol: its endpoint
@@ -651,33 +523,19 @@ func (c *Cluster) Restart(node partition.NodeID) error {
 	if !c.crashed[node] {
 		return fmt.Errorf("cluster: engine %s is not crashed", node)
 	}
-	e, err := c.buildEngine(node, false)
-	if err != nil {
-		return err
-	}
-	if err := e.Attach(c.net); err != nil {
+	if err := c.addEngine(node, false); err != nil {
 		return err
 	}
 	if iso, ok := c.net.(isolater); ok {
 		iso.Restore(node)
 	}
-	if err := e.Start(); err != nil {
-		return err
-	}
-	c.engines[node] = e
 	delete(c.crashed, node)
-	return nil
+	return c.engines[node].Start()
 }
 
 // RunCleanup executes the disk phase on every live engine.
 func (c *Cluster) RunCleanup() error {
-	live := make([]partition.NodeID, 0, len(c.nodes))
-	for _, node := range c.nodes {
-		if !c.crashed[node] {
-			live = append(live, node)
-		}
-	}
-	summary, err := c.app.RunCleanup(live)
+	summary, err := c.app.RunCleanup(c.live())
 	if err != nil {
 		return err
 	}
@@ -694,24 +552,15 @@ func (c *Cluster) Finish() (*Result, error) {
 	}
 	c.finished = true
 
-	// Stop timers before reading engine state. Stop is processed by each
-	// node's serial handler; waiting on the Done fences makes the
-	// subsequent state reads deterministic instead of racing a sleep.
-	// Crashed engines' Done fences are already closed.
-	c.coord.Stop()
-	stopped := []<-chan struct{}{c.coord.Done()}
-	for _, e := range c.engines {
-		e.Stop()
-		stopped = append(stopped, e.Done())
-	}
-	AwaitStopped(5*time.Second, stopped...)
-
+	c.stop()
 	res := &Result{
 		Throughput:   c.app.throughput,
 		Memory:       make(map[partition.NodeID]*stats.Series, len(c.engines)),
-		Generated:    c.feeder.generated(),
 		LocalSpills:  make(map[partition.NodeID]int, len(c.engines)),
 		SpilledBytes: make(map[partition.NodeID]int64, len(c.engines)),
+	}
+	if c.feeder != nil {
+		res.Generated = c.feeder.Generated()
 	}
 	if c.ranCleanup {
 		res.Cleanup = c.cleanup
@@ -750,7 +599,7 @@ func (c *Cluster) Finish() (*Result, error) {
 		res.Metrics = appendNodeMetrics(res.Metrics, string(node), c.engines[node].Registry())
 	}
 	sort.SliceStable(res.Spans, func(i, j int) bool { return res.Spans[i].Start < res.Spans[j].Start })
-	res.BufferedPeak = c.feeder.router.BufferedPeak()
+	res.BufferedPeak = c.host.Router().BufferedPeak()
 	if c.cfg.Materialize {
 		res.RuntimeSet = c.app.runtimeSet
 		res.CleanupSet = c.app.cleanupSet
@@ -759,8 +608,31 @@ func (c *Cluster) Finish() (*Result, error) {
 	return res, nil
 }
 
-// Close releases the transport when the cluster owns it.
+// stop halts every node's timers and waits until their handlers have
+// seen it, so the state reads that follow are deterministic instead of
+// racing a sleep. Stop is processed by each node's serial handler;
+// crashed engines' Done fences are already closed.
+func (c *Cluster) stop() {
+	if c.stopped {
+		return
+	}
+	c.stopped = true
+	var fences []<-chan struct{}
+	if c.coord != nil {
+		c.coord.Stop()
+		fences = append(fences, c.coord.Done())
+	}
+	for _, e := range c.engines {
+		e.Stop()
+		fences = append(fences, e.Done())
+	}
+	awaitStopped(5*time.Second, fences...)
+}
+
+// Close stops the nodes and releases the transport when the cluster
+// owns it.
 func (c *Cluster) Close() error {
+	c.stop()
 	if c.ownNet {
 		return c.net.Close()
 	}
@@ -769,6 +641,9 @@ func (c *Cluster) Close() error {
 
 // Run executes one experiment end to end.
 func Run(cfg Config) (*Result, error) {
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("cluster: non-positive duration")
+	}
 	c, err := New(cfg)
 	if err != nil {
 		return nil, err
@@ -779,7 +654,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// Run-time phase.
-	if err := c.Feed(c.cfg.Duration); err != nil {
+	if err := c.Feed(cfg.Duration); err != nil {
 		return nil, err
 	}
 
@@ -801,11 +676,11 @@ func Run(cfg Config) (*Result, error) {
 	return c.Finish()
 }
 
-// AwaitStopped waits for each fence channel to close, bounded overall
+// awaitStopped waits for each fence channel to close, bounded overall
 // by a wall-clock watchdog (the fences are event-driven; the watchdog
 // only guards against a wedged handler). It reports whether every fence
 // closed in time.
-func AwaitStopped(watchdog time.Duration, fences ...<-chan struct{}) bool {
+func awaitStopped(watchdog time.Duration, fences ...<-chan struct{}) bool {
 	guard := vclock.WallTimeout(watchdog)
 	for _, ch := range fences {
 		select {

@@ -766,11 +766,7 @@ func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string) {
 		c.memberAddrs = make(map[partition.NodeID]string)
 	}
 	c.memberAddrs[node] = addr
-	if d, ok := c.net.(interface {
-		AddNode(partition.NodeID, string)
-	}); ok {
-		d.AddNode(node, addr)
-	}
+	transport.AddNode(c.net, node, addr)
 	c.log.Info("member_addr", obs.F("engine", string(node)), obs.F("addr", addr))
 	msg := proto.MemberAddr{Node: node, Addr: addr}
 	if err := c.ep.Send(c.cfg.SplitHost, msg); err != nil {

@@ -96,11 +96,6 @@ type Config struct {
 	// of the lifetime ratio. Ignored when an explicit Policy is set for
 	// spills (the movers still use the smoothed scores).
 	SmoothingAlpha float64
-	// CleanupParallelism bounds the disk-phase cleanup worker pool
-	// (groups merged concurrently). Zero or negative means GOMAXPROCS.
-	// The cleanup result set is identical at any setting; see
-	// cleanup.Options.
-	CleanupParallelism int
 	// GroupMetrics, when positive, exports per-group tracker statistics
 	// (resident bytes, lifetime bytes, output, productivity rank) as
 	// labeled gauges for the top GroupMetrics most productive groups on
@@ -116,8 +111,10 @@ type Config struct {
 	// Addr is the engine's advertised transport address, carried on the
 	// JoinRequest so the coordinator can extend directory-based
 	// transports (TCP) and disseminate it to the split host and peers
-	// via MemberAddr. Leave empty on registration-based transports
-	// (in-proc), where no directory exists.
+	// via MemberAddr, and sent ahead of every Drain passed on to the
+	// application server, which answers engines but is told of none.
+	// Leave empty where every node shares one network (in-proc, or one
+	// TCP instance): no directory is missing anything.
 	Addr string
 	// JoinParallelism sizes the shard-worker pool of the run-time join
 	// path: partition groups are assigned to shards by partition ID mod
@@ -212,6 +209,9 @@ type Engine struct {
 	// relocations.
 	promotedEpochs map[uint64]bool
 	demotedEpochs  map[uint64]bool
+	// drainFrom remembers who asked for each Drain this engine has passed
+	// on to the application server, by token, until its ack comes back.
+	drainFrom map[uint64]partition.NodeID
 	// joined flips once the coordinator's JoinAck admits a DynamicJoin
 	// engine; leftAck flips on LeaveAck. Atomics: both are read by the
 	// retry goroutines and external callers.
@@ -290,6 +290,7 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		abortedEpochs:   make(map[uint64]bool),
 		promotedEpochs:  make(map[uint64]bool),
 		demotedEpochs:   make(map[uint64]bool),
+		drainFrom:       make(map[uint64]partition.NodeID),
 		done:            make(chan struct{}),
 	}
 	e.pf = partition.NewFunc(c.Partitions)
@@ -544,19 +545,16 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 		err = e.onForceSpill(m)
 	case proto.Drain:
 		err = e.onDrain(from, m)
+	case proto.DrainAck:
+		err = e.onDrainAck(m)
 	case proto.StartCleanup:
 		err = e.onCleanup(from)
 	case proto.JoinAck:
 		err = e.onJoinAck(m)
 	case proto.MemberAddr:
 		// Dynamically joined peer: extend a directory-based transport so
-		// relocations and replica deltas toward it can route. In-proc
-		// networks have no directory and ignore the message.
-		if d, ok := e.net.(interface {
-			AddNode(partition.NodeID, string)
-		}); ok {
-			d.AddNode(m.Node, m.Addr)
-		}
+		// relocations and replica deltas toward it can route.
+		transport.AddNode(e.net, m.Node, m.Addr)
 	case proto.LeaveAck:
 		e.leftAck.Store(true)
 	case proto.ReplicaMap:
@@ -1136,15 +1134,42 @@ func (e *Engine) onDemote(m proto.Demote) error {
 	return e.ep.Send(e.cfg.Coordinator, ack)
 }
 
+// onDrain answers the end-of-run fence. The Drain's arrival proves every
+// earlier tuple on the requester's FIFO link was processed; what is left
+// is that the results reach the application server, and links are FIFO
+// per pair only. So the engine flushes its results and sends the Drain
+// on to the application server behind them, on the link they travel, and
+// acknowledges to the requester when the application server has
+// (onDrainAck).
 func (e *Engine) onDrain(from partition.NodeID, m proto.Drain) error {
 	if err := e.reportStats(); err != nil {
 		return err
 	}
-	// Push any coalesced outbound frames (result batches headed for the
-	// app server) to the wire before acknowledging, so the ack cannot
-	// imply "drained" while data frames sit in a write buffer.
+	// Push coalesced frames headed elsewhere (deltas to followers) to the
+	// wire too, so the ack cannot imply "drained" while they sit in a
+	// write buffer.
 	transport.FlushOutbound(e.ep)
-	return e.ep.Send(from, proto.DrainAck{Token: m.Token, Node: e.cfg.Node})
+	if e.cfg.Addr != "" {
+		// One process per node: tell the application server where its
+		// answer goes.
+		if err := e.ep.Send(e.cfg.AppServer, proto.MemberAddr{Node: e.cfg.Node, Addr: e.cfg.Addr}); err != nil {
+			return err
+		}
+	}
+	e.drainFrom[m.Token] = from
+	return e.ep.Send(e.cfg.AppServer, proto.Drain{Token: m.Token})
+}
+
+// onDrainAck completes a relayed fence: the application server has
+// recorded everything this engine sent before the Drain. A token not
+// waited for is a duplicate and dropped.
+func (e *Engine) onDrainAck(m proto.DrainAck) error {
+	requester, ok := e.drainFrom[m.Token]
+	if !ok {
+		return nil
+	}
+	delete(e.drainFrom, m.Token)
+	return e.ep.Send(requester, proto.DrainAck{Token: m.Token, Node: e.cfg.Node})
 }
 
 // onCleanup runs the disk-phase cleanup over this engine's store and
@@ -1163,11 +1188,10 @@ func (e *Engine) onCleanup(from partition.NodeID) error {
 		emit = func(tuple.Result) {}
 	}
 	st, err := cleanup.RunWith(e.cfg.Inputs, e.cfg.Store, e.op, e.cfg.Window, emit, cleanup.Options{
-		Parallelism: e.cfg.CleanupParallelism,
-		Tracer:      e.tracer,
-		Registry:    e.reg,
-		Node:        string(e.cfg.Node),
-		Now:         e.clock.Now,
+		Tracer:   e.tracer,
+		Registry: e.reg,
+		Node:     string(e.cfg.Node),
+		Now:      e.clock.Now,
 	})
 	span.SetAttr("groups", fmt.Sprintf("%d", st.Groups))
 	span.SetAttr("segments", fmt.Sprintf("%d", st.Segments))

@@ -31,6 +31,11 @@ func newPeer(t *testing.T, net transport.Network, node partition.NodeID) *peer {
 	t.Helper()
 	p := &peer{msgs: make(chan peerMsg, 256)}
 	ep, err := net.Attach(node, func(from partition.NodeID, msg proto.Message) {
+		// Any peer answers a Drain the way the application server does:
+		// engines pass their fence on to it before they acknowledge.
+		if d, ok := msg.(proto.Drain); ok {
+			p.ep.Send(from, proto.DrainAck{Token: d.Token, Node: node})
+		}
 		p.msgs <- peerMsg{from, msg}
 	})
 	if err != nil {

@@ -310,7 +310,7 @@ type StartCleanup struct{}
 // means the cleanup aborted (e.g. a corrupted segment failed its
 // checksum) and the counters cover only the work completed before.
 //
-//distq:handledby appserver
+//distq:handledby appserver, generator
 type CleanupDone struct {
 	Node      partition.NodeID
 	Groups    int
@@ -343,17 +343,20 @@ const (
 )
 
 // Drain asks an engine to finish processing everything already on its
-// (FIFO) data path and acknowledge; the experiment harness uses it to
-// fence the run-time phase before starting cleanup.
+// (FIFO) data path and acknowledge; the split host fences the run-time
+// phase with it before cleanup starts. The engine passes it on to the
+// application server behind its results, and acknowledges once the
+// application server has (PROTOCOL.md "End-of-run fencing").
 //
 //distq:handledby engine, appserver
 type Drain struct {
 	Token uint64
 }
 
-// DrainAck acknowledges a Drain.
+// DrainAck acknowledges a Drain: the application server's to the engine
+// that relayed it, the engine's (under its own name) to the requester.
 //
-//distq:handledby generator
+//distq:handledby generator, engine
 type DrainAck struct {
 	Token uint64
 	Node  partition.NodeID
@@ -403,11 +406,13 @@ type JoinAck struct {
 // address so directory-based transports (TCP) can extend their node
 // directories: the coordinator broadcasts it to the split host and
 // every engine on admission, and replays known addresses to later
-// joiners. Recipients whose transport has no directory (in-proc)
+// joiners. An engine also sends its own ahead of a Drain it passes on to
+// the application server, which must answer it and is told of no engine
+// otherwise. Recipients whose transport has no directory (in-proc)
 // ignore it. Best-effort: a lost MemberAddr surfaces as a failed
 // relocation to the unknown node, which escalates and is retried.
 //
-//distq:handledby engine, splithost
+//distq:handledby engine, splithost, appserver
 type MemberAddr struct {
 	Node partition.NodeID
 	Addr string

@@ -53,6 +53,17 @@ func FlushOutbound(ep Endpoint) {
 	}
 }
 
+// AddNode extends net's node directory with node's address if it has one
+// (TCP: AddNode); networks that route by registration (in-process)
+// ignore it.
+func AddNode(net Network, node partition.NodeID, addr string) {
+	if d, ok := net.(interface {
+		AddNode(partition.NodeID, string)
+	}); ok {
+		d.AddNode(node, addr)
+	}
+}
+
 // Network creates endpoints. Implementations: NewInproc, NewTCP.
 type Network interface {
 	// Attach registers node with the network and starts delivering its

@@ -1,9 +1,10 @@
 #!/bin/sh
 # loc: the line count every simplification PR quotes — non-test Go
 # outside benchmark/ and testdata/, the code a reader has to hold in
-# their head — for the working tree, for internal/coordinator and for
-# the lint suite (internal/analysis + cmd/distqlint) and, given BASE, the
-# same at that revision and the delta against it.
+# their head — for the working tree, for internal/coordinator, for the
+# lint suite (internal/analysis + cmd/distqlint) and for the wiring (the
+# facade, the composition root and the four node binaries) and, given
+# BASE, the same at that revision and the delta against it.
 #
 #   scripts/loc.sh [BASE]
 #   make loc BASE=d3d9c36
@@ -18,6 +19,7 @@ counted() {
 	grep '\.go$' | grep -v -e '_test\.go$' -e '^benchmark/' -e '/testdata/' | grep -E "^($1)" || true
 }
 lint='internal/analysis/|cmd/distqlint/'
+wiring='distq/|internal/cluster/|cmd/(engine|coordinator|generator|appserver)/'
 # here PREFIXES / at REV PREFIXES: counted lines in the working tree / in REV.
 here() {
 	git ls-files --cached --others --exclude-standard | counted "$1" |
@@ -31,9 +33,11 @@ now=$(here '')
 echo "non-test Go lines (excluding benchmark/, testdata/): $now"
 echo "  internal/coordinator: $(here internal/coordinator/)"
 echo "  internal/analysis + cmd/distqlint: $(here "$lint")"
+echo "  wiring (distq + internal/cluster + the four node binaries): $(here "$wiring")"
 [ $# -ge 1 ] && [ -n "$1" ] || exit 0
 was=$(at "$1" '')
 echo "at $1: $was"
 echo "  internal/coordinator: $(at "$1" internal/coordinator/)"
 echo "  internal/analysis + cmd/distqlint: $(at "$1" "$lint")"
+echo "  wiring (distq + internal/cluster + the four node binaries): $(at "$1" "$wiring")"
 echo "delta: $((now - was))"
