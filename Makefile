@@ -52,9 +52,13 @@ test-race:
 # engine — PROTOCOL.md "Membership & replication" and "Cold restart")
 # must stay exact under the same faults — two of them again over TCP
 # with every frame overwritten the moment its handler returns
-# (PROTOCOL.md "Buffer ownership"). -count=1 forces a live run.
+# (PROTOCOL.md "Buffer ownership"). Beside them, the engine's step
+# table: every engine-facing row of PROTOCOL.md's plan table, repeated
+# and late (PROTOCOL.md "Timeouts, retries, abort"). -count=1 forces a
+# live run.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact|TestChaosTCPPoisonedRelocation|TestChaosTCPPoisonedFailover' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestEngineStepTable' ./internal/engine
 
 # e2e-smoke runs the four end-to-end workloads over real TCP for two
 # seconds each (about 20 s in all): every workload checks its result
@@ -85,8 +89,8 @@ bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # loc prints the line count simplification PRs quote — non-test Go
-# outside benchmark/ and testdata/: whole tree, internal/coordinator, the
-# lint suite (internal/analysis + cmd/distqlint) and the wiring (distq,
+# outside benchmark/ and testdata/: whole tree, internal/coordinator,
+# internal/engine, the lint suite (internal/analysis + cmd/distqlint) and the wiring (distq,
 # internal/cluster, the four node binaries) — and, with BASE, the same at
 # that revision and the delta.
 #   make loc BASE=d3d9c36

@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/join"
 	"repro/internal/partition"
+	"repro/internal/proto"
 	"repro/internal/transport"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -204,4 +205,63 @@ func TestOneNetworkPerNode(t *testing.T) {
 	if got := uint64(runtime + cleanup); got != want || app.Duplicates() != 0 {
 		t.Errorf("run-time %d + cleanup %d = %d results, %d duplicates; oracle %d", runtime, cleanup, got, app.Duplicates(), want)
 	}
+}
+
+// An engine's introduction needs no retry. Here the coordinator is not up
+// when the engine starts, so its Hello is lost; the coordinator's watchdog,
+// never having heard from it, declares it dead — and the engine's first
+// StatsReport, a heartbeat like every report, brings it back.
+func TestFirstStatsReportIntroducesAnEngine(t *testing.T) {
+	cfg := Config{Engines: []partition.NodeID{"m1"}, Workload: fastWorkload(),
+		HeartbeatTimeout: 10 * time.Second, StatsInterval: time.Hour, LBInterval: time.Hour}
+	clock := vclock.NewManual()
+	net := transport.NewInproc()
+	t.Cleanup(func() { net.Close() })
+	// The test plays the split host, which the watchdog's Pause goes to.
+	host, err := net.Attach(GeneratorNode, func(partition.NodeID, proto.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := engine.New(cfg.EngineConfig("m1", nil, nil), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Attach(net); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Crash)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	master, err := cfg.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, err := coordinator.New(cfg.CoordinatorConfig(master), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gc.Attach(net); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gc.Stop)
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for guard := vclock.WallTimeout(5 * time.Second); !cond(); vclock.WallSleep(time.Millisecond) {
+			select {
+			case <-guard:
+				t.Fatalf("timed out waiting for %s", what)
+			default:
+			}
+		}
+	}
+	clock.Advance(cfg.HeartbeatTimeout + time.Second)
+	if err := host.Send(CoordinatorNode, proto.Tick{Kind: proto.TickLB}); err != nil {
+		t.Fatal(err)
+	}
+	await("the watchdog to give m1 up", func() bool { return !gc.EngineAlive("m1") })
+	if err := host.Send("m1", proto.Tick{Kind: proto.TickStats}); err != nil {
+		t.Fatal(err)
+	}
+	await("m1's first report to revive it", func() bool { return gc.EngineAlive("m1") })
 }

@@ -13,9 +13,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -103,7 +103,7 @@ type Config struct {
 	// diagnosis, not always-on fleets.
 	GroupMetrics int
 	// DynamicJoin makes the engine introduce itself with a JoinRequest
-	// (retried with jittered backoff until the coordinator's JoinAck
+	// (re-sent on every stats tick until the coordinator's JoinAck
 	// arrives) instead of the informational Hello: the engine was not in
 	// the coordinator's static configuration and asks to be admitted
 	// into the running cluster.
@@ -174,7 +174,8 @@ type Engine struct {
 	// JoinParallelism > 1; nil on the serial path.
 	pool *shardPool
 	mgr  *spill.Manager
-	mode core.Mode
+	// ledger answers the coordinator's adaptation steps (ledger.go).
+	ledger ledger
 
 	events  *stats.EventLog
 	tracker *core.ProductivityTracker
@@ -186,35 +187,12 @@ type Engine struct {
 	// so series of departed (relocated, purged) groups are zeroed.
 	gaugedGroups map[partition.ID]bool
 
-	// pendingReloc tracks the in-flight relocation this engine sends.
-	pendingReloc *relocState
-	// savedXfer retains the last outbound relocation and its group
-	// images, so a retried SendStates re-ships them and a RelocAbort
-	// installs them back. One relocation at most; dropped on the next CptV.
-	savedXfer *relocState
-	// installedEpochs / abortedEpochs make the receiver side of the
-	// protocol idempotent under duplicated or late deliveries: an
-	// already-installed epoch's duplicate StateTransfer is re-acked
-	// without re-installing, and a transfer arriving after its epoch
-	// was aborted is discarded. One entry per relocation touching this
-	// engine — bounded by the run's adaptation count.
-	installedEpochs map[uint64]bool
-	abortedEpochs   map[uint64]bool
-	// lastForceSeq / lastForceBytes re-acknowledge a duplicated
-	// ForceSpill instead of spilling twice.
-	lastForceSeq   uint64
-	lastForceBytes int64
-	// promotedEpochs / demotedEpochs make the failover handlers
-	// idempotent under duplicated deliveries, like installedEpochs for
-	// relocations.
-	promotedEpochs map[uint64]bool
-	demotedEpochs  map[uint64]bool
 	// drainFrom remembers who asked for each Drain this engine has passed
 	// on to the application server, by token, until its ack comes back.
 	drainFrom map[uint64]partition.NodeID
 	// joined flips once the coordinator's JoinAck admits a DynamicJoin
-	// engine; leftAck flips on LeaveAck. Atomics: both are read by the
-	// retry goroutines and external callers.
+	// engine, leaving on Leave, leftAck on LeaveAck: the stats tick
+	// re-sends what is unanswered. Atomics: external callers use them.
 	joined  atomic.Bool
 	leaving atomic.Bool
 	leftAck atomic.Bool
@@ -252,25 +230,6 @@ type Engine struct {
 	lastReport atomic.Pointer[proto.StatsReport]
 }
 
-// relocState is one outbound relocation epoch: the partitions offered
-// and, once SendStates took them out of operator and store, their
-// images.
-type relocState struct {
-	epoch    uint64
-	receiver partition.NodeID
-	parts    []partition.ID
-	images   []*spill.Image
-}
-
-// message encodes the taken images for the wire.
-func (x *relocState) message(trace obs.TraceContext) proto.StateTransfer {
-	m := proto.StateTransfer{Epoch: x.epoch, Trace: trace}
-	for _, im := range x.images {
-		m.Images = append(m.Images, spill.AppendImage(nil, im))
-	}
-	return m
-}
-
 // New builds an engine; Attach must be called before Start. It rejects
 // configurations the join cannot run (fewer than 2 inputs or no
 // partitions) instead of panicking deep inside the partition function.
@@ -280,18 +239,15 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:             c,
-		clock:           clock,
-		events:          stats.NewEventLog(),
-		reg:             obs.NewRegistry(),
-		tracer:          obs.NewTracer(0),
-		log:             obs.NewLogger(obs.LoggerConfig{Node: string(c.Node), Kind: "engine", Now: clock.Now}),
-		installedEpochs: make(map[uint64]bool),
-		abortedEpochs:   make(map[uint64]bool),
-		promotedEpochs:  make(map[uint64]bool),
-		demotedEpochs:   make(map[uint64]bool),
-		drainFrom:       make(map[uint64]partition.NodeID),
-		done:            make(chan struct{}),
+		cfg:       c,
+		clock:     clock,
+		ledger:    ledger{arrived: make(map[partition.ID]uint64)},
+		events:    stats.NewEventLog(),
+		reg:       obs.NewRegistry(),
+		tracer:    obs.NewTracer(0),
+		log:       obs.NewLogger(obs.LoggerConfig{Node: string(c.Node), Kind: "engine", Now: clock.Now}),
+		drainFrom: make(map[uint64]partition.NodeID),
+		done:      make(chan struct{}),
 	}
 	e.pf = partition.NewFunc(c.Partitions)
 	e.repl = newReplicator(e)
@@ -385,34 +341,20 @@ func (e *Engine) Attach(net transport.Network) error {
 	return nil
 }
 
-// Start announces the engine to the coordinator and arms its timers.
-// Statically configured engines send the informational Hello, retried
-// with jittered backoff if the coordinator is still coming up; a
-// DynamicJoin engine instead sends JoinRequest until the coordinator's
-// JoinAck admits it.
+// Start introduces the engine to the coordinator — the informational
+// Hello, or a DynamicJoin's JoinRequest — and arms its timers. Neither is
+// retried here: every StatsReport is a heartbeat, and the stats tick
+// re-sends the JoinRequest until JoinAck.
 func (e *Engine) Start() error {
 	if e.ep == nil {
 		return fmt.Errorf("engine %s: not attached", e.cfg.Node)
 	}
+	var hello proto.Message = proto.Hello{Node: e.cfg.Node, Kind: proto.KindEngine}
 	if e.cfg.DynamicJoin {
-		req := proto.JoinRequest{Node: e.cfg.Node, Addr: e.cfg.Addr}
-		//distqlint:allow uncheckederr: retried below with backoff until JoinAck
-		e.ep.Send(e.cfg.Coordinator, req)
-		go e.retryBackoff("join_request", func() bool {
-			if e.joined.Load() {
-				return true
-			}
-			//distqlint:allow uncheckederr: retried with backoff until JoinAck
-			e.ep.Send(e.cfg.Coordinator, req)
-			return false
-		})
-	} else {
-		hello := proto.Hello{Node: e.cfg.Node, Kind: proto.KindEngine}
-		if err := e.ep.Send(e.cfg.Coordinator, hello); err != nil {
-			go e.retryBackoff("hello", func() bool {
-				return e.ep.Send(e.cfg.Coordinator, hello) == nil
-			})
-		}
+		hello = proto.JoinRequest{Node: e.cfg.Node, Addr: e.cfg.Addr}
+	}
+	if err := e.ep.Send(e.cfg.Coordinator, hello); err != nil {
+		e.log.Warn("coordinator_unreachable", obs.FErr(err))
 	}
 	e.armTicker(e.cfg.StatsInterval, proto.TickStats)
 	if e.cfg.LocalSpill {
@@ -421,61 +363,28 @@ func (e *Engine) Start() error {
 	return nil
 }
 
-// retryBackoff re-invokes attempt with jittered exponential backoff
-// (base 100ms doubling to a 5s cap, then a uniform draw from
-// [0.5, 1.5)× of it) until attempt reports done, the engine shuts
-// down, or ~30 attempts pass. The jitter source is seeded from the
-// node name and label, keeping runs reproducible while desynchronizing
-// a burst of engines retrying against the same recovering coordinator.
-func (e *Engine) retryBackoff(label string, attempt func() bool) {
-	h := fnv.New64a()
-	h.Write([]byte(string(e.cfg.Node) + "/" + label))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
-	base := 100 * time.Millisecond
-	for i := 0; i < 30; i++ {
-		d := time.Duration(float64(base) * (0.5 + rng.Float64()))
-		select {
-		case <-e.clock.After(d):
-		case <-e.done:
-			return
-		}
-		if attempt() {
-			return
-		}
-		if base < 5*time.Second {
-			base *= 2
-		}
-	}
-	e.log.Error(label+"_unacknowledged", obs.F("coordinator", string(e.cfg.Coordinator)))
-}
+// Leave announces a graceful departure: the next stats report carries a
+// Leave, and every report after it until LeaveAck; the coordinator drains
+// every partition group this engine owns onto the remaining engines, then
+// acknowledges (observable via Left). Callable from any goroutine.
+func (e *Engine) Leave() { e.leaving.Store(true) }
 
-// Leave announces a graceful departure: the coordinator drains every
-// partition group this engine owns onto the remaining engines, then
-// acknowledges with LeaveAck (observable via Left). Callable from any
-// goroutine; idempotent.
-func (e *Engine) Leave() {
-	if !e.leaving.CompareAndSwap(false, true) {
-		return
+// unacknowledged re-sends the membership requests the coordinator has
+// yet to answer: a DynamicJoin's JoinRequest, a Leave.
+func (e *Engine) unacknowledged() error {
+	var err error
+	if e.cfg.DynamicJoin && !e.joined.Load() {
+		err = e.ep.Send(e.cfg.Coordinator, proto.JoinRequest{Node: e.cfg.Node, Addr: e.cfg.Addr})
 	}
-	leave := proto.Leave{Node: e.cfg.Node}
-	//distqlint:allow uncheckederr: retried below with backoff until LeaveAck
-	e.ep.Send(e.cfg.Coordinator, leave)
-	go e.retryBackoff("leave", func() bool {
-		if e.leftAck.Load() {
-			return true
-		}
-		//distqlint:allow uncheckederr: retried with backoff until LeaveAck
-		e.ep.Send(e.cfg.Coordinator, leave)
-		return false
-	})
+	if e.leaving.Load() && !e.leftAck.Load() {
+		err = errors.Join(err, e.ep.Send(e.cfg.Coordinator, proto.Leave{Node: e.cfg.Node}))
+	}
+	return err
 }
 
 // Left reports whether the coordinator has released this engine (its
 // Leave was acknowledged and it owns no partitions).
 func (e *Engine) Left() bool { return e.leftAck.Load() }
-
-// Joined reports whether a DynamicJoin engine has been admitted.
-func (e *Engine) Joined() bool { return e.joined.Load() }
 
 func (e *Engine) armTicker(period time.Duration, kind string) {
 	tk := e.clock.NewTicker(period)
@@ -648,11 +557,11 @@ func (e *Engine) onData(m proto.Data) error {
 func (e *Engine) onTick(m proto.Tick) error {
 	switch m.Kind {
 	case proto.TickStats:
-		return e.reportStats()
+		return errors.Join(e.unacknowledged(), e.reportStats())
 	case proto.TickSpill:
 		// Algorithm 1, ss_timer_expired: spill only from normal mode;
 		// in any adaptation mode, wait for the next timer expiry.
-		if e.mode != core.NormalMode || !e.cfg.LocalSpill {
+		if e.mode() != core.NormalMode || !e.cfg.LocalSpill {
 			return nil
 		}
 		// A standby-heavy follower must shed its own operator state (the
@@ -679,14 +588,7 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) error 
 	span := e.tracer.StartChild(obs.SpanSpill, string(e.cfg.Node), e.clock.Now(), trace)
 	span.SetAttr("kind", spanKind)
 	span.SetAttr("requested_bytes", fmt.Sprintf("%d", amount))
-	// Save and restore the surrounding mode instead of resetting to
-	// normal: a ForceSpill can arrive mid-relocation (active-disk forces
-	// spills at arbitrary machines), and clobbering RelocateMode would
-	// re-enable the local ss_timer spill path during a state move.
-	prev := e.mode
-	e.mode = core.SpillMode
 	res, err := e.mgr.Spill(amount, e.clock.Now())
-	e.mode = prev
 	if err != nil {
 		span.Abort(e.clock.Now(), err.Error())
 		return err
@@ -825,18 +727,15 @@ func (e *Engine) reportResults() error {
 
 // onCptV implements the engine's cptv event: pick the most productive
 // groups worth the requested amount (they stay active in the receiver's
-// memory) and answer with the list. A duplicated CptV (coordinator
-// retry after a lost PtV) is re-answered with the cached choice so both
-// sides agree on the moving set.
+// memory) and answer with the list, which puts the engine in relocate
+// mode until the SendStates that takes them.
 func (e *Engine) onCptV(m proto.CptV) error {
-	if e.pendingReloc != nil && e.pendingReloc.epoch == m.Epoch {
-		return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: e.pendingReloc.parts})
+	if run, err := e.step(m.Epoch, fresh, chose); !run {
+		return err
 	}
 	span := e.tracer.StartChild(obs.SpanRelocationCptV, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
 	span.SetAttr("amount_bytes", strconv.FormatInt(m.Amount, 10))
-	e.savedXfer = nil // at most one outbound relocation's state is retained
-	e.mode = core.RelocateMode
 	var parts []partition.ID
 	switch {
 	case m.LowProd && e.tracker != nil:
@@ -848,58 +747,40 @@ func (e *Engine) onCptV(m proto.CptV) error {
 	default:
 		parts = core.MostProductiveMovers(e.op.Stats(), m.Amount)
 	}
-	e.pendingReloc = &relocState{epoch: m.Epoch, receiver: m.Receiver, parts: parts}
-	if len(parts) == 0 {
-		e.mode = core.NormalMode
-		e.pendingReloc = nil
-	}
 	span.SetAttr("partitions", strconv.Itoa(len(parts)))
 	span.End(e.clock.Now())
-	return e.ep.Send(e.cfg.Coordinator, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: parts})
+	return e.answer(chose, proto.PtV{Epoch: m.Epoch, Node: e.cfg.Node, Partitions: parts})
 }
 
 // onSendStates implements protocol step 5/6: take the moving groups out
 // of this engine — each one's whole image, so the disk segments follow
-// the group and cleanup stays local — and ship them to the receiver.
-//
-// The images are retained (savedXfer): a retried SendStates re-ships
-// them (the groups are gone from the operator by then) and a RelocAbort
-// installs them back, as does a failed extraction or send right here —
-// an aborted relocation must never lose state. A SendStates for an
-// epoch that is neither pending nor saved is stale and is ignored.
+// the group and cleanup stays local — and ship them to the receiver (a
+// directed one, the drain of a leaver, skips the CptV/PtV round). The
+// ledger keeps the images for a retry's re-ship or a RelocAbort; a failed
+// extraction or send installs them back on the spot — an aborted
+// relocation must never lose state.
 func (e *Engine) onSendStates(m proto.SendStates) error {
-	if e.abortedEpochs[m.Epoch] {
-		return nil // stale: this engine already rolled the epoch back
+	from := chose
+	if m.Directed {
+		from = fresh
 	}
-	if x := e.savedXfer; x != nil && x.epoch == m.Epoch {
-		return e.ep.Send(x.receiver, x.message(m.Trace))
+	if run, err := e.step(m.Epoch, from, shipped); !run {
+		return err
 	}
-	if e.pendingReloc == nil && m.Directed {
-		// A directed relocation (drain of a departing engine) skips the
-		// CptV/PtV round — the coordinator chose the partitions — so the
-		// pending state a CptV would have recorded is synthesized here.
-		e.pendingReloc = &relocState{epoch: m.Epoch, receiver: m.Receiver, parts: m.Partitions}
-		e.mode = core.RelocateMode
-	}
-	if e.pendingReloc == nil || e.pendingReloc.epoch != m.Epoch {
-		return nil // stale: the epoch was aborted or superseded
-	}
-	defer func() {
-		e.mode = core.NormalMode
-		e.pendingReloc = nil
-	}()
 	span := e.tracer.StartChild(obs.SpanRelocationSend, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", fmt.Sprintf("%d", m.Epoch))
 	span.SetAttr("receiver", string(m.Receiver))
 	span.SetAttr("partitions", fmt.Sprintf("%d", len(m.Partitions)))
-	x := e.pendingReloc
+	// Forward the trace so the receiver's install span joins too.
+	l := &e.ledger
+	l.to, l.reply = m.Receiver, proto.StateTransfer{Epoch: m.Epoch, Trace: m.Trace}
 	var memBytes, diskBytes int64
 	var err error
 	for _, id := range m.Partitions {
 		var im *spill.Image
 		im, err = e.release(id)
 		if !im.Empty() {
-			x.images = append(x.images, im)
+			l.images = append(l.images, im)
 			mem, disk := im.Bytes()
 			memBytes, diskBytes = memBytes+mem, diskBytes+disk
 		}
@@ -908,24 +789,22 @@ func (e *Engine) onSendStates(m proto.SendStates) error {
 		}
 	}
 	if err == nil {
-		// Forward the trace so the receiver's install span joins too.
-		err = e.ep.Send(m.Receiver, x.message(m.Trace))
+		err = e.ep.Send(m.Receiver, l.shipment())
 	}
 	if err != nil {
 		span.Abort(e.clock.Now(), err.Error())
-		if ierr := e.install(x.images); ierr != nil {
-			// Keep what did not land for the RelocAbort to install, and
-			// never re-ship it: part of the epoch's state is local again.
-			e.savedXfer, e.abortedEpochs[m.Epoch] = x, true
+		l.stage, l.reply = aborted, nil
+		if ierr := e.install(l.images); ierr != nil {
 			return fmt.Errorf("reinstall after failed transfer: %v (transfer: %w)", ierr, err)
 		}
+		l.images = nil
 		return fmt.Errorf("state transfer to %s failed, state reinstalled locally: %w", m.Receiver, err)
 	}
-	span.SetAttr("groups", fmt.Sprintf("%d", len(x.images)))
+	span.SetAttr("groups", fmt.Sprintf("%d", len(l.images)))
 	span.SetAttr("mem_bytes", fmt.Sprintf("%d", memBytes))
 	span.SetAttr("disk_bytes", fmt.Sprintf("%d", diskBytes))
 	span.End(e.clock.Now())
-	e.savedXfer = x
+	l.stage = shipped
 	e.reg.Counter("distq_engine_relocations_out_total").Inc()
 	return nil
 }
@@ -952,50 +831,38 @@ func (e *Engine) install(images []*spill.Image) error {
 	return nil
 }
 
-// onRelocAbort rolls this engine out of a relocation epoch. It is
-// idempotent and answers from any state: a receiver that already
-// installed the epoch's transfer reports Installed (the coordinator
-// commits forward); a sender holding the extracted state reinstalls it;
-// an engine with the relocation merely pending clears its mode; an
-// engine that knows nothing about the epoch still acknowledges. In
-// every non-installed case the epoch is marked aborted so a transfer
-// arriving late is discarded rather than forking the state.
+// onRelocAbort rolls this engine out of a relocation, from any stage of
+// it: a sender reinstalls what it took, an engine that offered groups
+// leaves relocate mode, a receiver that installed the transfer says so
+// (the coordinator commits forward), and one that has seen nothing of the
+// run still acknowledges. Past the abort, the run's late steps — a
+// transfer above all — are dropped.
 func (e *Engine) onRelocAbort(m proto.RelocAbort) error {
-	ack := proto.RelocAbortAck{Epoch: m.Epoch, Node: e.cfg.Node}
+	l := &e.ledger
 	switch {
-	case e.installedEpochs[m.Epoch]:
-		ack.Installed = true
-	case e.savedXfer != nil && e.savedXfer.epoch == m.Epoch:
-		if err := e.install(e.savedXfer.images); err != nil {
-			// State integrity beats protocol progress: keep savedXfer
-			// and let the coordinator's retry re-attempt the rollback.
+	case !l.current(m.Epoch):
+		return nil
+	case l.stage == aborted && l.reply != nil:
+		return e.ep.Send(e.cfg.Coordinator, l.reply)
+	case l.images != nil:
+		if err := e.install(l.images); err != nil {
+			// State integrity beats protocol progress: keep the images and
+			// let the coordinator's retry re-attempt the rollback.
 			return fmt.Errorf("relocation abort epoch %d: %w", m.Epoch, err)
 		}
-		e.savedXfer = nil
-		e.abortedEpochs[m.Epoch] = true
+		l.images = nil
 		e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventAbort,
 			Detail: fmt.Sprintf("epoch %d state reinstalled", m.Epoch)})
-	case e.pendingReloc != nil && e.pendingReloc.epoch == m.Epoch:
-		e.pendingReloc = nil
-		e.mode = core.NormalMode
-		e.abortedEpochs[m.Epoch] = true
-	default:
-		e.abortedEpochs[m.Epoch] = true
 	}
-	return e.ep.Send(e.cfg.Coordinator, ack)
+	return e.answer(aborted, proto.RelocAbortAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: l.stage == installed})
 }
 
-// onStateTransfer implements the receiver side of step 6. Duplicate
-// deliveries (a retried SendStates after a lost Installed) are re-acked
-// without re-installing; a transfer whose epoch was already aborted
-// here is discarded — the sender reinstalled the state, installing it
-// again would duplicate every result it joins.
+// onStateTransfer implements the receiver side of step 6. A duplicate
+// (a retried SendStates after a lost Installed) is re-acked without
+// re-installing.
 func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
-	if e.abortedEpochs[m.Epoch] {
-		return nil
-	}
-	if e.installedEpochs[m.Epoch] {
-		return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node})
+	if run, err := e.step(m.Epoch, fresh, installed); !run {
+		return err
 	}
 	span := e.tracer.StartChild(obs.SpanRelocationReceive, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", fmt.Sprintf("%d", m.Epoch))
@@ -1009,37 +876,29 @@ func (e *Engine) onStateTransfer(m proto.StateTransfer) error {
 			span.Abort(e.clock.Now(), err.Error())
 			return fmt.Errorf("decode transferred state: %w", err)
 		}
+		if !images[i].Empty() {
+			e.ledger.arrived[images[i].Group()] = m.Epoch
+		}
 	}
 	if err := e.install(images); err != nil {
 		span.Abort(e.clock.Now(), err.Error())
 		return err
 	}
 	span.End(e.clock.Now())
-	e.installedEpochs[m.Epoch] = true
 	e.reg.Counter("distq_engine_relocations_in_total").Inc()
-	return e.ep.Send(e.cfg.Coordinator, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node})
+	return e.answer(installed, proto.Installed{Epoch: m.Epoch, Node: e.cfg.Node})
 }
 
-// onForceSpill implements the active-disk start_ss event. A duplicated
-// command (coordinator retry after a lost SpillDone) is re-acknowledged
-// with the recorded outcome instead of spilling twice.
+// onForceSpill implements the active-disk start_ss event.
 func (e *Engine) onForceSpill(m proto.ForceSpill) error {
-	if m.Seq != 0 && m.Seq == e.lastForceSeq {
-		return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: e.lastForceBytes, Seq: m.Seq})
-	}
-	var bytes int64
-	if err := func() error {
-		before := e.mgr.SpilledBytes()
-		if err := e.spill(m.Amount, stats.EventForcedSpill, m.Trace); err != nil {
-			return err
-		}
-		bytes = e.mgr.SpilledBytes() - before
-		return nil
-	}(); err != nil {
+	if run, err := e.step(m.Seq, fresh, done); !run {
 		return err
 	}
-	e.lastForceSeq, e.lastForceBytes = m.Seq, bytes
-	return e.ep.Send(e.cfg.Coordinator, proto.SpillDone{Node: e.cfg.Node, Bytes: bytes, Seq: m.Seq})
+	before := e.mgr.SpilledBytes()
+	if err := e.spill(m.Amount, stats.EventForcedSpill, m.Trace); err != nil {
+		return err
+	}
+	return e.answer(done, proto.SpillDone{Node: e.cfg.Node, Bytes: e.mgr.SpilledBytes() - before, Seq: m.Seq})
 }
 
 // Crash simulates an abrupt machine failure: message processing halts
@@ -1078,12 +937,10 @@ func (e *Engine) onJoinAck(m proto.JoinAck) error {
 
 // onPromote installs this engine's warm standby copies of the groups as
 // resident operator state. The coordinator's trace context parents the
-// install span under its promotion span. Idempotent per epoch (retries
-// re-ack).
+// install span under its promotion span.
 func (e *Engine) onPromote(m proto.Promote) error {
-	ack := proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true}
-	if e.promotedEpochs[m.Epoch] {
-		return e.ep.Send(e.cfg.Coordinator, ack)
+	if run, err := e.step(m.Epoch, fresh, done); !run {
+		return err
 	}
 	span := e.tracer.StartChild(obs.SpanPromotionInstall, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
@@ -1098,40 +955,40 @@ func (e *Engine) onPromote(m proto.Promote) error {
 	}
 	span.SetAttr("installed", strconv.Itoa(installed))
 	span.End(e.clock.Now())
-	e.promotedEpochs[m.Epoch] = true
+	for _, g := range m.Groups {
+		e.ledger.arrived[g] = m.Epoch
+	}
 	e.reg.Counter("distq_engine_promotions_total").Inc()
 	e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventPromote,
 		Detail: fmt.Sprintf("epoch %d: %d groups from %s (%d standby installs)", m.Epoch, len(m.Groups), m.From, installed)})
-	return e.ep.Send(e.cfg.Coordinator, ack)
+	return e.answer(done, proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true})
 }
 
 // onDemote drops this revived engine's now-stale copies of groups that
-// were failed over away from it while it was presumed dead. The
-// replication tail is flushed to the new owners first — tuples buffered
-// here but never delivered merge into their resident state over the
-// ordinary delta stream. Idempotent per epoch.
+// were failed over away from it while it was presumed dead, if they
+// arrived before the demote: a repeat drops nothing, a group that came
+// back since stays. The replication tail is flushed to the new owners
+// first, so tuples buffered here merge into their resident state.
 func (e *Engine) onDemote(m proto.Demote) error {
-	ack := proto.DemoteAck{Epoch: m.Epoch, Node: e.cfg.Node}
-	if e.demotedEpochs[m.Epoch] {
-		return e.ep.Send(e.cfg.Coordinator, ack)
-	}
-	e.repl.tailFlush(m.Groups)
+	stale := slices.DeleteFunc(slices.Clone(m.Groups), func(g partition.ID) bool { return e.ledger.arrived[g] > m.Epoch })
+	e.repl.tailFlush(stale)
 	dropped := 0
-	for _, id := range m.Groups {
+	for _, id := range stale {
 		im, err := e.release(id)
 		if err != nil {
 			return fmt.Errorf("drop demoted group %d: %w", id, err)
 		}
-		if im.Mem != nil {
+		if !im.Empty() {
 			dropped++
 		}
 	}
-	e.demotedEpochs[m.Epoch] = true
-	e.reg.Counter("distq_engine_demotions_total").Inc()
-	e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventDemote,
-		Detail: fmt.Sprintf("epoch %d: %d stale groups dropped (%d with state); %d groups, %d segments left",
-			m.Epoch, len(m.Groups), dropped, e.op.Groups(), e.cfg.Store.SegmentCount())})
-	return e.ep.Send(e.cfg.Coordinator, ack)
+	if dropped > 0 {
+		e.reg.Counter("distq_engine_demotions_total").Inc()
+		e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventDemote,
+			Detail: fmt.Sprintf("epoch %d: %d stale groups dropped; %d groups, %d segments left",
+				m.Epoch, dropped, e.op.Groups(), e.cfg.Store.SegmentCount())})
+	}
+	return e.ep.Send(e.cfg.Coordinator, proto.DemoteAck{Epoch: m.Epoch, Node: e.cfg.Node})
 }
 
 // onDrain answers the end-of-run fence. The Drain's arrival proves every

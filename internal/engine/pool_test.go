@@ -34,35 +34,43 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
-// TestForceSpillDuringRelocationKeepsRelocateMode is the mode-restore
-// regression test: the active-disk strategy may force a spill at an
-// engine that is mid-relocation, and the spill must not clobber
-// RelocateMode back to normal — that would re-enable the local
-// ss_timer spill path while a state move is in flight.
+// TestForceSpillDuringRelocationKeepsRelocateMode: a spill must not
+// clobber RelocateMode back to normal — that would re-enable the local
+// ss_timer spill path while a state move is in flight. Since one
+// foreground run at a time, the only ForceSpill that can reach an engine
+// mid-relocation is a late one of an earlier run: it is dropped — no
+// spill, no SpillDone — and the mode is kept.
 func TestForceSpillDuringRelocationKeepsRelocateMode(t *testing.T) {
 	r := newRig(t, nil)
 	r.gen.ep.Send("m1", dataMsg(t, mk(0, 0, 1), mk(1, 0, 2), mk(0, 1, 3), mk(1, 1, 4)))
 
 	// Step 1-2 of the relocation protocol: the engine enters relocate
 	// mode and offers partitions.
-	r.gc.ep.Send("m1", proto.CptV{Epoch: 1, Amount: 1 << 20, Receiver: "m2"})
+	r.gc.ep.Send("m1", proto.CptV{Epoch: 5, Amount: 1 << 20, Receiver: "m2"})
 	ptv := expect[proto.PtV](t, r.gc)
 	if len(ptv.Partitions) == 0 {
 		t.Fatal("sender offered no partitions")
 	}
 
-	// A forced spill lands mid-relocation.
-	r.gc.ep.Send("m1", proto.ForceSpill{Amount: 1, Seq: 7})
-	expect[proto.SpillDone](t, r.gc)
-	r.drain(t) // fence, then the DrainAck receipt orders the mode read
-	if got := r.engine.mode; got != core.RelocateMode {
-		t.Fatalf("mode after ForceSpill during relocation = %v, want RelocateMode", got)
+	// The forced spill of run 3 lands mid-relocation.
+	r.gc.ep.Send("m1", proto.ForceSpill{Amount: 1, Seq: 3})
+	r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats})
+	for _, m := range until[proto.StatsReport](t, r.gc) {
+		if _, ok := m.(proto.SpillDone); ok {
+			t.Fatal("a stale ForceSpill was answered")
+		}
+	}
+	if n := r.engine.SpillManager().Count(); n != 0 {
+		t.Fatalf("a stale ForceSpill spilled (%d spills)", n)
+	}
+	if got := r.engine.mode(); got != core.RelocateMode {
+		t.Fatalf("mode after a stale ForceSpill during relocation = %v, want RelocateMode", got)
 	}
 
-	// Completing the relocation still lands back in normal mode.
-	r.gc.ep.Send("m1", proto.SendStates{Epoch: 1, Partitions: ptv.Partitions, Receiver: "m-ghost"})
+	// Completing the relocation (here: failing it) lands back in normal mode.
+	r.gc.ep.Send("m1", proto.SendStates{Epoch: 5, Partitions: ptv.Partitions, Receiver: "m-ghost"})
 	r.drain(t)
-	if got := r.engine.mode; got != core.NormalMode {
+	if got := r.engine.mode(); got != core.NormalMode {
 		t.Fatalf("mode after relocation finished = %v, want NormalMode", got)
 	}
 }

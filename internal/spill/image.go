@@ -57,6 +57,14 @@ func newImage(mem *join.GroupSnapshot, disk []*join.GroupSnapshot) *Image {
 // Empty reports whether the image holds nothing to install.
 func (im *Image) Empty() bool { return im.Mem == nil && len(im.Disk) == 0 }
 
+// Group reports which group a non-empty image holds.
+func (im *Image) Group() partition.ID {
+	if im.Mem != nil {
+		return im.Mem.ID
+	}
+	return im.Disk[0].ID
+}
+
 // Bytes reports the image's size per tier as its destination will
 // account it: mem as an operator counts resident tuples, disk as a
 // store counts encoded segments.

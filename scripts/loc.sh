@@ -1,8 +1,8 @@
 #!/bin/sh
 # loc: the line count every simplification PR quotes — non-test Go
 # outside benchmark/ and testdata/, the code a reader has to hold in
-# their head — for the working tree, for internal/coordinator, for the
-# lint suite (internal/analysis + cmd/distqlint) and for the wiring (the
+# their head — for the working tree, for internal/coordinator, for
+# internal/engine, for the lint suite (internal/analysis + cmd/distqlint) and for the wiring (the
 # facade, the composition root and the four node binaries) and, given
 # BASE, the same at that revision and the delta against it.
 #
@@ -32,12 +32,14 @@ at() {
 now=$(here '')
 echo "non-test Go lines (excluding benchmark/, testdata/): $now"
 echo "  internal/coordinator: $(here internal/coordinator/)"
+echo "  internal/engine: $(here internal/engine/)"
 echo "  internal/analysis + cmd/distqlint: $(here "$lint")"
 echo "  wiring (distq + internal/cluster + the four node binaries): $(here "$wiring")"
 [ $# -ge 1 ] && [ -n "$1" ] || exit 0
 was=$(at "$1" '')
 echo "at $1: $was"
 echo "  internal/coordinator: $(at "$1" internal/coordinator/)"
+echo "  internal/engine: $(at "$1" internal/engine/)"
 echo "  internal/analysis + cmd/distqlint: $(at "$1" "$lint")"
 echo "  wiring (distq + internal/cluster + the four node binaries): $(at "$1" "$wiring")"
 echo "delta: $((now - was))"
