@@ -89,7 +89,8 @@ bench-pairs:
 	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
 
 # loc prints the line count simplification PRs quote — non-test Go
-# outside benchmark/ and testdata/: whole tree, internal/coordinator,
+# outside benchmark/ and testdata/: whole tree, internal/core,
+# internal/coordinator, the decision layer (the two together),
 # internal/engine, the lint suite (internal/analysis + cmd/distqlint) and the wiring (distq,
 # internal/cluster, the four node binaries) — and, with BASE, the same at
 # that revision and the delta.

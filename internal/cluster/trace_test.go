@@ -68,6 +68,9 @@ func TestRelocationTraceReassembles(t *testing.T) {
 		if root.Node != string(CoordinatorNode) {
 			t.Fatalf("relocation rooted on %q, want %q", root.Node, CoordinatorNode)
 		}
+		if root.Attrs["decision"] != core.ReasonImbalance {
+			t.Fatalf("relocation root's decision = %q, want %q", root.Attrs["decision"], core.ReasonImbalance)
+		}
 		if !root.Complete || root.Attrs["status"] != obs.StatusOK {
 			// The run can end mid-relocation; only completed relocations
 			// carry the full protocol.
@@ -165,6 +168,9 @@ func TestForcedSpillTraceReassembles(t *testing.T) {
 	completed := 0
 	for _, tree := range trace.ByName(trace.Build(res.Spans), obs.SpanForcedSpill) {
 		root := tree.Root.Span
+		if root.Attrs["decision"] != core.ReasonProductivityGap {
+			t.Fatalf("forced spill root's decision = %q, want %q", root.Attrs["decision"], core.ReasonProductivityGap)
+		}
 		if !root.Complete || root.Attrs["status"] != obs.StatusOK {
 			continue // the run can end with a forced spill in flight
 		}
@@ -181,5 +187,59 @@ func TestForcedSpillTraceReassembles(t *testing.T) {
 	}
 	if completed == 0 || completed != res.ForcedSpills {
 		t.Fatalf("reassembled %d completed forced-spill trees, counter says %d", completed, res.ForcedSpills)
+	}
+}
+
+// TestDrainAndPromotionRootsCarryTheDecision: like the relocation and
+// forced-spill roots above, a drain's and a promotion's root span carry
+// the reason core.Decide gave for them. m3 leaves, then m2 crashes.
+func TestDrainAndPromotionRootsCarryTheDecision(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Engines = []partition.NodeID{"m1", "m2", "m3"}
+	cfg.Scale = 600
+	cfg.Replicate = true
+	cfg.HeartbeatTimeout = time.Minute
+	cfg.RelocTimeout = 30 * time.Second
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Feed(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Leave("m3"); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Await(30*time.Second, func() bool { return c.EngineLeft("m3") && c.PartitionsPaused() == 0 }) {
+		t.Fatalf("m3 never drained: membership %v", c.Membership())
+	}
+	if err := c.Crash("m2"); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Await(30*time.Second, func() bool { return c.Promotions() > 0 }) {
+		t.Fatalf("m2 never failed over: membership %v", c.Membership())
+	}
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := trace.Build(res.Spans)
+	for span, want := range map[string]string{obs.SpanRelocationDrain: core.ReasonLeave, obs.SpanPromotion: core.ReasonFailover} {
+		roots := trace.ByName(trees, span)
+		if len(roots) == 0 {
+			t.Errorf("no %s root", span)
+		}
+		for _, tree := range roots {
+			if got := tree.Root.Span.Attrs["decision"]; got != want {
+				t.Errorf("%s root's decision = %q, want %q", span, got, want)
+			}
+		}
 	}
 }

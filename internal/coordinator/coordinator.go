@@ -82,37 +82,6 @@ type Config struct {
 	OnError func(error)
 }
 
-// MemberState is the coordinator's membership view of an engine.
-type MemberState int32
-
-// Membership states. Statically configured engines start Active; a
-// dynamically admitted engine is Joining until its first StatsReport;
-// a departing engine is Draining until it owns no partitions, then
-// Left (terminal — the name cannot rejoin). Dead/alive, the watchdog's
-// view, is orthogonal to membership.
-const (
-	MemberActive MemberState = iota
-	MemberJoining
-	MemberDraining
-	MemberLeft
-)
-
-// String names the membership state for snapshots and logs.
-func (s MemberState) String() string {
-	switch s {
-	case MemberActive:
-		return "active"
-	case MemberJoining:
-		return "joining"
-	case MemberDraining:
-		return "draining"
-	case MemberLeft:
-		return "left"
-	default:
-		return "unknown"
-	}
-}
-
 // engineInfo is the coordinator's view of one engine.
 type engineInfo struct {
 	last       proto.StatsReport
@@ -121,7 +90,7 @@ type engineInfo struct {
 	memSeries  *stats.Series
 	lastSeen   vclock.Time
 	alive      atomic.Bool
-	// state is the engine's MemberState (atomic: accessors read it off
+	// state is the engine's core.Member (atomic: accessors read it off
 	// the handler thread).
 	state atomic.Int32
 	// diedAt is when the watchdog last declared the engine dead; the
@@ -137,10 +106,10 @@ type engineInfo struct {
 	memberSpan *obs.Span
 }
 
-func (e *engineInfo) member() MemberState { return MemberState(e.state.Load()) }
+func (e *engineInfo) member() core.Member { return core.Member(e.state.Load()) }
 
 // serving engines are alive and active: the ones adaptations may use.
-func (e *engineInfo) serving() bool { return e.alive.Load() && e.member() == MemberActive }
+func (e *engineInfo) serving() bool { return e.alive.Load() && e.member() == core.MemberActive }
 
 // Coordinator is the global adaptation controller.
 type Coordinator struct {
@@ -395,7 +364,7 @@ func (c *Coordinator) Membership() map[partition.NodeID]string {
 	out := make(map[partition.NodeID]string, len(c.engines))
 	for node, info := range c.engines {
 		s := info.member()
-		if s != MemberLeft && !info.alive.Load() {
+		if s != core.MemberLeft && !info.alive.Load() {
 			out[node] = "dead"
 			continue
 		}
@@ -429,7 +398,7 @@ func (c *Coordinator) ReplicationSettled() bool {
 	}
 	c.memMu.RLock()
 	for _, info := range c.engines {
-		if !info.alive.Load() || info.member() != MemberActive {
+		if !info.alive.Load() || info.member() != core.MemberActive {
 			continue
 		}
 		if info.lastReplVersion.Load() != version {
@@ -519,10 +488,10 @@ func (c *Coordinator) onStats(m proto.StatsReport) {
 	info.haveReport = true
 	info.memSeries.Add(c.clock.Now(), float64(m.MemBytes))
 	c.reg.Gauge("distq_coordinator_engine_mem_bytes", obs.L("engine", string(m.Node))).Set(float64(m.MemBytes))
-	if info.member() == MemberJoining {
+	if info.member() == core.MemberJoining {
 		// First report: the joiner's load is now known, making it
-		// eligible for the rebalance planner.
-		info.state.Store(int32(MemberActive))
+		// eligible for core.Decide's shed.
+		info.state.Store(int32(core.MemberActive))
 		c.mJoins.Inc()
 		now := c.clock.Now()
 		info.memberSpan.End(now)
@@ -548,15 +517,16 @@ func (c *Coordinator) onStats(m proto.StatsReport) {
 }
 
 // heartbeat records proof of life from an engine, reviving it if the
-// watchdog had declared it dead. A victim reviving mid-failover is NOT
-// resumed: the promotion only moves forward, and once the new map is
-// committed the revived engine is demoted back to follower duty.
+// watchdog had declared it dead. A victim reviving mid-failover is
+// demoted of what the promotion has committed (nothing, before the
+// commit) but NOT resumed: the promotion only moves forward, and what
+// the victim keeps is resumed when it is done.
 func (c *Coordinator) heartbeat(node partition.NodeID) {
 	info, ok := c.engines[node]
 	if !ok {
 		return
 	}
-	if info.member() == MemberLeft {
+	if info.member() == core.MemberLeft {
 		return // terminal: a left engine cannot revive under its old name
 	}
 	now := c.clock.Now()
@@ -568,15 +538,10 @@ func (c *Coordinator) heartbeat(node partition.NodeID) {
 	c.mRevivals.Inc()
 	c.events.Add(stats.Event{T: now, Node: node, Kind: stats.EventEngineAlive, Detail: "re-registered"})
 	c.log.Info("engine_revived", obs.F("engine", string(node)))
-	if fg := c.fg; fg != nil && fg.plan == &promotionPlan && fg.sender == node {
-		// Mid-failover: demote it of what the promotion has committed
-		// (nothing, before the commit); what it keeps is resumed when
-		// the promotion is done.
-		c.queueDemote(node)
-		return
-	}
 	c.queueDemote(node)
-	c.resume(node)
+	if fg := c.fg; fg == nil || fg.plan != &promotionPlan || fg.sender != node {
+		c.resume(node)
+	}
 }
 
 // resume releases a node's partitions at the split host under the
@@ -597,8 +562,8 @@ func (c *Coordinator) queueDemote(node partition.NodeID) {
 }
 
 // onTick runs the watchdog and the housekeeping broadcasts, then — only
-// one foreground adaptation runs at a time — asks the planners, most
-// urgent first, for the next one.
+// one foreground adaptation runs at a time — asks core.Decide for the
+// next one.
 func (c *Coordinator) onTick() {
 	c.mTicks.Inc()
 	now := c.clock.Now()
@@ -612,72 +577,75 @@ func (c *Coordinator) onTick() {
 	if c.fg != nil || c.quiesced {
 		return
 	}
-	for _, plan := range []func() *run{c.planPromotion, c.planDrain, c.planShed, c.planStrategy} {
-		if r := plan(); r != nil {
-			c.launch(r)
-			return
+	d := core.Decide(c.view(now), c.cfg.Strategy)
+	if d.Evaluated {
+		// Productivity rates are per evaluation period: advance the window.
+		for _, info := range c.engines {
+			info.prevOutput = info.last.Output
 		}
 	}
+	r := &run{sender: d.Sender, receiver: d.Receiver, amount: d.Amount, lowProd: d.LowProd, reason: d.Reason}
+	switch d.Kind {
+	case core.Promote:
+		r.plan = &promotionPlan
+		for _, id := range c.cfg.Map.OwnedBy(d.Sender) {
+			if c.replAssign[id] == d.Receiver {
+				r.parts = append(r.parts, id)
+			}
+		}
+	case core.Drain:
+		r.plan, r.parts = &drainPlan, c.cfg.Map.OwnedBy(d.Sender)
+	case core.Relocate:
+		r.plan = &relocationPlan // the sender picks the groups
+	case core.ForceSpill:
+		r.plan = &forcedSpillPlan
+	default:
+		return
+	}
+	c.launch(r)
 }
 
-// serving lists the engines adaptations may use — alive and active —
-// in name order.
-func (c *Coordinator) serving() []partition.NodeID {
-	var nodes []partition.NodeID
-	for node, info := range c.engines {
-		if info.serving() {
-			nodes = append(nodes, node)
-		}
+// names lists the tracked engines in name order.
+func (c *Coordinator) names() []partition.NodeID {
+	nodes := make([]partition.NodeID, 0, len(c.engines))
+	for node := range c.engines {
+		nodes = append(nodes, node)
 	}
 	slices.Sort(nodes)
 	return nodes
 }
 
-// loads lists the serving engines' latest reports in name order;
-// complete is false while one of them has yet to report.
-func (c *Coordinator) loads() (loads []core.EngineLoad, complete bool) {
-	complete = true
-	for _, node := range c.serving() {
+// view is what core.Decide reads: every tracked engine in name order,
+// with its latest report, what the master map gives it, and the first
+// serving follower the replica assignment names for its groups. A
+// revived engine still dropping the groups failed over away from it
+// counts as unreported until its demotion is acknowledged: no state is
+// sent to it, or judged by its figures, while it holds stale copies.
+func (c *Coordinator) view(now vclock.Time) core.View {
+	nodes := c.names()
+	demoting := make(map[partition.NodeID]bool)
+	for _, r := range c.runs {
+		if r.plan == &demotePlan {
+			demoting[r.sender] = true
+		}
+	}
+	v := core.View{Now: now, Engines: make([]core.Engine, 0, len(nodes))}
+	for _, node := range nodes {
 		info := c.engines[node]
-		if !info.haveReport {
-			complete = false
-			continue
+		owned := c.cfg.Map.OwnedBy(node)
+		e := core.Engine{Node: node, Member: info.member(), Alive: info.alive.Load(),
+			Reported: info.haveReport && !demoting[node], Resident: info.last.MemBytes - info.last.Standby,
+			Standby: info.last.Standby, Groups: info.last.Groups, OutputDelta: info.last.Output - info.prevOutput,
+			Owned: len(owned)}
+		for _, id := range owned {
+			if f := c.engines[c.replAssign[id]]; f != nil && f.serving() {
+				e.Follower = c.replAssign[id]
+				break
+			}
 		}
-		loads = append(loads, core.EngineLoad{Node: node, MemBytes: info.last.MemBytes,
-			Groups: info.last.Groups, OutputDelta: info.last.Output - info.prevOutput})
+		v.Engines = append(v.Engines, e)
 	}
-	return loads, complete
-}
-
-// planStrategy evaluates the configured strategy (Algorithms 1 and 2,
-// events at GC) once every serving engine has reported.
-func (c *Coordinator) planStrategy() *run {
-	loads, complete := c.loads()
-	if !complete || len(loads) == 0 {
-		return nil
-	}
-	action := c.cfg.Strategy.Decide(loads, c.clock.Now())
-	// Productivity rates are per evaluation period: advance the window.
-	for _, info := range c.engines {
-		info.prevOutput = info.last.Output
-	}
-	var r *run
-	if action == nil {
-		return nil
-	} else if a := action.Relocate; a != nil { // the sender picks the groups
-		r = &run{plan: &relocationPlan, sender: a.Sender, receiver: a.Receiver, amount: a.Amount, lowProd: a.LowProd}
-	} else if a := action.ForceSpill; a != nil {
-		r = &run{plan: &forcedSpillPlan, sender: a.Node, receiver: a.Node, amount: a.Amount}
-	} else {
-		return nil
-	}
-	for _, node := range []partition.NodeID{r.sender, r.receiver} {
-		if info, ok := c.engines[node]; !ok || !info.alive.Load() {
-			c.fail(fmt.Errorf("%s: engine %s unknown or dead", r.plan.name, node))
-			return nil
-		}
-	}
-	return r
+	return v
 }
 
 // checkHeartbeats runs the engine watchdog: an engine silent past
@@ -690,7 +658,7 @@ func (c *Coordinator) checkHeartbeats(now vclock.Time) {
 		return
 	}
 	for node, info := range c.engines {
-		if info.member() == MemberLeft {
+		if info.member() == core.MemberLeft {
 			continue // released engines are no longer watched
 		}
 		if info.alive.Load() {
@@ -728,7 +696,7 @@ func (c *Coordinator) pauseDead(node partition.NodeID) {
 func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
 	c.learnMemberAddr(m.Node, m.Addr)
 	if info, ok := c.engines[m.Node]; ok {
-		if info.member() == MemberLeft {
+		if info.member() == core.MemberLeft {
 			return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: false,
 				Reason: "node name previously left the cluster"})
 		}
@@ -738,7 +706,7 @@ func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
 	now := c.clock.Now()
 	info := &engineInfo{memSeries: stats.NewSeries(string(m.Node)), lastSeen: now}
 	info.alive.Store(true)
-	info.state.Store(int32(MemberJoining))
+	info.state.Store(int32(core.MemberJoining))
 	span := c.tracer.Start(obs.SpanMembership, string(c.cfg.Node), now)
 	span.SetAttr("kind", "join")
 	span.SetAttr("node", string(m.Node))
@@ -773,7 +741,7 @@ func (c *Coordinator) learnMemberAddr(node partition.NodeID, addr string) {
 		c.fail(fmt.Errorf("member addr to split host: %w", err))
 	}
 	for peer, info := range c.engines {
-		if peer == node || info.member() == MemberLeft {
+		if peer == node || info.member() == core.MemberLeft {
 			continue
 		}
 		if err := c.ep.Send(peer, msg); err != nil {
@@ -798,13 +766,13 @@ func (c *Coordinator) onLeave(m proto.Leave) error {
 	if !ok {
 		return fmt.Errorf("leave from unknown engine %s", m.Node)
 	}
-	if info.member() == MemberLeft {
+	if info.member() == core.MemberLeft {
 		return c.ep.Send(m.Node, proto.LeaveAck{Node: m.Node})
 	}
 	c.heartbeat(m.Node)
-	if info.member() != MemberDraining {
+	if info.member() != core.MemberDraining {
 		now := c.clock.Now()
-		info.state.Store(int32(MemberDraining))
+		info.state.Store(int32(core.MemberDraining))
 		info.memberSpan.End(now)
 		span := c.tracer.Start(obs.SpanMembership, string(c.cfg.Node), now)
 		span.SetAttr("kind", "leave")
@@ -825,14 +793,14 @@ func (c *Coordinator) onLeave(m proto.Leave) error {
 // lost ack self-heals through the engine's Leave retry.
 func (c *Coordinator) ackDrainedLeavers() {
 	for node, info := range c.engines {
-		if info.member() != MemberDraining {
+		if info.member() != core.MemberDraining {
 			continue
 		}
 		if len(c.cfg.Map.OwnedBy(node)) != 0 {
 			continue
 		}
 		now := c.clock.Now()
-		info.state.Store(int32(MemberLeft))
+		info.state.Store(int32(core.MemberLeft))
 		info.memberSpan.End(now)
 		info.memberSpan = nil
 		c.mLeaves.Inc()
@@ -847,85 +815,13 @@ func (c *Coordinator) ackDrainedLeavers() {
 	}
 }
 
-// planDrain plans a directed drain for a draining engine that still
-// owns partitions: one relocation moving everything it owns to the
-// emptiest serving engine, skipping the CptV/PtV round (the coordinator,
-// not the sender, chose the partitions).
-func (c *Coordinator) planDrain() *run {
-	var leaver partition.NodeID
-	for node, info := range c.engines {
-		if info.member() == MemberDraining && info.alive.Load() && len(c.cfg.Map.OwnedBy(node)) > 0 &&
-			(leaver == "" || node < leaver) {
-			leaver = node
-		}
-	}
-	loads, _ := c.loads()
-	if leaver == "" || len(loads) == 0 {
-		return nil // nobody to drain, or nowhere to drain to yet
-	}
-	recv := loads[0]
-	for _, l := range loads[1:] {
-		if l.MemBytes < recv.MemBytes {
-			recv = l
-		}
-	}
-	return &run{plan: &drainPlan, sender: leaver, receiver: recv.Node, parts: c.cfg.Map.OwnedBy(leaver)}
-}
-
-// planShed rebalances onto a serving engine that owns nothing (a fresh
-// joiner, or a flap victim demoted of everything): the fullest engine
-// sheds its least productive groups, sized to level it with the cluster
-// mean — Bala-Join's cost framing, cheap state warms the newcomer
-// without disturbing hot groups.
-func (c *Coordinator) planShed() *run {
-	loads, _ := c.loads()
-	var joiner, donor *core.EngineLoad
-	var total int64
-	for i := range loads {
-		l := &loads[i]
-		total += l.MemBytes
-		if len(c.cfg.Map.OwnedBy(l.Node)) == 0 {
-			if joiner == nil {
-				joiner = l
-			}
-		} else if donor == nil || l.MemBytes > donor.MemBytes {
-			donor = l
-		}
-	}
-	if joiner == nil || donor == nil {
-		return nil
-	}
-	amount := donor.MemBytes - total/int64(len(loads))
-	if amount <= 0 {
-		return nil // the joiner's share would be empty; leave it be
-	}
-	return &run{plan: &relocationPlan, sender: donor.Node, receiver: joiner.Node, amount: amount, lowProd: true}
-}
-
-// followerFor picks a primary's follower: the next active engine after
-// it in name order, wrapping — deterministic, spreading followers
-// across the ring without extra state (the influxdb-ha shape).
-func followerFor(ring []partition.NodeID, primary partition.NodeID) partition.NodeID {
-	if len(ring) == 0 {
-		return ""
-	}
-	i, found := slices.BinarySearch(ring, primary)
-	if found {
-		i++
-	}
-	if f := ring[i%len(ring)]; f != primary {
-		return f
-	}
-	return "" // the primary is alone on the ring
-}
-
 // broadcastReplicaMap recomputes the desired follower assignment and
 // broadcasts it to every live engine. The version bumps only when the
 // assignment changes, but the current map is re-sent on every tick:
 // engines apply only newer versions, so a lost broadcast self-heals
 // without churn.
 func (c *Coordinator) broadcastReplicaMap() {
-	ring := c.serving()
+	ring := slices.DeleteFunc(c.names(), func(n partition.NodeID) bool { return !c.engines[n].serving() })
 	if len(ring) < 2 {
 		return // nobody can follow for anybody
 	}
@@ -936,7 +832,7 @@ func (c *Coordinator) broadcastReplicaMap() {
 		if err != nil {
 			continue
 		}
-		if f := followerFor(ring, owner); f != "" {
+		if f := core.FollowerFor(ring, owner); f != "" {
 			entries = append(entries, proto.ReplicaEntry{Group: pid, Primary: owner, Follower: f})
 		}
 	}
@@ -956,44 +852,13 @@ func (c *Coordinator) broadcastReplicaMap() {
 	}
 	msg := proto.ReplicaMap{Version: version, Entries: c.replEntries}
 	for node, info := range c.engines {
-		if !info.alive.Load() || info.member() == MemberLeft {
+		if !info.alive.Load() || info.member() == core.MemberLeft {
 			continue
 		}
 		if err := c.ep.Send(node, msg); err != nil {
 			c.fail(fmt.Errorf("replica map to %s: %w", node, err))
 		}
 	}
-}
-
-// planPromotion plans the failover of the first dead engine (in name
-// order) that still owns groups with a serving follower. The follower
-// ring gives all of an engine's groups the same follower; were that to
-// change, or while a follower is itself unreachable, the groups left
-// behind stay paused and a later tick plans their promotion.
-func (c *Coordinator) planPromotion() *run {
-	if !c.cfg.Replicate {
-		return nil
-	}
-	var victims []partition.NodeID
-	for node, info := range c.engines {
-		if !info.alive.Load() && info.member() != MemberLeft {
-			victims = append(victims, node)
-		}
-	}
-	slices.Sort(victims)
-	for _, victim := range victims {
-		r := &run{plan: &promotionPlan, sender: victim}
-		for _, id := range c.cfg.Map.OwnedBy(victim) {
-			f, ok := c.replAssign[id]
-			if info := c.engines[f]; ok && info != nil && info.serving() && (r.receiver == "" || r.receiver == f) {
-				r.receiver, r.parts = f, append(r.parts, id)
-			}
-		}
-		if r.receiver != "" {
-			return r
-		}
-	}
-	return nil
 }
 
 func (c *Coordinator) shutdown() {

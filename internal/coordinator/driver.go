@@ -13,15 +13,16 @@ import (
 )
 
 // run is one adaptation in flight: a plan, a cursor into it, and the
-// step awaiting its ack. The planners fill in what (plan), who (sender,
-// receiver, parts — a relocation learns its parts from the PtV) and how
-// much (amount, lowProd); the rest is the driver's.
+// step awaiting its ack. A decision fills in what (plan), who (sender,
+// receiver, parts — a relocation learns its parts from the PtV), how
+// much (amount, lowProd) and why (reason); the rest is the driver's.
 type run struct {
 	plan             *plan
 	sender, receiver partition.NodeID
 	parts            []partition.ID
 	amount           int64
 	lowProd          bool
+	reason           string
 
 	// id is the run's own: every step is sent under it, acks and
 	// deadlines are matched on it, and nothing else moves it.

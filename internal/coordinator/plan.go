@@ -194,9 +194,10 @@ var (
 	plans = []*plan{&relocationPlan, &drainPlan, &forcedSpillPlan, &rollbackPlan, &promotionPlan, &resumePlan, &demotePlan}
 )
 
-// open starts the run's span, stamps the fields on it as attributes and
-// logs the start with the same fields.
+// open starts the run's span, stamps the fields and the decision's
+// reason on it as attributes and logs the start with the same fields.
 func (c *Coordinator) open(r *run, span, event string, fields ...obs.Field) {
+	fields = append(fields, obs.F("decision", r.reason))
 	r.span = c.tracer.Start(span, string(c.cfg.Node), r.started)
 	for _, f := range fields {
 		r.span.SetAttr(f.Key, f.Value())
@@ -207,14 +208,11 @@ func (c *Coordinator) open(r *run, span, event string, fields ...obs.Field) {
 func beginRelocation(c *Coordinator, r *run, _ vclock.Time) {
 	c.open(r, obs.SpanRelocation, "relocation_started", obs.FUint("epoch", r.id), obs.F("sender", string(r.sender)),
 		obs.F("receiver", string(r.receiver)), obs.FInt("amount_bytes", r.amount))
-	if r.lowProd {
-		r.span.SetAttr("reason", "rebalance")
-	}
 }
 
 func beginDrain(c *Coordinator, r *run, _ vclock.Time) {
 	c.open(r, obs.SpanRelocationDrain, "drain_started", obs.FUint("epoch", r.id), obs.F("sender", string(r.sender)),
-		obs.F("receiver", string(r.receiver)), obs.F("reason", "drain"), obs.FInt("partitions", int64(len(r.parts))))
+		obs.F("receiver", string(r.receiver)), obs.FInt("partitions", int64(len(r.parts))))
 }
 
 func relocated(c *Coordinator, r *run, now vclock.Time) {

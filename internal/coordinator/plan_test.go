@@ -377,3 +377,82 @@ func hasCommit(p *plan) bool {
 	}
 	return false
 }
+
+// reportAll delivers one StatsReport per engine, memory as given (all of
+// it resident unless standby says otherwise).
+func (g *syncRig) reportAll(mem, standby map[partition.NodeID]int64) {
+	g.t.Helper()
+	for _, e := range g.engines {
+		g.handle(e, proto.StatsReport{Node: e, MemBytes: mem[e], Standby: standby[e], Groups: 4})
+	}
+}
+
+// everyCptVTo runs lb ticks, each of which must send a fresh CptV to
+// want — answered with an empty PtV, so the next tick decides again. At
+// the parent the engine whose memory is all standby got it, answered
+// with an empty PtV, and was asked again on every tick (finding 2).
+func (g *syncRig) everyCptVTo(want partition.NodeID, check func(proto.CptV)) {
+	g.t.Helper()
+	var last uint64
+	for tick := 0; tick < 3; tick++ {
+		g.tick(time.Second)
+		cptv, to := lastOf[proto.CptV](g)
+		if to != want || cptv.Epoch == last {
+			g.t.Fatalf("tick %d: last CptV %+v went to %s, want a fresh one to %s", tick, cptv, to, want)
+		}
+		check(cptv)
+		g.handle(to, proto.PtV{Epoch: cptv.Epoch, Node: to})
+		last = cptv.Epoch
+	}
+}
+
+// TestShedNeverAsksAStandbyOnlyDonor: m3 owns nothing, m2 reports the
+// most memory but all of it standby (its own groups spilled), m1 holds
+// resident state. The shed comes from m1.
+func TestShedNeverAsksAStandbyOnlyDonor(t *testing.T) {
+	g := newSyncRig(t, 3, core.NoAdapt{}, false)
+	if _, err := g.pmap.Move(g.pmap.OwnedBy("m3"), "m1"); err != nil {
+		t.Fatal(err)
+	}
+	g.reportAll(map[partition.NodeID]int64{"m1": 6000, "m2": 8000}, map[partition.NodeID]int64{"m2": 8000})
+	g.everyCptVTo("m1", func(cptv proto.CptV) {
+		if cptv.Receiver != "m3" || !cptv.LowProd || cptv.Amount != 6000-14000/3 {
+			t.Fatalf("shed %+v, want %d low-productivity bytes to m3", cptv, 6000-14000/3)
+		}
+	})
+}
+
+// TestRelocationNeverFromAStandbyOnlyEngine: on a replicated lazy-disk
+// cluster whose fullest engine holds only standby, the relocation comes
+// from the fullest engine with state of its own.
+func TestRelocationNeverFromAStandbyOnlyEngine(t *testing.T) {
+	g := newSyncRig(t, 3, lazy(), true)
+	g.reportAll(map[partition.NodeID]int64{"m1": 9000, "m2": 1000, "m3": 200}, map[partition.NodeID]int64{"m1": 9000})
+	g.everyCptVTo("m2", func(cptv proto.CptV) {
+		if cptv.Receiver != "m3" || cptv.LowProd || cptv.Amount != 400 {
+			t.Fatalf("relocation %+v, want 400 bytes to m3", cptv)
+		}
+	})
+}
+
+// TestNoShedOntoAnEngineStillDemoting: a revived engine that owns nothing
+// is shed onto only once it has dropped the groups failed over away from
+// it — state shipped to it earlier could land ahead of a re-sent Demote.
+func TestNoShedOntoAnEngineStillDemoting(t *testing.T) {
+	g, _ := scenarios["promotion"](t)
+	g.answer() // PromoteAck
+	g.answer() // RemapAck
+	g.report("m3", 3000, 0)
+	g.handle("m2", proto.Hello{Node: "m2", Kind: proto.KindEngine})
+	demote, _ := lastOf[proto.Demote](g)
+	sent := len(g.out)
+	g.tick(time.Second)
+	if len(g.out) != sent {
+		t.Fatalf("the tick sent %T to %s while m2 is still demoting", g.last().msg, g.last().to)
+	}
+	g.handle("m2", proto.DemoteAck{Epoch: demote.Epoch, Node: "m2"})
+	g.tick(time.Second)
+	if cptv, to := lastOf[proto.CptV](g); to != "m3" || cptv.Receiver != "m2" || !cptv.LowProd {
+		t.Fatalf("after the demotion: CptV %+v to %s, want m3 to shed onto m2", cptv, to)
+	}
+}

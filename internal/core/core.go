@@ -1,22 +1,21 @@
 // Package core contains the paper's primary contribution as pure decision
 // logic: the partition-group productivity metric, the spill victim
-// selection policies, the pair-wise state relocation decision, and the
+// selection policies, the pair-wise state relocation decision, the
 // lazy-disk / active-disk integrated adaptation strategies (Algorithms 1
-// and 2 of the paper).
+// and 2 of the paper), and Decide, every choice of who moves what.
 //
 // Nothing in this package performs I/O or spawns goroutines. The
-// coordinator and query engines feed it statistics and execute the actions
-// it returns, mirroring the paper's tiered decision architecture: the
-// global coordinator makes coarse-grained decisions (how much, between
-// whom), while each local adaptation controller picks the concrete
-// partition groups.
+// coordinator and query engines feed it statistics and execute the
+// decisions it returns, mirroring the paper's tiered decision
+// architecture: the global coordinator makes coarse-grained decisions
+// (how much, between whom), while each local adaptation controller picks
+// the concrete partition groups.
 package core
 
 import (
 	"time"
 
 	"repro/internal/partition"
-	"repro/internal/vclock"
 )
 
 // Mode is a query engine's execution mode (paper Table 2).
@@ -79,29 +78,6 @@ func (g GroupStats) Productivity() float64 {
 	return float64(g.Output) / float64(denom)
 }
 
-// EngineLoad is the light-weight per-engine statistic the global
-// coordinator collects: memory usage plus the inputs of the average
-// productivity rate R (result tuples generated during the sampling period
-// divided by the number of partition groups on the machine).
-type EngineLoad struct {
-	Node partition.NodeID
-	// MemBytes is the engine's current resident operator-state size.
-	MemBytes int64
-	// Groups is the number of partition groups resident on the engine.
-	Groups int
-	// OutputDelta is the number of result tuples generated since the
-	// previous sample.
-	OutputDelta uint64
-}
-
-// ProductivityRate returns the machine's average productivity rate R.
-func (l EngineLoad) ProductivityRate() float64 {
-	if l.Groups == 0 {
-		return 0
-	}
-	return float64(l.OutputDelta) / float64(l.Groups)
-}
-
 // RelocationConfig holds the knobs of the pair-wise relocation scheme.
 type RelocationConfig struct {
 	// Threshold is θ_r: relocate when M_least/M_max < θ_r.
@@ -109,52 +85,6 @@ type RelocationConfig struct {
 	// MinGap is τ_m, the minimal virtual time span between two
 	// consecutive relocations.
 	MinGap time.Duration
-}
-
-// Relocation is a coarse-grained relocation decision: move Amount bytes of
-// partition-group state from Sender to Receiver. Which groups move is
-// decided locally at the sender: its most productive groups by default,
-// its least productive when LowProd is set (rebalancing onto a freshly
-// joined engine).
-type Relocation struct {
-	Sender   partition.NodeID
-	Receiver partition.NodeID
-	Amount   int64
-	LowProd  bool
-}
-
-// DecideRelocation applies the paper's pair-wise scheme: the machine with
-// maximal memory usage is the sender, the one with least usage the
-// receiver, and (M_max - M_least)/2 bytes move if M_least/M_max < θ_r and
-// at least τ_m has elapsed since the previous relocation. It returns nil
-// when no relocation should be triggered.
-func DecideRelocation(loads []EngineLoad, cfg RelocationConfig, now, last vclock.Time) *Relocation {
-	if len(loads) < 2 {
-		return nil
-	}
-	if now.Sub(last) < cfg.MinGap {
-		return nil
-	}
-	maxL, minL := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l.MemBytes > maxL.MemBytes {
-			maxL = l
-		}
-		if l.MemBytes < minL.MemBytes {
-			minL = l
-		}
-	}
-	if maxL.MemBytes <= 0 || maxL.Node == minL.Node {
-		return nil
-	}
-	if float64(minL.MemBytes)/float64(maxL.MemBytes) >= cfg.Threshold {
-		return nil
-	}
-	amount := (maxL.MemBytes - minL.MemBytes) / 2
-	if amount <= 0 {
-		return nil
-	}
-	return &Relocation{Sender: maxL.Node, Receiver: minL.Node, Amount: amount}
 }
 
 // SpillConfig holds the knobs of the local state spill process.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/partition"
 	"repro/internal/vclock"
 )
 
@@ -33,11 +34,11 @@ func TestProductivity(t *testing.T) {
 }
 
 func TestProductivityRate(t *testing.T) {
-	l := EngineLoad{Groups: 10, OutputDelta: 500}
-	if r := l.ProductivityRate(); r != 50 {
+	e := Engine{Groups: 10, OutputDelta: 500}
+	if r := e.ProductivityRate(); r != 50 {
 		t.Fatalf("ProductivityRate = %v, want 50", r)
 	}
-	if r := (EngineLoad{}).ProductivityRate(); r != 0 {
+	if r := (Engine{}).ProductivityRate(); r != 0 {
 		t.Fatalf("zero-group rate = %v, want 0", r)
 	}
 }
@@ -46,61 +47,54 @@ func relocCfg() RelocationConfig {
 	return RelocationConfig{Threshold: 0.8, MinGap: 45 * time.Second}
 }
 
+// mem is an engine holding bytes of its own state and nothing on standby.
+func mem(node partition.NodeID, bytes int64) Engine { return Engine{Node: node, Resident: bytes} }
+
+func at(now time.Duration, engines ...Engine) View {
+	return View{Now: vclock.Time(now), Engines: engines}
+}
+
 func TestDecideRelocationTriggers(t *testing.T) {
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000},
-		{Node: "m2", MemBytes: 200},
-	}
-	r := DecideRelocation(loads, relocCfg(), vclock.Time(time.Minute), vclock.Time(-1<<62))
-	if r == nil {
+	d := relocation(at(time.Minute, mem("m1", 1000), mem("m2", 200)), relocCfg(), vclock.Time(-1<<62))
+	if d.Kind != Relocate {
 		t.Fatal("no relocation decided")
 	}
-	if r.Sender != "m1" || r.Receiver != "m2" {
-		t.Fatalf("pair = %s->%s", r.Sender, r.Receiver)
+	if d.Sender != "m1" || d.Receiver != "m2" {
+		t.Fatalf("pair = %s->%s", d.Sender, d.Receiver)
 	}
-	if r.Amount != 400 {
-		t.Fatalf("amount = %d, want (1000-200)/2 = 400", r.Amount)
+	if d.Amount != 400 {
+		t.Fatalf("amount = %d, want (1000-200)/2 = 400", d.Amount)
 	}
 }
 
 func TestDecideRelocationRespectsThreshold(t *testing.T) {
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000},
-		{Node: "m2", MemBytes: 900}, // ratio 0.9 >= 0.8
-	}
-	if r := DecideRelocation(loads, relocCfg(), vclock.Time(time.Minute), vclock.Time(-1<<62)); r != nil {
-		t.Fatalf("relocation decided at balanced load: %+v", r)
+	v := at(time.Minute, mem("m1", 1000), mem("m2", 900)) // ratio 0.9 >= 0.8
+	if d := relocation(v, relocCfg(), vclock.Time(-1<<62)); d.Kind != None {
+		t.Fatalf("relocation decided at balanced load: %+v", d)
 	}
 }
 
 func TestDecideRelocationRespectsMinGap(t *testing.T) {
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000},
-		{Node: "m2", MemBytes: 100},
-	}
 	last := vclock.Time(time.Minute)
-	now := last.Add(30 * time.Second) // < 45s gap
-	if r := DecideRelocation(loads, relocCfg(), now, last); r != nil {
-		t.Fatalf("relocation decided inside τ_m: %+v", r)
+	v := at(time.Minute+30*time.Second, mem("m1", 1000), mem("m2", 100)) // < 45s gap
+	if d := relocation(v, relocCfg(), last); d.Kind != None {
+		t.Fatalf("relocation decided inside τ_m: %+v", d)
 	}
-	now = last.Add(46 * time.Second)
-	if r := DecideRelocation(loads, relocCfg(), now, last); r == nil {
+	v.Now = last.Add(46 * time.Second)
+	if d := relocation(v, relocCfg(), last); d.Kind != Relocate {
 		t.Fatal("relocation not decided after τ_m elapsed")
 	}
 }
 
 func TestDecideRelocationEdgeCases(t *testing.T) {
-	now := vclock.Time(time.Hour)
 	past := vclock.Time(-1 << 62)
-	if r := DecideRelocation(nil, relocCfg(), now, past); r != nil {
+	if d := relocation(at(time.Hour), relocCfg(), past); d.Kind != None {
 		t.Fatal("relocation with no engines")
 	}
-	one := []EngineLoad{{Node: "m1", MemBytes: 100}}
-	if r := DecideRelocation(one, relocCfg(), now, past); r != nil {
+	if d := relocation(at(time.Hour, mem("m1", 100)), relocCfg(), past); d.Kind != None {
 		t.Fatal("relocation with one engine")
 	}
-	idle := []EngineLoad{{Node: "m1"}, {Node: "m2"}}
-	if r := DecideRelocation(idle, relocCfg(), now, past); r != nil {
+	if d := relocation(at(time.Hour, mem("m1", 0), mem("m2", 0)), relocCfg(), past); d.Kind != None {
 		t.Fatal("relocation with zero memory everywhere")
 	}
 }
@@ -108,24 +102,16 @@ func TestDecideRelocationEdgeCases(t *testing.T) {
 func TestDecideRelocationHalvesGap(t *testing.T) {
 	// Invariant: after moving the decided amount, both machines sit at
 	// (max+min)/2.
-	loads := []EngineLoad{
-		{Node: "a", MemBytes: 1_000_000},
-		{Node: "b", MemBytes: 300_000},
-		{Node: "c", MemBytes: 600_000},
-	}
-	r := DecideRelocation(loads, relocCfg(), vclock.Time(time.Minute), vclock.Time(-1<<62))
-	if r == nil {
+	v := at(time.Minute, mem("a", 1_000_000), mem("b", 300_000), mem("c", 600_000))
+	d := relocation(v, relocCfg(), vclock.Time(-1<<62))
+	if d.Kind != Relocate {
 		t.Fatal("no relocation decided")
 	}
-	if r.Sender != "a" || r.Receiver != "b" {
-		t.Fatalf("pair = %s->%s, want a->b", r.Sender, r.Receiver)
+	if d.Sender != "a" || d.Receiver != "b" {
+		t.Fatalf("pair = %s->%s, want a->b", d.Sender, d.Receiver)
 	}
-	after := map[string]int64{
-		"a": 1_000_000 - r.Amount,
-		"b": 300_000 + r.Amount,
-	}
-	if after["a"] != after["b"] {
-		t.Fatalf("post-move loads unequal: %v", after)
+	if after := 1_000_000 - d.Amount; after != 300_000+d.Amount {
+		t.Fatalf("post-move loads unequal: %d vs %d", after, 300_000+d.Amount)
 	}
 }
 

@@ -1,52 +1,10 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
-	"repro/internal/partition"
 	"repro/internal/vclock"
 )
-
-// ForcedSpill is a coordinator-issued spill command (active-disk only):
-// the engine with the lowest average productivity rate must push Amount
-// bytes of its least productive partition groups to disk, freeing cluster
-// memory for productive partitions from other machines.
-type ForcedSpill struct {
-	Node   partition.NodeID
-	Amount int64
-}
-
-// Action is one coarse-grained adaptation decision produced by a Strategy.
-// Exactly one field is non-nil.
-type Action struct {
-	Relocate   *Relocation
-	ForceSpill *ForcedSpill
-}
-
-// String renders the action for event logs.
-func (a Action) String() string {
-	switch {
-	case a.Relocate != nil:
-		r := a.Relocate
-		return fmt.Sprintf("relocate %d bytes %s->%s", r.Amount, r.Sender, r.Receiver)
-	case a.ForceSpill != nil:
-		f := a.ForceSpill
-		return fmt.Sprintf("force-spill %d bytes at %s", f.Amount, f.Node)
-	default:
-		return "no-op"
-	}
-}
-
-// Strategy is the global coordinator's decision procedure, invoked on each
-// statistics evaluation timer (sr_timer / lb_timer) with fresh engine
-// loads. A Strategy may keep state (last relocation time, forced-spill
-// budget) but performs no I/O.
-type Strategy interface {
-	// Decide returns at most one action for this evaluation round.
-	Decide(loads []EngineLoad, now vclock.Time) *Action
-	// Name is the strategy's label in experiment reports.
-	Name() string
-}
 
 // NoAdapt is the baseline strategy: the coordinator never adapts. Local
 // spill (if enabled at the engines) still protects each machine from
@@ -58,7 +16,7 @@ type NoAdapt struct{}
 func (NoAdapt) Name() string { return "no-relocation" }
 
 // Decide implements Strategy.
-func (NoAdapt) Decide([]EngineLoad, vclock.Time) *Action { return nil }
+func (NoAdapt) Decide(View) Decision { return Decision{} }
 
 // LazyDisk implements Algorithm 1's coordinator events: state relocation
 // is the only global decision; state spill remains a purely local decision
@@ -68,7 +26,6 @@ func (NoAdapt) Decide([]EngineLoad, vclock.Time) *Action { return nil }
 type LazyDisk struct {
 	Cfg            RelocationConfig
 	lastRelocation vclock.Time
-	relocations    int
 }
 
 // NewLazyDisk returns a lazy-disk strategy with the given relocation knobs.
@@ -79,18 +36,47 @@ func NewLazyDisk(cfg RelocationConfig) *LazyDisk {
 // Name implements Strategy.
 func (s *LazyDisk) Name() string { return "lazy-disk" }
 
-// Relocations reports how many relocations the strategy has triggered.
-func (s *LazyDisk) Relocations() int { return s.relocations }
-
 // Decide implements Strategy.
-func (s *LazyDisk) Decide(loads []EngineLoad, now vclock.Time) *Action {
-	r := DecideRelocation(loads, s.Cfg, now, s.lastRelocation)
-	if r == nil {
-		return nil
+func (s *LazyDisk) Decide(v View) Decision {
+	d := relocation(v, s.Cfg, s.lastRelocation)
+	if d.Kind != None {
+		s.lastRelocation = v.Now
 	}
-	s.lastRelocation = now
-	s.relocations++
-	return &Action{Relocate: r}
+	return d
+}
+
+// relocation applies the paper's pair-wise scheme: the machine with
+// maximal memory usage among those with state of their own is the sender,
+// the one with least usage the receiver, and (M_max - M_least)/2 bytes
+// move if M_least/M_max < θ_r and at least τ_m has elapsed since the
+// previous relocation (last).
+func relocation(v View, cfg RelocationConfig, last vclock.Time) Decision {
+	if len(v.Engines) < 2 || v.Now.Sub(last) < cfg.MinGap {
+		return Decision{}
+	}
+	var sender *Engine
+	least := &v.Engines[0]
+	for i := range v.Engines {
+		e := &v.Engines[i]
+		if e.Resident > 0 && (sender == nil || e.MemBytes() > sender.MemBytes()) {
+			sender = e
+		}
+		if e.MemBytes() < least.MemBytes() {
+			least = e
+		}
+	}
+	if sender == nil || sender.MemBytes() <= 0 || sender.Node == least.Node {
+		return Decision{}
+	}
+	if float64(least.MemBytes())/float64(sender.MemBytes()) >= cfg.Threshold {
+		return Decision{}
+	}
+	amount := (sender.MemBytes() - least.MemBytes()) / 2
+	if amount <= 0 {
+		return Decision{}
+	}
+	return Decision{Kind: Relocate, Sender: sender.Node, Receiver: least.Node,
+		Amount: min(amount, sender.Resident), Reason: ReasonImbalance}
 }
 
 // ActiveDiskConfig holds the extra knobs of Algorithm 2.
@@ -121,8 +107,6 @@ type ActiveDiskConfig struct {
 type ActiveDisk struct {
 	Cfg            ActiveDiskConfig
 	lastRelocation vclock.Time
-	relocations    int
-	forcedSpills   int
 	forcedBytes    int64
 }
 
@@ -134,71 +118,51 @@ func NewActiveDisk(cfg ActiveDiskConfig) *ActiveDisk {
 // Name implements Strategy.
 func (s *ActiveDisk) Name() string { return "active-disk" }
 
-// Relocations reports how many relocations the strategy has triggered.
-func (s *ActiveDisk) Relocations() int { return s.relocations }
-
-// ForcedSpills reports how many forced spills the strategy has triggered.
-func (s *ActiveDisk) ForcedSpills() int { return s.forcedSpills }
-
-// ForcedBytes reports the cumulative bytes of forced spill issued.
-func (s *ActiveDisk) ForcedBytes() int64 { return s.forcedBytes }
-
 // Decide implements Strategy.
-func (s *ActiveDisk) Decide(loads []EngineLoad, now vclock.Time) *Action {
-	if r := DecideRelocation(loads, s.Cfg.Relocation, now, s.lastRelocation); r != nil {
-		s.lastRelocation = now
-		s.relocations++
-		return &Action{Relocate: r}
+func (s *ActiveDisk) Decide(v View) Decision {
+	if d := relocation(v, s.Cfg.Relocation, s.lastRelocation); d.Kind != None {
+		s.lastRelocation = v.Now
+		return d
 	}
-	if len(loads) < 2 || s.Cfg.Lambda <= 0 {
-		return nil
+	if len(v.Engines) < 2 || s.Cfg.Lambda <= 0 {
+		return Decision{}
 	}
-	if s.Cfg.MemHighWater > 0 {
-		pressured := false
-		for _, l := range loads {
-			if l.MemBytes >= s.Cfg.MemHighWater {
-				pressured = true
-				break
-			}
-		}
-		if !pressured {
-			return nil
-		}
+	if s.Cfg.MemHighWater > 0 && !slices.ContainsFunc(v.Engines, func(e Engine) bool {
+		return e.MemBytes() >= s.Cfg.MemHighWater
+	}) {
+		return Decision{}
 	}
-	maxR, minR := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l.ProductivityRate() > maxR.ProductivityRate() {
-			maxR = l
+	maxR, minR := v.Engines[0], v.Engines[0]
+	for _, e := range v.Engines[1:] {
+		if e.ProductivityRate() > maxR.ProductivityRate() {
+			maxR = e
 		}
-		if l.ProductivityRate() < minR.ProductivityRate() {
-			minR = l
+		if e.ProductivityRate() < minR.ProductivityRate() {
+			minR = e
 		}
 	}
-	if maxR.Node == minR.Node || minR.MemBytes <= 0 {
-		return nil
+	if maxR.Node == minR.Node {
+		return Decision{}
 	}
 	rMin := minR.ProductivityRate()
 	rMax := maxR.ProductivityRate()
 	if rMax <= 0 {
-		return nil
+		return Decision{}
 	}
 	if rMin > 0 && rMax/rMin <= s.Cfg.Lambda {
-		return nil
+		return Decision{}
 	}
-	amount := int64(float64(minR.MemBytes) * s.Cfg.ForcedFraction)
+	amount := min(int64(float64(minR.MemBytes())*s.Cfg.ForcedFraction), minR.Resident)
 	if amount <= 0 {
-		return nil
+		return Decision{}
 	}
 	if s.Cfg.MaxForcedBytes > 0 {
 		remaining := s.Cfg.MaxForcedBytes - s.forcedBytes
 		if remaining <= 0 {
-			return nil
+			return Decision{}
 		}
-		if amount > remaining {
-			amount = remaining
-		}
+		amount = min(amount, remaining)
 	}
-	s.forcedSpills++
 	s.forcedBytes += amount
-	return &Action{ForceSpill: &ForcedSpill{Node: minR.Node, Amount: amount}}
+	return Decision{Kind: ForceSpill, Sender: minR.Node, Amount: amount, Reason: ReasonProductivityGap}
 }

@@ -4,17 +4,18 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/vclock"
+	"repro/internal/partition"
 )
+
+// rated is a standby-free engine with ten groups and an output delta.
+func rated(node partition.NodeID, bytes int64, output uint64) Engine {
+	return Engine{Node: node, Resident: bytes, Groups: 10, OutputDelta: output}
+}
 
 func TestNoAdaptNeverActs(t *testing.T) {
 	s := NoAdapt{}
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1 << 30},
-		{Node: "m2", MemBytes: 1},
-	}
-	if a := s.Decide(loads, vclock.Time(time.Hour)); a != nil {
-		t.Fatalf("NoAdapt acted: %v", a)
+	if d := s.Decide(at(time.Hour, mem("m1", 1<<30), mem("m2", 1))); d.Kind != None {
+		t.Fatalf("NoAdapt acted: %+v", d)
 	}
 	if s.Name() != "no-relocation" {
 		t.Fatalf("Name = %q", s.Name())
@@ -23,40 +24,25 @@ func TestNoAdaptNeverActs(t *testing.T) {
 
 func TestLazyDiskRelocates(t *testing.T) {
 	s := NewLazyDisk(relocCfg())
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000},
-		{Node: "m2", MemBytes: 100},
-	}
-	a := s.Decide(loads, vclock.Time(time.Minute))
-	if a == nil || a.Relocate == nil {
-		t.Fatalf("lazy-disk did not relocate: %v", a)
-	}
-	if a.ForceSpill != nil {
-		t.Fatal("lazy-disk issued a forced spill")
-	}
-	if s.Relocations() != 1 {
-		t.Fatalf("Relocations = %d", s.Relocations())
+	d := s.Decide(at(time.Minute, mem("m1", 1000), mem("m2", 100)))
+	if d.Kind != Relocate || d.Reason != ReasonImbalance {
+		t.Fatalf("lazy-disk did not relocate: %+v", d)
 	}
 }
 
 func TestLazyDiskHonorsMinGapBetweenDecisions(t *testing.T) {
 	s := NewLazyDisk(relocCfg())
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000},
-		{Node: "m2", MemBytes: 100},
-	}
-	now := vclock.Time(time.Minute)
-	if a := s.Decide(loads, now); a == nil {
+	v := at(time.Minute, mem("m1", 1000), mem("m2", 100))
+	if d := s.Decide(v); d.Kind != Relocate {
 		t.Fatal("first decision missing")
 	}
-	if a := s.Decide(loads, now.Add(10*time.Second)); a != nil {
-		t.Fatalf("second decision inside τ_m: %v", a)
+	v.Now = v.Now.Add(10 * time.Second)
+	if d := s.Decide(v); d.Kind != None {
+		t.Fatalf("second decision inside τ_m: %+v", d)
 	}
-	if a := s.Decide(loads, now.Add(50*time.Second)); a == nil {
+	v.Now = v.Now.Add(40 * time.Second)
+	if d := s.Decide(v); d.Kind != Relocate {
 		t.Fatal("decision after τ_m missing")
-	}
-	if s.Relocations() != 2 {
-		t.Fatalf("Relocations = %d, want 2", s.Relocations())
 	}
 }
 
@@ -71,46 +57,32 @@ func activeCfg() ActiveDiskConfig {
 
 func TestActiveDiskPrefersRelocation(t *testing.T) {
 	s := NewActiveDisk(activeCfg())
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10, OutputDelta: 1000},
-		{Node: "m2", MemBytes: 100, Groups: 10, OutputDelta: 1},
-	}
-	a := s.Decide(loads, vclock.Time(time.Minute))
-	if a == nil || a.Relocate == nil {
-		t.Fatalf("active-disk did not relocate on imbalanced memory: %v", a)
+	d := s.Decide(at(time.Minute, rated("m1", 1000, 1000), rated("m2", 100, 1)))
+	if d.Kind != Relocate {
+		t.Fatalf("active-disk did not relocate on imbalanced memory: %+v", d)
 	}
 }
 
 func TestActiveDiskForcesSpillOnProductivityGap(t *testing.T) {
 	s := NewActiveDisk(activeCfg())
 	// Memory balanced (ratio 0.9 >= θ_r), productivity ratio 10 > λ=2.
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10, OutputDelta: 1000},
-		{Node: "m2", MemBytes: 900, Groups: 10, OutputDelta: 100},
+	d := s.Decide(at(time.Minute, rated("m1", 1000, 1000), rated("m2", 900, 100)))
+	if d.Kind != ForceSpill || d.Reason != ReasonProductivityGap {
+		t.Fatalf("active-disk did not force a spill: %+v", d)
 	}
-	a := s.Decide(loads, vclock.Time(time.Minute))
-	if a == nil || a.ForceSpill == nil {
-		t.Fatalf("active-disk did not force a spill: %v", a)
+	if d.Sender != "m2" {
+		t.Fatalf("forced spill at %s, want m2 (least productive)", d.Sender)
 	}
-	if a.ForceSpill.Node != "m2" {
-		t.Fatalf("forced spill at %s, want m2 (least productive)", a.ForceSpill.Node)
-	}
-	if want := int64(900 * 0.3); a.ForceSpill.Amount != want {
-		t.Fatalf("amount = %d, want %d", a.ForceSpill.Amount, want)
-	}
-	if s.ForcedSpills() != 1 {
-		t.Fatalf("ForcedSpills = %d", s.ForcedSpills())
+	if want := int64(900 * 0.3); d.Amount != want {
+		t.Fatalf("amount = %d, want %d", d.Amount, want)
 	}
 }
 
 func TestActiveDiskNoSpillWhenProductivityBalanced(t *testing.T) {
 	s := NewActiveDisk(activeCfg())
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10, OutputDelta: 150},
-		{Node: "m2", MemBytes: 900, Groups: 10, OutputDelta: 100}, // ratio 1.5 <= 2
-	}
-	if a := s.Decide(loads, vclock.Time(time.Minute)); a != nil {
-		t.Fatalf("acted on balanced productivity: %v", a)
+	v := at(time.Minute, rated("m1", 1000, 150), rated("m2", 900, 100)) // ratio 1.5 <= 2
+	if d := s.Decide(v); d.Kind != None {
+		t.Fatalf("acted on balanced productivity: %+v", d)
 	}
 }
 
@@ -118,61 +90,34 @@ func TestActiveDiskForcedSpillCap(t *testing.T) {
 	cfg := activeCfg()
 	cfg.MaxForcedBytes = 400
 	s := NewActiveDisk(cfg)
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10, OutputDelta: 1000},
-		{Node: "m2", MemBytes: 900, Groups: 10, OutputDelta: 1},
-	}
+	v := at(0, rated("m1", 1000, 1000), rated("m2", 900, 1))
 	var total int64
 	for i := 0; i < 10; i++ {
-		a := s.Decide(loads, vclock.Time(time.Duration(i)*time.Minute))
-		if a == nil {
+		v.Now = v.Now.Add(time.Minute)
+		d := s.Decide(v)
+		if d.Kind == None {
 			continue
 		}
-		if a.ForceSpill == nil {
-			t.Fatalf("unexpected action %v", a)
+		if d.Kind != ForceSpill {
+			t.Fatalf("unexpected decision %+v", d)
 		}
-		total += a.ForceSpill.Amount
+		total += d.Amount
 	}
 	if total != 400 {
 		t.Fatalf("total forced = %d, want capped at 400", total)
-	}
-	if s.ForcedBytes() != 400 {
-		t.Fatalf("ForcedBytes = %d", s.ForcedBytes())
 	}
 }
 
 func TestActiveDiskZeroProductivityFloor(t *testing.T) {
 	s := NewActiveDisk(activeCfg())
 	// minR has zero output: ratio is infinite, spill should trigger.
-	loads := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10, OutputDelta: 500},
-		{Node: "m2", MemBytes: 950, Groups: 10, OutputDelta: 0},
-	}
-	a := s.Decide(loads, vclock.Time(time.Minute))
-	if a == nil || a.ForceSpill == nil || a.ForceSpill.Node != "m2" {
-		t.Fatalf("zero-productivity machine not forced to spill: %v", a)
+	d := s.Decide(at(time.Minute, rated("m1", 1000, 500), rated("m2", 950, 0)))
+	if d.Kind != ForceSpill || d.Sender != "m2" {
+		t.Fatalf("zero-productivity machine not forced to spill: %+v", d)
 	}
 	// Everyone idle: no action.
-	idle := []EngineLoad{
-		{Node: "m1", MemBytes: 1000, Groups: 10},
-		{Node: "m2", MemBytes: 950, Groups: 10},
-	}
 	s2 := NewActiveDisk(activeCfg())
-	if a := s2.Decide(idle, vclock.Time(time.Minute)); a != nil {
-		t.Fatalf("acted on fully idle cluster: %v", a)
-	}
-}
-
-func TestActionString(t *testing.T) {
-	a := Action{Relocate: &Relocation{Sender: "a", Receiver: "b", Amount: 5}}
-	if a.String() == "" || a.String() == "no-op" {
-		t.Fatalf("String = %q", a.String())
-	}
-	f := Action{ForceSpill: &ForcedSpill{Node: "c", Amount: 7}}
-	if f.String() == "" || f.String() == "no-op" {
-		t.Fatalf("String = %q", f.String())
-	}
-	if (Action{}).String() != "no-op" {
-		t.Fatal("empty action String")
+	if d := s2.Decide(at(time.Minute, rated("m1", 1000, 0), rated("m2", 950, 0))); d.Kind != None {
+		t.Fatalf("acted on fully idle cluster: %+v", d)
 	}
 }

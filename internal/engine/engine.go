@@ -636,6 +636,7 @@ func (e *Engine) reportStats() error {
 	report := proto.StatsReport{
 		Node:         e.cfg.Node,
 		MemBytes:     e.memBytes(),
+		Standby:      e.repl.standbyBytes,
 		Groups:       e.op.Groups(),
 		Output:       e.op.Output(),
 		SpillCount:   e.mgr.Count(),

@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -53,27 +52,24 @@ type pingPong struct{ n int }
 // Name implements core.Strategy.
 func (p *pingPong) Name() string { return "chaos-ping-pong" }
 
-// Decide implements core.Strategy.
-func (p *pingPong) Decide(loads []core.EngineLoad, _ vclock.Time) *core.Action {
-	if len(loads) < 2 {
-		return nil
+// Decide implements core.Strategy. The view's engines are in name order.
+func (p *pingPong) Decide(v core.View) core.Decision {
+	if len(v.Engines) < 2 {
+		return core.Decision{}
 	}
-	ordered := make([]core.EngineLoad, len(loads))
-	copy(ordered, loads)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Node < ordered[j].Node })
-	from, to := ordered[0], ordered[1]
+	from, to := v.Engines[0], v.Engines[1]
 	if p.n%2 == 1 {
 		from, to = to, from
 	}
-	if from.MemBytes <= 0 || from.Groups <= 1 {
-		return nil
+	if from.MemBytes() <= 0 || from.Groups <= 1 {
+		return core.Decision{}
 	}
 	p.n++
-	amount := from.MemBytes / 4
+	amount := from.MemBytes() / 4
 	if amount <= 0 {
 		amount = 1
 	}
-	return &core.Action{Relocate: &core.Relocation{Sender: from.Node, Receiver: to.Node, Amount: amount}}
+	return core.Decision{Kind: core.Relocate, Sender: from.Node, Receiver: to.Node, Amount: amount, Reason: "chaos ping-pong"}
 }
 
 // ChaosConfig parameterizes one chaos run.

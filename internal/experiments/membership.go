@@ -237,10 +237,10 @@ func spilledFailoverSpill() core.SpillConfig {
 	return core.SpillConfig{MemThreshold: 16 << 10, Fraction: 0.4}
 }
 
-// spilledCluster starts the cluster the spilling scenarios script: e1
-// and e2 with local spills on and file-backed stores under storeDir.
-func spilledCluster(storeDir string, faults faulty.Config, heartbeat time.Duration) (*cluster.Cluster, func(), error) {
-	c, _, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, func(cfg *cluster.Config) {
+// spilledCluster starts the cluster the spilling scenarios script: the
+// engines with local spills on and file-backed stores under storeDir.
+func spilledCluster(engines []partition.NodeID, storeDir string, faults faulty.Config, heartbeat time.Duration) (*cluster.Cluster, func(), error) {
+	c, _, stop, err := membershipCluster(engines, faults, func(cfg *cluster.Config) {
 		cfg.LocalSpill = true
 		cfg.Spill = spilledFailoverSpill()
 		cfg.StoreDir = storeDir
@@ -289,7 +289,7 @@ func failOver(c *cluster.Cluster, victim partition.NodeID, n int) error {
 // exactly: before segments replicated, this scenario demonstrably lost
 // the victim's spilled fraction.
 func RunChaosSpilledFailover(storeDir string, faults faulty.Config) (*SpilledFailoverResult, error) {
-	c, stop, err := spilledCluster(storeDir, faults, 0)
+	c, stop, err := spilledCluster([]partition.NodeID{"e1", "e2"}, storeDir, faults, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -357,15 +357,16 @@ type CrashRecoveryResult struct {
 }
 
 // RunCrashRecovery scripts cold restart as "rejoin empty and be seeded
-// again", on the spilled-failover cluster: feed, settle, crash e2 (its
-// groups fail over to e1), restart e2 over its store directory — it
-// restores nothing; the coordinator demotes the groups it lost, which
-// drops the stale segments the reopened store still holds, and e1 seeds
-// it as its follower again — feed, settle, then crash e1, whose groups
-// now fail over to the restarted e2. Feed once more and run cleanup.
-// Runtime ∪ cleanup results must match the fault-free baseline exactly,
-// which they can only do if the second failover found a complete
-// standby on an engine that started its second life empty.
+// again", on the spilled-failover cluster with a third engine: feed,
+// settle, crash e2 (its groups fail over to e3, next on the follower
+// ring), restart e2 over its store directory — it restores nothing; the
+// coordinator demotes the groups it lost, which drops the stale segments
+// the reopened store still holds, sheds state onto it as onto a joiner,
+// and e1 seeds it as its follower again — feed, settle, then crash e1,
+// whose groups now fail over to the restarted e2. Feed once more and run
+// cleanup. Runtime ∪ cleanup results must match the fault-free baseline
+// exactly, which they can only do if the second failover found a
+// complete standby on an engine that started its second life empty.
 func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResult, error) {
 	// Promoting every group of an engine means writing its standby
 	// segments as files, which under -race can keep a handler busy past
@@ -373,12 +374,12 @@ func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResu
 	// death here is a second simultaneous failure, which factor-2
 	// replication does not promise to survive, so this scenario waits
 	// longer before it believes one.
-	c, stop, err := spilledCluster(storeDir, faults, 3*time.Minute)
+	c, stop, err := spilledCluster([]partition.NodeID{"e1", "e2", "e3"}, storeDir, faults, 3*time.Minute)
 	if err != nil {
 		return nil, err
 	}
 	defer stop()
-	rejoiner, second := partition.NodeID("e2"), partition.NodeID("e1")
+	rejoiner, follower, second := partition.NodeID("e2"), partition.NodeID("e3"), partition.NodeID("e1")
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
@@ -389,8 +390,12 @@ func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResu
 		return nil, err
 	}
 	out := &CrashRecoveryResult{VictimSegments: victimStats.DiskSegments}
+	want := c.Owned(follower) + c.Owned(rejoiner)
 	if err := failOver(c, rejoiner, 1); err != nil {
 		return nil, err
+	}
+	if got := c.Owned(follower); got != want {
+		return nil, fmt.Errorf("first failover: %s owns %d groups, want its own and %s's, %d", follower, got, rejoiner, want)
 	}
 
 	if err := c.Restart(rejoiner); err != nil {

@@ -225,8 +225,9 @@ func TestChaosHeartbeatFlap(t *testing.T) {
 }
 
 // TestChaosCrashRecovery is cold restart as "rejoin empty and be seeded
-// again": an engine that holds disk segments is killed, fails over,
-// and comes back under its own name over the same store directory
+// again", on three engines: an engine that holds disk segments is
+// killed, fails over to the next engine on the follower ring, and comes
+// back under its own name over the same store directory
 // restoring nothing. Its demotion must leave it with no groups and no
 // segments (the reopened store's pre-crash segments are stale copies
 // of groups that live elsewhere now), replication must settle again

@@ -36,20 +36,18 @@ func alternatingSkew(wl *workload.Config, engines []partition.NodeID, o RunOpts)
 // runRelocationThreshold runs the two-machine alternating-skew experiment
 // with the given θ_r (0 disables relocation: the All-Mem baseline).
 // Memory is ample: no local spilling.
-func runRelocationThreshold(o RunOpts, duration time.Duration, theta float64) (*cluster.Result, *core.LazyDisk, error) {
+func runRelocationThreshold(o RunOpts, duration time.Duration, theta float64) (*cluster.Result, error) {
 	engines := []partition.NodeID{"m1", "m2"}
 	wl := baseWorkload()
 	o.scaleWorkload(&wl)
 	if err := alternatingSkew(&wl, engines, o); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var strategy core.Strategy = core.NoAdapt{}
-	var lazy *core.LazyDisk
 	if theta > 0 {
-		lazy = core.NewLazyDisk(core.RelocationConfig{Threshold: theta, MinGap: 45 * time.Second})
-		strategy = lazy
+		strategy = core.NewLazyDisk(core.RelocationConfig{Threshold: theta, MinGap: 45 * time.Second})
 	}
-	res, err := cluster.Run(cluster.Config{
+	return cluster.Run(cluster.Config{
 		Engines:  engines,
 		Workload: wl,
 		Scale:    o.Scale,
@@ -57,7 +55,6 @@ func runRelocationThreshold(o RunOpts, duration time.Duration, theta float64) (*
 		Strategy: strategy,
 		StoreDir: o.StoreDir,
 	})
-	return res, lazy, err
 }
 
 // Fig09 reproduces Figure 9: varying the relocation threshold θ_r under a
@@ -72,14 +69,14 @@ func Fig09(o RunOpts) (*Report, error) {
 	results := make(map[string]*cluster.Result)
 	relocs := make(map[string]int)
 	order := []string{"All-Mem"}
-	allMem, _, err := runRelocationThreshold(o, duration, 0)
+	allMem, err := runRelocationThreshold(o, duration, 0)
 	if err != nil {
 		return nil, err
 	}
 	results["All-Mem"] = allMem
 	for _, th := range thetas {
 		name := fmt.Sprintf("theta=%.0f%%", th*100)
-		res, _, err := runRelocationThreshold(o, duration, th)
+		res, err := runRelocationThreshold(o, duration, th)
 		if err != nil {
 			return nil, err
 		}
@@ -126,11 +123,11 @@ func Fig09(o RunOpts) (*Report, error) {
 func Fig10(o RunOpts) (*Report, error) {
 	o = o.withDefaults()
 	duration := o.scaleDur(45 * time.Minute)
-	withReloc, _, err := runRelocationThreshold(o, duration, 0.9)
+	withReloc, err := runRelocationThreshold(o, duration, 0.9)
 	if err != nil {
 		return nil, err
 	}
-	noReloc, _, err := runRelocationThreshold(o, duration, 0)
+	noReloc, err := runRelocationThreshold(o, duration, 0)
 	if err != nil {
 		return nil, err
 	}

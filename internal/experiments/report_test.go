@@ -18,7 +18,7 @@ import (
 // boundaries, and the span must survive the JSONL round trip.
 func TestRunReportRecordsCompleteRelocationSpan(t *testing.T) {
 	o := quickOpts()
-	res, _, err := runRelocationThreshold(o, o.scaleDur(45*time.Minute), 0.9)
+	res, err := runRelocationThreshold(o, o.scaleDur(45*time.Minute), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

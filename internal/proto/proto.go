@@ -90,8 +90,11 @@ type MarkerAck struct {
 //
 //distq:handledby coordinator
 type StatsReport struct {
-	Node         partition.NodeID
+	Node partition.NodeID
+	// MemBytes is all the engine holds in memory, Standby included: the
+	// follower copies of other engines' groups, which it cannot move.
 	MemBytes     int64
+	Standby      int64
 	Groups       int
 	Output       uint64
 	SpillCount   int

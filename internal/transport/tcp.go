@@ -30,8 +30,8 @@ const (
 	// negotiated format that still carried gob; version 2 shipped group
 	// state as separate resident/segment lists and deltas without an
 	// incarnation; version 3 carried a trace context on every control
-	// message and on StateDelta.
-	wireVersion = 4
+	// message and on StateDelta; version 4's StatsReport had no Standby.
+	wireVersion = 5
 	// helloAckSize is the ack: magic(2) version(1) creditWindow(8).
 	helloAckSize = 2 + 1 + 8
 	// maxNodeIDLen bounds the node id a hello may carry.

@@ -193,6 +193,9 @@ func TestTCPHelloFailureSaysWhy(t *testing.T) {
 		// with an 18-byte-or-longer trace context; only ten messages
 		// still carry one.
 		{"version 3 peer", ack(ackMagic, 3), "version mismatch"},
+		// Version 4's StatsReport lacked Standby, so its reports would
+		// misparse.
+		{"version 4 peer", ack(ackMagic, 4), "version mismatch"},
 		{"silence", []byte{}, "ack timeout"},
 	} {
 		dialer, peer := net.Pipe()
