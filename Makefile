@@ -79,14 +79,18 @@ cluster-smoke:
 bench:
 	$(GO) run ./cmd/benchgate
 
-# bench-pairs compares the working tree against BASE on one end-to-end
-# workload: N alternating pairs of 20-second runs (seeds 1..N), then each
-# side's median and quartiles per end-to-end metric, the pairs the change
-# won and whether the medians differ by more than BASE's inter-quartile
-# distance.  make bench-pairs BASE=680b2c7 WORKLOAD=flood_count N=10
+# bench-pairs compares the working tree against BASE on end-to-end
+# workloads: for each workload WORKLOAD names (space-separated, one base
+# build for all), N alternating pairs of SECONDS-second runs (seeds
+# 1..N), then one table of each side's median and quartiles per
+# end-to-end metric, the pairs the change won and whether the medians
+# differ by more than BASE's inter-quartile distance.
+#   make bench-pairs BASE=680b2c7 WORKLOAD=flood_count N=10
+#   make bench-pairs BASE=680b2c7 WORKLOAD="constrained_adapt paced_materialize" N=5
 N ?= 10
+SECONDS ?= 20
 bench-pairs:
-	scripts/bench-pairs.sh $(BASE) $(WORKLOAD) $(N)
+	scripts/bench-pairs.sh "$(BASE)" "$(WORKLOAD)" "$(N)" "$(SECONDS)"
 
 # loc prints the line count simplification PRs quote — non-test Go
 # outside benchmark/ and testdata/: whole tree, internal/core,

@@ -1,6 +1,7 @@
 package join_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,10 +17,17 @@ import (
 // TestDifferentialAgainstOracle interleaves every state operation the
 // engine performs on the operator — Process, spill extraction (through
 // the snapshot codec, as a segment would travel), relocation to a second
-// operator by Install or by Install+Merge of a split snapshot, and, for
-// the windowed join, Purge — under a seeded schedule, then cleans up
-// with cleanup.Group. Run-time plus cleanup results must equal the
-// oracle's exactly, with 1 and with 4 shards.
+// operator by Merge of a whole snapshot or of a split one (the second
+// half merged, as a promotion does, into the group the first half made
+// resident), and, for the windowed join, Purge — under a seeded
+// schedule, then cleans up with cleanup.Group. Run-time plus cleanup
+// results must equal the oracle's exactly, with 1 and with 4 shards.
+//
+// The unbounded join runs a count-only twin through the same schedule.
+// Its groups log their records where the emitting operator's keep runs,
+// so every snapshot it takes — at each spill and relocation and of
+// every group at the end — must encode to the emitting operator's bytes,
+// and its Output must stay the emitting operator's.
 func TestDifferentialAgainstOracle(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, window := range []time.Duration{0, 150 * time.Millisecond} {
@@ -47,12 +55,43 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 		}
 	}
 	// Two operators stand for two engines; owner says which one holds
-	// each group.
+	// each group. twins, when there are any, are the count-only pair.
 	ops := [2]*join.Operator{
 		join.NewWindowedSharded(inputs, pf, window, shards, emit),
 		join.NewWindowedSharded(inputs, pf, window, shards, emit),
 	}
 	owner := make([]int, partitions)
+	var twins []*join.Operator
+	if window == 0 {
+		twins = []*join.Operator{join.NewSharded(inputs, pf, shards, nil), join.NewSharded(inputs, pf, shards, nil)}
+	}
+	// take runs f on the owner of id's group and on its twin, checks the
+	// twin's snapshot against the emitting one's and returns both.
+	take := func(what string, id partition.ID, f func(*join.Operator, partition.ID) *join.GroupSnapshot) (snap, twin *join.GroupSnapshot) {
+		snap = f(ops[owner[id]], id)
+		if twins == nil {
+			return snap, nil
+		}
+		twin = f(twins[owner[id]], id)
+		sameSnapshot(t, fmt.Sprintf("%s of group %d", what, id), snap, twin)
+		for i, op := range ops {
+			if got, want := twins[i].Output(), op.Output(); got != want {
+				t.Fatalf("after %s of group %d: count-only operator %d has %d results, emitting %d", what, id, i, got, want)
+			}
+		}
+		return snap, twin
+	}
+	// merge lands a relocated snapshot and its twin's at the new owner.
+	merge := func(id partition.ID, snap, twin *join.GroupSnapshot) {
+		if err := ops[owner[id]].Merge(snap); err != nil {
+			t.Fatal(err)
+		}
+		if twin != nil {
+			if err := twins[owner[id]].Merge(twin); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	spilled := make([][]*join.GroupSnapshot, partitions)
 	var history []tuple.Tuple
 	payload := func(seq uint64) []byte {
@@ -65,7 +104,6 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 	now := vclock.Time(0)
 	for step := 0; step < steps; step++ {
 		id := partition.ID(rng.Intn(partitions))
-		op := ops[owner[id]]
 		switch r := rng.Intn(1000); {
 		case r < 960:
 			now += vclock.Time(time.Millisecond)
@@ -79,11 +117,18 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 				Seq: seq, Ts: ts, Payload: payload(seq),
 			}
 			history = append(history, tp)
-			if _, err := ops[owner[pf.Of(tp.Key)]].Process(tp); err != nil {
+			at := owner[pf.Of(tp.Key)]
+			n, err := ops[at].Process(tp)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if twins != nil {
+				if c, err := twins[at].Process(tp); err != nil || c != n {
+					t.Fatalf("count-only twin: %d results, err %v; emitting operator %d", c, err, n)
+				}
+			}
 		case r < 975:
-			snap := op.ExtractForSpill(id)
+			snap, _ := take("spill", id, (*join.Operator).ExtractForSpill)
 			if snap == nil {
 				continue
 			}
@@ -93,33 +138,27 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 			}
 			spilled[id] = append(spilled[id], decoded)
 		case r < 985:
-			snap := op.RemoveForRelocation(id)
+			snap, twin := take("relocation", id, (*join.Operator).RemoveForRelocation)
 			if snap == nil {
 				continue
 			}
 			owner[id] = 1 - owner[id]
-			if err := ops[owner[id]].Install(snap); err != nil {
-				t.Fatal(err)
-			}
+			merge(id, snap, twin)
 		case r < 995:
 			// Relocate in two parts: the first half of every input's
-			// tuples is installed, the rest merged on top.
-			snap := op.RemoveForRelocation(id)
+			// tuples makes the group resident, the rest is merged on top.
+			snap, twin := take("split relocation", id, (*join.Operator).RemoveForRelocation)
 			if snap == nil {
 				continue
 			}
-			rest := *snap
-			rest.Tuples = make([][]tuple.Tuple, inputs)
-			for i, l := range snap.Tuples {
-				snap.Tuples[i], rest.Tuples[i] = l[:len(l)/2], l[len(l)/2:]
-			}
 			owner[id] = 1 - owner[id]
-			if err := ops[owner[id]].Install(snap); err != nil {
-				t.Fatal(err)
+			first, rest := halve(snap)
+			var twinFirst, twinRest *join.GroupSnapshot
+			if twin != nil {
+				twinFirst, twinRest = halve(twin)
 			}
-			if err := ops[owner[id]].Merge(&rest); err != nil {
-				t.Fatal(err)
-			}
+			merge(id, first, twinFirst)
+			merge(id, rest, twinRest)
 		default:
 			if window > 0 {
 				ops[0].Purge(now.Add(-window))
@@ -131,7 +170,7 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 	var resident int64
 	for id := range spilled {
 		gens := spilled[id]
-		if snap := ops[owner[id]].ResidentSnapshot(partition.ID(id)); snap != nil {
+		if snap, _ := take("final snapshot", partition.ID(id), (*join.Operator).ResidentSnapshot); snap != nil {
 			gens = append(gens, snap)
 			resident += snap.MemBytes()
 			for stream, l := range snap.Tuples {
@@ -161,5 +200,27 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 	}
 	if missing := want.Diff(got); len(missing) > 0 {
 		t.Fatalf("%d oracle results never produced, e.g. %s", len(missing), missing[0])
+	}
+}
+
+// halve splits a relocated snapshot in two: the first half of every
+// input's tuples, with the group's header, and the rest.
+func halve(snap *join.GroupSnapshot) (first, rest *join.GroupSnapshot) {
+	a, b := *snap, *snap
+	a.Tuples, b.Tuples = make([][]tuple.Tuple, len(snap.Tuples)), make([][]tuple.Tuple, len(snap.Tuples))
+	for i, l := range snap.Tuples {
+		a.Tuples[i], b.Tuples[i] = l[:len(l)/2], l[len(l)/2:]
+	}
+	return &a, &b
+}
+
+// sameSnapshot fails unless got encodes to want's bytes (or both are nil).
+func sameSnapshot(t *testing.T, what string, want, got *join.GroupSnapshot) {
+	t.Helper()
+	if (want == nil) != (got == nil) {
+		t.Fatalf("%s: count-only snapshot %v, emitting %v", what, got != nil, want != nil)
+	}
+	if want != nil && !bytes.Equal(join.EncodeSnapshot(got), join.EncodeSnapshot(want)) {
+		t.Fatalf("%s: the count-only operator's snapshot encodes differently from the emitting operator's", what)
 	}
 }

@@ -18,7 +18,7 @@
 // concurrently (the engine's shard-worker pool); the single-shard operator
 // behaves like a serial one. Cross-shard aggregates (MemBytes, Output, Stats)
 // and the group-level state operations (spill extraction, relocation,
-// install, snapshots, purge) are not synchronized and must only be called
+// merge, snapshots, purge) are not synchronized and must only be called
 // while no shard is processing — the engine quiesces its pool before every
 // control message for exactly this reason.
 package join
@@ -52,10 +52,10 @@ import (
 type EmitFunc func(tuple.Result)
 
 // Operator is one instance of the partitioned m-way symmetric hash join.
-// The zero-argument entry points (Process, ProcessBatch) route tuples to
-// the owning shard and are not safe for concurrent use; for parallel
-// execution, drive each Shard from at most one goroutine at a time and
-// keep the group-level operations quiesced (see the package comment).
+// Operator.Process routes each tuple to the owning shard and is not safe
+// for concurrent use; for parallel execution, drive each Shard from at
+// most one goroutine at a time and keep the group-level operations
+// quiesced (see the package comment).
 type Operator struct {
 	inputs int
 	part   partition.Func
@@ -83,7 +83,8 @@ type Shard struct {
 }
 
 // rec is one resident tuple; its stream and key are implied by the list
-// holding it. The payload lives at pages[page][off : off+n]. Like every
+// holding it. The payload lives at pages[page][off : off+n]. In a logged
+// group prev is the log index of the list's previous record. Like every
 // type a group allocates per tuple or per key it holds no pointer, so
 // the collector never scans tuple state (DESIGN.md "Resident state
 // layout").
@@ -93,13 +94,14 @@ type rec struct {
 	page uint32
 	off  uint32
 	n    uint32
+	prev uint32
 }
 
-// list locates the tuples of one (key, input): recs[chunk][off : off+n],
-// with room to grow in place up to cap.
+// list locates the n tuples of one (key, input). In a group of runs they
+// are recs[chunk][off : off+n]; in a logged group off is the log index
+// of the newest, whose prev links lead back to the oldest.
 type list struct {
-	chunk, off uint32
-	n, cap     uint32
+	chunk, off, n uint32
 }
 
 // slot is one cell of a group's open-addressing key table.
@@ -191,7 +193,11 @@ type group struct {
 	slots []slot
 	shift uint8 // 64 - log2(len(slots))
 	lists []list
+	// An operator whose probes read records keeps each list as a run in
+	// recs; any other logs every record in arrival order, record i at
+	// log[i/recChunkLen][i%recChunkLen] (see Operator.readsRecords).
 	recs  slab[rec]
+	log   [][]rec
 	pages slab[byte]
 
 	size  int64
@@ -254,30 +260,27 @@ func (g *group) entry(key uint64) int {
 // run returns the records of l.
 func (g *group) run(l list) []rec {
 	if l.n == 0 {
-		return nil // a list that never held a tuple has no run yet
+		return nil // an empty list holds no run (see insert and purgeList)
 	}
 	return g.recs.chunks[l.chunk][l.off : l.off+l.n]
 }
 
-// insert stores t at the end of l, or — when ordered — at its timestamp
-// position (binary insertion into the tail, so slightly out-of-order
-// arrivals keep the list sorted for windowBounds). The payload is copied
-// into the group's pages.
-func (g *group) insert(l *list, t *tuple.Tuple, ordered bool) {
-	r := rec{seq: t.Seq, ts: t.Ts, n: uint32(len(t.Payload))}
-	if r.n > 0 {
-		r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
-		copy(g.pages.chunks[r.page][r.off:], t.Payload)
-	}
-	if l.n == l.cap {
+// insert stores r at the end of l's run, or — when ordered — at its
+// timestamp position (binary insertion into the tail, so slightly
+// out-of-order arrivals keep the list sorted for windowBounds).
+func (g *group) insert(l *list, r *rec, ordered bool) {
+	// Runs hold 4, 6, 8, 12, 16, 24, … records (2^k, k ≥ 2, and 3·2^k,
+	// k ≥ 1) and a list moves only when it fills one, so l.n alone says
+	// when; a list a purge shortened moves early, never late.
+	if odd := l.n >> bits.TrailingZeros32(l.n); l.n == 0 || l.n >= firstListCap && odd <= 3 {
 		// Move the list to a run half or a third longer, 2× every other
 		// step (amortized O(1) copies): contiguous lists at the price of
 		// slack, the layout trade-off arXiv:2112.02480 §4 measures.
 		old := *l
-		l.cap = max(firstListCap, l.cap+l.cap/uint32(1+bits.OnesCount32(l.cap)))
-		l.chunk, l.off = g.recs.carve(int(l.cap), recChunkLen)
-		if old.cap > 0 {
-			copy(g.run(*l), g.run(old))
+		n := max(firstListCap, l.n+l.n/uint32(1+bits.OnesCount32(l.n)))
+		l.chunk, l.off = g.recs.carve(int(n), recChunkLen)
+		if old.n > 0 {
+			copy(g.recs.chunks[l.chunk][l.off:], g.run(old))
 			g.recs.release(old.chunk, recChunkLen)
 		}
 	}
@@ -288,7 +291,24 @@ func (g *group) insert(l *list, t *tuple.Tuple, ordered bool) {
 		i = sort.Search(i, func(j int) bool { return rs[j].ts > r.ts })
 		copy(rs[i+1:], rs[i:])
 	}
-	rs[i] = r
+	rs[i] = *r
+}
+
+// push appends r to the group's log as l's newest record: a sequential
+// write, where insert's is a cache miss into l's run. The log's 32-bit
+// indices cap a generation at 2^32 records.
+func (g *group) push(l *list, r *rec) {
+	c := len(g.log) - 1
+	if c < 0 || len(g.log[c]) == recChunkLen {
+		if len(g.log) == 1<<32/recChunkLen {
+			panic(fmt.Sprintf("join: group %d holds 2^32 records", g.id))
+		}
+		g.log = append(g.log, make([]rec, 0, recChunkLen))
+		c++
+	}
+	r.prev, l.off = l.off, uint32(c*recChunkLen+len(g.log[c]))
+	l.n++
+	g.log[c] = append(g.log[c], *r)
 }
 
 // view rebuilds the Tuple that r stores in input stream's list of key.
@@ -303,9 +323,20 @@ func (g *group) view(stream int, key uint64, r *rec) tuple.Tuple {
 }
 
 // add stores t in input stream's list of entry e, without probing, and
-// accounts for it.
-func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple, ordered bool) {
-	g.insert(&g.lists[e+stream], t, ordered)
+// accounts for it. The payload is copied into the group's pages.
+func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
+	r := rec{seq: t.Seq, ts: t.Ts, n: uint32(len(t.Payload))}
+	if r.n > 0 {
+		r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
+		copy(g.pages.chunks[r.page][r.off:], t.Payload)
+	}
+	if l := &g.lists[e+stream]; s.op.readsRecords() {
+		// Windowed lists stay timestamp-sorted so window probes can
+		// binary-search their bounds.
+		g.insert(l, &r, s.op.window > 0)
+	} else {
+		g.push(l, &r)
+	}
 	sz := t.MemSize()
 	g.size += sz
 	g.count++
@@ -318,14 +349,14 @@ func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple, ordered bool) {
 func (s *Shard) load(g *group, tuples [][]tuple.Tuple) {
 	for stream, l := range tuples {
 		for j := range l {
-			s.add(g, g.entry(l[j].Key), stream, &l[j], false)
+			s.add(g, g.entry(l[j].Key), stream, &l[j])
 		}
 	}
 }
 
 // unload empties g's current generation and returns it flattened.
 func (s *Shard) unload(g *group) [][]tuple.Tuple {
-	tuples := g.snapshot()
+	tuples := g.snapshot(!s.op.readsRecords())
 	s.totalSize -= g.size
 	*g = group{
 		id: g.id, gen: g.gen, cum: g.cum, output: g.output, counts: g.counts,
@@ -469,7 +500,9 @@ func (s *Shard) Process(t tuple.Tuple) (uint64, error) {
 // finds the key's entry; the other inputs' lists in it are the matches
 // and the tuple's own list takes the insert. t is passed by pointer: a
 // by-value copy reloads the one-byte Stream as a word, which waits for
-// the store buffer to drain the previous tuple's cache-missing writes.
+// the store buffer to drain the previous tuple's writes — cache misses
+// into a list's run when the operator reads records, a sequential log
+// append when it does not.
 func (s *Shard) process(id partition.ID, index int, t *tuple.Tuple) uint64 {
 	o := s.op
 	g := s.groups[index]
@@ -481,12 +514,17 @@ func (s *Shard) process(id partition.ID, index int, t *tuple.Tuple) uint64 {
 	produced := s.probe(g, g.lists[e:e+o.inputs], t)
 	g.output += produced
 	s.output += produced
-	// Windowed lists stay timestamp-sorted so window probes can
-	// binary-search their bounds.
-	s.add(g, e, int(t.Stream), t, o.window > 0)
+	s.add(g, e, int(t.Stream), t)
 	g.cum += t.MemSize()
 	return produced
 }
+
+// readsRecords reports whether probes read stored records — to
+// enumerate matches or to bound them by the window. Such an operator's
+// groups keep each list in a contiguous run; any other's probes read
+// only list lengths, so its groups log records in arrival order instead
+// and only snapshots walk a list's chain.
+func (o *Operator) readsRecords() bool { return o.emit != nil || o.window > 0 }
 
 // probe counts (and, when materializing, emits) the matches of t against
 // the other inputs' resident tuples, whose lists are ls. Count-only
@@ -499,7 +537,7 @@ func (s *Shard) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
 			continue
 		}
 		n := int(l.n)
-		if o.window > 0 || o.emit != nil {
+		if o.readsRecords() {
 			rs := g.run(l)
 			if o.window > 0 {
 				rs = windowBounds(rs, t.Ts, o.window)
@@ -536,20 +574,6 @@ func (s *Shard) enumerate(t *tuple.Tuple, input int) {
 		s.seqs[input] = s.lists[input][i].seq
 		s.enumerate(t, input+1)
 	}
-}
-
-// ProcessBatch runs every tuple of b through the join, returning the total
-// results produced.
-func (o *Operator) ProcessBatch(b *tuple.Batch) (uint64, error) {
-	var total uint64
-	for i := range b.Tuples {
-		n, err := o.Process(b.Tuples[i])
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
 }
 
 // Stats returns the per-group statistics the local adaptation controller
@@ -609,10 +633,12 @@ func (s *GroupSnapshot) MemBytes() int64 {
 // snapshot flattens the group's lists into per-input tuple slices with a
 // deterministic order (key, then list order). counts carries the exact
 // per-input tuple totals so every flattened slice is allocated once at
-// its final size. Payloads alias the group's pages rather than copying
-// them: written page bytes never change, and the pages outlive the
-// generation for as long as a snapshot references them.
-func (g *group) snapshot() [][]tuple.Tuple {
+// its final size. A logged list is a chain from its newest record back,
+// so it fills its stretch of the output back to front. Payloads alias
+// the group's pages rather than copying them: written page bytes never
+// change, and the pages outlive the generation for as long as a
+// snapshot references them.
+func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 	inputs := len(g.counts)
 	keys := make([]slot, 0, len(g.lists)/inputs)
 	for _, s := range g.slots {
@@ -623,14 +649,24 @@ func (g *group) snapshot() [][]tuple.Tuple {
 	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
 	out := make([][]tuple.Tuple, inputs)
 	for i := range out {
-		flat := make([]tuple.Tuple, 0, g.counts[i])
+		out[i] = make([]tuple.Tuple, g.counts[i])
+		rest := out[i]
 		for _, s := range keys {
-			rs := g.run(g.lists[int(s.ent-1)*inputs+i])
-			for j := range rs {
-				flat = append(flat, g.view(i, s.key, &rs[j]))
+			l := g.lists[int(s.ent-1)*inputs+i]
+			dst := rest[:l.n]
+			rest = rest[l.n:]
+			if !logged {
+				rs := g.run(l)
+				for j := range rs {
+					dst[j] = g.view(i, s.key, &rs[j])
+				}
+				continue
+			}
+			for j, k := len(dst)-1, l.off; j >= 0; j-- {
+				r := &g.log[k/recChunkLen][k%recChunkLen]
+				dst[j], k = g.view(i, s.key, r), r.prev
 			}
 		}
-		out[i] = flat
 	}
 	return out
 }
@@ -696,20 +732,10 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 	return g.snapshotOf(s.unload(g))
 }
 
-// Install registers a relocated group snapshot at this operator. New
-// arrivals for the partition will be co-resident with (and join against)
-// the installed tuples. Installing over an existing group is an error:
-// the relocation protocol guarantees a group lives on exactly one machine.
-func (o *Operator) Install(snap *GroupSnapshot) error {
-	if _, _, g := o.find(snap.ID); g != nil {
-		return fmt.Errorf("join: group %d already resident", snap.ID)
-	}
-	return o.Merge(snap)
-}
-
-// Merge folds a replicated group snapshot into this operator: if the
-// group is absent it behaves exactly like Install; if it is already
-// resident the snapshot's tuples are appended WITHOUT probing — they
+// Merge folds a group snapshot into this operator. If the group is
+// absent it is registered from the snapshot — a relocation's receiver —
+// and new arrivals for the partition join against its tuples; if it is
+// already resident the snapshot's tuples are appended WITHOUT probing — they
 // already produced their results at the old primary, so emitting joins
 // here would duplicate output. A promoted follower uses it to turn warm
 // standby copies into resident state, and a replication tail-flush uses
@@ -743,7 +769,7 @@ func (o *Operator) ResidentSnapshot(id partition.ID) *GroupSnapshot {
 	if g == nil {
 		return nil
 	}
-	return g.snapshotOf(g.snapshot())
+	return g.snapshotOf(g.snapshot(!o.readsRecords()))
 }
 
 // ResidentIDs returns the sorted IDs of all resident groups.

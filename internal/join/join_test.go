@@ -176,7 +176,7 @@ func TestRelocationRoundTrip(t *testing.T) {
 	}
 
 	dst := New(2, part, nil)
-	if err := dst.Install(snap); err != nil {
+	if err := dst.Merge(snap); err != nil {
 		t.Fatal(err)
 	}
 	if dst.MemBytes() != snap.MemBytes() {
@@ -194,21 +194,11 @@ func TestRelocationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInstallRejectsDuplicateGroup(t *testing.T) {
-	part := partition.NewFunc(1)
-	op := New(2, part, nil)
-	op.Process(mkTuple(0, 1, 1))
-	snap := op.ResidentSnapshot(0)
-	if err := op.Install(snap); err == nil {
-		t.Fatal("Install over resident group accepted")
-	}
-}
-
-func TestInstallRejectsWrongArity(t *testing.T) {
+func TestMergeRejectsWrongArity(t *testing.T) {
 	op := New(3, partition.NewFunc(1), nil)
 	snap := &GroupSnapshot{ID: 0, Tuples: make([][]tuple.Tuple, 2)}
-	if err := op.Install(snap); err == nil {
-		t.Fatal("Install with wrong input arity accepted")
+	if err := op.Merge(snap); err == nil {
+		t.Fatal("Merge with wrong input arity accepted")
 	}
 }
 
@@ -274,23 +264,5 @@ func TestOracleCountMatchesOracle(t *testing.T) {
 	}
 	if got, want := OracleCount(inputs, history), uint64(Oracle(inputs, history).Len()); got != want {
 		t.Fatalf("OracleCount = %d, Oracle.Len = %d", got, want)
-	}
-}
-
-func TestProcessBatch(t *testing.T) {
-	op := New(2, partition.NewFunc(4), nil)
-	b := &tuple.Batch{Tuples: []tuple.Tuple{
-		mkTuple(0, 1, 1), mkTuple(1, 1, 2), mkTuple(1, 1, 3),
-	}}
-	n, err := op.ProcessBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Fatalf("batch produced %d results, want 2", n)
-	}
-	bad := &tuple.Batch{Tuples: []tuple.Tuple{mkTuple(9, 1, 1)}}
-	if _, err := op.ProcessBatch(bad); err == nil {
-		t.Fatal("bad stream accepted in batch")
 	}
 }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"runtime"
@@ -149,6 +150,7 @@ func TestResidentRecordIsPointerFree(t *testing.T) {
 	var g group
 	for name, typ := range map[string]reflect.Type{
 		"record":       reflect.TypeOf(g.recs.chunks).Elem().Elem(),
+		"log record":   reflect.TypeOf(g.log).Elem().Elem(),
 		"payload page": reflect.TypeOf(g.pages.chunks).Elem().Elem(),
 		"list":         reflect.TypeOf(g.lists).Elem(),
 		"table slot":   reflect.TypeOf(g.slots).Elem(),
@@ -159,6 +161,9 @@ func TestResidentRecordIsPointerFree(t *testing.T) {
 	}
 	if size := reflect.TypeOf(rec{}).Size(); size > 32 {
 		t.Errorf("a record takes %d bytes, want at most 32", size)
+	}
+	if size := reflect.TypeOf(list{}).Size(); size > 16 {
+		t.Errorf("a list header takes %d bytes, want at most 16", size)
 	}
 	if pointerFree(reflect.TypeOf(tuple.Tuple{})) {
 		t.Error("pointerFree accepts tuple.Tuple, which holds a slice")
@@ -173,14 +178,13 @@ func liveHeap() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// TestResidentBytesPerTuple bounds what a stored tuple really costs: 40
-// payload bytes, a 32-byte record, and the slack of lists and pages
-// that are still filling.
-func TestResidentBytesPerTuple(t *testing.T) {
+// residentBytesPerTuple stores 200 000 tuples with 40-byte payloads in
+// a 3-way join and returns the live heap they hold per tuple.
+func residentBytesPerTuple(t *testing.T, emit EmitFunc) float64 {
 	const n = 200_000
 	payload := make([]byte, 40)
 	before := liveHeap()
-	op := New(3, partition.NewFunc(16), nil)
+	op := New(3, partition.NewFunc(16), emit)
 	for i := 0; i < n; i++ {
 		tp := tuple.Tuple{Stream: uint8(i % 3), Key: uint64(i / 3 % 2000), Seq: uint64(i), Payload: payload}
 		if _, err := op.Process(tp); err != nil {
@@ -190,8 +194,79 @@ func TestResidentBytesPerTuple(t *testing.T) {
 	perTuple := float64(liveHeap()-before) / n
 	runtime.KeepAlive(op)
 	t.Logf("%.1f live heap bytes per stored tuple", perTuple)
-	if perTuple > 120 {
+	return perTuple
+}
+
+// TestResidentBytesPerTuple bounds what a stored tuple really costs in
+// a count-only join: 40 payload bytes, a 32-byte record in the group's
+// log, and the slack of the log chunk and page still filling.
+func TestResidentBytesPerTuple(t *testing.T) {
+	if perTuple := residentBytesPerTuple(t, nil); perTuple > 85 {
+		t.Fatalf("%.1f live heap bytes per stored tuple, want at most 85", perTuple)
+	}
+}
+
+// TestResidentBytesPerTupleEmitting bounds the same for a materializing
+// join, whose records sit in per-list runs that are still filling.
+func TestResidentBytesPerTupleEmitting(t *testing.T) {
+	if perTuple := residentBytesPerTuple(t, func(tuple.Result) {}); perTuple > 120 {
 		t.Fatalf("%.1f live heap bytes per stored tuple, want at most 120", perTuple)
+	}
+}
+
+// TestLogKeepsListOrder checks that a logged list's chain and its list
+// order agree: a count-only group is snapshotted, has more tuples
+// merged into the same lists (and new ones), and is snapshotted again.
+// Each snapshot must hold every input's tuples by key and, within a key,
+// in arrival order — the emitting operator's order for the same steps.
+func TestLogKeepsListOrder(t *testing.T) {
+	var seq uint64
+	batch := func(n int) []tuple.Tuple {
+		var in []tuple.Tuple
+		for i := 0; i < n; i++ {
+			seq++
+			key := seq * 7 % 11
+			in = append(in, tuple.Tuple{Stream: uint8(seq * 5 % 3), Key: key, Seq: seq, Payload: make([]byte, seq%5)})
+		}
+		return in
+	}
+	logged, runs := New(3, partition.NewFunc(1), nil), New(3, partition.NewFunc(1), func(tuple.Result) {})
+	check := func(what string) {
+		t.Helper()
+		snap := logged.ResidentSnapshot(0)
+		if !bytes.Equal(EncodeSnapshot(snap), EncodeSnapshot(runs.ResidentSnapshot(0))) {
+			t.Fatalf("%s: logged and run snapshots differ", what)
+		}
+		for stream, l := range snap.Tuples {
+			for i := 1; i < len(l); i++ {
+				if a, b := l[i-1], l[i]; a.Key > b.Key || a.Key == b.Key && a.Seq >= b.Seq {
+					t.Fatalf("%s: input %d holds (key %d, seq %d) before (key %d, seq %d)", what, stream, a.Key, a.Seq, b.Key, b.Seq)
+				}
+			}
+		}
+	}
+	for _, tp := range batch(200) {
+		if _, err := logged.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runs.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after inserts")
+	more := &GroupSnapshot{Tuples: make([][]tuple.Tuple, 3)}
+	for _, tp := range batch(150) {
+		tp.Key += 5 // six keys already resident, five new
+		more.Tuples[tp.Stream] = append(more.Tuples[tp.Stream], tp)
+	}
+	for _, op := range []*Operator{logged, runs} {
+		if err := op.Merge(more); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after a merge into the resident group")
+	if n := logged.ResidentSnapshot(0).TupleCount(); n != 350 {
+		t.Fatalf("%d tuples resident, stored 350", n)
 	}
 }
 

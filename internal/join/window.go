@@ -61,7 +61,11 @@ func windowBounds(l []rec, ts vclock.Time, window time.Duration) []rec {
 // emptied stay behind. A group holding more dropped tuples than live
 // ones, or more empty entries than live ones, is rebuilt from its live
 // tuples, which keeps a windowed operator's memory bounded by its window.
+// An unbounded operator expires nothing.
 func (o *Operator) Purge(cutoff vclock.Time) int {
+	if o.window == 0 {
+		return 0
+	}
 	purged := 0
 	o.resident(func(s *Shard, g *group) {
 		empty := 0
@@ -105,7 +109,9 @@ func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int
 		return 0
 	}
 	copy(rs[lo:], rs[n:])
-	l.n -= uint32(n - lo)
+	if l.n -= uint32(n - lo); l.n == 0 {
+		g.recs.release(l.chunk, recChunkLen) // the next insert carves a new run
+	}
 	g.count -= n - lo
 	g.counts[stream] -= n - lo
 	g.purged += n - lo

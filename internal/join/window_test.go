@@ -198,7 +198,7 @@ func TestSpilledWatermarkSurvivesRelocation(t *testing.T) {
 		t.Fatalf("watermark lost in codec: %+v", decoded)
 	}
 	dst := NewWindowed(2, part, time.Minute, nil)
-	if err := dst.Install(decoded); err != nil {
+	if err := dst.Merge(decoded); err != nil {
 		t.Fatal(err)
 	}
 	// The receiver must also hold back the pending tuple.
