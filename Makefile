@@ -106,7 +106,10 @@ loc:
 # replaying the committed corpora (testdata/fuzz). Grown inputs land in
 # GOCACHE, not the repo; promote keepers into testdata by hand. The
 # wire frame decoder fuzzer (every message kind) shares the budget so a
-# wire-codec regression fails the same tier-1 gate.
+# wire-codec regression fails the same tier-1 gate, and so does the
+# result-payload reader, which parses the bytes of every ResultData frame
+# that reaches the application server.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorProtocol -fuzztime $(FUZZTIME) ./internal/coordinator
 	$(GO) test -run '^$$' -fuzz FuzzNativeFrame -fuzztime $(FUZZTIME) ./internal/proto
+	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/tuple

@@ -37,8 +37,15 @@ import (
 // reference box at the commit before the engine stopped decoding its
 // batches (680b2c7), so the before/after comparison travels with the
 // report. batch_stream did not exist there: its entry is what reading the
-// same 256-tuple batch cost then: one DecodeBatch of it.
+// same 256-tuple batch cost then: one DecodeBatch of it. result_set_add's
+// entry is the same case run against the fingerprint-string map the
+// result set was before it became an arena of records (3133174, median
+// of three runs on the same box).
 var prePR = map[string]bench.Metric{
+	"result_set_add": {
+		Name: "result_set_add", N: 1_000_000,
+		NsPerOp: 646.6, AllocsPerOp: 4.0082, BytesPerOp: 303.6, LiveBytesPerOp: 103.8,
+	},
 	"tuple_decode": {
 		Name: "tuple_decode", N: 1_000_000,
 		NsPerOp: 69.2, AllocsPerOp: 1.0000, BytesPerOp: 48.0,

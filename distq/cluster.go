@@ -43,7 +43,9 @@ type Options struct {
 	Policy PolicyKind
 	// OnResult, when set, receives every produced join result (both
 	// phases). Results are delivered from the application server's
-	// handler goroutine.
+	// handler goroutine, outside its lock, so a callback may call
+	// Snapshot. A result's Seqs stay valid after the call and are the
+	// callback's to keep.
 	OnResult func(Phase, Result)
 	// Filter, when set, is a stateless select/project chain applied at
 	// every engine before tuples enter join state (see NewSelect,

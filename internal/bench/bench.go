@@ -210,6 +210,26 @@ func Cases() []Case {
 			},
 		},
 		{
+			// What the application server does with a materialised
+			// result: ask the other phase's set, then add it to its own.
+			// One distinct 3-way result per op, so the live heap is what
+			// the set holds per result.
+			Name:     "result_set_add",
+			DefaultN: 1_000_000,
+			GateLive: true,
+			Make: func() func(int) {
+				set, other := tuple.NewResultSet(), tuple.NewResultSet()
+				seqs := make([]uint64, 3)
+				return func(i int) {
+					seqs[0], seqs[1], seqs[2] = uint64(i), uint64(i/3), uint64(i/7)
+					r := tuple.Result{Key: uint64(i % 1000), Seqs: seqs}
+					if other.Contains(r) || !set.Add(r) {
+						panic(fmt.Sprintf("bench: result %d counted as a duplicate", i))
+					}
+				}
+			},
+		},
+		{
 			Name:     "snapshot_encode",
 			DefaultN: 2_000,
 			Make: func() func(int) {

@@ -42,7 +42,8 @@ type AppServer struct {
 }
 
 // NewAppServer builds an application server; Attach must be called before
-// use. onResult, when non-nil, receives every materialized result.
+// use. onResult, when non-nil, receives every materialized result, after
+// the result's frame is duplicate-checked and outside the server's lock.
 func NewAppServer(clock vclock.Clock, materialize bool, onResult func(proto.Phase, tuple.Result)) *AppServer {
 	a := &AppServer{
 		onResult:    onResult,
@@ -108,15 +109,17 @@ func (a *AppServer) onResultData(m proto.ResultData) error {
 	if !a.materialize {
 		return fmt.Errorf("result data in count-only mode")
 	}
+	rd, err := tuple.ReadResults(m.Payload)
+	if err != nil {
+		return err
+	}
+	// The callbacks read the frame a second time, after the lock is
+	// released: a callback may ask this server for its counts. The handler
+	// is serial, so frames still reach them in arrival order.
+	deliver := rd
+	var r tuple.Result
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	buf := m.Payload
-	for len(buf) > 0 {
-		r, used, err := tuple.DecodeResult(buf)
-		if err != nil {
-			return err
-		}
-		buf = buf[used:]
+	for rd.Next(&r) {
 		// A result is a duplicate if it was seen in either phase.
 		switch m.Phase {
 		case proto.PhaseRuntime:
@@ -128,7 +131,10 @@ func (a *AppServer) onResultData(m proto.ResultData) error {
 				a.dups++
 			}
 		}
-		if a.onResult != nil {
+	}
+	a.mu.Unlock()
+	if a.onResult != nil {
+		for deliver.Next(&r) {
 			a.onResult(m.Phase, r)
 		}
 	}

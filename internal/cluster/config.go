@@ -44,7 +44,8 @@ type Config struct {
 	// keeps duplicate-checked result sets (exactness tests, examples).
 	Materialize bool
 	// OnResult, when set, receives every materialized result on the
-	// application server's handler goroutine.
+	// application server's handler goroutine, outside its lock; the
+	// result's Seqs are the callback's to keep.
 	OnResult func(proto.Phase, tuple.Result)
 	// PreFilter, when set, is a stateless select/project chain every
 	// engine applies before tuples enter join state.

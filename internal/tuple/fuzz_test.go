@@ -2,6 +2,8 @@ package tuple
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -83,6 +85,69 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		if !bytes.Equal(res.AppendTo(nil), data[:used]) {
 			t.Fatal("result re-encode mismatch")
+		}
+	})
+}
+
+// FuzzReadResults holds the payload cursor the application server reads
+// every ResultData frame with to repeated DecodeResult calls: it fails
+// exactly where they fail, or yields the same results, none of whose
+// Seqs shares storage with another's.
+func FuzzReadResults(f *testing.F) {
+	rs := []Result{{Key: 7, Seqs: []uint64{1, 2, 3}}, {Key: 8}, {Key: 9, Seqs: []uint64{4, 5}}}
+	var frame []byte
+	for i := range rs {
+		frame = rs[i].AppendTo(frame)
+	}
+	f.Add(frame)
+	f.Add(frame[:len(frame)-1])
+	f.Add(append(bytes.Clone(frame), 0))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want []Result
+		var wantErr error
+		for off := 0; off < len(data); {
+			r, used, err := DecodeResult(data[off:])
+			if err != nil {
+				wantErr = fmt.Errorf("%v (result %d at byte %d)", err, len(want), off)
+				break
+			}
+			want = append(want, r)
+			off += used
+		}
+		rd, err := ReadResults(data)
+		if wantErr != nil || err != nil {
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("ReadResults error %v, DecodeResult calls %v", err, wantErr)
+			}
+			return
+		}
+		got := make([]Result, 0, len(want))
+		var r Result
+		for rd.Next(&r) {
+			got = append(got, r)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cursor yields %d results, DecodeResult %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Key != want[i].Key || !slices.Equal(got[i].Seqs, want[i].Seqs) || cap(got[i].Seqs) != len(got[i].Seqs) {
+				t.Fatalf("result %d: cursor %+v (cap %d), DecodeResult %+v", i, got[i], cap(got[i].Seqs), want[i])
+			}
+		}
+		// Mark every seq with its own position; a shared slot would keep
+		// only the last mark written into it.
+		for i := range got {
+			for j := range got[i].Seqs {
+				got[i].Seqs[j] = uint64(i)<<32 | uint64(j)
+			}
+		}
+		for i := range got {
+			for j, v := range got[i].Seqs {
+				if v != uint64(i)<<32|uint64(j) {
+					t.Fatalf("result %d seq %d shares storage with another result's", i, j)
+				}
+			}
 		}
 	})
 }

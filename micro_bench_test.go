@@ -52,6 +52,7 @@ func BenchmarkJoinProcessObserved(b *testing.B)      { benchCase(b, "join_proces
 func BenchmarkJoinProcessMaterializing(b *testing.B) { benchCase(b, "join_process_materializing") }
 func BenchmarkTupleDecode(b *testing.B)              { benchCase(b, "tuple_decode") }
 func BenchmarkBatchRoundTrip(b *testing.B)           { benchCase(b, "batch_round_trip") }
+func BenchmarkResultSetAdd(b *testing.B)             { benchCase(b, "result_set_add") }
 func BenchmarkSnapshotEncode(b *testing.B)           { benchCase(b, "snapshot_encode") }
 func BenchmarkSnapshotDecode(b *testing.B)           { benchCase(b, "snapshot_decode") }
 func BenchmarkCleanupMerge(b *testing.B)             { benchCase(b, "cleanup_merge") }
