@@ -40,8 +40,14 @@ import (
 // same 256-tuple batch cost then: one DecodeBatch of it. result_set_add's
 // entry is the same case run against the fingerprint-string map the
 // result set was before it became an arena of records (3133174, median
-// of three runs on the same box).
+// of three runs on the same box). join_enumerate's entry is the same
+// case run against the recursive enumerator over 32-byte records that
+// the seq column and the odometer replaced (c5d0961, median of three).
 var prePR = map[string]bench.Metric{
+	"join_enumerate": {
+		Name: "join_enumerate", N: 6_000_000,
+		NsPerOp: 8.92, AllocsPerOp: 0.0000313, BytesPerOp: 1.449, LiveBytesPerOp: 0.656,
+	},
 	"result_set_add": {
 		Name: "result_set_add", N: 1_000_000,
 		NsPerOp: 646.6, AllocsPerOp: 4.0082, BytesPerOp: 303.6, LiveBytesPerOp: 103.8,

@@ -163,6 +163,45 @@ func Cases() []Case {
 			},
 		},
 		{
+			// Enumeration alone, per result: an emitting 3-way join over
+			// 8 keys whose inputs 1 and 2 hold 10 and 12 tuples per key,
+			// so a probe from input 0 emits 120 results. An op is one
+			// result; every 120th op runs the probe that emits the next
+			// 120, whose table probe and insert the results share.
+			Name:     "join_enumerate",
+			DefaultN: 6_000_000,
+			Make: func() func(int) {
+				const keys, fanout = 8, 10 * 12
+				var sink uint64
+				op := join.New(3, partition.NewFunc(keys), func(r tuple.Result) { sink += r.Seqs[2] })
+				process := func(stream uint8, key uint64, seq int) uint64 {
+					t := Tuple(seq)
+					t.Stream, t.Key = stream, key
+					n, err := op.Process(t)
+					if err != nil {
+						panic(err)
+					}
+					return n
+				}
+				// Input 0 is empty while these arrive, so they emit nothing.
+				for i := 0; i < 22*keys; i++ {
+					stream := uint8(1)
+					if i >= 10*keys {
+						stream = 2
+					}
+					process(stream, uint64(i%keys), i)
+				}
+				return func(i int) {
+					if i%fanout != 0 {
+						return
+					}
+					if n := process(0, uint64(i/fanout%keys), i); n != fanout {
+						panic(fmt.Sprintf("bench: a probe emitted %d results, want %d", n, fanout))
+					}
+				}
+			},
+		},
+		{
 			Name:     "tuple_decode",
 			DefaultN: 1_000_000,
 			Make: func() func(int) {

@@ -70,7 +70,8 @@ type Options struct {
 	// concurrently. Zero or negative means runtime.GOMAXPROCS(0).
 	// Groups are independent (disjoint key spaces), so the merged
 	// result *set* is identical at any parallelism; only the emission
-	// order may differ.
+	// order may differ. With more than one worker the emit callback is
+	// called concurrently, one caller per worker.
 	Parallelism int
 	// Tracer, when non-nil, records one cleanup_worker span per worker
 	// under Node.
@@ -257,7 +258,8 @@ func (e *enumerator) walk(input int, anyOld bool, minTs, maxTs vclock.Time) {
 // per-engine cleanup of the paper's disk phase; op may be nil when the
 // engine holds no resident state (e.g. everything was spilled). window
 // carries the join's sliding window (0 = unbounded). Run uses default
-// Options (Parallelism = GOMAXPROCS); RunWith takes explicit ones.
+// Options (Parallelism = GOMAXPROCS), so emit may be called concurrently
+// (see RunWith); RunWith takes explicit ones.
 func Run(inputs int, store spill.Store, op *join.Operator, window time.Duration, emit join.EmitFunc) (Stats, error) {
 	return RunWith(inputs, store, op, window, emit, Options{})
 }
@@ -282,9 +284,11 @@ func cleanupGroup(inputs int, store spill.Store, op *join.Operator, id partition
 // RunWith is Run with explicit Options. Partition groups are merged by a
 // bounded worker pool: each group is claimed by exactly one worker, so
 // every missed result is produced exactly once, and the result *set* is
-// independent of the parallelism — only the emission order varies. emit
-// is serialized across workers (callers need no locking), and the span /
-// metric instrumentation is recorded per worker.
+// independent of the parallelism — only the emission order varies. With
+// more than one worker, emit is called concurrently from the workers, so
+// it must be safe for concurrent use (the engine's result buffer takes
+// its own lock); a per-result lock here would serialize the workers on
+// every result. The span / metric instrumentation is recorded per worker.
 //
 // On failure every group is still attempted, and the returned error is
 // deterministically that of the lowest-numbered failing group (matching
@@ -313,8 +317,8 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 	}
 
 	if workers == 1 {
-		// Serial fast path: no emit lock, errors abort the scan like the
-		// pre-pool implementation.
+		// Serial fast path: errors abort the scan like the pre-pool
+		// implementation.
 		span := opts.Tracer.Start(obs.SpanCleanupWorker, opts.Node, now())
 		span.SetAttr("worker", "0")
 		err := func() error {
@@ -336,15 +340,6 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 		return stats, err
 	}
 
-	var emitMu sync.Mutex
-	locked := emit
-	if emit != nil {
-		locked = func(r tuple.Result) {
-			emitMu.Lock()
-			emit(r)
-			emitMu.Unlock()
-		}
-	}
 	work := make(chan partition.ID, len(ids))
 	for _, id := range ids {
 		work <- id
@@ -374,7 +369,7 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 			)
 			for id := range work {
 				groupStart := vclock.WallNow()
-				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, locked)
+				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, emit)
 				local.Segments += nsegs
 				if opts.Registry != nil {
 					opts.Registry.Histogram("distq_engine_cleanup_group_seconds", obs.LatencyBuckets).Observe(vclock.WallSince(groupStart).Seconds())

@@ -35,7 +35,7 @@ func buildSpilledRun(t *testing.T, inputs, minGroups int) (*join.Operator, spill
 func collectResults(t *testing.T, inputs int, op *join.Operator, store spill.Store, opts Options) (*tuple.ResultSet, Stats) {
 	t.Helper()
 	set := tuple.NewResultSet()
-	stats, err := RunWith(inputs, store, op, 0, func(r tuple.Result) { set.Add(r) }, opts)
+	stats, err := RunWith(inputs, store, op, 0, locked(func(r tuple.Result) { set.Add(r) }), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunDefaultsMatchExplicitSerial(t *testing.T) {
 	op, store := buildSpilledRun(t, inputs, 8)
 	serial, _ := collectResults(t, inputs, op, store, Options{Parallelism: 1})
 	set := tuple.NewResultSet()
-	if _, err := Run(inputs, store, op, 0, func(r tuple.Result) { set.Add(r) }); err != nil {
+	if _, err := Run(inputs, store, op, 0, locked(func(r tuple.Result) { set.Add(r) })); err != nil {
 		t.Fatal(err)
 	}
 	if len(serial.Diff(set)) != 0 || len(set.Diff(serial)) != 0 {
@@ -112,7 +112,7 @@ func TestParallelDeterministicError(t *testing.T) {
 			ID:  partition.ID(id),
 			Gen: 0,
 			Tuples: [][]tuple.Tuple{
-				{mkTuple(0, 1, uint64(id))}, {mkTuple(1, 1, uint64(100 + id))}, {mkTuple(2, 1, uint64(200 + id))},
+				{mkTuple(0, 1, uint64(id))}, {mkTuple(1, 1, uint64(100+id))}, {mkTuple(2, 1, uint64(200+id))},
 			},
 		}
 		if err := store.Write(snap); err != nil {

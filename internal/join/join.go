@@ -38,7 +38,9 @@ import (
 // EmitFunc receives each produced join result. A nil EmitFunc puts the
 // operator in count-only mode: matches are counted (and drive all
 // statistics) without being materialized, which the long-running
-// throughput experiments use to avoid drowning in result tuples.
+// throughput experiments use to avoid drowning in result tuples. A
+// probe calls it once per match, in nested-loop order over the inputs
+// with the last input innermost.
 //
 // Ownership: the Result's Seqs slice is a scratch buffer owned by the
 // caller and only valid for the duration of the call — the hot path
@@ -77,19 +79,20 @@ type Shard struct {
 	groups    []*group
 	totalSize int64
 	output    uint64
-	// scratch buffers reused across probes to avoid per-tuple allocation.
-	lists [][]rec
+	// scratch buffers reused across probes to avoid per-tuple allocation:
+	// per input, the matched seqs, the bound seq and the odometer digit.
+	lists [][]uint64
 	seqs  []uint64
+	pos   []int
 }
 
-// rec is one resident tuple; its stream and key are implied by the list
-// holding it. The payload lives at pages[page][off : off+n]. In a logged
-// group prev is the log index of the list's previous record. Like every
-// type a group allocates per tuple or per key it holds no pointer, so
-// the collector never scans tuple state (DESIGN.md "Resident state
-// layout").
+// rec is one resident tuple but for its seq; its stream and key are
+// implied by the list holding it. The payload lives at
+// pages[page][off : off+n]. In a logged group prev is the log index of
+// the list's previous record. Like every type a group allocates per
+// tuple or per key it holds no pointer, so the collector never scans
+// tuple state (DESIGN.md "Resident state layout").
 type rec struct {
-	seq  uint64
 	ts   vclock.Time
 	page uint32
 	off  uint32
@@ -97,9 +100,17 @@ type rec struct {
 	prev uint32
 }
 
-// list locates the n tuples of one (key, input). In a group of runs they
-// are recs[chunk][off : off+n]; in a logged group off is the log index
-// of the newest, whose prev links lead back to the oldest.
+// logRec is a record of a logged group, which keeps its seq beside it:
+// only snapshots read the log, so nothing gains from a column.
+type logRec struct {
+	seq uint64
+	rec
+}
+
+// list locates the n tuples of one (key, input). In a group of runs
+// their records are recs[chunk][off : off+n] and their seqs the column
+// seqs[chunk][off : off+n]; in a logged group off is the log index of
+// the newest, whose prev links lead back to the oldest.
 type list struct {
 	chunk, off, n uint32
 }
@@ -170,7 +181,7 @@ func (s *slab[T]) drop(chunk uint32, chunkLen int) {
 }
 
 const (
-	recChunkLen  = 1024     // records per chunk (32 KiB)
+	recChunkLen  = 1024     // records per chunk (24 KiB of runs + 8 KiB of seqs, or 32 KiB of log)
 	pageBytes    = 64 << 10 // payload page size
 	firstListCap = 4        // a key's first list run
 	minSlots     = 16
@@ -194,10 +205,13 @@ type group struct {
 	shift uint8 // 64 - log2(len(slots))
 	lists []list
 	// An operator whose probes read records keeps each list as a run in
-	// recs; any other logs every record in arrival order, record i at
+	// recs and its seqs, all a probe emits, as a dense column at the same
+	// address in seqs (carveRun keeps the two slabs in step); any other
+	// logs every record in arrival order, record i at
 	// log[i/recChunkLen][i%recChunkLen] (see Operator.readsRecords).
 	recs  slab[rec]
-	log   [][]rec
+	seqs  slab[uint64]
+	log   [][]logRec
 	pages slab[byte]
 
 	size  int64
@@ -265,10 +279,34 @@ func (g *group) run(l list) []rec {
 	return g.recs.chunks[l.chunk][l.off : l.off+l.n]
 }
 
-// insert stores r at the end of l's run, or — when ordered — at its
-// timestamp position (binary insertion into the tail, so slightly
+// col returns the seqs of l, in the order of its records.
+func (g *group) col(l list) []uint64 {
+	if l.n == 0 {
+		return nil
+	}
+	return g.seqs.chunks[l.chunk][l.off : l.off+l.n]
+}
+
+// carveRun reserves a run of n records and its seq column. Both slabs
+// see the same carves and releases, so they hand out the same address.
+func (g *group) carveRun(n int) (chunk, off uint32) {
+	chunk, off = g.recs.carve(n, recChunkLen)
+	if c, o := g.seqs.carve(n, recChunkLen); c != chunk || o != off {
+		panic(fmt.Sprintf("join: group %d: seq column at (%d, %d), its run at (%d, %d)", g.id, c, o, chunk, off))
+	}
+	return chunk, off
+}
+
+// releaseRun gives back one run of chunk and its seq column.
+func (g *group) releaseRun(chunk uint32) {
+	g.recs.release(chunk, recChunkLen)
+	g.seqs.release(chunk, recChunkLen)
+}
+
+// insert stores seq and r at the end of l's run, or — when ordered — at
+// their timestamp position (binary insertion into the tail, so slightly
 // out-of-order arrivals keep the list sorted for windowBounds).
-func (g *group) insert(l *list, r *rec, ordered bool) {
+func (g *group) insert(l *list, seq uint64, r *rec, ordered bool) {
 	// Runs hold 4, 6, 8, 12, 16, 24, … records (2^k, k ≥ 2, and 3·2^k,
 	// k ≥ 1) and a list moves only when it fills one, so l.n alone says
 	// when; a list a purge shortened moves early, never late.
@@ -278,32 +316,34 @@ func (g *group) insert(l *list, r *rec, ordered bool) {
 		// slack, the layout trade-off arXiv:2112.02480 §4 measures.
 		old := *l
 		n := max(firstListCap, l.n+l.n/uint32(1+bits.OnesCount32(l.n)))
-		l.chunk, l.off = g.recs.carve(int(n), recChunkLen)
+		l.chunk, l.off = g.carveRun(int(n))
 		if old.n > 0 {
 			copy(g.recs.chunks[l.chunk][l.off:], g.run(old))
-			g.recs.release(old.chunk, recChunkLen)
+			copy(g.seqs.chunks[l.chunk][l.off:], g.col(old))
+			g.releaseRun(old.chunk)
 		}
 	}
 	l.n++
-	rs := g.run(*l)
+	rs, seqs := g.run(*l), g.col(*l)
 	i := len(rs) - 1
 	if ordered && i > 0 && rs[i-1].ts > r.ts {
 		i = sort.Search(i, func(j int) bool { return rs[j].ts > r.ts })
 		copy(rs[i+1:], rs[i:])
+		copy(seqs[i+1:], seqs[i:])
 	}
-	rs[i] = *r
+	rs[i], seqs[i] = *r, seq
 }
 
 // push appends r to the group's log as l's newest record: a sequential
 // write, where insert's is a cache miss into l's run. The log's 32-bit
 // indices cap a generation at 2^32 records.
-func (g *group) push(l *list, r *rec) {
+func (g *group) push(l *list, r *logRec) {
 	c := len(g.log) - 1
 	if c < 0 || len(g.log[c]) == recChunkLen {
 		if len(g.log) == 1<<32/recChunkLen {
 			panic(fmt.Sprintf("join: group %d holds 2^32 records", g.id))
 		}
-		g.log = append(g.log, make([]rec, 0, recChunkLen))
+		g.log = append(g.log, make([]logRec, 0, recChunkLen))
 		c++
 	}
 	r.prev, l.off = l.off, uint32(c*recChunkLen+len(g.log[c]))
@@ -311,11 +351,11 @@ func (g *group) push(l *list, r *rec) {
 	g.log[c] = append(g.log[c], *r)
 }
 
-// view rebuilds the Tuple that r stores in input stream's list of key.
-// The payload aliases the group's page, whose written bytes never
-// change.
-func (g *group) view(stream int, key uint64, r *rec) tuple.Tuple {
-	t := tuple.Tuple{Stream: uint8(stream), Key: key, Seq: r.seq, Ts: r.ts}
+// view rebuilds the Tuple that seq and r store in input stream's list
+// of key. The payload aliases the group's page, whose written bytes
+// never change.
+func (g *group) view(stream int, key, seq uint64, r *rec) tuple.Tuple {
+	t := tuple.Tuple{Stream: uint8(stream), Key: key, Seq: seq, Ts: r.ts}
 	if r.n > 0 {
 		t.Payload = g.pages.chunks[r.page][r.off : r.off+r.n : r.off+r.n]
 	}
@@ -325,7 +365,7 @@ func (g *group) view(stream int, key uint64, r *rec) tuple.Tuple {
 // add stores t in input stream's list of entry e, without probing, and
 // accounts for it. The payload is copied into the group's pages.
 func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
-	r := rec{seq: t.Seq, ts: t.Ts, n: uint32(len(t.Payload))}
+	r := rec{ts: t.Ts, n: uint32(len(t.Payload))}
 	if r.n > 0 {
 		r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
 		copy(g.pages.chunks[r.page][r.off:], t.Payload)
@@ -333,9 +373,9 @@ func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
 	if l := &g.lists[e+stream]; s.op.readsRecords() {
 		// Windowed lists stay timestamp-sorted so window probes can
 		// binary-search their bounds.
-		g.insert(l, &r, s.op.window > 0)
+		g.insert(l, t.Seq, &r, s.op.window > 0)
 	} else {
-		g.push(l, &r)
+		g.push(l, &logRec{seq: t.Seq, rec: r})
 	}
 	sz := t.MemSize()
 	g.size += sz
@@ -390,8 +430,9 @@ func NewSharded(inputs int, part partition.Func, shards int, emit EmitFunc) *Ope
 			op:     o,
 			idx:    i,
 			groups: make([]*group, (part.N()+shards-1)/shards),
-			lists:  make([][]rec, inputs),
+			lists:  make([][]uint64, inputs),
 			seqs:   make([]uint64, inputs),
+			pos:    make([]int, inputs),
 		}
 	}
 	return o
@@ -528,51 +569,78 @@ func (o *Operator) readsRecords() bool { return o.emit != nil || o.window > 0 }
 
 // probe counts (and, when materializing, emits) the matches of t against
 // the other inputs' resident tuples, whose lists are ls. Count-only
-// probing of an unbounded join reads nothing but the list lengths.
+// probing of an unbounded join reads nothing but the list lengths; any
+// other probe reads the matched lists' seq columns, and a windowed one
+// their records' timestamps too.
 func (s *Shard) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
 	o := s.op
 	count := uint64(1)
+	if !o.readsRecords() {
+		for i, l := range ls {
+			if i != int(t.Stream) {
+				count *= uint64(l.n)
+			}
+		}
+		return count
+	}
 	for i, l := range ls {
 		if i == int(t.Stream) {
 			continue
 		}
-		n := int(l.n)
-		if o.readsRecords() {
-			rs := g.run(l)
-			if o.window > 0 {
-				rs = windowBounds(rs, t.Ts, o.window)
-			}
-			s.lists[i] = rs
-			n = len(rs)
+		seqs := g.col(l)
+		if o.window > 0 {
+			seqs = windowBounds(g.run(l), seqs, t.Ts, o.window)
 		}
-		if n == 0 {
+		if len(seqs) == 0 {
 			return 0
 		}
-		count *= uint64(n)
+		s.lists[i] = seqs
+		count *= uint64(len(seqs))
 	}
 	if o.emit != nil {
-		s.seqs[t.Stream] = t.Seq
-		s.enumerate(t, 0)
+		s.enumerate(t)
 	}
 	return count
 }
 
-// enumerate walks the cartesian product of the matched lists, emitting one
-// Result per combination. input is the next stream index to bind. The
-// emitted Result shares the shard's scratch seqs buffer (see the EmitFunc
-// ownership contract), so enumeration allocates nothing.
-func (s *Shard) enumerate(t *tuple.Tuple, input int) {
-	if input == s.op.inputs {
-		s.op.emit(tuple.Result{Key: t.Key, Seqs: s.seqs})
-		return
+// enumerate emits one Result per combination of t with one seq from each
+// matched list in s.lists, in nested-loop order with the last input
+// innermost. It is an odometer: the innermost matched input's loop calls
+// emit directly, and when it runs out the outer inputs advance like
+// digits. The emitted Result shares the shard's scratch seqs buffer (see
+// the EmitFunc ownership contract), so enumeration allocates nothing.
+func (s *Shard) enumerate(t *tuple.Tuple) {
+	self, lists, seqs, pos := int(t.Stream), s.lists, s.seqs, s.pos
+	inner := len(lists) - 1
+	if inner == self {
+		inner--
 	}
-	if input == int(t.Stream) {
-		s.enumerate(t, input+1)
-		return
+	seqs[self] = t.Seq
+	for i := 0; i < inner; i++ {
+		if i != self {
+			pos[i], seqs[i] = 0, lists[i][0]
+		}
 	}
-	for i := range s.lists[input] {
-		s.seqs[input] = s.lists[input][i].seq
-		s.enumerate(t, input+1)
+	emit, r, cell, last := s.op.emit, tuple.Result{Key: t.Key, Seqs: seqs}, &seqs[inner], lists[inner]
+	for {
+		for _, q := range last {
+			*cell = q
+			emit(r)
+		}
+		i := inner - 1
+		for ; i >= 0; i-- {
+			if i == self {
+				continue
+			}
+			if pos[i]++; pos[i] < len(lists[i]) {
+				seqs[i] = lists[i][pos[i]]
+				break
+			}
+			pos[i], seqs[i] = 0, lists[i][0]
+		}
+		if i < 0 {
+			return
+		}
 	}
 }
 
@@ -656,15 +724,15 @@ func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 			dst := rest[:l.n]
 			rest = rest[l.n:]
 			if !logged {
-				rs := g.run(l)
+				rs, seqs := g.run(l), g.col(l)
 				for j := range rs {
-					dst[j] = g.view(i, s.key, &rs[j])
+					dst[j] = g.view(i, s.key, seqs[j], &rs[j])
 				}
 				continue
 			}
 			for j, k := len(dst)-1, l.off; j >= 0; j-- {
 				r := &g.log[k/recChunkLen][k%recChunkLen]
-				dst[j], k = g.view(i, s.key, r), r.prev
+				dst[j], k = g.view(i, s.key, r.seq, &r.rec), r.prev
 			}
 		}
 	}

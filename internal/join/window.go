@@ -37,12 +37,13 @@ func NewWindowedSharded(inputs int, part partition.Func, window time.Duration, s
 // Window reports the operator's window (0 = unbounded).
 func (o *Operator) Window() time.Duration { return o.window }
 
-// windowBounds narrows a timestamp-sorted record list to those within
-// the window of ts using binary search.
-func windowBounds(l []rec, ts vclock.Time, window time.Duration) []rec {
-	lo := sort.Search(len(l), func(i int) bool { return l[i].ts >= ts.Add(-window) })
-	hi := sort.Search(len(l), func(i int) bool { return l[i].ts > ts.Add(window) })
-	return l[lo:hi]
+// windowBounds binary-searches a timestamp-sorted run for the records
+// within the window of ts and returns their stretch of the run's seq
+// column.
+func windowBounds(rs []rec, seqs []uint64, ts vclock.Time, window time.Duration) []uint64 {
+	lo := sort.Search(len(rs), func(i int) bool { return rs[i].ts >= ts.Add(-window) })
+	hi := sort.Search(len(rs), func(i int) bool { return rs[i].ts > ts.Add(window) })
+	return seqs[lo:hi]
 }
 
 // Purge drops resident tuples with a timestamp strictly before cutoff
@@ -90,7 +91,7 @@ func (o *Operator) Purge(cutoff vclock.Time) int {
 // purgeList drops the purgeable expired tuples of one list of input
 // stream and returns how many it dropped.
 func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int {
-	rs := g.run(*l)
+	rs, seqs := g.run(*l), g.col(*l)
 	// Expired prefix [0, n).
 	n := sort.Search(len(rs), func(i int) bool { return rs[i].ts >= cutoff })
 	// Within the prefix, only tuples newer than the spilled watermark
@@ -101,7 +102,7 @@ func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int
 		lo = sort.Search(n, func(i int) bool { return rs[i].ts > safe })
 	}
 	for j := lo; j < n; j++ {
-		t := g.view(stream, 0, &rs[j]) // the accounted size ignores the key
+		t := g.view(stream, 0, seqs[j], &rs[j]) // the accounted size ignores the key
 		g.size -= t.MemSize()
 		s.totalSize -= t.MemSize()
 	}
@@ -109,8 +110,9 @@ func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int
 		return 0
 	}
 	copy(rs[lo:], rs[n:])
+	copy(seqs[lo:], seqs[n:])
 	if l.n -= uint32(n - lo); l.n == 0 {
-		g.recs.release(l.chunk, recChunkLen) // the next insert carves a new run
+		g.releaseRun(l.chunk) // the next insert carves a new run
 	}
 	g.count -= n - lo
 	g.counts[stream] -= n - lo

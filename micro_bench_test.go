@@ -50,6 +50,7 @@ func BenchmarkJoinProcessCountOnly(b *testing.B)     { benchCase(b, "join_proces
 func BenchmarkJoinProcessParallel(b *testing.B)      { benchCase(b, "join_process_parallel") }
 func BenchmarkJoinProcessObserved(b *testing.B)      { benchCase(b, "join_process_observed") }
 func BenchmarkJoinProcessMaterializing(b *testing.B) { benchCase(b, "join_process_materializing") }
+func BenchmarkJoinEnumerate(b *testing.B)            { benchCase(b, "join_enumerate") }
 func BenchmarkTupleDecode(b *testing.B)              { benchCase(b, "tuple_decode") }
 func BenchmarkBatchRoundTrip(b *testing.B)           { benchCase(b, "batch_round_trip") }
 func BenchmarkResultSetAdd(b *testing.B)             { benchCase(b, "result_set_add") }
