@@ -28,7 +28,7 @@ no-gob:
 
 # lint runs the repo's own analyzers (invariants the stock toolchain
 # cannot see: virtual-time discipline, component boundaries, protocol
-# exhaustiveness, obs naming, spill error handling). See PROTOCOL.md.
+# exhaustiveness, shard quiescing, unchecked errors). See PROTOCOL.md.
 lint:
 	$(GO) run ./cmd/distqlint ./...
 

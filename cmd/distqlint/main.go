@@ -28,10 +28,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/componentboundary"
-	"repro/internal/analysis/obsnaming"
 	"repro/internal/analysis/protoexhaustive"
 	"repro/internal/analysis/shardquiesce"
-	"repro/internal/analysis/stopfence"
 	"repro/internal/analysis/uncheckederr"
 	"repro/internal/analysis/vclockdiscipline"
 )
@@ -39,10 +37,8 @@ import (
 // all lists every analyzer in the suite, in report order.
 var all = []*analysis.Analyzer{
 	componentboundary.Analyzer,
-	obsnaming.Analyzer,
 	protoexhaustive.Analyzer,
 	shardquiesce.Analyzer,
-	stopfence.Analyzer,
 	uncheckederr.Analyzer,
 	vclockdiscipline.Analyzer,
 }

@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis API: an Analyzer inspects one
 // type-checked package at a time and reports Diagnostics. The repo's
 // invariants (virtual-time discipline, component boundaries, protocol
-// exhaustiveness, metric naming, spill error handling) are enforced by
+// exhaustiveness, shard quiescing, unchecked errors) are enforced by
 // the analyzers under this directory, driven by cmd/distqlint and by
 // the analysistest harness in tests.
 //

@@ -316,30 +316,6 @@ func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Durat
 		opts.Registry.Gauge("distq_engine_cleanup_workers").Set(float64(workers))
 	}
 
-	if workers == 1 {
-		// Serial fast path: errors abort the scan like the pre-pool
-		// implementation.
-		span := opts.Tracer.Start(obs.SpanCleanupWorker, opts.Node, now())
-		span.SetAttr("worker", "0")
-		err := func() error {
-			for _, id := range ids {
-				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, emit)
-				stats.Segments += nsegs
-				if err != nil {
-					return err
-				}
-				stats.Groups++
-				stats.Tuples += res.Tuples
-				stats.Results += res.Results
-			}
-			return nil
-		}()
-		finishWorker(span, opts.Registry, "0", stats.Groups, stats.Results, now(), err)
-		stats.Elapsed = vclock.WallSince(start)
-		stats.CriticalPath = stats.Elapsed
-		return stats, err
-	}
-
 	work := make(chan partition.ID, len(ids))
 	for _, id := range ids {
 		work <- id

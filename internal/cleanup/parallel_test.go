@@ -133,45 +133,47 @@ func TestParallelDeterministicError(t *testing.T) {
 func TestParallelObservability(t *testing.T) {
 	const inputs = 2
 	op, store := buildSpilledRun(t, inputs, 8)
-	tracer := obs.NewTracer(0)
-	reg := obs.NewRegistry()
-	now := func() vclock.Time { return vclock.Time(7) }
-	_, stats := collectResults(t, inputs, op, store, Options{
-		Parallelism: 3, Tracer: tracer, Registry: reg, Node: "e1", Now: now,
-	})
-	workers := 0
-	groups := 0
-	for _, s := range tracer.Spans() {
-		if s.Name != obs.SpanCleanupWorker {
-			continue
+	for _, par := range []int{1, 3} {
+		tracer := obs.NewTracer(0)
+		reg := obs.NewRegistry()
+		now := func() vclock.Time { return vclock.Time(7) }
+		_, stats := collectResults(t, inputs, op, store, Options{
+			Parallelism: par, Tracer: tracer, Registry: reg, Node: "e1", Now: now,
+		})
+		workers := 0
+		groups := 0
+		for _, s := range tracer.Spans() {
+			if s.Name != obs.SpanCleanupWorker {
+				continue
+			}
+			workers++
+			if !s.Complete || s.Node != "e1" || s.Attrs["status"] != obs.StatusOK {
+				t.Fatalf("parallelism %d: bad worker span: %+v", par, s)
+			}
+			var g int
+			fmt.Sscanf(s.Attrs["groups"], "%d", &g)
+			groups += g
 		}
-		workers++
-		if !s.Complete || s.Node != "e1" || s.Attrs["status"] != obs.StatusOK {
-			t.Fatalf("bad worker span: %+v", s)
+		if workers != stats.Workers {
+			t.Fatalf("parallelism %d: %d worker spans, stats.Workers %d", par, workers, stats.Workers)
 		}
-		var g int
-		fmt.Sscanf(s.Attrs["groups"], "%d", &g)
-		groups += g
-	}
-	if workers != stats.Workers {
-		t.Fatalf("%d worker spans, stats.Workers %d", workers, stats.Workers)
-	}
-	if groups != stats.Groups {
-		t.Fatalf("worker spans cover %d groups, stats say %d", groups, stats.Groups)
-	}
-	var sawGroupsTotal, sawResultsTotal, sawWorkersGauge bool
-	for _, mv := range reg.Export() {
-		switch mv.Name {
-		case "distq_engine_cleanup_groups_total":
-			sawGroupsTotal = true
-		case "distq_engine_cleanup_results_total":
-			sawResultsTotal = true
-		case "distq_engine_cleanup_workers":
-			sawWorkersGauge = true
+		if groups != stats.Groups {
+			t.Fatalf("parallelism %d: worker spans cover %d groups, stats say %d", par, groups, stats.Groups)
 		}
-	}
-	if !sawGroupsTotal || !sawResultsTotal || !sawWorkersGauge {
-		t.Fatalf("missing cleanup metrics: groups=%v results=%v workers=%v",
-			sawGroupsTotal, sawResultsTotal, sawWorkersGauge)
+		// Observations per metric: a histogram's count, one for the others.
+		seen := map[string]uint64{}
+		for _, mv := range reg.Export() {
+			seen[mv.Name] += max(mv.Count, 1)
+		}
+		for _, name := range []string{
+			"distq_engine_cleanup_groups_total", "distq_engine_cleanup_results_total", "distq_engine_cleanup_workers",
+		} {
+			if seen[name] == 0 {
+				t.Errorf("parallelism %d: no %s", par, name)
+			}
+		}
+		if got := seen["distq_engine_cleanup_group_seconds"]; got != uint64(stats.Groups) {
+			t.Errorf("parallelism %d: %d group durations observed, want one per group (%d)", par, got, stats.Groups)
+		}
 	}
 }

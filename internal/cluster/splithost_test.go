@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/proto"
 	"repro/internal/transport"
@@ -116,7 +117,7 @@ func TestDrainSkipsUnreachableEngine(t *testing.T) {
 	if err := h.Drain([]partition.NodeID{"e1", "e2"}); err != nil {
 		t.Fatal(err)
 	}
-	if !logged(h, "drain_skipped") {
+	if !logged(h.Logger(), "drain_skipped") {
 		t.Fatal("the skipped engine was not logged")
 	}
 }
@@ -126,13 +127,13 @@ func TestRouterControlErrorIsLogged(t *testing.T) {
 	h, net := fenceHost(t, "e1")
 	// The router cannot send the Pause's marker to its owner.
 	net.handle(CoordinatorNode, proto.Pause{Epoch: 1, Owner: "e1", Partitions: []partition.ID{0}})
-	if !logged(h, "router_control_error") {
+	if !logged(h.Logger(), "router_control_error") {
 		t.Fatal("the router's control error was dropped")
 	}
 }
 
-func logged(h *SplitHost, event string) bool {
-	for _, e := range h.Logger().Recent(16) {
+func logged(l *obs.Logger, event string) bool {
+	for _, e := range l.Recent(0) {
 		if e.Event == event {
 			return true
 		}

@@ -89,6 +89,7 @@ func newRig(t *testing.T, strategy core.Strategy) *rig {
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, coord)
 	return &rig{
 		coord: coord,
 		m1:    newPeer(t, net, "m1"),
@@ -96,6 +97,20 @@ func newRig(t *testing.T, strategy core.Strategy) *rig {
 		gen:   newPeer(t, net, "gen"),
 		pmap:  pmap,
 	}
+}
+
+// stopOnCleanup stops c when the test ends, before its network closes,
+// and waits for its handler to finish: neither the lb ticker nor a
+// deadline timer outlives the test.
+func stopOnCleanup(t *testing.T, c *Coordinator) {
+	t.Cleanup(func() {
+		c.Stop()
+		select {
+		case <-c.Done():
+		case <-time.After(5 * time.Second):
+			t.Error("coordinator did not stop")
+		}
+	})
 }
 
 func (r *rig) report(t *testing.T, node partition.NodeID, mem int64, output uint64) {
@@ -376,7 +391,7 @@ func TestJoinRequestAddrDisseminated(t *testing.T) {
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(coord.Stop)
+	stopOnCleanup(t, coord)
 	m1 := newPeer(t, net, "m1")
 	m2 := newPeer(t, net, "m2")
 	gen := newPeer(t, net, "gen")

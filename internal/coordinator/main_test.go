@@ -1,0 +1,9 @@
+package coordinator
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -118,9 +118,26 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, e)
 	// Consume the Hello.
 	expect[proto.Hello](t, r.gc)
 	return r
+}
+
+// stopOnCleanup stops each engine when the test ends, before its network
+// closes, and waits for its handler to finish: no ticker or shard worker
+// outlives the test.
+func stopOnCleanup(t *testing.T, engines ...*Engine) {
+	t.Cleanup(func() {
+		for _, e := range engines {
+			e.Stop()
+			select {
+			case <-e.Done():
+			case <-time.After(5 * time.Second):
+				t.Errorf("engine %s did not stop", e.cfg.Node)
+			}
+		}
+	})
 }
 
 func dataMsg(t *testing.T, tuples ...tuple.Tuple) proto.Data {
@@ -230,7 +247,7 @@ func TestEnginePauseMarkerAck(t *testing.T) {
 
 func TestEngineRelocationSenderFlow(t *testing.T) {
 	net := transport.NewInproc()
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	store := spill.NewMemStore()
 	cfg := Config{
 		Node: "m1", Coordinator: "gc", AppServer: "app",
@@ -253,6 +270,7 @@ func TestEngineRelocationSenderFlow(t *testing.T) {
 	gen := newPeer(t, net, "gen")
 	sender.Start()
 	receiver.Start()
+	stopOnCleanup(t, sender, receiver)
 	expect[proto.Hello](t, gc)
 	expect[proto.Hello](t, gc)
 

@@ -60,7 +60,7 @@ func TestCleanupReportsCorruptedSegment(t *testing.T) {
 // aborted relocation must never lose partition groups or disk segments.
 func TestSendStatesToUnreachableReceiverKeepsState(t *testing.T) {
 	net := transport.NewInproc()
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	store := spill.NewMemStore()
 	cfg := Config{
 		Node: "m1", Coordinator: "gc", AppServer: "app",
@@ -75,6 +75,7 @@ func TestSendStatesToUnreachableReceiverKeepsState(t *testing.T) {
 	newPeer(t, net, "app")
 	gen := newPeer(t, net, "gen")
 	sender.Start()
+	stopOnCleanup(t, sender)
 	expect[proto.Hello](t, gc)
 
 	// State in memory and on disk.

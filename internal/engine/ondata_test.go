@@ -107,6 +107,7 @@ func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
 			if err := e.Attach(net); err != nil {
 				t.Fatal(err)
 			}
+			stopOnCleanup(t, e)
 			gc, gen, m2 := newPeer(t, net, "gc"), newPeer(t, net, "gen"), newPeer(t, net, "m2")
 			newPeer(t, net, "app")
 			var entries []proto.ReplicaEntry

@@ -81,7 +81,7 @@ func TestForceSpillDuringRelocationKeepsRelocateMode(t *testing.T) {
 // sr_timer report instead of vanishing.
 func TestReportResultsRetriesAfterSendFailure(t *testing.T) {
 	net := transport.NewInproc()
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	cfg := Config{
 		Node: "m1", Coordinator: "gc", AppServer: "app",
 		Inputs: 2, Partitions: 4, Store: spill.NewMemStore(),
@@ -97,6 +97,7 @@ func TestReportResultsRetriesAfterSendFailure(t *testing.T) {
 	if err := e.Start(); err != nil {
 		t.Fatal(err)
 	}
+	stopOnCleanup(t, e)
 	expect[proto.Hello](t, gc)
 
 	gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1), mk(1, 1, 2), mk(0, 2, 3), mk(1, 2, 4)))
@@ -224,7 +225,7 @@ func TestParallelEngineShardMetrics(t *testing.T) {
 // SendStates must present a fully consistent operator to the protocol.
 func TestParallelEngineRelocationFlow(t *testing.T) {
 	net := transport.NewInproc()
-	defer net.Close()
+	t.Cleanup(func() { net.Close() })
 	store := spill.NewMemStore()
 	cfg := Config{
 		Node: "m1", Coordinator: "gc", AppServer: "app",
@@ -248,6 +249,7 @@ func TestParallelEngineRelocationFlow(t *testing.T) {
 	gen := newPeer(t, net, "gen")
 	sender.Start()
 	receiver.Start()
+	stopOnCleanup(t, sender, receiver)
 	expect[proto.Hello](t, gc)
 	expect[proto.Hello](t, gc)
 

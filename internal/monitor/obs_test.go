@@ -120,7 +120,7 @@ func TestConcurrentScrapes(t *testing.T) {
 			}
 			reg.Counter("distq_engine_spills_total", obs.L("kind", "local")).Inc()
 			reg.Gauge("distq_engine_mem_bytes").Set(float64(i))
-			reg.Histogram("distq_engine_vsec", obs.VirtualDurationBuckets).Observe(float64(i % 7))
+			reg.Histogram("distq_engine_adapt_vseconds", obs.VirtualDurationBuckets).Observe(float64(i % 7))
 			sp := tr.Start(obs.SpanSpill, "m1", vclock.Time(i)*vclock.Time(time.Millisecond))
 			sp.SetAttr("kind", "local")
 			sp.End(vclock.Time(i+1) * vclock.Time(time.Millisecond))

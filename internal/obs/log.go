@@ -135,7 +135,7 @@ const DefaultLoggerCapacity = 256
 // Logger is a leveled, structured, ring-buffered logger. All methods are
 // safe for concurrent use; a nil *Logger is a valid no-op logger, so
 // components can run unlogged without guarding call sites. Event names
-// are snake_case identifiers (enforced by the obsnaming analyzer) so log
+// are snake_case identifiers, checked on every call at any level, so log
 // streams from different nodes merge without spelling variants.
 type Logger struct {
 	node, kind string
@@ -204,6 +204,7 @@ func (l *Logger) Warn(event string, fields ...Field) { l.log(LevelWarn, event, f
 func (l *Logger) Error(event string, fields ...Field) { l.log(LevelError, event, fields) }
 
 func (l *Logger) log(lv Level, event string, fields []Field) {
+	checkIdentifier("log event", event)
 	if !l.Enabled(lv) {
 		return
 	}

@@ -206,7 +206,8 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Help sets the HELP string emitted for a metric name.
+// Help sets the HELP string emitted for a metric name. Like every
+// metric name, it must follow the scheme.
 func (r *Registry) Help(name, help string) {
 	if r == nil {
 		return
@@ -216,13 +217,15 @@ func (r *Registry) Help(name, help string) {
 	if f, ok := r.families[name]; ok {
 		f.help = help
 	} else {
+		checkMetric(name, kindGauge)
 		r.families[name] = &family{name: name, help: help, series: make(map[string]*series)}
 	}
 }
 
 // lookup get-or-creates the series for (name, labels) with the given
-// kind. It panics on a kind conflict: metric names are compile-time
-// constants, so a conflict is a programming error.
+// kind. It panics on a kind conflict and, creating a series, on a name
+// off the scheme: metric names are compile-time constants, so either is
+// a programming error.
 func (r *Registry) lookup(name string, kind metricKind, buckets []float64, labels []Label) *series {
 	canon := canonicalLabels(labels)
 	key := renderLabels(canon)
@@ -239,6 +242,8 @@ func (r *Registry) lookup(name string, kind metricKind, buckets []float64, label
 	}
 	r.mu.RUnlock()
 
+	// Only a new series gets here: its name is checked once.
+	checkMetric(name, kind)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]

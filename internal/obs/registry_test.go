@@ -9,22 +9,22 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("distq_test_ops_total", L("kind", "a"))
+	c := r.Counter("distq_engine_ops_total", L("kind", "a"))
 	c.Inc()
 	c.Add(2)
 	c.Add(-5) // ignored: counters are monotone
 	if got := c.Value(); got != 3 {
 		t.Fatalf("counter = %v, want 3", got)
 	}
-	if again := r.Counter("distq_test_ops_total", L("kind", "a")); again != c {
+	if again := r.Counter("distq_engine_ops_total", L("kind", "a")); again != c {
 		t.Fatal("get-or-create returned a different counter")
 	}
-	other := r.Counter("distq_test_ops_total", L("kind", "b"))
+	other := r.Counter("distq_engine_ops_total", L("kind", "b"))
 	if other == c || other.Value() != 0 {
 		t.Fatal("label sets not independent")
 	}
 
-	g := r.Gauge("distq_test_mem_bytes")
+	g := r.Gauge("distq_engine_mem_bytes")
 	g.Set(100)
 	g.Add(-40)
 	if got := g.Value(); got != 60 {
@@ -34,7 +34,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("distq_test_latency_seconds", []float64{0.1, 1, 10})
+	h := r.Histogram("distq_engine_latency_seconds", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
 		h.Observe(v)
 	}
@@ -57,13 +57,13 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestKindConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("distq_test_x")
+	r.Counter("distq_engine_x_total")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on kind conflict")
 		}
 	}()
-	r.Gauge("distq_test_x")
+	r.Gauge("distq_engine_x_total")
 }
 
 func TestWritePrometheus(t *testing.T) {
@@ -106,7 +106,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("distq_test_esc", L("detail", "a\"b\\c\nd")).Inc()
+	r.Counter("distq_engine_esc_total", L("detail", "a\"b\\c\nd")).Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -118,8 +118,8 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestExportJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("distq_test_sent_total", L("type", "Data")).Add(7)
-	r.Histogram("distq_test_lat", []float64{1}).Observe(0.3)
+	r.Counter("distq_engine_sent_total", L("type", "Data")).Add(7)
+	r.Histogram("distq_engine_lat_seconds", []float64{1}).Observe(0.3)
 	out := r.Export()
 	if len(out) != 2 {
 		t.Fatalf("export has %d series, want 2", len(out))
@@ -132,10 +132,10 @@ func TestExportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back[1].Name != "distq_test_sent_total" || back[1].Value != 7 || back[1].Labels["type"] != "Data" {
+	if back[1].Name != "distq_engine_sent_total" || back[1].Value != 7 || back[1].Labels["type"] != "Data" {
 		t.Fatalf("round trip = %+v", back[1])
 	}
-	if back[0].Name != "distq_test_lat" || back[0].Count != 1 || len(back[0].Buckets) != 1 {
+	if back[0].Name != "distq_engine_lat_seconds" || back[0].Count != 1 || len(back[0].Buckets) != 1 {
 		t.Fatalf("histogram round trip = %+v", back[0])
 	}
 }
@@ -148,9 +148,9 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				r.Counter("distq_test_c", L("w", "x")).Inc()
-				r.Gauge("distq_test_g").Add(1)
-				r.Histogram("distq_test_h", []float64{1, 2}).Observe(float64(j % 3))
+				r.Counter("distq_engine_c_total", L("w", "x")).Inc()
+				r.Gauge("distq_engine_g").Add(1)
+				r.Histogram("distq_engine_h_seconds", []float64{1, 2}).Observe(float64(j % 3))
 			}
 		}()
 	}
@@ -170,7 +170,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("distq_test_c", L("w", "x")).Value(); got != 8*500 {
+	if got := r.Counter("distq_engine_c_total", L("w", "x")).Value(); got != 8*500 {
 		t.Fatalf("counter = %v, want %d", got, 8*500)
 	}
 }

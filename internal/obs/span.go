@@ -208,8 +208,10 @@ func (t *Tracer) Start(name, node string, vt vclock.Time) *Span {
 // StartChild opens a span under a parent trace context, as propagated on
 // a control-plane protocol message. A zero (invalid) parent makes the
 // span the root of a fresh trace, so call sites need not guard against
-// untraced messages.
+// untraced messages. Span names are snake_case identifiers, checked
+// even on a nil tracer.
 func (t *Tracer) StartChild(name, node string, vt vclock.Time, parent TraceContext) *Span {
+	checkIdentifier("span/step", name)
 	if t == nil {
 		return nil
 	}
@@ -303,6 +305,7 @@ func (s *Span) Context() TraceContext {
 
 // Step records a protocol transition at virtual time vt.
 func (s *Span) Step(name string, vt vclock.Time) {
+	checkIdentifier("span/step", name)
 	if s == nil {
 		return
 	}
