@@ -43,7 +43,20 @@ import (
 // of three runs on the same box). join_enumerate's entry is the same
 // case run against the recursive enumerator over 32-byte records that
 // the seq column and the odometer replaced (c5d0961, median of three).
+// replica_tap's and replica_apply's entries are the same bodies run
+// against the replicator the tap slots and encoded standby tails replaced
+// (96c3f47, median of three): a bufferAppend of five map operations into
+// a buffer every tick restarted from nil, and an append decoded into
+// owned tuples on arrival.
 var prePR = map[string]bench.Metric{
+	"replica_tap": {
+		Name: "replica_tap", N: 1_000_000,
+		NsPerOp: 194.3, AllocsPerOp: 0.07124, BytesPerOp: 333.0, LiveBytesPerOp: 1.25,
+	},
+	"replica_apply": {
+		Name: "replica_apply", N: 1_000_000,
+		NsPerOp: 217.5, AllocsPerOp: 0.10391, BytesPerOp: 442.2, LiveBytesPerOp: 0.09,
+	},
 	"join_enumerate": {
 		Name: "join_enumerate", N: 6_000_000,
 		NsPerOp: 8.92, AllocsPerOp: 0.0000313, BytesPerOp: 1.449, LiveBytesPerOp: 0.656,

@@ -18,6 +18,7 @@ import (
 	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/replica"
 	"repro/internal/spill"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -264,6 +265,70 @@ func Cases() []Case {
 					r := tuple.Result{Key: uint64(i % 1000), Seqs: seqs}
 					if other.Contains(r) || !set.Add(r) {
 						panic(fmt.Sprintf("bench: result %d counted as a duplicate", i))
+					}
+				}
+			},
+		},
+		{
+			// The primary's replication tap, per tuple entering the join:
+			// one slot index and an AppendTo into the buffer the slot
+			// keeps across cuts. Every tapTick tuples a stats tick cuts all
+			// 120 slots, each into one exact-size copy. Gated at
+			// (amortized) zero allocations.
+			Name:     "replica_tap",
+			DefaultN: 1_000_000,
+			Make: func() func(int) {
+				const groups, tapTick = 120, 120 * 256
+				type stream struct{}
+				tap, live, pf := make(replica.Tap[stream], groups), &stream{}, partition.NewFunc(groups)
+				for g := range tap {
+					tap[g].Live = live
+				}
+				cut := func() {
+					for g := range tap {
+						tap[g].Cut()
+					}
+				}
+				// Warm every slot: one tick's worth, cut.
+				for i := 0; i < tapTick; i++ {
+					t := Tuple(i)
+					tap.Append(pf.Of(t.Key), &t)
+				}
+				cut()
+				return func(i int) {
+					t := Tuple(i)
+					tap.Append(pf.Of(t.Key), &t)
+					if (i+1)%tapTick == 0 {
+						cut()
+					}
+				}
+			},
+		},
+		{
+			// A follower's DeltaAppend, per tuple: an entry of 256 tuples
+			// is checked (structure, input bound, accounted size) and kept
+			// as one encoded copy behind the standby's memory tier. Every
+			// 256th op applies the next entry; a fresh standby starts every
+			// 64 entries, as a spill marker would demote the tail.
+			Name:     "replica_apply",
+			DefaultN: 1_000_000,
+			Make: func() func(int) {
+				const perEntry, entries = 256, 64
+				var run []byte
+				for i := 0; i < perEntry; i++ {
+					t := Tuple(i)
+					run = t.AppendTo(run)
+				}
+				sb := replica.EmptyStandby(0, 3)
+				return func(i int) {
+					if i%perEntry != 0 {
+						return
+					}
+					if i%(perEntry*entries) == 0 {
+						sb = replica.EmptyStandby(0, 3)
+					}
+					if _, err := sb.Append(run, 3); err != nil {
+						panic(err)
 					}
 				}
 			},

@@ -516,16 +516,18 @@ func (e *Engine) quiesceShards() error {
 // onData joins a batch straight off the wire: each tuple is a view into
 // m.Payload (the transport's frame buffer, recycled when the handler
 // returns), valid only for its turn of the loop. Everything that keeps a
-// tuple copies it — the operator into its pages, the replication buffer
-// and the shard pool by re-encoding — so nothing here allocates per
-// tuple, and nothing per batch on the serial path. A malformed batch is
-// rejected whole, before its first tuple is processed.
+// tuple copies it — the operator into its pages, the replication tap and
+// the shard pool by re-encoding — so nothing here allocates per tuple,
+// and nothing per batch on the serial path: the tap finds the group's
+// slot by one index and appends to the buffer the group keeps across
+// ticks (replica.Slot.Cut). A malformed batch is rejected whole, before
+// its first tuple is processed.
 func (e *Engine) onData(m proto.Data) error {
 	r, err := tuple.ReadBatch(m.Payload)
 	if err != nil {
 		return fmt.Errorf("decode batch: %w", err)
 	}
-	replicate := len(e.repl.followerOf) > 0
+	replicate := e.repl.primary
 	var t tuple.Tuple
 	for r.Next(&t) {
 		if e.cfg.PreFilter != nil {
@@ -539,7 +541,7 @@ func (e *Engine) onData(m proto.Data) error {
 		if replicate {
 			// Replication taps the post-PreFilter stream: exactly what enters
 			// the join's state is what a follower must be able to reproduce.
-			e.repl.bufferAppend(e.pf.Of(t.Key), &t)
+			e.repl.tap.Append(e.pf.Of(t.Key), &t)
 		}
 		if e.pool != nil {
 			e.pool.add(&t, len(m.Payload))

@@ -37,6 +37,50 @@ func TestOnDataAllocsPerBatch(t *testing.T) {
 	}
 }
 
+// With replication on, the tap adds nothing per tuple either: once a
+// stats tick has seeded the groups and a tick's worth of appends has
+// grown each slot's buffer, which the slot keeps across cuts, a batch
+// appends to it by one index per tuple.
+func TestOnDataReplicatingAllocsPerBatch(t *testing.T) {
+	e := mustNew(t, Config{Node: "m1", Inputs: 2, Partitions: 4}, vclock.NewManual())
+	e.ep = &syncNet{node: "m1"}
+	var entries []proto.ReplicaEntry
+	for g := partition.ID(0); g < 4; g++ {
+		entries = append(entries, proto.ReplicaEntry{Group: g, Primary: "m1", Follower: "m2"})
+	}
+	if err := e.repl.applyMap(proto.ReplicaMap{Version: 1, Entries: entries}); err != nil {
+		t.Fatal(err)
+	}
+	var b tuple.Batch
+	for i := 0; i < 64; i++ {
+		b.Tuples = append(b.Tuples, mk(uint8(i%2), uint64(i/2%16), uint64(i)))
+	}
+	m := proto.Data{Payload: b.Encode()}
+	const runs = 50
+	for i := 0; i < 2; i++ { // the seed, then a tick's worth of appends
+		for j := 0; j < runs; j++ {
+			if err := e.onData(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.repl.tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(runs-1, func() {
+		if err := e.onData(m); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("onData allocates %v times per batch with replication on, want 0", got)
+	}
+	for g, sl := range e.repl.tap {
+		if sl.Live == nil || len(sl.Buf) != runs*len(b.Tuples)/4*b.Tuples[0].EncodedSize() {
+			t.Fatalf("slot of group %d: live %v, %d bytes buffered", g, sl.Live != nil, len(sl.Buf))
+		}
+	}
+}
+
 // A malformed batch is rejected whole: none of the well-formed tuples in
 // front of the damage reaches the join or the replication buffer.
 func TestOnDataRejectsMalformedBatchWhole(t *testing.T) {
@@ -64,8 +108,10 @@ func TestOnDataRejectsMalformedBatchWhole(t *testing.T) {
 				if out, mem := r.engine.Op().Output(), r.engine.Op().MemBytes(); out != 0 || mem != 0 {
 					t.Fatalf("join holds %d bytes and produced %d results from a rejected batch", mem, out)
 				}
-				if buffered := r.engine.repl.streams["m2"].cur; len(buffered) != 0 {
-					t.Fatalf("replication buffer holds %d groups from a rejected batch", len(buffered))
+				for g, sl := range r.engine.repl.tap {
+					if len(sl.Buf) != 0 {
+						t.Fatalf("replication buffer of group %d holds %d bytes from a rejected batch", g, len(sl.Buf))
+					}
 				}
 				logged := false
 				for _, ent := range r.engine.log.Recent(0) {

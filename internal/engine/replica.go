@@ -6,11 +6,10 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/join"
 	"repro/internal/partition"
 	"repro/internal/proto"
+	"repro/internal/replica"
 	"repro/internal/spill"
-	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
 
@@ -41,6 +40,12 @@ import (
 // that alignment), and a promotion is exact even for groups that
 // spilled: it installs the image into the engine's operator and store,
 // where cleanup and relocation already know how to handle it.
+//
+// Replication moves bytes, not tuples. The primary's tap appends each
+// stored tuple's encoding to its group's slot; a delta carries those
+// bytes as they are; the follower checks them and keeps them encoded
+// behind the group's decoded memory tier (replica.Standby) until a
+// spill marker needs the tuples or a promotion merges the runs.
 type replicator struct {
 	e *Engine
 	// incarnation identifies this engine life on the deltas and acks it
@@ -48,18 +53,23 @@ type replicator struct {
 	incarnation uint64
 	// version is the highest ReplicaMap version applied.
 	version uint64
-	// followerOf maps the groups this engine primaries (per the applied
-	// replica map) to their follower engine. Empty until a replica map
-	// arrives, which keeps the data-path hook free when replication is
-	// off.
-	followerOf map[partition.ID]partition.NodeID
+	// tap is the primary side's slot of every partition group: its
+	// follower per the applied replica map, the stream its appends go to
+	// once seeded, and the appends not yet packaged into a delta.
+	tap replica.Tap[replStream]
+	// primary reports whether the applied map names a follower for any
+	// group of this engine; it keeps the data-path hook off while
+	// replication is.
+	primary bool
 	// streams holds the outbound per-follower state.
 	streams map[partition.NodeID]*replStream
 	// inbound is the follower-side cursor of each primary's stream.
 	inbound map[partition.NodeID]inbound
-	// standby holds the memory tier of the warm follower copies, keyed
-	// by group; the disk tier lives in cfg.StandbyStore.
-	standby      map[partition.ID]*join.GroupSnapshot
+	// standby holds the memory tier of the warm follower copies — the
+	// decoded tier and the encoded appends since — keyed by group; the
+	// disk tier lives in cfg.StandbyStore. standbyBytes is what they
+	// charge (replica.Standby.Bytes), kept by setStandby and onDelta.
+	standby      map[partition.ID]*replica.Standby
 	standbyBytes int64
 	// promoted marks groups this engine took over via Promote: a late
 	// replication tail from the demoted old primary merges straight into
@@ -76,20 +86,14 @@ type inbound struct {
 	landed               int
 }
 
-// replStream is the outbound replication state toward one follower.
+// replStream is the outbound replication state toward one follower. The
+// groups it carries are the tap slots naming the follower; a slot whose
+// Live is nil awaits its seed.
 type replStream struct {
 	// followerLife is the follower's incarnation as of its latest ack
 	// (0 until one arrives).
 	followerLife uint64
-	// tracked is the set of groups currently streamed to this follower.
-	tracked map[partition.ID]bool
-	// needSeed marks groups awaiting a full-snapshot seed; the data-path
-	// hook skips them (the seed captures everything up to its tick).
-	needSeed map[partition.ID]bool
-	// cur accumulates tuple-encoded appends since the last packaged
-	// delta, per group.
-	cur     map[partition.ID][]byte
-	nextSeq uint64
+	nextSeq      uint64
 	// pending holds packaged deltas not yet acknowledged, in sequence
 	// order; all of them are retransmitted on every stats tick.
 	pending []pendingDelta
@@ -100,24 +104,25 @@ type pendingDelta struct {
 	entries []proto.DeltaEntry
 }
 
-func newReplStream() *replStream {
-	return &replStream{
-		tracked:  make(map[partition.ID]bool),
-		needSeed: make(map[partition.ID]bool),
-		cur:      make(map[partition.ID][]byte),
-	}
-}
-
 func newReplicator(e *Engine) *replicator {
 	return &replicator{
 		e:           e,
 		incarnation: uint64(vclock.WallNow().UnixNano()),
-		followerOf:  make(map[partition.ID]partition.NodeID),
+		tap:         make(replica.Tap[replStream], e.cfg.Partitions),
 		streams:     make(map[partition.NodeID]*replStream),
 		inbound:     make(map[partition.NodeID]inbound),
-		standby:     make(map[partition.ID]*join.GroupSnapshot),
+		standby:     make(map[partition.ID]*replica.Standby),
 		promoted:    make(map[partition.ID]bool),
 	}
+}
+
+// slot returns group g's tap slot, or nil for an ID beyond the
+// partitions (a control message can name any).
+func (r *replicator) slot(g partition.ID) *replica.Slot[replStream] {
+	if int(g) >= len(r.tap) {
+		return nil
+	}
+	return &r.tap[g]
 }
 
 // applyMap reconciles the outbound streams with a new follower
@@ -133,8 +138,8 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 	}
 	r.version = m.Version
 	self := r.e.cfg.Node
-	next := make(map[partition.ID]partition.NodeID)
-	byFollower := make(map[partition.NodeID]map[partition.ID]bool)
+	var firstErr error
+	next := make([]partition.NodeID, len(r.tap))
 	follows := make(map[partition.ID]bool)
 	for _, ent := range m.Entries {
 		if ent.Follower == self {
@@ -143,43 +148,31 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 		if ent.Primary != self {
 			continue
 		}
+		if r.slot(ent.Group) == nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("replica map names group %d beyond the %d partitions", ent.Group, len(r.tap))
+			}
+			continue
+		}
 		next[ent.Group] = ent.Follower
-		set := byFollower[ent.Follower]
-		if set == nil {
-			set = make(map[partition.ID]bool)
-			byFollower[ent.Follower] = set
-		}
-		set[ent.Group] = true
 	}
-	r.followerOf = next
-	for f, s := range r.streams {
-		want := byFollower[f]
-		for g := range s.tracked {
-			if !want[g] {
-				delete(s.tracked, g)
-				delete(s.needSeed, g)
-				delete(s.cur, g)
-			}
+	r.primary = false
+	for g, f := range next {
+		if f != "" && r.streams[f] == nil {
+			r.streams[f] = &replStream{}
 		}
-	}
-	for f, want := range byFollower {
-		s := r.streams[f]
-		if s == nil {
-			s = newReplStream()
-			r.streams[f] = s
+		if sl := &r.tap[g]; sl.To != f {
+			// Newly ours, gone to another follower, or no longer ours: a
+			// follower starts from a seed, and a group nobody follows
+			// buffers nothing.
+			*sl = replica.Slot[replStream]{To: f}
 		}
-		for g := range want {
-			if !s.tracked[g] {
-				s.tracked[g] = true
-				s.needSeed[g] = true
-			}
-		}
+		r.primary = r.primary || f != ""
 	}
 	// Follower-side GC: drop standby copies of groups the new map no
 	// longer assigns to this engine. Promoted groups are exempt — their
 	// primary is this engine now, and a promote retry still needs any
 	// standby a partial failure left behind.
-	var firstErr error
 	for g := range r.standby {
 		if !follows[g] && !r.promoted[g] {
 			r.setStandby(g, nil)
@@ -196,46 +189,29 @@ func (r *replicator) applyMap(m proto.ReplicaMap) error {
 	return firstErr
 }
 
-// setStandby replaces the memory tier of group g's standby image (nil
-// drops it) and keeps standbyBytes — what the engine reports and spills
-// against — equal to the bytes the standby map holds.
-func (r *replicator) setStandby(g partition.ID, mem *join.GroupSnapshot) {
+// setStandby replaces group g's standby image (nil drops it) and keeps
+// standbyBytes — what the engine reports and spills against — equal to
+// the bytes the standby map holds.
+func (r *replicator) setStandby(g partition.ID, sb *replica.Standby) {
 	if old := r.standby[g]; old != nil {
-		r.standbyBytes -= old.MemBytes()
+		r.standbyBytes -= old.Bytes()
 	}
-	if mem == nil {
+	if sb == nil {
 		delete(r.standby, g)
 		return
 	}
-	r.standby[g] = mem
-	r.standbyBytes += mem.MemBytes()
-}
-
-// bufferAppend records one stored tuple for its group's follower. Runs
-// on the data path for every tuple entering the join, so the not-a-
-// primary and awaiting-seed cases must stay map-lookup cheap.
-func (r *replicator) bufferAppend(g partition.ID, t *tuple.Tuple) {
-	f, ok := r.followerOf[g]
-	if !ok {
-		return
-	}
-	s := r.streams[f]
-	if s == nil || !s.tracked[g] || s.needSeed[g] {
-		return
-	}
-	s.cur[g] = t.AppendTo(s.cur[g])
+	r.standby[g] = sb
+	r.standbyBytes += sb.Bytes()
 }
 
 // forgetOwned stops replicating a group this engine no longer owns
 // (relocated away or demoted). The new primary re-seeds its follower
-// from scratch once the coordinator's next replica map lands.
+// from scratch once the coordinator's next replica map lands — and so
+// does this engine, should the group come back to it.
 func (r *replicator) forgetOwned(g partition.ID) {
-	delete(r.followerOf, g)
 	delete(r.promoted, g)
-	for _, s := range r.streams {
-		delete(s.tracked, g)
-		delete(s.needSeed, g)
-		delete(s.cur, g)
+	if sl := r.slot(g); sl != nil {
+		*sl = replica.Slot[replStream]{}
 	}
 }
 
@@ -245,17 +221,19 @@ func (r *replicator) forgetOwned(g partition.ID) {
 // resident state instead of vanishing with the stale copy. The deltas
 // ride the ordinary pending/retransmit machinery.
 func (r *replicator) tailFlush(groups []partition.ID) {
-	for f, s := range r.streams {
-		var entries []proto.DeltaEntry
-		for _, g := range groups {
-			if buf := s.cur[g]; len(buf) > 0 && !s.needSeed[g] {
-				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: buf})
-			}
-			delete(s.cur, g)
-			delete(s.needSeed, g)
-			delete(s.tracked, g)
+	out := make(map[partition.NodeID][]proto.DeltaEntry)
+	for _, g := range groups {
+		sl := r.slot(g)
+		if sl == nil {
+			continue
 		}
-		r.ship(f, s, entries)
+		if sl.Live != nil && len(sl.Buf) > 0 {
+			out[sl.To] = append(out[sl.To], proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: sl.Buf})
+		}
+		*sl = replica.Slot[replStream]{}
+	}
+	for _, f := range sortedKeys(out) {
+		r.ship(f, r.streams[f], out[f])
 	}
 }
 
@@ -289,26 +267,27 @@ func (r *replicator) sendDelta(f partition.NodeID, seq uint64, entries []proto.D
 // must order after the marker, or the follower's segment boundaries
 // drift off the primary's and cleanup double-emits across them.
 func (r *replicator) noteSpill(groups []partition.ID) {
-	for f, s := range r.streams {
-		var entries []proto.DeltaEntry
-		for _, g := range groups {
-			if !s.tracked[g] || s.needSeed[g] {
-				// An unseeded group's next seed carries the new segment
-				// itself; no marker needed.
-				continue
-			}
-			if buf := s.cur[g]; len(buf) > 0 {
-				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: buf})
-			}
-			delete(s.cur, g)
-			snap := r.e.op.ResidentSnapshot(g)
-			if snap == nil || snap.Gen == 0 {
-				continue // group vanished between spill and hook; nothing to mark
-			}
-			entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark,
-				Payload: binary.LittleEndian.AppendUint32(nil, snap.Gen-1)})
+	out := make(map[partition.NodeID][]proto.DeltaEntry)
+	for _, g := range groups {
+		sl := r.slot(g)
+		if sl == nil || sl.Live == nil {
+			// Not streamed, or unseeded: its next seed carries the new
+			// segment itself, no marker needed.
+			continue
 		}
-		r.ship(f, s, entries)
+		f := sl.To
+		if len(sl.Buf) > 0 {
+			out[f] = append(out[f], proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: sl.Cut()})
+		}
+		snap := r.e.op.ResidentSnapshot(g)
+		if snap == nil || snap.Gen == 0 {
+			continue // group vanished between spill and hook; nothing to mark
+		}
+		out[f] = append(out[f], proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark,
+			Payload: binary.LittleEndian.AppendUint32(nil, snap.Gen-1)})
+	}
+	for _, f := range sortedKeys(out) {
+		r.ship(f, r.streams[f], out[f])
 	}
 }
 
@@ -322,27 +301,29 @@ func (r *replicator) tick() error {
 	for _, f := range sortedKeys(r.streams) {
 		s := r.streams[f]
 		var entries []proto.DeltaEntry
-		for _, g := range sortedKeys(s.needSeed) {
+		for i := range r.tap {
+			sl, g := &r.tap[i], partition.ID(i)
+			if sl.To != f || sl.Live != nil {
+				continue
+			}
 			im, err := spill.Copy(r.e.op, r.e.cfg.Store, g)
 			if err != nil {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("seed of group %d: %w", g, err)
 				}
-				continue // keep needSeed set; retried next tick
+				continue // still unseeded; retried next tick
 			}
 			// A group with no state at all needs no seed: the follower
 			// builds its standby from the appends alone.
 			if !im.Empty() {
 				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaSeed, Payload: spill.AppendImage(nil, im)})
 			}
-			delete(s.needSeed, g)
-			delete(s.cur, g) // anything buffered pre-seed is inside the snapshot
+			sl.Live = s
 		}
-		for _, g := range sortedKeys(s.cur) {
-			if len(s.cur[g]) > 0 {
-				entries = append(entries, proto.DeltaEntry{Group: g, Kind: proto.DeltaAppend, Payload: s.cur[g]})
+		for i := range r.tap {
+			if sl := &r.tap[i]; sl.Live == s && len(sl.Buf) > 0 {
+				entries = append(entries, proto.DeltaEntry{Group: partition.ID(i), Kind: proto.DeltaAppend, Payload: sl.Cut()})
 			}
-			delete(s.cur, g)
 		}
 		for _, p := range s.pending {
 			r.sendDelta(f, p.seq, p.entries)
@@ -372,13 +353,17 @@ func (r *replicator) lag(sizeOf func(partition.ID) int64) map[partition.ID]int64
 		return nil
 	}
 	out := make(map[partition.ID]int64)
-	for _, s := range r.streams {
-		for g, buf := range s.cur {
-			out[g] += int64(len(buf))
-		}
-		for g := range s.needSeed {
+	for i := range r.tap {
+		sl, g := &r.tap[i], partition.ID(i)
+		switch {
+		case sl.To == "": // not streamed
+		case sl.Live == nil:
 			out[g] += sizeOf(g) + r.e.cfg.Store.BytesOf(g)
+		case len(sl.Buf) > 0:
+			out[g] += int64(len(sl.Buf))
 		}
+	}
+	for _, s := range r.streams {
 		for _, p := range s.pending {
 			for _, ent := range p.entries {
 				out[ent.Group] += int64(len(ent.Payload))
@@ -391,6 +376,8 @@ func (r *replicator) lag(sizeOf func(partition.ID) int64) map[partition.ID]int64
 // onDelta is the follower side: apply one in-order delta to the standby
 // copies (or, for a group this engine already promoted, straight into
 // the resident operator state — the demoted old primary's tail flush).
+// An append is checked and kept as it came, encoded (replica.Standby);
+// its tuples are decoded only if a spill marker seals them.
 // Duplicates and gaps are answered with the sequence this follower
 // stands at: the primary retransmits in order, and the ack's
 // incarnation tells it when the follower it was feeding has restarted
@@ -429,7 +416,11 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 			if _, err := r.e.cfg.StandbyStore.Remove(ent.Group); err != nil {
 				return fmt.Errorf("clear standby segments of group %d: %w", ent.Group, err)
 			}
-			r.setStandby(ent.Group, im.Mem)
+			var sb *replica.Standby
+			if im.Mem != nil {
+				sb = replica.NewStandby(im.Mem)
+			}
+			r.setStandby(ent.Group, sb)
 			if err := im.WriteDisk(r.e.cfg.StandbyStore); err != nil {
 				return fmt.Errorf("store standby segments of group %d: %w", ent.Group, err)
 			}
@@ -445,25 +436,21 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 				return err
 			}
 		case proto.DeltaAppend:
-			tuples, bytes, err := decodeAppends(ent.Payload, r.e.cfg.Inputs)
-			if err != nil {
-				return fmt.Errorf("decode appends for group %d: %w", ent.Group, err)
-			}
 			if r.promoted[ent.Group] {
-				if err := r.e.op.Merge(&join.GroupSnapshot{ID: ent.Group, Tuples: tuples}); err != nil {
+				if err := r.e.op.MergeRuns(ent.Group, ent.Payload); err != nil {
 					return fmt.Errorf("merge tail for promoted group %d: %w", ent.Group, err)
 				}
 				continue
 			}
 			sb := r.standby[ent.Group]
 			if sb == nil {
-				sb = &join.GroupSnapshot{ID: ent.Group, Tuples: make([][]tuple.Tuple, r.e.cfg.Inputs)}
-				r.standby[ent.Group] = sb
+				sb = replica.EmptyStandby(ent.Group, r.e.cfg.Inputs)
 			}
-			for i, l := range tuples {
-				sb.Tuples[i] = append(sb.Tuples[i], l...)
+			bytes, err := sb.Append(ent.Payload, r.e.cfg.Inputs)
+			if err != nil {
+				return fmt.Errorf("decode appends for group %d: %w", ent.Group, err)
 			}
-			sb.CumBytes += bytes
+			r.standby[ent.Group] = sb
 			r.standbyBytes += bytes
 		default:
 			return fmt.Errorf("delta entry for group %d: unknown kind %d", ent.Group, ent.Kind)
@@ -476,48 +463,27 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 }
 
 // demoteStandby mirrors a primary spill on the follower: the memory
-// tier of the group's standby is sealed as a local segment at the
-// primary's spilled generation — by the join helper the primary's own
-// extraction uses, so boundary and purge watermark agree — and a fresh
-// empty memory tier starts at the next generation.
+// tier of the group's standby, its encoded appends decoded onto it, is
+// sealed as a local segment at the primary's spilled generation — by the
+// join helper the primary's own extraction uses, so boundary and purge
+// watermark agree — and a fresh empty memory tier starts at the next
+// generation.
 func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 	sb := r.standby[g]
-	if sb == nil {
+	if sb == nil || sb.Mem == nil {
 		// Marker for a group with no standby yet (the seed was cut after
 		// the primary had state but nothing reached us): record the
 		// boundary anyway so later appends accumulate at the primary's
 		// current generation.
-		sb = &join.GroupSnapshot{ID: g, Tuples: make([][]tuple.Tuple, r.e.cfg.Inputs)}
+		sb = replica.EmptyStandby(g, r.e.cfg.Inputs)
 	}
-	next := sb.Seal(gen)
-	if err := r.e.cfg.StandbyStore.Write(sb); err != nil {
+	sb.Decode()
+	next := sb.Mem.Seal(gen)
+	if err := r.e.cfg.StandbyStore.Write(sb.Mem); err != nil {
 		return fmt.Errorf("demote standby of group %d: %w", g, err)
 	}
-	r.setStandby(g, next)
+	r.setStandby(g, replica.NewStandby(next))
 	return nil
-}
-
-// decodeAppends parses a tuple-encoded append payload into per-input
-// tuple lists that own their payloads, all in one slab per entry.
-func decodeAppends(buf []byte, inputs int) ([][]tuple.Tuple, int64, error) {
-	r, err := tuple.ReadRun(buf)
-	if err != nil {
-		return nil, 0, err
-	}
-	tuples := make([][]tuple.Tuple, inputs)
-	slab := make([]byte, 0, tuple.PayloadBytes(len(buf), r.Len()))
-	var bytes int64
-	var t tuple.Tuple
-	for r.Next(&t) {
-		if int(t.Stream) >= inputs {
-			return nil, 0, fmt.Errorf("append tuple for input %d of %d", t.Stream, inputs)
-		}
-		var own tuple.Tuple
-		own, slab = t.CloneInto(slab)
-		tuples[t.Stream] = append(tuples[t.Stream], own)
-		bytes += t.MemSize()
-	}
-	return tuples, bytes, nil
 }
 
 // onAck prunes a follower's acknowledged deltas. An ack from a newer
@@ -536,10 +502,11 @@ func (r *replicator) onAck(m proto.DeltaAck) {
 		restarted := s.followerLife != 0
 		s.followerLife = m.Incarnation
 		if restarted {
-			for g := range s.tracked {
-				s.needSeed[g] = true
+			for i := range r.tap {
+				if sl := &r.tap[i]; sl.To == m.Node {
+					sl.Reseed()
+				}
 			}
-			clear(s.cur)
 			s.pending, s.nextSeq = nil, 0
 			return
 		}
@@ -553,13 +520,15 @@ func (r *replicator) onAck(m proto.DeltaAck) {
 
 // promote turns the standby images of groups into resident state: each
 // is installed into the engine's operator and store like a relocated
-// group. The memory tier merges even when empty, so the group registers
-// at its post-spill generation; groups without any standby had no
-// replicated state and simply start empty. Each tier leaves the standby
-// only once it landed, so the coordinator's Promote retry after a
-// failed install finishes the job instead of finding nothing and acking
-// an install that never happened. Returns how many groups' memory tiers
-// were installed.
+// group, and the appends the standby kept encoded merge after its
+// memory tier as the runs they arrived in, without being decoded into
+// tuples first. The memory tier merges even when empty, so the group
+// registers at its post-spill generation; groups without any standby had
+// no replicated state and simply start empty. Each tier leaves the
+// standby only once it landed, so the coordinator's Promote retry after
+// a failed install finishes the job instead of finding nothing and
+// acking an install that never happened. Returns how many groups'
+// memory tiers were installed.
 func (r *replicator) promote(groups []partition.ID) (int, error) {
 	installed := 0
 	for _, g := range groups {
@@ -568,14 +537,24 @@ func (r *replicator) promote(groups []partition.ID) (int, error) {
 		if err != nil {
 			return installed, fmt.Errorf("read standby segments of group %d: %w", g, err)
 		}
-		im := spill.Image{Mem: r.standby[g], Disk: disk}
+		sb := r.standby[g]
+		im := spill.Image{Disk: disk}
+		if sb != nil {
+			im.Mem = sb.Mem
+		}
 		err = im.Install(r.e.op, r.e.cfg.Store)
-		if im.Mem == nil && r.standby[g] != nil {
-			r.setStandby(g, nil)
+		if sb != nil && sb.Mem != nil && im.Mem == nil {
+			r.standbyBytes -= sb.Landed()
 			installed++
 		}
 		if err != nil {
 			return installed, fmt.Errorf("install standby of group %d: %w", g, err)
+		}
+		if sb != nil {
+			if err := r.e.op.MergeRuns(g, sb.Tail()...); err != nil {
+				return installed, fmt.Errorf("merge standby appends of group %d: %w", g, err)
+			}
+			r.setStandby(g, nil)
 		}
 		if _, err := r.e.cfg.StandbyStore.Remove(g); err != nil {
 			return installed, fmt.Errorf("clear standby segments of group %d: %w", g, err)

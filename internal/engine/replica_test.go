@@ -71,11 +71,24 @@ func expectNoPromoteAck(t *testing.T, r *rig) {
 	}
 }
 
-// sumStandby recomputes the memory-tier byte counter from scratch.
-func sumStandby(r *replicator) int64 {
+// sumStandby recomputes the memory-tier byte counter from scratch: the
+// decoded tier of every standby plus every tuple its encoded tail holds.
+func sumStandby(t *testing.T, r *replicator) int64 {
+	t.Helper()
 	var n int64
 	for _, sb := range r.standby {
-		n += sb.MemBytes()
+		if sb.Mem != nil {
+			n += sb.Mem.MemBytes()
+		}
+		for _, run := range sb.Tail() {
+			rd, err := tuple.ReadRun(run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for tp := (tuple.Tuple{}); rd.Next(&tp); {
+				n += tp.MemSize()
+			}
+		}
 	}
 	return n
 }
@@ -284,7 +297,7 @@ func TestSeedCarriesSegmentsAndPromoteAdoptsThem(t *testing.T) {
 	if got := r.engine.repl.standbyBytes; got != 0 {
 		t.Fatalf("memory tier holds %d bytes after full demotion", got)
 	}
-	if sb := r.engine.repl.standby[g]; sb == nil || sb.Gen != 3 {
+	if sb := r.engine.repl.standby[g]; sb == nil || sb.Mem.Gen != 3 {
 		t.Fatalf("fresh memory tier = %+v, want generation 3", sb)
 	}
 
@@ -335,7 +348,8 @@ func TestSeedCarriesSegmentsAndPromoteAdoptsThem(t *testing.T) {
 // markers, malformed payloads, restarts of the primary (a newer
 // incarnation numbering from 1 again) and stragglers from its earlier
 // lives, checking after every step that the byte counter matches the
-// standby copies exactly, the applied sequence only advances on
+// standby copies exactly (their decoded memory tiers plus the tuples
+// their encoded tails hold), the applied sequence only advances on
 // well-formed in-order deltas of the primary's current life, duplicates
 // and gaps are answered with the sequence the follower stands at, and
 // stragglers get no answer at all.
@@ -412,7 +426,7 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 			if got := sbStore.SegmentCount(); got != before+1 {
 				t.Fatalf("iter %d: marker produced %d local segments, want %d", i, got, before+1)
 			}
-			if sb := r.engine.repl.standby[g]; sb == nil || sb.Gen != gen+1 {
+			if sb := r.engine.repl.standby[g]; sb == nil || sb.Mem.Gen != gen+1 {
 				t.Fatalf("iter %d: memory tier after marker = %+v, want generation %d", i, sb, gen+1)
 			}
 		case op < 8: // duplicate of an already-applied delta: re-acked, no effect
@@ -446,8 +460,8 @@ func TestFollowerDeltaStreamProperty(t *testing.T) {
 		}
 
 		r.drain(t)
-		if got, want := r.engine.repl.standbyBytes, sumStandby(r.engine.repl); got != want {
-			t.Fatalf("iter %d: standbyBytes = %d, standby copies hold %d", i, got, want)
+		if got, want := r.engine.repl.standbyBytes, sumStandby(t, r.engine.repl); got != want {
+			t.Fatalf("iter %d: standbyBytes = %d, standby memory tiers and encoded tails hold %d", i, got, want)
 		}
 		if got, want := r.engine.repl.inbound["m2"], (inbound{incarnation: life, applied: seq}); got != want {
 			t.Fatalf("iter %d: stream cursor = %+v, want %+v", i, got, want)
@@ -580,7 +594,7 @@ func TestDeltaResumesAtTheFailedEntry(t *testing.T) {
 		for _, seg := range segs {
 			disk = append(disk, join.EncodeSnapshot(seg))
 		}
-		return join.EncodeSnapshot(r.engine.repl.standby[g]), r.engine.repl.standbyBytes, disk
+		return join.EncodeSnapshot(r.engine.repl.standby[g].Image()), r.engine.repl.standbyBytes, disk
 	}
 	wantMem, wantBytes, wantDisk := follower(t, spill.NewMemStore(), 1)
 	if len(wantDisk) != 2 {
@@ -646,5 +660,47 @@ func TestFollowerKeepsNothingOfTheFrame(t *testing.T) {
 			t.Errorf("the promoted group holds %v with payload %x, its primary sent %v with payload %x",
 				got[i], got[i].Payload, sent[i], sent[i].Payload)
 		}
+	}
+}
+
+// TestReturningGroupIsReseeded: a group this engine gives up (relocated
+// away or demoted: forgetOwned) and later owns again under the same
+// follower is seeded afresh. A slot left live would stream the returning
+// group's appends on top of a standby its follower no longer holds.
+func TestReturningGroupIsReseeded(t *testing.T) {
+	d := newDesk(t, nil)
+	assign := func(version uint64) {
+		d.handle("gc", proto.ReplicaMap{Version: version, Entries: []proto.ReplicaEntry{{Group: 1, Primary: "m1", Follower: "m2"}}})
+	}
+	// cut runs a stats tick and returns the delta it cut (the last one
+	// sent: unacknowledged ones are retransmitted ahead of it).
+	cut := func() proto.StateDelta {
+		t.Helper()
+		deltas := sentOf[proto.StateDelta](d.handle("gc", proto.Tick{Kind: proto.TickStats}))
+		if len(deltas) == 0 {
+			t.Fatal("the stats tick cut no delta")
+		}
+		return deltas[len(deltas)-1]
+	}
+	d.handle("gen", dataMsg(t, mk(0, 1, 1)))
+	assign(1)
+	if dl := cut(); len(dl.Entries) != 1 || dl.Entries[0].Kind != proto.DeltaSeed {
+		t.Fatalf("first delta = %+v, want the seed of group 1", dl)
+	}
+	d.handle("gen", dataMsg(t, mk(1, 1, 2)))
+	if dl := cut(); len(dl.Entries) != 1 || dl.Entries[0].Kind != proto.DeltaAppend {
+		t.Fatalf("second delta = %+v, want the append", dl)
+	}
+
+	d.e.repl.forgetOwned(1)
+	d.handle("gen", dataMsg(t, mk(0, 1, 3))) // arrives after the group came back
+	assign(2)
+	dl := cut()
+	if len(dl.Entries) != 1 || dl.Entries[0].Kind != proto.DeltaSeed {
+		t.Fatalf("delta after the group came back = %+v, want a fresh seed of group 1", dl)
+	}
+	im, err := spill.DecodeImage(dl.Entries[0].Payload)
+	if err != nil || im.Mem == nil || im.Mem.TupleCount() != 3 {
+		t.Fatalf("re-seed = %+v (err %v), want all three resident tuples", im, err)
 	}
 }

@@ -828,6 +828,46 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 	return nil
 }
 
+// MergeRuns appends the tuples of runs — each encoded back to back as
+// repeated tuple.AppendTo writes them — to group id WITHOUT probing, in
+// order, as Merge appends a snapshot's: a promoted follower lands the
+// appends its standby kept encoded after the memory tier they followed,
+// and a demoted primary's final tail lands here straight off the wire.
+// Per (key, input) list the tuples follow whatever the group already
+// holds in arrival order, so the group snapshots as if Merge had been
+// handed the same tuples decoded. Every run is checked before any tuple
+// lands; an absent group is registered at generation 0.
+func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
+	s, i, g := o.find(id)
+	if i < 0 {
+		return fmt.Errorf("join: group %d outside the %d partitions", id, o.part.N())
+	}
+	readers := make([]tuple.BatchReader, len(runs))
+	var t tuple.Tuple
+	for j, run := range runs {
+		r, err := tuple.ReadRun(run)
+		if err != nil {
+			return fmt.Errorf("join: run %d of group %d: %w", j, id, err)
+		}
+		for readers[j] = r; r.Next(&t); {
+			if int(t.Stream) >= o.inputs {
+				return fmt.Errorf("join: run %d of group %d holds a tuple for stream %d in a %d-way join", j, id, t.Stream, o.inputs)
+			}
+		}
+	}
+	if g == nil {
+		g = newGroup(id, 0, o.inputs)
+		s.groups[i] = g
+	}
+	for _, r := range readers {
+		for r.Next(&t) {
+			s.add(g, g.entry(t.Key), int(t.Stream), &t)
+		}
+	}
+	g.cum = max(g.cum, g.size)
+	return nil
+}
+
 // ResidentSnapshot returns the current-generation state of the group
 // without removing it, used by the cleanup phase to merge the final
 // memory-resident generation with the disk-resident ones. Returns nil if

@@ -60,9 +60,11 @@ const (
 	// connWriterSize is each connection's bufio.Writer capacity — the
 	// coalescing buffer itself.
 	connWriterSize = 1 << 16
-	// encScratchMax caps how much encode scratch a connection keeps
-	// between frames; a multi-megabyte state transfer would otherwise
-	// pin its peak forever.
+	// encScratchMax caps the encode scratch a connection keeps between
+	// frames. A frame too large for the writer is encoded into a buffer
+	// of exactly its size, allocated once; one beyond encScratchMax (a
+	// multi-megabyte state transfer or re-seed) drops that buffer after
+	// its write instead of pinning its peak.
 	encScratchMax = 1 << 20
 )
 
@@ -265,7 +267,8 @@ type tcpConn struct {
 	// dirty marks coalesced frames awaiting the paced flush.
 	dirty bool
 	// enc is the encode scratch of frames too large for w's buffer (state
-	// transfers, seeds), reused under mu and dropped after a frame beyond
+	// transfers, seeds), allocated at a frame's exact size when it is too
+	// small, reused under mu and dropped after a frame beyond
 	// encScratchMax. Every other frame is encoded in w's buffer itself.
 	enc []byte
 }
@@ -625,7 +628,10 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 // whole buffer is built in enc first. Coalescable frames wait in the
 // writer until the watermark or the paced flush; everything else flushes
 // immediately, pushing any coalesced frames ahead of it so
-// per-connection FIFO order is preserved.
+// per-connection FIFO order is preserved. size is known before the body
+// is encoded, so enc grows, when it must, once and to the frame's size:
+// appending a multi-megabyte body to a short buffer regrows it a
+// quarter at a time.
 func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int, error) {
 	if size+1 > maxFrameSize {
 		return 0, fmt.Errorf("frame of %d bytes exceeds limit", size+1)
@@ -635,13 +641,16 @@ func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int
 	frame := 4 + 1 + size
 	direct := frame <= c.w.Size()
 	b := c.enc[:0]
-	if direct {
+	switch {
+	case direct:
 		if frame > c.w.Available() {
 			if err := c.w.Flush(); err != nil {
 				return 0, err
 			}
 		}
 		b = c.w.AvailableBuffer()
+	case cap(b) < frame:
+		b = make([]byte, 0, frame)
 	}
 	b = body(append(binary.LittleEndian.AppendUint32(b, uint32(size+1)), kind))
 	if !direct {

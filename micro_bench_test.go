@@ -54,6 +54,8 @@ func BenchmarkJoinEnumerate(b *testing.B)            { benchCase(b, "join_enumer
 func BenchmarkTupleDecode(b *testing.B)              { benchCase(b, "tuple_decode") }
 func BenchmarkBatchRoundTrip(b *testing.B)           { benchCase(b, "batch_round_trip") }
 func BenchmarkResultSetAdd(b *testing.B)             { benchCase(b, "result_set_add") }
+func BenchmarkReplicaTap(b *testing.B)               { benchCase(b, "replica_tap") }
+func BenchmarkReplicaApply(b *testing.B)             { benchCase(b, "replica_apply") }
 func BenchmarkSnapshotEncode(b *testing.B)           { benchCase(b, "snapshot_encode") }
 func BenchmarkSnapshotDecode(b *testing.B)           { benchCase(b, "snapshot_decode") }
 func BenchmarkCleanupMerge(b *testing.B)             { benchCase(b, "cleanup_merge") }
