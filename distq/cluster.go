@@ -49,11 +49,14 @@ type Options struct {
 	OnResult func(Phase, Result)
 	// Filter, when set, is a stateless select/project chain applied at
 	// every engine before tuples enter join state (see NewSelect,
-	// NewProject, NewChain).
+	// NewProject, NewChain). A filtered query stamps every tuple with
+	// its virtual arrival time, so a predicate may read Ts.
 	Filter StreamOperator
 	// Window, when positive, runs the join with a sliding time window
 	// (virtual): matches span at most Window, and expired state is
 	// purged — the paper's infinite-streams-with-finite-windows mode.
+	// A windowed query stamps every tuple with its virtual arrival time;
+	// with no window and no Filter nothing reads Ts, and it stays 0.
 	Window time.Duration
 	// StoreDir, when set, backs each engine's segment store with files
 	// under StoreDir/<node>.
@@ -78,6 +81,8 @@ type Cluster struct {
 	opts  Options
 	c     *cluster.Cluster
 	clock vclock.Clock
+	// stamp: a window or a filter predicate can read Ts (see Ingest).
+	stamp bool
 
 	// seqs numbers each input's tuples; drained and closed gate Ingest.
 	// Atomics, so the router's lock is the only one a tuple takes.
@@ -108,7 +113,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
-	return &Cluster{opts: opts, c: c, clock: c.Clock(), seqs: make([]atomic.Uint64, opts.Inputs)}, nil
+	return &Cluster{
+		opts: opts, c: c, clock: c.Clock(),
+		stamp: opts.Window > 0 || opts.Filter != nil,
+		seqs:  make([]atomic.Uint64, opts.Inputs),
+	}, nil
 }
 
 // config states the cluster the options describe: the one place Options
@@ -144,7 +153,10 @@ func (o Options) config() cluster.Config {
 
 // Ingest pushes one tuple into the given join input. Tuples are batched;
 // call Flush to force delivery of partial batches. The payload is copied
-// before Ingest returns, so the caller may reuse its buffer.
+// before Ingest returns, so the caller may reuse its buffer. A query with
+// a Window or a Filter stamps the tuple's Ts with the current virtual
+// time; any other query leaves Ts 0 and reads no clock, since its join
+// and cleanup never look at it.
 func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	if stream < 0 || stream >= c.opts.Inputs {
 		return fmt.Errorf("distq: stream %d out of range (inputs=%d)", stream, c.opts.Inputs)
@@ -152,13 +164,16 @@ func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	if c.drained.Load() || c.closed.Load() {
 		return fmt.Errorf("distq: cluster is drained or closed")
 	}
-	return c.c.Router().Route(tuple.Tuple{
+	t := tuple.Tuple{
 		Stream:  uint8(stream),
 		Key:     key,
 		Seq:     c.seqs[stream].Add(1) - 1,
-		Ts:      c.clock.Now(),
 		Payload: payload,
-	})
+	}
+	if c.stamp {
+		t.Ts = c.clock.Now()
+	}
+	return c.c.Router().Route(t)
 }
 
 // Flush forces delivery of partially filled batches.

@@ -185,13 +185,16 @@ func (s *senderCredit) grant(n int64) {
 // to wait — before the wait, so the blocked state is observable while
 // it lasts. stop aborts the wait when the endpoint closes.
 func (s *senderCredit) consume(n int64, timeout time.Duration, stop <-chan struct{}, onBlock func()) error {
-	deadline := time.Now().Add(timeout)
+	// The deadline is read only once the caller has to wait: a frame
+	// that finds credit pays no clock read.
+	var deadline time.Time
 	blocked := false
 	s.mu.Lock()
 	for s.avail <= 0 {
 		s.mu.Unlock()
 		if !blocked {
 			blocked = true
+			deadline = time.Now().Add(timeout)
 			if onBlock != nil {
 				onBlock()
 			}

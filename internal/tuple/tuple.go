@@ -18,7 +18,10 @@ import (
 // join column value; Stream identifies which input of the m-way join the
 // tuple belongs to; Seq is a per-stream monotonically increasing sequence
 // number that gives every tuple a stable identity (used by the exactness
-// tests and the result model); Ts is the virtual arrival timestamp.
+// tests and the result model); Ts is the virtual arrival timestamp. Only
+// a sliding window and a user's filter predicate read Ts, so it is 0
+// where no operator can read it: a distq query with no window and no
+// filter does not stamp its tuples.
 type Tuple struct {
 	Stream  uint8
 	Key     uint64
