@@ -47,8 +47,19 @@ import (
 // against the replicator the tap slots and encoded standby tails replaced
 // (96c3f47, median of three): a bufferAppend of five map operations into
 // a buffer every tick restarted from nil, and an append decoded into
-// owned tuples on arrival.
+// owned tuples on arrival. join_process_count_only's and
+// join_snapshot_count_only's entries are the same bodies run against the
+// count-only group that kept a 32-byte record per tuple in a log beside
+// its payload in a page (6cb4f1a, median of five).
 var prePR = map[string]bench.Metric{
+	"join_process_count_only": {
+		Name: "join_process_count_only", N: 300_000,
+		NsPerOp: 184.7, AllocsPerOp: 0.0076, BytesPerOp: 92.62, LiveBytesPerOp: 92.35,
+	},
+	"join_snapshot_count_only": {
+		Name: "join_snapshot_count_only", N: 300_000,
+		NsPerOp: 77.4, AllocsPerOp: 0.0036, BytesPerOp: 62.41,
+	},
 	"replica_tap": {
 		Name: "replica_tap", N: 1_000_000,
 		NsPerOp: 194.3, AllocsPerOp: 0.07124, BytesPerOp: 333.0, LiveBytesPerOp: 1.25,

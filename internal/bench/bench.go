@@ -98,6 +98,10 @@ func processCountOnly() func(int) {
 	}
 }
 
+// snapshotTuples is how many tuples join_snapshot_count_only's
+// operator holds, and so how many ops one pass over its groups covers.
+const snapshotTuples = 300_000
+
 // Cases lists the gated micro-benchmarks in stable output order.
 func Cases() []Case {
 	return []Case{
@@ -110,6 +114,31 @@ func Cases() []Case {
 			DefaultN: 300_000,
 			Make:     processCountOnly,
 			GateLive: true,
+		},
+		{
+			// What a spill, a relocation or cleanup pays to read a
+			// count-only group back: an op is one stored tuple, and
+			// every snapshotTuples-th op snapshots every group of an
+			// operator holding that many.
+			Name:     "join_snapshot_count_only",
+			DefaultN: snapshotTuples,
+			Make: func() func(int) {
+				op := join.New(3, partition.NewFunc(120), nil)
+				for i := 0; i < snapshotTuples; i++ {
+					if _, err := op.Process(Tuple(i)); err != nil {
+						panic(err)
+					}
+				}
+				ids := op.ResidentIDs()
+				return func(i int) {
+					if i%snapshotTuples != 0 {
+						return
+					}
+					for _, id := range ids {
+						op.ResidentSnapshot(id)
+					}
+				}
+			},
 		},
 		{
 			// The sharded operator driven serially: gates that shard

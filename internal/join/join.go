@@ -86,10 +86,9 @@ type Shard struct {
 	pos   []int
 }
 
-// rec is one resident tuple but for its seq; its stream and key are
-// implied by the list holding it. The payload lives at
-// pages[page][off : off+n]. In a logged group prev is the log index of
-// the list's previous record. Like every type a group allocates per
+// rec is one resident tuple of a group of runs but for its seq; its
+// stream and key are implied by the list holding it. The payload lives
+// at pages[page][off : off+n]. Like every type a group allocates per
 // tuple or per key it holds no pointer, so the collector never scans
 // tuple state (DESIGN.md "Resident state layout").
 type rec struct {
@@ -97,20 +96,11 @@ type rec struct {
 	page uint32
 	off  uint32
 	n    uint32
-	prev uint32
-}
-
-// logRec is a record of a logged group, which keeps its seq beside it:
-// only snapshots read the log, so nothing gains from a column.
-type logRec struct {
-	seq uint64
-	rec
 }
 
 // list locates the n tuples of one (key, input). In a group of runs
 // their records are recs[chunk][off : off+n] and their seqs the column
-// seqs[chunk][off : off+n]; in a logged group off is the log index of
-// the newest, whose prev links lead back to the oldest.
+// seqs[chunk][off : off+n]; a logged group keeps only the count.
 type list struct {
 	chunk, off, n uint32
 }
@@ -181,8 +171,8 @@ func (s *slab[T]) drop(chunk uint32, chunkLen int) {
 }
 
 const (
-	recChunkLen  = 1024     // records per chunk (24 KiB of runs + 8 KiB of seqs, or 32 KiB of log)
-	pageBytes    = 64 << 10 // payload page size
+	recChunkLen  = 1024     // records per chunk (24 KiB of runs + 8 KiB of seqs)
+	pageBytes    = 64 << 10 // payload page and log chunk size
 	firstListCap = 4        // a key's first list run
 	minSlots     = 16
 	// hashMul spreads keys over the slots (Fibonacci hashing); the keys
@@ -192,8 +182,8 @@ const (
 
 // group is the in-memory state of one partition group, restricted to
 // the current generation: one key table whose entry holds the per-input
-// lists side by side, the records those lists point into, and the
-// append-only pages holding the payload bytes.
+// lists side by side, and either the records those lists point into with
+// the append-only pages holding the payload bytes, or the log.
 type group struct {
 	id  partition.ID
 	gen uint32
@@ -207,12 +197,14 @@ type group struct {
 	// An operator whose probes read records keeps each list as a run in
 	// recs and its seqs, all a probe emits, as a dense column at the same
 	// address in seqs (carveRun keeps the two slabs in step); any other
-	// logs every record in arrival order, record i at
-	// log[i/recChunkLen][i%recChunkLen] (see Operator.readsRecords).
-	recs  slab[rec]
-	seqs  slab[uint64]
-	log   [][]logRec
-	pages slab[byte]
+	// logs every tuple in arrival order, as the bytes tuple.AppendTo
+	// writes, into chunks that never regrow, chunk k starting with the
+	// group's tuple logFirst[k] (see Operator.readsRecords).
+	recs     slab[rec]
+	seqs     slab[uint64]
+	log      [][]byte
+	logFirst []int
+	pages    slab[byte]
 
 	size  int64
 	cum   int64 // lifetime bytes ever inserted (survives spills)
@@ -334,21 +326,22 @@ func (g *group) insert(l *list, seq uint64, r *rec, ordered bool) {
 	rs[i], seqs[i] = *r, seq
 }
 
-// push appends r to the group's log as l's newest record: a sequential
-// write, where insert's is a cache miss into l's run. The log's 32-bit
-// indices cap a generation at 2^32 records.
-func (g *group) push(l *list, r *logRec) {
+// push appends t's encoding, as input stream's, to the group's log and
+// counts it in l: a sequential write, where insert's is a cache miss
+// into l's run. A tuple that does not fit the current chunk starts a
+// chunk of its own size or more, so written log bytes never move and
+// snapshots alias them.
+func (g *group) push(l *list, stream int, t *tuple.Tuple) {
 	c := len(g.log) - 1
-	if c < 0 || len(g.log[c]) == recChunkLen {
-		if len(g.log) == 1<<32/recChunkLen {
-			panic(fmt.Sprintf("join: group %d holds 2^32 records", g.id))
-		}
-		g.log = append(g.log, make([]logRec, 0, recChunkLen))
+	if n := t.EncodedSize(); c < 0 || cap(g.log[c])-len(g.log[c]) < n {
+		g.log = append(g.log, make([]byte, 0, max(pageBytes, n)))
+		g.logFirst = append(g.logFirst, g.count)
 		c++
 	}
-	r.prev, l.off = l.off, uint32(c*recChunkLen+len(g.log[c]))
+	at := len(g.log[c])
+	g.log[c] = t.AppendTo(g.log[c])
+	g.log[c][at] = uint8(stream)
 	l.n++
-	g.log[c] = append(g.log[c], *r)
 }
 
 // view rebuilds the Tuple that seq and r store in input stream's list
@@ -363,19 +356,19 @@ func (g *group) view(stream int, key, seq uint64, r *rec) tuple.Tuple {
 }
 
 // add stores t in input stream's list of entry e, without probing, and
-// accounts for it. The payload is copied into the group's pages.
+// accounts for it. The payload is copied into the group's pages or log.
 func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
-	r := rec{ts: t.Ts, n: uint32(len(t.Payload))}
-	if r.n > 0 {
-		r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
-		copy(g.pages.chunks[r.page][r.off:], t.Payload)
-	}
 	if l := &g.lists[e+stream]; s.op.readsRecords() {
+		r := rec{ts: t.Ts, n: uint32(len(t.Payload))}
+		if r.n > 0 {
+			r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
+			copy(g.pages.chunks[r.page][r.off:], t.Payload)
+		}
 		// Windowed lists stay timestamp-sorted so window probes can
 		// binary-search their bounds.
 		g.insert(l, t.Seq, &r, s.op.window > 0)
 	} else {
-		g.push(l, &logRec{seq: t.Seq, rec: r})
+		g.push(l, stream, t)
 	}
 	sz := t.MemSize()
 	g.size += sz
@@ -563,8 +556,8 @@ func (s *Shard) process(id partition.ID, index int, t *tuple.Tuple) uint64 {
 // readsRecords reports whether probes read stored records — to
 // enumerate matches or to bound them by the window. Such an operator's
 // groups keep each list in a contiguous run; any other's probes read
-// only list lengths, so its groups log records in arrival order instead
-// and only snapshots walk a list's chain.
+// only list lengths, so its groups log tuples in arrival order instead
+// and only snapshots read the log back.
 func (o *Operator) readsRecords() bool { return o.emit != nil || o.window > 0 }
 
 // probe counts (and, when materializing, emits) the matches of t against
@@ -701,10 +694,10 @@ func (s *GroupSnapshot) MemBytes() int64 {
 // snapshot flattens the group's lists into per-input tuple slices with a
 // deterministic order (key, then list order). counts carries the exact
 // per-input tuple totals so every flattened slice is allocated once at
-// its final size. A logged list is a chain from its newest record back,
-// so it fills its stretch of the output back to front. Payloads alias
-// the group's pages rather than copying them: written page bytes never
-// change, and the pages outlive the generation for as long as a
+// its final size. A logged group decodes its log once, in arrival
+// order, each tuple landing at its list's cursor in the output. Payloads
+// alias the group's pages or log rather than copying them: written
+// bytes never change, and they outlive the generation for as long as a
 // snapshot references them.
 func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 	inputs := len(g.counts)
@@ -716,24 +709,37 @@ func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
 	out := make([][]tuple.Tuple, inputs)
+	var at []int // logged: per list, where its next tuple goes in out
+	if logged {
+		at = make([]int, len(g.lists))
+	}
 	for i := range out {
 		out[i] = make([]tuple.Tuple, g.counts[i])
-		rest := out[i]
+		next := 0
 		for _, s := range keys {
-			l := g.lists[int(s.ent-1)*inputs+i]
-			dst := rest[:l.n]
-			rest = rest[l.n:]
-			if !logged {
-				rs, seqs := g.run(l), g.col(l)
+			e := int(s.ent-1)*inputs + i
+			if logged {
+				at[e] = next
+			} else {
+				rs, seqs := g.run(g.lists[e]), g.col(g.lists[e])
 				for j := range rs {
-					dst[j] = g.view(i, s.key, seqs[j], &rs[j])
+					out[i][next+j] = g.view(i, s.key, seqs[j], &rs[j])
 				}
-				continue
 			}
-			for j, k := len(dst)-1, l.off; j >= 0; j-- {
-				r := &g.log[k/recChunkLen][k%recChunkLen]
-				dst[j], k = g.view(i, s.key, r.seq, &r.rec), r.prev
-			}
+			next += int(g.lists[e].n)
+		}
+	}
+	var t tuple.Tuple
+	for k, c := range g.log {
+		end := g.count
+		if k+1 < len(g.log) {
+			end = g.logFirst[k+1]
+		}
+		r := tuple.TrustedRun(c, end-g.logFirst[k])
+		for r.Next(&t) {
+			e := int(g.seek(t.Key).ent-1)*inputs + int(t.Stream)
+			out[t.Stream][at[e]] = t
+			at[e]++
 		}
 	}
 	return out

@@ -151,7 +151,7 @@ func TestResidentRecordIsPointerFree(t *testing.T) {
 	for name, typ := range map[string]reflect.Type{
 		"record":       reflect.TypeOf(g.recs.chunks).Elem().Elem(),
 		"seq column":   reflect.TypeOf(g.seqs.chunks).Elem().Elem(),
-		"log record":   reflect.TypeOf(g.log).Elem().Elem(),
+		"log byte":     reflect.TypeOf(g.log).Elem().Elem(),
 		"payload page": reflect.TypeOf(g.pages.chunks).Elem().Elem(),
 		"list":         reflect.TypeOf(g.lists).Elem(),
 		"table slot":   reflect.TypeOf(g.slots).Elem(),
@@ -167,9 +167,6 @@ func TestResidentRecordIsPointerFree(t *testing.T) {
 	}
 	if size := reflect.TypeOf(rec{}).Size(); size > 24 {
 		t.Errorf("a run record takes %d bytes, want at most 24", size)
-	}
-	if size := reflect.TypeOf(logRec{}).Size(); size > 32 {
-		t.Errorf("a log record takes %d bytes, want at most 32", size)
 	}
 	if size := reflect.TypeOf(list{}).Size(); size > 16 {
 		t.Errorf("a list header takes %d bytes, want at most 16", size)
@@ -207,11 +204,12 @@ func residentBytesPerTuple(t *testing.T, emit EmitFunc) float64 {
 }
 
 // TestResidentBytesPerTuple bounds what a stored tuple really costs in
-// a count-only join: 40 payload bytes, a 32-byte record in the group's
-// log, and the slack of the log chunk and page still filling.
+// a count-only join: its 69-byte encoding (40 payload bytes behind a
+// 29-byte header) in the group's log, and the slack of the log chunk
+// still filling.
 func TestResidentBytesPerTuple(t *testing.T) {
-	if perTuple := residentBytesPerTuple(t, nil); perTuple > 85 {
-		t.Fatalf("%.1f live heap bytes per stored tuple, want at most 85", perTuple)
+	if perTuple := residentBytesPerTuple(t, nil); perTuple > 80 {
+		t.Fatalf("%.1f live heap bytes per stored tuple, want at most 80", perTuple)
 	}
 }
 
@@ -278,6 +276,119 @@ func TestLogKeepsListOrder(t *testing.T) {
 	check("after a merge into the resident group")
 	if n := logged.ResidentSnapshot(0).TupleCount(); n != 350 {
 		t.Fatalf("%d tuples resident, stored 350", n)
+	}
+}
+
+// TestLogChunkBoundaries feeds a count-only operator and an emitting
+// twin the same tuples through every way tuples reach a group — Process,
+// Merge into the resident group, MergeRuns, ExtractForSpill, and
+// RemoveForRelocation with a re-Merge — with payloads that fill a log
+// chunk to one byte short of the next tuple, exactly fill a page, and
+// overflow it. After every step the two snapshot to the same bytes. A
+// snapshot taken before more tuples arrive must still read its payloads
+// where it read them, and a later snapshot must alias the same bytes:
+// a tuple in the log is never copied again.
+func TestLogChunkBoundaries(t *testing.T) {
+	const inputs, header = 3, 29
+	// From a fresh chunk: 69 + 30 bytes, then a tuple that leaves 28,
+	// one short of the next (payload-less) tuple.
+	sizes := []int{40, 1, pageBytes - 2*header - 41 - 28 - header, 0, pageBytes, 3*pageBytes + 7}
+	var seq uint64
+	next := func(n int) []tuple.Tuple {
+		in := make([]tuple.Tuple, n)
+		for i := range in {
+			seq++
+			payload := make([]byte, sizes[seq%uint64(len(sizes))])
+			for j := range payload {
+				payload[j] = byte(seq*31 + uint64(j))
+			}
+			in[i] = tuple.Tuple{Stream: uint8(seq / 2 % inputs), Key: seq % 5, Seq: seq, Payload: payload}
+		}
+		return in
+	}
+	logged, runs := New(inputs, partition.NewFunc(1), nil), New(inputs, partition.NewFunc(1), func(tuple.Result) {})
+	both := []*Operator{logged, runs}
+	same := func(what string, a, b *GroupSnapshot) {
+		t.Helper()
+		if !bytes.Equal(EncodeSnapshot(a), EncodeSnapshot(b)) {
+			t.Fatalf("%s: the logged and the run snapshot differ", what)
+		}
+	}
+	check := func(what string) {
+		t.Helper()
+		same(what, logged.ResidentSnapshot(0), runs.ResidentSnapshot(0))
+	}
+	process := func(in []tuple.Tuple) {
+		t.Helper()
+		for _, tp := range in {
+			for _, op := range both {
+				if _, err := op.Process(tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	process(next(4 * len(sizes)))
+	check("after inserts")
+	early := logged.ResidentSnapshot(0)
+	earlyBytes := EncodeSnapshot(early)
+
+	process(next(2 * len(sizes)))
+	check("after more inserts")
+	at := map[uint64]*byte{}
+	for _, l := range logged.ResidentSnapshot(0).Tuples {
+		for _, tp := range l {
+			if tp.Payload != nil {
+				at[tp.Seq] = &tp.Payload[0]
+			}
+		}
+	}
+	for _, l := range early.Tuples {
+		for _, tp := range l {
+			if tp.Payload != nil && at[tp.Seq] != &tp.Payload[0] {
+				t.Fatalf("seq %d: a later snapshot does not alias the earlier one's payload", tp.Seq)
+			}
+		}
+	}
+
+	merged := &GroupSnapshot{Tuples: make([][]tuple.Tuple, inputs)}
+	for _, tp := range next(len(sizes) + 1) {
+		merged.Tuples[tp.Stream] = append(merged.Tuples[tp.Stream], tp)
+	}
+	var run []byte
+	for _, tp := range next(len(sizes) + 2) {
+		run = tp.AppendTo(run)
+	}
+	for _, op := range both {
+		if err := op.Merge(merged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after a merge into the resident group")
+	for _, op := range both {
+		if err := op.MergeRuns(0, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after merged runs")
+
+	same("spill extraction", logged.ExtractForSpill(0), runs.ExtractForSpill(0))
+	process(next(len(sizes) + 3))
+	check("after inserts into the next generation")
+
+	moved := logged.RemoveForRelocation(0)
+	same("relocation", moved, runs.RemoveForRelocation(0))
+	for _, op := range both {
+		if err := op.Merge(moved); err != nil {
+			t.Fatal(err)
+		}
+	}
+	process(next(len(sizes)))
+	check("after a relocated group is merged back and fed")
+
+	if !bytes.Equal(EncodeSnapshot(early), earlyBytes) {
+		t.Fatal("a snapshot taken before later arrivals no longer reads its original tuples")
 	}
 }
 

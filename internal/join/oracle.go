@@ -8,7 +8,17 @@ import "repro/internal/tuple"
 // cleanup results must equal the oracle's output exactly (no duplicates,
 // no misses), for any sequence of spills and relocations.
 func Oracle(inputs int, history []tuple.Tuple) *tuple.ResultSet {
-	// Bucket tuples by key per stream.
+	set := tuple.NewResultSet()
+	seqs := make([]uint64, inputs)
+	for key, ls := range joinable(inputs, history) {
+		enumerateAll(key, ls, seqs, 0, set)
+	}
+	return set
+}
+
+// joinable buckets history by key, one list per input, and keeps the
+// keys every input holds: the only keys a result can have.
+func joinable(inputs int, history []tuple.Tuple) map[uint64][][]tuple.Tuple {
 	byKey := make(map[uint64][][]tuple.Tuple)
 	for i := range history {
 		t := history[i]
@@ -19,22 +29,15 @@ func Oracle(inputs int, history []tuple.Tuple) *tuple.ResultSet {
 		}
 		ls[t.Stream] = append(ls[t.Stream], t)
 	}
-	set := tuple.NewResultSet()
-	seqs := make([]uint64, inputs)
 	for key, ls := range byKey {
-		full := true
 		for _, l := range ls {
 			if len(l) == 0 {
-				full = false
+				delete(byKey, key)
 				break
 			}
 		}
-		if !full {
-			continue
-		}
-		enumerateAll(key, ls, seqs, 0, set)
 	}
-	return set
+	return byKey
 }
 
 // OracleCount returns only the size of the full join result, cheap enough

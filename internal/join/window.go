@@ -123,29 +123,9 @@ func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int
 // WindowedOracle computes the reference result of a windowed m-way join:
 // all combinations whose member timestamps span at most window.
 func WindowedOracle(inputs int, history []tuple.Tuple, window time.Duration) *tuple.ResultSet {
-	byKey := make(map[uint64][][]tuple.Tuple)
-	for i := range history {
-		t := history[i]
-		ls := byKey[t.Key]
-		if ls == nil {
-			ls = make([][]tuple.Tuple, inputs)
-			byKey[t.Key] = ls
-		}
-		ls[t.Stream] = append(ls[t.Stream], t)
-	}
 	set := tuple.NewResultSet()
 	combo := make([]tuple.Tuple, inputs)
-	for key, ls := range byKey {
-		full := true
-		for _, l := range ls {
-			if len(l) == 0 {
-				full = false
-				break
-			}
-		}
-		if !full {
-			continue
-		}
+	for key, ls := range joinable(inputs, history) {
 		enumerateWindowed(key, ls, combo, 0, window, set)
 	}
 	return set
