@@ -83,8 +83,8 @@ bench:
 # workloads: for each workload WORKLOAD names (space-separated, one base
 # build for all), N alternating pairs of SECONDS-second runs (seeds
 # 1..N), then one table of each side's median and quartiles per
-# end-to-end metric, the pairs the change won and whether the medians
-# differ by more than BASE's inter-quartile distance.
+# end-to-end metric, the pairs the change won and tied, and whether the
+# medians differ by more than BASE's inter-quartile distance.
 #   make bench-pairs BASE=680b2c7 WORKLOAD=flood_count N=10
 #   make bench-pairs BASE=680b2c7 WORKLOAD="constrained_adapt paced_materialize" N=5
 N ?= 10

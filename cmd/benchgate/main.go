@@ -50,8 +50,13 @@ import (
 // owned tuples on arrival. join_process_count_only's and
 // join_snapshot_count_only's entries are the same bodies run against the
 // count-only group that kept a 32-byte record per tuple in a log beside
-// its payload in a page (6cb4f1a, median of five).
+// its payload in a page (6cb4f1a, median of five). split_route's entry:
+// the router that started each batch in a fresh buffer (bd749e5, median of ten).
 var prePR = map[string]bench.Metric{
+	"split_route": {
+		Name: "split_route", N: 1_000_000,
+		NsPerOp: 60.5, AllocsPerOp: 0.007883, BytesPerOp: 72.29, LiveBytesPerOp: 0.0366,
+	},
 	"join_process_count_only": {
 		Name: "join_process_count_only", N: 300_000,
 		NsPerOp: 184.7, AllocsPerOp: 0.0076, BytesPerOp: 92.62, LiveBytesPerOp: 92.35,

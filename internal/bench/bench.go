@@ -18,8 +18,10 @@ import (
 	"repro/internal/join"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/proto"
 	"repro/internal/replica"
 	"repro/internal/spill"
+	"repro/internal/split"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
 )
@@ -78,6 +80,14 @@ type Case struct {
 	Make     func() func(i int)
 	GateLive bool
 }
+
+// copySink drops every message; like TCP it is a transport.PayloadCopier.
+type copySink struct{}
+
+func (copySink) Node() partition.NodeID                     { return "gen" }
+func (copySink) Send(partition.NodeID, proto.Message) error { return nil }
+func (copySink) Close() error                               { return nil }
+func (copySink) CopiesPayload()                             {}
 
 // batch256 is one full split-router batch of bench tuples.
 func batch256() *tuple.Batch {
@@ -274,6 +284,24 @@ func Cases() []Case {
 					var t tuple.Tuple
 					for r.Next(&t) {
 						sink += t.Key + uint64(len(t.Payload))
+					}
+				}
+			},
+		},
+		{
+			// Route into a sink that copies on Send, as TCP does: each
+			// owner keeps its batch buffer, one boxed Data per batch.
+			Name:     "split_route",
+			DefaultN: 1_000_000,
+			Make: func() func(int) {
+				owner := []partition.NodeID{"m1", "m2"}
+				r, err := split.New(copySink{}, "gc", partition.NewFunc(2), owner, 1, split.DefaultBatchSize)
+				if err != nil {
+					panic(err)
+				}
+				return func(i int) {
+					if err := r.Route(Tuple(i)); err != nil {
+						panic(err)
 					}
 				}
 			},

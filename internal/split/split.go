@@ -23,10 +23,14 @@ import (
 // Data message is sent; Flush sends partial batches.
 const DefaultBatchSize = 256
 
+// maxKeptBatch caps the buffer an outbox keeps over a copying transport,
+// as TCP's encScratchMax caps its encode scratch.
+const maxKeptBatch = 1 << 20
+
 // Router routes tuples by partition map and implements the split-host
-// side of the relocation protocol. Route/Flush are called by the stream
-// feeder goroutine; HandleControl is called by the transport handler.
-// All state is guarded by one mutex.
+// side of the relocation protocol. Route/Flush may run on any goroutine
+// (every caller of Ingest); HandleControl runs on the transport handler.
+// One mutex guards all state, which makes concurrent callers safe.
 //
 // Route encodes each tuple straight into its owner's pending wire
 // buffer, so the router never keeps a reference to the caller's payload:
@@ -36,6 +40,7 @@ type Router struct {
 	coordinator partition.NodeID
 	pf          partition.Func
 	batchSize   int
+	reuse       bool // transport.CopiesOnSend: outboxes keep their buffers
 
 	mu      sync.Mutex
 	version uint64
@@ -64,7 +69,7 @@ type outbox struct {
 	node partition.NodeID
 	buf  []byte
 	n    int
-	// size is the last sent payload's length, the next buffer's
+	// size is the last sent payload's length, the next fresh buffer's
 	// capacity: with fixed-size tuples every buffer is exactly sized.
 	size int
 }
@@ -82,6 +87,7 @@ func New(ep transport.Endpoint, coordinator partition.NodeID, pf partition.Func,
 		coordinator: coordinator,
 		pf:          pf,
 		batchSize:   batchSize,
+		reuse:       transport.CopiesOnSend(ep),
 		version:     version,
 		dest:        make([]int, len(owner)),
 		paused:      make([]bool, len(owner)),
@@ -128,9 +134,9 @@ func (r *Router) parkLocked(id partition.ID, t tuple.Tuple) {
 
 func (r *Router) enqueueLocked(id partition.ID, t *tuple.Tuple) error {
 	ob := &r.pending[r.dest[id]]
-	if ob.n == 0 {
-		// A fresh buffer per batch: the in-proc transport hands
-		// Data.Payload to the receiver by reference.
+	if ob.buf == nil {
+		// A fresh buffer per batch unless the transport copies on Send:
+		// the in-proc transport hands Data.Payload over by reference.
 		ob.buf = make([]byte, 4, max(ob.size, 4+t.EncodedSize()))
 	}
 	ob.buf = t.AppendTo(ob.buf)
@@ -148,6 +154,9 @@ func (r *Router) sendLocked(ob *outbox) error {
 	payload, n := ob.buf, ob.n
 	binary.LittleEndian.PutUint32(payload, uint32(n))
 	ob.buf, ob.n, ob.size = nil, 0, len(payload)
+	if r.reuse && cap(payload) <= maxKeptBatch {
+		ob.buf = payload[:4] // the next batch overwrites it
+	}
 	if err := r.ep.Send(ob.node, proto.Data{Payload: payload, MapVersion: r.version}); err != nil {
 		// The owner is unreachable — typically dead before the
 		// coordinator's watchdog Pause lands here. Park the batch: mark

@@ -1,7 +1,10 @@
 package split
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -405,5 +408,207 @@ func TestPauseOvertakenByItsRemapIsIgnored(t *testing.T) {
 	msgs := ep.messages()[before:]
 	if len(msgs) != 1 || msgs[0].to != "m2" {
 		t.Fatalf("tuple for the remapped partition: %d messages (first to %v), want one batch to m2", len(msgs), msgs)
+	}
+}
+
+// copyingEndpoint is a transport.PayloadCopier: like TCP it is done
+// with a Data payload when Send returns. It keeps a copy of each one
+// (or, with discard, only counts the tuples), and fails the next fails
+// sends.
+type copyingEndpoint struct {
+	fakeEndpoint
+	discard bool
+	tuples  int
+	fails   int
+}
+
+func (c *copyingEndpoint) CopiesPayload() {}
+
+func (c *copyingEndpoint) Send(to partition.NodeID, msg proto.Message) error {
+	if c.fails > 0 {
+		c.fails--
+		return fmt.Errorf("transport: send to %s: connection reset", to)
+	}
+	d, ok := msg.(proto.Data)
+	if !ok {
+		return c.fakeEndpoint.Send(to, msg)
+	}
+	if c.discard {
+		c.tuples += int(binary.LittleEndian.Uint32(d.Payload))
+		return nil
+	}
+	d.Payload = bytes.Clone(d.Payload)
+	return c.fakeEndpoint.Send(to, d)
+}
+
+var _ transport.PayloadCopier = (*copyingEndpoint)(nil)
+
+// TestRouteReusesBatchOverCopier: over a transport that copies on Send
+// the outbox keeps its buffer, so a full batch costs no allocation but
+// the Data's boxing into a proto.Message (32 bytes), not a fresh 17 KB
+// buffer.
+func TestRouteReusesBatchOverCopier(t *testing.T) {
+	ep := &copyingEndpoint{discard: true}
+	r := newRouter(t, ep, DefaultBatchSize)
+	payload := make([]byte, 40)
+	seq := uint64(0)
+	route := func() {
+		seq++
+		// Key 0: every tuple joins the same outbox.
+		if err := r.Route(tuple.Tuple{Key: 0, Seq: seq, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const batches = 10
+	for i := 0; i < DefaultBatchSize; i++ {
+		route() // the outbox's first buffer
+	}
+	if allocs := testing.AllocsPerRun(batches*DefaultBatchSize, route); allocs != 0 {
+		t.Fatalf("Route allocates %v times per tuple over a copying transport, want 0", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches*DefaultBatchSize; i++ {
+		route()
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > batches*64 {
+		t.Fatalf("%d batches allocated %d bytes, want at most the %d of their boxed messages", batches, bytes, batches*64)
+	}
+	if want := int(seq) / DefaultBatchSize * DefaultBatchSize; ep.tuples != want {
+		t.Fatalf("%d tuples sent, want %d", ep.tuples, want)
+	}
+}
+
+// TestRouteKeepsFreshBatchesByReference: over a transport that keeps
+// Data.Payload by reference (in-process), every batch gets its own
+// buffer, so each kept message still holds the tuples routed into it.
+func TestRouteKeepsFreshBatchesByReference(t *testing.T) {
+	ep := &fakeEndpoint{}
+	r := newRouter(t, ep, 4)
+	const batches = 20
+	for i := 0; i < batches*4; i++ {
+		if err := r.Route(tuple.Tuple{Key: 0, Seq: uint64(i), Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	msgs := ep.messages()
+	if len(msgs) != batches {
+		t.Fatalf("%d messages sent, want %d", len(msgs), batches)
+	}
+	for b, m := range msgs {
+		for j, tu := range decodeData(t, m.msg) {
+			if want := b*4 + j; tu.Seq != uint64(want) || len(tu.Payload) != 1 || tu.Payload[0] != byte(want) {
+				t.Fatalf("batch %d tuple %d reads seq %d payload %v, want seq %d", b, j, tu.Seq, tu.Payload, want)
+			}
+		}
+	}
+}
+
+// TestFailedSendOverCopierParksOwnedTuples: a batch whose send fails is
+// parked before the outbox reuses its buffer, so the later batches that
+// overwrite that buffer leave the parked tuples' payloads intact.
+func TestFailedSendOverCopierParksOwnedTuples(t *testing.T) {
+	ep := &copyingEndpoint{fails: 1}
+	r := newRouter(t, ep, 2)
+	route := func(key, seq uint64) {
+		t.Helper()
+		if err := r.Route(tuple.Tuple{Key: key, Seq: seq, Payload: []byte{byte(seq)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Partitions 0 and 2 share m1's outbox: the first batch (partition
+	// 0) fails and is parked, the next four (partition 2) reuse its
+	// buffer.
+	route(0, 0)
+	route(0, 1)
+	if r.SendFailures() != 1 || r.PausedPartitions() != 1 {
+		t.Fatalf("SendFailures = %d, PausedPartitions = %d, want 1 and 1", r.SendFailures(), r.PausedPartitions())
+	}
+	for seq := uint64(2); seq < 10; seq++ {
+		route(2, seq)
+	}
+	if _, err := r.HandleControl(proto.Remap{Epoch: 1, Version: 2, Partitions: []partition.ID{0}, Owner: "m2"}); err != nil {
+		t.Fatal(err)
+	}
+	var released []tuple.Tuple
+	for _, m := range ep.messages() {
+		if _, ok := m.msg.(proto.Data); ok && m.to == "m2" {
+			released = append(released, decodeData(t, m.msg)...)
+		}
+	}
+	if len(released) != 2 {
+		t.Fatalf("remap released %d tuples, want the 2 parked", len(released))
+	}
+	for i, tu := range released {
+		if tu.Seq != uint64(i) || len(tu.Payload) != 1 || tu.Payload[0] != byte(i) {
+			t.Fatalf("parked tuple %d released as seq %d payload %v", i, tu.Seq, tu.Payload)
+		}
+	}
+}
+
+// TestCopierDropsOversizedBatchBuffer: a batch of 1 MiB tuples does not
+// leave its buffer pinned in the outbox; once batches are small again
+// the outbox goes back to keeping one.
+func TestCopierDropsOversizedBatchBuffer(t *testing.T) {
+	ep := &copyingEndpoint{discard: true}
+	r := newRouter(t, ep, 2)
+	route := func(payload []byte) {
+		t.Helper()
+		if err := r.Route(tuple.Tuple{Key: 0, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	huge := make([]byte, 1<<20)
+	route(huge)
+	route(huge)
+	ob := &r.pending[r.dest[0]]
+	if ep.tuples != 2 || cap(ob.buf) > maxKeptBatch {
+		t.Fatalf("after a batch of 1 MiB tuples: %d tuples sent, outbox keeps %d bytes", ep.tuples, cap(ob.buf))
+	}
+	for i := 0; i < 4; i++ {
+		route(make([]byte, 40))
+	}
+	if c := cap(ob.buf); c == 0 || c > maxKeptBatch {
+		t.Fatalf("after small batches the outbox keeps %d bytes, want a buffer of at most %d", c, maxKeptBatch)
+	}
+}
+
+// TestConcurrentRouteOverCopier: Ingest may call Route from many
+// goroutines at once; over a copying transport they all write the same
+// kept buffers, which the router's lock must keep whole.
+func TestConcurrentRouteOverCopier(t *testing.T) {
+	ep := &copyingEndpoint{}
+	r := newRouter(t, ep, 8)
+	const callers, each = 4, 500
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seq := uint64(c*each + i)
+				if err := r.Route(tuple.Tuple{Key: seq, Seq: seq, Payload: []byte{byte(seq)}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for _, m := range ep.messages() {
+		for _, tu := range decodeData(t, m.msg) {
+			if seen[tu.Seq] || tu.Key != tu.Seq || len(tu.Payload) != 1 || tu.Payload[0] != byte(tu.Seq) {
+				t.Fatalf("tuple seq %d arrived as key %d payload %v (seen before: %v)", tu.Seq, tu.Key, tu.Payload, seen[tu.Seq])
+			}
+			seen[tu.Seq] = true
+		}
+	}
+	if len(seen) != callers*each {
+		t.Fatalf("%d tuples arrived, routed %d", len(seen), callers*each)
 	}
 }

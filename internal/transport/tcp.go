@@ -724,6 +724,9 @@ func (e *tcpEndpoint) FlushOutbound() {
 	e.flushDirty(nil)
 }
 
+// CopiesPayload implements PayloadCopier: Send encodes each frame before returning.
+func (e *tcpEndpoint) CopiesPayload() {}
+
 func (e *tcpEndpoint) conn(to partition.NodeID) (*tcpConn, error) {
 	e.mu.Lock()
 	if e.down {

@@ -15,6 +15,9 @@
 // Write coalescing preserves it: coalesced frames only ever ride the same
 // connection, and any non-coalescable frame flushes the queue ahead of
 // itself.
+//
+// A sender writes a sent payload again only over a PayloadCopier (TCP):
+// the in-process transport hands byte slices to the receiver as they are.
 package transport
 
 import (
@@ -51,6 +54,16 @@ func FlushOutbound(ep Endpoint) {
 	if f, ok := ep.(OutboundFlusher); ok {
 		f.FlushOutbound()
 	}
+}
+
+// PayloadCopier marks an endpoint whose Send copies msg before it
+// returns. A wrapper that may hold a message must not forward it.
+type PayloadCopier interface{ CopiesPayload() }
+
+// CopiesOnSend reports whether ep's Send copies msg before returning.
+func CopiesOnSend(ep Endpoint) bool {
+	_, ok := ep.(PayloadCopier)
+	return ok
 }
 
 // AddNode extends net's node directory with node's address if it has one

@@ -53,6 +53,7 @@ func BenchmarkJoinProcessMaterializing(b *testing.B) { benchCase(b, "join_proces
 func BenchmarkJoinEnumerate(b *testing.B)            { benchCase(b, "join_enumerate") }
 func BenchmarkTupleDecode(b *testing.B)              { benchCase(b, "tuple_decode") }
 func BenchmarkBatchRoundTrip(b *testing.B)           { benchCase(b, "batch_round_trip") }
+func BenchmarkSplitRoute(b *testing.B)               { benchCase(b, "split_route") }
 func BenchmarkResultSetAdd(b *testing.B)             { benchCase(b, "result_set_add") }
 func BenchmarkReplicaTap(b *testing.B)               { benchCase(b, "replica_tap") }
 func BenchmarkReplicaApply(b *testing.B)             { benchCase(b, "replica_apply") }

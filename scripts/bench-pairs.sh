@@ -7,9 +7,10 @@
 # in even ones. WORKLOAD may name several workloads, space-separated:
 # each runs its N pairs in turn and gets its own table. Per end-to-end
 # metric a table prints each side's median and quartiles, how many pairs
-# the change won, and whether the medians differ by more than the base's
-# inter-quartile distance — the two conditions a claimed gain has to
-# meet.
+# the change won and how many it tied (the same value on the same seed,
+# as a deterministic count should be), and whether the medians differ by
+# more than the base's inter-quartile distance — the two conditions a
+# claimed gain has to meet.
 #
 #   scripts/bench-pairs.sh BASE WORKLOAD [N [SECONDS]]
 #   make bench-pairs BASE=680b2c7 WORKLOAD=flood_count N=10
@@ -60,7 +61,7 @@ pairs() {
 	{ cnt[$3, $1]++; v[$3, $1, cnt[$3, $1]] = $4; byseed[$3, $1, $2] = $4; if (!($3 in seen)) { seen[$3]; order[++m] = $3 } }
 	END {
 		printf "%s: %d pairs, base %s vs working tree\n", workload, n, base
-		printf "%-28s %-6s %14s %14s %14s   %s\n", "metric", "side", "median", "q1", "q3", "change: median, pairs won, beyond base IQR"
+		printf "%-28s %-6s %14s %14s %14s   %s\n", "metric", "side", "median", "q1", "q3", "change: median, pairs won and tied, beyond base IQR"
 		for (k = 1; k <= m; k++) {
 			name = order[k]
 			higher = (name == "throughput_tps" || name == "runtime_results_per_tuple")
@@ -69,13 +70,14 @@ pairs() {
 				for (j = 1; j <= cnt[name, side]; j++) a[j] = v[name, side, j]
 				med[side] = q(a, cnt[name, side], 0.5); q1[side] = q(a, cnt[name, side], 0.25); q3[side] = q(a, cnt[name, side], 0.75)
 			}
-			won = 0
+			won = tied = 0
 			for (j = 1; j <= n; j++) {
 				d = byseed[name, "change", j] - byseed[name, "base", j]
-				if (higher ? d > 0 : d < 0) won++
+				if (d == 0) tied++
+				else if (higher ? d > 0 : d < 0) won++
 			}
 			d = med["change"] - med["base"]
-			verdict = sprintf("%+.1f%%, %d/%d, %s", med["base"] ? 100 * d / med["base"] : 0, won, n, (d < 0 ? -d : d) > q3["base"] - q1["base"] ? "yes" : "no")
+			verdict = sprintf("%+.1f%%, won %d, tied %d of %d, %s", med["base"] ? 100 * d / med["base"] : 0, won, tied, n, (d < 0 ? -d : d) > q3["base"] - q1["base"] ? "yes" : "no")
 			printf "%-28s %-6s %14.4f %14.4f %14.4f\n", name, "base", med["base"], q1["base"], q3["base"]
 			printf "%-28s %-6s %14.4f %14.4f %14.4f   %s\n", name, "change", med["change"], q1["change"], q3["change"], verdict
 		}
