@@ -1,9 +1,9 @@
 # Tier-1 verification for the repo: vet, build, lint, race-test, fuzz
 # smoke. `make check` is what CI and the roadmap's tier-1 gate run.
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
-# fixed-iteration hot-path micro-benchmarks, serial-vs-parallel cleanup
-# and run-time join comparisons, and one compressed figure run, written
-# to BENCH_15.json and gated against BENCH_BASELINE.json. CI runs it as a
+# fixed-iteration hot-path micro-benchmarks, a serial-vs-parallel
+# cleanup comparison, and one compressed figure run, written to
+# BENCH_15.json and gated against BENCH_BASELINE.json. CI runs it as a
 # non-blocking artifact step; it is not part of the tier-1 gate. The
 # end-to-end benchmark over real TCP is `go run ./benchmark`; `make
 # e2e-smoke` is its two-second-per-workload exactness check.
@@ -28,7 +28,7 @@ no-gob:
 
 # lint runs the repo's own analyzers (invariants the stock toolchain
 # cannot see: virtual-time discipline, component boundaries, protocol
-# exhaustiveness, shard quiescing, unchecked errors). See PROTOCOL.md.
+# exhaustiveness, unchecked errors). See PROTOCOL.md.
 lint:
 	$(GO) run ./cmd/distqlint ./...
 
@@ -57,7 +57,7 @@ test-race:
 # and late (PROTOCOL.md "Timeouts, retries, abort"). -count=1 forces a
 # live run.
 chaos-smoke:
-	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosParallelJoinExact|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPParallelJoinExact|TestChaosTCPPoisonedRelocation|TestChaosTCPPoisonedFailover' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPPoisonedRelocation|TestChaosTCPPoisonedFailover' ./internal/experiments
 	$(GO) test -race -count=1 -run 'TestEngineStepTable' ./internal/engine
 
 # e2e-smoke runs the four end-to-end workloads over real TCP for two

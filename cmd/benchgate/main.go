@@ -1,15 +1,14 @@
 // Command benchgate is the benchmark regression gate: it runs the
 // hot-path micro-benchmarks (internal/bench) at fixed iteration counts,
-// one serial-vs-parallel cleanup comparison, one serial-vs-sharded
-// run-time join comparison, and one compressed figure run, writes the
-// machine-readable BENCH_15.json report, and exits non-zero if any gated
-// metric regressed more than the threshold against the committed
-// BENCH_BASELINE.json. (The TCP data path is measured end to end by
-// `go run ./benchmark`, workload flood_count.)
+// one serial-vs-parallel cleanup comparison and one compressed figure
+// run, writes the machine-readable BENCH_15.json report, and exits
+// non-zero if any gated metric regressed more than the threshold against
+// the committed BENCH_BASELINE.json. (The TCP data path is measured end
+// to end by `go run ./benchmark`, workload flood_count.)
 //
-// The join and cleanup comparisons record both passes unconditionally;
-// a speedup is only meaningful when the report's gomaxprocs is > 1 (on
-// a single-CPU machine the parallel pass cannot beat serial).
+// The cleanup comparison records both passes unconditionally; a speedup
+// is only meaningful when the report's gomaxprocs is > 1 (on a
+// single-CPU machine the parallel pass cannot beat serial).
 //
 //	go run ./cmd/benchgate                  # full run, gate against baseline
 //	go run ./cmd/benchgate -skip-figure     # micro-benchmarks only
@@ -113,14 +112,6 @@ type cleanupReport struct {
 	Parallel bench.CleanupRun `json:"parallel"`
 }
 
-type joinReport struct {
-	Serial   bench.JoinRun `json:"serial"`
-	Parallel bench.JoinRun `json:"parallel"`
-	// SpeedupX is serial elapsed over parallel elapsed; compare against
-	// a target only when gomaxprocs > 1.
-	SpeedupX float64 `json:"speedup_x"`
-}
-
 type figureReport struct {
 	ID     string `json:"id"`
 	Passed bool   `json:"passed"`
@@ -147,7 +138,6 @@ type report struct {
 	GoMaxProcs   int                     `json:"gomaxprocs"`
 	Metrics      []bench.Metric          `json:"metrics"`
 	Cleanup      cleanupReport           `json:"cleanup"`
-	Join         joinReport              `json:"join"`
 	Figure       *figureReport           `json:"figure,omitempty"`
 	BaselinePre  map[string]bench.Metric `json:"baseline_pre_pr"`
 	AllocsGainPc map[string]float64      `json:"allocs_improvement_pct"`
@@ -195,19 +185,6 @@ func main() {
 		serial.Workers, serial.ElapsedNs, serial.CriticalPathNs, serial.Groups, serial.Results)
 	fmt.Printf("cleanup parallel %d workers  elapsed %dns  critical-path %dns\n",
 		parallel.Workers, parallel.ElapsedNs, parallel.CriticalPathNs)
-
-	jSerial, jParallel, err := bench.JoinComparison()
-	if err != nil {
-		fatal(err)
-	}
-	rep.Join = joinReport{Serial: jSerial, Parallel: jParallel}
-	if jParallel.ElapsedNs > 0 {
-		rep.Join.SpeedupX = float64(jSerial.ElapsedNs) / float64(jParallel.ElapsedNs)
-	}
-	fmt.Printf("join serial   %d shard   elapsed %dns  (%d tuples, %d results)\n",
-		jSerial.Shards, jSerial.ElapsedNs, jSerial.Tuples, jSerial.Results)
-	fmt.Printf("join parallel %d shards  elapsed %dns  speedup %.2fx (meaningful only at gomaxprocs > 1; here %d)\n",
-		jParallel.Shards, jParallel.ElapsedNs, rep.Join.SpeedupX, rep.GoMaxProcs)
 
 	if !*skipFigure {
 		opts := experiments.RunOpts{Scale: 600, DurationFactor: 0.05}

@@ -29,7 +29,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/componentboundary"
 	"repro/internal/analysis/protoexhaustive"
-	"repro/internal/analysis/shardquiesce"
 	"repro/internal/analysis/uncheckederr"
 	"repro/internal/analysis/vclockdiscipline"
 )
@@ -38,7 +37,6 @@ import (
 var all = []*analysis.Analyzer{
 	componentboundary.Analyzer,
 	protoexhaustive.Analyzer,
-	shardquiesce.Analyzer,
 	uncheckederr.Analyzer,
 	vclockdiscipline.Analyzer,
 }

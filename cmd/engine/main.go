@@ -54,7 +54,6 @@ func main() {
 		storeDir    = flag.String("store", "", "segment store directory (default in-memory)")
 		monAddr     = flag.String("monitor", "", "HTTP monitoring address serving /healthz and /stats (empty disables)")
 		scale       = flag.Float64("scale", 1, "virtual time compression factor (must match the generator's)")
-		joinPar     = flag.Int("join-parallelism", 1, "join shard workers (0 or 1 = serial data path)")
 		groupMet    = flag.Int("group-metrics", 0, "export per-group productivity gauges for the top N groups (0 disables)")
 		pprofOn     = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ on the monitor address")
 		joinCluster = flag.Bool("join", false, "join a running cluster at startup (JoinRequest handshake) instead of static registration")
@@ -98,12 +97,11 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := cluster.Config{
-		Workload:        workload.Config{Streams: *inputs, Partitions: *partitions},
-		Spill:           core.SpillConfig{MemThreshold: *threshold, Fraction: *fraction},
-		LocalSpill:      *threshold > 0,
-		Policy:          func(partition.NodeID) core.Policy { return policy },
-		JoinParallelism: *joinPar,
-		GroupMetrics:    *groupMet,
+		Workload:     workload.Config{Streams: *inputs, Partitions: *partitions},
+		Spill:        core.SpillConfig{MemThreshold: *threshold, Fraction: *fraction},
+		LocalSpill:   *threshold > 0,
+		Policy:       func(partition.NodeID) core.Policy { return policy },
+		GroupMetrics: *groupMet,
 	}
 	ec := cfg.EngineConfig(partition.NodeID(*node), store, standby)
 	ec.DynamicJoin = *joinCluster

@@ -61,8 +61,11 @@ type Options struct {
 	// StoreDir, when set, backs each engine's segment store with files
 	// under StoreDir/<node>.
 	StoreDir string
-	// JoinParallelism sizes each engine's join shard-worker pool (0 or
-	// 1 = serial data path). The result set is identical at any setting.
+	// JoinParallelism must be 0 or 1: each engine's join runs on its
+	// handler goroutine, and more cores means more Engines. NewCluster
+	// rejects any larger value.
+	//
+	// Deprecated: add engines instead; the field will be removed.
 	JoinParallelism int
 	// TimeScale compresses virtual time (default 1: real time).
 	TimeScale float64

@@ -3,6 +3,8 @@ package distq
 import (
 	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,6 +135,16 @@ func TestNewClusterValidation(t *testing.T) {
 	}
 	if _, err := NewCluster(Options{Engines: []NodeID{"m1", "m2"}, Inputs: 2, InitialWeights: []int{1}}); err == nil {
 		t.Fatal("mismatched weights accepted")
+	}
+	// The deprecated JoinParallelism passes through to the cluster, which
+	// refuses more than 1 before it builds a node: no goroutine starts.
+	before := runtime.NumGoroutine()
+	_, err := NewCluster(Options{Engines: []NodeID{"m1", "m2"}, Inputs: 2, JoinParallelism: 4})
+	if err == nil || !strings.Contains(err.Error(), "add engines") {
+		t.Fatalf("JoinParallelism 4: error %v, want one that says to add engines", err)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("a refused JoinParallelism left %d goroutines running", n-before)
 	}
 }
 

@@ -1,7 +1,6 @@
 package distq
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -88,66 +87,64 @@ func (e *slowEndpoint) forward() {
 // been delivered to OnResult — also when the results' links are slower
 // than the fence's.
 func TestDrainFencesResultsOverSlowLinks(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			net := slowResults{transport.NewTCP(map[NodeID]string{
-				cluster.CoordinatorNode: "127.0.0.1:0",
-				cluster.GeneratorNode:   "127.0.0.1:0",
-				cluster.AppServerNode:   "127.0.0.1:0",
-				"m1":                    "127.0.0.1:0",
-				"m2":                    "127.0.0.1:0",
-			}), make(chan struct{})}
-			defer net.Close()
-			var mu sync.Mutex
-			set := tuple.NewResultSet()
-			dups := 0
-			c, err := NewCluster(Options{
-				Engines:         []NodeID{"m1", "m2"},
-				Inputs:          2,
-				Partitions:      8,
-				JoinParallelism: shards,
-				Network:         net,
-				OnResult: func(_ Phase, r Result) {
-					mu.Lock()
-					defer mu.Unlock()
-					if !set.Add(r) {
-						dups++
-					}
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			rng := rand.New(rand.NewSource(int64(shards)))
-			var history []tuple.Tuple
-			seqs := make([]uint64, 2)
-			for i := 0; i < 4000; i++ {
-				stream, key := i%2, uint64(rng.Intn(500))
-				history = append(history, tuple.Tuple{Stream: uint8(stream), Key: key, Seq: seqs[stream]})
-				seqs[stream]++
-				if err := c.Ingest(stream, key, nil); err != nil {
-					t.Fatal(err)
+	// The join runs as one shard, on the handler goroutine.
+	t.Run("shards=1", func(t *testing.T) {
+		net := slowResults{transport.NewTCP(map[NodeID]string{
+			cluster.CoordinatorNode: "127.0.0.1:0",
+			cluster.GeneratorNode:   "127.0.0.1:0",
+			cluster.AppServerNode:   "127.0.0.1:0",
+			"m1":                    "127.0.0.1:0",
+			"m2":                    "127.0.0.1:0",
+		}), make(chan struct{})}
+		defer net.Close()
+		var mu sync.Mutex
+		set := tuple.NewResultSet()
+		dups := 0
+		c, err := NewCluster(Options{
+			Engines:    []NodeID{"m1", "m2"},
+			Inputs:     2,
+			Partitions: 8,
+			Network:    net,
+			OnResult: func(_ Phase, r Result) {
+				mu.Lock()
+				defer mu.Unlock()
+				if !set.Add(r) {
+					dups++
 				}
-			}
-			if err := c.Drain(); err != nil {
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rng := rand.New(rand.NewSource(1))
+		var history []tuple.Tuple
+		seqs := make([]uint64, 2)
+		for i := 0; i < 4000; i++ {
+			stream, key := i%2, uint64(rng.Intn(500))
+			history = append(history, tuple.Tuple{Stream: uint8(stream), Key: key, Seq: seqs[stream]})
+			seqs[stream]++
+			if err := c.Ingest(stream, key, nil); err != nil {
 				t.Fatal(err)
 			}
-			mu.Lock()
-			fenced := set.Len()
-			mu.Unlock()
-			if want := join.OracleCount(2, history); uint64(fenced) != want {
-				t.Errorf("%d results delivered when Drain returned, oracle %d", fenced, want)
-			}
-			time.Sleep(5 * linkDelay)
-			mu.Lock()
-			defer mu.Unlock()
-			if set.Len() != fenced {
-				t.Errorf("%d results arrived after Drain returned", set.Len()-fenced)
-			}
-			if dups != 0 {
-				t.Errorf("%d duplicate results", dups)
-			}
-		})
-	}
+		}
+		if err := c.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		fenced := set.Len()
+		mu.Unlock()
+		if want := join.OracleCount(2, history); uint64(fenced) != want {
+			t.Errorf("%d results delivered when Drain returned, oracle %d", fenced, want)
+		}
+		time.Sleep(5 * linkDelay)
+		mu.Lock()
+		defer mu.Unlock()
+		if set.Len() != fenced {
+			t.Errorf("%d results arrived after Drain returned", set.Len()-fenced)
+		}
+		if dups != 0 {
+			t.Errorf("%d duplicate results", dups)
+		}
+	})
 }

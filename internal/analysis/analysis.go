@@ -2,9 +2,9 @@
 // golang.org/x/tools/go/analysis API: an Analyzer inspects one
 // type-checked package at a time and reports Diagnostics. The repo's
 // invariants (virtual-time discipline, component boundaries, protocol
-// exhaustiveness, shard quiescing, unchecked errors) are enforced by
-// the analyzers under this directory, driven by cmd/distqlint and by
-// the analysistest harness in tests.
+// exhaustiveness, unchecked errors) are enforced by the analyzers under
+// this directory, driven by cmd/distqlint and by the analysistest
+// harness in tests.
 //
 // The container building this repo has no module proxy access, so the
 // framework deliberately uses only the standard library: packages are

@@ -205,18 +205,3 @@ func ImportName(file *ast.File, importPath string) (string, bool) {
 	}
 	return "", false
 }
-
-// CalleeFunc resolves a call expression to the *types.Func it invokes
-// (function or method), or nil for builtins, conversions, function
-// values, and unresolved callees.
-func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	}
-	f, _ := info.Uses[id].(*types.Func)
-	return f
-}

@@ -33,11 +33,11 @@ func time2() time.Duration { return 0 }
 
 type clock interface{ Now() time.Time }
 
-// shardWorker mirrors the parallel join's per-shard goroutine: worker
+// cleanupWorker mirrors a parallel cleanup's worker goroutine: worker
 // loops stamp their spans through the engine's injected clock, and the
 // discipline follows the code into the goroutine — a wall-clock read
 // inside the worker is as much a leak as one on the handler.
-func shardWorker(c clock, work chan int) {
+func cleanupWorker(c clock, work chan int) {
 	go func() {
 		for range work {
 			_ = c.Now()         // conforming: the injected clock is the doorway

@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/cleanup"
 	"repro/internal/join"
@@ -151,21 +150,6 @@ func Cases() []Case {
 			},
 		},
 		{
-			// The sharded operator driven serially: gates that shard
-			// routing adds no per-tuple allocations over the plain path
-			// (the speedup itself is measured by JoinComparison).
-			Name:     "join_process_parallel",
-			DefaultN: 300_000,
-			Make: func() func(int) {
-				op := join.NewSharded(3, partition.NewFunc(120), 4, nil)
-				return func(i int) {
-					if _, err := op.Process(Tuple(i)); err != nil {
-						panic(err)
-					}
-				}
-			},
-		},
-		{
 			// The count-only path with the observability layer live:
 			// an open trace span and a logger consulted per tuple via
 			// the Enabled guard (the hot-path pattern PROTOCOL.md
@@ -176,8 +160,8 @@ func Cases() []Case {
 			Make: func() func(int) {
 				op := join.New(3, partition.NewFunc(120), nil)
 				tracer := obs.NewTracer(0)
-				span := tracer.Start(obs.SpanJoinShard, "bench", 0)
-				span.SetAttr("shard", "0")
+				span := tracer.Start(obs.SpanCleanupWorker, "bench", 0)
+				span.SetAttr("worker", "0")
 				lg := obs.NewLogger(obs.LoggerConfig{Node: "bench", Kind: "engine"})
 				return func(i int) {
 					if lg.Enabled(obs.LevelDebug) {
@@ -534,85 +518,4 @@ func CleanupComparison() (serial, parallel CleanupRun, err error) {
 	}
 	parallel, err = run(0)
 	return serial, parallel, err
-}
-
-// JoinRun is one measured run-time join pass of JoinComparison.
-type JoinRun struct {
-	Shards    int    `json:"shards"`
-	ElapsedNs int64  `json:"elapsed_ns"`
-	Tuples    int    `json:"tuples"`
-	Results   uint64 `json:"results"`
-}
-
-// joinComparisonTuples is the input size of JoinComparison: large
-// enough that per-tuple probe work dominates goroutine startup.
-const joinComparisonTuples = 200_000
-
-// JoinComparison drives the identical tuple sequence through a serial
-// join operator and through a 4-shard operator with one goroutine per
-// shard (tuples pre-bucketed by owning shard, as the engine's dispatch
-// does), reporting both passes. The result counts are equal by
-// construction — shards partition the group space — and verified here.
-// On a single-CPU machine the parallel pass cannot beat serial, so
-// consumers must compare times only when GOMAXPROCS > 1.
-func JoinComparison() (serial, parallel JoinRun, err error) {
-	tuples := make([]tuple.Tuple, joinComparisonTuples)
-	for i := range tuples {
-		tuples[i] = Tuple(i)
-	}
-
-	serialOp := join.New(3, partition.NewFunc(120), nil)
-	start := vclock.WallNow()
-	for i := range tuples {
-		if _, err := serialOp.Process(tuples[i]); err != nil {
-			return serial, parallel, err
-		}
-	}
-	serial = JoinRun{
-		Shards:    1,
-		ElapsedNs: vclock.WallSince(start).Nanoseconds(),
-		Tuples:    len(tuples),
-		Results:   serialOp.Output(),
-	}
-
-	const shards = 4
-	parOp := join.NewSharded(3, partition.NewFunc(120), shards, nil)
-	buckets := make([][]tuple.Tuple, shards)
-	for i := range tuples {
-		s := parOp.ShardIndex(tuples[i].Key)
-		buckets[s] = append(buckets[s], tuples[i])
-	}
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	start = vclock.WallNow()
-	for s := 0; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			sh := parOp.Shard(s)
-			for i := range buckets[s] {
-				if _, err := sh.Process(buckets[s][i]); err != nil {
-					errs[s] = err
-					return
-				}
-			}
-		}(s)
-	}
-	wg.Wait()
-	parallel = JoinRun{
-		Shards:    shards,
-		ElapsedNs: vclock.WallSince(start).Nanoseconds(),
-		Tuples:    len(tuples),
-		Results:   parOp.Output(),
-	}
-	for _, e := range errs {
-		if e != nil {
-			return serial, parallel, fmt.Errorf("bench: join comparison: %w", e)
-		}
-	}
-	if parallel.Results != serial.Results {
-		return serial, parallel, fmt.Errorf("bench: join comparison: parallel produced %d results, serial %d",
-			parallel.Results, serial.Results)
-	}
-	return serial, parallel, nil
 }

@@ -210,6 +210,9 @@ func NewStreaming(cfg Config) (*Cluster, error) { return wire(cfg, false) }
 
 // wire builds the cluster's nodes on its network.
 func wire(cfg Config, instrument bool) (*Cluster, error) {
+	if cfg.JoinParallelism > 1 {
+		return nil, fmt.Errorf("cluster: JoinParallelism %d: an engine's join is serial; add engines instead", cfg.JoinParallelism)
+	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 600
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,6 +351,34 @@ func TestConfigValidation(t *testing.T) {
 	cfg.InitialWeights = []int{1} // wrong length
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("mismatched weights accepted")
+	}
+}
+
+// JoinParallelism is deprecated: 0 and 1 build and start a cluster as
+// before, and anything larger is refused.
+func TestJoinParallelismAbove1IsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		parallelism int
+		ok          bool
+	}{{0, true}, {1, true}, {2, false}} {
+		t.Run(fmt.Sprintf("parallelism=%d", tc.parallelism), func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.JoinParallelism = tc.parallelism
+			c, err := New(cfg)
+			if !tc.ok {
+				if err == nil || !strings.Contains(err.Error(), "add engines") {
+					t.Fatalf("error %v, want one that says to add engines", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

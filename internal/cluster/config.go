@@ -66,9 +66,11 @@ type Config struct {
 	Duration time.Duration
 	// RunCleanup makes Run execute the disk phase after the run-time phase.
 	RunCleanup bool
-	// JoinParallelism sizes each engine's join shard-worker pool
-	// (0 or 1 = serial data path; see engine.Config). The result set is
-	// identical at any setting.
+	// JoinParallelism must be 0 or 1: an engine's join runs on its
+	// handler goroutine, and more cores means more Engines. New and
+	// NewStreaming reject any larger value.
+	//
+	// Deprecated: add engines instead; the field will be removed.
 	JoinParallelism int
 	// GroupMetrics, when positive, makes every engine export per-group
 	// productivity gauges for its top GroupMetrics groups (see
@@ -157,7 +159,6 @@ func (c *Config) EngineConfig(node partition.NodeID, store, standby spill.Store)
 		EnumerateResults:   c.EnumerateResults,
 		PreFilter:          c.PreFilter,
 		SmoothingAlpha:     c.SmoothingAlpha,
-		JoinParallelism:    c.JoinParallelism,
 		GroupMetrics:       c.GroupMetrics,
 		Window:             c.Window,
 		StatsInterval:      c.StatsInterval,

@@ -116,14 +116,6 @@ type Config struct {
 	// Leave empty where every node shares one network (in-proc, or one
 	// TCP instance): no directory is missing anything.
 	Addr string
-	// JoinParallelism sizes the shard-worker pool of the run-time join
-	// path: partition groups are assigned to shards by partition ID mod
-	// JoinParallelism (stable, so a group's tuples stay FIFO within
-	// their shard) and each shard is driven by its own worker. Control
-	// messages quiesce the pool before touching operator state, so the
-	// result set is identical at any setting. Zero or 1 keeps the
-	// historical serial path.
-	JoinParallelism int
 }
 
 func (c *Config) withDefaults() (Config, error) {
@@ -149,9 +141,6 @@ func (c *Config) withDefaults() (Config, error) {
 	if out.SpillCheckInterval <= 0 {
 		out.SpillCheckInterval = 2 * time.Second
 	}
-	if out.JoinParallelism < 1 {
-		out.JoinParallelism = 1
-	}
 	return out, nil
 }
 
@@ -170,9 +159,6 @@ type Engine struct {
 	// Always present — whether it does anything is decided by the
 	// coordinator's ReplicaMap broadcasts, not engine configuration.
 	repl *replicator
-	// pool drives the operator's shards concurrently when
-	// JoinParallelism > 1; nil on the serial path.
-	pool *shardPool
 	mgr  *spill.Manager
 	// ledger answers the coordinator's adaptation steps (ledger.go).
 	ledger ledger
@@ -202,9 +188,8 @@ type Engine struct {
 	// send, so a transient send failure retries the delta on the next
 	// sr_timer instead of dropping it.
 	reportedOutput uint64
-	// resultMu serializes the result buffer: with a shard pool, emit
-	// callbacks run concurrently on worker goroutines (join results and
-	// cleanup workers alike).
+	// resultMu serializes the result buffer: cleanup workers call emit
+	// concurrently with each other and with the handler's flushes.
 	resultMu sync.Mutex
 	// resultPayload holds pending materialized results, already encoded:
 	// emit hands the engine a Result whose Seqs is the join core's scratch
@@ -263,13 +248,10 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 	e.reg.Help("distq_engine_cleanup_groups_total", "partition groups merged during cleanup, by worker")
 	e.reg.Help("distq_engine_cleanup_results_total", "missed results produced during cleanup")
 	e.reg.Help("distq_engine_cleanup_group_seconds", "wall-clock merge time of one cleanup group")
-	e.reg.Help("distq_engine_shard_workers", "join shard-worker pool size (1 = serial data path)")
 	e.reg.Help("distq_engine_group_resident_bytes", "resident state size of one partition group (GroupMetrics only)")
 	e.reg.Help("distq_engine_group_lifetime_bytes", "lifetime bytes absorbed by one partition group (GroupMetrics only)")
 	e.reg.Help("distq_engine_group_output_results", "cumulative results produced by one partition group (GroupMetrics only)")
 	e.reg.Help("distq_engine_group_productivity_rank", "productivity rank of one partition group, 1 = most productive (GroupMetrics only)")
-	e.reg.Help("distq_engine_shard_tuples_total", "tuples processed by the join shard workers, by shard")
-	e.reg.Help("distq_engine_shard_quiesces_total", "control-message barriers that quiesced the shard pool")
 	e.reg.Help("distq_engine_deltas_out_total", "replication state deltas sent to followers (including retransmits)")
 	e.reg.Help("distq_engine_deltas_in_total", "replication state deltas applied from primaries")
 	e.reg.Help("distq_engine_standby_bytes", "warm follower-copy state held outside the operator")
@@ -291,13 +273,9 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		emit = func(tuple.Result) {}
 	}
 	if c.Window > 0 {
-		e.op = join.NewWindowedSharded(c.Inputs, e.pf, c.Window, c.JoinParallelism, emit)
+		e.op = join.NewWindowed(c.Inputs, e.pf, c.Window, emit)
 	} else {
-		e.op = join.NewSharded(c.Inputs, e.pf, c.JoinParallelism, emit)
-	}
-	e.reg.Gauge("distq_engine_shard_workers").Set(float64(c.JoinParallelism))
-	if c.JoinParallelism > 1 {
-		e.pool = newShardPool(e)
+		e.op = join.New(c.Inputs, e.pf, emit)
 	}
 	e.mgr = spill.NewManager(e.op, c.Store, c.Policy)
 	// A reopened store holds segments of an earlier life. Their groups
@@ -326,8 +304,8 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 	return e, nil
 }
 
-// Attach joins the engine to the network and launches the shard-worker
-// pool (data can arrive as soon as the handler is attached).
+// Attach joins the engine to the network; data can arrive as soon as
+// the handler is attached.
 func (e *Engine) Attach(net transport.Network) error {
 	ep, err := net.Attach(e.cfg.Node, e.Handle)
 	if err != nil {
@@ -335,9 +313,6 @@ func (e *Engine) Attach(net transport.Network) error {
 	}
 	e.ep = ep
 	e.net = net
-	if e.pool != nil {
-		e.pool.start()
-	}
 	return nil
 }
 
@@ -424,16 +399,6 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 	if e.stopped || e.crashed.Load() {
 		return
 	}
-	// Every non-Data message is a barrier for the parallel join path:
-	// the shard pool is quiesced before the handler touches operator
-	// state, so the marker fence, spill victim selection, the 8-step
-	// relocation protocol, drain, and cleanup all see the same
-	// consistent single-threaded view as the serial engine.
-	if _, isData := msg.(proto.Data); !isData {
-		if qerr := e.quiesceShards(); qerr != nil {
-			e.log.Error("shard_worker_error", obs.FErr(qerr))
-		}
-	}
 	var err error
 	switch m := msg.(type) {
 	case proto.Data:
@@ -502,26 +467,14 @@ func (e *Engine) onPauseMarker(m proto.PauseMarker) error {
 	return nil
 }
 
-// quiesceShards fences the shard pool (no-op on the serial path): on
-// return, every dispatched tuple is fully processed and no worker runs
-// until the next dispatch.
-func (e *Engine) quiesceShards() error {
-	if e.pool == nil {
-		return nil
-	}
-	e.reg.Counter("distq_engine_shard_quiesces_total").Inc()
-	return e.pool.quiesce()
-}
-
 // onData joins a batch straight off the wire: each tuple is a view into
 // m.Payload (the transport's frame buffer, recycled when the handler
 // returns), valid only for its turn of the loop. Everything that keeps a
-// tuple copies it — the operator into its pages, the replication tap and
-// the shard pool by re-encoding — so nothing here allocates per tuple,
-// and nothing per batch on the serial path: the tap finds the group's
-// slot by one index and appends to the buffer the group keeps across
-// ticks (replica.Slot.Cut). A malformed batch is rejected whole, before
-// its first tuple is processed.
+// tuple copies it — the operator into its pages or log, the replication
+// tap by re-encoding — so nothing here allocates per tuple or per batch:
+// the tap finds the group's slot by one index and appends to the buffer
+// the group keeps across ticks (replica.Slot.Cut). A malformed batch is
+// rejected whole, before its first tuple is processed.
 func (e *Engine) onData(m proto.Data) error {
 	r, err := tuple.ReadBatch(m.Payload)
 	if err != nil {
@@ -531,8 +484,6 @@ func (e *Engine) onData(m proto.Data) error {
 	var t tuple.Tuple
 	for r.Next(&t) {
 		if e.cfg.PreFilter != nil {
-			// The pre-filter chain runs on the handler (stateless
-			// operators carry no concurrency contract).
 			var ok bool
 			if t, ok = e.cfg.PreFilter.Apply(t); !ok {
 				continue
@@ -543,14 +494,9 @@ func (e *Engine) onData(m proto.Data) error {
 			// the join's state is what a follower must be able to reproduce.
 			e.repl.tap.Append(e.pf.Of(t.Key), &t)
 		}
-		if e.pool != nil {
-			e.pool.add(&t, len(m.Payload))
-		} else if _, err := e.op.Process(t); err != nil {
+		if _, err := e.op.Process(t); err != nil {
 			return err
 		}
-	}
-	if e.pool != nil {
-		e.pool.dispatch()
 	}
 	e.maybeFlushResults(false)
 	return nil
@@ -911,11 +857,6 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 // "Cold restart"). Callable from any goroutine.
 func (e *Engine) Crash() {
 	e.crashed.Store(true)
-	if e.pool != nil {
-		// Release the workers (and any handler blocked on a dispatch or
-		// barrier) without draining: a crash abandons queued tuples.
-		e.pool.interrupt()
-	}
 	for _, tk := range e.tickers {
 		tk.Stop()
 	}
@@ -1082,8 +1023,8 @@ func (e *Engine) onCleanup(from partition.NodeID) error {
 }
 
 // bufferResult encodes one emitted result into the pending payload.
-// It runs on the handler goroutine (serial path), on shard workers
-// (parallel join), and on cleanup workers — resultMu serializes them.
+// It runs on the handler goroutine and on cleanup workers — resultMu
+// serializes them.
 func (e *Engine) bufferResult(r tuple.Result) {
 	e.resultMu.Lock()
 	e.resultPayload = r.AppendTo(e.resultPayload)
@@ -1132,12 +1073,6 @@ func (e *Engine) sendResults(payload []byte, phase proto.Phase) {
 }
 
 func (e *Engine) shutdown() {
-	// The Stop message already quiesced the pool (Handle's barrier), so
-	// every dispatched tuple is applied; close waits for the workers to
-	// finish their spans before the done fence releases state readers.
-	if e.pool != nil {
-		e.pool.close()
-	}
 	e.stopped = true
 	for _, tk := range e.tickers {
 		tk.Stop()

@@ -125,7 +125,7 @@ func newRig(t *testing.T, mutate func(*Config)) *rig {
 }
 
 // stopOnCleanup stops each engine when the test ends, before its network
-// closes, and waits for its handler to finish: no ticker or shard worker
+// closes, and waits for its handler to finish: no ticker
 // outlives the test.
 func stopOnCleanup(t *testing.T, engines ...*Engine) {
 	t.Cleanup(func() {
@@ -532,5 +532,128 @@ func TestEngineRestartReadsHeadersOnlyAndDemoteDropsResumedGroups(t *testing.T) 
 		if g, n := second.engine.Op().Groups(), second.store.SegmentCount(); g != 0 || n != 0 {
 			t.Fatalf("after the demote: %d groups resident, %d segments stored; want none", g, n)
 		}
+	}
+}
+
+// TestNewRejectsInvalidConfig covers the validation added to New: a
+// join with fewer than 2 inputs or a zero-modulus partition function
+// must be rejected up front instead of panicking deep inside the hot
+// path (modulus by zero).
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"no inputs", Config{Node: "m1", Inputs: 0, Partitions: 4}},
+		{"one input", Config{Node: "m1", Inputs: 1, Partitions: 4}},
+		{"no partitions", Config{Node: "m1", Inputs: 2, Partitions: 0}},
+		{"negative partitions", Config{Node: "m1", Inputs: 2, Partitions: -3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg, vclock.NewManual()); err == nil {
+				t.Fatalf("New(%+v) succeeded, want error", tc.cfg)
+			}
+		})
+	}
+}
+
+// TestForceSpillDuringRelocationKeepsRelocateMode: a spill must not
+// clobber RelocateMode back to normal — that would re-enable the local
+// ss_timer spill path while a state move is in flight. Since one
+// foreground run at a time, the only ForceSpill that can reach an engine
+// mid-relocation is a late one of an earlier run: it is dropped — no
+// spill, no SpillDone — and the mode is kept.
+func TestForceSpillDuringRelocationKeepsRelocateMode(t *testing.T) {
+	r := newRig(t, nil)
+	r.gen.ep.Send("m1", dataMsg(t, mk(0, 0, 1), mk(1, 0, 2), mk(0, 1, 3), mk(1, 1, 4)))
+
+	// Step 1-2 of the relocation protocol: the engine enters relocate
+	// mode and offers partitions.
+	r.gc.ep.Send("m1", proto.CptV{Epoch: 5, Amount: 1 << 20, Receiver: "m2"})
+	ptv := expect[proto.PtV](t, r.gc)
+	if len(ptv.Partitions) == 0 {
+		t.Fatal("sender offered no partitions")
+	}
+
+	// The forced spill of run 3 lands mid-relocation.
+	r.gc.ep.Send("m1", proto.ForceSpill{Amount: 1, Seq: 3})
+	r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats})
+	for _, m := range until[proto.StatsReport](t, r.gc) {
+		if _, ok := m.(proto.SpillDone); ok {
+			t.Fatal("a stale ForceSpill was answered")
+		}
+	}
+	if n := r.engine.SpillManager().Count(); n != 0 {
+		t.Fatalf("a stale ForceSpill spilled (%d spills)", n)
+	}
+	if got := r.engine.mode(); got != core.RelocateMode {
+		t.Fatalf("mode after a stale ForceSpill during relocation = %v, want RelocateMode", got)
+	}
+
+	// Completing the relocation (here: failing it) lands back in normal mode.
+	r.gc.ep.Send("m1", proto.SendStates{Epoch: 5, Partitions: ptv.Partitions, Receiver: "m-ghost"})
+	r.drain(t)
+	if got := r.engine.mode(); got != core.NormalMode {
+		t.Fatalf("mode after relocation finished = %v, want NormalMode", got)
+	}
+}
+
+// TestReportResultsRetriesAfterSendFailure is the result-accounting
+// regression test: when the ResultCount delivery fails, the reported
+// cursor must not advance — the delta rides the next successful
+// sr_timer report instead of vanishing.
+func TestReportResultsRetriesAfterSendFailure(t *testing.T) {
+	net := transport.NewInproc()
+	t.Cleanup(func() { net.Close() })
+	cfg := Config{
+		Node: "m1", Coordinator: "gc", AppServer: "app",
+		Inputs: 2, Partitions: 4, Store: spill.NewMemStore(),
+		StatsInterval: time.Hour, SpillCheckInterval: time.Hour,
+	}
+	e := mustNew(t, cfg, vclock.NewManual())
+	if err := e.Attach(net); err != nil {
+		t.Fatal(err)
+	}
+	gc := newPeer(t, net, "gc")
+	gen := newPeer(t, net, "gen")
+	// Deliberately no "app" node yet: result reports cannot be delivered.
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	stopOnCleanup(t, e)
+	expect[proto.Hello](t, gc)
+
+	gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1), mk(1, 1, 2), mk(0, 2, 3), mk(1, 2, 4)))
+	gen.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // report fails: app unreachable
+	// Fence with a marker rather than Drain: Drain's own stats report
+	// also fails while the app server is down.
+	gen.ep.Send("m1", proto.PauseMarker{Epoch: 42})
+	expect[proto.MarkerAck](t, gc)
+	want := e.Op().Output()
+	if want == 0 {
+		t.Fatal("no results produced")
+	}
+
+	// The application server comes up; the next report must carry the
+	// full unreported delta, not just results produced since the failure.
+	app := newPeer(t, net, "app")
+	gen.ep.Send("m1", proto.Tick{Kind: proto.TickStats})
+	rc := expect[proto.ResultCount](t, app)
+	if rc.Delta != want {
+		t.Fatalf("ResultCount.Delta = %d after recovered send, want %d", rc.Delta, want)
+	}
+
+	// And the cursor advanced: a further tick with no new results sends
+	// no second count.
+	gen.ep.Send("m1", proto.Tick{Kind: proto.TickStats})
+	gen.ep.Send("m1", proto.Drain{Token: 2})
+	expect[proto.DrainAck](t, gen)
+	select {
+	case m := <-app.msgs:
+		if _, ok := m.msg.(proto.ResultCount); ok {
+			t.Fatalf("duplicate ResultCount after cursor advanced: %+v", m.msg)
+		}
+	default:
 	}
 }

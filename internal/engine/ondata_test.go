@@ -3,7 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 	"time"
 
@@ -90,38 +89,36 @@ func TestOnDataRejectsMalformedBatchWhole(t *testing.T) {
 		binary.LittleEndian.PutUint32(b, n)
 		return b
 	}
-	for _, parallelism := range []int{1, 4} {
-		for name, payload := range map[string][]byte{
-			"short header":          good[:3],
-			"count beyond capacity": count(1 << 30),
-			"count too small":       count(2),
-			"truncated payload":     good[:len(good)-1],
-			"trailing bytes":        append(bytes.Clone(good), 0),
-		} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, parallelism), func(t *testing.T) {
-				r := newRig(t, func(c *Config) { c.JoinParallelism = parallelism })
-				r.gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: []proto.ReplicaEntry{{Group: 1, Primary: "m1", Follower: "m2"}}})
-				r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // the (empty) group needs no seed any more
-				expect[proto.StatsReport](t, r.gc)
-				r.gen.ep.Send("m1", proto.Data{Payload: payload})
-				r.drain(t)
-				if out, mem := r.engine.Op().Output(), r.engine.Op().MemBytes(); out != 0 || mem != 0 {
-					t.Fatalf("join holds %d bytes and produced %d results from a rejected batch", mem, out)
+	for name, payload := range map[string][]byte{
+		"short header":          good[:3],
+		"count beyond capacity": count(1 << 30),
+		"count too small":       count(2),
+		"truncated payload":     good[:len(good)-1],
+		"trailing bytes":        append(bytes.Clone(good), 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, nil)
+			r.gc.ep.Send("m1", proto.ReplicaMap{Version: 1, Entries: []proto.ReplicaEntry{{Group: 1, Primary: "m1", Follower: "m2"}}})
+			r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickStats}) // the (empty) group needs no seed any more
+			expect[proto.StatsReport](t, r.gc)
+			r.gen.ep.Send("m1", proto.Data{Payload: payload})
+			r.drain(t)
+			if out, mem := r.engine.Op().Output(), r.engine.Op().MemBytes(); out != 0 || mem != 0 {
+				t.Fatalf("join holds %d bytes and produced %d results from a rejected batch", mem, out)
+			}
+			for g, sl := range r.engine.repl.tap {
+				if len(sl.Buf) != 0 {
+					t.Fatalf("replication buffer of group %d holds %d bytes from a rejected batch", g, len(sl.Buf))
 				}
-				for g, sl := range r.engine.repl.tap {
-					if len(sl.Buf) != 0 {
-						t.Fatalf("replication buffer of group %d holds %d bytes from a rejected batch", g, len(sl.Buf))
-					}
-				}
-				logged := false
-				for _, ent := range r.engine.log.Recent(0) {
-					logged = logged || ent.Event == "handler_error"
-				}
-				if !logged {
-					t.Fatal("the rejection was not logged")
-				}
-			})
-		}
+			}
+			logged := false
+			for _, ent := range r.engine.log.Recent(0) {
+				logged = logged || ent.Event == "handler_error"
+			}
+			if !logged {
+				t.Fatal("the rejection was not logged")
+			}
+		})
 	}
 }
 
@@ -139,88 +136,87 @@ func recycle(frames ...[]byte) {
 }
 
 // Whatever the engine keeps of a Data batch — join state, the
-// replication buffer, the shard workers' runs — must be its own copy by
-// the time the handler returns.
+// replication buffer — must be its own copy by the time the handler
+// returns.
 func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", parallelism), func(t *testing.T) {
-			net := transport.NewInproc()
-			t.Cleanup(func() { net.Close() })
-			e := mustNew(t, Config{
-				Node: "m1", Coordinator: "gc", AppServer: "app", Inputs: 2, Partitions: 4,
-				JoinParallelism: parallelism, StatsInterval: time.Hour, SpillCheckInterval: time.Hour,
-			}, vclock.NewManual())
-			if err := e.Attach(net); err != nil {
+	// The join runs as one shard, on the handler goroutine.
+	t.Run("shards=1", func(t *testing.T) {
+		net := transport.NewInproc()
+		t.Cleanup(func() { net.Close() })
+		e := mustNew(t, Config{
+			Node: "m1", Coordinator: "gc", AppServer: "app", Inputs: 2, Partitions: 4,
+			StatsInterval: time.Hour, SpillCheckInterval: time.Hour,
+		}, vclock.NewManual())
+		if err := e.Attach(net); err != nil {
+			t.Fatal(err)
+		}
+		stopOnCleanup(t, e)
+		gc, gen, m2 := newPeer(t, net, "gc"), newPeer(t, net, "gen"), newPeer(t, net, "m2")
+		newPeer(t, net, "app")
+		var entries []proto.ReplicaEntry
+		for g := partition.ID(0); g < 4; g++ {
+			entries = append(entries, proto.ReplicaEntry{Group: g, Primary: "m1", Follower: "m2"})
+		}
+		e.Handle("gc", proto.ReplicaMap{Version: 1, Entries: entries})
+		e.Handle("gc", proto.Tick{Kind: proto.TickStats}) // empty groups: seeded by nothing
+		expect[proto.StatsReport](t, gc)
+
+		var want []tuple.Tuple
+		for batch := 0; batch < 8; batch++ {
+			var b tuple.Batch
+			for i := 0; i < 64; i++ {
+				seq := uint64(batch*64 + i)
+				tp := tuple.Tuple{Stream: uint8(i % 2), Key: seq % 23, Seq: seq, Ts: vclock.Time(seq),
+					Payload: bytes.Repeat([]byte{byte(seq)}, 1+i%40)}
+				b.Tuples = append(b.Tuples, tp)
+				want = append(want, tp)
+			}
+			frame := b.Encode()
+			e.Handle("gen", proto.Data{Payload: frame})
+			recycle(frame)
+		}
+		e.Handle("gen", proto.Drain{Token: 1})
+		expect[proto.DrainAck](t, gen)
+
+		bySeq := make(map[uint64]tuple.Tuple, len(want))
+		for _, tp := range want {
+			bySeq[tp.Seq] = tp
+		}
+		check := func(where string, got tuple.Tuple) {
+			t.Helper()
+			w, ok := bySeq[got.Seq]
+			if !ok || w.Stream != got.Stream || w.Key != got.Key || w.Ts != got.Ts || !bytes.Equal(w.Payload, got.Payload) {
+				t.Fatalf("%s holds %v with payload %x, sent %v with payload %x", where, got, got.Payload, w, w.Payload)
+			}
+		}
+		stored := 0
+		for _, g := range e.Op().ResidentIDs() {
+			for _, l := range e.Op().ResidentSnapshot(g).Tuples {
+				for _, tp := range l {
+					check("join state", tp)
+					stored++
+				}
+			}
+		}
+		// The drain's stats report cut the buffered appends into a delta.
+		replicated := 0
+		for _, ent := range expect[proto.StateDelta](t, m2).Entries {
+			if ent.Kind != proto.DeltaAppend {
+				t.Fatalf("delta entry of kind %d, want appends only", ent.Kind)
+			}
+			r, err := tuple.ReadRun(ent.Payload)
+			if err != nil {
 				t.Fatal(err)
 			}
-			stopOnCleanup(t, e)
-			gc, gen, m2 := newPeer(t, net, "gc"), newPeer(t, net, "gen"), newPeer(t, net, "m2")
-			newPeer(t, net, "app")
-			var entries []proto.ReplicaEntry
-			for g := partition.ID(0); g < 4; g++ {
-				entries = append(entries, proto.ReplicaEntry{Group: g, Primary: "m1", Follower: "m2"})
+			var tp tuple.Tuple
+			for r.Next(&tp) {
+				check("replication delta", tp)
+				replicated++
 			}
-			e.Handle("gc", proto.ReplicaMap{Version: 1, Entries: entries})
-			e.Handle("gc", proto.Tick{Kind: proto.TickStats}) // empty groups: seeded by nothing
-			expect[proto.StatsReport](t, gc)
-
-			var want []tuple.Tuple
-			for batch := 0; batch < 8; batch++ {
-				var b tuple.Batch
-				for i := 0; i < 64; i++ {
-					seq := uint64(batch*64 + i)
-					tp := tuple.Tuple{Stream: uint8(i % 2), Key: seq % 23, Seq: seq, Ts: vclock.Time(seq),
-						Payload: bytes.Repeat([]byte{byte(seq)}, 1+i%40)}
-					b.Tuples = append(b.Tuples, tp)
-					want = append(want, tp)
-				}
-				frame := b.Encode()
-				e.Handle("gen", proto.Data{Payload: frame})
-				recycle(frame)
-			}
-			e.Handle("gen", proto.Drain{Token: 1})
-			expect[proto.DrainAck](t, gen)
-
-			bySeq := make(map[uint64]tuple.Tuple, len(want))
-			for _, tp := range want {
-				bySeq[tp.Seq] = tp
-			}
-			check := func(where string, got tuple.Tuple) {
-				t.Helper()
-				w, ok := bySeq[got.Seq]
-				if !ok || w.Stream != got.Stream || w.Key != got.Key || w.Ts != got.Ts || !bytes.Equal(w.Payload, got.Payload) {
-					t.Fatalf("%s holds %v with payload %x, sent %v with payload %x", where, got, got.Payload, w, w.Payload)
-				}
-			}
-			stored := 0
-			for _, g := range e.Op().ResidentIDs() {
-				for _, l := range e.Op().ResidentSnapshot(g).Tuples {
-					for _, tp := range l {
-						check("join state", tp)
-						stored++
-					}
-				}
-			}
-			// The drain's stats report cut the buffered appends into a delta.
-			replicated := 0
-			for _, ent := range expect[proto.StateDelta](t, m2).Entries {
-				if ent.Kind != proto.DeltaAppend {
-					t.Fatalf("delta entry of kind %d, want appends only", ent.Kind)
-				}
-				r, err := tuple.ReadRun(ent.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var tp tuple.Tuple
-				for r.Next(&tp) {
-					check("replication delta", tp)
-					replicated++
-				}
-			}
-			if stored != len(want) || replicated != len(want) {
-				t.Fatalf("join state holds %d and the delta %d of %d tuples", stored, replicated, len(want))
-			}
-			e.Stop()
-		})
-	}
+		}
+		if stored != len(want) || replicated != len(want) {
+			t.Fatalf("join state holds %d and the delta %d of %d tuples", stored, replicated, len(want))
+		}
+		e.Stop()
+	})
 }

@@ -84,9 +84,6 @@ type ChaosConfig struct {
 	DropCount int
 	// Duration is the virtual run-time phase length (default 3 minutes).
 	Duration time.Duration
-	// JoinParallelism sizes each engine's join shard pool (0 or 1 =
-	// serial); faulted parallel runs must stay exact too.
-	JoinParallelism int
 }
 
 // chaosClusterConfig is the shared cluster shape of every chaos run:
@@ -138,7 +135,6 @@ func runChaosOver(inner transport.Network, cc ChaosConfig) (*cluster.Result, err
 		duration = 3 * time.Minute
 	}
 	cfg := chaosClusterConfig(chaosWorkload(), duration)
-	cfg.JoinParallelism = cc.JoinParallelism
 
 	fnet := faulty.New(inner, vclock.NewScaled(cfg.Scale), cc.Faults)
 	defer fnet.Close()

@@ -21,7 +21,7 @@ import (
 // half merged, as a promotion does, into the group the first half made
 // resident), and, for the windowed join, Purge — under a seeded
 // schedule, then cleans up with cleanup.Group. Run-time plus cleanup
-// results must equal the oracle's exactly, with 1 and with 4 shards.
+// results must equal the oracle's exactly.
 //
 // The unbounded join runs a count-only twin through the same schedule.
 // Its groups log their records where the emitting operator's keep runs,
@@ -29,18 +29,16 @@ import (
 // every group at the end — must encode to the emitting operator's bytes,
 // and its Output must stay the emitting operator's.
 func TestDifferentialAgainstOracle(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, window := range []time.Duration{0, 150 * time.Millisecond} {
-			for seed := int64(1); seed <= 3; seed++ {
-				t.Run(fmt.Sprintf("shards=%d/window=%s/seed=%d", shards, window, seed), func(t *testing.T) {
-					differential(t, shards, window, seed)
-				})
-			}
+	for _, window := range []time.Duration{0, 150 * time.Millisecond} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("window=%s/seed=%d", window, seed), func(t *testing.T) {
+				differential(t, window, seed)
+			})
 		}
 	}
 }
 
-func differential(t *testing.T, shards int, window time.Duration, seed int64) {
+func differential(t *testing.T, window time.Duration, seed int64) {
 	const (
 		inputs     = 3
 		partitions = 8
@@ -57,13 +55,13 @@ func differential(t *testing.T, shards int, window time.Duration, seed int64) {
 	// Two operators stand for two engines; owner says which one holds
 	// each group. twins, when there are any, are the count-only pair.
 	ops := [2]*join.Operator{
-		join.NewWindowedSharded(inputs, pf, window, shards, emit),
-		join.NewWindowedSharded(inputs, pf, window, shards, emit),
+		join.NewWindowed(inputs, pf, window, emit),
+		join.NewWindowed(inputs, pf, window, emit),
 	}
 	owner := make([]int, partitions)
 	var twins []*join.Operator
 	if window == 0 {
-		twins = []*join.Operator{join.NewSharded(inputs, pf, shards, nil), join.NewSharded(inputs, pf, shards, nil)}
+		twins = []*join.Operator{join.New(inputs, pf, nil), join.New(inputs, pf, nil)}
 	}
 	// take runs f on the owner of id's group and on its twin, checks the
 	// twin's snapshot against the emitting one's and returns both.

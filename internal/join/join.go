@@ -11,16 +11,11 @@
 // generation — which is what makes the timestamp-free cleanup of package
 // cleanup exact.
 //
-// Internally the operator's groups are divided among one or more shards
-// (stable assignment: partition ID mod shard count). Each shard owns its
-// groups (tables, records, payload pages) and its probe scratch
-// exclusively, so distinct shards can be driven from distinct goroutines
-// concurrently (the engine's shard-worker pool); the single-shard operator
-// behaves like a serial one. Cross-shard aggregates (MemBytes, Output, Stats)
-// and the group-level state operations (spill extraction, relocation,
-// merge, snapshots, purge) are not synchronized and must only be called
-// while no shard is processing — the engine quiesces its pool before every
-// control message for exactly this reason.
+// The operator is serial: Process, the group-level state operations
+// (spill extraction, relocation, merge, snapshots, purge) and the
+// aggregates (MemBytes, Output, Stats) all run on the caller's goroutine,
+// one at a time. An engine drives its operator from its handler
+// goroutine; more cores means more engines, each owning its own groups.
 package join
 
 import (
@@ -46,36 +41,18 @@ import (
 // caller and only valid for the duration of the call — the hot path
 // reuses it for the next match instead of allocating per result. An
 // implementation that retains the result beyond the call must copy it
-// first (tuple.Result.Clone). With a sharded operator the callback runs
-// on whichever goroutine drives the shard that produced the match, and
-// concurrently across shards — implementations must serialize their own
-// state (the engine wraps its result buffer in a mutex). See PROTOCOL.md
-// "Performance".
+// first (tuple.Result.Clone). The callback runs on the goroutine that
+// called Process, before Process returns. See PROTOCOL.md "Performance".
 type EmitFunc func(tuple.Result)
 
 // Operator is one instance of the partitioned m-way symmetric hash join.
-// Operator.Process routes each tuple to the owning shard and is not safe
-// for concurrent use; for parallel execution, drive each Shard from at
-// most one goroutine at a time and keep the group-level operations
-// quiesced (see the package comment).
+// It is not safe for concurrent use.
 type Operator struct {
 	inputs int
 	part   partition.Func
 	emit   EmitFunc
 	window time.Duration // 0 = unbounded
-	shards []*Shard
-}
-
-// Shard owns an exclusive, stable subset of the operator's partition
-// groups (those with partition ID ≡ index mod shard count) plus the
-// scratch buffers of its probe path. Distinct shards share no mutable
-// state and may be driven concurrently; one shard must only be driven by
-// one goroutine at a time.
-type Shard struct {
-	op  *Operator
-	idx int
-	// groups is indexed by partition ID / shard count (the shard's IDs
-	// are exactly those ≡ idx mod shard count); nil = not resident.
+	// groups is indexed by partition ID; nil = not resident.
 	groups    []*group
 	totalSize int64
 	output    uint64
@@ -357,8 +334,8 @@ func (g *group) view(stream int, key, seq uint64, r *rec) tuple.Tuple {
 
 // add stores t in input stream's list of entry e, without probing, and
 // accounts for it. The payload is copied into the group's pages or log.
-func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
-	if l := &g.lists[e+stream]; s.op.readsRecords() {
+func (o *Operator) add(g *group, e, stream int, t *tuple.Tuple) {
+	if l := &g.lists[e+stream]; o.readsRecords() {
 		r := rec{ts: t.Ts, n: uint32(len(t.Payload))}
 		if r.n > 0 {
 			r.page, r.off = g.pages.carve(len(t.Payload), pageBytes)
@@ -366,7 +343,7 @@ func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
 		}
 		// Windowed lists stay timestamp-sorted so window probes can
 		// binary-search their bounds.
-		g.insert(l, t.Seq, &r, s.op.window > 0)
+		g.insert(l, t.Seq, &r, o.window > 0)
 	} else {
 		g.push(l, stream, t)
 	}
@@ -374,23 +351,23 @@ func (s *Shard) add(g *group, e, stream int, t *tuple.Tuple) {
 	g.size += sz
 	g.count++
 	g.counts[stream]++
-	s.totalSize += sz
+	o.totalSize += sz
 }
 
 // load appends every tuple of a snapshot to g, in snapshot order. A
 // tuple's input is the list it came in, as for the snapshot's encoding.
-func (s *Shard) load(g *group, tuples [][]tuple.Tuple) {
+func (o *Operator) load(g *group, tuples [][]tuple.Tuple) {
 	for stream, l := range tuples {
 		for j := range l {
-			s.add(g, g.entry(l[j].Key), stream, &l[j])
+			o.add(g, g.entry(l[j].Key), stream, &l[j])
 		}
 	}
 }
 
 // unload empties g's current generation and returns it flattened.
-func (s *Shard) unload(g *group) [][]tuple.Tuple {
-	tuples := g.snapshot(!s.op.readsRecords())
-	s.totalSize -= g.size
+func (o *Operator) unload(g *group) [][]tuple.Tuple {
+	tuples := g.snapshot(!o.readsRecords())
+	o.totalSize -= g.size
 	*g = group{
 		id: g.id, gen: g.gen, cum: g.cum, output: g.output, counts: g.counts,
 		spilledTs: g.spilledTs, everSpilled: g.everSpilled,
@@ -399,103 +376,55 @@ func (s *Shard) unload(g *group) [][]tuple.Tuple {
 	return tuples
 }
 
-// New returns a serial (single-shard) m-way join operator over inputs
-// streams partitioned by part. It panics if inputs < 2, as a join needs
-// at least two inputs.
+// New returns an m-way join operator over inputs streams partitioned by
+// part. It panics if inputs < 2, as a join needs at least two inputs.
 func New(inputs int, part partition.Func, emit EmitFunc) *Operator {
-	return NewSharded(inputs, part, 1, emit)
-}
-
-// NewSharded returns an m-way join operator whose partition groups are
-// divided among shards (clamped to ≥ 1) by partition ID mod shards. The
-// assignment is stable for the operator's lifetime, so a group's tuples
-// stay FIFO within their shard. It panics if inputs < 2.
-func NewSharded(inputs int, part partition.Func, shards int, emit EmitFunc) *Operator {
 	if inputs < 2 {
 		panic(fmt.Sprintf("join: need at least 2 inputs, got %d", inputs))
 	}
-	if shards < 1 {
-		shards = 1
+	return &Operator{
+		inputs: inputs,
+		part:   part,
+		emit:   emit,
+		groups: make([]*group, part.N()),
+		lists:  make([][]uint64, inputs),
+		seqs:   make([]uint64, inputs),
+		pos:    make([]int, inputs),
 	}
-	o := &Operator{inputs: inputs, part: part, emit: emit, shards: make([]*Shard, shards)}
-	for i := range o.shards {
-		o.shards[i] = &Shard{
-			op:     o,
-			idx:    i,
-			groups: make([]*group, (part.N()+shards-1)/shards),
-			lists:  make([][]uint64, inputs),
-			seqs:   make([]uint64, inputs),
-			pos:    make([]int, inputs),
-		}
-	}
-	return o
 }
 
 // Inputs reports the number of join inputs.
 func (o *Operator) Inputs() int { return o.inputs }
 
-// NumShards reports the operator's shard count (1 = serial).
-func (o *Operator) NumShards() int { return len(o.shards) }
-
-// Shard returns shard i for external drivers (the engine's worker pool).
-func (o *Operator) Shard(i int) *Shard { return o.shards[i] }
-
-// ShardIndex reports which shard owns the partition group of a join key,
-// so batch dispatchers can bucket tuples without touching shard state.
-func (o *Operator) ShardIndex(key uint64) int {
-	shard, _ := o.locate(o.part.Of(key))
-	return shard
-}
-
-// locate returns the shard owning partition group id and the group's
-// index in it (one 32-bit division serves both).
-func (o *Operator) locate(id partition.ID) (shard, index int) {
-	n := uint32(len(o.shards))
-	return int(uint32(id) % n), int(uint32(id) / n)
-}
-
-// find returns the shard owning group id, the group's index in it (-1 if
-// id is beyond the partition function's range) and the group, if resident.
-func (o *Operator) find(id partition.ID) (*Shard, int, *group) {
-	si, i := o.locate(id)
-	if s := o.shards[si]; i < len(s.groups) {
-		return s, i, s.groups[i]
+// find returns group id's index in groups (-1 if id is beyond the
+// partition function's range) and the group, if resident.
+func (o *Operator) find(id partition.ID) (int, *group) {
+	if i := int(id); i < len(o.groups) {
+		return i, o.groups[i]
 	}
-	return o.shards[si], -1, nil
+	return -1, nil
 }
 
 // resident calls fn for every resident group in partition ID order.
-func (o *Operator) resident(fn func(*Shard, *group)) {
-	for id := 0; id < o.part.N(); id++ {
-		if s, _, g := o.find(partition.ID(id)); g != nil {
-			fn(s, g)
+func (o *Operator) resident(fn func(*group)) {
+	for _, g := range o.groups {
+		if g != nil {
+			fn(g)
 		}
 	}
 }
 
 // MemBytes reports the total resident operator-state size in bytes.
-func (o *Operator) MemBytes() int64 {
-	var n int64
-	for _, s := range o.shards {
-		n += s.totalSize
-	}
-	return n
-}
+func (o *Operator) MemBytes() int64 { return o.totalSize }
 
 // Output reports the total number of results produced so far.
-func (o *Operator) Output() uint64 {
-	var n uint64
-	for _, s := range o.shards {
-		n += s.output
-	}
-	return n
-}
+func (o *Operator) Output() uint64 { return o.output }
 
 // Groups reports the number of partition groups resident in the operator
 // (including groups whose current generation is empty).
 func (o *Operator) Groups() int {
 	n := 0
-	o.resident(func(*Shard, *group) { n++ })
+	o.resident(func(*group) { n++ })
 	return n
 }
 
@@ -508,47 +437,27 @@ func (o *Operator) Process(t tuple.Tuple) (uint64, error) {
 	if int(t.Stream) >= o.inputs {
 		return 0, fmt.Errorf("join: tuple for stream %d in %d-way join", t.Stream, o.inputs)
 	}
-	id := o.part.Of(t.Key)
-	si, i := o.locate(id)
-	return o.shards[si].process(id, i, &t), nil
-}
-
-// Process runs one tuple through this shard's slice of the join. It
-// rejects tuples whose partition group belongs to a different shard —
-// processing them here would split the group's state across shards and
-// silently lose matches.
-func (s *Shard) Process(t tuple.Tuple) (uint64, error) {
-	if int(t.Stream) >= s.op.inputs {
-		return 0, fmt.Errorf("join: tuple for stream %d in %d-way join", t.Stream, s.op.inputs)
-	}
-	id := s.op.part.Of(t.Key)
-	si, i := s.op.locate(id)
-	if si != s.idx {
-		return 0, fmt.Errorf("join: tuple for partition %d routed to shard %d of %d", id, s.idx, len(s.op.shards))
-	}
-	return s.process(id, i, &t), nil
+	return o.process(o.part.Of(t.Key), &t), nil
 }
 
 // process is the per-tuple hot path, called with a validated stream and
-// this shard's own partition ID and its index in groups. One table probe
-// finds the key's entry; the other inputs' lists in it are the matches
-// and the tuple's own list takes the insert. t is passed by pointer: a
-// by-value copy reloads the one-byte Stream as a word, which waits for
-// the store buffer to drain the previous tuple's writes — cache misses
-// into a list's run when the operator reads records, a sequential log
-// append when it does not.
-func (s *Shard) process(id partition.ID, index int, t *tuple.Tuple) uint64 {
-	o := s.op
-	g := s.groups[index]
+// the tuple's partition ID. One table probe finds the key's entry; the
+// other inputs' lists in it are the matches and the tuple's own list
+// takes the insert. t is passed by pointer: a by-value copy reloads the
+// one-byte Stream as a word, which waits for the store buffer to drain
+// the previous tuple's writes — cache misses into a list's run when the
+// operator reads records, a sequential log append when it does not.
+func (o *Operator) process(id partition.ID, t *tuple.Tuple) uint64 {
+	g := o.groups[id]
 	if g == nil {
 		g = newGroup(id, 0, o.inputs)
-		s.groups[index] = g
+		o.groups[id] = g
 	}
 	e := g.entry(t.Key)
-	produced := s.probe(g, g.lists[e:e+o.inputs], t)
+	produced := o.probe(g, g.lists[e:e+o.inputs], t)
 	g.output += produced
-	s.output += produced
-	s.add(g, e, int(t.Stream), t)
+	o.output += produced
+	o.add(g, e, int(t.Stream), t)
 	g.cum += t.MemSize()
 	return produced
 }
@@ -565,8 +474,7 @@ func (o *Operator) readsRecords() bool { return o.emit != nil || o.window > 0 }
 // probing of an unbounded join reads nothing but the list lengths; any
 // other probe reads the matched lists' seq columns, and a windowed one
 // their records' timestamps too.
-func (s *Shard) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
-	o := s.op
+func (o *Operator) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
 	count := uint64(1)
 	if !o.readsRecords() {
 		for i, l := range ls {
@@ -587,23 +495,23 @@ func (s *Shard) probe(g *group, ls []list, t *tuple.Tuple) uint64 {
 		if len(seqs) == 0 {
 			return 0
 		}
-		s.lists[i] = seqs
+		o.lists[i] = seqs
 		count *= uint64(len(seqs))
 	}
 	if o.emit != nil {
-		s.enumerate(t)
+		o.enumerate(t)
 	}
 	return count
 }
 
 // enumerate emits one Result per combination of t with one seq from each
-// matched list in s.lists, in nested-loop order with the last input
+// matched list in o.lists, in nested-loop order with the last input
 // innermost. It is an odometer: the innermost matched input's loop calls
 // emit directly, and when it runs out the outer inputs advance like
-// digits. The emitted Result shares the shard's scratch seqs buffer (see
+// digits. The emitted Result shares the operator's scratch seqs buffer (see
 // the EmitFunc ownership contract), so enumeration allocates nothing.
-func (s *Shard) enumerate(t *tuple.Tuple) {
-	self, lists, seqs, pos := int(t.Stream), s.lists, s.seqs, s.pos
+func (o *Operator) enumerate(t *tuple.Tuple) {
+	self, lists, seqs, pos := int(t.Stream), o.lists, o.seqs, o.pos
 	inner := len(lists) - 1
 	if inner == self {
 		inner--
@@ -614,7 +522,7 @@ func (s *Shard) enumerate(t *tuple.Tuple) {
 			pos[i], seqs[i] = 0, lists[i][0]
 		}
 	}
-	emit, r, cell, last := s.op.emit, tuple.Result{Key: t.Key, Seqs: seqs}, &seqs[inner], lists[inner]
+	emit, r, cell, last := o.emit, tuple.Result{Key: t.Key, Seqs: seqs}, &seqs[inner], lists[inner]
 	for {
 		for _, q := range last {
 			*cell = q
@@ -642,7 +550,7 @@ func (s *Shard) enumerate(t *tuple.Tuple) {
 // determinism.
 func (o *Operator) Stats() []core.GroupStats {
 	stats := make([]core.GroupStats, 0, o.part.N())
-	o.resident(func(_ *Shard, g *group) {
+	o.resident(func(g *group) {
 		stats = append(stats, core.GroupStats{ID: g.id, Size: g.size, CumBytes: g.cum, Output: g.output})
 	})
 	return stats
@@ -760,11 +668,11 @@ func (g *group) snapshotOf(tuples [][]tuple.Tuple) *GroupSnapshot {
 // into a fresh generation, as described in paper §3. Extracting a group
 // with no resident tuples returns nil.
 func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
-	s, _, g := o.find(id)
+	_, g := o.find(id)
 	if g == nil || g.count == 0 {
 		return nil
 	}
-	snap := g.snapshotOf(s.unload(g))
+	snap := g.snapshotOf(o.unload(g))
 	next := snap.Seal(g.gen)
 	g.gen, g.spilledTs, g.everSpilled = next.Gen, next.SpilledTs, true
 	return snap
@@ -798,12 +706,12 @@ func (s *GroupSnapshot) Seal(gen uint32) *GroupSnapshot {
 // receiver continues the same generation, since the transferred tuples
 // stay active in memory.
 func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
-	s, i, g := o.find(id)
+	i, g := o.find(id)
 	if g == nil {
 		return nil
 	}
-	s.groups[i] = nil
-	return g.snapshotOf(s.unload(g))
+	o.groups[i] = nil
+	return g.snapshotOf(o.unload(g))
 }
 
 // Merge folds a group snapshot into this operator. If the group is
@@ -818,16 +726,16 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 	if len(snap.Tuples) != o.inputs {
 		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Tuples), o.inputs)
 	}
-	s, i, g := o.find(snap.ID)
+	i, g := o.find(snap.ID)
 	if i < 0 {
 		return fmt.Errorf("join: group %d outside the %d partitions", snap.ID, o.part.N())
 	}
 	if g == nil {
 		g = newGroup(snap.ID, snap.Gen, o.inputs)
 		g.output, g.spilledTs = snap.Output, snap.SpilledTs
-		s.groups[i] = g
+		o.groups[i] = g
 	}
-	s.load(g, snap.Tuples)
+	o.load(g, snap.Tuples)
 	g.cum = max(g.cum, snap.CumBytes, g.size)
 	g.spilledTs = max(g.spilledTs, snap.SpilledTs)
 	g.everSpilled = g.everSpilled || snap.EverSpilled
@@ -844,7 +752,7 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 // handed the same tuples decoded. Every run is checked before any tuple
 // lands; an absent group is registered at generation 0.
 func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
-	s, i, g := o.find(id)
+	i, g := o.find(id)
 	if i < 0 {
 		return fmt.Errorf("join: group %d outside the %d partitions", id, o.part.N())
 	}
@@ -863,11 +771,11 @@ func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
 	}
 	if g == nil {
 		g = newGroup(id, 0, o.inputs)
-		s.groups[i] = g
+		o.groups[i] = g
 	}
 	for _, r := range readers {
 		for r.Next(&t) {
-			s.add(g, g.entry(t.Key), int(t.Stream), &t)
+			o.add(g, g.entry(t.Key), int(t.Stream), &t)
 		}
 	}
 	g.cum = max(g.cum, g.size)
@@ -879,7 +787,7 @@ func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
 // memory-resident generation with the disk-resident ones. Returns nil if
 // the group is not resident.
 func (o *Operator) ResidentSnapshot(id partition.ID) *GroupSnapshot {
-	_, _, g := o.find(id)
+	_, g := o.find(id)
 	if g == nil {
 		return nil
 	}
@@ -889,6 +797,6 @@ func (o *Operator) ResidentSnapshot(id partition.ID) *GroupSnapshot {
 // ResidentIDs returns the sorted IDs of all resident groups.
 func (o *Operator) ResidentIDs() []partition.ID {
 	ids := make([]partition.ID, 0, o.part.N())
-	o.resident(func(_ *Shard, g *group) { ids = append(ids, g.id) })
+	o.resident(func(g *group) { ids = append(ids, g.id) })
 	return ids
 }

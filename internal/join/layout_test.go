@@ -82,7 +82,7 @@ func TestKeyTableGrowsToAMillionKeys(t *testing.T) {
 	if got, want := op.Output(), OracleCount(2, history); got != want {
 		t.Fatalf("%d results, oracle %d", got, want)
 	}
-	_, _, g := op.find(0)
+	_, g := op.find(0)
 	if entries := len(g.lists) / 2; entries != n {
 		t.Fatalf("%d table entries for %d distinct keys", entries, n)
 	}
@@ -406,7 +406,7 @@ func TestWindowedStateStaysBounded(t *testing.T) {
 	op := NewWindowed(3, partition.NewFunc(4), window, nil)
 	entries := func() int {
 		n := 0
-		op.resident(func(_ *Shard, g *group) { n += len(g.lists) / 3 })
+		op.resident(func(g *group) { n += len(g.lists) / 3 })
 		return n
 	}
 	i := 0

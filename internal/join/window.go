@@ -23,13 +23,7 @@ import (
 // related work discusses), which is the intro's "infinite data streams as
 // long as operators have finite window sizes" case.
 func NewWindowed(inputs int, part partition.Func, window time.Duration, emit EmitFunc) *Operator {
-	return NewWindowedSharded(inputs, part, window, 1, emit)
-}
-
-// NewWindowedSharded is NewWindowed with the operator's groups divided
-// among shards (see NewSharded).
-func NewWindowedSharded(inputs int, part partition.Func, window time.Duration, shards int, emit EmitFunc) *Operator {
-	op := NewSharded(inputs, part, shards, emit)
+	op := New(inputs, part, emit)
 	op.window = window
 	return op
 }
@@ -68,13 +62,13 @@ func (o *Operator) Purge(cutoff vclock.Time) int {
 		return 0
 	}
 	purged := 0
-	o.resident(func(s *Shard, g *group) {
+	o.resident(func(g *group) {
 		empty := 0
 		for e := 0; e < len(g.lists); e += o.inputs {
 			live := uint32(0)
 			for i := 0; i < o.inputs; i++ {
 				l := &g.lists[e+i]
-				purged += s.purgeList(g, i, l, cutoff)
+				purged += o.purgeList(g, i, l, cutoff)
 				live += l.n
 			}
 			if live == 0 {
@@ -82,7 +76,7 @@ func (o *Operator) Purge(cutoff vclock.Time) int {
 			}
 		}
 		if g.purged > g.count || 2*empty*o.inputs > len(g.lists) {
-			s.load(g, s.unload(g))
+			o.load(g, o.unload(g))
 		}
 	})
 	return purged
@@ -90,7 +84,7 @@ func (o *Operator) Purge(cutoff vclock.Time) int {
 
 // purgeList drops the purgeable expired tuples of one list of input
 // stream and returns how many it dropped.
-func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int {
+func (o *Operator) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int {
 	rs, seqs := g.run(*l), g.col(*l)
 	// Expired prefix [0, n).
 	n := sort.Search(len(rs), func(i int) bool { return rs[i].ts >= cutoff })
@@ -98,13 +92,13 @@ func (s *Shard) purgeList(g *group, stream int, l *list, cutoff vclock.Time) int
 	// plus the window are free of pending matches.
 	lo := 0
 	if g.everSpilled {
-		safe := g.spilledTs.Add(s.op.window)
+		safe := g.spilledTs.Add(o.window)
 		lo = sort.Search(n, func(i int) bool { return rs[i].ts > safe })
 	}
 	for j := lo; j < n; j++ {
 		t := g.view(stream, 0, seqs[j], &rs[j]) // the accounted size ignores the key
 		g.size -= t.MemSize()
-		s.totalSize -= t.MemSize()
+		o.totalSize -= t.MemSize()
 	}
 	if lo >= n {
 		return 0

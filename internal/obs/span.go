@@ -25,9 +25,6 @@ const (
 	// SpanCleanupWorker covers one worker's share of a parallel cleanup
 	// run (attrs worker, groups, results), nested inside SpanCleanup.
 	SpanCleanupWorker = "cleanup_worker"
-	// SpanJoinShard covers the lifetime of one join shard worker of the
-	// engine's parallel data path (attrs shard, tuples, results).
-	SpanJoinShard = "join_shard"
 	// SpanMembership covers one membership transition at the coordinator
 	// (attr kind = join|leave, node).
 	SpanMembership = "membership"

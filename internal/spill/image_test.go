@@ -52,20 +52,18 @@ func TestImageMovesAGroupExactly(t *testing.T) {
 			return fs
 		},
 	}
-	for _, shards := range []int{1, 4} {
-		for _, window := range []time.Duration{0, 150 * time.Millisecond} {
-			for name, newStore := range stores {
-				for seed := int64(1); seed <= 3; seed++ {
-					t.Run(fmt.Sprintf("shards=%d/window=%s/%s/seed=%d", shards, window, name, seed), func(t *testing.T) {
-						imageProperty(t, shards, window, newStore, seed)
-					})
-				}
+	for _, window := range []time.Duration{0, 150 * time.Millisecond} {
+		for name, newStore := range stores {
+			for seed := int64(1); seed <= 3; seed++ {
+				t.Run(fmt.Sprintf("window=%s/%s/seed=%d", window, name, seed), func(t *testing.T) {
+					imageProperty(t, window, newStore, seed)
+				})
 			}
 		}
 	}
 }
 
-func imageProperty(t *testing.T, shards int, window time.Duration, newStore func(*testing.T) spill.Store, seed int64) {
+func imageProperty(t *testing.T, window time.Duration, newStore func(*testing.T) spill.Store, seed int64) {
 	const (
 		inputs     = 3
 		partitions = 4
@@ -80,7 +78,7 @@ func imageProperty(t *testing.T, shards int, window time.Duration, newStore func
 			t.Errorf("duplicate result %v", r)
 		}
 	}
-	src := join.NewWindowedSharded(inputs, pf, window, shards, emit)
+	src := join.NewWindowed(inputs, pf, window, emit)
 	srcStore := newStore(t)
 
 	// One group, several keys, a handful of spills, tuples after the last.
@@ -164,7 +162,7 @@ func imageProperty(t *testing.T, shards int, window time.Duration, newStore func
 		}
 		return dec
 	}
-	newDst := func() *join.Operator { return join.NewWindowedSharded(inputs, pf, window, shards, nil) }
+	newDst := func() *join.Operator { return join.NewWindowed(inputs, pf, window, nil) }
 
 	// Install, then install again.
 	dst, dstStore := newDst(), newStore(t)

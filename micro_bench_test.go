@@ -47,7 +47,6 @@ func benchCase(b *testing.B, name string) {
 }
 
 func BenchmarkJoinProcessCountOnly(b *testing.B)     { benchCase(b, "join_process_count_only") }
-func BenchmarkJoinProcessParallel(b *testing.B)      { benchCase(b, "join_process_parallel") }
 func BenchmarkJoinProcessObserved(b *testing.B)      { benchCase(b, "join_process_observed") }
 func BenchmarkJoinProcessMaterializing(b *testing.B) { benchCase(b, "join_process_materializing") }
 func BenchmarkJoinEnumerate(b *testing.B)            { benchCase(b, "join_enumerate") }
