@@ -1,12 +1,12 @@
 # Tier-1 verification for the repo: vet, build, lint, race-test, fuzz
 # smoke. `make check` is what CI and the roadmap's tier-1 gate run.
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
-# fixed-iteration hot-path micro-benchmarks, a serial-vs-parallel
-# cleanup comparison, and one compressed figure run, written to
-# BENCH_15.json and gated against BENCH_BASELINE.json. CI runs it as a
-# non-blocking artifact step; it is not part of the tier-1 gate. The
-# end-to-end benchmark over real TCP is `go run ./benchmark`; `make
-# e2e-smoke` is its two-second-per-workload exactness check.
+# fixed-iteration hot-path micro-benchmarks and one compressed figure
+# run, written to BENCH_15.json and gated against BENCH_BASELINE.json.
+# CI runs it as a non-blocking artifact step; it is not part of the
+# tier-1 gate. The end-to-end benchmark over real TCP is `go run
+# ./benchmark`; `make e2e-smoke` is its two-second-per-workload
+# exactness check.
 
 GO ?= go
 FUZZTIME ?= 30s

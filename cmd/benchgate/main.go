@@ -1,14 +1,10 @@
 // Command benchgate is the benchmark regression gate: it runs the
-// hot-path micro-benchmarks (internal/bench) at fixed iteration counts,
-// one serial-vs-parallel cleanup comparison and one compressed figure
-// run, writes the machine-readable BENCH_15.json report, and exits
-// non-zero if any gated metric regressed more than the threshold against
-// the committed BENCH_BASELINE.json. (The TCP data path is measured end
-// to end by `go run ./benchmark`, workload flood_count.)
-//
-// The cleanup comparison records both passes unconditionally; a speedup
-// is only meaningful when the report's gomaxprocs is > 1 (on a
-// single-CPU machine the parallel pass cannot beat serial).
+// hot-path micro-benchmarks (internal/bench) at fixed iteration counts
+// and one compressed figure run, writes the machine-readable
+// BENCH_15.json report, and exits non-zero if any gated metric regressed
+// more than the threshold against the committed BENCH_BASELINE.json.
+// (The TCP data path is measured end to end by `go run ./benchmark`,
+// workload flood_count.)
 //
 //	go run ./cmd/benchgate                  # full run, gate against baseline
 //	go run ./cmd/benchgate -skip-figure     # micro-benchmarks only
@@ -107,11 +103,6 @@ type baselineFile struct {
 	Metrics []baselineMetric `json:"metrics"`
 }
 
-type cleanupReport struct {
-	Serial   bench.CleanupRun `json:"serial"`
-	Parallel bench.CleanupRun `json:"parallel"`
-}
-
 type figureReport struct {
 	ID     string `json:"id"`
 	Passed bool   `json:"passed"`
@@ -137,7 +128,6 @@ type report struct {
 	Schema       string                  `json:"schema"`
 	GoMaxProcs   int                     `json:"gomaxprocs"`
 	Metrics      []bench.Metric          `json:"metrics"`
-	Cleanup      cleanupReport           `json:"cleanup"`
 	Figure       *figureReport           `json:"figure,omitempty"`
 	BaselinePre  map[string]bench.Metric `json:"baseline_pre_pr"`
 	AllocsGainPc map[string]float64      `json:"allocs_improvement_pct"`
@@ -175,16 +165,6 @@ func main() {
 		writeBaselineFile(*baselinePath, cases, rep.Metrics)
 		return
 	}
-
-	serial, parallel, err := bench.CleanupComparison()
-	if err != nil {
-		fatal(err)
-	}
-	rep.Cleanup = cleanupReport{Serial: serial, Parallel: parallel}
-	fmt.Printf("cleanup serial   %d workers  elapsed %dns  critical-path %dns  (%d groups, %d results)\n",
-		serial.Workers, serial.ElapsedNs, serial.CriticalPathNs, serial.Groups, serial.Results)
-	fmt.Printf("cleanup parallel %d workers  elapsed %dns  critical-path %dns\n",
-		parallel.Workers, parallel.ElapsedNs, parallel.CriticalPathNs)
 
 	if !*skipFigure {
 		opts := experiments.RunOpts{Scale: 600, DurationFactor: 0.05}

@@ -3,6 +3,7 @@ package distq
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -86,6 +87,71 @@ func TestClusterStreamingMatchesOracle(t *testing.T) {
 	}
 	if stats.Duplicates != 0 {
 		t.Fatalf("%d duplicates", stats.Duplicates)
+	}
+}
+
+// A second Cleanup returns the first one's summary and delivers no result
+// again: each engine answers a repeated StartCleanup with the report it
+// already sent instead of merging its spilled groups a second time.
+func TestClusterSecondCleanupRepeatsSummary(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		delivered int
+	)
+	c, err := NewCluster(Options{
+		Engines:    []NodeID{"m1", "m2"},
+		Inputs:     3,
+		Partitions: 16,
+		Spill:      SpillConfig{MemThreshold: 32 << 10, Fraction: 0.3},
+		TimeScale:  1,
+		OnResult: func(Phase, Result) {
+			mu.Lock()
+			delivered++
+			mu.Unlock()
+		},
+		SpillCheckInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 6000; i++ {
+		if err := c.Ingest(rng.Intn(3), uint64(rng.Intn(64)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%1000 == 999 {
+			time.Sleep(10 * time.Millisecond) // let the spill timer fire
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Results == 0 {
+		t.Fatal("first cleanup produced no results; test has no power")
+	}
+	mu.Lock()
+	afterFirst := delivered
+	mu.Unlock()
+	second, err := c.Cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(second, first) {
+		t.Fatalf("second summary %+v, want the first %+v", second, first)
+	}
+	mu.Lock()
+	afterSecond := delivered
+	mu.Unlock()
+	if afterSecond != afterFirst {
+		t.Fatalf("OnResult saw %d results after the first Cleanup, %d after the second", afterFirst, afterSecond)
+	}
+	if d := c.Snapshot().Duplicates; d != 0 {
+		t.Fatalf("%d duplicates", d)
 	}
 }
 

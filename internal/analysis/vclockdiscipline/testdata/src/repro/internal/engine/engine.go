@@ -33,10 +33,10 @@ func time2() time.Duration { return 0 }
 
 type clock interface{ Now() time.Time }
 
-// cleanupWorker mirrors a parallel cleanup's worker goroutine: worker
-// loops stamp their spans through the engine's injected clock, and the
-// discipline follows the code into the goroutine — a wall-clock read
-// inside the worker is as much a leak as one on the handler.
+// cleanupWorker mirrors any goroutine an engine package starts beside
+// its handler: a loop there stamps its spans through the engine's
+// injected clock, and the discipline follows the code into the goroutine
+// — a wall-clock read inside it is as much a leak as one on the handler.
 func cleanupWorker(c clock, work chan int) {
 	go func() {
 		for range work {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/proto"
 	"repro/internal/replica"
-	"repro/internal/spill"
 	"repro/internal/split"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -160,8 +159,7 @@ func Cases() []Case {
 			Make: func() func(int) {
 				op := join.New(3, partition.NewFunc(120), nil)
 				tracer := obs.NewTracer(0)
-				span := tracer.Start(obs.SpanCleanupWorker, "bench", 0)
-				span.SetAttr("worker", "0")
+				tracer.Start(obs.SpanCleanup, "bench", 0)
 				lg := obs.NewLogger(obs.LoggerConfig{Node: "bench", Kind: "engine"})
 				return func(i int) {
 					if lg.Enabled(obs.LevelDebug) {
@@ -456,66 +454,4 @@ func Run(c Case, n int) Metric {
 		BytesPerOp:     float64(after.TotalAlloc-before.TotalAlloc) / float64(n),
 		LiveBytesPerOp: max(0, float64(live.HeapAlloc)-float64(before.HeapAlloc)) / float64(n),
 	}
-}
-
-// CleanupRun is one measured cleanup pass over the comparison store.
-type CleanupRun struct {
-	Workers        int    `json:"workers"`
-	ElapsedNs      int64  `json:"elapsed_ns"`
-	CriticalPathNs int64  `json:"critical_path_ns"`
-	Groups         int    `json:"groups"`
-	Results        uint64 `json:"results"`
-}
-
-// cleanupComparisonStore builds a store with 12 three-generation
-// groups, the multi-group shape the parallel cleanup is gated on.
-func cleanupComparisonStore() (spill.Store, error) {
-	store := spill.NewMemStore()
-	for g := 0; g < 12; g++ {
-		for gen := uint32(0); gen < 3; gen++ {
-			s := &join.GroupSnapshot{ID: partition.ID(g), Gen: gen, Tuples: make([][]tuple.Tuple, 3)}
-			for i := 0; i < 200; i++ {
-				t := Tuple(i)
-				t.Key = uint64(g*100 + i%20)
-				t.Seq = uint64(g)*100_000 + uint64(gen)*1000 + uint64(i)
-				s.Tuples[t.Stream] = append(s.Tuples[t.Stream], t)
-			}
-			if err := store.Write(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return store, nil
-}
-
-// CleanupComparison runs the same multi-group materializing cleanup
-// serially and with the default worker pool, reporting both passes.
-// The result *sets* are equal by construction (verified in the cleanup
-// package's equivalence tests); the gate records wall and critical-path
-// time. On a single-CPU machine the parallel pass cannot beat serial,
-// so consumers must compare times only when GOMAXPROCS > 1.
-func CleanupComparison() (serial, parallel CleanupRun, err error) {
-	store, err := cleanupComparisonStore()
-	if err != nil {
-		return serial, parallel, err
-	}
-	run := func(parallelism int) (CleanupRun, error) {
-		emit := func(tuple.Result) {}
-		st, err := cleanup.RunWith(3, store, nil, 0, emit, cleanup.Options{Parallelism: parallelism})
-		if err != nil {
-			return CleanupRun{}, fmt.Errorf("bench: cleanup comparison: %w", err)
-		}
-		return CleanupRun{
-			Workers:        st.Workers,
-			ElapsedNs:      st.Elapsed.Nanoseconds(),
-			CriticalPathNs: st.CriticalPath.Nanoseconds(),
-			Groups:         st.Groups,
-			Results:        st.Results,
-		}, nil
-	}
-	if serial, err = run(1); err != nil {
-		return serial, parallel, err
-	}
-	parallel, err = run(0)
-	return serial, parallel, err
 }

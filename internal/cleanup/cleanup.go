@@ -23,14 +23,9 @@ package cleanup
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/join"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/spill"
 	"repro/internal/tuple"
@@ -56,34 +51,6 @@ type Stats struct {
 	// since cleanup is pure computation over the spilled data, wall time
 	// is the faithful measure here.
 	Elapsed time.Duration
-	// Workers is the parallelism the run actually used.
-	Workers int
-	// CriticalPath is the busy wall-clock time of the slowest worker —
-	// the lower bound on Elapsed that no extra parallelism can beat.
-	// Equal to Elapsed for a serial run.
-	CriticalPath time.Duration
-}
-
-// Options configures a cleanup run (see RunWith).
-type Options struct {
-	// Parallelism bounds the worker pool merging partition groups
-	// concurrently. Zero or negative means runtime.GOMAXPROCS(0).
-	// Groups are independent (disjoint key spaces), so the merged
-	// result *set* is identical at any parallelism; only the emission
-	// order may differ. With more than one worker the emit callback is
-	// called concurrently, one caller per worker.
-	Parallelism int
-	// Tracer, when non-nil, records one cleanup_worker span per worker
-	// under Node.
-	Tracer *obs.Tracer
-	// Registry, when non-nil, receives cleanup worker metrics
-	// (distq_engine_cleanup_* series).
-	Registry *obs.Registry
-	// Node names the engine in spans and, indirectly, metric scrapes.
-	Node string
-	// Now supplies virtual timestamps for worker spans; nil uses the
-	// virtual epoch (spans still carry wall times).
-	Now func() vclock.Time
 }
 
 // tables is a per-input hash index over the join key.
@@ -257,11 +224,36 @@ func (e *enumerator) walk(input int, anyOld bool, minTs, maxTs vclock.Time) {
 // merging each with its resident generation from op (if any). It is the
 // per-engine cleanup of the paper's disk phase; op may be nil when the
 // engine holds no resident state (e.g. everything was spilled). window
-// carries the join's sliding window (0 = unbounded). Run uses default
-// Options (Parallelism = GOMAXPROCS), so emit may be called concurrently
-// (see RunWith); RunWith takes explicit ones.
+// carries the join's sliding window (0 = unbounded).
+//
+// Groups are merged in the ascending ID order store.Groups returns, on
+// the caller's goroutine, so emit is never called concurrently. On
+// failure every group is still attempted, and the returned error is that
+// of the lowest-numbered failing group; the stats then cover the groups
+// that did succeed.
+// Parallelism comes from engines, not from here: each engine cleans up
+// its own store at the same time as the others.
 func Run(inputs int, store spill.Store, op *join.Operator, window time.Duration, emit join.EmitFunc) (Stats, error) {
-	return RunWith(inputs, store, op, window, emit, Options{})
+	start := vclock.WallNow()
+	var (
+		stats    Stats
+		firstErr error
+	)
+	for _, id := range store.Groups() {
+		res, nsegs, err := cleanupGroup(inputs, store, op, id, window, emit)
+		stats.Segments += nsegs
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		stats.Groups++
+		stats.Tuples += res.Tuples
+		stats.Results += res.Results
+	}
+	stats.Elapsed = vclock.WallSince(start)
+	return stats, firstErr
 }
 
 // cleanupGroup merges one group: its disk segments plus the resident
@@ -279,124 +271,4 @@ func cleanupGroup(inputs int, store spill.Store, op *join.Operator, id partition
 	}
 	res, err := Group(inputs, segs, window, emit)
 	return res, nsegs, err
-}
-
-// RunWith is Run with explicit Options. Partition groups are merged by a
-// bounded worker pool: each group is claimed by exactly one worker, so
-// every missed result is produced exactly once, and the result *set* is
-// independent of the parallelism — only the emission order varies. With
-// more than one worker, emit is called concurrently from the workers, so
-// it must be safe for concurrent use (the engine's result buffer takes
-// its own lock); a per-result lock here would serialize the workers on
-// every result. The span / metric instrumentation is recorded per worker.
-//
-// On failure every group is still attempted, and the returned error is
-// deterministically that of the lowest-numbered failing group (matching
-// what a serial ascending-order run reports first); the stats then cover
-// the groups that did succeed.
-func RunWith(inputs int, store spill.Store, op *join.Operator, window time.Duration, emit join.EmitFunc, opts Options) (Stats, error) {
-	start := vclock.WallNow()
-	ids := store.Groups()
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ids) {
-		workers = len(ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	now := opts.Now
-	if now == nil {
-		now = func() vclock.Time { return 0 }
-	}
-	stats := Stats{Workers: workers}
-	if opts.Registry != nil {
-		opts.Registry.Gauge("distq_engine_cleanup_workers").Set(float64(workers))
-	}
-
-	work := make(chan partition.ID, len(ids))
-	for _, id := range ids {
-		work <- id
-	}
-	close(work)
-
-	type groupErr struct {
-		id  partition.ID
-		err error
-	}
-	var (
-		mu       sync.Mutex
-		failures []groupErr
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			label := strconv.Itoa(w)
-			span := opts.Tracer.Start(obs.SpanCleanupWorker, opts.Node, now())
-			span.SetAttr("worker", label)
-			busy := vclock.WallNow()
-			var (
-				local    Stats
-				localErr error
-			)
-			for id := range work {
-				groupStart := vclock.WallNow()
-				res, nsegs, err := cleanupGroup(inputs, store, op, id, window, emit)
-				local.Segments += nsegs
-				if opts.Registry != nil {
-					opts.Registry.Histogram("distq_engine_cleanup_group_seconds", obs.LatencyBuckets).Observe(vclock.WallSince(groupStart).Seconds())
-				}
-				if err != nil {
-					if localErr == nil {
-						localErr = err
-					}
-					mu.Lock()
-					failures = append(failures, groupErr{id: id, err: err})
-					mu.Unlock()
-					continue
-				}
-				local.Groups++
-				local.Tuples += res.Tuples
-				local.Results += res.Results
-			}
-			elapsed := vclock.WallSince(busy)
-			finishWorker(span, opts.Registry, label, local.Groups, local.Results, now(), localErr)
-			mu.Lock()
-			stats.Groups += local.Groups
-			stats.Segments += local.Segments
-			stats.Tuples += local.Tuples
-			stats.Results += local.Results
-			if elapsed > stats.CriticalPath {
-				stats.CriticalPath = elapsed
-			}
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	stats.Elapsed = vclock.WallSince(start)
-	var err error
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].id < failures[j].id })
-		err = failures[0].err
-	}
-	return stats, err
-}
-
-// finishWorker stamps a worker's span and counters with its totals.
-func finishWorker(span *obs.Span, reg *obs.Registry, worker string, groups int, results uint64, vt vclock.Time, err error) {
-	span.SetAttr("groups", strconv.Itoa(groups))
-	span.SetAttr("results", strconv.FormatUint(results, 10))
-	if reg != nil {
-		reg.Counter("distq_engine_cleanup_groups_total", obs.L("worker", worker)).Add(float64(groups))
-		reg.Counter("distq_engine_cleanup_results_total").Add(float64(results))
-	}
-	if err != nil {
-		span.Abort(vt, err.Error())
-		return
-	}
-	span.End(vt)
 }

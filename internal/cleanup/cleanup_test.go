@@ -2,7 +2,6 @@ package cleanup
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -14,17 +13,6 @@ import (
 
 func mkTuple(stream uint8, key, seq uint64) tuple.Tuple {
 	return tuple.Tuple{Stream: stream, Key: key, Seq: seq, Payload: make([]byte, 8)}
-}
-
-// locked serializes emit: Run and RunWith call it from every worker at
-// once, and a ResultSet (or a flag beside one) is not safe for that.
-func locked(emit join.EmitFunc) join.EmitFunc {
-	var mu sync.Mutex
-	return func(r tuple.Result) {
-		mu.Lock()
-		defer mu.Unlock()
-		emit(r)
-	}
 }
 
 // runWithSpills drives tuples through a join operator, spilling everything
@@ -56,11 +44,11 @@ func checkExactness(t *testing.T, inputs int, history []tuple.Tuple, runtime *tu
 	t.Helper()
 	combined := tuple.NewResultSet()
 	var dup bool
-	emit := locked(func(r tuple.Result) {
+	emit := func(r tuple.Result) {
 		if runtime.Contains(r) || !combined.Add(r) {
 			dup = true
 		}
-	})
+	}
 	stats, err := Run(inputs, store, op, 0, emit)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +104,7 @@ func TestCleanupCountOnlyMatchesMaterialized(t *testing.T) {
 	}
 	_, op2, store2 := runWithSpills(t, inputs, 4, history, spillAt)
 	set := tuple.NewResultSet()
-	materialized, err := Run(inputs, store2, op2, 0, locked(func(r tuple.Result) { set.Add(r) }))
+	materialized, err := Run(inputs, store2, op2, 0, func(r tuple.Result) { set.Add(r) })
 	if err != nil {
 		t.Fatal(err)
 	}

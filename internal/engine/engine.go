@@ -188,9 +188,6 @@ type Engine struct {
 	// send, so a transient send failure retries the delta on the next
 	// sr_timer instead of dropping it.
 	reportedOutput uint64
-	// resultMu serializes the result buffer: cleanup workers call emit
-	// concurrently with each other and with the handler's flushes.
-	resultMu sync.Mutex
 	// resultPayload holds pending materialized results, already encoded:
 	// emit hands the engine a Result whose Seqs is the join core's scratch
 	// buffer, so it must be consumed (encoded) inside the callback rather
@@ -198,6 +195,9 @@ type Engine struct {
 	resultPayload []byte
 	resultCount   int
 	resultPhase   proto.Phase
+	// cleanupDone is this engine's cleanup report once it has run: a
+	// repeated StartCleanup is answered with it instead of a second run.
+	cleanupDone *proto.CleanupDone
 
 	tickers []*vclock.Ticker
 	stopped bool
@@ -244,10 +244,7 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 	e.reg.Help("distq_engine_output_results", "cumulative join results produced")
 	e.reg.Help("distq_engine_relocations_out_total", "state transfers shipped to another engine")
 	e.reg.Help("distq_engine_relocations_in_total", "state transfers installed from another engine")
-	e.reg.Help("distq_engine_cleanup_workers", "worker-pool size of the last cleanup run")
-	e.reg.Help("distq_engine_cleanup_groups_total", "partition groups merged during cleanup, by worker")
 	e.reg.Help("distq_engine_cleanup_results_total", "missed results produced during cleanup")
-	e.reg.Help("distq_engine_cleanup_group_seconds", "wall-clock merge time of one cleanup group")
 	e.reg.Help("distq_engine_group_resident_bytes", "resident state size of one partition group (GroupMetrics only)")
 	e.reg.Help("distq_engine_group_lifetime_bytes", "lifetime bytes absorbed by one partition group (GroupMetrics only)")
 	e.reg.Help("distq_engine_group_output_results", "cumulative results produced by one partition group (GroupMetrics only)")
@@ -974,30 +971,30 @@ func (e *Engine) onDrainAck(m proto.DrainAck) error {
 }
 
 // onCleanup runs the disk-phase cleanup over this engine's store and
-// resident state, shipping results (materializing mode) and reporting the
-// outcome to the requester.
+// resident state on the handler goroutine, shipping results
+// (materializing mode) and reporting the outcome to the requester. A
+// repeated StartCleanup is answered with the first run's report and
+// produces no result again.
 func (e *Engine) onCleanup(from partition.NodeID) error {
+	if e.cleanupDone != nil {
+		return e.ep.Send(from, *e.cleanupDone)
+	}
 	span := e.tracer.Start(obs.SpanCleanup, string(e.cfg.Node), e.clock.Now())
 	var emit join.EmitFunc
 	switch {
 	case e.cfg.Materialize:
-		e.resultMu.Lock()
+		// Run-time results still buffered leave under their own phase.
+		e.maybeFlushResults(true)
 		e.resultPhase = proto.PhaseCleanup
-		e.resultMu.Unlock()
-		emit = func(r tuple.Result) { e.bufferResult(r) }
+		emit = e.bufferResult
 	case e.cfg.EnumerateResults:
 		emit = func(tuple.Result) {}
 	}
-	st, err := cleanup.RunWith(e.cfg.Inputs, e.cfg.Store, e.op, e.cfg.Window, emit, cleanup.Options{
-		Tracer:   e.tracer,
-		Registry: e.reg,
-		Node:     string(e.cfg.Node),
-		Now:      e.clock.Now,
-	})
+	st, err := cleanup.Run(e.cfg.Inputs, e.cfg.Store, e.op, e.cfg.Window, emit)
+	e.reg.Counter("distq_engine_cleanup_results_total").Add(float64(st.Results))
 	span.SetAttr("groups", fmt.Sprintf("%d", st.Groups))
 	span.SetAttr("segments", fmt.Sprintf("%d", st.Segments))
 	span.SetAttr("results", fmt.Sprintf("%d", st.Results))
-	span.SetAttr("workers", fmt.Sprintf("%d", st.Workers))
 	if err != nil {
 		span.Abort(e.clock.Now(), err.Error())
 	} else {
@@ -1015,6 +1012,7 @@ func (e *Engine) onCleanup(from partition.NodeID) error {
 		// Report the failure instead of leaving the requester waiting.
 		done.Error = err.Error()
 	}
+	e.cleanupDone = &done
 	e.maybeFlushResults(true)
 	if sendErr := e.ep.Send(from, done); sendErr != nil {
 		return sendErr
@@ -1022,52 +1020,27 @@ func (e *Engine) onCleanup(from partition.NodeID) error {
 	return err
 }
 
-// bufferResult encodes one emitted result into the pending payload.
-// It runs on the handler goroutine and on cleanup workers — resultMu
-// serializes them.
+// bufferResult encodes one emitted result into the pending payload and
+// ships it once the threshold is reached.
 func (e *Engine) bufferResult(r tuple.Result) {
-	e.resultMu.Lock()
 	e.resultPayload = r.AppendTo(e.resultPayload)
 	e.resultCount++
-	var payload []byte
-	var phase proto.Phase
-	if e.resultCount >= resultFlushThreshold {
-		payload, phase = e.takeResultsLocked()
-	}
-	e.resultMu.Unlock()
-	e.sendResults(payload, phase)
+	e.maybeFlushResults(false)
 }
 
-// takeResultsLocked detaches the pending payload (caller holds
-// resultMu). The receiver retains the payload (the in-process transport
+// maybeFlushResults ships the pending payload when forced or at the
+// threshold. The receiver retains the payload (the in-process transport
 // hands the message over by reference), so a fresh buffer is started
-// rather than truncating this one.
-func (e *Engine) takeResultsLocked() ([]byte, proto.Phase) {
+// rather than truncating this one. ResultData batches are
+// order-independent sets.
+func (e *Engine) maybeFlushResults(force bool) {
+	if e.resultCount == 0 || (!force && e.resultCount < resultFlushThreshold) {
+		return
+	}
 	payload := e.resultPayload
 	e.resultPayload = nil
 	e.resultCount = 0
-	return payload, e.resultPhase
-}
-
-func (e *Engine) maybeFlushResults(force bool) {
-	e.resultMu.Lock()
-	var payload []byte
-	var phase proto.Phase
-	if e.resultCount > 0 && (force || e.resultCount >= resultFlushThreshold) {
-		payload, phase = e.takeResultsLocked()
-	}
-	e.resultMu.Unlock()
-	e.sendResults(payload, phase)
-}
-
-// sendResults ships a detached payload; a nil payload is a no-op.
-// Sending outside resultMu keeps emitters from serializing on the
-// transport; ResultData batches are order-independent sets.
-func (e *Engine) sendResults(payload []byte, phase proto.Phase) {
-	if payload == nil {
-		return
-	}
-	if err := e.ep.Send(e.cfg.AppServer, proto.ResultData{Node: e.cfg.Node, Payload: payload, Phase: phase}); err != nil {
+	if err := e.ep.Send(e.cfg.AppServer, proto.ResultData{Node: e.cfg.Node, Payload: payload, Phase: e.resultPhase}); err != nil {
 		e.log.Error("result_flush_error", obs.FErr(err))
 	}
 }

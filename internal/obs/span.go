@@ -22,9 +22,6 @@ const (
 	SpanForcedSpill = "forced_spill"
 	// SpanCleanup covers one disk-phase cleanup run.
 	SpanCleanup = "cleanup"
-	// SpanCleanupWorker covers one worker's share of a parallel cleanup
-	// run (attrs worker, groups, results), nested inside SpanCleanup.
-	SpanCleanupWorker = "cleanup_worker"
 	// SpanMembership covers one membership transition at the coordinator
 	// (attr kind = join|leave, node).
 	SpanMembership = "membership"

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cleanup"
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/partition"
@@ -109,40 +108,6 @@ func BenchmarkJoinWindowedProbe(b *testing.B) {
 
 // buildSnapshot makes a realistic ~1000-tuple group snapshot.
 func buildSnapshot() *join.GroupSnapshot { return bench.BuildSnapshot() }
-
-// BenchmarkCleanupRunMultiGroup measures a full cleanup over 12
-// three-generation groups, serial vs the GOMAXPROCS worker pool. The
-// result sets are identical (cleanup package equivalence tests); on a
-// multi-core machine the parallel variant's wall time drops while the
-// critical path stays put.
-func BenchmarkCleanupRunMultiGroup(b *testing.B) {
-	store := spill.NewMemStore()
-	for g := 0; g < 12; g++ {
-		for gen := uint32(0); gen < 3; gen++ {
-			s := &join.GroupSnapshot{ID: partition.ID(g), Gen: gen, Tuples: make([][]tuple.Tuple, 3)}
-			for i := 0; i < 200; i++ {
-				t := benchTuple(i)
-				t.Key = uint64(g*100 + i%20)
-				t.Seq = uint64(g)*100_000 + uint64(gen)*1000 + uint64(i)
-				s.Tuples[t.Stream] = append(s.Tuples[t.Stream], t)
-			}
-			if err := store.Write(s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	for name, par := range map[string]int{"serial": 1, "parallel": 0} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				emit := func(tuple.Result) {}
-				if _, err := cleanup.RunWith(3, store, nil, 0, emit, cleanup.Options{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkFileStoreWriteRead(b *testing.B) {
 	store, err := spill.NewFileStore(b.TempDir())
