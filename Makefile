@@ -108,8 +108,11 @@ loc:
 # wire frame decoder fuzzer (every message kind) shares the budget so a
 # wire-codec regression fails the same tier-1 gate, and so does the
 # result-payload reader, which parses the bytes of every ResultData frame
-# that reaches the application server.
+# that reaches the application server, and the snapshot decoder, whose
+# accepted bytes every spill segment, relocation image and standby tier
+# aliases.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorProtocol -fuzztime $(FUZZTIME) ./internal/coordinator
 	$(GO) test -run '^$$' -fuzz FuzzNativeFrame -fuzztime $(FUZZTIME) ./internal/proto
 	$(GO) test -run '^$$' -fuzz FuzzReadResults -fuzztime $(FUZZTIME) ./internal/tuple
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/join

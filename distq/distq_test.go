@@ -385,8 +385,9 @@ func TestIngestCopiesPayload(t *testing.T) {
 	for _, node := range c.opts.Engines {
 		e := c.c.Engine(node)
 		for _, id := range e.Op().ResidentIDs() {
-			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
-				for _, tp := range l {
+			snap := e.Op().ResidentSnapshot(id)
+			for stream := range snap.Inputs {
+				for r, tp := snap.Input(stream), (tuple.Tuple{}); r.Next(&tp); {
 					seen++
 					// Tuple i is its stream's (i/inputs)-th.
 					want := tp.Seq*inputs + uint64(stream)
@@ -440,8 +441,9 @@ func TestIngestFromManyGoroutines(t *testing.T) {
 	for _, node := range c.opts.Engines {
 		e := c.c.Engine(node)
 		for _, id := range e.Op().ResidentIDs() {
-			for stream, l := range e.Op().ResidentSnapshot(id).Tuples {
-				for _, tp := range l {
+			snap := e.Op().ResidentSnapshot(id)
+			for stream := range snap.Inputs {
+				for r, tp := snap.Input(stream), (tuple.Tuple{}); r.Next(&tp); {
 					if seen[stream][tp.Seq] {
 						t.Fatalf("stream %d: sequence number %d given twice", stream, tp.Seq)
 					}

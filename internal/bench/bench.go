@@ -19,6 +19,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/proto"
 	"repro/internal/replica"
+	"repro/internal/spill"
 	"repro/internal/split"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -40,28 +41,46 @@ func Tuple(i int) tuple.Tuple {
 	}
 }
 
-// BuildSnapshot makes a realistic ~1000-tuple group snapshot.
-func BuildSnapshot() *join.GroupSnapshot {
-	op := join.New(3, partition.NewFunc(1), nil)
-	for i := 0; i < 1000; i++ {
-		if _, err := op.Process(Tuple(i)); err != nil {
-			panic(err)
-		}
+// check panics on err: a bench body runs on inputs it built itself, so
+// an error is a bug in the body.
+func check(err error) {
+	if err != nil {
+		panic(err)
 	}
-	return op.ResidentSnapshot(0)
 }
 
-// CleanupGens builds the three-generation merge input of the cleanup
+// must is check for a call that also returns a value.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// fill processes bench tuples from..to-1 into op and returns it.
+func fill(op *join.Operator, from, to int) *join.Operator {
+	for i := from; i < to; i++ {
+		must(op.Process(Tuple(i)))
+	}
+	return op
+}
+
+// BuildSnapshot makes a realistic ~1000-tuple group snapshot.
+func BuildSnapshot() *join.GroupSnapshot {
+	return fill(join.New(3, partition.NewFunc(1), nil), 0, 1000).ResidentSnapshot(0)
+}
+
+// cleanupGens builds the three-generation merge input of the cleanup
 // merge benchmark: 300 tuples per generation over 30 keys, 3 streams.
-func CleanupGens() []*join.GroupSnapshot {
+func cleanupGens() []*join.GroupSnapshot {
 	mkGen := func(gen uint32) *join.GroupSnapshot {
-		s := &join.GroupSnapshot{ID: 0, Gen: gen, Tuples: make([][]tuple.Tuple, 3)}
+		var run []byte
 		for i := 0; i < 300; i++ {
 			t := Tuple(i)
 			t.Key = uint64(i % 30)
 			t.Seq = uint64(gen)*1000 + uint64(i)
-			s.Tuples[t.Stream] = append(s.Tuples[t.Stream], t)
+			run = t.AppendTo(run)
 		}
+		s := &join.GroupSnapshot{ID: 0, Gen: gen, Inputs: make([][]byte, 3)}
+		check(s.Append(run))
 		return s
 	}
 	return []*join.GroupSnapshot{mkGen(0), mkGen(1), mkGen(2)}
@@ -100,15 +119,23 @@ func batch256() *tuple.Batch {
 func processCountOnly() func(int) {
 	op := join.New(3, partition.NewFunc(120), nil)
 	return func(i int) {
-		if _, err := op.Process(Tuple(i)); err != nil {
-			panic(err)
-		}
+		must(op.Process(Tuple(i)))
 	}
 }
 
-// snapshotTuples is how many tuples join_snapshot_count_only's
-// operator holds, and so how many ops one pass over its groups covers.
+// snapshotTuples is how many tuples the state of join_snapshot_count_only,
+// spill_read_back and relocation_image holds, and so how many ops one
+// pass over that state covers.
 const snapshotTuples = 300_000
+
+// perPass runs pass at the first op of every snapshotTuples.
+func perPass(pass func()) func(int) {
+	return func(i int) {
+		if i%snapshotTuples == 0 {
+			pass()
+		}
+	}
+}
 
 // Cases lists the gated micro-benchmarks in stable output order.
 func Cases() []Case {
@@ -131,21 +158,52 @@ func Cases() []Case {
 			Name:     "join_snapshot_count_only",
 			DefaultN: snapshotTuples,
 			Make: func() func(int) {
-				op := join.New(3, partition.NewFunc(120), nil)
-				for i := 0; i < snapshotTuples; i++ {
-					if _, err := op.Process(Tuple(i)); err != nil {
-						panic(err)
-					}
-				}
+				op := fill(join.New(3, partition.NewFunc(120), nil), 0, snapshotTuples)
 				ids := op.ResidentIDs()
-				return func(i int) {
-					if i%snapshotTuples != 0 {
-						return
-					}
+				return perPass(func() {
 					for _, id := range ids {
 						op.ResidentSnapshot(id)
 					}
-				}
+				})
+			},
+		},
+		{
+			// A spill and its read-back through the in-memory store: a
+			// count-only group of snapshotTuples tuples is extracted,
+			// written and read back. An op is one tuple of the group; the
+			// pass at op 0 makes a constant number of allocations, however
+			// many tuples the group holds.
+			Name:     "spill_read_back",
+			DefaultN: snapshotTuples,
+			Make: func() func(int) {
+				op, store := fill(join.New(3, partition.NewFunc(1), nil), 0, snapshotTuples), spill.NewMemStore()
+				return perPass(func() {
+					if snap := op.ExtractForSpill(0); snap != nil { // nil: spilled by an earlier pass
+						check(store.Write(snap))
+						must(store.Read(0))
+					}
+				})
+			},
+		},
+		{
+			// A relocation's image round trip: a group of snapshotTuples
+			// count-only tuples, half of them spilled, is taken out of
+			// one (operator, store), encoded, decoded and installed into
+			// another; the next pass moves it back. An op is one tuple of
+			// the group; a pass makes a constant number of allocations
+			// besides the log chunks the installed group fills.
+			Name:     "relocation_image",
+			DefaultN: snapshotTuples,
+			Make: func() func(int) {
+				src, srcStore := fill(join.New(3, partition.NewFunc(1), nil), 0, snapshotTuples/2), spill.Store(spill.NewMemStore())
+				check(srcStore.Write(src.ExtractForSpill(0)))
+				fill(src, snapshotTuples/2, snapshotTuples)
+				dst, dstStore := join.New(3, partition.NewFunc(1), nil), spill.Store(spill.NewMemStore())
+				return perPass(func() {
+					im := must(spill.DecodeImage(spill.AppendImage(nil, must(spill.Take(src, srcStore, 0)))))
+					check(im.Install(dst, dstStore))
+					src, srcStore, dst, dstStore = dst, dstStore, src, srcStore
+				})
 			},
 		},
 		{
@@ -165,9 +223,7 @@ func Cases() []Case {
 					if lg.Enabled(obs.LevelDebug) {
 						lg.Debug("tuple_processed", obs.FInt("i", int64(i)))
 					}
-					if _, err := op.Process(Tuple(i)); err != nil {
-						panic(err)
-					}
+					must(op.Process(Tuple(i)))
 				}
 			},
 		},
@@ -178,9 +234,7 @@ func Cases() []Case {
 				var sink uint64
 				op := join.New(3, partition.NewFunc(120), func(r tuple.Result) { sink += r.Seqs[0] })
 				return func(i int) {
-					if _, err := op.Process(Tuple(i % 50_000)); err != nil {
-						panic(err)
-					}
+					must(op.Process(Tuple(i % 50_000)))
 				}
 			},
 		},
@@ -199,11 +253,7 @@ func Cases() []Case {
 				process := func(stream uint8, key uint64, seq int) uint64 {
 					t := Tuple(seq)
 					t.Stream, t.Key = stream, key
-					n, err := op.Process(t)
-					if err != nil {
-						panic(err)
-					}
-					return n
+					return must(op.Process(t))
 				}
 				// Input 0 is empty while these arrive, so they emit nothing.
 				for i := 0; i < 22*keys; i++ {
@@ -243,9 +293,7 @@ func Cases() []Case {
 				batch := batch256()
 				return func(int) {
 					buf := batch.Encode()
-					if _, err := tuple.DecodeBatch(buf); err != nil {
-						panic(err)
-					}
+					must(tuple.DecodeBatch(buf))
 				}
 			},
 		},
@@ -259,10 +307,7 @@ func Cases() []Case {
 				buf := batch256().Encode()
 				var sink uint64
 				return func(int) {
-					r, err := tuple.ReadBatch(buf)
-					if err != nil {
-						panic(err)
-					}
+					r := must(tuple.ReadBatch(buf))
 					var t tuple.Tuple
 					for r.Next(&t) {
 						sink += t.Key + uint64(len(t.Payload))
@@ -277,14 +322,9 @@ func Cases() []Case {
 			DefaultN: 1_000_000,
 			Make: func() func(int) {
 				owner := []partition.NodeID{"m1", "m2"}
-				r, err := split.New(copySink{}, "gc", partition.NewFunc(2), owner, 1, split.DefaultBatchSize)
-				if err != nil {
-					panic(err)
-				}
+				r := must(split.New(copySink{}, "gc", partition.NewFunc(2), owner, 1, split.DefaultBatchSize))
 				return func(i int) {
-					if err := r.Route(Tuple(i)); err != nil {
-						panic(err)
-					}
+					check(r.Route(Tuple(i)))
 				}
 			},
 		},
@@ -366,9 +406,7 @@ func Cases() []Case {
 					if i%(perEntry*entries) == 0 {
 						sb = replica.EmptyStandby(0, 3)
 					}
-					if _, err := sb.Append(run, 3); err != nil {
-						panic(err)
-					}
+					must(sb.Append(run, 3))
 				}
 			},
 		},
@@ -386,9 +424,7 @@ func Cases() []Case {
 			Make: func() func(int) {
 				buf := join.EncodeSnapshot(BuildSnapshot())
 				return func(int) {
-					if _, err := join.DecodeSnapshot(buf); err != nil {
-						panic(err)
-					}
+					must(join.DecodeSnapshot(buf))
 				}
 			},
 		},
@@ -396,11 +432,9 @@ func Cases() []Case {
 			Name:     "cleanup_merge",
 			DefaultN: 500,
 			Make: func() func(int) {
-				gens := CleanupGens()
+				gens := cleanupGens()
 				return func(int) {
-					if _, err := cleanup.Group(3, gens, 0, nil); err != nil {
-						panic(err)
-					}
+					must(cleanup.Group(3, gens, 0, nil))
 				}
 			},
 		},

@@ -83,8 +83,8 @@ func Group(inputs int, gens []*join.GroupSnapshot, window time.Duration, emit jo
 	res.ID = gens[0].ID
 	res.Generations = len(gens)
 	for i, g := range gens {
-		if len(g.Tuples) != inputs {
-			return res, fmt.Errorf("cleanup: generation %d of group %d has %d inputs, want %d", g.Gen, g.ID, len(g.Tuples), inputs)
+		if len(g.Inputs) != inputs {
+			return res, fmt.Errorf("cleanup: generation %d of group %d has %d inputs, want %d", g.Gen, g.ID, len(g.Inputs), inputs)
 		}
 		if g.ID != res.ID {
 			return res, fmt.Errorf("cleanup: mixed groups %d and %d", res.ID, g.ID)
@@ -98,9 +98,9 @@ func Group(inputs int, gens []*join.GroupSnapshot, window time.Duration, emit jo
 	e := &enumerator{inputs: inputs, window: window, emit: emit, seqs: make([]uint64, inputs)}
 	for _, g := range gens {
 		cur := newTables(inputs)
+		var t tuple.Tuple
 		for s := 0; s < inputs; s++ {
-			for i := range g.Tuples[s] {
-				t := g.Tuples[s][i]
+			for r := g.Input(s); r.Next(&t); {
 				res.Tuples++
 				res.Results += e.missed(old, cur, &t)
 				cur.add(t)

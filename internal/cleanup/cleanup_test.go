@@ -156,17 +156,31 @@ func TestCleanupNoSpillsNothingToDo(t *testing.T) {
 	}
 }
 
+// snapOf returns generation gen of group id over inputs inputs, holding
+// tuples, each in the input its Stream names.
+func snapOf(id partition.ID, gen uint32, inputs int, tuples ...tuple.Tuple) *join.GroupSnapshot {
+	var run []byte
+	for i := range tuples {
+		run = tuples[i].AppendTo(run)
+	}
+	s := &join.GroupSnapshot{ID: id, Gen: gen, Inputs: make([][]byte, inputs)}
+	if err := s.Append(run); err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestGroupValidation(t *testing.T) {
-	g0 := &join.GroupSnapshot{ID: 1, Gen: 0, Tuples: make([][]tuple.Tuple, 2)}
-	g1 := &join.GroupSnapshot{ID: 1, Gen: 0, Tuples: make([][]tuple.Tuple, 2)}
+	g0 := snapOf(1, 0, 2)
+	g1 := snapOf(1, 0, 2)
 	if _, err := Group(2, []*join.GroupSnapshot{g0, g1}, 0, nil); err == nil {
 		t.Fatal("out-of-order generations accepted")
 	}
-	other := &join.GroupSnapshot{ID: 2, Gen: 1, Tuples: make([][]tuple.Tuple, 2)}
+	other := snapOf(2, 1, 2)
 	if _, err := Group(2, []*join.GroupSnapshot{g0, other}, 0, nil); err == nil {
 		t.Fatal("mixed group IDs accepted")
 	}
-	bad := &join.GroupSnapshot{ID: 1, Gen: 0, Tuples: make([][]tuple.Tuple, 3)}
+	bad := snapOf(1, 0, 3)
 	if _, err := Group(2, []*join.GroupSnapshot{bad}, 0, nil); err == nil {
 		t.Fatal("wrong arity accepted")
 	}
@@ -179,12 +193,8 @@ func TestGroupCrossGenerationOnly(t *testing.T) {
 	// Gen 0: a0, b0 (match produced at runtime). Gen 1: a1, b1 (match
 	// produced at runtime). Cleanup must produce exactly the two
 	// cross-generation matches a0-b1 and a1-b0.
-	gen0 := &join.GroupSnapshot{ID: 0, Gen: 0, Tuples: [][]tuple.Tuple{
-		{mkTuple(0, 1, 100)}, {mkTuple(1, 1, 200)},
-	}}
-	gen1 := &join.GroupSnapshot{ID: 0, Gen: 1, Tuples: [][]tuple.Tuple{
-		{mkTuple(0, 1, 101)}, {mkTuple(1, 1, 201)},
-	}}
+	gen0 := snapOf(0, 0, 2, mkTuple(0, 1, 100), mkTuple(1, 1, 200))
+	gen1 := snapOf(0, 1, 2, mkTuple(0, 1, 101), mkTuple(1, 1, 201))
 	set := tuple.NewResultSet()
 	res, err := Group(2, []*join.GroupSnapshot{gen0, gen1}, 0, func(r tuple.Result) { set.Add(r) })
 	if err != nil {
@@ -204,9 +214,7 @@ func TestGroupThreeGenerations(t *testing.T) {
 	// 3 generations: total matches 3x3=9, in-generation 3, missed 6.
 	var gens []*join.GroupSnapshot
 	for g := uint32(0); g < 3; g++ {
-		gens = append(gens, &join.GroupSnapshot{ID: 0, Gen: g, Tuples: [][]tuple.Tuple{
-			{mkTuple(0, 5, uint64(100+g))}, {mkTuple(1, 5, uint64(200+g))},
-		}})
+		gens = append(gens, snapOf(0, g, 2, mkTuple(0, 5, uint64(100+g)), mkTuple(1, 5, uint64(200+g))))
 	}
 	res, err := Group(2, gens, 0, nil)
 	if err != nil {

@@ -75,13 +75,7 @@ func TestParallelDeterministicError(t *testing.T) {
 	store := spill.NewMemStore()
 	for _, id := range []uint32{9, 3, 6} {
 		// Arity 3 snapshots under an inputs=2 cleanup fail per group.
-		snap := &join.GroupSnapshot{
-			ID:  partition.ID(id),
-			Gen: 0,
-			Tuples: [][]tuple.Tuple{
-				{mkTuple(0, 1, uint64(id))}, {mkTuple(1, 1, uint64(100+id))}, {mkTuple(2, 1, uint64(200+id))},
-			},
-		}
+		snap := snapOf(partition.ID(id), 0, 3, mkTuple(0, 1, uint64(id)), mkTuple(1, 1, uint64(100+id)), mkTuple(2, 1, uint64(200+id)))
 		if err := store.Write(snap); err != nil {
 			t.Fatal(err)
 		}

@@ -115,12 +115,8 @@ func TestWindowedCleanupCountOnlyMatchesEnumerated(t *testing.T) {
 // is kept.
 func TestWindowedGroupSpanFilter(t *testing.T) {
 	window := time.Minute
-	gen0 := &join.GroupSnapshot{ID: 0, Gen: 0, Tuples: [][]tuple.Tuple{
-		{wTuple(0, 1, 1, 0)}, nil,
-	}}
-	gen1 := &join.GroupSnapshot{ID: 0, Gen: 1, Tuples: [][]tuple.Tuple{
-		nil, {wTuple(1, 1, 2, 59*time.Second), wTuple(1, 1, 3, 61*time.Second)},
-	}}
+	gen0 := snapOf(0, 0, 2, wTuple(0, 1, 1, 0))
+	gen1 := snapOf(0, 1, 2, wTuple(1, 1, 2, 59*time.Second), wTuple(1, 1, 3, 61*time.Second))
 	res, err := Group(2, []*join.GroupSnapshot{gen0, gen1}, window, nil)
 	if err != nil {
 		t.Fatal(err)

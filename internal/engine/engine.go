@@ -516,7 +516,8 @@ func (e *Engine) onTick(m proto.Tick) error {
 		if amount <= 0 {
 			return nil
 		}
-		return e.spill(amount, stats.EventSpill, obs.TraceContext{})
+		e.spill(amount, stats.EventSpill, obs.TraceContext{})
+		return nil
 	default:
 		return fmt.Errorf("unknown tick %q", m.Kind)
 	}
@@ -525,7 +526,10 @@ func (e *Engine) onTick(m proto.Tick) error {
 // spill runs one spill cycle. A forced spill carries the coordinator's
 // trace context so the engine-side span joins the forced-spill trace;
 // local (ss_timer) spills pass the zero context and trace standalone.
-func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) error {
+// A store write that fails is logged, not returned: its group stays
+// resident (spill.Manager.Spill), the groups persisted before it stand
+// and reach the followers, and the next cycle spills again.
+func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
 	spanKind := "local"
 	if kind == stats.EventForcedSpill {
 		spanKind = "forced"
@@ -534,17 +538,18 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) error 
 	span.SetAttr("kind", spanKind)
 	span.SetAttr("requested_bytes", fmt.Sprintf("%d", amount))
 	res, err := e.mgr.Spill(amount, e.clock.Now())
-	if err != nil {
-		span.Abort(e.clock.Now(), err.Error())
-		return err
-	}
 	// Tell followers: buffered appends of the spilled generation flush
 	// ahead of a spill marker, so their standby demotes the same
 	// fraction at the same generation boundary.
 	e.repl.noteSpill(res.Groups)
 	span.SetAttr("groups", fmt.Sprintf("%d", len(res.Groups)))
 	span.SetAttr("spilled_bytes", fmt.Sprintf("%d", res.Bytes))
-	span.End(e.clock.Now())
+	if err != nil {
+		e.log.Error("spill_error", obs.FErr(err))
+		span.Abort(e.clock.Now(), err.Error())
+	} else {
+		span.End(e.clock.Now())
+	}
 	kl := obs.L("kind", spanKind)
 	e.reg.Counter("distq_engine_spills_total", kl).Inc()
 	e.reg.Counter("distq_engine_spill_bytes_total", kl).Add(float64(res.Bytes))
@@ -552,7 +557,6 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) error 
 		T: res.When, Node: e.cfg.Node, Kind: kind,
 		Detail: fmt.Sprintf("%d groups, %d bytes", len(res.Groups), res.Bytes),
 	})
-	return nil
 }
 
 func (e *Engine) reportStats() error {
@@ -841,9 +845,7 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 		return err
 	}
 	before := e.mgr.SpilledBytes()
-	if err := e.spill(m.Amount, stats.EventForcedSpill, m.Trace); err != nil {
-		return err
-	}
+	e.spill(m.Amount, stats.EventForcedSpill, m.Trace)
 	return e.answer(done, proto.SpillDone{Node: e.cfg.Node, Bytes: e.mgr.SpilledBytes() - before, Seq: m.Seq})
 }
 

@@ -191,8 +191,9 @@ func TestOnDataKeepsNothingOfTheFrame(t *testing.T) {
 		}
 		stored := 0
 		for _, g := range e.Op().ResidentIDs() {
-			for _, l := range e.Op().ResidentSnapshot(g).Tuples {
-				for _, tp := range l {
+			snap := e.Op().ResidentSnapshot(g)
+			for i := range snap.Inputs {
+				for r, tp := snap.Input(i), (tuple.Tuple{}); r.Next(&tp); {
 					check("join state", tp)
 					stored++
 				}

@@ -43,9 +43,10 @@ import (
 //
 // Replication moves bytes, not tuples. The primary's tap appends each
 // stored tuple's encoding to its group's slot; a delta carries those
-// bytes as they are; the follower checks them and keeps them encoded
-// behind the group's decoded memory tier (replica.Standby) until a
-// spill marker needs the tuples or a promotion merges the runs.
+// bytes as they are; the follower checks them and keeps them as they
+// came behind the group's memory tier, itself the encoded snapshot the
+// seed carried (replica.Standby), until a spill marker or a promotion
+// folds them into the tier.
 type replicator struct {
 	e *Engine
 	// incarnation identifies this engine life on the deltas and acks it
@@ -66,7 +67,7 @@ type replicator struct {
 	// inbound is the follower-side cursor of each primary's stream.
 	inbound map[partition.NodeID]inbound
 	// standby holds the memory tier of the warm follower copies — the
-	// decoded tier and the encoded appends since — keyed by group; the
+	// tier and the appends since, all of it encoded — keyed by group; the
 	// disk tier lives in cfg.StandbyStore. standbyBytes is what they
 	// charge (replica.Standby.Bytes), kept by setStandby and onDelta.
 	standby      map[partition.ID]*replica.Standby
@@ -377,7 +378,7 @@ func (r *replicator) lag(sizeOf func(partition.ID) int64) map[partition.ID]int64
 // copies (or, for a group this engine already promoted, straight into
 // the resident operator state — the demoted old primary's tail flush).
 // An append is checked and kept as it came, encoded (replica.Standby);
-// its tuples are decoded only if a spill marker seals them.
+// a spill marker folds its bytes into the tier it seals.
 // Duplicates and gaps are answered with the sequence this follower
 // stands at: the primary retransmits in order, and the ack's
 // incarnation tells it when the follower it was feeding has restarted
@@ -463,23 +464,23 @@ func (r *replicator) onDelta(m proto.StateDelta) error {
 }
 
 // demoteStandby mirrors a primary spill on the follower: the memory
-// tier of the group's standby, its encoded appends decoded onto it, is
-// sealed as a local segment at the primary's spilled generation — by the
-// join helper the primary's own extraction uses, so boundary and purge
+// tier of the group's standby, its appends folded into it, is sealed as
+// a local segment at the primary's spilled generation — by the join
+// helper the primary's own extraction uses, so boundary and purge
 // watermark agree — and a fresh empty memory tier starts at the next
 // generation.
 func (r *replicator) demoteStandby(g partition.ID, gen uint32) error {
 	sb := r.standby[g]
-	if sb == nil || sb.Mem == nil {
+	if sb == nil {
 		// Marker for a group with no standby yet (the seed was cut after
 		// the primary had state but nothing reached us): record the
 		// boundary anyway so later appends accumulate at the primary's
 		// current generation.
 		sb = replica.EmptyStandby(g, r.e.cfg.Inputs)
 	}
-	sb.Decode()
-	next := sb.Mem.Seal(gen)
-	if err := r.e.cfg.StandbyStore.Write(sb.Mem); err != nil {
+	seg := sb.Image()
+	next := seg.Seal(gen)
+	if err := r.e.cfg.StandbyStore.Write(seg); err != nil {
 		return fmt.Errorf("demote standby of group %d: %w", g, err)
 	}
 	r.setStandby(g, replica.NewStandby(next))
@@ -520,15 +521,14 @@ func (r *replicator) onAck(m proto.DeltaAck) {
 
 // promote turns the standby images of groups into resident state: each
 // is installed into the engine's operator and store like a relocated
-// group, and the appends the standby kept encoded merge after its
-// memory tier as the runs they arrived in, without being decoded into
-// tuples first. The memory tier merges even when empty, so the group
-// registers at its post-spill generation; groups without any standby had
-// no replicated state and simply start empty. Each tier leaves the
-// standby only once it landed, so the coordinator's Promote retry after
-// a failed install finishes the job instead of finding nothing and
-// acking an install that never happened. Returns how many groups'
-// memory tiers were installed.
+// group, its memory tier with the appends the standby kept folded in
+// (replica.Standby.Image). The memory tier merges even when empty, so
+// the group registers at its post-spill generation; groups without any
+// standby had no replicated state and simply start empty. The standby
+// goes only once its memory tier landed, so the coordinator's Promote
+// retry after a failed install finishes the job instead of finding
+// nothing and acking an install that never happened. Returns how many
+// groups' memory tiers were installed.
 func (r *replicator) promote(groups []partition.ID) (int, error) {
 	installed := 0
 	for _, g := range groups {
@@ -540,21 +540,15 @@ func (r *replicator) promote(groups []partition.ID) (int, error) {
 		sb := r.standby[g]
 		im := spill.Image{Disk: disk}
 		if sb != nil {
-			im.Mem = sb.Mem
+			im.Mem = sb.Image()
 		}
 		err = im.Install(r.e.op, r.e.cfg.Store)
-		if sb != nil && sb.Mem != nil && im.Mem == nil {
-			r.standbyBytes -= sb.Landed()
+		if sb != nil && im.Mem == nil {
+			r.setStandby(g, nil)
 			installed++
 		}
 		if err != nil {
 			return installed, fmt.Errorf("install standby of group %d: %w", g, err)
-		}
-		if sb != nil {
-			if err := r.e.op.MergeRuns(g, sb.Tail()...); err != nil {
-				return installed, fmt.Errorf("merge standby appends of group %d: %w", g, err)
-			}
-			r.setStandby(g, nil)
 		}
 		if _, err := r.e.cfg.StandbyStore.Remove(g); err != nil {
 			return installed, fmt.Errorf("clear standby segments of group %d: %w", g, err)

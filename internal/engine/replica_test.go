@@ -23,7 +23,11 @@ import (
 // snap builds an encodable group snapshot with the given per-input
 // tuple lists.
 func snap(g partition.ID, gen uint32, lists ...[]tuple.Tuple) *join.GroupSnapshot {
-	return &join.GroupSnapshot{ID: g, Gen: gen, Tuples: lists}
+	s := &join.GroupSnapshot{ID: g, Gen: gen, Inputs: make([][]byte, len(lists))}
+	for i, l := range lists {
+		s.Inputs[i] = (&tuple.Batch{Tuples: l}).Encode()
+	}
+	return s
 }
 
 // appendPayload tuple-encodes ts the way the primary's data-path hook
@@ -71,21 +75,16 @@ func expectNoPromoteAck(t *testing.T, r *rig) {
 	}
 }
 
-// sumStandby recomputes the memory-tier byte counter from scratch: the
-// decoded tier of every standby plus every tuple its encoded tail holds.
+// sumStandby recomputes the memory-tier byte counter from scratch: every
+// tuple of every standby's tier with its encoded tail folded in.
 func sumStandby(t *testing.T, r *replicator) int64 {
 	t.Helper()
 	var n int64
+	var tp tuple.Tuple
 	for _, sb := range r.standby {
-		if sb.Mem != nil {
-			n += sb.Mem.MemBytes()
-		}
-		for _, run := range sb.Tail() {
-			rd, err := tuple.ReadRun(run)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tp := (tuple.Tuple{}); rd.Next(&tp); {
+		im := sb.Image()
+		for i := range im.Inputs {
+			for rd := im.Input(i); rd.Next(&tp); {
 				n += tp.MemSize()
 			}
 		}
@@ -348,8 +347,8 @@ func TestSeedCarriesSegmentsAndPromoteAdoptsThem(t *testing.T) {
 // markers, malformed payloads, restarts of the primary (a newer
 // incarnation numbering from 1 again) and stragglers from its earlier
 // lives, checking after every step that the byte counter matches the
-// standby copies exactly (their decoded memory tiers plus the tuples
-// their encoded tails hold), the applied sequence only advances on
+// standby copies exactly (their memory tiers plus the tuples their
+// encoded tails hold), the applied sequence only advances on
 // well-formed in-order deltas of the primary's current life, duplicates
 // and gaps are answered with the sequence the follower stands at, and
 // stragglers get no answer at all.
@@ -647,8 +646,10 @@ func TestFollowerKeepsNothingOfTheFrame(t *testing.T) {
 	}
 	var got []tuple.Tuple
 	for _, tier := range append(segs, r.engine.Op().ResidentSnapshot(g)) {
-		for _, l := range tier.Tuples {
-			got = append(got, l...)
+		for i := range tier.Inputs {
+			for rd, tp := tier.Input(i), (tuple.Tuple{}); rd.Next(&tp); {
+				got = append(got, tp)
+			}
 		}
 	}
 	slices.SortFunc(got, func(a, b tuple.Tuple) int { return cmp.Compare(a.Seq, b.Seq) })

@@ -17,17 +17,56 @@ import (
 )
 
 // eagerFollower is the follower side as it was before standbys kept
-// their appends encoded: every append is decoded into owned tuples on
-// arrival and appended to its group's one snapshot, and promotion is one
-// Merge of that snapshot. TestStandbyMatchesEagerFollower holds the
-// engine to it byte for byte.
+// their tiers encoded: every seed and append is decoded into owned
+// tuples on arrival and appended to its group's one decoded tier, and
+// promotion is one Merge of that tier's snapshot.
+// TestStandbyMatchesEagerFollower holds the engine to it byte for byte.
 type eagerFollower struct {
 	inputs         int
 	op             *join.Operator
 	store, sbStore spill.Store
-	standby        map[partition.ID]*join.GroupSnapshot
+	standby        map[partition.ID]*eagerTier
 	promoted       map[partition.ID]bool
 	applied        uint64
+}
+
+// eagerTier is a standby memory tier held decoded: a snapshot's header
+// fields and each input's owned tuples.
+type eagerTier struct {
+	hdr    join.GroupSnapshot // Inputs unused
+	tuples [][]tuple.Tuple
+}
+
+// newTier returns the empty tier of group g at generation gen.
+func newTier(g partition.ID, gen uint32, inputs int) *eagerTier {
+	return &eagerTier{hdr: join.GroupSnapshot{ID: g, Gen: gen}, tuples: make([][]tuple.Tuple, inputs)}
+}
+
+// tierOf decodes s, reading each input through its reader.
+func tierOf(s *join.GroupSnapshot) *eagerTier {
+	e := &eagerTier{hdr: *s, tuples: make([][]tuple.Tuple, len(s.Inputs))}
+	e.hdr.Inputs = nil
+	var tp tuple.Tuple
+	for i := range s.Inputs {
+		for r := s.Input(i); r.Next(&tp); {
+			e.tuples[i] = append(e.tuples[i], tp.Clone())
+		}
+	}
+	return e
+}
+
+// snap encodes the tier as the snapshot it stands for, each input as a
+// tuple.Batch; nil stays nil.
+func (e *eagerTier) snap() *join.GroupSnapshot {
+	if e == nil {
+		return nil
+	}
+	s := e.hdr
+	s.Inputs = make([][]byte, len(e.tuples))
+	for i, l := range e.tuples {
+		s.Inputs[i] = (&tuple.Batch{Tuples: l}).Encode()
+	}
+	return &s
 }
 
 func (f *eagerFollower) apply(t *testing.T, d proto.StateDelta) {
@@ -49,7 +88,7 @@ func (f *eagerFollower) apply(t *testing.T, d proto.StateDelta) {
 			}
 			delete(f.standby, g)
 			if im.Mem != nil {
-				f.standby[g] = im.Mem
+				f.standby[g] = tierOf(im.Mem)
 			}
 			if err := im.WriteDisk(f.sbStore); err != nil {
 				t.Fatal(err)
@@ -60,13 +99,14 @@ func (f *eagerFollower) apply(t *testing.T, d proto.StateDelta) {
 			}
 			sb := f.standby[g]
 			if sb == nil {
-				sb = &join.GroupSnapshot{ID: g, Tuples: make([][]tuple.Tuple, f.inputs)}
+				sb = newTier(g, 0, f.inputs)
 			}
-			next := sb.Seal(binary.LittleEndian.Uint32(ent.Payload))
-			if err := f.sbStore.Write(sb); err != nil {
+			seg := sb.snap()
+			next := seg.Seal(binary.LittleEndian.Uint32(ent.Payload))
+			if err := f.sbStore.Write(seg); err != nil {
 				t.Fatal(err)
 			}
-			f.standby[g] = next
+			f.standby[g] = tierOf(next)
 		case proto.DeltaAppend:
 			tuples := make([][]tuple.Tuple, f.inputs)
 			var size int64
@@ -79,20 +119,20 @@ func (f *eagerFollower) apply(t *testing.T, d proto.StateDelta) {
 				size += tp.MemSize()
 			}
 			if f.promoted[g] {
-				if err := f.op.Merge(&join.GroupSnapshot{ID: g, Tuples: tuples}); err != nil {
+				if err := f.op.Merge((&eagerTier{hdr: join.GroupSnapshot{ID: g}, tuples: tuples}).snap()); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			}
 			sb := f.standby[g]
 			if sb == nil {
-				sb = &join.GroupSnapshot{ID: g, Tuples: make([][]tuple.Tuple, f.inputs)}
+				sb = newTier(g, 0, f.inputs)
 				f.standby[g] = sb
 			}
 			for i, l := range tuples {
-				sb.Tuples[i] = append(sb.Tuples[i], l...)
+				sb.tuples[i] = append(sb.tuples[i], l...)
 			}
-			sb.CumBytes += size
+			sb.hdr.CumBytes += size
 		}
 	}
 	f.applied = d.Seq
@@ -106,7 +146,7 @@ func (f *eagerFollower) promote(t *testing.T, groups []partition.ID) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		im := spill.Image{Mem: f.standby[g], Disk: disk}
+		im := spill.Image{Mem: f.standby[g].snap(), Disk: disk}
 		if err := im.Install(f.op, f.store); err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +161,7 @@ func (f *eagerFollower) promote(t *testing.T, groups []partition.ID) {
 // reference through the same seeded mix of seeds, appends, spill
 // markers, multi-entry deltas, duplicates, gaps, promotions and appends
 // to promoted groups. After every step each group's standby memory tier
-// (its encoded appends decoded onto it), standby segments, resident
+// (its encoded appends folded into it), standby segments, resident
 // state and adopted segments must encode to the reference's bytes, and
 // the standby byte counter must equal the reference's tiers.
 func TestStandbyMatchesEagerFollower(t *testing.T) {
@@ -142,7 +182,7 @@ func standbyDifferential(t *testing.T, window time.Duration, seed int64) {
 	ref := &eagerFollower{
 		inputs: inputs, op: join.NewWindowed(inputs, pf, window, nil),
 		store: spill.NewMemStore(), sbStore: spill.NewMemStore(),
-		standby: map[partition.ID]*join.GroupSnapshot{}, promoted: map[partition.ID]bool{},
+		standby: map[partition.ID]*eagerTier{}, promoted: map[partition.ID]bool{},
 	}
 	if window == 0 {
 		ref.op = join.New(inputs, pf, nil)
@@ -160,11 +200,12 @@ func standbyDifferential(t *testing.T, window time.Duration, seed int64) {
 		return out
 	}
 	group := func(g partition.ID, gen uint32) *join.GroupSnapshot {
-		s := &join.GroupSnapshot{ID: g, Gen: gen, CumBytes: int64(rng.Intn(5000)), Tuples: make([][]tuple.Tuple, inputs)}
+		s := newTier(g, gen, inputs)
+		s.hdr.CumBytes = int64(rng.Intn(5000))
 		for _, tp := range tuples(g, rng.Intn(10)) {
-			s.Tuples[tp.Stream] = append(s.Tuples[tp.Stream], tp)
+			s.tuples[tp.Stream] = append(s.tuples[tp.Stream], tp)
 		}
-		return s
+		return s.snap()
 	}
 	entry := func() proto.DeltaEntry {
 		g := partition.ID(rng.Intn(partitions))
@@ -180,7 +221,7 @@ func standbyDifferential(t *testing.T, window time.Duration, seed int64) {
 		default:
 			gen := uint32(0)
 			if sb := ref.standby[g]; sb != nil {
-				gen = sb.Gen
+				gen = sb.hdr.Gen
 			}
 			return proto.DeltaEntry{Group: g, Kind: proto.DeltaSpillMark, Payload: markPayload(gen)}
 		}
@@ -218,11 +259,12 @@ func standbyDifferential(t *testing.T, window time.Duration, seed int64) {
 			if sb := d.e.repl.standby[g]; sb != nil {
 				got = encode(sb.Image())
 			}
-			if !bytes.Equal(got, encode(ref.standby[g])) {
+			want := ref.standby[g].snap()
+			if !bytes.Equal(got, encode(want)) {
 				t.Fatalf("step %d: standby memory tier of group %d differs from the reference", step, g)
 			}
-			if ref.standby[g] != nil {
-				wantBytes += ref.standby[g].MemBytes()
+			if want != nil {
+				wantBytes += want.MemBytes()
 			}
 			if !bytes.Equal(encode(d.e.Op().ResidentSnapshot(g)), encode(ref.op.ResidentSnapshot(g))) {
 				t.Fatalf("step %d: resident state of group %d differs from the reference", step, g)

@@ -171,7 +171,7 @@ func differential(t *testing.T, window time.Duration, seed int64) {
 		if snap, _ := take("final snapshot", partition.ID(id), (*join.Operator).ResidentSnapshot); snap != nil {
 			gens = append(gens, snap)
 			resident += snap.MemBytes()
-			for stream, l := range snap.Tuples {
+			for stream, l := range join.TuplesOf(snap) {
 				for _, tp := range l {
 					if want := payload(tp.Seq); string(tp.Payload) != string(want) || int(tp.Stream) != stream {
 						t.Fatalf("group %d: resident tuple %v carries a payload or stream it was not stored with", id, tp)
@@ -204,11 +204,13 @@ func differential(t *testing.T, window time.Duration, seed int64) {
 // halve splits a relocated snapshot in two: the first half of every
 // input's tuples, with the group's header, and the rest.
 func halve(snap *join.GroupSnapshot) (first, rest *join.GroupSnapshot) {
-	a, b := *snap, *snap
-	a.Tuples, b.Tuples = make([][]tuple.Tuple, len(snap.Tuples)), make([][]tuple.Tuple, len(snap.Tuples))
-	for i, l := range snap.Tuples {
-		a.Tuples[i], b.Tuples[i] = l[:len(l)/2], l[len(l)/2:]
+	var x, y []tuple.Tuple
+	for _, l := range join.TuplesOf(snap) {
+		x, y = append(x, l[:len(l)/2]...), append(y, l[len(l)/2:]...)
 	}
+	a, b := *snap, *snap
+	a.Inputs = join.SnapshotOf(snap.ID, snap.Gen, len(snap.Inputs), x...).Inputs
+	b.Inputs = join.SnapshotOf(snap.ID, snap.Gen, len(snap.Inputs), y...).Inputs
 	return &a, &b
 }
 

@@ -49,11 +49,11 @@ func TestEnumerateMatchesReference(t *testing.T) {
 					name := fmt.Sprintf("inputs=%d/self=%d/window=%s/trial=%d", inputs, self, window, trial)
 					var got []tuple.Result
 					op := NewWindowed(inputs, partition.NewFunc(1), window, func(r tuple.Result) { got = append(got, r.Clone()) })
-					snap := &GroupSnapshot{Tuples: make([][]tuple.Tuple, inputs)}
+					var stored []tuple.Tuple
 					lists := make([][]uint64, inputs)
 					probe := tuple.Tuple{Stream: uint8(self), Key: key, Seq: 1000, Ts: vclock.Time(rng.Intn(100))}
 					seq := uint64(0)
-					for i := range snap.Tuples {
+					for i := 0; i < inputs; i++ {
 						if i == self {
 							continue
 						}
@@ -63,13 +63,13 @@ func TestEnumerateMatchesReference(t *testing.T) {
 						for n := 1 + rng.Intn(maxLen); n > 0; n-- {
 							seq++
 							ts += vclock.Time(rng.Intn(25))
-							snap.Tuples[i] = append(snap.Tuples[i], tuple.Tuple{Stream: uint8(i), Key: key, Seq: seq, Ts: ts})
+							stored = append(stored, tuple.Tuple{Stream: uint8(i), Key: key, Seq: seq, Ts: ts})
 							if window == 0 || ts.Sub(probe.Ts).Abs() <= window {
 								lists[i] = append(lists[i], seq)
 							}
 						}
 					}
-					if err := op.Merge(snap); err != nil {
+					if err := op.Merge(SnapshotOf(0, 0, inputs, stored...)); err != nil {
 						t.Fatal(err)
 					}
 					n, err := op.Process(probe)

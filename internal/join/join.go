@@ -19,8 +19,10 @@
 package join
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,7 +79,8 @@ type rec struct {
 
 // list locates the n tuples of one (key, input). In a group of runs
 // their records are recs[chunk][off : off+n] and their seqs the column
-// seqs[chunk][off : off+n]; a logged group keeps only the count.
+// seqs[chunk][off : off+n]; a logged group keeps only the count, and in
+// off the bytes its tuples' encodings take in the log.
 type list struct {
 	chunk, off, n uint32
 }
@@ -319,6 +322,7 @@ func (g *group) push(l *list, stream int, t *tuple.Tuple) {
 	g.log[c] = t.AppendTo(g.log[c])
 	g.log[c][at] = uint8(stream)
 	l.n++
+	l.off += uint32(len(g.log[c]) - at)
 }
 
 // view rebuilds the Tuple that seq and r store in input stream's list
@@ -354,26 +358,28 @@ func (o *Operator) add(g *group, e, stream int, t *tuple.Tuple) {
 	o.totalSize += sz
 }
 
-// load appends every tuple of a snapshot to g, in snapshot order. A
-// tuple's input is the list it came in, as for the snapshot's encoding.
-func (o *Operator) load(g *group, tuples [][]tuple.Tuple) {
-	for stream, l := range tuples {
-		for j := range l {
-			o.add(g, g.entry(l[j].Key), stream, &l[j])
+// land appends every tuple of snap to g, in snapshot order and without
+// probing: every tier reaches a group through here (Merge), and so does
+// a group rebuilt from itself (Purge).
+func (o *Operator) land(g *group, snap *GroupSnapshot) {
+	var t tuple.Tuple
+	for i := range snap.Inputs {
+		for r := snap.Input(i); r.Next(&t); {
+			o.add(g, g.entry(t.Key), int(t.Stream), &t)
 		}
 	}
 }
 
-// unload empties g's current generation and returns it flattened.
-func (o *Operator) unload(g *group) [][]tuple.Tuple {
-	tuples := g.snapshot(!o.readsRecords())
+// unload empties g's current generation and returns its snapshot.
+func (o *Operator) unload(g *group) *GroupSnapshot {
+	snap := g.snapshotOf(g.snapshot(!o.readsRecords()))
 	o.totalSize -= g.size
 	*g = group{
 		id: g.id, gen: g.gen, cum: g.cum, output: g.output, counts: g.counts,
 		spilledTs: g.spilledTs, everSpilled: g.everSpilled,
 	}
 	clear(g.counts)
-	return tuples
+	return snap
 }
 
 // New returns an m-way join operator over inputs streams partitioned by
@@ -556,8 +562,11 @@ func (o *Operator) Stats() []core.GroupStats {
 	return stats
 }
 
-// GroupSnapshot is the serializable state of one partition group
-// generation, produced by spill extraction and state relocation.
+// GroupSnapshot is one partition group generation as every tier holds
+// it — a spill segment, a relocation or seed image, a follower's standby:
+// the group's header fields and its tuples in the encoding the snapshot
+// is written in (EncodeSnapshot), so no tier decodes what it only stores
+// or ships.
 type GroupSnapshot struct {
 	ID  partition.ID
 	Gen uint32
@@ -575,39 +584,101 @@ type GroupSnapshot struct {
 	// pending matches they protect.
 	SpilledTs   vclock.Time
 	EverSpilled bool
-	// Tuples holds the generation's tuples per input stream.
-	Tuples [][]tuple.Tuple
+	// Inputs holds, per join input, that input's tuples as tuple.Batch
+	// encodes them: a uint32 count, then each tuple as Tuple.AppendTo
+	// writes it, its stream byte the input's index. nil is an input
+	// without tuples. The bytes may alias a store's buffer or an image's
+	// and are never written in place: Input reads them, Append replaces
+	// an input with a longer copy. Anything else that fills an input
+	// must write this shape (DecodeSnapshot checks it on the way in).
+	Inputs [][]byte
+}
+
+// memOverEncoded is how much a tuple's accounted size (Tuple.MemSize)
+// exceeds its encoding: both are a constant plus the payload.
+var memOverEncoded = (&tuple.Tuple{}).MemSize() - int64((&tuple.Tuple{}).EncodedSize())
+
+// count reports how many tuples an input holds.
+func count(in []byte) int {
+	if len(in) < 4 {
+		return 0
+	}
+	return int(binary.LittleEndian.Uint32(in))
+}
+
+// Input returns a cursor over input i's tuples, in snapshot order. The
+// tuples it yields alias the snapshot's bytes.
+func (s *GroupSnapshot) Input(i int) tuple.BatchReader {
+	if n := count(s.Inputs[i]); n > 0 {
+		return tuple.TrustedRun(s.Inputs[i][4:], n)
+	}
+	return tuple.BatchReader{}
+}
+
+// Append adds the tuples of runs — each encoded back to back, as
+// repeated Tuple.AppendTo writes them — each to the end of the input its
+// stream byte names, in order. Every run is checked before anything
+// changes. An input that grows is replaced by one allocation of its new
+// size, in a copy of Inputs, so nothing the snapshot's bytes alias, and
+// no copy of the snapshot, is written.
+func (s *GroupSnapshot) Append(runs ...[]byte) error {
+	grow, counts := make([]int, len(s.Inputs)), make([]uint32, len(s.Inputs))
+	readers := make([]tuple.BatchReader, len(runs))
+	var t tuple.Tuple
+	for j, run := range runs {
+		r, err := tuple.ReadRun(run)
+		if err != nil {
+			return fmt.Errorf("join: run %d for group %d: %w", j, s.ID, err)
+		}
+		for readers[j] = r; r.Next(&t); {
+			if int(t.Stream) >= len(s.Inputs) {
+				return fmt.Errorf("join: run %d for group %d holds a tuple for input %d of %d", j, s.ID, t.Stream, len(s.Inputs))
+			}
+			grow[t.Stream] += t.EncodedSize()
+			counts[t.Stream]++
+		}
+	}
+	inputs := slices.Clone(s.Inputs)
+	for i, n := range grow {
+		if old := inputs[i]; n > 0 {
+			inputs[i] = make([]byte, 4, max(4, len(old))+n)
+			binary.LittleEndian.PutUint32(inputs[i], uint32(count(old))+counts[i])
+			inputs[i] = append(inputs[i], old[min(4, len(old)):]...)
+		}
+	}
+	for _, r := range readers {
+		for r.Next(&t) {
+			inputs[t.Stream] = t.AppendTo(inputs[t.Stream])
+		}
+	}
+	s.Inputs = inputs
+	return nil
 }
 
 // TupleCount reports the number of tuples across all inputs.
 func (s *GroupSnapshot) TupleCount() int {
 	n := 0
-	for _, l := range s.Tuples {
-		n += len(l)
+	for _, in := range s.Inputs {
+		n += count(in)
 	}
 	return n
 }
 
 // MemBytes reports the accounted size of all tuples in the snapshot.
 func (s *GroupSnapshot) MemBytes() int64 {
-	var n int64
-	for _, l := range s.Tuples {
-		for i := range l {
-			n += l[i].MemSize()
-		}
+	n := memOverEncoded * int64(s.TupleCount())
+	for _, in := range s.Inputs {
+		n += int64(max(len(in), 4) - 4) // the tuples' encodings
 	}
 	return n
 }
 
-// snapshot flattens the group's lists into per-input tuple slices with a
-// deterministic order (key, then list order). counts carries the exact
-// per-input tuple totals so every flattened slice is allocated once at
-// its final size. A logged group decodes its log once, in arrival
-// order, each tuple landing at its list's cursor in the output. Payloads
-// alias the group's pages or log rather than copying them: written
-// bytes never change, and they outlive the generation for as long as a
-// snapshot references them.
-func (g *group) snapshot(logged bool) [][]tuple.Tuple {
+// snapshot encodes the group's lists as snapshot inputs, each input in
+// key order and each list in its own order, all in one allocation of
+// exactly their size. A group of runs appends each record's view; a
+// logged group copies each tuple's log bytes, in arrival order, to its
+// list's place, which the lists' byte counts give.
+func (g *group) snapshot(logged bool) [][]byte {
 	inputs := len(g.counts)
 	keys := make([]slot, 0, len(g.lists)/inputs)
 	for _, s := range g.slots {
@@ -616,26 +687,34 @@ func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 		}
 	}
 	sort.Slice(keys, func(a, b int) bool { return keys[a].key < keys[b].key })
-	out := make([][]tuple.Tuple, inputs)
-	var at []int // logged: per list, where its next tuple goes in out
+	buf := make([]byte, 4*int64(inputs)+g.size-memOverEncoded*int64(g.count))
+	out := make([][]byte, inputs)
+	var at []int // logged: per list, where its next tuple goes in buf
 	if logged {
 		at = make([]int, len(g.lists))
 	}
+	off := 0
 	for i := range out {
-		out[i] = make([]tuple.Tuple, g.counts[i])
-		next := 0
+		start := off
+		binary.LittleEndian.PutUint32(buf[off:], uint32(g.counts[i]))
+		off += 4
 		for _, s := range keys {
 			e := int(s.ent-1)*inputs + i
 			if logged {
-				at[e] = next
-			} else {
-				rs, seqs := g.run(g.lists[e]), g.col(g.lists[e])
-				for j := range rs {
-					out[i][next+j] = g.view(i, s.key, seqs[j], &rs[j])
-				}
+				at[e] = off
+				off += int(g.lists[e].off)
+				continue
 			}
-			next += int(g.lists[e].n)
+			rs, seqs := g.run(g.lists[e]), g.col(g.lists[e])
+			for j := range rs {
+				t := g.view(i, s.key, seqs[j], &rs[j])
+				off = len(t.AppendTo(buf[:off]))
+			}
 		}
+		out[i] = buf[start:off:off]
+	}
+	if off != len(buf) {
+		panic(fmt.Sprintf("join: group %d encodes to %d bytes, its accounting says %d", g.id, off, len(buf)))
 	}
 	var t tuple.Tuple
 	for k, c := range g.log {
@@ -643,21 +722,22 @@ func (g *group) snapshot(logged bool) [][]tuple.Tuple {
 		if k+1 < len(g.log) {
 			end = g.logFirst[k+1]
 		}
-		r := tuple.TrustedRun(c, end-g.logFirst[k])
-		for r.Next(&t) {
+		pos := 0
+		for r := tuple.TrustedRun(c, end-g.logFirst[k]); r.Next(&t); {
 			e := int(g.seek(t.Key).ent-1)*inputs + int(t.Stream)
-			out[t.Stream][at[e]] = t
-			at[e]++
+			n := copy(buf[at[e]:], c[pos:pos+t.EncodedSize()])
+			at[e] += n
+			pos += n
 		}
 	}
 	return out
 }
 
-// snapshotOf wraps tuples in the group's snapshot header.
-func (g *group) snapshotOf(tuples [][]tuple.Tuple) *GroupSnapshot {
+// snapshotOf wraps inputs in the group's snapshot header.
+func (g *group) snapshotOf(inputs [][]byte) *GroupSnapshot {
 	return &GroupSnapshot{
 		ID: g.id, Gen: g.gen, Output: g.output, CumBytes: g.cum,
-		SpilledTs: g.spilledTs, EverSpilled: g.everSpilled, Tuples: tuples,
+		SpilledTs: g.spilledTs, EverSpilled: g.everSpilled, Inputs: inputs,
 	}
 }
 
@@ -672,7 +752,7 @@ func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
 	if g == nil || g.count == 0 {
 		return nil
 	}
-	snap := g.snapshotOf(o.unload(g))
+	snap := o.unload(g)
 	next := snap.Seal(g.gen)
 	g.gen, g.spilledTs, g.everSpilled = next.Gen, next.SpilledTs, true
 	return snap
@@ -685,17 +765,18 @@ func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
 // seal through here, so their boundaries and watermarks agree. Sealing
 // a sealed segment at its own generation only yields the tier after it.
 func (s *GroupSnapshot) Seal(gen uint32) *GroupSnapshot {
-	for _, l := range s.Tuples {
-		for i := range l {
-			if !s.EverSpilled || l[i].Ts > s.SpilledTs {
-				s.SpilledTs, s.EverSpilled = l[i].Ts, true
+	var t tuple.Tuple
+	for i := range s.Inputs {
+		for r := s.Input(i); r.Next(&t); {
+			if !s.EverSpilled || t.Ts > s.SpilledTs {
+				s.SpilledTs, s.EverSpilled = t.Ts, true
 			}
 		}
 	}
 	s.Gen, s.EverSpilled = gen, true
 	return &GroupSnapshot{
 		ID: s.ID, Gen: gen + 1, Output: s.Output, CumBytes: s.CumBytes,
-		SpilledTs: s.SpilledTs, EverSpilled: true, Tuples: make([][]tuple.Tuple, len(s.Tuples)),
+		SpilledTs: s.SpilledTs, EverSpilled: true, Inputs: make([][]byte, len(s.Inputs)),
 	}
 }
 
@@ -711,7 +792,7 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 		return nil
 	}
 	o.groups[i] = nil
-	return g.snapshotOf(o.unload(g))
+	return o.unload(g)
 }
 
 // Merge folds a group snapshot into this operator. If the group is
@@ -720,11 +801,12 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 // already resident the snapshot's tuples are appended WITHOUT probing — they
 // already produced their results at the old primary, so emitting joins
 // here would duplicate output. A promoted follower uses it to turn warm
-// standby copies into resident state, and a replication tail-flush uses
-// it to land a demoted primary's final delta.
+// standby copies into resident state, and a failed spill write puts the
+// snapshot it could not store back. The payloads are copied: the
+// snapshot's bytes are not kept.
 func (o *Operator) Merge(snap *GroupSnapshot) error {
-	if len(snap.Tuples) != o.inputs {
-		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Tuples), o.inputs)
+	if len(snap.Inputs) != o.inputs {
+		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Inputs), o.inputs)
 	}
 	i, g := o.find(snap.ID)
 	if i < 0 {
@@ -735,7 +817,7 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 		g.output, g.spilledTs = snap.Output, snap.SpilledTs
 		o.groups[i] = g
 	}
-	o.load(g, snap.Tuples)
+	o.land(g, snap)
 	g.cum = max(g.cum, snap.CumBytes, g.size)
 	g.spilledTs = max(g.spilledTs, snap.SpilledTs)
 	g.everSpilled = g.everSpilled || snap.EverSpilled
@@ -744,42 +826,15 @@ func (o *Operator) Merge(snap *GroupSnapshot) error {
 
 // MergeRuns appends the tuples of runs — each encoded back to back as
 // repeated tuple.AppendTo writes them — to group id WITHOUT probing, in
-// order, as Merge appends a snapshot's: a promoted follower lands the
-// appends its standby kept encoded after the memory tier they followed,
-// and a demoted primary's final tail lands here straight off the wire.
-// Per (key, input) list the tuples follow whatever the group already
-// holds in arrival order, so the group snapshots as if Merge had been
-// handed the same tuples decoded. Every run is checked before any tuple
-// lands; an absent group is registered at generation 0.
+// order: a demoted primary's final tail lands here straight off the
+// wire. It merges an empty snapshot with the runs appended, so every run
+// is checked before any tuple lands; an absent group starts at 0.
 func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
-	i, g := o.find(id)
-	if i < 0 {
-		return fmt.Errorf("join: group %d outside the %d partitions", id, o.part.N())
+	snap := &GroupSnapshot{ID: id, Inputs: make([][]byte, o.inputs)}
+	if err := snap.Append(runs...); err != nil {
+		return err
 	}
-	readers := make([]tuple.BatchReader, len(runs))
-	var t tuple.Tuple
-	for j, run := range runs {
-		r, err := tuple.ReadRun(run)
-		if err != nil {
-			return fmt.Errorf("join: run %d of group %d: %w", j, id, err)
-		}
-		for readers[j] = r; r.Next(&t); {
-			if int(t.Stream) >= o.inputs {
-				return fmt.Errorf("join: run %d of group %d holds a tuple for stream %d in a %d-way join", j, id, t.Stream, o.inputs)
-			}
-		}
-	}
-	if g == nil {
-		g = newGroup(id, 0, o.inputs)
-		o.groups[i] = g
-	}
-	for _, r := range readers {
-		for r.Next(&t) {
-			o.add(g, g.entry(t.Key), int(t.Stream), &t)
-		}
-	}
-	g.cum = max(g.cum, g.size)
-	return nil
+	return o.Merge(snap)
 }
 
 // ResidentSnapshot returns the current-generation state of the group

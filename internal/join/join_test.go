@@ -196,7 +196,7 @@ func TestRelocationRoundTrip(t *testing.T) {
 
 func TestMergeRejectsWrongArity(t *testing.T) {
 	op := New(3, partition.NewFunc(1), nil)
-	snap := &GroupSnapshot{ID: 0, Tuples: make([][]tuple.Tuple, 2)}
+	snap := &GroupSnapshot{ID: 0, Inputs: make([][]byte, 2)}
 	if err := op.Merge(snap); err == nil {
 		t.Fatal("Merge with wrong input arity accepted")
 	}

@@ -53,9 +53,10 @@ func TestKeyTableAdversarialKeys(t *testing.T) {
 	if snap.TupleCount() != len(history) {
 		t.Fatalf("%d tuples resident, fed %d", snap.TupleCount(), len(history))
 	}
-	for i := 1; i < len(snap.Tuples[1]); i++ {
-		if snap.Tuples[1][i-1].Key >= snap.Tuples[1][i].Key {
-			t.Fatalf("snapshot keys out of order at %d: %d then %d", i, snap.Tuples[1][i-1].Key, snap.Tuples[1][i].Key)
+	in1 := TuplesOf(snap)[1]
+	for i := 1; i < len(in1); i++ {
+		if in1[i-1].Key >= in1[i].Key {
+			t.Fatalf("snapshot keys out of order at %d: %d then %d", i, in1[i-1].Key, in1[i].Key)
 		}
 	}
 }
@@ -105,7 +106,7 @@ func TestLargePayloadGetsItsOwnPage(t *testing.T) {
 			payload[j] = 0xFF // the operator must hold its own copy
 		}
 	}
-	got := op.ResidentSnapshot(0).Tuples[0]
+	got := TuplesOf(op.ResidentSnapshot(0))[0]
 	if len(got) != len(sizes) {
 		t.Fatalf("%d tuples resident, stored %d", len(got), len(sizes))
 	}
@@ -246,7 +247,7 @@ func TestLogKeepsListOrder(t *testing.T) {
 		if !bytes.Equal(EncodeSnapshot(snap), EncodeSnapshot(runs.ResidentSnapshot(0))) {
 			t.Fatalf("%s: logged and run snapshots differ", what)
 		}
-		for stream, l := range snap.Tuples {
+		for stream, l := range TuplesOf(snap) {
 			for i := 1; i < len(l); i++ {
 				if a, b := l[i-1], l[i]; a.Key > b.Key || a.Key == b.Key && a.Seq >= b.Seq {
 					t.Fatalf("%s: input %d holds (key %d, seq %d) before (key %d, seq %d)", what, stream, a.Key, a.Seq, b.Key, b.Seq)
@@ -263,11 +264,11 @@ func TestLogKeepsListOrder(t *testing.T) {
 		}
 	}
 	check("after inserts")
-	more := &GroupSnapshot{Tuples: make([][]tuple.Tuple, 3)}
-	for _, tp := range batch(150) {
-		tp.Key += 5 // six keys already resident, five new
-		more.Tuples[tp.Stream] = append(more.Tuples[tp.Stream], tp)
+	fresh := batch(150)
+	for i := range fresh {
+		fresh[i].Key += 5 // six keys already resident, five new
 	}
+	more := SnapshotOf(0, 0, 3, fresh...)
 	for _, op := range []*Operator{logged, runs} {
 		if err := op.Merge(more); err != nil {
 			t.Fatal(err)
@@ -285,9 +286,9 @@ func TestLogKeepsListOrder(t *testing.T) {
 // RemoveForRelocation with a re-Merge — with payloads that fill a log
 // chunk to one byte short of the next tuple, exactly fill a page, and
 // overflow it. After every step the two snapshot to the same bytes. A
-// snapshot taken before more tuples arrive must still read its payloads
-// where it read them, and a later snapshot must alias the same bytes:
-// a tuple in the log is never copied again.
+// snapshot taken before more tuples arrive must still read its original
+// tuples, and the log chunks written before must still be where they
+// were: a tuple in the log is never copied again.
 func TestLogChunkBoundaries(t *testing.T) {
 	const inputs, header = 3, 29
 	// From a fresh chunk: 69 + 30 bytes, then a tuple that leaves 28,
@@ -333,29 +334,24 @@ func TestLogChunkBoundaries(t *testing.T) {
 	check("after inserts")
 	early := logged.ResidentSnapshot(0)
 	earlyBytes := EncodeSnapshot(early)
+	var earlyLog []*byte
+	for _, c := range logged.groups[0].log {
+		earlyLog = append(earlyLog, &c[0])
+	}
 
 	process(next(2 * len(sizes)))
 	check("after more inserts")
-	at := map[uint64]*byte{}
-	for _, l := range logged.ResidentSnapshot(0).Tuples {
-		for _, tp := range l {
-			if tp.Payload != nil {
-				at[tp.Seq] = &tp.Payload[0]
-			}
-		}
-	}
-	for _, l := range early.Tuples {
-		for _, tp := range l {
-			if tp.Payload != nil && at[tp.Seq] != &tp.Payload[0] {
-				t.Fatalf("seq %d: a later snapshot does not alias the earlier one's payload", tp.Seq)
+	if g := logged.groups[0]; len(g.log) < len(earlyLog) {
+		t.Fatalf("the log has %d chunks, it had %d", len(g.log), len(earlyLog))
+	} else {
+		for k, at := range earlyLog {
+			if &g.log[k][0] != at {
+				t.Fatalf("log chunk %d moved", k)
 			}
 		}
 	}
 
-	merged := &GroupSnapshot{Tuples: make([][]tuple.Tuple, inputs)}
-	for _, tp := range next(len(sizes) + 1) {
-		merged.Tuples[tp.Stream] = append(merged.Tuples[tp.Stream], tp)
-	}
+	merged := SnapshotOf(0, 0, inputs, next(len(sizes)+1)...)
 	var run []byte
 	for _, tp := range next(len(sizes) + 2) {
 		run = tp.AppendTo(run)

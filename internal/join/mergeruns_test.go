@@ -38,29 +38,27 @@ func TestMergeRunsMatchesDecodedMerge(t *testing.T) {
 						Seq: next, Ts: vclock.Time(rng.Intn(1000)) * vclock.Time(time.Millisecond),
 						Payload: bytes.Repeat([]byte{byte(next)}, rng.Intn(24))}
 				}
-				seedSnap := func() *join.GroupSnapshot {
-					s := &join.GroupSnapshot{ID: g, Gen: 3, Output: 17, CumBytes: 999, Tuples: make([][]tuple.Tuple, inputs)}
-					for i := rng.Intn(40); i > 0; i-- {
-						tp := tup()
-						s.Tuples[tp.Stream] = append(s.Tuples[tp.Stream], tp)
-					}
-					return s
+				var seeded []tuple.Tuple
+				for i := rng.Intn(40); i > 0; i-- {
+					seeded = append(seeded, tup())
 				}
-				seed := seedSnap()
+				seed := join.SnapshotOf(g, 3, inputs, seeded...)
+				seed.Output, seed.CumBytes = 17, 999
 				var runs [][]byte
-				eager := &join.GroupSnapshot{ID: g, Gen: seed.Gen, Output: seed.Output, CumBytes: seed.CumBytes, Tuples: make([][]tuple.Tuple, inputs)}
-				for i := range seed.Tuples {
-					eager.Tuples[i] = append([]tuple.Tuple(nil), seed.Tuples[i]...)
-				}
+				all := seeded
 				for r := rng.Intn(6); r > 0; r-- {
 					var run []byte
 					for i := rng.Intn(30); i > 0; i-- {
 						tp := tup()
 						run = tp.AppendTo(run)
-						eager.Tuples[tp.Stream] = append(eager.Tuples[tp.Stream], tp)
+						all = append(all, tp)
 					}
 					runs = append(runs, run)
 				}
+				// The reference: one snapshot holding the runs' tuples
+				// after the seed's, each at the end of its input.
+				eager := join.SnapshotOf(g, seed.Gen, inputs, all...)
+				eager.Output, eager.CumBytes = seed.Output, seed.CumBytes
 				for _, resident := range []bool{false, true} {
 					want, got := mk(), mk()
 					if resident {

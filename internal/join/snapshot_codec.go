@@ -17,8 +17,8 @@ const snapshotMagic = 0x53504731
 const SnapshotHeaderSize = 4 + 4 + 4 + 8 + 8 + 8 + 1 + 2
 
 // EncodeSnapshot serializes a group snapshot for the spill store and for
-// state-relocation transfers: a fixed header, per-input tuple lists, and a
-// trailing CRC-32 over everything before it.
+// state-relocation transfers: a fixed header, the inputs as they are,
+// and a trailing CRC-32 over everything before it.
 func EncodeSnapshot(s *GroupSnapshot) []byte {
 	return AppendSnapshot(make([]byte, 0, s.EncodedSize()), s)
 }
@@ -38,12 +38,12 @@ func AppendSnapshot(buf []byte, s *GroupSnapshot) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Tuples)))
-	for _, l := range s.Tuples {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(l)))
-		for i := range l {
-			buf = l[i].AppendTo(buf)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Inputs)))
+	for _, in := range s.Inputs {
+		if in == nil {
+			in = []byte{0, 0, 0, 0} // no tuples
 		}
+		buf = append(buf, in...)
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
@@ -51,18 +51,18 @@ func AppendSnapshot(buf []byte, s *GroupSnapshot) []byte {
 // EncodedSize reports the exact length of EncodeSnapshot(s).
 func (s *GroupSnapshot) EncodedSize() int {
 	size := SnapshotHeaderSize + 4 // crc
-	for _, l := range s.Tuples {
-		size += 4
-		for i := range l {
-			size += l[i].EncodedSize()
-		}
+	for _, in := range s.Inputs {
+		size += max(len(in), 4)
 	}
 	return size
 }
 
 // DecodeSnapshot parses a snapshot produced by EncodeSnapshot, verifying
-// magic and checksum, so a torn or corrupted spill segment is detected
-// rather than silently yielding wrong cleanup results.
+// magic, checksum, each input's count against its bytes and every
+// tuple's stream byte against its input, so a torn or corrupted spill
+// segment is detected rather than silently yielding wrong cleanup
+// results. The snapshot's inputs alias buf, which the caller must not
+// write again while the snapshot is in use.
 func DecodeSnapshot(buf []byte) (*GroupSnapshot, error) {
 	if len(buf) < SnapshotHeaderSize+4 {
 		return nil, fmt.Errorf("join: snapshot too short: %d bytes", len(buf))
@@ -75,31 +75,20 @@ func DecodeSnapshot(buf []byte) (*GroupSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	inputs, rest := len(s.Tuples), body[SnapshotHeaderSize:]
-	slab := makePayloadSlab(rest, inputs)
-	for i := 0; i < inputs; i++ {
-		if len(rest) < 4 {
-			return nil, fmt.Errorf("join: truncated snapshot input %d", i)
+	rest := body[SnapshotHeaderSize:]
+	var t tuple.Tuple
+	for i := range s.Inputs {
+		r, next, err := tuple.CutBatch(rest)
+		if err != nil {
+			return nil, fmt.Errorf("join: snapshot input %d: %w", i, err)
 		}
-		n := int(binary.LittleEndian.Uint32(rest))
-		rest = rest[4:]
-		// A corrupt count must not drive a huge allocation; every tuple
-		// needs at least its fixed header's worth of bytes.
-		if n > len(rest)/29+1 {
-			return nil, fmt.Errorf("join: snapshot input %d count %d exceeds remaining bytes", i, n)
-		}
-		if n > 0 {
-			s.Tuples[i] = make([]tuple.Tuple, 0, n)
-		}
-		for j := 0; j < n; j++ {
-			t, used, grown, err := tuple.DecodeSlab(rest, slab)
-			if err != nil {
-				return nil, fmt.Errorf("join: snapshot input %d tuple %d: %w", i, j, err)
+		for r.Next(&t) {
+			if int(t.Stream) != i {
+				return nil, fmt.Errorf("join: snapshot input %d holds a tuple of input %d", i, t.Stream)
 			}
-			slab = grown
-			s.Tuples[i] = append(s.Tuples[i], t)
-			rest = rest[used:]
 		}
+		n := len(rest) - len(next)
+		s.Inputs[i], rest = rest[:n:n], next
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("join: %d trailing bytes in snapshot", len(rest))
@@ -109,9 +98,9 @@ func DecodeSnapshot(buf []byte) (*GroupSnapshot, error) {
 
 // DecodeSnapshotHeader parses only the fixed header at the front of an
 // encoded snapshot: the group's generation, counters and purge watermark,
-// with Tuples sized to the input count and every list empty. The checksum
-// is not read, so a store can learn where a group's numbering stands (see
-// Seal) from a segment's first SnapshotHeaderSize bytes.
+// with Inputs sized to the input count and every input empty. The
+// checksum is not read, so a store can learn where a group's numbering
+// stands (see Seal) from a segment's first SnapshotHeaderSize bytes.
 func DecodeSnapshotHeader(buf []byte) (*GroupSnapshot, error) {
 	if len(buf) < SnapshotHeaderSize {
 		return nil, fmt.Errorf("join: snapshot too short: %d bytes", len(buf))
@@ -126,33 +115,6 @@ func DecodeSnapshotHeader(buf []byte) (*GroupSnapshot, error) {
 		CumBytes:    int64(binary.LittleEndian.Uint64(buf[20:])),
 		SpilledTs:   vclock.Time(binary.LittleEndian.Uint64(buf[28:])),
 		EverSpilled: buf[36] == 1,
-		Tuples:      make([][]tuple.Tuple, binary.LittleEndian.Uint16(buf[37:])),
+		Inputs:      make([][]byte, binary.LittleEndian.Uint16(buf[37:])),
 	}, nil
-}
-
-// makePayloadSlab pre-scans the encoded tuple-list region of a snapshot
-// (per-input count-prefixed lists) and returns a slab with capacity for
-// exactly the payload bytes, so the decode loop does one allocation for
-// all payloads instead of one each. On malformed input it returns a
-// best-effort slab and leaves error reporting to the decode loop.
-func makePayloadSlab(rest []byte, inputs int) []byte {
-	tuples, tupleBytes := 0, 0
-	scan := rest
-	for i := 0; i < inputs && len(scan) >= 4; i++ {
-		n := int(binary.LittleEndian.Uint32(scan))
-		scan = scan[4:]
-		for j := 0; j < n; j++ {
-			size := tuple.EncodedLen(scan)
-			if size < 0 || size > len(scan) {
-				break
-			}
-			tuples++
-			tupleBytes += size
-			scan = scan[size:]
-		}
-	}
-	if p := tuple.PayloadBytes(tupleBytes, tuples); p > 0 {
-		return make([]byte, 0, p)
-	}
-	return nil
 }

@@ -76,7 +76,7 @@ func (o *Operator) Purge(cutoff vclock.Time) int {
 			}
 		}
 		if g.purged > g.count || 2*empty*o.inputs > len(g.lists) {
-			o.load(g, o.unload(g))
+			o.land(g, o.unload(g))
 		}
 	})
 	return purged

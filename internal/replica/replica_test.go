@@ -55,11 +55,14 @@ func TestTapBuffersLiveSlotsAndCutKeepsTheBuffer(t *testing.T) {
 	}
 }
 
-// Append keeps a checked copy of the run and charges it; Image decodes
-// the tail onto the memory tier without changing the standby, Decode
-// moves it there, and a run that fails the check changes nothing.
+// batch is the snapshot encoding of one input holding ts.
+func batch(ts ...tuple.Tuple) []byte { return (&tuple.Batch{Tuples: ts}).Encode() }
+
+// Append keeps a checked copy of the run and charges it; Image folds
+// the tail into the memory tier without changing the standby, and a run
+// that fails the check changes nothing.
 func TestStandbyKeepsAppendsEncoded(t *testing.T) {
-	sb := NewStandby(&join.GroupSnapshot{ID: 1, Gen: 2, Tuples: [][]tuple.Tuple{{tup(0, 1, 4)}, nil}})
+	sb := NewStandby(&join.GroupSnapshot{ID: 1, Gen: 2, Inputs: [][]byte{batch(tup(0, 1, 4)), nil}})
 	memBytes := sb.Bytes()
 	a, b, c := tup(1, 2, 7), tup(0, 3, 0), tup(1, 4, 3)
 	payload := run(a, b)
@@ -80,29 +83,24 @@ func TestStandbyKeepsAppendsEncoded(t *testing.T) {
 			t.Errorf("%s run accepted", name)
 		}
 	}
-	if sb.Bytes() != before || len(sb.Tail()) != 2 {
-		t.Fatalf("rejected runs changed the standby: %d bytes, %d runs", sb.Bytes(), len(sb.Tail()))
+	if sb.Bytes() != before || len(sb.tail) != 2 {
+		t.Fatalf("rejected runs changed the standby: %d bytes, %d runs", sb.Bytes(), len(sb.tail))
 	}
 
 	im := sb.Image()
-	want := [][]tuple.Tuple{{tup(0, 1, 4), b}, {a, c}}
-	if len(sb.Tail()) != 2 || len(sb.Mem.Tuples[0]) != 1 {
+	want := [][]byte{batch(tup(0, 1, 4), b), batch(a, c)}
+	if len(sb.tail) != 2 || sb.Mem.TupleCount() != 1 || sb.Mem.Inputs[1] != nil {
 		t.Fatal("Image changed the standby")
 	}
 	check := func(what string, got *join.GroupSnapshot) {
 		t.Helper()
-		exp := &join.GroupSnapshot{ID: 1, Gen: 2, CumBytes: sb.Mem.CumBytes, Tuples: want}
+		exp := &join.GroupSnapshot{ID: 1, Gen: 2, CumBytes: sb.Mem.CumBytes, Inputs: want}
 		if !bytes.Equal(join.EncodeSnapshot(got), join.EncodeSnapshot(exp)) {
-			t.Fatalf("%s = %+v, want %+v", what, got.Tuples, want)
+			t.Fatalf("%s = %x, want %x", what, got.Inputs, want)
 		}
 	}
 	check("Image", im)
-	sb.Decode()
-	check("the decoded tier", sb.Mem)
-	if len(sb.Tail()) != 0 || sb.Bytes() != before {
-		t.Fatalf("Decode left %d runs and %d bytes, want none and %d", len(sb.Tail()), sb.Bytes(), before)
-	}
-	if got := sb.Landed(); got != before || sb.Mem != nil || sb.Bytes() != 0 {
-		t.Fatalf("Landed released %d of %d bytes", got, before)
+	if sb.Bytes() != before || im.MemBytes() != before {
+		t.Fatalf("the standby charges %d bytes, its image holds %d, want %d", sb.Bytes(), im.MemBytes(), before)
 	}
 }

@@ -2,8 +2,9 @@
 // from the messages that move it (the engine's replicator). On a
 // primary it is the tap: one slot per partition group, buffering the
 // group's appends for its follower. On a follower it is the standby
-// image of a group: the memory tier decoded as the seed installed it,
-// and every append since kept encoded until something needs its tuples.
+// image of a group: the memory tier as the seed's bytes installed it,
+// and every append since kept as the run it arrived in until a demotion
+// folds it into the tier or a promotion lands it.
 package replica
 
 import (

@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -14,7 +15,11 @@ import (
 // state — relocation, the replication seed, follower promotion — takes
 // an image out of one (operator, store) pair and installs it into
 // another; where the tiers are in between (a wire frame, a follower's
-// standby) is placement, not a separate mechanism.
+// standby) is placement, not a separate mechanism. Every tier is a
+// snapshot as the wire and the disk encode it, so nothing on the way
+// decodes a tuple: a taken image's tiers alias the store's segment
+// bytes and the snapshot the operator made, a decoded one's alias the
+// copy DecodeImage makes of each tier's bytes in its frame.
 type Image struct {
 	// Mem is the memory tier; nil means there is none (left) to install.
 	Mem *join.GroupSnapshot
@@ -131,9 +136,12 @@ func AppendImage(dst []byte, im *Image) []byte {
 }
 
 // DecodeImage parses an AppendImage encoding. Every blob passes
-// join.DecodeSnapshot's checksum; beyond that the tiers must belong to
-// one group and the segments' generations must ascend. The image owns
-// its memory — nothing aliases buf.
+// join.DecodeSnapshot's checks; beyond that the tiers must belong to one
+// group and the segments' generations must ascend. Each tier's bytes are
+// copied once and the tier aliases its copy, so the image owns its
+// memory — the caller may reuse buf (a frame's pooled buffer) as soon as
+// it returns — and a tier kept after the others were installed (a
+// follower's standby) holds no bytes but its own.
 func DecodeImage(buf []byte) (*Image, error) {
 	if len(buf) < 4 || binary.LittleEndian.Uint32(buf) == 0 {
 		return nil, fmt.Errorf("spill: image without a memory-tier slot")
@@ -150,7 +158,7 @@ func DecodeImage(buf []byte) (*Image, error) {
 		if i == 0 && len(blob) == 0 {
 			continue // no memory tier
 		}
-		snap, err := join.DecodeSnapshot(blob)
+		snap, err := join.DecodeSnapshot(bytes.Clone(blob))
 		if err != nil {
 			return nil, fmt.Errorf("spill: image tier %d: %w", i, err)
 		}

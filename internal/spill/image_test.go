@@ -220,7 +220,7 @@ func imageProperty(t *testing.T, window time.Duration, newStore func(*testing.T)
 // snapshot checksum: framing, one group per image, ascending segments.
 func TestDecodeImageRejects(t *testing.T) {
 	seg := func(id partition.ID, gen uint32) *join.GroupSnapshot {
-		return &join.GroupSnapshot{ID: id, Gen: gen, Tuples: make([][]tuple.Tuple, 2)}
+		return &join.GroupSnapshot{ID: id, Gen: gen, Inputs: make([][]byte, 2)}
 	}
 	good := spill.AppendImage(nil, &spill.Image{Mem: seg(1, 2), Disk: []*join.GroupSnapshot{seg(1, 0), seg(1, 1)}})
 	if _, err := spill.DecodeImage(good); err != nil {

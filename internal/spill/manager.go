@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -37,20 +38,27 @@ func NewManager(op *join.Operator, store Store, policy core.Policy) *Manager {
 
 // Spill pushes at least amount bytes of resident state to the store (or
 // everything resident, if less) and returns what was spilled. A zero or
-// negative amount is a no-op.
+// negative amount is a no-op. A group whose write fails is merged back
+// into the operator, so it stays resident rather than lost, and the
+// spill stops there: the result then names exactly the groups persisted
+// before the failure, alongside the error.
 func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
 	res := Result{When: now}
 	if amount <= 0 {
 		return res, nil
 	}
-	victims := m.policy.SelectVictims(m.op.Stats(), amount)
-	for _, id := range victims {
+	var err error
+	for _, id := range m.policy.SelectVictims(m.op.Stats(), amount) {
 		snap := m.op.ExtractForSpill(id)
 		if snap == nil {
 			continue
 		}
-		if err := m.store.Write(snap); err != nil {
-			return res, fmt.Errorf("spill: persist group %d: %w", id, err)
+		if err = m.store.Write(snap); err != nil {
+			err = fmt.Errorf("spill: persist group %d: %w", id, err)
+			if merr := m.op.Merge(snap); merr != nil {
+				err = errors.Join(err, fmt.Errorf("spill: restore group %d: %w", id, merr))
+			}
+			break
 		}
 		res.Groups = append(res.Groups, id)
 		res.Bytes += snap.MemBytes()
@@ -58,7 +66,7 @@ func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
 	}
 	m.spills = append(m.spills, res)
 	m.spilled += res.Bytes
-	return res, nil
+	return res, err
 }
 
 // Count reports how many spill processes have run.

@@ -14,11 +14,14 @@ import (
 )
 
 func mkSnap(id partition.ID, gen uint32, n int) *join.GroupSnapshot {
-	s := &join.GroupSnapshot{ID: id, Gen: gen, Output: uint64(gen) * 10, Tuples: make([][]tuple.Tuple, 2)}
+	var run []byte
 	for i := 0; i < n; i++ {
-		s.Tuples[i%2] = append(s.Tuples[i%2], tuple.Tuple{
-			Stream: uint8(i % 2), Key: uint64(id), Seq: uint64(i), Payload: []byte{byte(i)},
-		})
+		t := tuple.Tuple{Stream: uint8(i % 2), Key: uint64(id), Seq: uint64(i), Payload: []byte{byte(i)}}
+		run = t.AppendTo(run)
+	}
+	s := &join.GroupSnapshot{ID: id, Gen: gen, Output: uint64(gen) * 10, Inputs: make([][]byte, 2)}
+	if err := s.Append(run); err != nil {
+		panic(err)
 	}
 	return s
 }
@@ -103,7 +106,7 @@ func TestStoreLast(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := im.Disk[2]; h.Gen != 2 || h.Output != want.Output || h.SpilledTs != want.SpilledTs ||
-				len(h.Tuples) != 2 || h.Tuples[0] != nil || h.Tuples[1] != nil {
+				len(h.Inputs) != 2 || h.Inputs[0] != nil || h.Inputs[1] != nil {
 				t.Fatalf("Last = %+v, want the header of %+v", h, want)
 			}
 			if next := h.Seal(h.Gen); !reflect.DeepEqual(next, im.Mem) {

@@ -19,16 +19,20 @@ import (
 
 	"repro/internal/join"
 	"repro/internal/partition"
-	"repro/internal/tuple"
 )
 
 // Store persists spilled partition-group generations. Segments for the
 // same group are returned in generation order, which the cleanup phase
-// relies on. Implementations are safe for concurrent use.
+// relies on. A store keeps each segment as the bytes join.EncodeSnapshot
+// writes; the two implementations differ only in where those bytes live.
+// A segment it returns aliases bytes the store owns and nothing writes
+// again (join.DecodeSnapshot), so reading one copies nothing.
+// Implementations are safe for concurrent use.
 type Store interface {
-	// Write persists one generation snapshot. Writing a (group,
-	// generation) the store already holds replaces it, so a retried
-	// install converges instead of duplicating the segment.
+	// Write persists one generation snapshot, as a copy: the caller may
+	// reuse whatever snap's inputs alias once it returns. Writing a
+	// (group, generation) the store already holds replaces it, so a
+	// retried install converges instead of duplicating the segment.
 	Write(snap *join.GroupSnapshot) error
 	// Read returns all segments of the group, sorted by generation.
 	Read(id partition.ID) ([]*join.GroupSnapshot, error)
@@ -65,12 +69,12 @@ type index struct {
 	bytes int64
 }
 
-// segment is one index entry. snap is set by MemStore only; FileStore
-// keeps the snapshot in the segment's file.
+// segment is one index entry. buf, the encoded segment, is set by
+// MemStore only; FileStore keeps it in the segment's file.
 type segment struct {
 	gen  uint32
 	size int64
-	snap *join.GroupSnapshot
+	buf  []byte
 }
 
 // put indexes seg under id, replacing an entry of the same generation.
@@ -153,7 +157,8 @@ func (x *index) BytesOf(id partition.ID) int64 {
 }
 
 // MemStore is an in-memory Store for tests and for experiments where disk
-// latency is irrelevant.
+// latency is irrelevant. It holds each segment's encoding, as a file
+// store's file would.
 type MemStore struct{ index }
 
 // NewMemStore returns an empty in-memory store.
@@ -161,35 +166,22 @@ func NewMemStore() *MemStore { return &MemStore{} }
 
 // Write implements Store.
 func (s *MemStore) Write(snap *join.GroupSnapshot) error {
-	// Encode/decode even in memory so both stores exercise the codec.
 	buf := join.EncodeSnapshot(snap)
-	cp, err := join.DecodeSnapshot(buf)
-	if err != nil {
-		return fmt.Errorf("spill: encode segment: %w", err)
-	}
-	s.put(snap.ID, segment{gen: snap.Gen, size: int64(len(buf)), snap: cp})
+	s.put(snap.ID, segment{gen: snap.Gen, size: int64(len(buf)), buf: buf})
 	return nil
 }
 
 // Read implements Store.
 func (s *MemStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
-	segs := s.of(id)
-	out := make([]*join.GroupSnapshot, len(segs))
-	for i, seg := range segs {
-		out[i] = seg.snap
-	}
-	return out, nil
+	return decodeAll(id, s.of(id), func(seg segment) ([]byte, error) { return seg.buf, nil })
 }
 
 // Last implements Store.
 func (s *MemStore) Last(id partition.ID) (*join.GroupSnapshot, error) {
-	segs := s.of(id)
-	if len(segs) == 0 {
-		return nil, nil
+	if segs := s.of(id); len(segs) > 0 {
+		return join.DecodeSnapshotHeader(segs[len(segs)-1].buf)
 	}
-	h := *segs[len(segs)-1].snap
-	h.Tuples = make([][]tuple.Tuple, len(h.Tuples))
-	return &h, nil
+	return nil, nil
 }
 
 // Remove implements Store.
@@ -269,12 +261,23 @@ func (s *FileStore) Write(snap *join.GroupSnapshot) error {
 
 // Read implements Store.
 func (s *FileStore) Read(id partition.ID) ([]*join.GroupSnapshot, error) {
-	segs := s.of(id)
-	out := make([]*join.GroupSnapshot, 0, len(segs))
-	for _, seg := range segs {
+	return decodeAll(id, s.of(id), func(seg segment) ([]byte, error) {
 		buf, err := os.ReadFile(s.segPath(id, seg.gen))
 		if err != nil {
 			return nil, fmt.Errorf("spill: read segment: %w", err)
+		}
+		return buf, nil
+	})
+}
+
+// decodeAll decodes group id's segments from the bytes load fetches for
+// each; every snapshot aliases what load returned.
+func decodeAll(id partition.ID, segs []segment, load func(segment) ([]byte, error)) ([]*join.GroupSnapshot, error) {
+	out := make([]*join.GroupSnapshot, 0, len(segs))
+	for _, seg := range segs {
+		buf, err := load(seg)
+		if err != nil {
+			return nil, err
 		}
 		snap, err := join.DecodeSnapshot(buf)
 		if err != nil {

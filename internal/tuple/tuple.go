@@ -59,26 +59,19 @@ func (t *Tuple) AppendTo(dst []byte) []byte {
 
 // Decode parses one tuple from the front of buf, returning the tuple and
 // the number of bytes consumed. The payload is copied into a fresh
-// allocation; batch decoders use DecodeSlab to amortize those copies.
+// allocation.
 func Decode(buf []byte) (Tuple, int, error) {
-	t, used, _, err := DecodeSlab(buf, nil)
-	return t, used, err
-}
-
-// DecodeSlab parses one tuple from the front of buf, copying its payload
-// into slab (see CloneInto) and returning the extended slab.
-func DecodeSlab(buf, slab []byte) (Tuple, int, []byte, error) {
-	size := EncodedLen(buf)
+	size := encodedLen(buf)
 	if size < 0 {
-		return Tuple{}, 0, slab, fmt.Errorf("tuple: short buffer: %d bytes", len(buf))
+		return Tuple{}, 0, fmt.Errorf("tuple: short buffer: %d bytes", len(buf))
 	}
 	if len(buf) < size {
-		return Tuple{}, 0, slab, fmt.Errorf("tuple: truncated payload: need %d bytes, have %d", size, len(buf))
+		return Tuple{}, 0, fmt.Errorf("tuple: truncated payload: need %d bytes, have %d", size, len(buf))
 	}
 	var t Tuple
 	t.view(buf)
-	slab = t.own(slab)
-	return t, size, slab, nil
+	t.own(nil)
+	return t, size, nil
 }
 
 // view sets t to the tuple at the front of buf, which the caller has
@@ -97,18 +90,12 @@ func (t *Tuple) view(buf []byte) int {
 	return size
 }
 
-// CloneInto returns a copy of t whose payload is appended to slab, and
-// the extended slab — how a view (see BatchReader) becomes a tuple its
-// holder owns. A slab preallocated with enough capacity (PayloadBytes)
-// never regrows; with a nil slab the payload gets its own allocation.
-// Payload subslices are capacity-clipped, so later slab appends can
-// never alias an earlier tuple's payload even if the slab does regrow.
-func (t Tuple) CloneInto(slab []byte) (Tuple, []byte) {
-	slab = t.own(slab)
-	return t, slab
-}
-
-// own moves t's payload into slab, in place.
+// own moves t's payload into slab, in place, and returns the extended
+// slab — how a view (see BatchReader) becomes a tuple its holder owns. A
+// slab preallocated with enough capacity never regrows; with a nil slab
+// the payload gets its own allocation. Payload subslices are
+// capacity-clipped, so later slab appends can never alias an earlier
+// tuple's payload even if the slab does regrow.
 func (t *Tuple) own(slab []byte) []byte {
 	if len(t.Payload) > 0 {
 		start := len(slab)
@@ -120,29 +107,17 @@ func (t *Tuple) own(slab []byte) []byte {
 
 // Clone returns a copy of t that owns its payload.
 func (t Tuple) Clone() Tuple {
-	c, _ := t.CloneInto(nil)
-	return c
+	t.own(nil)
+	return t
 }
 
-// EncodedLen reports the total encoded size of the tuple at the front of
+// encodedLen reports the total encoded size of the tuple at the front of
 // buf without decoding it, or -1 if buf is too short to hold a header.
-// Pre-scan loops use it to size decode slabs.
-func EncodedLen(buf []byte) int {
+func encodedLen(buf []byte) int {
 	if len(buf) < headerSize {
 		return -1
 	}
 	return headerSize + int(binary.LittleEndian.Uint32(buf[25:]))
-}
-
-// PayloadBytes reports the total payload size of an encoded sequence of
-// n tuples occupying encoded bytes, for sizing a decode slab. A corrupt
-// input can make this an under-estimate; DecodeSlab stays correct then,
-// it just allocates more.
-func PayloadBytes(encoded, n int) int {
-	if p := encoded - n*headerSize; p > 0 {
-		return p
-	}
-	return 0
 }
 
 // String renders a short human-readable form for logs and test failures.
@@ -198,8 +173,8 @@ func DecodeBatch(buf []byte) (Batch, error) {
 	}
 	b := Batch{Tuples: make([]Tuple, r.Len())}
 	var slab []byte
-	if p := PayloadBytes(len(buf)-4, r.Len()); p > 0 {
-		slab = make([]byte, 0, p)
+	if p := len(buf) - 4 - r.Len()*headerSize; p > 0 {
+		slab = make([]byte, 0, p) // every payload byte
 	}
 	for i := range b.Tuples {
 		r.Next(&b.Tuples[i])
@@ -212,7 +187,7 @@ func DecodeBatch(buf []byte) (Batch, error) {
 // (ReadBatch, ReadRun) checks the whole run's structure, so a malformed
 // run is rejected before its first tuple is seen; Next then yields views:
 // tuples whose Payload aliases the run's buffer and must be copied
-// (Clone, CloneInto, AppendTo) by whoever keeps them longer than the
+// (Clone, AppendTo) by whoever keeps them longer than the
 // buffer. A BatchReader is a small value; copying one forks the cursor.
 type BatchReader struct {
 	buf []byte // the tuples not yet yielded
@@ -222,46 +197,58 @@ type BatchReader struct {
 // ReadBatch opens a cursor over a batch as Batch.AppendTo writes it: a
 // uint32 count followed by exactly that many tuples.
 func ReadBatch(buf []byte) (BatchReader, error) {
+	r, rest, err := CutBatch(buf)
+	if err == nil && len(rest) != 0 {
+		return BatchReader{}, fmt.Errorf("tuple: %d trailing bytes after batch", len(rest))
+	}
+	return r, err
+}
+
+// CutBatch opens a cursor over the batch at the front of buf, as
+// ReadBatch does, and returns the bytes after it: how a reader walks
+// batches laid end to end.
+func CutBatch(buf []byte) (BatchReader, []byte, error) {
 	if len(buf) < 4 {
-		return BatchReader{}, fmt.Errorf("tuple: short batch buffer: %d bytes", len(buf))
+		return BatchReader{}, nil, fmt.Errorf("tuple: short batch buffer: %d bytes", len(buf))
 	}
 	n, maxPossible := binary.LittleEndian.Uint32(buf), (len(buf)-4)/headerSize
 	// Checked first: a corrupt count must not size anything (callers
 	// allocate by Len), nor wrap where int is 32 bits.
 	if uint64(n) > uint64(maxPossible) {
-		return BatchReader{}, fmt.Errorf("tuple: batch count %d exceeds buffer capacity %d", n, maxPossible)
+		return BatchReader{}, nil, fmt.Errorf("tuple: batch count %d exceeds buffer capacity %d", n, maxPossible)
 	}
 	return scan(buf[4:], int(n))
 }
 
 // ReadRun opens a cursor over tuples encoded back to back with no count
 // in front, as repeated Tuple.AppendTo writes them.
-func ReadRun(buf []byte) (BatchReader, error) { return scan(buf, -1) }
+func ReadRun(buf []byte) (BatchReader, error) {
+	r, _, err := scan(buf, -1)
+	return r, err
+}
 
 // TrustedRun opens a cursor over a run of n tuples the caller encoded
 // itself (Tuple.AppendTo, n times) and so need not be checked again; on
 // any other bytes Next may panic.
 func TrustedRun(buf []byte, n int) BatchReader { return BatchReader{buf: buf, n: n} }
 
-// scan walks the tuple lengths of buf, which must hold exactly want
-// tuples (any number when want < 0) and nothing else.
-func scan(buf []byte, want int) (BatchReader, error) {
+// scan walks the tuple lengths at the front of buf, which must hold want
+// tuples (as many as it holds when want < 0), and returns the bytes
+// after them.
+func scan(buf []byte, want int) (BatchReader, []byte, error) {
 	n, off := 0, 0
 	for n != want && off < len(buf) {
-		size := EncodedLen(buf[off:])
+		size := encodedLen(buf[off:])
 		if size < 0 || size > len(buf)-off {
-			return BatchReader{}, fmt.Errorf("tuple: batch element %d: truncated: %d bytes left", n, len(buf)-off)
+			return BatchReader{}, nil, fmt.Errorf("tuple: batch element %d: truncated: %d bytes left", n, len(buf)-off)
 		}
 		off += size
 		n++
 	}
 	if n < want {
-		return BatchReader{}, fmt.Errorf("tuple: batch element %d: buffer ends before it", n)
+		return BatchReader{}, nil, fmt.Errorf("tuple: batch element %d: buffer ends before it", n)
 	}
-	if off != len(buf) {
-		return BatchReader{}, fmt.Errorf("tuple: %d trailing bytes after batch", len(buf)-off)
-	}
-	return BatchReader{buf: buf, n: n}, nil
+	return BatchReader{buf: buf[:off], n: n}, buf[off:], nil
 }
 
 // Len reports how many tuples the cursor has yet to yield.
