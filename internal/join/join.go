@@ -748,14 +748,28 @@ func (g *group) snapshotOf(inputs [][]byte) *GroupSnapshot {
 // into a fresh generation, as described in paper §3. Extracting a group
 // with no resident tuples returns nil.
 func (o *Operator) ExtractForSpill(id partition.ID) *GroupSnapshot {
+	snap, _ := o.SpillTo(id, func(*GroupSnapshot) error { return nil })
+	return snap
+}
+
+// SpillTo is ExtractForSpill with the segment handed to persist before
+// the group moves on to its next generation. If persist fails the
+// extraction is undone: the group keeps its tuples, its generation and
+// its purge watermark, since nothing reached the disk that could owe
+// them a match, and the error is returned.
+func (o *Operator) SpillTo(id partition.ID, persist func(*GroupSnapshot) error) (*GroupSnapshot, error) {
 	_, g := o.find(id)
 	if g == nil || g.count == 0 {
-		return nil
+		return nil, nil
 	}
 	snap := o.unload(g)
 	next := snap.Seal(g.gen)
+	if err := persist(snap); err != nil {
+		o.land(g, snap)
+		return nil, err
+	}
 	g.gen, g.spilledTs, g.everSpilled = next.Gen, next.SpilledTs, true
-	return snap
+	return snap, nil
 }
 
 // Seal turns s — a group's memory tier — into the spilled segment of
@@ -801,8 +815,7 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 // already resident the snapshot's tuples are appended WITHOUT probing — they
 // already produced their results at the old primary, so emitting joins
 // here would duplicate output. A promoted follower uses it to turn warm
-// standby copies into resident state, and a failed spill write puts the
-// snapshot it could not store back. The payloads are copied: the
+// standby copies into resident state. The payloads are copied: the
 // snapshot's bytes are not kept.
 func (o *Operator) Merge(snap *GroupSnapshot) error {
 	if len(snap.Inputs) != o.inputs {

@@ -1,7 +1,6 @@
 package spill
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -38,10 +37,10 @@ func NewManager(op *join.Operator, store Store, policy core.Policy) *Manager {
 
 // Spill pushes at least amount bytes of resident state to the store (or
 // everything resident, if less) and returns what was spilled. A zero or
-// negative amount is a no-op. A group whose write fails is merged back
-// into the operator, so it stays resident rather than lost, and the
-// spill stops there: the result then names exactly the groups persisted
-// before the failure, alongside the error.
+// negative amount is a no-op. A group whose write fails stays resident
+// as it was (join.Operator.SpillTo), and the spill stops there: the
+// result then names exactly the groups persisted before the failure,
+// alongside the error.
 func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
 	res := Result{When: now}
 	if amount <= 0 {
@@ -49,16 +48,13 @@ func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
 	}
 	var err error
 	for _, id := range m.policy.SelectVictims(m.op.Stats(), amount) {
-		snap := m.op.ExtractForSpill(id)
+		snap, werr := m.op.SpillTo(id, m.store.Write)
+		if werr != nil {
+			err = fmt.Errorf("spill: persist group %d: %w", id, werr)
+			break
+		}
 		if snap == nil {
 			continue
-		}
-		if err = m.store.Write(snap); err != nil {
-			err = fmt.Errorf("spill: persist group %d: %w", id, err)
-			if merr := m.op.Merge(snap); merr != nil {
-				err = errors.Join(err, fmt.Errorf("spill: restore group %d: %w", id, merr))
-			}
-			break
 		}
 		res.Groups = append(res.Groups, id)
 		res.Bytes += snap.MemBytes()

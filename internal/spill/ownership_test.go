@@ -2,6 +2,7 @@ package spill_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -125,6 +126,34 @@ func TestFailedSpillWriteKeepsTheGroup(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedSpillKeepsThePurgeWatermark: a windowed group whose spill
+// write failed keeps the generation and purge watermark it had. Its
+// tuples never left memory, so nothing on disk can owe them a match, and
+// once expired they purge: a watermark raised over them would hold every
+// one back until the group's next successful spill.
+func TestFailedSpillKeepsThePurgeWatermark(t *testing.T) {
+	const n = 10
+	op := join.NewWindowed(2, partition.NewFunc(1), time.Second, nil)
+	for i := 0; i < n; i++ {
+		tp := tuple.Tuple{Stream: uint8(i % 2), Key: uint64(i), Seq: uint64(i), Ts: vclock.Time(time.Duration(i) * time.Second)}
+		if _, err := op.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := spill.NewManager(op, &failNth{Store: spill.NewMemStore(), n: 1}, core.LargestPolicy{})
+	if _, err := m.Spill(op.MemBytes(), 0); !errors.Is(err, errInjected) {
+		t.Fatalf("a spill over a failing store returned %v", err)
+	}
+	if s := op.ResidentSnapshot(0); s.Gen != 0 || s.EverSpilled || s.TupleCount() != n {
+		t.Errorf("after the failed spill the group is at generation %d, ever spilled %v, holding %d tuples; want 0, false, %d",
+			s.Gen, s.EverSpilled, s.TupleCount(), n)
+	}
+	now := vclock.Time(20 * time.Second)
+	if got := op.Purge(now.Add(-op.Window())); got != n {
+		t.Fatalf("a purge at 20 s dropped %d of %d expired tuples", got, n)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // on TCP: each payload is overwritten the moment Send returns, and the
 // receiver must still see the bytes that were sent. The three frames take
 // the three ways a Data frame leaves Send: coalesced in the writer until
-// the paced flush, built in the encode scratch (larger than the 64 KiB
-// writer), and held back on credit first (after the second frame
-// overdraws a 4 KiB window, with the receiver parked).
+// the paced flush (armed by the first buffered frame, within 1 ms), built
+// in the encode scratch (larger than the 64 KiB writer), and held back on
+// credit first (after the second frame overdraws a 4 KiB window, with the
+// receiver parked).
 func TestSendCopiesPayload(t *testing.T) {
 	n := transport.NewTCP(map[partition.NodeID]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"})
 	n.SetCreditWindow(4 << 10)

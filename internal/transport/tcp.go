@@ -54,8 +54,9 @@ const (
 	// coalesceWatermark flushes a connection once this many coalesced
 	// bytes are buffered, bounding data-path latency under load.
 	coalesceWatermark = 32 << 10
-	// flushInterval is the paced flush tick for coalesced small frames:
-	// the syscall amortization window when the watermark is not hit.
+	// flushInterval is the paced flush for coalesced small frames,
+	// armed by the first buffered frame, within 1 ms: the syscall
+	// amortization window when the watermark is not hit.
 	flushInterval = time.Millisecond
 	// connWriterSize is each connection's bufio.Writer capacity — the
 	// coalescing buffer itself.
@@ -239,8 +240,8 @@ type tcpEndpoint struct {
 	listener net.Listener
 	queue    chan envelope
 	done     chan struct{}
-	// stop is closed on Close: it fences the flusher goroutine and
-	// wakes credit waiters so no Send blocks across shutdown.
+	// stop is closed on Close: it wakes credit waiters so no Send
+	// blocks across shutdown.
 	stop     chan struct{}
 	stopOnce sync.Once
 	metrics  *Metrics
@@ -267,8 +268,11 @@ type tcpConn struct {
 	// credit is the destination's data-path window (nil when the peer
 	// advertised none: credit disabled).
 	credit *senderCredit
-	// dirty marks coalesced frames awaiting the paced flush.
+	// dirty marks coalesced frames awaiting the paced flush, and flush is
+	// that flush: armed exactly while dirty (created by the first
+	// coalesced frame, nil on a connection that never buffered one).
 	dirty bool
+	flush *time.Timer
 	// enc is the encode scratch of frames too large for w's buffer (state
 	// transfers, seeds), allocated at a frame's exact size when it is too
 	// small, reused under mu and dropped after a frame beyond
@@ -314,7 +318,6 @@ func (n *TCP) Attach(node partition.NodeID, h Handler) (Endpoint, error) {
 	n.endpoints = append(n.endpoints, ep)
 	n.mu.Unlock()
 	go ep.acceptLoop()
-	go ep.flushLoop()
 	go func() {
 		for env := range ep.queue {
 			ep.metrics.received(env.msg, env.size)
@@ -574,7 +577,8 @@ func creditEligible(kind proto.WireKind) bool {
 }
 
 // coalesces reports whether a kind may wait in the connection's write
-// buffer for the watermark or the paced flush: only the steady-flow
+// buffer for the watermark or the paced flush (armed by the first
+// buffered frame, within 1 ms): only the steady-flow
 // payloads are worth trading latency for syscalls. Everything else —
 // control messages, state transfers (which gate relocation steps) —
 // flushes immediately.
@@ -615,6 +619,7 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 			delete(e.conns, to)
 		}
 		e.mu.Unlock()
+		conn.flushPending() // disarms; a broken writer writes nothing
 		conn.c.Close()
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
@@ -667,53 +672,42 @@ func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int
 	if _, err := c.w.Write(b); err != nil {
 		return 0, err
 	}
-	if coalesces(proto.WireKind(kind)) {
-		c.dirty = true
-		if c.w.Buffered() < coalesceWatermark {
-			return len(b), nil
+	if coalesces(proto.WireKind(kind)) && c.w.Buffered() < coalesceWatermark {
+		if !c.dirty {
+			c.dirty = true
+			if c.flush == nil {
+				c.flush = time.AfterFunc(flushInterval, c.flushPending)
+			} else {
+				c.flush.Reset(flushInterval)
+			}
 		}
+		return len(b), nil
 	}
-	c.dirty = false
+	c.clean()
 	return len(b), c.w.Flush()
 }
 
-// flushLoop is the paced flush for coalesced frames: small data-plane
-// writes that never reached the watermark hit the wire within
-// flushInterval.
-func (e *tcpEndpoint) flushLoop() {
-	t := time.NewTicker(flushInterval)
-	defer t.Stop()
-	var scratch []*tcpConn
-	for {
-		select {
-		case <-e.stop:
-			return
-		case <-t.C:
-			scratch = e.flushDirty(scratch[:0])
-		}
+// clean clears dirty and disarms its flush; the caller holds c.mu and
+// writes out, or gives up, what was buffered.
+func (c *tcpConn) clean() {
+	if c.dirty {
+		c.dirty = false
+		c.flush.Stop()
 	}
 }
 
-// flushDirty flushes every connection holding coalesced frames. Flush
-// errors are left for the next Send to observe (bufio errors are
-// sticky), which drops and redials the connection.
-func (e *tcpEndpoint) flushDirty(scratch []*tcpConn) []*tcpConn {
-	e.mu.Lock()
-	for _, c := range e.conns {
-		scratch = append(scratch, c)
+// flushPending writes out coalesced frames if any are still buffered.
+// It is the armed flush's callback, and FlushOutbound, Close and Send's
+// drop path call it too; a callback beaten to the frames finds the
+// connection clean. A flush error is sticky in the bufio.Writer; the
+// next Send observes it and drops the connection for redial.
+func (c *tcpConn) flushPending() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dirty {
+		c.clean()
+		_ = c.w.Flush()
 	}
-	e.mu.Unlock()
-	for _, c := range scratch {
-		c.mu.Lock()
-		if c.dirty {
-			c.dirty = false
-			// A flush error is sticky in the bufio.Writer; the next Send
-			// observes it and drops the connection for redial.
-			_ = c.w.Flush()
-		}
-		c.mu.Unlock()
-	}
-	return scratch
 }
 
 // FlushOutbound pushes every coalesced frame to the wire before
@@ -721,7 +715,15 @@ func (e *tcpEndpoint) flushDirty(scratch []*tcpConn) []*tcpConn {
 // "acked" implies "prior data-path frames are on the wire", even
 // across different destination connections.
 func (e *tcpEndpoint) FlushOutbound() {
-	e.flushDirty(nil)
+	e.mu.Lock()
+	conns := make([]*tcpConn, 0, len(e.conns))
+	for _, c := range e.conns {
+		conns = append(conns, c)
+	}
+	e.mu.Unlock()
+	for _, c := range conns {
+		c.flushPending()
+	}
 }
 
 // CopiesPayload implements PayloadCopier: Send encodes each frame before returning.
@@ -823,24 +825,16 @@ func (e *tcpEndpoint) Close() error {
 		return nil
 	}
 	e.down = true
-	conns := make([]*tcpConn, 0, len(e.conns))
-	for _, c := range e.conns {
-		conns = append(conns, c)
-	}
+	conns := e.conns // no longer reachable, so read unlocked below
 	e.conns = map[partition.NodeID]*tcpConn{}
 	e.mu.Unlock()
 
-	// Fence the flusher and wake blocked credit waiters first, then
-	// push out any coalesced frames before tearing the sockets down.
+	// Wake blocked credit waiters first, then push out any coalesced
+	// frames, best effort, before tearing the sockets down.
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.listener.Close()
 	for _, c := range conns {
-		c.mu.Lock()
-		if c.dirty {
-			c.dirty = false
-			_ = c.w.Flush() // best-effort final flush on shutdown
-		}
-		c.mu.Unlock()
+		c.flushPending()
 		c.c.Close()
 	}
 	// Block new enqueues (readers observe down under enqMu), then close.
