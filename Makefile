@@ -55,16 +55,18 @@ test-race:
 # (PROTOCOL.md "Buffer ownership"). Beside them, the engine's step
 # table: every engine-facing row of PROTOCOL.md's plan table, repeated
 # and late (PROTOCOL.md "Timeouts, retries, abort"). -count=1 forces a
-# live run. Last, the TCP paced flush: each connection arms a one-shot
-# timer with its first coalesced frame, and every write-out, Close and
-# dropped connection must disarm it; those interleavings (a timer firing
-# against a watermark flush, a Close, senders racing the Close) are
-# timing-dependent, so the flush and close tests run twenty times under
-# the race detector.
+# live run. Last, the TCP linger: a coalesced frame leaves within 5 ms,
+# flushed by the next frame (once the buffer is lingerAged old) or by a
+# one-shot backstop timer armed by the first coalesced frame, and every
+# write-out, Close and dropped connection must disarm the backstop;
+# those interleavings (a backstop firing against an aged-frame or
+# watermark flush, a Close, senders racing the Close) are
+# timing-dependent, so the flush, linger and close tests run twenty
+# times under the race detector.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaosSeededMatrix|TestChaosCrashRecovery|TestChaosJoinExact|TestChaosLeaveExact|TestChaosPromoteExact|TestChaosSpilledFailoverExact|TestChaosHeartbeatFlap|TestChaosTCPNativeExact|TestChaosTCPPoisonedRelocation|TestChaosTCPPoisonedFailover' ./internal/experiments
 	$(GO) test -race -count=1 -run 'TestEngineStepTable' ./internal/engine
-	$(GO) test -race -count=20 -run 'TestPacedFlush|TestTCPCloseDuringSends' ./internal/transport
+	$(GO) test -race -count=20 -run 'TestPacedFlush|TestLinger|TestTCPCloseDuringSends' ./internal/transport
 
 # e2e-smoke runs the four end-to-end workloads over real TCP for two
 # seconds each (about 20 s in all): every workload checks its result

@@ -155,7 +155,9 @@ func (o Options) config() cluster.Config {
 }
 
 // Ingest pushes one tuple into the given join input. Tuples are batched;
-// call Flush to force delivery of partial batches. The payload is copied
+// call Flush to force delivery of partial batches. Over TCP a sent batch
+// is on the wire within 5 ms, flushed by the next frame or the
+// connection's backstop. The payload is copied
 // before Ingest returns, so the caller may reuse its buffer. A query with
 // a Window or a Filter stamps the tuple's Ts with the current virtual
 // time; any other query leaves Ts 0 and reads no clock, since its join
@@ -179,7 +181,9 @@ func (c *Cluster) Ingest(stream int, key uint64, payload []byte) error {
 	return c.c.Router().Route(t)
 }
 
-// Flush forces delivery of partially filled batches.
+// Flush forces delivery of partially filled batches: over TCP they are on
+// the wire within 5 ms, flushed by the next frame or the connection's
+// backstop.
 func (c *Cluster) Flush() error { return c.c.Router().Flush() }
 
 // Now reports the cluster's current virtual time.

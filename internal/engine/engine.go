@@ -561,7 +561,7 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
 
 func (e *Engine) reportStats() error {
 	if e.cfg.Window > 0 {
-		e.op.Purge(e.clock.Now().Add(-e.cfg.Window))
+		e.op.Expire(e.clock.Now())
 	}
 	if e.tracker != nil {
 		e.tracker.Observe(e.op.Stats())

@@ -202,6 +202,10 @@ type group struct {
 	// state and must not be purged (they are spilled instead).
 	spilledTs   vclock.Time
 	everSpilled bool
+	// newest is, per input, the largest timestamp that ever landed in
+	// the group (windowed mode; nil until a tuple lands): inputs reach
+	// a group in timestamp order, so Expire never cuts past it.
+	newest []vclock.Time
 }
 
 func newGroup(id partition.ID, gen uint32, inputs int) *group {
@@ -325,6 +329,14 @@ func (g *group) push(l *list, stream int, t *tuple.Tuple) {
 	l.off += uint32(len(g.log[c]) - at)
 }
 
+// landed raises input stream's newest timestamp to ts.
+func (g *group) landed(stream int, ts vclock.Time) {
+	if g.newest == nil {
+		g.newest = make([]vclock.Time, len(g.counts))
+	}
+	g.newest[stream] = max(g.newest[stream], ts)
+}
+
 // view rebuilds the Tuple that seq and r store in input stream's list
 // of key. The payload aliases the group's page, whose written bytes
 // never change.
@@ -347,6 +359,9 @@ func (o *Operator) add(g *group, e, stream int, t *tuple.Tuple) {
 		}
 		// Windowed lists stay timestamp-sorted so window probes can
 		// binary-search their bounds.
+		if o.window > 0 {
+			g.landed(stream, t.Ts)
+		}
 		g.insert(l, t.Seq, &r, o.window > 0)
 	} else {
 		g.push(l, stream, t)
@@ -376,7 +391,7 @@ func (o *Operator) unload(g *group) *GroupSnapshot {
 	o.totalSize -= g.size
 	*g = group{
 		id: g.id, gen: g.gen, cum: g.cum, output: g.output, counts: g.counts,
-		spilledTs: g.spilledTs, everSpilled: g.everSpilled,
+		spilledTs: g.spilledTs, everSpilled: g.everSpilled, newest: g.newest,
 	}
 	clear(g.counts)
 	return snap

@@ -41,15 +41,16 @@ func windowBounds(rs []rec, seqs []uint64, ts vclock.Time, window time.Duration)
 }
 
 // Purge drops resident tuples with a timestamp strictly before cutoff
-// from all groups and returns how many were dropped. An expired tuple can
-// never join a future arrival, so dropping it cannot lose run-time
-// results; but a tuple may still owe cross-generation cleanup matches to
-// tuples the group spilled earlier. Purge therefore holds back expired
-// tuples whose timestamp is within window of the group's spilled-state
-// watermark — they remain resident until a normal spill evicts them,
-// after which the cleanup phase produces their pending matches. The
-// groups' lifetime counters are untouched: purged data still counts
-// toward the productivity history.
+// from all groups and returns how many were dropped. The caller vouches
+// that no future arrival is stamped before cutoff plus the window, so
+// dropping an expired tuple cannot lose run-time results (Expire derives
+// such a cutoff per group); but a tuple may still owe cross-generation
+// cleanup matches to tuples the group spilled earlier. Purge therefore
+// holds back expired tuples whose timestamp is within window of the
+// group's spilled-state watermark — they remain resident until a normal
+// spill evicts them, after which the cleanup phase produces their
+// pending matches. The groups' lifetime counters are untouched: purged
+// data still counts toward the productivity history.
 //
 // Lists are compacted in place, so a purge allocates nothing — but the
 // dropped tuples' payload bytes and the entries of keys whose lists all
@@ -58,17 +59,40 @@ func windowBounds(rs []rec, seqs []uint64, ts vclock.Time, window time.Duration)
 // tuples, which keeps a windowed operator's memory bounded by its window.
 // An unbounded operator expires nothing.
 func (o *Operator) Purge(cutoff vclock.Time) int {
+	return o.purge(cutoff, false)
+}
+
+// Expire purges what expired at now: tuples more than a window older
+// than now and than what each of their group's inputs has delivered.
+// Each input reaches a group in timestamp order, so no later arrival is
+// stamped before the newest timestamp that input landed there; when the
+// inputs lag now (a feeder behind its schedule stamps tuples with the
+// time they were due), the group's cutoff follows them, not the clock.
+// An input that never landed in a group holds the group's state back.
+func (o *Operator) Expire(now vclock.Time) int {
+	return o.purge(now.Add(-o.window), true)
+}
+
+// purge is Purge, with each group's cutoff capped by its inputs' newest
+// landed timestamps less the window when delivered is set.
+func (o *Operator) purge(cutoff vclock.Time, delivered bool) int {
 	if o.window == 0 {
 		return 0
 	}
 	purged := 0
 	o.resident(func(g *group) {
+		cut := cutoff
+		if delivered {
+			for _, ts := range g.newest {
+				cut = min(cut, ts.Add(-o.window))
+			}
+		}
 		empty := 0
 		for e := 0; e < len(g.lists); e += o.inputs {
 			live := uint32(0)
 			for i := 0; i < o.inputs; i++ {
 				l := &g.lists[e+i]
-				purged += o.purgeList(g, i, l, cutoff)
+				purged += o.purgeList(g, i, l, cut)
 				live += l.n
 			}
 			if live == 0 {

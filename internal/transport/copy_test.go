@@ -16,8 +16,8 @@ import (
 // TestSendCopiesPayload pins the promise behind transport.PayloadCopier
 // on TCP: each payload is overwritten the moment Send returns, and the
 // receiver must still see the bytes that were sent. The three frames take
-// the three ways a Data frame leaves Send: coalesced in the writer until
-// the paced flush (armed by the first buffered frame, within 1 ms), built
+// the three ways a Data frame leaves Send: coalesced in the writer until,
+// within 5 ms, the next frame or the backstop flushes it, built
 // in the encode scratch (larger than the 64 KiB writer), and held back on
 // credit first (after the second frame overdraws a 4 KiB window, with the
 // receiver parked).

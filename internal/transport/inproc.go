@@ -20,6 +20,9 @@ type envelope struct {
 	// size is the message's wire footprint: exact frame bytes on TCP,
 	// approxSize on the in-process transport. Only used for metrics.
 	size int
+	// kind is the frame's wire kind on TCP, for metrics; the in-process
+	// transport leaves it WireNone.
+	kind proto.WireKind
 	// buf, when non-nil, is the pooled TCP frame buffer the message's
 	// payload slices alias; the dispatcher recycles it once the handler
 	// returns. The in-process transport never sets it (messages are

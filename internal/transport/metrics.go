@@ -2,6 +2,7 @@ package transport
 
 import (
 	"reflect"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -14,10 +15,26 @@ import (
 // send-latency histogram (wall seconds; Send latency includes any
 // backpressure blocking). Metric names follow the scheme
 // distq_<node_kind>_transport_<name>. A nil *Metrics is a valid no-op.
+//
+// Each wire kind's series are looked up in the registry once, by the
+// kind's first message in that direction, and kept in sends/recvs
+// indexed by kind, so a message pays no label rendering or registry
+// lock. A message of no wire kind (only the in-process transport
+// carries one) is looked up every time.
 type Metrics struct {
 	reg    *obs.Registry
 	prefix string
+	sends  [256]atomic.Pointer[sendSeries]
+	recvs  [256]atomic.Pointer[recvSeries]
 }
+
+// sendSeries and recvSeries are one message type's series.
+type sendSeries struct {
+	total, bytes *obs.Counter
+	seconds      *obs.Histogram
+}
+
+type recvSeries struct{ total, bytes *obs.Counter }
 
 // NewMetrics builds transport metrics for one node, e.g.
 // NewMetrics(reg, "engine") → distq_engine_transport_send_total{type=...}.
@@ -53,13 +70,31 @@ func MsgType(msg proto.Message) string {
 
 // sent records one outbound message.
 func (m *Metrics) sent(msg proto.Message, bytes int, elapsed time.Duration) {
+	if m != nil {
+		m.sentKind(proto.WireKindOf(msg), msg, bytes, elapsed)
+	}
+}
+
+// sentKind records one outbound message of wire kind kind.
+func (m *Metrics) sentKind(kind proto.WireKind, msg proto.Message, bytes int, elapsed time.Duration) {
 	if m == nil {
 		return
 	}
-	l := obs.L("type", MsgType(msg))
-	m.reg.Counter(m.prefix+"send_total", l).Inc()
-	m.reg.Counter(m.prefix+"send_bytes_total", l).Add(float64(bytes))
-	m.reg.Histogram(m.prefix+"send_seconds", obs.LatencyBuckets, l).ObserveDuration(elapsed)
+	s := m.sends[kind].Load()
+	if s == nil {
+		l := obs.L("type", MsgType(msg))
+		s = &sendSeries{
+			total:   m.reg.Counter(m.prefix+"send_total", l),
+			bytes:   m.reg.Counter(m.prefix+"send_bytes_total", l),
+			seconds: m.reg.Histogram(m.prefix+"send_seconds", obs.LatencyBuckets, l),
+		}
+		if kind != proto.WireNone {
+			m.sends[kind].Store(s)
+		}
+	}
+	s.total.Inc()
+	s.bytes.Add(float64(bytes))
+	s.seconds.ObserveDuration(elapsed)
 }
 
 // creditGranted records data-path credit bytes granted by a peer (counted
@@ -81,12 +116,29 @@ func (m *Metrics) creditBlocked(peer partition.NodeID) {
 
 // received records one inbound message.
 func (m *Metrics) received(msg proto.Message, bytes int) {
+	if m != nil {
+		m.receivedKind(proto.WireKindOf(msg), msg, bytes)
+	}
+}
+
+// receivedKind records one inbound message of wire kind kind.
+func (m *Metrics) receivedKind(kind proto.WireKind, msg proto.Message, bytes int) {
 	if m == nil {
 		return
 	}
-	l := obs.L("type", MsgType(msg))
-	m.reg.Counter(m.prefix+"recv_total", l).Inc()
-	m.reg.Counter(m.prefix+"recv_bytes_total", l).Add(float64(bytes))
+	s := m.recvs[kind].Load()
+	if s == nil {
+		l := obs.L("type", MsgType(msg))
+		s = &recvSeries{
+			total: m.reg.Counter(m.prefix+"recv_total", l),
+			bytes: m.reg.Counter(m.prefix+"recv_bytes_total", l),
+		}
+		if kind != proto.WireNone {
+			m.recvs[kind].Store(s)
+		}
+	}
+	s.total.Inc()
+	s.bytes.Add(float64(bytes))
 }
 
 // Instrumentable is the optional interface networks implement to record

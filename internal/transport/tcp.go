@@ -54,10 +54,17 @@ const (
 	// coalesceWatermark flushes a connection once this many coalesced
 	// bytes are buffered, bounding data-path latency under load.
 	coalesceWatermark = 32 << 10
-	// flushInterval is the paced flush for coalesced small frames,
-	// armed by the first buffered frame, within 1 ms: the syscall
-	// amortization window when the watermark is not hit.
-	flushInterval = time.Millisecond
+	// linger bounds how long a coalesced frame waits below the
+	// watermark: within 5 ms it is flushed by the next frame or the
+	// backstop. A coalescable frame that finds the buffer lingerAged
+	// old writes it out, itself included, on the sender's goroutine, so
+	// a steady stream never fires a timer; the one-shot backstop armed
+	// by the first buffered frame flushes a frame nobody follows.
+	linger = 5 * time.Millisecond
+	// lingerAged is the buffer age at which a following frame flushes.
+	// It stays short of linger so that a sender whose period divides
+	// linger is not raced by the backstop.
+	lingerAged = linger * 4 / 5
 	// connWriterSize is each connection's bufio.Writer capacity — the
 	// coalescing buffer itself.
 	connWriterSize = 1 << 16
@@ -268,10 +275,13 @@ type tcpConn struct {
 	// credit is the destination's data-path window (nil when the peer
 	// advertised none: credit disabled).
 	credit *senderCredit
-	// dirty marks coalesced frames awaiting the paced flush, and flush is
-	// that flush: armed exactly while dirty (created by the first
-	// coalesced frame, nil on a connection that never buffered one).
+	// dirty marks coalesced frames awaiting a flush, within linger: by
+	// the next frame or the backstop. since is when the buffer turned
+	// dirty, and flush is the backstop, armed exactly while dirty
+	// (created by the first coalesced frame, nil on a connection that
+	// never buffered one).
 	dirty bool
+	since time.Time
 	flush *time.Timer
 	// enc is the encode scratch of frames too large for w's buffer (state
 	// transfers, seeds), allocated at a frame's exact size when it is too
@@ -320,7 +330,7 @@ func (n *TCP) Attach(node partition.NodeID, h Handler) (Endpoint, error) {
 	go ep.acceptLoop()
 	go func() {
 		for env := range ep.queue {
-			ep.metrics.received(env.msg, env.size)
+			ep.metrics.receivedKind(env.kind, env.msg, env.size)
 			h(env.from, env.msg)
 			// The handler has returned, so its slab copies are done and
 			// the frame buffer's lifecycle ends here (PROTOCOL.md buffer
@@ -397,7 +407,7 @@ func (e *tcpEndpoint) readLoop(c net.Conn) {
 			releaseReadBuf(bp)
 			return
 		}
-		env := envelope{from: peer, msg: msg, size: 4 + int(size), credited: creditEligible(proto.WireKind(kind))}
+		env := envelope{from: peer, msg: msg, size: 4 + int(size), kind: proto.WireKind(kind), credited: creditEligible(proto.WireKind(kind))}
 		if proto.WireKind(kind).AliasesBody() {
 			// The message's payload slices alias the frame buffer; the
 			// dispatcher recycles it after the handler returns.
@@ -577,11 +587,10 @@ func creditEligible(kind proto.WireKind) bool {
 }
 
 // coalesces reports whether a kind may wait in the connection's write
-// buffer for the watermark or the paced flush (armed by the first
-// buffered frame, within 1 ms): only the steady-flow
-// payloads are worth trading latency for syscalls. Everything else —
-// control messages, state transfers (which gate relocation steps) —
-// flushes immediately.
+// buffer for the watermark or, within linger (5 ms), the next frame or
+// the backstop: only the steady-flow payloads are worth trading latency
+// for syscalls. Everything else — control messages, state transfers
+// (which gate relocation steps) — flushes immediately.
 func coalesces(kind proto.WireKind) bool {
 	return kind == proto.WireData || kind == proto.WireResultData || kind == proto.WireStateDelta
 }
@@ -624,7 +633,7 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 		return fmt.Errorf("transport: send to %s: %w", to, err)
 	}
 	if e.metrics != nil {
-		e.metrics.sent(msg, frameBytes, time.Since(start))
+		e.metrics.sentKind(kind, msg, frameBytes, time.Since(start))
 	}
 	return nil
 }
@@ -634,7 +643,8 @@ func (e *tcpEndpoint) Send(to partition.NodeID, msg proto.Message) error {
 // straight into the bufio writer's free space (making room by flushing
 // what is buffered, which preserves order); only a frame larger than the
 // whole buffer is built in enc first. Coalescable frames wait in the
-// writer until the watermark or the paced flush; everything else flushes
+// writer until the watermark, a coalescable frame that finds the buffer
+// lingerAged old, or the backstop at linger; everything else flushes
 // immediately, pushing any coalesced frames ahead of it so
 // per-connection FIFO order is preserved. size is known before the body
 // is encoded, so enc grows, when it must, once and to the frame's size:
@@ -674,14 +684,17 @@ func (c *tcpConn) writeFrame(kind byte, size int, body func([]byte) []byte) (int
 	}
 	if coalesces(proto.WireKind(kind)) && c.w.Buffered() < coalesceWatermark {
 		if !c.dirty {
-			c.dirty = true
+			c.dirty, c.since = true, time.Now()
 			if c.flush == nil {
-				c.flush = time.AfterFunc(flushInterval, c.flushPending)
+				c.flush = time.AfterFunc(linger, c.flushPending)
 			} else {
-				c.flush.Reset(flushInterval)
+				c.flush.Reset(linger)
 			}
+			return len(b), nil
 		}
-		return len(b), nil
+		if time.Since(c.since) < lingerAged {
+			return len(b), nil
+		}
 	}
 	c.clean()
 	return len(b), c.w.Flush()

@@ -202,7 +202,7 @@ func TestTCPMidStreamResetDataRecovers(t *testing.T) {
 	conn.c.Close()
 
 	// Data frames coalesce, so the write that discovers the dead socket
-	// may be the paced flush rather than the Send itself; probe until
+	// may be the backstop flush rather than the Send itself; probe until
 	// the redial lands.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -361,7 +361,7 @@ func TestTCPCreditTimeoutSurfacesError(t *testing.T) {
 
 // TestTCPCoalescedFramesDeliverAndFlush checks that a burst of small
 // native frames (each far below the watermark) still reaches the
-// receiver via the paced flush, and that FlushOutbound forces them out
+// receiver via the backstop flush, and that FlushOutbound forces them out
 // synchronously.
 func TestTCPCoalescedFramesDeliverAndFlush(t *testing.T) {
 	n := NewTCP(freshDir())
