@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -264,4 +265,64 @@ func TestFirstStatsReportIntroducesAnEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	await("m1's first report to revive it", func() bool { return gc.EngineAlive("m1") })
+}
+
+// Start arms a node's timers on its clock: neither an engine (sr_timer,
+// and ss_timer with LocalSpill) nor the coordinator (lb_timer) starts a
+// goroutine to wait on time.
+func TestStartStartsNoGoroutine(t *testing.T) {
+	cfg := Config{Engines: []partition.NodeID{"m1"}, Workload: fastWorkload(), LocalSpill: true,
+		StatsInterval: time.Second, SpillCheckInterval: time.Second, LBInterval: time.Second}
+	clock := vclock.NewManual()
+	net := transport.NewInproc()
+	t.Cleanup(func() { net.Close() })
+	e, err := engine.New(cfg.EngineConfig("m1", nil, nil), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master, err := cfg.Map()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc, err := coordinator.New(cfg.CoordinatorConfig(master), clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range []interface {
+		Attach(transport.Network) error
+		Start() error
+		Stop()
+		Done() <-chan struct{}
+	}{gc, e} {
+		if err := node.Attach(net); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			node.Stop()
+			<-node.Done()
+		})
+		before := settledGoroutines()
+		if err := node.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("%T.Start took the goroutine count from %d to %d", node, before, after)
+		}
+	}
+}
+
+// settledGoroutines waits for the goroutine count to hold still for
+// 10 ms — earlier tests' goroutines wind down after their cleanups — and
+// returns it.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		vclock.WallSleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }

@@ -177,7 +177,9 @@ type Coordinator struct {
 	quiesced      bool
 	quiesceWaiter partition.NodeID
 
-	ticker  *vclock.Ticker
+	// lbDue is the deadline of the armed lb_timer tick; each self-sent
+	// tick arms the next (onTick).
+	lbDue   vclock.Time
 	stopped bool
 	// done closes when the serial handler has processed Stop, fencing
 	// post-run state reads without wall-clock sleeps.
@@ -281,21 +283,26 @@ func (c *Coordinator) Start() error {
 	if c.ep == nil {
 		return fmt.Errorf("coordinator: not attached")
 	}
-	c.ticker = c.clock.NewTicker(c.cfg.LBInterval)
-	self := c.cfg.Node
-	go func() {
-		for {
-			select {
-			case <-c.ticker.C:
-				if err := c.ep.Send(self, proto.Tick{Kind: proto.TickLB}); err != nil {
-					return
-				}
-			case <-c.done:
-				return
-			}
-		}
-	}()
+	c.lbDue = c.clock.Now()
+	c.armLB()
 	return nil
+}
+
+// armLB moves lbDue to the next lb_timer deadline and arms the tick.
+func (c *Coordinator) armLB() {
+	now := c.clock.Now()
+	c.lbDue = vclock.Next(c.lbDue, c.cfg.LBInterval, now)
+	c.after(c.lbDue.Sub(now), proto.Tick{Kind: proto.TickLB})
+}
+
+// after sends m to the coordinator's own endpoint once virtual d has
+// passed: the one way its timers (lb_timer, step deadlines) fire.
+func (c *Coordinator) after(d time.Duration, m proto.Message) {
+	ep, self := c.ep, c.cfg.Node // not c: a stopped coordinator is not kept for its timers
+	c.clock.AfterFunc(d, func() {
+		//distqlint:allow uncheckederr: self-addressed timer; a dead own endpoint means shutdown already won the race
+		ep.Send(self, m)
+	})
 }
 
 // Events exposes the coordinator's adaptation event log.
@@ -442,6 +449,9 @@ func (c *Coordinator) Handle(from partition.NodeID, msg proto.Message) {
 	case proto.StatsReport:
 		c.onStats(m)
 	case proto.Tick:
+		if from == c.cfg.Node {
+			c.armLB() // a tick from another node leaves the period alone
+		}
 		c.onTick()
 	case proto.PtV:
 		c.ack(m, m.Epoch, m.Node)
@@ -863,9 +873,6 @@ func (c *Coordinator) broadcastReplicaMap() {
 
 func (c *Coordinator) shutdown() {
 	c.stopped = true
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
 	close(c.done)
 }
 

@@ -112,16 +112,7 @@ func (c *Coordinator) advance(r *run, now vclock.Time) {
 func (c *Coordinator) transmit(r *run) {
 	r.seq++
 	if c.cfg.RelocTimeout > 0 {
-		m := proto.RelocTimeout{Epoch: r.id, Seq: r.seq}
-		ch := c.clock.After(c.cfg.RelocTimeout << r.attempts)
-		go func() {
-			select {
-			case <-ch:
-				//distqlint:allow uncheckederr: self-addressed timer; a dead own endpoint means shutdown already won the race
-				c.ep.Send(c.cfg.Node, m)
-			case <-c.done:
-			}
-		}()
+		c.after(c.cfg.RelocTimeout<<r.attempts, proto.RelocTimeout{Epoch: r.id, Seq: r.seq})
 	}
 	if err := c.ep.Send(r.dest, r.msg); err != nil {
 		c.fail(fmt.Errorf("%s epoch %d: %s to %s: %w", r.plan.name, r.id, r.step().name, r.dest, err))

@@ -18,9 +18,10 @@ import (
 
 // The synchronous rig: the test calls Coordinator.Handle itself, reads
 // what the coordinator sent from an outbox, and moves a manual clock.
-// Nothing runs concurrently except the armed-deadline goroutines, whose
-// self-addressed RelocTimeouts land in a channel the test drains — so
-// every scenario replays deterministically, tick for tick.
+// Nothing runs concurrently: armed deadlines fire inside the test's own
+// Advance, and their self-addressed RelocTimeouts land in a channel the
+// test drains — so every scenario replays deterministically, tick for
+// tick.
 
 // sent is one message the coordinator sent to a peer.
 type sent struct {
@@ -34,9 +35,9 @@ type syncClock struct {
 	armed []time.Duration
 }
 
-func (c *syncClock) After(d time.Duration) <-chan vclock.Time {
+func (c *syncClock) AfterFunc(d time.Duration, f func()) {
 	c.armed = append(c.armed, d)
-	return c.Manual.After(d)
+	c.Manual.AfterFunc(d, f)
 }
 
 type syncRig struct {
@@ -61,7 +62,7 @@ func (g *syncRig) Close() error           { return nil }
 func (g *syncRig) Node() partition.NodeID { return "gc" }
 func (g *syncRig) Send(to partition.NodeID, m proto.Message) error {
 	if to == "gc" {
-		g.self <- m // only the deadline goroutines send here
+		g.self <- m // only the coordinator's timers send here
 		return nil
 	}
 	if _, ok := m.(proto.ReplicaMap); !ok {
@@ -101,7 +102,6 @@ func newSyncRig(t *testing.T, n int, strategy core.Strategy, replicate bool, tun
 	if err := g.coord.Attach(g); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { g.coord.Handle("gc", proto.Stop{}) }) // releases the deadline goroutines
 	return g
 }
 
@@ -129,11 +129,12 @@ func (g *syncRig) report(node partition.NodeID, mem int64, output uint64) {
 	g.handle(node, proto.StatsReport{Node: node, MemBytes: mem, Groups: 4, Output: output})
 }
 
-// tick advances the clock and delivers one lb tick.
+// tick advances the clock and delivers one lb tick. It comes from
+// another node, as a harness drives one, so it arms no lb_timer chain.
 func (g *syncRig) tick(advance time.Duration) {
 	g.t.Helper()
 	g.clock.Advance(advance)
-	g.handle("gc", proto.Tick{Kind: proto.TickLB})
+	g.handle("gen", proto.Tick{Kind: proto.TickLB})
 }
 
 // last is the most recent message sent to a peer.

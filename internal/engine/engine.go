@@ -199,8 +199,10 @@ type Engine struct {
 	// repeated StartCleanup is answered with it instead of a second run.
 	cleanupDone *proto.CleanupDone
 
-	tickers []*vclock.Ticker
-	stopped bool
+	// statsDue and spillDue are the deadlines of the armed sr_timer and
+	// ss_timer ticks; each self-sent tick arms the next (onTick).
+	statsDue, spillDue vclock.Time
+	stopped            bool
 	// crashed simulates an abrupt machine failure: the handler discards
 	// everything still queued. Set from outside the handler goroutine.
 	crashed atomic.Bool
@@ -328,9 +330,11 @@ func (e *Engine) Start() error {
 	if err := e.ep.Send(e.cfg.Coordinator, hello); err != nil {
 		e.log.Warn("coordinator_unreachable", obs.FErr(err))
 	}
-	e.armTicker(e.cfg.StatsInterval, proto.TickStats)
+	now := e.clock.Now()
+	e.statsDue, e.spillDue = now, now
+	e.arm(proto.TickStats, &e.statsDue, e.cfg.StatsInterval)
 	if e.cfg.LocalSpill {
-		e.armTicker(e.cfg.SpillCheckInterval, proto.TickSpill)
+		e.arm(proto.TickSpill, &e.spillDue, e.cfg.SpillCheckInterval)
 	}
 	return nil
 }
@@ -358,22 +362,18 @@ func (e *Engine) unacknowledged() error {
 // Leave was acknowledged and it owns no partitions).
 func (e *Engine) Left() bool { return e.leftAck.Load() }
 
-func (e *Engine) armTicker(period time.Duration, kind string) {
-	tk := e.clock.NewTicker(period)
-	e.tickers = append(e.tickers, tk)
-	self := e.cfg.Node
-	go func() {
-		for {
-			select {
-			case <-tk.C:
-				if err := e.ep.Send(self, proto.Tick{Kind: kind}); err != nil {
-					return
-				}
-			case <-e.done:
-				return
-			}
-		}
-	}()
+// arm moves *due to the next deadline of a period-long timer and asks
+// the clock for the kind tick then, sent to this engine's own endpoint.
+func (e *Engine) arm(kind string, due *vclock.Time, period time.Duration) {
+	now := e.clock.Now()
+	*due = vclock.Next(*due, period, now)
+	// The callback holds the endpoint, not e: a stopped engine's state
+	// must not live on until its last timer fires.
+	ep, self := e.ep, e.cfg.Node
+	e.clock.AfterFunc(due.Sub(now), func() {
+		//distqlint:allow uncheckederr: self-addressed timer; a closed own endpoint means the engine stopped or crashed, and ticks end with it
+		ep.Send(self, proto.Tick{Kind: kind})
+	})
 }
 
 // Events exposes the engine's adaptation event log.
@@ -403,7 +403,7 @@ func (e *Engine) Handle(from partition.NodeID, msg proto.Message) {
 	case proto.PauseMarker:
 		err = e.onPauseMarker(m)
 	case proto.Tick:
-		err = e.onTick(m)
+		err = e.onTick(from, m)
 	case proto.CptV:
 		err = e.onCptV(m)
 	case proto.SendStates:
@@ -499,11 +499,21 @@ func (e *Engine) onData(m proto.Data) error {
 	return nil
 }
 
-func (e *Engine) onTick(m proto.Tick) error {
+// onTick runs a timer. A tick the engine sent itself arms the next one
+// first; a tick from another node (a test, a harness) runs the timer's
+// work once and leaves the period alone.
+func (e *Engine) onTick(from partition.NodeID, m proto.Tick) error {
+	self := from == e.cfg.Node
 	switch m.Kind {
 	case proto.TickStats:
+		if self {
+			e.arm(m.Kind, &e.statsDue, e.cfg.StatsInterval)
+		}
 		return errors.Join(e.unacknowledged(), e.reportStats())
 	case proto.TickSpill:
+		if self {
+			e.arm(m.Kind, &e.spillDue, e.cfg.SpillCheckInterval)
+		}
 		// Algorithm 1, ss_timer_expired: spill only from normal mode;
 		// in any adaptation mode, wait for the next timer expiry.
 		if e.mode() != core.NormalMode || !e.cfg.LocalSpill {
@@ -856,9 +866,6 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 // "Cold restart"). Callable from any goroutine.
 func (e *Engine) Crash() {
 	e.crashed.Store(true)
-	for _, tk := range e.tickers {
-		tk.Stop()
-	}
 	if e.ep != nil {
 		_ = e.ep.Close()
 	}
@@ -1049,9 +1056,6 @@ func (e *Engine) maybeFlushResults(force bool) {
 
 func (e *Engine) shutdown() {
 	e.stopped = true
-	for _, tk := range e.tickers {
-		tk.Stop()
-	}
 	e.doneOnce.Do(func() { close(e.done) })
 }
 

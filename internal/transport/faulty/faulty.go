@@ -4,7 +4,7 @@
 // protocol's retry/abort machinery can be exercised reproducibly.
 //
 // Fault scheduling runs on the virtual clock: a delayed message is
-// re-submitted after a virtual-time sleep, which both compresses with
+// re-submitted by a virtual-time timer, which both compresses with
 // the experiment's Scale and keeps runs reproducible. Randomized faults
 // draw from one PRNG per sending node, seeded from Config.Seed and the
 // node name, so the fault sequence a node observes does not depend on
@@ -95,8 +95,8 @@ type Network struct {
 	parted   map[[2]partition.NodeID]bool
 	oneshots []*oneShot
 
-	// done closes on Close: delayed deliveries still pending give up
-	// instead of outliving the network.
+	// done closes on Close: a delayed delivery whose timer fires after
+	// it is dropped instead of outliving the network.
 	done     chan struct{}
 	doneOnce sync.Once
 }
@@ -298,21 +298,20 @@ func (e *endpoint) Send(to partition.NodeID, msg proto.Message) error {
 		}
 		return e.inner.Send(to, msg)
 	case delay:
-		after := e.net.clock.After(d)
-		go func() {
+		e.net.clock.AfterFunc(d, func() {
 			select {
-			case <-after:
 			case <-e.net.done:
 				// The network closed while the message was in flight: a
 				// drop, which the fault model already permits.
 				return
+			default:
 			}
 			// A delayed message that can no longer be delivered (the
 			// receiver detached meanwhile) is a drop, which the fault
 			// model already permits for eligible messages.
 			//distqlint:allow uncheckederr: delayed delivery has no caller to return to; loss is within the fault model
 			e.inner.Send(to, msg)
-		}()
+		})
 		return nil
 	default:
 		return e.inner.Send(to, msg)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/partition"
@@ -802,6 +803,9 @@ func hello(raw net.Conn, id string) (*senderCredit, error) {
 	pre := binary.LittleEndian.AppendUint16(append([]byte(helloMagic), wireVersion), uint16(len(id)))
 	pre = append(pre, id...)
 	if _, err := raw.Write(pre); err != nil {
+		if errors.Is(err, io.ErrClosedPipe) || errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET) {
+			return nil, fmt.Errorf("hello: peer hung up before the ack: %w", err)
+		}
 		return nil, fmt.Errorf("hello: %w", err)
 	}
 	if err := raw.SetReadDeadline(time.Now().Add(handshakeTimeout)); err != nil {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"net"
@@ -178,12 +179,14 @@ func TestTCPHelloFailureSaysWhy(t *testing.T) {
 	ack := func(magic string, version byte) []byte {
 		return binary.LittleEndian.AppendUint64(append([]byte(magic), version), 1<<20)
 	}
+	unread := []byte("unread") // hang up before reading the hello
 	for _, tc := range []struct {
 		name   string
 		answer []byte // nil: hang up; empty: stay silent
 		want   string
 	}{
 		{"hang up", nil, "hung up"},
+		{"hang up unread", unread, "hung up"},
 		{"garbage", ack("XX", wireVersion), "bad magic"},
 		{"other version", ack(ackMagic, wireVersion+1), "version mismatch"},
 		// A mixed pair: version 2 laid StateTransfer, StateDelta and
@@ -200,6 +203,10 @@ func TestTCPHelloFailureSaysWhy(t *testing.T) {
 	} {
 		dialer, peer := net.Pipe()
 		go func() {
+			if bytes.Equal(tc.answer, unread) {
+				peer.Close()
+				return
+			}
 			io.ReadFull(peer, make([]byte, len(helloBytes(wireVersion, "a"))))
 			if tc.answer == nil {
 				peer.Close()

@@ -11,6 +11,8 @@ package vclock
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 )
@@ -36,28 +38,34 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // Clock supplies virtual time. All durations passed to a Clock are virtual
 // durations; implementations translate them to wall time as appropriate.
+//
+// AfterFunc is the one timer: a node that waits on time asks for a
+// callback that sends a message to its own endpoint, and a periodic
+// timer is re-armed by the handler of each tick (see Next). No timer is
+// ever stopped: a callback whose moment has passed finds its message
+// stale or its receiver gone.
 type Clock interface {
 	// Now returns the current virtual time.
 	Now() Time
 	// Sleep blocks for virtual duration d.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the virtual time after virtual
-	// duration d has elapsed.
-	After(d time.Duration) <-chan Time
-	// NewTicker returns a ticker firing every virtual duration d.
-	NewTicker(d time.Duration) *Ticker
+	// AfterFunc calls f once, after virtual duration d; d <= 0 calls it
+	// at once. Scaled runs f on a goroutine of its own, Manual on the one
+	// calling Advance (or AfterFunc, for d <= 0), so f must not block.
+	AfterFunc(d time.Duration, f func())
 }
 
-// Ticker delivers virtual-time ticks at a fixed virtual interval.
-// Stop must be called to release resources.
-type Ticker struct {
-	// C delivers the virtual time of each tick.
-	C    <-chan Time
-	stop func()
+// Next returns the deadline of the periodic timer after the one due at
+// due: one period later, skipped forward past now when the handler fell
+// behind, so the rate stays 1/period and missed ticks are dropped, as
+// time.Ticker drops them.
+func Next(due Time, period time.Duration, now Time) Time {
+	next := due.Add(period)
+	if next <= now {
+		next = next.Add((now.Sub(next)/period + 1) * period)
+	}
+	return next
 }
-
-// Stop turns off the ticker. It does not close C.
-func (t *Ticker) Stop() { t.stop() }
 
 // Scaled is a Clock whose virtual time advances Factor times faster than
 // wall time. Factor 1 is real time.
@@ -95,51 +103,24 @@ func (c *Scaled) wall(d time.Duration) time.Duration {
 // Sleep implements Clock.
 func (c *Scaled) Sleep(d time.Duration) { time.Sleep(c.wall(d)) }
 
-// After implements Clock.
-func (c *Scaled) After(d time.Duration) <-chan Time {
-	ch := make(chan Time, 1)
-	time.AfterFunc(c.wall(d), func() { ch <- c.Now() })
-	return ch
-}
-
-// NewTicker implements Clock.
-func (c *Scaled) NewTicker(d time.Duration) *Ticker {
-	wt := time.NewTicker(c.wall(d))
-	ch := make(chan Time, 1)
-	done := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-wt.C:
-				select {
-				case ch <- c.Now():
-				default: // receiver is slow; drop the tick like time.Ticker
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return &Ticker{C: ch, stop: func() {
-		wt.Stop()
-		close(done)
-	}}
-}
+// AfterFunc implements Clock: f runs on its own goroutine after the
+// scaled wall time.
+func (c *Scaled) AfterFunc(d time.Duration, f func()) { time.AfterFunc(c.wall(d), f) }
 
 // Manual is a deterministic Clock whose time only moves when Advance is
-// called. Sleepers and timers fire synchronously during Advance, which makes
+// called. Timers fire synchronously during Advance, which makes
 // adaptation logic unit-testable without real concurrency delays.
 type Manual struct {
-	mu      sync.Mutex
-	now     Time
-	waiters []*manualWaiter
+	mu  sync.Mutex
+	now Time
+	// timers are the armed callbacks by deadline, and in arming order
+	// among equal deadlines.
+	timers []manualTimer
 }
 
-type manualWaiter struct {
-	at   Time
-	ch   chan Time
-	tick time.Duration // 0 for one-shot
-	dead bool
+type manualTimer struct {
+	at Time
+	f  func()
 }
 
 // NewManual returns a Manual clock starting at virtual time 0.
@@ -152,82 +133,44 @@ func (c *Manual) Now() Time {
 	return c.now
 }
 
-// Advance moves virtual time forward by d, firing any timers and tickers
-// whose deadlines are reached, in deadline order.
+// Advance moves virtual time forward by d, calling every timer whose
+// deadline is reached, in deadline order, on the calling goroutine. Now
+// reads each timer's deadline while its callback runs; the lock is
+// released meanwhile, so a callback may read Now and arm timers, and one
+// armed within the advance fires in it.
 func (c *Manual) Advance(d time.Duration) {
 	c.mu.Lock()
 	target := c.now.Add(d)
-	for {
-		var next *manualWaiter
-		for _, w := range c.waiters {
-			if w.dead || w.at > target {
-				continue
-			}
-			if next == nil || w.at < next.at {
-				next = w
-			}
-		}
-		if next == nil {
-			break
-		}
-		c.now = next.at
-		select {
-		case next.ch <- c.now:
-		default:
-		}
-		if next.tick > 0 {
-			next.at = next.at.Add(next.tick)
-		} else {
-			next.dead = true
-		}
+	for len(c.timers) > 0 && c.timers[0].at <= target {
+		t := c.timers[0]
+		c.timers = slices.Delete(c.timers, 0, 1)
+		c.now = t.at
+		c.mu.Unlock()
+		t.f()
+		c.mu.Lock()
 	}
 	c.now = target
-	c.compact()
 	c.mu.Unlock()
-}
-
-// compact removes dead waiters; callers must hold mu.
-func (c *Manual) compact() {
-	live := c.waiters[:0]
-	for _, w := range c.waiters {
-		if !w.dead {
-			live = append(live, w)
-		}
-	}
-	c.waiters = live
 }
 
 // Sleep implements Clock. With a Manual clock, Sleep blocks until another
 // goroutine advances time past the deadline.
-func (c *Manual) Sleep(d time.Duration) { <-c.After(d) }
-
-// After implements Clock.
-func (c *Manual) After(d time.Duration) <-chan Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := &manualWaiter{at: c.now.Add(d), ch: make(chan Time, 1)}
-	if d <= 0 {
-		w.ch <- c.now
-		w.dead = true
-		return w.ch
-	}
-	c.waiters = append(c.waiters, w)
-	return w.ch
+func (c *Manual) Sleep(d time.Duration) {
+	woke := make(chan struct{})
+	c.AfterFunc(d, func() { close(woke) })
+	<-woke
 }
 
-// NewTicker implements Clock.
-func (c *Manual) NewTicker(d time.Duration) *Ticker {
+// AfterFunc implements Clock: f runs during the Advance that reaches
+// now+d, or before AfterFunc returns when d <= 0.
+func (c *Manual) AfterFunc(d time.Duration, f func()) {
 	if d <= 0 {
-		panic("vclock: non-positive ticker interval")
+		f()
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := &manualWaiter{at: c.now.Add(d), ch: make(chan Time, 1), tick: d}
-	c.waiters = append(c.waiters, w)
-	return &Ticker{C: w.ch, stop: func() {
-		c.mu.Lock()
-		w.dead = true
-		c.compact()
-		c.mu.Unlock()
-	}}
+	at := c.now.Add(d)
+	i := sort.Search(len(c.timers), func(i int) bool { return c.timers[i].at > at })
+	c.timers = slices.Insert(c.timers, i, manualTimer{at, f})
 }
