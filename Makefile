@@ -27,8 +27,8 @@ no-gob:
 	! $(GO) list -deps ./... | grep -x encoding/gob
 
 # lint runs the repo's own analyzers (invariants the stock toolchain
-# cannot see: virtual-time discipline, component boundaries, protocol
-# exhaustiveness, unchecked errors). See PROTOCOL.md.
+# cannot see: virtual-time discipline, protocol exhaustiveness,
+# unchecked errors). See PROTOCOL.md.
 lint:
 	$(GO) run ./cmd/distqlint ./...
 

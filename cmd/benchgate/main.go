@@ -47,6 +47,9 @@ import (
 // count-only group that kept a 32-byte record per tuple in a log beside
 // its payload in a page (6cb4f1a, median of five). split_route's entry:
 // the router that started each batch in a fresh buffer (bd749e5, median of ten).
+// cleanup_merge's entry: the cleanup that copied every generation into
+// per-input maps of tuples and walked them with a recursive enumerator
+// (537cb6b, its BENCH_15.json).
 var prePR = map[string]bench.Metric{
 	"split_route": {
 		Name: "split_route", N: 1_000_000,
@@ -87,6 +90,10 @@ var prePR = map[string]bench.Metric{
 	"batch_stream": {
 		Name: "batch_stream", N: 20_000,
 		NsPerOp: 19802.9, AllocsPerOp: 2.0001, BytesPerOp: 26624.0,
+	},
+	"cleanup_merge": {
+		Name: "cleanup_merge", N: 500,
+		NsPerOp: 212523.6, AllocsPerOp: 605.172, BytesPerOp: 300988.1,
 	},
 }
 

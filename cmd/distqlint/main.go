@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/componentboundary"
 	"repro/internal/analysis/protoexhaustive"
 	"repro/internal/analysis/uncheckederr"
 	"repro/internal/analysis/vclockdiscipline"
@@ -35,7 +34,6 @@ import (
 
 // all lists every analyzer in the suite, in report order.
 var all = []*analysis.Analyzer{
-	componentboundary.Analyzer,
 	protoexhaustive.Analyzer,
 	uncheckederr.Analyzer,
 	vclockdiscipline.Analyzer,

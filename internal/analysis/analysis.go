@@ -1,8 +1,8 @@
 // Package analysis is a small, dependency-free mirror of the
 // golang.org/x/tools/go/analysis API: an Analyzer inspects one
 // type-checked package at a time and reports Diagnostics. The repo's
-// invariants (virtual-time discipline, component boundaries, protocol
-// exhaustiveness, unchecked errors) are enforced by the analyzers under
+// static invariants (virtual-time discipline, protocol exhaustiveness,
+// unchecked errors) are enforced by the analyzers under
 // this directory, driven by cmd/distqlint and by the analysistest
 // harness in tests.
 //

@@ -9,16 +9,19 @@
 // generation (earlier generations are on disk). So the run-time output of
 // a group is exactly the set of matches whose members all share one
 // generation, and the missed results are exactly the matches spanning at
-// least two generations. Processing generations in ascending order while
-// maintaining the union of older generations ("old"), each tuple t of the
-// current generation enumerates partner combinations drawn from old plus
-// the already-processed part of its own generation ("cur"), keeping only
-// combinations with at least one old member. A match whose members'
-// maximal generation is i is emitted exactly once — while processing the
-// last of its generation-i members — and all-same-generation matches are
-// never emitted. This is the incremental view maintenance formulation the
-// paper cites, made possible by the partition-group granularity: no
-// per-tuple timestamps are needed.
+// least two generations. Cleanup lands the generations, oldest first, in
+// one join group of an unwindowed operator (join.Operator.CatchUp), whose
+// lists keep arrival order: before generation i lands, every list's
+// older generations are a prefix of it. Generation i lands input by
+// input, and each tuple t probes before it is added, so every partner
+// list is the prefix of older generations followed, on the inputs before
+// t's, by generation i's tuples; t keeps only the combinations with at
+// least one partner in a prefix. A match whose members' newest
+// generation is i is emitted exactly once — by its generation-i member on
+// the last input, when every other member is already in a list — and
+// all-same-generation matches are never emitted. This is the incremental
+// view maintenance formulation the paper cites, made possible by the
+// partition-group granularity: no per-tuple timestamps are needed.
 package cleanup
 
 import (
@@ -53,28 +56,14 @@ type Stats struct {
 	Elapsed time.Duration
 }
 
-// tables is a per-input hash index over the join key.
-type tables []map[uint64][]tuple.Tuple
-
-func newTables(inputs int) tables {
-	ts := make(tables, inputs)
-	for i := range ts {
-		ts[i] = make(map[uint64][]tuple.Tuple)
-	}
-	return ts
-}
-
-func (ts tables) add(t tuple.Tuple) { ts[t.Stream][t.Key] = append(ts[t.Stream][t.Key], t) }
-
 // Group merges the generations of one partition group (disk segments in
 // ascending generation order, optionally followed by the final resident
 // generation, which the caller appends) and produces the missed results.
-// When emit is nil the results are only counted, using the closed form
-// missed(t) = prod(old+cur) - prod(cur) over the partner inputs.
+// When emit is nil the results are only counted, from list lengths.
 //
 // A positive window restricts results to combinations whose member
-// timestamps span at most window (the windowed join's semantics); the
-// closed form does not apply then, so windowed cleanup always enumerates.
+// timestamps span at most window (the windowed join's semantics); a
+// windowed count reads the tuples' timestamps, so it enumerates.
 func Group(inputs int, gens []*join.GroupSnapshot, window time.Duration, emit join.EmitFunc) (GroupResult, error) {
 	var res GroupResult
 	if len(gens) == 0 {
@@ -93,131 +82,19 @@ func Group(inputs int, gens []*join.GroupSnapshot, window time.Duration, emit jo
 			return res, fmt.Errorf("cleanup: generations out of order for group %d: %d after %d", g.ID, g.Gen, gens[i-1].Gen)
 		}
 	}
-
-	old := newTables(inputs)
-	e := &enumerator{inputs: inputs, window: window, emit: emit, seqs: make([]uint64, inputs)}
+	if window > 0 && emit == nil {
+		emit = func(tuple.Result) {} // only an emitting operator keeps timestamps
+	}
+	op := join.New(inputs, partition.NewFunc(int(res.ID)+1), emit)
 	for _, g := range gens {
-		cur := newTables(inputs)
-		var t tuple.Tuple
-		for s := 0; s < inputs; s++ {
-			for r := g.Input(s); r.Next(&t); {
-				res.Tuples++
-				res.Results += e.missed(old, cur, &t)
-				cur.add(t)
-			}
+		tuples, missed, err := op.CatchUp(g, window)
+		if err != nil {
+			return res, err
 		}
-		// Fold the finished generation into old.
-		for s := 0; s < inputs; s++ {
-			for k, l := range cur[s] {
-				old[s][k] = append(old[s][k], l...)
-			}
-		}
+		res.Tuples += tuples
+		res.Results += missed
 	}
 	return res, nil
-}
-
-// enumerator produces the missed matches of one tuple.
-type enumerator struct {
-	inputs int
-	window time.Duration
-	emit   join.EmitFunc
-	seqs   []uint64
-	olds   []([]tuple.Tuple)
-	curs   []([]tuple.Tuple)
-	stream int
-	key    uint64
-	ts     vclock.Time
-	count  uint64
-}
-
-// missed returns the number of cross-generation matches completed by t,
-// emitting them when materialization is on.
-func (e *enumerator) missed(old, cur tables, t *tuple.Tuple) uint64 {
-	if e.emit == nil && e.window == 0 {
-		all, sameGen := uint64(1), uint64(1)
-		for j := 0; j < e.inputs; j++ {
-			if j == int(t.Stream) {
-				continue
-			}
-			no := uint64(len(old[j][t.Key]))
-			nc := uint64(len(cur[j][t.Key]))
-			all *= no + nc
-			sameGen *= nc
-			if all == 0 {
-				return 0
-			}
-		}
-		return all - sameGen
-	}
-	if cap(e.olds) < e.inputs {
-		e.olds = make([][]tuple.Tuple, e.inputs)
-		e.curs = make([][]tuple.Tuple, e.inputs)
-	}
-	e.olds = e.olds[:e.inputs]
-	e.curs = e.curs[:e.inputs]
-	for j := 0; j < e.inputs; j++ {
-		if j == int(t.Stream) {
-			continue
-		}
-		e.olds[j] = old[j][t.Key]
-		e.curs[j] = cur[j][t.Key]
-		if len(e.olds[j])+len(e.curs[j]) == 0 {
-			return 0
-		}
-	}
-	e.stream = int(t.Stream)
-	e.key = t.Key
-	e.ts = t.Ts
-	e.seqs[t.Stream] = t.Seq
-	e.count = 0
-	e.walk(0, false, t.Ts, t.Ts)
-	return e.count
-}
-
-// walk binds one partner per input, tracking whether any bound partner is
-// from an older generation and the combination's timestamp span; only
-// combinations with anyOld (and, when windowed, span <= window) are
-// emitted.
-func (e *enumerator) walk(input int, anyOld bool, minTs, maxTs vclock.Time) {
-	if input == e.inputs {
-		if !anyOld {
-			return
-		}
-		if e.window > 0 && maxTs.Sub(minTs) > e.window {
-			return
-		}
-		if e.emit != nil {
-			// The EmitFunc contract lets us hand out the scratch seqs
-			// buffer directly; retaining consumers must Clone.
-			e.emit(tuple.Result{Key: e.key, Seqs: e.seqs})
-		}
-		e.count++
-		return
-	}
-	if input == e.stream {
-		e.walk(input+1, anyOld, minTs, maxTs)
-		return
-	}
-	bind := func(u *tuple.Tuple, old bool) {
-		lo, hi := minTs, maxTs
-		if u.Ts < lo {
-			lo = u.Ts
-		}
-		if u.Ts > hi {
-			hi = u.Ts
-		}
-		if e.window > 0 && hi.Sub(lo) > e.window {
-			return // prune: span already exceeded
-		}
-		e.seqs[input] = u.Seq
-		e.walk(input+1, anyOld || old, lo, hi)
-	}
-	for i := range e.olds[input] {
-		bind(&e.olds[input][i], true)
-	}
-	for i := range e.curs[input] {
-		bind(&e.curs[input][i], false)
-	}
 }
 
 // Run performs the cleanup for every group with segments in store,

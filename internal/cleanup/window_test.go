@@ -133,3 +133,43 @@ func TestWindowedGroupSpanFilter(t *testing.T) {
 		t.Fatalf("unbounded cleanup produced %d results, want 2", res.Results)
 	}
 }
+
+// TestWindowedCleanupCrossGenerationDisorder: generation 1 of a group
+// holds a tuple stamped before a generation-0 tuple of the same key and
+// input. Cleanup lands generations in arrival order, not timestamp
+// order, so generation 0 stays the prefix of every list and run-time ∪
+// cleanup equals the windowed oracle exactly.
+func TestWindowedCleanupCrossGenerationDisorder(t *testing.T) {
+	const inputs = 2
+	window := 10 * time.Second
+	got := tuple.NewResultSet()
+	op := join.NewWindowed(inputs, partition.NewFunc(1), window, func(r tuple.Result) { got.Add(r) })
+	store := spill.NewMemStore()
+	mgr := spill.NewManager(op, store, core.LargestPolicy{})
+	history := []tuple.Tuple{
+		wTuple(0, 1, 0, 5*time.Second),
+		wTuple(1, 1, 1, 6*time.Second),
+		// Generation 1: seq 2 is stamped before seq 0, on its input and key.
+		wTuple(0, 1, 2, 4*time.Second),
+		wTuple(1, 1, 3, 7*time.Second),
+	}
+	for i, tp := range history {
+		if _, err := op.Process(tp); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			if _, err := mgr.Spill(op.MemBytes(), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stats, err := Run(inputs, store, op, window, func(r tuple.Result) { got.Add(r) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := join.WindowedOracle(inputs, history, window)
+	if stats.Results != 2 || got.Duplicates() != 0 || got.Len() != want.Len() || len(want.Diff(got)) != 0 {
+		t.Fatalf("cleanup %d results, run-time ∪ cleanup %d with %d duplicates, windowed oracle %d (missing %v)",
+			stats.Results, got.Len(), got.Duplicates(), want.Len(), want.Diff(got))
+	}
+}

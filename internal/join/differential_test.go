@@ -21,7 +21,7 @@ import (
 // half merged, as a promotion does, into the group the first half made
 // resident), and, for the windowed join, Purge — under a seeded
 // schedule, then cleans up with cleanup.Group. Run-time plus cleanup
-// results must equal the oracle's exactly.
+// results must equal the oracle's exactly, for 2-, 3- and 4-way joins.
 //
 // The unbounded join runs a count-only twin through the same schedule.
 // Its groups log their records where the emitting operator's keep runs,
@@ -32,15 +32,18 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 	for _, window := range []time.Duration{0, 150 * time.Millisecond} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("window=%s/seed=%d", window, seed), func(t *testing.T) {
-				differential(t, window, seed)
+				for inputs := 2; inputs <= 4; inputs++ {
+					t.Run(fmt.Sprintf("inputs=%d", inputs), func(t *testing.T) {
+						differential(t, inputs, window, seed)
+					})
+				}
 			})
 		}
 	}
 }
 
-func differential(t *testing.T, window time.Duration, seed int64) {
+func differential(t *testing.T, inputs int, window time.Duration, seed int64) {
 	const (
-		inputs     = 3
 		partitions = 8
 		steps      = 3000
 	)

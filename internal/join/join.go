@@ -833,23 +833,32 @@ func (o *Operator) RemoveForRelocation(id partition.ID) *GroupSnapshot {
 // standby copies into resident state. The payloads are copied: the
 // snapshot's bytes are not kept.
 func (o *Operator) Merge(snap *GroupSnapshot) error {
-	if len(snap.Inputs) != o.inputs {
-		return fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Inputs), o.inputs)
-	}
-	i, g := o.find(snap.ID)
-	if i < 0 {
-		return fmt.Errorf("join: group %d outside the %d partitions", snap.ID, o.part.N())
-	}
-	if g == nil {
-		g = newGroup(snap.ID, snap.Gen, o.inputs)
-		g.output, g.spilledTs = snap.Output, snap.SpilledTs
-		o.groups[i] = g
+	g, err := o.adopt(snap)
+	if err != nil {
+		return err
 	}
 	o.land(g, snap)
 	g.cum = max(g.cum, snap.CumBytes, g.size)
 	g.spilledTs = max(g.spilledTs, snap.SpilledTs)
 	g.everSpilled = g.everSpilled || snap.EverSpilled
 	return nil
+}
+
+// adopt returns the group snap lands in, registered from snap's header
+// if it is not resident.
+func (o *Operator) adopt(snap *GroupSnapshot) (*group, error) {
+	i, g := o.find(snap.ID)
+	switch {
+	case len(snap.Inputs) != o.inputs:
+		return nil, fmt.Errorf("join: snapshot has %d inputs, operator has %d", len(snap.Inputs), o.inputs)
+	case i < 0:
+		return nil, fmt.Errorf("join: group %d outside the %d partitions", snap.ID, o.part.N())
+	case g == nil:
+		g = newGroup(snap.ID, snap.Gen, o.inputs)
+		g.output, g.spilledTs = snap.Output, snap.SpilledTs
+		o.groups[i] = g
+	}
+	return g, nil
 }
 
 // MergeRuns appends the tuples of runs — each encoded back to back as
@@ -863,6 +872,117 @@ func (o *Operator) MergeRuns(id partition.ID, runs ...[]byte) error {
 		return err
 	}
 	return o.Merge(snap)
+}
+
+// CatchUp lands snap, the next generation of its group, and counts —
+// emitting them too when the operator materializes — the matches of its
+// tuples with at least one member in an older generation: what the
+// run-time phase missed (package cleanup says why exactly). An
+// unwindowed operator's lists keep arrival order, so the older
+// generations are each list's prefix up to the mark taken before snap
+// lands. A positive window keeps the matches spanning at most window;
+// that reads timestamps, which only an emitting operator keeps.
+func (o *Operator) CatchUp(snap *GroupSnapshot, window time.Duration) (tuples int, results uint64, err error) {
+	if o.window > 0 || window > 0 && o.emit == nil {
+		return 0, 0, fmt.Errorf("join: catch-up needs an unwindowed operator, and an emitting one for a window")
+	}
+	g, err := o.adopt(snap)
+	if err != nil {
+		return 0, 0, err
+	}
+	marks := make([]uint32, len(g.lists))
+	for e, l := range g.lists {
+		marks[e] = l.n
+	}
+	var t tuple.Tuple
+	for s := range snap.Inputs {
+		for r := snap.Input(s); r.Next(&t); {
+			e := g.entry(t.Key)
+			if e < len(marks) { // a key new in snap has no old partner
+				results += o.missed(g, g.lists[e:e+o.inputs], marks[e:e+o.inputs], &t, window)
+			}
+			o.add(g, e, int(t.Stream), &t)
+			tuples++
+		}
+	}
+	return tuples, results, nil
+}
+
+// missed counts (and emits) t's matches with at least one partner below
+// its list's old mark. Unwindowed, they are all matches less the
+// all-current ones, and a materializing operator enumerates them by the
+// first input k whose partner is old: the inputs before k bind current
+// partners, k an old one and the inputs after k any.
+func (o *Operator) missed(g *group, ls []list, old []uint32, t *tuple.Tuple, window time.Duration) uint64 {
+	self := int(t.Stream)
+	if window > 0 {
+		o.seqs[self] = t.Seq
+		return o.span(g, ls, old, t, 0, false, t.Ts, t.Ts, window)
+	}
+	if o.emit == nil {
+		all, cur := uint64(1), uint64(1)
+		for j, l := range ls {
+			if j != self {
+				all *= uint64(l.n)
+				cur *= uint64(l.n - old[j])
+			}
+		}
+		return all - cur
+	}
+	count := uint64(0)
+	for k := range ls {
+		if k == self || old[k] == 0 {
+			continue
+		}
+		n := uint64(1)
+		for j, l := range ls {
+			if j == self {
+				continue
+			}
+			seqs := g.col(l)
+			switch {
+			case j < k:
+				seqs = seqs[old[j]:]
+			case j == k:
+				seqs = seqs[:old[j]]
+			}
+			if n *= uint64(len(seqs)); n == 0 {
+				break
+			}
+			o.lists[j] = seqs
+		}
+		if n > 0 {
+			o.enumerate(t)
+			count += n
+		}
+	}
+	return count
+}
+
+// span binds a partner of t on every input from j on, pruning any
+// partial combination whose timestamps lo..hi already span more than
+// window, and counts (and emits) the complete ones that have an old
+// partner.
+func (o *Operator) span(g *group, ls []list, old []uint32, t *tuple.Tuple, j int, anyOld bool, lo, hi vclock.Time, window time.Duration) uint64 {
+	if j == int(t.Stream) {
+		j++
+	}
+	if j == len(ls) {
+		if !anyOld {
+			return 0
+		}
+		o.emit(tuple.Result{Key: t.Key, Seqs: o.seqs})
+		return 1
+	}
+	count := uint64(0)
+	rs, seqs := g.run(ls[j]), g.col(ls[j])
+	for i := range rs {
+		if l, h := min(lo, rs[i].ts), max(hi, rs[i].ts); h.Sub(l) <= window {
+			o.seqs[j] = seqs[i]
+			count += o.span(g, ls, old, t, j+1, anyOld || i < int(old[j]), l, h, window)
+		}
+	}
+	return count
 }
 
 // ResidentSnapshot returns the current-generation state of the group

@@ -129,6 +129,14 @@ func (e *inprocEndpoint) Node() partition.NodeID { return e.node }
 
 // Send implements Endpoint.
 func (e *inprocEndpoint) Send(to partition.NodeID, msg proto.Message) error {
+	// Read our own flag before taking dst's lock, which is this lock
+	// again on a self-send.
+	e.sendMu.RLock()
+	closed := e.dead
+	e.sendMu.RUnlock()
+	if closed {
+		return fmt.Errorf("transport: endpoint %s closed", e.node)
+	}
 	e.net.mu.RLock()
 	dst, ok := e.net.nodes[to]
 	e.net.mu.RUnlock()

@@ -298,6 +298,44 @@ func TestCloseEndpointStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestClosedEndpointRefusesToSend: once an endpoint is closed its Send
+// fails and nothing arrives under its name. A marker from a third node
+// sent after the refused send must be the only message b gets.
+func TestClosedEndpointRefusesToSend(t *testing.T) {
+	for name, n := range networks(t) {
+		t.Run(name, func(t *testing.T) {
+			defer n.Close()
+			rec := newRecorder()
+			if _, err := n.Attach("b", rec.handle); err != nil {
+				t.Fatal(err)
+			}
+			a, err := n.Attach("a", func(partition.NodeID, proto.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := n.Attach("c", func(partition.NodeID, proto.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Send("b", proto.Tick{}); err == nil {
+				t.Fatal("a closed endpoint's send succeeded")
+			}
+			if err := c.Send("b", proto.Stop{}); err != nil {
+				t.Fatal(err)
+			}
+			rec.wait(t, 1)
+			rec.mu.Lock()
+			defer rec.mu.Unlock()
+			if len(rec.msgs) != 1 || rec.from[0] != "c" {
+				t.Fatalf("b received %v from %v, want only c's marker", rec.msgs, rec.from)
+			}
+		})
+	}
+}
+
 func TestNetworkCloseIdempotent(t *testing.T) {
 	for name, n := range networks(t) {
 		t.Run(name, func(t *testing.T) {
