@@ -1,5 +1,6 @@
 # Tier-1 verification for the repo: vet, build, lint, race-test, fuzz
-# smoke. `make check` is what CI and the roadmap's tier-1 gate run.
+# smoke. `make check` is the roadmap's tier-1 gate; CI runs each of its
+# gates once, split over its lint and check jobs.
 # `make bench` is the separate benchmark regression gate (cmd/benchgate):
 # fixed-iteration hot-path micro-benchmarks and one compressed figure
 # run, written to BENCH_15.json and gated against BENCH_BASELINE.json.

@@ -132,11 +132,6 @@ func main() {
 				for _, lag := range gc.ReplicationLag() {
 					snap.ReplLagBytes += lag
 				}
-				for _, ev := range gc.Events().All() {
-					snap.Events = append(snap.Events, monitor.EventJSON{
-						VirtualTime: ev.T.String(), Node: string(ev.Node), Kind: ev.Kind, Detail: ev.Detail,
-					})
-				}
 				return snap
 			},
 			Registry:        gc.Registry(),
@@ -157,7 +152,4 @@ func main() {
 	<-sig
 	gc.Stop()
 	log.Printf("coordinator: %d relocations, %d forced spills", gc.Relocations(), gc.ForcedSpills())
-	for _, e := range gc.Events().All() {
-		log.Printf("  %s %s %s: %s", e.T, e.Kind, e.Node, e.Detail)
-	}
 }

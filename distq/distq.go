@@ -52,8 +52,6 @@ type (
 	SpillConfig = core.SpillConfig
 	// Series is a virtual-time metric series.
 	Series = stats.Series
-	// Event is one adaptation event.
-	Event = stats.Event
 	// Result is one join match, identified by the join key and the
 	// per-stream sequence numbers of its input tuples.
 	Result = tuple.Result

@@ -32,7 +32,7 @@ func runWithSpills(t *testing.T, inputs, parts int, history []tuple.Tuple, spill
 			t.Fatal(err)
 		}
 		if spillAt[i] {
-			if _, err := mgr.Spill(op.MemBytes(), 0); err != nil {
+			if _, err := mgr.Spill(op.MemBytes()); err != nil {
 				t.Fatal(err)
 			}
 		}

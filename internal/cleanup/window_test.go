@@ -44,7 +44,7 @@ func TestWindowedCleanupExactness(t *testing.T) {
 		}
 		switch {
 		case i%120 == 60:
-			if _, err := mgr.Spill(op.MemBytes()/2, 0); err != nil {
+			if _, err := mgr.Spill(op.MemBytes() / 2); err != nil {
 				t.Fatal(err)
 			}
 		case i%90 == 89:
@@ -90,7 +90,7 @@ func TestWindowedCleanupCountOnlyMatchesEnumerated(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			op.Process(wTuple(uint8(rng.Intn(inputs)), uint64(rng.Intn(5)), uint64(i), time.Duration(i)*time.Second))
 			if i%80 == 40 {
-				mgr.Spill(op.MemBytes(), 0)
+				mgr.Spill(op.MemBytes())
 			}
 		}
 		return op, store
@@ -158,7 +158,7 @@ func TestWindowedCleanupCrossGenerationDisorder(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 1 {
-			if _, err := mgr.Spill(op.MemBytes(), 0); err != nil {
+			if _, err := mgr.Spill(op.MemBytes()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -89,8 +89,6 @@ type Result struct {
 	// stale-copy demotions (Replicate mode only).
 	Promotions int
 	Demotions  int
-	// Events merges all adaptation events.
-	Events []stats.Event
 	// Cleanup summarizes the disk phase (zero value if not run).
 	Cleanup CleanupSummary
 	// RuntimeSet / CleanupSet hold the materialized results
@@ -108,18 +106,6 @@ type Result struct {
 	// Metrics merges every node's metric registry; each value carries a
 	// "node" label identifying its origin.
 	Metrics []obs.MetricValue
-}
-
-// RelocationSpans filters Spans down to the coordinator's complete
-// 8-step relocation spans.
-func (r *Result) RelocationSpans() []obs.SpanData {
-	var out []obs.SpanData
-	for _, s := range r.Spans {
-		if s.Name == obs.SpanRelocation {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // appendNodeMetrics exports reg tagging every value with its node.
@@ -571,20 +557,17 @@ func (c *Cluster) Finish() (*Result, error) {
 	for node, e := range c.engines {
 		if c.crashed[node] {
 			// A crashed, never-restarted engine's volatile state is gone;
-			// its events and spans come in through retired below.
+			// its spans come in through retired below.
 			continue
 		}
 		res.Memory[node] = c.coord.MemSeries(node)
 		res.LocalSpills[node] = e.SpillManager().Count()
 		res.SpilledBytes[node] = e.SpillManager().SpilledBytes()
 		res.RuntimeOutput += e.Op().Output()
-		res.Events = append(res.Events, e.Events().All()...)
 	}
 	for _, e := range c.retired {
-		res.Events = append(res.Events, e.Events().All()...)
 		res.Spans = append(res.Spans, e.Tracer().Spans()...)
 	}
-	res.Events = append(res.Events, c.coord.Events().All()...)
 	res.Relocations = c.coord.Relocations()
 	res.ForcedSpills = c.coord.ForcedSpills()
 	res.AbortedRelocations = c.coord.AbortedRelocations()

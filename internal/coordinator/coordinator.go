@@ -127,7 +127,6 @@ type Coordinator struct {
 	// concurrent accessor reads; the handler thread is the only writer.
 	memMu   sync.RWMutex
 	engines map[partition.NodeID]*engineInfo
-	events  *stats.EventLog
 
 	// epoch is the id counter (nextID); runs holds every adaptation in
 	// flight by the id its awaited step was sent under, fg the one
@@ -204,7 +203,6 @@ func New(cfg Config, clock vclock.Clock) (*Coordinator, error) {
 		cfg:            cfg,
 		clock:          clock,
 		engines:        make(map[partition.NodeID]*engineInfo),
-		events:         stats.NewEventLog(),
 		runs:           make(map[uint64]*run),
 		pendingDemotes: make(map[partition.NodeID][]partition.ID),
 		replAssign:     make(map[partition.ID]partition.NodeID),
@@ -304,9 +302,6 @@ func (c *Coordinator) after(d time.Duration, m proto.Message) {
 		ep.Send(self, m)
 	})
 }
-
-// Events exposes the coordinator's adaptation event log.
-func (c *Coordinator) Events() *stats.EventLog { return c.events }
 
 // MemSeries returns the recorded memory usage series of an engine.
 func (c *Coordinator) MemSeries(node partition.NodeID) *stats.Series {
@@ -506,7 +501,6 @@ func (c *Coordinator) onStats(m proto.StatsReport) {
 		now := c.clock.Now()
 		info.memberSpan.End(now)
 		info.memberSpan = nil
-		c.events.Add(stats.Event{T: now, Node: m.Node, Kind: stats.EventJoin, Detail: "first report; active"})
 		c.log.Info("engine_joined", obs.F("engine", string(m.Node)))
 	}
 	info.lastReplVersion.Store(m.ReplVersion)
@@ -546,7 +540,6 @@ func (c *Coordinator) heartbeat(node partition.NodeID) {
 	}
 	info.alive.Store(true)
 	c.mRevivals.Inc()
-	c.events.Add(stats.Event{T: now, Node: node, Kind: stats.EventEngineAlive, Detail: "re-registered"})
 	c.log.Info("engine_revived", obs.F("engine", string(node)))
 	c.queueDemote(node)
 	if fg := c.fg; fg == nil || fg.plan != &promotionPlan || fg.sender != node {
@@ -676,8 +669,6 @@ func (c *Coordinator) checkHeartbeats(now vclock.Time) {
 				info.alive.Store(false)
 				info.diedAt = now
 				c.mDeaths.Inc()
-				c.events.Add(stats.Event{T: now, Node: node, Kind: stats.EventEngineDead,
-					Detail: fmt.Sprintf("silent for %s", now.Sub(info.lastSeen))})
 				c.log.Warn("engine_dead", obs.F("engine", string(node)),
 					obs.F("silent_for", now.Sub(info.lastSeen).String()))
 				c.pauseDead(node)
@@ -724,7 +715,6 @@ func (c *Coordinator) onJoinRequest(m proto.JoinRequest) error {
 	c.memMu.Lock()
 	c.engines[m.Node] = info
 	c.memMu.Unlock()
-	c.events.Add(stats.Event{T: now, Node: m.Node, Kind: stats.EventJoin, Detail: "admitted; awaiting first report"})
 	c.log.Info("engine_admitted", obs.F("engine", string(m.Node)))
 	return c.ep.Send(m.Node, proto.JoinAck{Node: m.Node, Accepted: true})
 }
@@ -789,8 +779,6 @@ func (c *Coordinator) onLeave(m proto.Leave) error {
 		span.SetAttr("node", string(m.Node))
 		info.memberSpan = span
 		owned := len(c.cfg.Map.OwnedBy(m.Node))
-		c.events.Add(stats.Event{T: now, Node: m.Node, Kind: stats.EventLeave,
-			Detail: fmt.Sprintf("draining %d partitions", owned)})
 		c.log.Info("engine_draining", obs.F("engine", string(m.Node)), obs.FInt("partitions", int64(owned)))
 	}
 	c.ackDrainedLeavers()
@@ -817,7 +805,6 @@ func (c *Coordinator) ackDrainedLeavers() {
 		c.lagMu.Lock()
 		delete(c.nodeLag, node)
 		c.lagMu.Unlock()
-		c.events.Add(stats.Event{T: now, Node: node, Kind: stats.EventLeave, Detail: "drained; released"})
 		c.log.Info("engine_left", obs.F("engine", string(node)))
 		if err := c.ep.Send(node, proto.LeaveAck{Node: node}); err != nil {
 			c.fail(fmt.Errorf("leave ack to %s: %w", node, err))

@@ -184,9 +184,6 @@ func TestFullRelocationProtocol(t *testing.T) {
 	// Step 8: ack completes.
 	r.gen.ep.Send("gc", proto.RemapAck{Epoch: cptv.Epoch})
 	waitFor(t, func() bool { return r.coord.Relocations() == 1 })
-	if r.coord.Events().Count("relocation") != 1 {
-		t.Fatal("relocation event missing")
-	}
 }
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -254,9 +251,6 @@ func TestForcedSpillFlow(t *testing.T) {
 	}
 	r.m2.ep.Send("gc", proto.SpillDone{Node: "m2", Bytes: 450, Seq: fs.Seq})
 	waitFor(t, func() bool { return r.coord.ForcedSpills() == 1 })
-	if r.coord.Events().Count("forced-spill") != 1 {
-		t.Fatal("forced-spill event missing")
-	}
 }
 
 func TestQuiesceImmediateWhenIdle(t *testing.T) {

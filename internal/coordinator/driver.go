@@ -8,7 +8,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/proto"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -101,7 +100,9 @@ func (c *Coordinator) advance(r *run, now vclock.Time) {
 		c.transmit(r)
 		return
 	}
-	r.plan.done(c, r, now)
+	if r.plan.done != nil {
+		r.plan.done(c, r, now)
+	}
 	c.retire(r)
 }
 
@@ -153,8 +154,6 @@ func (c *Coordinator) onDeadline(m proto.RelocTimeout) {
 	if r.attempts < c.cfg.RelocMaxRetries {
 		r.attempts++
 		c.mRetries.Inc()
-		c.events.Add(stats.Event{T: now, Node: r.dest, Kind: stats.EventRetry,
-			Detail: fmt.Sprintf("phase %s attempt %d epoch %d", st.name, r.attempts, r.id)})
 		c.transmit(r)
 		return
 	}
@@ -163,8 +162,6 @@ func (c *Coordinator) onDeadline(m proto.RelocTimeout) {
 		esc = giveUp // nothing was paused
 	}
 	err := fmt.Errorf("%s epoch %d: %s to %s unacknowledged after %d sends: %s", r.plan.name, r.id, st.name, r.dest, r.attempts+1, esc)
-	c.events.Add(stats.Event{T: now, Node: r.dest, Kind: stats.EventExhausted,
-		Detail: fmt.Sprintf("phase %s epoch %d: %s", st.name, r.id, esc)})
 	c.log.Warn("step_exhausted", obs.F("plan", r.plan.name), obs.F("step", st.name), obs.FUint("epoch", r.id),
 		obs.F("peer", string(r.dest)), obs.F("escalation", esc.String()))
 	reason := strings.TrimPrefix(st.name, "wait_") + " timeout"
@@ -214,7 +211,6 @@ func (c *Coordinator) abort(r *run, now vclock.Time, reason string) {
 	if !r.plan.background {
 		c.log.Warn("relocation_aborted", obs.FUint("epoch", r.id), obs.F("reason", reason))
 		c.mAborted.Inc()
-		c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventAbort, Detail: reason})
 	}
 	c.retire(r)
 }

@@ -1,12 +1,10 @@
 package coordinator
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/stats"
 	"repro/internal/vclock"
 )
 
@@ -56,7 +54,7 @@ func (e escalation) String() string { return escalationNames[e] }
 
 // step is one row of a plan.
 type step struct {
-	// name labels the step in retry and exhaustion events, errors and
+	// name labels the step in the step_exhausted log entry, errors and
 	// the PROTOCOL.md table.
 	name string
 	// to receives the message build makes; from must send the ack (they
@@ -90,7 +88,7 @@ type plan struct {
 	steps      []step
 	// begin opens the run's span and logs its start; committed runs
 	// right after the map commit; done closes a run whose last step was
-	// acked or skipped.
+	// acked or skipped. Each may be nil.
 	begin, committed, done hook
 }
 
@@ -188,7 +186,7 @@ var (
 	rollbackPlan  = plan{name: "rollback", steps: []step{probe, unwind, restore}, done: rolledBack}
 	promotionPlan = plan{name: "promotion", steps: []step{install, repoint},
 		begin: beginPromotion, committed: promotionCommitted, done: promoted}
-	resumePlan = plan{name: "resume", background: true, steps: []step{restore}, done: resumed}
+	resumePlan = plan{name: "resume", background: true, steps: []step{restore}}
 	demotePlan = plan{name: "demote", background: true, steps: []step{drop}, begin: beginDemote, done: demoted}
 
 	plans = []*plan{&relocationPlan, &drainPlan, &forcedSpillPlan, &rollbackPlan, &promotionPlan, &resumePlan, &demotePlan}
@@ -222,8 +220,6 @@ func relocated(c *Coordinator, r *run, now vclock.Time) {
 	c.mRelocVSecs.ObserveDuration(took)
 	c.log.Info("relocation_complete", obs.FUint("epoch", r.id), obs.F("sender", string(r.sender)),
 		obs.F("receiver", string(r.receiver)), obs.FInt("partitions", int64(len(r.parts))))
-	c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventRelocation,
-		Detail: fmt.Sprintf("%d groups %s->%s in %s", len(r.parts), r.sender, r.receiver, took)})
 }
 
 func beginForcedSpill(c *Coordinator, r *run, _ vclock.Time) {
@@ -237,7 +233,6 @@ func spilled(c *Coordinator, r *run, now vclock.Time) {
 	r.span.End(now)
 	c.mForcedSpills.Inc()
 	c.log.Info("forced_spill_complete", obs.F("engine", string(r.sender)), obs.FInt("spilled_bytes", bytes))
-	c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventForcedSpill, Detail: fmt.Sprintf("%d bytes", bytes)})
 }
 
 // rolledBack closes a relocation that was undone: the cluster is as if
@@ -277,8 +272,6 @@ func promoted(c *Coordinator, r *run, now vclock.Time) {
 	r.span.End(now)
 	c.mPromotions.Inc()
 	c.mPromoSecs.ObserveDuration(took)
-	c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventPromote,
-		Detail: fmt.Sprintf("%d groups failed over in %s", len(r.parts), took)})
 	c.log.Info("promotion_complete", obs.F("victim", string(r.sender)),
 		obs.FInt("groups", int64(len(r.parts))), obs.F("latency", took.String()))
 	if c.engines[r.sender].alive.Load() {
@@ -287,19 +280,12 @@ func promoted(c *Coordinator, r *run, now vclock.Time) {
 	}
 }
 
-func resumed(c *Coordinator, r *run, now vclock.Time) {
-	c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventEngineAlive,
-		Detail: fmt.Sprintf("%d partitions resumed", len(r.parts))})
-}
-
 func beginDemote(c *Coordinator, r *run, _ vclock.Time) {
 	c.log.Info("demote_sent", obs.F("engine", string(r.sender)),
 		obs.FInt("groups", int64(len(r.parts))), obs.FUint("epoch", r.id))
 }
 
-func demoted(c *Coordinator, r *run, now vclock.Time) {
+func demoted(c *Coordinator, r *run, _ vclock.Time) {
 	c.mDemotions.Inc()
-	c.events.Add(stats.Event{T: now, Node: r.sender, Kind: stats.EventDemote,
-		Detail: fmt.Sprintf("%d groups dropped after failover", len(r.parts))})
 	c.log.Info("demotion_complete", obs.F("engine", string(r.sender)), obs.FInt("groups", int64(len(r.parts))))
 }

@@ -44,6 +44,39 @@ func selectBy(groups []GroupStats, target int64, less func(a, b GroupStats) bool
 	return ids
 }
 
+// LeastProductive ranks groups by score, lowest first, breaking ties by
+// freeing more memory, and takes a prefix reaching target. The score is
+// GroupStats.Productivity (the lifetime P_output/P_size) or a
+// ProductivityTracker's Score. As the movers a sender sheds to a freshly
+// joined engine it moves the cheapest state first, so the rebalance
+// disturbs the hot working set as little as possible while the joiner
+// warms up.
+func LeastProductive(groups []GroupStats, target int64, score func(GroupStats) float64) []partition.ID {
+	return byScore(groups, target, score, false)
+}
+
+// MostProductive is LeastProductive with the highest score first; ties
+// still free more memory first. As relocation movers it is
+// computePartsToMove() of Algorithms 1 and 2: the paper's integrated
+// strategies move the *productive* partitions (they stay active in the
+// receiver's memory) while spilling the unproductive ones.
+func MostProductive(groups []GroupStats, target int64, score func(GroupStats) float64) []partition.ID {
+	return byScore(groups, target, score, true)
+}
+
+func byScore(groups []GroupStats, target int64, score func(GroupStats) float64, most bool) []partition.ID {
+	return selectBy(groups, target, func(a, b GroupStats) bool {
+		sa, sb := score(a), score(b)
+		if sa == sb {
+			return a.Size > b.Size
+		}
+		if most {
+			return sa > sb
+		}
+		return sa < sb
+	})
+}
+
 // LessProductivePolicy spills the partition groups with the smallest
 // P_output/P_size first — the paper's throughput-oriented spill policy,
 // which keeps the groups most likely to produce results in memory.
@@ -54,13 +87,7 @@ func (LessProductivePolicy) Name() string { return "push-less-productive" }
 
 // SelectVictims implements Policy.
 func (LessProductivePolicy) SelectVictims(groups []GroupStats, target int64) []partition.ID {
-	return selectBy(groups, target, func(a, b GroupStats) bool {
-		pa, pb := a.Productivity(), b.Productivity()
-		if pa != pb {
-			return pa < pb
-		}
-		return a.Size > b.Size // break ties by freeing more memory
-	})
+	return LeastProductive(groups, target, GroupStats.Productivity)
 }
 
 // MoreProductivePolicy spills the most productive groups first — the
@@ -72,13 +99,7 @@ func (MoreProductivePolicy) Name() string { return "push-more-productive" }
 
 // SelectVictims implements Policy.
 func (MoreProductivePolicy) SelectVictims(groups []GroupStats, target int64) []partition.ID {
-	return selectBy(groups, target, func(a, b GroupStats) bool {
-		pa, pb := a.Productivity(), b.Productivity()
-		if pa != pb {
-			return pa > pb
-		}
-		return a.Size > b.Size
-	})
+	return MostProductive(groups, target, GroupStats.Productivity)
 }
 
 // LargestPolicy spills the largest partition groups first, XJoin's flush
@@ -139,21 +160,4 @@ func (p *RandomPolicy) SelectVictims(groups []GroupStats, target int64) []partit
 		total += g.Size
 	}
 	return ids
-}
-
-// MostProductiveMovers selects the groups a sender should relocate: the
-// paper's integrated strategies move the *productive* partitions during
-// state relocation (they stay active in the receiver's memory) while
-// spilling the unproductive ones. This is computePartsToMove() of
-// Algorithms 1 and 2.
-func MostProductiveMovers(groups []GroupStats, target int64) []partition.ID {
-	return MoreProductivePolicy{}.SelectVictims(groups, target)
-}
-
-// LeastProductiveMovers selects the groups a sender should shed to a
-// freshly joined engine: the cheapest state first, so the rebalance
-// disturbs the hot working set as little as possible while the joiner
-// warms up (the inverse of MostProductiveMovers).
-func LeastProductiveMovers(groups []GroupStats, target int64) []partition.ID {
-	return LessProductivePolicy{}.SelectVictims(groups, target)
 }

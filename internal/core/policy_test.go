@@ -162,7 +162,7 @@ func TestLessProductiveIsMinimalPrefix(t *testing.T) {
 }
 
 func TestMostProductiveMovers(t *testing.T) {
-	ids := MostProductiveMovers(sampleGroups(), 100)
+	ids := MostProductive(sampleGroups(), 100, GroupStats.Productivity)
 	if len(ids) == 0 || ids[0] != 1 {
 		t.Fatalf("movers = %v, want most productive group 1 first", ids)
 	}

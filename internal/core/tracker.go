@@ -82,35 +82,5 @@ func (p SmoothedLessProductive) Name() string { return "push-less-productive-ewm
 
 // SelectVictims implements Policy.
 func (p SmoothedLessProductive) SelectVictims(groups []GroupStats, target int64) []partition.ID {
-	return selectBy(groups, target, func(a, b GroupStats) bool {
-		sa, sb := p.T.Score(a), p.T.Score(b)
-		if sa != sb {
-			return sa < sb
-		}
-		return a.Size > b.Size
-	})
-}
-
-// SmoothedMostProductiveMovers selects relocation movers by amortized
-// scores, the counterpart of MostProductiveMovers.
-func SmoothedMostProductiveMovers(t *ProductivityTracker, groups []GroupStats, target int64) []partition.ID {
-	return selectBy(groups, target, func(a, b GroupStats) bool {
-		sa, sb := t.Score(a), t.Score(b)
-		if sa != sb {
-			return sa > sb
-		}
-		return a.Size > b.Size
-	})
-}
-
-// SmoothedLeastProductiveMovers selects join-rebalance movers by
-// amortized scores, the counterpart of LeastProductiveMovers.
-func SmoothedLeastProductiveMovers(t *ProductivityTracker, groups []GroupStats, target int64) []partition.ID {
-	return selectBy(groups, target, func(a, b GroupStats) bool {
-		sa, sb := t.Score(a), t.Score(b)
-		if sa != sb {
-			return sa < sb
-		}
-		return a.Size > b.Size
-	})
+	return LeastProductive(groups, target, p.T.Score)
 }

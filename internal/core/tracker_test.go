@@ -77,13 +77,13 @@ func TestNewTrackerClampsAlpha(t *testing.T) {
 func TestSmoothedPolicyRanksByTrackerScores(t *testing.T) {
 	tr := NewProductivityTracker(0.9)
 	// Group 1: was hot, turned cold. Group 2: was cold, turned hot.
-	g1 := GroupStats{ID: 1, Size: 100, CumBytes: 1000, Output: 1000}
+	g1 := GroupStats{ID: 1, Size: 100, CumBytes: 1000, Output: 10000}
 	g2 := GroupStats{ID: 2, Size: 100, CumBytes: 1000, Output: 10}
 	tr.Observe([]GroupStats{g1, g2})
 	for i := 0; i < 5; i++ {
 		g1.CumBytes += 1000 // cold: no new output
 		g2.CumBytes += 1000
-		g2.Output += 2000 // hot now
+		g2.Output += 300 // hot now, though not yet on the lifetime ratio
 		tr.Observe([]GroupStats{g1, g2})
 	}
 	// Lifetime metric still ranks g1 as more productive...
@@ -101,7 +101,7 @@ func TestSmoothedPolicyRanksByTrackerScores(t *testing.T) {
 		t.Fatalf("smoothed victims = %v, want cold group 1", smoothed)
 	}
 	// Movers mirror-image: smoothed movers pick the hot group first.
-	movers := SmoothedMostProductiveMovers(tr, []GroupStats{g1, g2}, 50)
+	movers := MostProductive([]GroupStats{g1, g2}, 50, tr.Score)
 	if len(movers) != 1 || movers[0] != 2 {
 		t.Fatalf("smoothed movers = %v, want hot group 2", movers)
 	}

@@ -30,7 +30,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/proto"
 	"repro/internal/spill"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -163,7 +162,6 @@ type Engine struct {
 	// ledger answers the coordinator's adaptation steps (ledger.go).
 	ledger ledger
 
-	events  *stats.EventLog
 	tracker *core.ProductivityTracker
 
 	reg    *obs.Registry
@@ -229,7 +227,6 @@ func New(cfg Config, clock vclock.Clock) (*Engine, error) {
 		cfg:       c,
 		clock:     clock,
 		ledger:    ledger{arrived: make(map[partition.ID]uint64)},
-		events:    stats.NewEventLog(),
 		reg:       obs.NewRegistry(),
 		tracer:    obs.NewTracer(0),
 		log:       obs.NewLogger(obs.LoggerConfig{Node: string(c.Node), Kind: "engine", Now: clock.Now}),
@@ -375,9 +372,6 @@ func (e *Engine) arm(kind string, due *vclock.Time, period time.Duration) {
 		ep.Send(self, proto.Tick{Kind: kind})
 	})
 }
-
-// Events exposes the engine's adaptation event log.
-func (e *Engine) Events() *stats.EventLog { return e.events }
 
 // Registry exposes the engine's metrics registry (monitoring endpoints,
 // transport instrumentation).
@@ -526,28 +520,25 @@ func (e *Engine) onTick(from partition.NodeID, m proto.Tick) error {
 		if amount <= 0 {
 			return nil
 		}
-		e.spill(amount, stats.EventSpill, obs.TraceContext{})
+		e.spill(amount, "local", obs.TraceContext{})
 		return nil
 	default:
 		return fmt.Errorf("unknown tick %q", m.Kind)
 	}
 }
 
-// spill runs one spill cycle. A forced spill carries the coordinator's
-// trace context so the engine-side span joins the forced-spill trace;
-// local (ss_timer) spills pass the zero context and trace standalone.
+// spill runs one spill cycle of the given kind, "local" (ss_timer) or
+// "forced". A forced spill carries the coordinator's trace context so the
+// engine-side span joins the forced-spill trace; local spills pass the
+// zero context and trace standalone.
 // A store write that fails is logged, not returned: its group stays
 // resident (spill.Manager.Spill), the groups persisted before it stand
 // and reach the followers, and the next cycle spills again.
 func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
-	spanKind := "local"
-	if kind == stats.EventForcedSpill {
-		spanKind = "forced"
-	}
 	span := e.tracer.StartChild(obs.SpanSpill, string(e.cfg.Node), e.clock.Now(), trace)
-	span.SetAttr("kind", spanKind)
+	span.SetAttr("kind", kind)
 	span.SetAttr("requested_bytes", fmt.Sprintf("%d", amount))
-	res, err := e.mgr.Spill(amount, e.clock.Now())
+	res, err := e.mgr.Spill(amount)
 	// Tell followers: buffered appends of the spilled generation flush
 	// ahead of a spill marker, so their standby demotes the same
 	// fraction at the same generation boundary.
@@ -560,13 +551,9 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
 	} else {
 		span.End(e.clock.Now())
 	}
-	kl := obs.L("kind", spanKind)
+	kl := obs.L("kind", kind)
 	e.reg.Counter("distq_engine_spills_total", kl).Inc()
 	e.reg.Counter("distq_engine_spill_bytes_total", kl).Add(float64(res.Bytes))
-	e.events.Add(stats.Event{
-		T: res.When, Node: e.cfg.Node, Kind: kind,
-		Detail: fmt.Sprintf("%d groups, %d bytes", len(res.Groups), res.Bytes),
-	})
 }
 
 func (e *Engine) reportStats() error {
@@ -696,16 +683,15 @@ func (e *Engine) onCptV(m proto.CptV) error {
 	span := e.tracer.StartChild(obs.SpanRelocationCptV, string(e.cfg.Node), e.clock.Now(), m.Trace)
 	span.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
 	span.SetAttr("amount_bytes", strconv.FormatInt(m.Amount, 10))
+	score := core.GroupStats.Productivity
+	if e.tracker != nil {
+		score = e.tracker.Score
+	}
 	var parts []partition.ID
-	switch {
-	case m.LowProd && e.tracker != nil:
-		parts = core.SmoothedLeastProductiveMovers(e.tracker, e.op.Stats(), m.Amount)
-	case m.LowProd:
-		parts = core.LeastProductiveMovers(e.op.Stats(), m.Amount)
-	case e.tracker != nil:
-		parts = core.SmoothedMostProductiveMovers(e.tracker, e.op.Stats(), m.Amount)
-	default:
-		parts = core.MostProductiveMovers(e.op.Stats(), m.Amount)
+	if m.LowProd {
+		parts = core.LeastProductive(e.op.Stats(), m.Amount, score)
+	} else {
+		parts = core.MostProductive(e.op.Stats(), m.Amount, score)
 	}
 	span.SetAttr("partitions", strconv.Itoa(len(parts)))
 	span.End(e.clock.Now())
@@ -811,8 +797,7 @@ func (e *Engine) onRelocAbort(m proto.RelocAbort) error {
 			return fmt.Errorf("relocation abort epoch %d: %w", m.Epoch, err)
 		}
 		l.images = nil
-		e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventAbort,
-			Detail: fmt.Sprintf("epoch %d state reinstalled", m.Epoch)})
+		e.log.Info("relocation_rolled_back", obs.FUint("epoch", m.Epoch))
 	}
 	return e.answer(aborted, proto.RelocAbortAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: l.stage == installed})
 }
@@ -855,7 +840,7 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 		return err
 	}
 	before := e.mgr.SpilledBytes()
-	e.spill(m.Amount, stats.EventForcedSpill, m.Trace)
+	e.spill(m.Amount, "forced", m.Trace)
 	return e.answer(done, proto.SpillDone{Node: e.cfg.Node, Bytes: e.mgr.SpilledBytes() - before, Seq: m.Seq})
 }
 
@@ -880,7 +865,6 @@ func (e *Engine) onJoinAck(m proto.JoinAck) error {
 	}
 	if !e.joined.Swap(true) {
 		e.log.Info("joined_cluster", obs.F("coordinator", string(e.cfg.Coordinator)))
-		e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventJoin, Detail: "admitted by coordinator"})
 	}
 	return nil
 }
@@ -909,8 +893,6 @@ func (e *Engine) onPromote(m proto.Promote) error {
 		e.ledger.arrived[g] = m.Epoch
 	}
 	e.reg.Counter("distq_engine_promotions_total").Inc()
-	e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventPromote,
-		Detail: fmt.Sprintf("epoch %d: %d groups from %s (%d standby installs)", m.Epoch, len(m.Groups), m.From, installed)})
 	return e.answer(done, proto.PromoteAck{Epoch: m.Epoch, Node: e.cfg.Node, Installed: true})
 }
 
@@ -934,9 +916,8 @@ func (e *Engine) onDemote(m proto.Demote) error {
 	}
 	if dropped > 0 {
 		e.reg.Counter("distq_engine_demotions_total").Inc()
-		e.events.Add(stats.Event{T: e.clock.Now(), Node: e.cfg.Node, Kind: stats.EventDemote,
-			Detail: fmt.Sprintf("epoch %d: %d stale groups dropped; %d groups, %d segments left",
-				m.Epoch, dropped, e.op.Groups(), e.cfg.Store.SegmentCount())})
+		e.log.Info("groups_demoted", obs.FUint("epoch", m.Epoch), obs.FInt("dropped", int64(dropped)),
+			obs.FInt("groups_left", int64(e.op.Groups())), obs.FInt("segments_left", int64(e.cfg.Store.SegmentCount())))
 	}
 	return e.ep.Send(e.cfg.Coordinator, proto.DemoteAck{Epoch: m.Epoch, Node: e.cfg.Node})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/operator"
 	"repro/internal/partition"
 	"repro/internal/proto"
@@ -201,8 +202,8 @@ func TestEngineLocalSpillOnTick(t *testing.T) {
 	if r.store.SegmentCount() == 0 {
 		t.Fatal("no segments persisted")
 	}
-	if got := r.engine.Events().Count("spill"); got != 1 {
-		t.Fatalf("spill events = %d", got)
+	if got := r.engine.Registry().Counter("distq_engine_spills_total", obs.L("kind", "local")).Value(); got != 1 {
+		t.Fatalf("local spills counted = %v", got)
 	}
 }
 
@@ -231,8 +232,8 @@ func TestEngineForcedSpill(t *testing.T) {
 	if done.Node != "m1" || done.Bytes < 200 {
 		t.Fatalf("SpillDone = %+v", done)
 	}
-	if got := r.engine.Events().Count("forced-spill"); got != 1 {
-		t.Fatalf("forced-spill events = %d", got)
+	if got := r.engine.Registry().Counter("distq_engine_spills_total", obs.L("kind", "forced")).Value(); got != 1 {
+		t.Fatalf("forced spills counted = %v", got)
 	}
 }
 

@@ -158,21 +158,21 @@ func (d *desk) reply(from partition.NodeID, m proto.Message) sent {
 type effects struct {
 	mem, spilled, standby        int64
 	groups, segments, standbySeg int
-	events                       []string
+	logs                         []string
 	metrics                      []obs.MetricValue
 	mode                         core.Mode
 }
 
 func (d *desk) effects() effects {
 	e := d.e
-	var events []string
-	for _, ev := range e.Events().All() {
-		events = append(events, ev.Kind+" "+ev.Detail)
+	var logs []string
+	for _, le := range e.Logger().Recent(0) {
+		logs = append(logs, le.Event+" "+le.Attrs)
 	}
 	return effects{
 		mem: e.Op().MemBytes(), spilled: e.mgr.SpilledBytes(), standby: e.repl.standbyBytes,
 		groups: e.Op().Groups(), segments: e.cfg.Store.SegmentCount(), standbySeg: e.cfg.StandbyStore.SegmentCount(),
-		events: events, metrics: e.Registry().Export(), mode: e.mode(),
+		logs: logs, metrics: e.Registry().Export(), mode: e.mode(),
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/proto"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 	"repro/internal/vclock"
@@ -184,15 +183,4 @@ func CheckExactness(res, baseline *cluster.Result) []string {
 		bad = append(bad, fmt.Sprintf("%d extra results not in baseline (first: %s)", len(extra), extra[0]))
 	}
 	return bad
-}
-
-// countEvents tallies event kinds for chaos assertions.
-func countEvents(events []stats.Event, kind string) int {
-	n := 0
-	for _, e := range events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }

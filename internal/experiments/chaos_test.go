@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/partition"
 	"repro/internal/proto"
-	"repro/internal/stats"
 	"repro/internal/transport/faulty"
 )
 
@@ -80,8 +79,7 @@ func TestChaosProtocolMessageDrops(t *testing.T) {
 				t.Fatalf("chaos run hung or failed: %v", err)
 			}
 			assertExact(t, res)
-			retries := countEvents(res.Events, stats.EventRetry)
-			aborts := countEvents(res.Events, stats.EventAbort)
+			retries, aborts := retryCount(res), res.AbortedRelocations
 			if retries+aborts == 0 {
 				t.Errorf("dropped %s left no retry or abort trace (retries=%d aborts=%d)", sc.name, retries, aborts)
 			}
@@ -92,6 +90,11 @@ func TestChaosProtocolMessageDrops(t *testing.T) {
 				sc.name, res.Relocations, res.AbortedRelocations, retries, res.Generated, res.RuntimeSet.Len())
 		})
 	}
+}
+
+// retryCount is how many step re-sends the run's coordinator counted.
+func retryCount(res *cluster.Result) int {
+	return int(metricTotal(res, "distq_coordinator_reloc_retries_total"))
 }
 
 func isType[T proto.Message](_, _ partition.NodeID, msg proto.Message) bool {
@@ -118,7 +121,7 @@ func TestChaosSeededMatrix(t *testing.T) {
 			assertExact(t, res)
 			t.Logf("seed %d: relocations=%d aborted=%d retries=%d errors=%d",
 				seed, res.Relocations, res.AbortedRelocations,
-				countEvents(res.Events, stats.EventRetry), res.CoordinatorErrors)
+				retryCount(res), res.CoordinatorErrors)
 		})
 	}
 }
@@ -140,5 +143,5 @@ func TestChaosTCPNativeExact(t *testing.T) {
 	assertExact(t, res)
 	t.Logf("tcp-native: relocations=%d aborted=%d retries=%d generated=%d results=%d",
 		res.Relocations, res.AbortedRelocations,
-		countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
+		retryCount(res), res.Generated, res.RuntimeSet.Len())
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/workload"
 )
@@ -251,16 +252,28 @@ func Fig14(o RunOpts) (*Report, error) {
 	return rep, nil
 }
 
-// forcedWithinCap verifies the active-disk cap by summing forced-spill
-// event bytes.
+// forcedWithinCap verifies the active-disk cap on the bytes the engines
+// counted as force-spilled.
 func forcedWithinCap(res *cluster.Result, cap int64) bool {
-	var forced int64
-	for _, e := range res.Events {
-		if e.Kind == "forced-spill" {
-			var b int64
-			fmt.Sscanf(e.Detail, "%d groups, %d bytes", new(int), &b)
-			forced += b
+	forced := metricTotal(res, "distq_engine_spill_bytes_total", obs.L("kind", "forced"))
+	return forced <= float64(cap+cap/10) // allow one overshooting selection
+}
+
+// metricTotal sums every node's series of metric name in res whose
+// labels include each of match.
+func metricTotal(res *cluster.Result, name string, match ...obs.Label) float64 {
+	var sum float64
+next:
+	for _, mv := range res.Metrics {
+		if mv.Name != name {
+			continue
 		}
+		for _, l := range match {
+			if mv.Labels[l.Key] != l.Value {
+				continue next
+			}
+		}
+		sum += mv.Value
 	}
-	return forced <= cap+cap/10 // allow one overshooting selection
+	return sum
 }

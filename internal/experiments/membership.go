@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/proto"
-	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 	"repro/internal/vclock"
@@ -347,8 +346,9 @@ type CrashRecoveryResult struct {
 	// VictimSegments is what the restarted engine's reopened store still
 	// held: its disk tier as of its last stats report before the crash.
 	VictimSegments int
-	// RejoinDemote is the restarted engine's own demote event; its
-	// detail ends with what the engine held afterwards.
+	// RejoinDemote is the attributes of the restarted engine's
+	// groups_demoted log entry; they end with what the engine held
+	// afterwards.
 	RejoinDemote string
 	// Groups owned by the restarted engine just before the second crash
 	// and after the promotion that followed it, and by the second
@@ -436,11 +436,9 @@ func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResu
 	if out.Res, err = finishMembership(c, true); err != nil {
 		return nil, err
 	}
-	for _, ev := range out.Res.Events {
-		// The engine's own demote event (the coordinator logs one for
-		// the same node too) starts with the epoch.
-		if ev.Node == rejoiner && ev.Kind == stats.EventDemote && strings.HasPrefix(ev.Detail, "epoch ") {
-			out.RejoinDemote = ev.Detail
+	for _, le := range c.Engine(rejoiner).Logger().Recent(0) {
+		if le.Event == "groups_demoted" {
+			out.RejoinDemote = le.Attrs
 		}
 	}
 	if out.Baseline, err = runSpilledBaseline(3); err != nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
-	"repro/internal/stats"
 	"repro/internal/transport/faulty"
 )
 
@@ -56,14 +55,14 @@ func TestChaosJoinExact(t *testing.T) {
 		t.Fatalf("join run hung or failed: %v", err)
 	}
 	assertMembershipExact(t, res)
-	if n := countEvents(res.Events, stats.EventJoin); n == 0 {
-		t.Error("no member-join events recorded")
+	if metricTotal(res, "distq_coordinator_member_joins_total") == 0 {
+		t.Error("no member join counted")
 	}
 	if res.Relocations == 0 {
 		t.Error("joiner admitted but no rebalance relocation completed")
 	}
 	t.Logf("join: relocations=%d retries=%d generated=%d results=%d",
-		res.Relocations, countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
+		res.Relocations, retryCount(res), res.Generated, res.RuntimeSet.Len())
 }
 
 // TestChaosLeaveExact drains a departing engine under seeded faults:
@@ -76,15 +75,15 @@ func TestChaosLeaveExact(t *testing.T) {
 		t.Fatalf("leave run hung or failed: %v", err)
 	}
 	assertMembershipExact(t, res)
-	if n := countEvents(res.Events, stats.EventLeave); n == 0 {
-		t.Error("no member-leave events recorded")
+	if metricTotal(res, "distq_coordinator_member_leaves_total") == 0 {
+		t.Error("no member leave counted")
 	}
 	drains := trace.ByName(trace.Build(res.Spans), obs.SpanRelocationDrain)
 	if len(drains) == 0 {
 		t.Error("no relocation_drain trace recorded for the departure")
 	}
 	t.Logf("leave: drains=%d retries=%d generated=%d results=%d",
-		len(drains), countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
+		len(drains), retryCount(res), res.Generated, res.RuntimeSet.Len())
 }
 
 // TestChaosPromoteExact kills an engine after replication settles and
@@ -101,9 +100,6 @@ func TestChaosPromoteExact(t *testing.T) {
 	assertMembershipExact(t, res)
 	if res.Promotions == 0 {
 		t.Fatal("no promotion completed")
-	}
-	if n := countEvents(res.Events, stats.EventPromote); n == 0 {
-		t.Error("no promote events recorded")
 	}
 
 	// Promotion latency is observable: the coordinator's histogram has
@@ -162,7 +158,7 @@ func TestChaosPromoteExact(t *testing.T) {
 		t.Fatalf("reassembled %d completed promotion trees, counter says %d", completed, res.Promotions)
 	}
 	t.Logf("promote: promotions=%d retries=%d generated=%d results=%d",
-		res.Promotions, countEvents(res.Events, stats.EventRetry), res.Generated, res.RuntimeSet.Len())
+		res.Promotions, retryCount(res), res.Generated, res.RuntimeSet.Len())
 }
 
 // TestChaosSpilledFailoverExact kills an engine that demonstrably holds
@@ -217,9 +213,6 @@ func TestChaosHeartbeatFlap(t *testing.T) {
 	if fr.Demotions == 0 {
 		t.Error("revived stale copy was never demoted")
 	}
-	if n := countEvents(fr.Res.Events, stats.EventDemote); n == 0 {
-		t.Error("no demote events recorded")
-	}
 	t.Logf("flap: promotions=%d demotions=%d generated=%d results=%d",
 		fr.Res.Promotions, fr.Demotions, fr.Res.Generated, fr.Res.RuntimeSet.Len())
 }
@@ -247,7 +240,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 	if crr.VictimSegments == 0 {
 		t.Fatal("first victim crashed without disk segments — its restart reopened an empty store and proves nothing")
 	}
-	if !strings.HasSuffix(crr.RejoinDemote, "; 0 groups, 0 segments left") {
+	if !strings.HasSuffix(crr.RejoinDemote, " groups_left=0 segments_left=0") {
 		t.Errorf("restarted engine after its demotion: %q, want no groups and no segments left", crr.RejoinDemote)
 	}
 	if crr.Res.Promotions < 2 {
@@ -257,8 +250,8 @@ func TestChaosCrashRecovery(t *testing.T) {
 		t.Errorf("second promotion: restarted engine owns %d groups, want its %d plus the second victim's %d",
 			crr.RejoinerOwnedAfter, crr.RejoinerOwnedBefore, crr.SecondVictimOwned)
 	}
-	if n := countEvents(crr.Res.Events, stats.EventEngineAlive); n == 0 {
-		t.Error("revival never recorded an engine-alive event")
+	if metricTotal(crr.Res, "distq_coordinator_engine_revivals_total") == 0 {
+		t.Error("no engine revival counted")
 	}
 	t.Logf("restart-reseed: victim segments=%d, rejoin demote=%q, rejoiner owned %d -> %d, relocations=%d, cleanup results=%d, runtime results=%d",
 		crr.VictimSegments, crr.RejoinDemote, crr.RejoinerOwnedBefore, crr.RejoinerOwnedAfter,

@@ -27,8 +27,8 @@ func TestRunReportRecordsCompleteRelocationSpan(t *testing.T) {
 	}
 
 	var full *obs.SpanData
-	for _, s := range res.RelocationSpans() {
-		if s.Complete && s.Attrs["status"] == obs.StatusOK {
+	for _, s := range res.Spans {
+		if s.Name == obs.SpanRelocation && s.Complete && s.Attrs["status"] == obs.StatusOK {
 			s := s
 			full = &s
 			break

@@ -21,15 +21,6 @@ func manySpansTracer(n int) *obs.Tracer {
 	return tr
 }
 
-// manyEvents builds n events with increasing virtual timestamps.
-func manyEvents(n int) []EventJSON {
-	out := make([]EventJSON, n)
-	for i := range out {
-		out[i] = EventJSON{VirtualTime: fmt.Sprintf("%ds", i), Node: "m1", Kind: "spill"}
-	}
-	return out
-}
-
 func statsSnap(t *testing.T, url string) Snapshot {
 	t.Helper()
 	code, body := get(t, url)
@@ -46,7 +37,7 @@ func statsSnap(t *testing.T, url string) Snapshot {
 func TestStatsDefaultBoundKeepsNewest(t *testing.T) {
 	s, err := StartServer(Config{
 		Addr:     "127.0.0.1:0",
-		Snapshot: func() Snapshot { return Snapshot{Node: "m1", Events: manyEvents(100)} },
+		Snapshot: func() Snapshot { return Snapshot{Node: "m1"} },
 		Tracer:   manySpansTracer(100),
 		// RecentSpans left zero: default bound (32) applies.
 	})
@@ -56,22 +47,19 @@ func TestStatsDefaultBoundKeepsNewest(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 
 	snap := statsSnap(t, fmt.Sprintf("http://%s/stats", s.Addr()))
-	if len(snap.Spans) != 32 || len(snap.Events) != 32 {
-		t.Fatalf("spans=%d events=%d, want 32 each", len(snap.Spans), len(snap.Events))
+	if len(snap.Spans) != 32 {
+		t.Fatalf("spans=%d, want 32", len(snap.Spans))
 	}
 	// Bounded payloads keep the newest entries, not the oldest.
 	if last := snap.Spans[len(snap.Spans)-1]; last.Start != vclock.Time(99*time.Second) {
 		t.Fatalf("newest span starts at %v", last.Start)
-	}
-	if last := snap.Events[len(snap.Events)-1]; last.VirtualTime != "99s" {
-		t.Fatalf("newest event at %s", last.VirtualTime)
 	}
 }
 
 func TestStatsLimitParamLowersBound(t *testing.T) {
 	s, err := StartServer(Config{
 		Addr:        "127.0.0.1:0",
-		Snapshot:    func() Snapshot { return Snapshot{Node: "m1", Events: manyEvents(50)} },
+		Snapshot:    func() Snapshot { return Snapshot{Node: "m1"} },
 		Tracer:      manySpansTracer(50),
 		RecentSpans: 40,
 	})
@@ -82,11 +70,11 @@ func TestStatsLimitParamLowersBound(t *testing.T) {
 	base := fmt.Sprintf("http://%s/stats", s.Addr())
 
 	snap := statsSnap(t, base+"?limit=5")
-	if len(snap.Spans) != 5 || len(snap.Events) != 5 {
-		t.Fatalf("limit=5: spans=%d events=%d", len(snap.Spans), len(snap.Events))
+	if len(snap.Spans) != 5 {
+		t.Fatalf("limit=5: spans=%d", len(snap.Spans))
 	}
-	if snap.Spans[4].Start != vclock.Time(49*time.Second) || snap.Events[4].VirtualTime != "49s" {
-		t.Fatalf("limit window not newest: span %v, event %s", snap.Spans[4].Start, snap.Events[4].VirtualTime)
+	if snap.Spans[4].Start != vclock.Time(49*time.Second) {
+		t.Fatalf("limit window not newest: span %v", snap.Spans[4].Start)
 	}
 
 	// limit lowers the configured bound but never raises it.
@@ -101,8 +89,8 @@ func TestStatsLimitParamLowersBound(t *testing.T) {
 		}
 	}
 	// limit=0 is a valid request for "no spans".
-	if snap = statsSnap(t, base+"?limit=0"); len(snap.Spans) != 0 || len(snap.Events) != 0 {
-		t.Fatalf("limit=0: spans=%d events=%d", len(snap.Spans), len(snap.Events))
+	if snap = statsSnap(t, base+"?limit=0"); len(snap.Spans) != 0 {
+		t.Fatalf("limit=0: spans=%d", len(snap.Spans))
 	}
 }
 

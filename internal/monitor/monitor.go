@@ -1,11 +1,11 @@
 // Package monitor exposes a node's operational state over HTTP for the
 // multi-process cluster binaries: /healthz for liveness, /stats for a
-// JSON snapshot (memory, output, adaptation counters, recent events and
-// spans), /metrics for Prometheus text exposition of the node's
-// obs.Registry, /logs for the structured logger's recent entries, and —
-// opt-in — the net/http/pprof profiling endpoints. Handlers pull from a
-// caller-provided snapshot function, so the package stays independent of
-// engine/coordinator internals.
+// JSON snapshot (memory, output, adaptation counters, recent spans),
+// /metrics for Prometheus text exposition of the node's obs.Registry,
+// /logs for the structured logger's recent entries (the adaptation
+// narrative), and — opt-in — the net/http/pprof profiling endpoints.
+// Handlers pull from a caller-provided snapshot function, so the package
+// stays independent of engine/coordinator internals.
 package monitor
 
 import (
@@ -50,16 +50,7 @@ type Snapshot struct {
 	// stale-copy demotions (coordinator only).
 	Promotions int            `json:"promotions,omitempty"`
 	Demotions  int            `json:"demotions,omitempty"`
-	Events     []EventJSON    `json:"events,omitempty"`
 	Spans      []obs.SpanData `json:"spans,omitempty"`
-}
-
-// EventJSON is one adaptation event in the /stats document.
-type EventJSON struct {
-	VirtualTime string `json:"t"`
-	Node        string `json:"node"`
-	Kind        string `json:"kind"`
-	Detail      string `json:"detail"`
 }
 
 // Config parameterizes a monitoring server.
@@ -75,8 +66,8 @@ type Config struct {
 	// Tracer, when set, contributes its most recent spans to /stats.
 	Tracer *obs.Tracer
 	// RecentSpans bounds the spans embedded in /stats (default 32). A
-	// request's ?limit= query parameter caps both the spans and the
-	// events of that response (it lowers, never raises, this bound).
+	// request's ?limit= query parameter caps the spans of that response
+	// (it lowers, never raises, this bound).
 	RecentSpans int
 	// Logger, when set, serves its recent entries at /logs as JSON
 	// (?limit= caps the entry count).
@@ -96,12 +87,6 @@ type Server struct {
 
 	closeOnce sync.Once
 	closeErr  error
-}
-
-// Start begins serving /healthz and /stats on addr, without metrics or
-// spans. Kept as a convenience wrapper around StartServer.
-func Start(addr string, snapshot func() Snapshot) (*Server, error) {
-	return StartServer(Config{Addr: addr, Snapshot: snapshot})
 }
 
 // StartServer begins serving the monitoring endpoints described by cfg.
@@ -136,11 +121,6 @@ func StartServer(cfg Config) (*Server, error) {
 		// spans, counters only") must skip the tracer entirely.
 		if cfg.Tracer != nil && spanLimit > 0 {
 			snap.Spans = cfg.Tracer.Recent(spanLimit)
-		}
-		if len(snap.Events) > spanLimit {
-			// Keep the newest events: a bounded snapshot must still show
-			// what happened last, not what happened first.
-			snap.Events = snap.Events[len(snap.Events)-spanLimit:]
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

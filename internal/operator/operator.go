@@ -92,31 +92,3 @@ func (c Chain) Apply(t tuple.Tuple) (tuple.Tuple, bool) {
 	}
 	return t, true
 }
-
-// Counting wraps an operator with pass/drop counters for monitoring.
-type Counting struct {
-	Op Operator
-
-	passed  uint64
-	dropped uint64
-}
-
-// Name implements Operator.
-func (c *Counting) Name() string { return c.Op.Name() }
-
-// Apply implements Operator.
-func (c *Counting) Apply(t tuple.Tuple) (tuple.Tuple, bool) {
-	out, ok := c.Op.Apply(t)
-	if ok {
-		c.passed++
-	} else {
-		c.dropped++
-	}
-	return out, ok
-}
-
-// Passed reports how many tuples passed.
-func (c *Counting) Passed() uint64 { return c.passed }
-
-// Dropped reports how many tuples were dropped.
-func (c *Counting) Dropped() uint64 { return c.dropped }

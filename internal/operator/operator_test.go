@@ -67,16 +67,3 @@ func TestChain(t *testing.T) {
 		t.Fatalf("Name = %q", c.Name())
 	}
 }
-
-func TestCounting(t *testing.T) {
-	c := &Counting{Op: Select{Pred: func(t *tuple.Tuple) bool { return t.Key%2 == 0 }}}
-	for i := uint64(0); i < 10; i++ {
-		c.Apply(tup(i))
-	}
-	if c.Passed() != 5 || c.Dropped() != 5 {
-		t.Fatalf("passed=%d dropped=%d", c.Passed(), c.Dropped())
-	}
-	if c.Name() != "select" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-}

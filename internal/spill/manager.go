@@ -6,12 +6,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/join"
 	"repro/internal/partition"
-	"repro/internal/vclock"
 )
 
 // Result summarizes one executed spill process.
 type Result struct {
-	When   vclock.Time
 	Groups []partition.ID
 	Bytes  int64
 	Tuples int
@@ -26,7 +24,7 @@ type Manager struct {
 	store  Store
 	policy core.Policy
 
-	spills  []Result
+	spills  int
 	spilled int64
 }
 
@@ -41,8 +39,8 @@ func NewManager(op *join.Operator, store Store, policy core.Policy) *Manager {
 // as it was (join.Operator.SpillTo), and the spill stops there: the
 // result then names exactly the groups persisted before the failure,
 // alongside the error.
-func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
-	res := Result{When: now}
+func (m *Manager) Spill(amount int64) (Result, error) {
+	var res Result
 	if amount <= 0 {
 		return res, nil
 	}
@@ -60,16 +58,13 @@ func (m *Manager) Spill(amount int64, now vclock.Time) (Result, error) {
 		res.Bytes += snap.MemBytes()
 		res.Tuples += snap.TupleCount()
 	}
-	m.spills = append(m.spills, res)
+	m.spills++
 	m.spilled += res.Bytes
 	return res, err
 }
 
 // Count reports how many spill processes have run.
-func (m *Manager) Count() int { return len(m.spills) }
+func (m *Manager) Count() int { return m.spills }
 
 // SpilledBytes reports the cumulative bytes pushed to disk.
 func (m *Manager) SpilledBytes() int64 { return m.spilled }
-
-// History returns all spill results in execution order.
-func (m *Manager) History() []Result { return m.spills }

@@ -83,7 +83,7 @@ func TestFailedSpillWriteKeepsTheGroup(t *testing.T) {
 				store := &failNth{Store: spill.NewMemStore(), n: n}
 				m := spill.NewManager(op, store, core.LargestPolicy{})
 
-				res, err := m.Spill(wantBytes, 0)
+				res, err := m.Spill(wantBytes)
 				if err == nil {
 					t.Fatal("a spill whose write failed reported no error")
 				}
@@ -118,7 +118,7 @@ func TestFailedSpillWriteKeepsTheGroup(t *testing.T) {
 						op.MemBytes(), stored, wantBytes, res.Bytes, m.SpilledBytes(), res.Tuples, storedTuples)
 				}
 
-				if _, err := m.Spill(op.MemBytes(), 0); err != nil {
+				if _, err := m.Spill(op.MemBytes()); err != nil {
 					t.Fatal(err)
 				}
 				if op.MemBytes() != 0 || len(store.Groups()) != groups {
@@ -144,7 +144,7 @@ func TestFailedSpillKeepsThePurgeWatermark(t *testing.T) {
 		}
 	}
 	m := spill.NewManager(op, &failNth{Store: spill.NewMemStore(), n: 1}, core.LargestPolicy{})
-	if _, err := m.Spill(op.MemBytes(), 0); !errors.Is(err, errInjected) {
+	if _, err := m.Spill(op.MemBytes()); !errors.Is(err, errInjected) {
 		t.Fatalf("a spill over a failing store returned %v", err)
 	}
 	if s := op.ResidentSnapshot(0); s.Gen != 0 || s.EverSpilled || s.TupleCount() != n {

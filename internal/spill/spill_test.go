@@ -232,7 +232,7 @@ func TestManagerSpillReducesMemory(t *testing.T) {
 	m := NewManager(op, NewMemStore(), core.LessProductivePolicy{})
 	before := op.MemBytes()
 	target := before / 2
-	res, err := m.Spill(target, 0)
+	res, err := m.Spill(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,15 +245,12 @@ func TestManagerSpillReducesMemory(t *testing.T) {
 	if m.Count() != 1 || m.SpilledBytes() != res.Bytes {
 		t.Fatalf("Count=%d SpilledBytes=%d", m.Count(), m.SpilledBytes())
 	}
-	if len(m.History()) != 1 {
-		t.Fatalf("History len = %d", len(m.History()))
-	}
 }
 
 func TestManagerSpillEverything(t *testing.T) {
 	op := buildOperator(t)
 	m := NewManager(op, NewMemStore(), core.LargestPolicy{})
-	if _, err := m.Spill(1<<40, 0); err != nil {
+	if _, err := m.Spill(1 << 40); err != nil {
 		t.Fatal(err)
 	}
 	if op.MemBytes() != 0 {
@@ -264,7 +261,7 @@ func TestManagerSpillEverything(t *testing.T) {
 func TestManagerSpillZeroAmountNoop(t *testing.T) {
 	op := buildOperator(t)
 	m := NewManager(op, NewMemStore(), core.LessProductivePolicy{})
-	res, err := m.Spill(0, 0)
+	res, err := m.Spill(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +277,7 @@ func TestManagerSegmentsReadableAfterSpill(t *testing.T) {
 	op := buildOperator(t)
 	store := NewMemStore()
 	m := NewManager(op, store, core.LessProductivePolicy{})
-	res, err := m.Spill(op.MemBytes(), 0)
+	res, err := m.Spill(op.MemBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

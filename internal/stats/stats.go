@@ -1,7 +1,8 @@
 // Package stats records what the paper's figures plot: per-node memory
-// usage over time, cumulative result output over time (throughput), and a
-// log of adaptation events (spills, relocations). Series are virtual-time
-// indexed and sampled onto fixed grids for the experiment reports.
+// usage over time and cumulative result output over time (throughput).
+// Series are virtual-time indexed and sampled onto fixed grids for the
+// experiment reports. Adaptations are counted by the nodes' obs metrics
+// and narrated by their spans and logs, not here.
 package stats
 
 import (
@@ -11,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/partition"
 	"repro/internal/vclock"
 )
 
@@ -116,68 +116,6 @@ func (s *Series) Sample(step, until time.Duration) []float64 {
 		out = append(out, s.At(vclock.Time(t)))
 	}
 	return out
-}
-
-// Event is one adaptation event.
-type Event struct {
-	T      vclock.Time
-	Node   partition.NodeID
-	Kind   string
-	Detail string
-}
-
-// Well-known event kinds.
-const (
-	EventSpill       = "spill"
-	EventForcedSpill = "forced-spill"
-	EventRelocation  = "relocation"
-	EventRetry       = "reloc-retry"
-	EventAbort       = "reloc-abort"
-	EventExhausted   = "reloc-exhausted" // a protocol step ran out of retries; Detail names the escalation
-	EventEngineDead  = "engine-dead"
-	EventEngineAlive = "engine-alive"
-	EventJoin        = "member-join"
-	EventLeave       = "member-leave"
-	EventPromote     = "promote"
-	EventDemote      = "demote"
-)
-
-// EventLog is a concurrency-safe adaptation event log.
-type EventLog struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-// NewEventLog returns an empty log.
-func NewEventLog() *EventLog { return &EventLog{} }
-
-// Add appends an event.
-func (l *EventLog) Add(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.events = append(l.events, e)
-}
-
-// All returns a copy of the events in insertion order.
-func (l *EventLog) All() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Event, len(l.events))
-	copy(out, l.events)
-	return out
-}
-
-// Count reports how many events of the given kind were logged.
-func (l *EventLog) Count(kind string) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // FormatTable renders an aligned text table.

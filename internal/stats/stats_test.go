@@ -68,20 +68,6 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
-func TestEventLog(t *testing.T) {
-	l := NewEventLog()
-	l.Add(Event{T: ts(time.Minute), Node: "m1", Kind: EventSpill})
-	l.Add(Event{T: ts(2 * time.Minute), Node: "m2", Kind: EventRelocation})
-	l.Add(Event{T: ts(3 * time.Minute), Node: "m1", Kind: EventSpill})
-	if l.Count(EventSpill) != 2 || l.Count(EventRelocation) != 1 || l.Count(EventForcedSpill) != 0 {
-		t.Fatalf("counts: spill=%d reloc=%d", l.Count(EventSpill), l.Count(EventRelocation))
-	}
-	all := l.All()
-	if len(all) != 3 || all[0].Node != "m1" {
-		t.Fatalf("All = %v", all)
-	}
-}
-
 func TestFormatTableAligned(t *testing.T) {
 	out := FormatTable([]string{"a", "long-header"}, [][]string{{"1", "2"}, {"333", "4"}})
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")

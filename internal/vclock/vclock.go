@@ -83,9 +83,6 @@ func NewScaled(factor float64) *Scaled {
 	return &Scaled{factor: factor, start: time.Now()}
 }
 
-// Factor reports the compression factor.
-func (c *Scaled) Factor() float64 { return c.factor }
-
 // Now implements Clock.
 func (c *Scaled) Now() Time {
 	return Time(float64(time.Since(c.start)) * c.factor)
