@@ -126,16 +126,16 @@ func main() {
 		mon, err := monitor.StartServer(monitor.Config{
 			Addr: *monAddr,
 			Snapshot: func() monitor.Snapshot {
-				r := e.StatsSnapshot()
+				r, reg := e.StatsSnapshot(), e.Registry()
 				snap := monitor.Snapshot{
 					Node:         *node,
 					Kind:         "engine",
 					MemBytes:     r.MemBytes,
 					Groups:       r.Groups,
 					Output:       r.Output,
-					Spills:       r.SpillCount,
-					SpilledBytes: r.SpilledBytes,
-					Segments:     r.DiskSegments,
+					Spills:       int(reg.Sum("distq_engine_spills_total")),
+					SpilledBytes: int64(reg.Sum("distq_engine_spill_bytes_total")),
+					Segments:     int(reg.Sum("distq_engine_disk_segments")),
 				}
 				for _, lag := range r.ReplLag {
 					snap.ReplLagBytes += lag
@@ -164,6 +164,9 @@ func main() {
 	case <-vclock.WallTimeout(5 * time.Second):
 		log.Printf("engine %s: handler did not acknowledge stop", *node)
 	}
-	log.Printf("engine %s: %d results, %d spills, %d bytes spilled",
-		*node, e.Op().Output(), e.SpillManager().Count(), e.SpillManager().SpilledBytes())
+	// The last stats report and the metrics: race-free even if the
+	// handler never acknowledged the stop.
+	reg := e.Registry()
+	log.Printf("engine %s: %d results, %.0f spills, %.0f bytes spilled", *node, e.StatsSnapshot().Output,
+		reg.Sum("distq_engine_spills_total"), reg.Sum("distq_engine_spill_bytes_total"))
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/nodeflag"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/tuple"
 	"repro/internal/vclock"
@@ -112,9 +111,9 @@ func main() {
 
 	// record sees every tuple on its way to the router.
 	record := func(tuple.Tuple) error { return nil }
-	var recorder *trace.Writer
+	var recorder *traceWriter
 	if *recordTo != "" {
-		if recorder, err = trace.Create(*recordTo, *streams); err != nil {
+		if recorder, err = createTrace(*recordTo, *streams); err != nil {
 			log.Fatal(err)
 		}
 		record = func(t tuple.Tuple) error { return recorder.Append(&t) }
@@ -123,7 +122,7 @@ func main() {
 	var fed uint64
 	if *replay != "" {
 		// Replay a recorded trace, pacing by the recorded timestamps.
-		rd, err := trace.Open(*replay)
+		rd, err := openTrace(*replay)
 		if err != nil {
 			log.Fatal(err)
 		}

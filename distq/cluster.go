@@ -231,17 +231,21 @@ type Stats struct {
 	Duplicates int
 }
 
-// Snapshot reports current statistics. It is only exact after Drain; while
-// streaming it reflects the engines' last statistics reports.
+// Snapshot reports current statistics; it may be called at any time,
+// from any goroutine. While streaming, Output is what the application
+// server has counted and MemBytes each engine's last statistics report;
+// both are exact after Drain, which fences every engine's report behind
+// the tuples ingested before it.
 func (c *Cluster) Snapshot() Stats {
 	s := Stats{MemBytes: make(map[NodeID]int64, len(c.opts.Engines))}
 	for _, node := range c.opts.Engines {
 		e := c.c.Engine(node)
-		s.Output += e.Op().Output()
-		s.MemBytes[node] = e.Op().MemBytes()
-		s.Spills += e.SpillManager().Count()
-		s.SpilledBytes += e.SpillManager().SpilledBytes()
+		r := e.StatsSnapshot()
+		s.MemBytes[node] = r.MemBytes - r.Standby
+		s.Spills += int(e.Registry().Sum("distq_engine_spills_total"))
+		s.SpilledBytes += int64(e.Registry().Sum("distq_engine_spill_bytes_total"))
 	}
+	s.Output = c.c.AppServer().Results()
 	s.Relocations = c.c.Coordinator().Relocations()
 	s.ForcedSpills = c.c.Coordinator().ForcedSpills()
 	s.Duplicates = c.c.AppServer().Duplicates()

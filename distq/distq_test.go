@@ -14,6 +14,56 @@ import (
 	"repro/internal/tuple"
 )
 
+// TestSnapshotWhileStreaming calls Snapshot every few hundred Ingests
+// while the engines spill locally, as a dashboard polling a live
+// cluster would. Under -race it fails if Snapshot reads state an
+// engine's handler writes; after Drain its counts must still be exact.
+func TestSnapshotWhileStreaming(t *testing.T) {
+	c, err := NewCluster(Options{
+		Engines:            []NodeID{"m1", "m2"},
+		Inputs:             3,
+		Partitions:         16,
+		Spill:              SpillConfig{MemThreshold: 32 << 10, Fraction: 0.3},
+		StatsInterval:      20 * time.Millisecond,
+		SpillCheckInterval: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rng := rand.New(rand.NewSource(9))
+	var history []tuple.Tuple
+	seqs := make([]uint64, 3)
+	for i := 0; i < 6000; i++ {
+		stream, key := rng.Intn(3), uint64(rng.Intn(64))
+		history = append(history, tuple.Tuple{Stream: uint8(stream), Key: key, Seq: seqs[stream]})
+		seqs[stream]++
+		if err := c.Ingest(stream, key, nil); err != nil {
+			t.Fatal(err)
+		}
+		if i%300 == 299 {
+			c.Snapshot()
+		}
+		if i%1000 == 999 {
+			time.Sleep(10 * time.Millisecond) // let timers fire mid-stream
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if s.Spills == 0 || s.SpilledBytes == 0 {
+		t.Fatalf("no spills counted under a 32 KiB threshold: %+v", s)
+	}
+	summary, err := c.Cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := join.OracleCount(3, history); s.Output+summary.Results != want {
+		t.Fatalf("Output %d after Drain + cleanup %d, oracle %d", s.Output, summary.Results, want)
+	}
+}
+
 func TestClusterStreamingMatchesOracle(t *testing.T) {
 	var (
 		mu      sync.Mutex

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -70,25 +71,20 @@ type Result struct {
 	RuntimeOutput uint64
 	// Generated is the number of input tuples produced.
 	Generated uint64
-	// Relocations and ForcedSpills count completed coordinator
-	// adaptations; LocalSpills counts per-engine overflow spills
-	// (including forced ones).
-	Relocations  int
-	ForcedSpills int
-	LocalSpills  map[partition.NodeID]int
-	SpilledBytes map[partition.NodeID]int64
-	// AbortedRelocations / UnresolvedRelocations count adaptations the
-	// coordinator rolled back cleanly vs. gave up on after exhausting
-	// retries (unresolved leaves partitions paused — always a finding).
+	// Relocations, AbortedRelocations and UnresolvedRelocations count
+	// the relocations the coordinator completed, rolled back cleanly and
+	// gave up on after exhausting retries (unresolved leaves partitions
+	// paused — always a finding); Promotions its completed follower
+	// promotions. LocalSpills and SpilledBytes are each engine's spills
+	// (forced ones included) and spilled bytes over all its lives. Finish
+	// reads all six from Metrics with Counter, as every other count is
+	// read.
+	Relocations           int
 	AbortedRelocations    int
 	UnresolvedRelocations int
-	// CoordinatorErrors counts errors surfaced through the
-	// coordinator's error path (send failures, protocol violations).
-	CoordinatorErrors int
-	// Promotions / Demotions count completed follower promotions and
-	// stale-copy demotions (Replicate mode only).
-	Promotions int
-	Demotions  int
+	Promotions            int
+	LocalSpills           map[partition.NodeID]int
+	SpilledBytes          map[partition.NodeID]int64
 	// Cleanup summarizes the disk phase (zero value if not run).
 	Cleanup CleanupSummary
 	// RuntimeSet / CleanupSet hold the materialized results
@@ -103,18 +99,42 @@ type Result struct {
 	// forced-spill spans, engine spill / transfer / cleanup spans),
 	// ordered by virtual start time.
 	Spans []obs.SpanData
-	// Metrics merges every node's metric registry; each value carries a
-	// "node" label identifying its origin.
+	// Metrics merges the coordinator's registry and every engine life's,
+	// crashed lives included. Each value carries a "node" label, and an
+	// engine's a "life" label too: "1" for its first life, "2" after its
+	// first restart, and so on.
 	Metrics []obs.MetricValue
 }
 
-// appendNodeMetrics exports reg tagging every value with its node.
-func appendNodeMetrics(dst []obs.MetricValue, node string, reg *obs.Registry) []obs.MetricValue {
+// Counter sums the series of metric name in Metrics whose labels include
+// each of match: the count an operator reads from the nodes' /metrics,
+// over every life of every engine.
+func (r *Result) Counter(name string, match ...obs.Label) float64 {
+	var sum float64
+next:
+	for _, mv := range r.Metrics {
+		if mv.Name != name {
+			continue
+		}
+		for _, l := range match {
+			if mv.Labels[l.Key] != l.Value {
+				continue next
+			}
+		}
+		sum += mv.Value
+	}
+	return sum
+}
+
+// appendNodeMetrics exports reg tagging every value with tags.
+func appendNodeMetrics(dst []obs.MetricValue, reg *obs.Registry, tags ...obs.Label) []obs.MetricValue {
 	for _, mv := range reg.Export() {
 		if mv.Labels == nil {
-			mv.Labels = make(map[string]string, 1)
+			mv.Labels = make(map[string]string, len(tags))
 		}
-		mv.Labels["node"] = node
+		for _, l := range tags {
+			mv.Labels[l.Key] = l.Value
+		}
 		dst = append(dst, mv)
 	}
 	return dst
@@ -157,9 +177,9 @@ type Cluster struct {
 	// joiners' results, spans, and metrics are not lost.
 	nodes   []partition.NodeID
 	crashed map[partition.NodeID]bool
-	// retired keeps crashed engine instances so Finish can still merge
-	// their event logs and spans (their volatile state is gone, as on a
-	// real dead machine).
+	// retired keeps every crashed engine life, in crash order, so Finish
+	// can still export its spans and metrics (its volatile state is gone,
+	// as on a real dead machine).
 	retired []*engine.Engine
 
 	errMu sync.Mutex
@@ -385,18 +405,6 @@ func (c *Cluster) Promotions() int { return c.coord.Promotions() }
 // Demotions reports completed demotions (see Promotions).
 func (c *Cluster) Demotions() int { return c.coord.Demotions() }
 
-// EngineStats returns the node's most recent statistics report (the
-// zero report before its first sr_timer). Race-safe while the cluster
-// runs — scenario scripts use it to await engine-local conditions such
-// as a forced spill landing on a victim.
-func (c *Cluster) EngineStats(node partition.NodeID) proto.StatsReport {
-	e := c.engines[node]
-	if e == nil {
-		return proto.StatsReport{Node: node}
-	}
-	return e.StatsSnapshot()
-}
-
 // PendingDemotes reports demotions queued or in flight — nonzero
 // between a promotion's map commit and the revived victim's DemoteAck.
 func (c *Cluster) PendingDemotes() int { return c.coord.PendingDemotes() }
@@ -545,8 +553,8 @@ func (c *Cluster) Finish() (*Result, error) {
 	res := &Result{
 		Throughput:   c.app.throughput,
 		Memory:       make(map[partition.NodeID]*stats.Series, len(c.engines)),
-		LocalSpills:  make(map[partition.NodeID]int, len(c.engines)),
-		SpilledBytes: make(map[partition.NodeID]int64, len(c.engines)),
+		LocalSpills:  make(map[partition.NodeID]int, len(c.nodes)),
+		SpilledBytes: make(map[partition.NodeID]int64, len(c.nodes)),
 	}
 	if c.feeder != nil {
 		res.Generated = c.feeder.Generated()
@@ -554,35 +562,35 @@ func (c *Cluster) Finish() (*Result, error) {
 	if c.ranCleanup {
 		res.Cleanup = c.cleanup
 	}
-	for node, e := range c.engines {
-		if c.crashed[node] {
-			// A crashed, never-restarted engine's volatile state is gone;
-			// its spans come in through retired below.
-			continue
-		}
-		res.Memory[node] = c.coord.MemSeries(node)
-		res.LocalSpills[node] = e.SpillManager().Count()
-		res.SpilledBytes[node] = e.SpillManager().SpilledBytes()
-		res.RuntimeOutput += e.Op().Output()
+	// Every engine life: the crashed ones in crash order, then the live
+	// ones. A crashed engine's volatile state is gone; its registry and
+	// spans are not.
+	lives := make(map[partition.NodeID]int, len(c.nodes))
+	export := func(e *engine.Engine) {
+		lives[e.Node()]++
+		res.Spans = append(res.Spans, e.Tracer().Spans()...)
+		res.Metrics = appendNodeMetrics(res.Metrics, e.Registry(),
+			obs.L("node", string(e.Node())), obs.L("life", strconv.Itoa(lives[e.Node()])))
 	}
 	for _, e := range c.retired {
-		res.Spans = append(res.Spans, e.Tracer().Spans()...)
+		export(e)
 	}
-	res.Relocations = c.coord.Relocations()
-	res.ForcedSpills = c.coord.ForcedSpills()
-	res.AbortedRelocations = c.coord.AbortedRelocations()
-	res.UnresolvedRelocations = c.coord.Unresolved()
-	res.CoordinatorErrors = c.coord.Errors()
-	res.Promotions = c.coord.Promotions()
-	res.Demotions = c.coord.Demotions()
 	res.Spans = append(res.Spans, c.coord.Tracer().Spans()...)
-	res.Metrics = appendNodeMetrics(res.Metrics, string(CoordinatorNode), c.coord.Registry())
+	res.Metrics = appendNodeMetrics(res.Metrics, c.coord.Registry(), obs.L("node", string(CoordinatorNode)))
+	for _, node := range c.live() {
+		e := c.engines[node]
+		export(e)
+		res.Memory[node] = c.coord.MemSeries(node)
+		res.RuntimeOutput += e.Op().Output()
+	}
+	res.Relocations = int(res.Counter("distq_coordinator_relocations_total"))
+	res.AbortedRelocations = int(res.Counter("distq_coordinator_relocations_aborted_total"))
+	res.UnresolvedRelocations = int(res.Counter("distq_coordinator_reloc_unresolved_total"))
+	res.Promotions = int(res.Counter("distq_coordinator_promotions_total"))
 	for _, node := range c.nodes {
-		if c.crashed[node] {
-			continue
-		}
-		res.Spans = append(res.Spans, c.engines[node].Tracer().Spans()...)
-		res.Metrics = appendNodeMetrics(res.Metrics, string(node), c.engines[node].Registry())
+		n := obs.L("node", string(node))
+		res.LocalSpills[node] = int(res.Counter("distq_engine_spills_total", n))
+		res.SpilledBytes[node] = int64(res.Counter("distq_engine_spill_bytes_total", n))
 	}
 	sort.SliceStable(res.Spans, func(i, j int) bool { return res.Spans[i].Start < res.Spans[j].Start })
 	res.BufferedPeak = c.host.Router().BufferedPeak()

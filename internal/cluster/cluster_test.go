@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/join"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/transport"
 	"repro/internal/tuple"
@@ -57,8 +59,8 @@ func TestAllMemRunProducesResults(t *testing.T) {
 	if res.RuntimeOutput == 0 {
 		t.Fatal("no results produced")
 	}
-	if res.Relocations != 0 || res.ForcedSpills != 0 {
-		t.Fatalf("NoAdapt run adapted: %d relocations, %d forced spills", res.Relocations, res.ForcedSpills)
+	if forced := forcedSpills(res); res.Relocations != 0 || forced != 0 {
+		t.Fatalf("NoAdapt run adapted: %d relocations, %d forced spills", res.Relocations, forced)
 	}
 	for node, s := range res.Memory {
 		if s.Len() == 0 {
@@ -302,8 +304,80 @@ func TestActiveDiskForcesSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ForcedSpills == 0 {
+	if forcedSpills(res) == 0 {
 		t.Fatal("active-disk never forced a spill despite productivity gap")
+	}
+}
+
+// forcedSpills counts the forced spills the coordinator completed.
+func forcedSpills(res *Result) int {
+	return int(res.Counter("distq_coordinator_forced_spills_total"))
+}
+
+// TestFinishCountsEveryEngineLife: m2 spills, crashes, restarts empty
+// under its own name and spills again. The result's counters hold both
+// lives, each under its life label, and LocalSpills and SpilledBytes
+// sum them, exactly as the two lives' registries counted.
+func TestFinishCountsEveryEngineLife(t *testing.T) {
+	cfg := baseConfig()
+	cfg.LocalSpill = true
+	cfg.Spill = core.SpillConfig{MemThreshold: 16 << 10, Fraction: 0.4}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	spilled := func() bool { return c.Engine("m2").Registry().Sum("distq_engine_spills_total") > 0 }
+	first := c.Engine("m2")
+	if err := c.Feed(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Await(30*time.Second, spilled) {
+		t.Fatal("m2's first life never spilled")
+	}
+	if err := c.Crash("m2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("m2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Feed(30 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Await(30*time.Second, spilled) {
+		t.Fatal("m2's second life never spilled")
+	}
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const spills, bytes = "distq_engine_spills_total", "distq_engine_spill_bytes_total"
+	node := obs.L("node", "m2")
+	total := make(map[string]float64)
+	for _, name := range []string{spills, bytes} {
+		for i, life := range []*engine.Engine{first, c.Engine("m2")} {
+			want := life.Registry().Sum(name)
+			if got := res.Counter(name, node, obs.L("life", fmt.Sprint(i+1))); got != want || want == 0 {
+				t.Errorf("%s of m2's life %d = %v, its registry counted %v", name, i+1, got, want)
+			}
+			total[name] += want
+		}
+		if got := res.Counter(name, node); got != total[name] {
+			t.Errorf("%s of m2 = %v, want both lives' %v", name, got, total[name])
+		}
+	}
+	if res.LocalSpills["m2"] != int(total[spills]) || res.SpilledBytes["m2"] != int64(total[bytes]) {
+		t.Errorf("m2: LocalSpills %d, SpilledBytes %d; its two lives spilled %v times, %v bytes",
+			res.LocalSpills["m2"], res.SpilledBytes["m2"], total[spills], total[bytes])
 	}
 }
 

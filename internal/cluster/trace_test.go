@@ -185,8 +185,8 @@ func TestForcedSpillTraceReassembles(t *testing.T) {
 			t.Fatalf("forced spill of %s has child %+v:\n%s", root.Attrs["node"], child, tree.Render())
 		}
 	}
-	if completed == 0 || completed != res.ForcedSpills {
-		t.Fatalf("reassembled %d completed forced-spill trees, counter says %d", completed, res.ForcedSpills)
+	if completed == 0 || completed != forcedSpills(res) {
+		t.Fatalf("reassembled %d completed forced-spill trees, counter says %d", completed, forcedSpills(res))
 	}
 }
 

@@ -320,18 +320,6 @@ func (c *Coordinator) Relocations() int { return int(c.mRelocations.Value()) }
 // ForcedSpills reports completed forced spills. Safe for concurrent use.
 func (c *Coordinator) ForcedSpills() int { return int(c.mForcedSpills.Value()) }
 
-// AbortedRelocations reports relocations rolled back (empty PtV or
-// exhausted retries). Safe for concurrent use.
-func (c *Coordinator) AbortedRelocations() int { return int(c.mAborted.Value()) }
-
-// Unresolved reports adaptations abandoned with retries exhausted —
-// always zero unless the split host or an engine stayed unreachable
-// past every deadline. Safe for concurrent use.
-func (c *Coordinator) Unresolved() int { return int(c.mUnresolved.Value()) }
-
-// Errors reports the handler error count. Safe for concurrent use.
-func (c *Coordinator) Errors() int { return int(c.mErrors.Value()) }
-
 // EngineAlive reports the watchdog's view of an engine. Safe for
 // concurrent use.
 func (c *Coordinator) EngineAlive(node partition.NodeID) bool {

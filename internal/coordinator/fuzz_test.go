@@ -27,11 +27,11 @@ import (
 func FuzzCoordinatorProtocol(f *testing.F) {
 	// Seeds: a stats/tick round, epoch/partition garbage, a
 	// join/report/leave membership round, a spilled-failover round
-	// (segment-bearing reports with spilled replication lag, then
-	// promote/demote acks) — and the three TestFuzzSeedsReach holds to
-	// the state their name promises. The selector byte can only guess
-	// ids 0–3, so these are also the canary for a change in id
-	// allocation that would turn the corpus into no-ops.
+	// (reports with spilled replication lag, then promote/demote
+	// acks) — and the three TestFuzzSeedsReach holds to the state their
+	// name promises. The selector byte can only guess ids 0–3, so these
+	// are also the canary for a change in id allocation that would turn
+	// the corpus into no-ops.
 	f.Add([]byte{0, 0, 0, 1, 1, 0})
 	f.Add([]byte{2, 255, 2, 14, 4, 192, 5, 255, 3, 0, 10, 0, 0, 1})
 	f.Add([]byte{11, 2, 15, 2, 1, 0, 1, 0, 12, 2, 1, 0, 11, 2})
@@ -119,18 +119,16 @@ func replay(t *testing.T, data []byte) *syncRig {
 		case 15:
 			// Replication-rich report: lag for a possibly out-of-range
 			// group, an arbitrary replica-map version, and — when the
-			// selector's segment bit is set — disk segments whose bytes
+			// selector's segment bit is set — spilled bytes that
 			// dominate the group's lag (a spilled group awaiting its
 			// seed), so the settled fence and failover paths see
-			// segment-bearing reports too.
+			// segment-bearing lag too.
 			report := proto.StatsReport{Node: node, MemBytes: int64(sel) * 8, Groups: 2,
 				ReplVersion: uint64(sel >> 4),
 				ReplLag:     map[partition.ID]int64{partition.ID(sel % 16): int64(sel)},
 			}
 			if sel&8 != 0 {
-				report.DiskSegments = int(sel >> 5)
-				report.SpilledBytes = int64(sel) * 64
-				report.ReplLag[partition.ID(sel%16)] += report.SpilledBytes
+				report.ReplLag[partition.ID(sel%16)] += int64(sel) * 64
 			}
 			msg = report
 		}
@@ -160,9 +158,9 @@ func TestFuzzSeedsReach(t *testing.T) {
 	if promote, to := lastOf[proto.Promote](g); to != "m1" || promote.From != "m2" {
 		t.Errorf("promotion seed: Promote %+v to %s, want m2's groups to m1", promote, to)
 	}
-	if g.coord.Promotions() != 1 || g.coord.Demotions() != 1 || g.coord.Unresolved() != 0 {
+	if g.coord.Promotions() != 1 || g.coord.Demotions() != 1 || g.unresolved() != 0 {
 		t.Errorf("promotion seed: promotions %d, demotions %d, unresolved %d; want 1, 1, 0",
-			g.coord.Promotions(), g.coord.Demotions(), g.coord.Unresolved())
+			g.coord.Promotions(), g.coord.Demotions(), g.unresolved())
 	}
 
 	corpus, err := filepath.Glob("testdata/fuzz/FuzzCoordinatorProtocol/*")

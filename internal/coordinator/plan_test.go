@@ -219,7 +219,7 @@ func TestPlanTableDeadlines(t *testing.T) {
 						t.Fatalf("attempts = %d after %d retries", r.attempts, n)
 					}
 				}
-				sends, unresolved := len(g.out), g.coord.Unresolved()
+				sends, unresolved := len(g.out), g.unresolved()
 				exhausted := logged(g.coord, "step_exhausted")
 				g.expire(rigTimeout << retries)
 				want := []time.Duration{rigTimeout, 2 * rigTimeout, 4 * rigTimeout}
@@ -240,16 +240,16 @@ func TestPlanTableDeadlines(t *testing.T) {
 						t.Fatalf("want RelocAbort to the receiver %s, got %+v to %s at %s", r.receiver, m, to, r.step().name)
 					}
 				case restoreSplitHost:
-					if m, to := lastOf[proto.Remap](g); to != "gen" || m.Owner != r.sender || len(g.out) != sends+1 || g.coord.Unresolved() != unresolved {
+					if m, to := lastOf[proto.Remap](g); to != "gen" || m.Owner != r.sender || len(g.out) != sends+1 || g.unresolved() != unresolved {
 						t.Fatalf("want the restore Remap for %s and nothing unresolved, got %+v to %s", r.sender, m, to)
 					}
 				case skipStep:
-					if g.coord.Unresolved() != unresolved+1 || (inFlight && r.row <= i) {
-						t.Fatalf("skip: unresolved %d -> %d, still at row %d", unresolved, g.coord.Unresolved(), r.row)
+					if g.unresolved() != unresolved+1 || (inFlight && r.row <= i) {
+						t.Fatalf("skip: unresolved %d -> %d, still at row %d", unresolved, g.unresolved(), r.row)
 					}
 				case giveUp:
-					if g.coord.Unresolved() != unresolved+1 || inFlight {
-						t.Fatalf("give up: unresolved %d -> %d, in flight %v", unresolved, g.coord.Unresolved(), inFlight)
+					if g.unresolved() != unresolved+1 || inFlight {
+						t.Fatalf("give up: unresolved %d -> %d, in flight %v", unresolved, g.unresolved(), inFlight)
 					}
 				}
 				// Whatever the escalation, the coordinator stays live:
@@ -283,9 +283,9 @@ func TestPromotionOwnsItsEpoch(t *testing.T) {
 		t.Fatalf("PromoteAck after a tick did not advance the promotion: last remap %+v", remap)
 	}
 	g.handle("gen", proto.RemapAck{Epoch: remap.Epoch})
-	if g.coord.Promotions() != 1 || g.coord.Unresolved() != 0 || int(g.coord.mRetries.Value()) != 0 {
+	if g.coord.Promotions() != 1 || g.unresolved() != 0 || int(g.coord.mRetries.Value()) != 0 {
 		t.Fatalf("promotions %d, unresolved %d, retries %d; want 1, 0, 0",
-			g.coord.Promotions(), g.coord.Unresolved(), int(g.coord.mRetries.Value()))
+			g.coord.Promotions(), g.unresolved(), int(g.coord.mRetries.Value()))
 	}
 	if g.coord.runs[r.id] != nil {
 		t.Fatal("promotion still in flight")

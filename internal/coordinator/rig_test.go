@@ -197,9 +197,12 @@ type mark struct {
 	cursor                               string
 }
 
+// unresolved reads the coordinator's unresolved-adaptation counter.
+func (g *syncRig) unresolved() int { return int(g.coord.mUnresolved.Value()) }
+
 func (g *syncRig) mark() mark {
 	m := mark{sent: len(g.out), runs: len(g.coord.runs), retries: int(g.coord.mRetries.Value()),
-		aborted: g.coord.AbortedRelocations(), unresolved: g.coord.Unresolved(), errors: g.coord.Errors()}
+		aborted: int(g.coord.mAborted.Value()), unresolved: g.unresolved(), errors: int(g.coord.mErrors.Value())}
 	var cursors []string
 	for id, r := range g.coord.runs {
 		cursors = append(cursors, fmt.Sprintf("%d:%s/%s#%d", id, r.plan.name, r.step().name, r.attempts))

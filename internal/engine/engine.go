@@ -373,6 +373,9 @@ func (e *Engine) arm(kind string, due *vclock.Time, period time.Duration) {
 	})
 }
 
+// Node is the engine's node name; every life of a node shares it.
+func (e *Engine) Node() partition.NodeID { return e.cfg.Node }
+
 // Registry exposes the engine's metrics registry (monitoring endpoints,
 // transport instrumentation).
 func (e *Engine) Registry() *obs.Registry { return e.reg }
@@ -516,11 +519,7 @@ func (e *Engine) onTick(from partition.NodeID, m proto.Tick) error {
 		// A standby-heavy follower must shed its own operator state (the
 		// standby itself only leaves memory on the primary's spill
 		// markers, keeping segment boundaries aligned).
-		amount := e.cfg.Spill.SpillAmount(e.memBytes())
-		if amount <= 0 {
-			return nil
-		}
-		e.spill(amount, "local", obs.TraceContext{})
+		e.spill(e.cfg.Spill.SpillAmount(e.memBytes()), "local", obs.TraceContext{})
 		return nil
 	default:
 		return fmt.Errorf("unknown tick %q", m.Kind)
@@ -528,13 +527,19 @@ func (e *Engine) onTick(from partition.NodeID, m proto.Tick) error {
 }
 
 // spill runs one spill cycle of the given kind, "local" (ss_timer) or
-// "forced". A forced spill carries the coordinator's trace context so the
-// engine-side span joins the forced-spill trace; local spills pass the
-// zero context and trace standalone.
+// "forced", and returns the bytes it moved to disk; a zero or negative
+// amount runs none. The cycle is counted in distq_engine_spills_total
+// and its bytes in distq_engine_spill_bytes_total, the engine's one
+// record of its spills. A forced spill carries the coordinator's trace
+// context so the engine-side span joins the forced-spill trace; local
+// spills pass the zero context and trace standalone.
 // A store write that fails is logged, not returned: its group stays
 // resident (spill.Manager.Spill), the groups persisted before it stand
 // and reach the followers, and the next cycle spills again.
-func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
+func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) int64 {
+	if amount <= 0 {
+		return 0
+	}
 	span := e.tracer.StartChild(obs.SpanSpill, string(e.cfg.Node), e.clock.Now(), trace)
 	span.SetAttr("kind", kind)
 	span.SetAttr("requested_bytes", fmt.Sprintf("%d", amount))
@@ -554,6 +559,7 @@ func (e *Engine) spill(amount int64, kind string, trace obs.TraceContext) {
 	kl := obs.L("kind", kind)
 	e.reg.Counter("distq_engine_spills_total", kl).Inc()
 	e.reg.Counter("distq_engine_spill_bytes_total", kl).Add(float64(res.Bytes))
+	return res.Bytes
 }
 
 func (e *Engine) reportStats() error {
@@ -580,23 +586,20 @@ func (e *Engine) reportStats() error {
 		return sizes[id]
 	}
 	report := proto.StatsReport{
-		Node:         e.cfg.Node,
-		MemBytes:     e.memBytes(),
-		Standby:      e.repl.standbyBytes,
-		Groups:       e.op.Groups(),
-		Output:       e.op.Output(),
-		SpillCount:   e.mgr.Count(),
-		SpilledBytes: e.mgr.SpilledBytes(),
-		DiskSegments: e.cfg.Store.SegmentCount(),
-		ReplLag:      e.repl.lag(sizeOf),
-		ReplVersion:  e.repl.version,
+		Node:        e.cfg.Node,
+		MemBytes:    e.memBytes(),
+		Standby:     e.repl.standbyBytes,
+		Groups:      e.op.Groups(),
+		Output:      e.op.Output(),
+		ReplLag:     e.repl.lag(sizeOf),
+		ReplVersion: e.repl.version,
 	}
 	e.reg.Gauge("distq_engine_standby_bytes").Set(float64(e.repl.standbyBytes))
 	e.reg.Gauge("distq_engine_standby_segment_bytes").Set(float64(e.cfg.StandbyStore.Bytes()))
 	e.lastReport.Store(&report)
 	e.reg.Gauge("distq_engine_mem_bytes").Set(float64(report.MemBytes))
 	e.reg.Gauge("distq_engine_groups").Set(float64(report.Groups))
-	e.reg.Gauge("distq_engine_disk_segments").Set(float64(report.DiskSegments))
+	e.reg.Gauge("distq_engine_disk_segments").Set(float64(e.cfg.Store.SegmentCount()))
 	e.reg.Gauge("distq_engine_output_results").Set(float64(report.Output))
 	if e.cfg.GroupMetrics > 0 {
 		e.reportGroupMetrics()
@@ -839,9 +842,8 @@ func (e *Engine) onForceSpill(m proto.ForceSpill) error {
 	if run, err := e.step(m.Seq, fresh, done); !run {
 		return err
 	}
-	before := e.mgr.SpilledBytes()
-	e.spill(m.Amount, "forced", m.Trace)
-	return e.answer(done, proto.SpillDone{Node: e.cfg.Node, Bytes: e.mgr.SpilledBytes() - before, Seq: m.Seq})
+	bytes := e.spill(m.Amount, "forced", m.Trace)
+	return e.answer(done, proto.SpillDone{Node: e.cfg.Node, Bytes: bytes, Seq: m.Seq})
 }
 
 // Crash simulates an abrupt machine failure: message processing halts
@@ -1057,6 +1059,3 @@ func (e *Engine) Stop() {
 // Op exposes the join operator for post-run inspection by the harness
 // (only safe after the engine is stopped or drained).
 func (e *Engine) Op() *join.Operator { return e.op }
-
-// SpillManager exposes spill statistics for post-run inspection.
-func (e *Engine) SpillManager() *spill.Manager { return e.mgr }

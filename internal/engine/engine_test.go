@@ -186,6 +186,9 @@ func TestEngineProcessesDataAndReportsStats(t *testing.T) {
 	}
 }
 
+// spills is e's spill count: distq_engine_spills_total over both kinds.
+func spills(e *Engine) int { return int(e.reg.Sum("distq_engine_spills_total")) }
+
 func TestEngineLocalSpillOnTick(t *testing.T) {
 	r := newRig(t, func(c *Config) {
 		c.LocalSpill = true
@@ -196,8 +199,8 @@ func TestEngineLocalSpillOnTick(t *testing.T) {
 	}
 	r.gen.ep.Send("m1", proto.Tick{Kind: proto.TickSpill})
 	r.drain(t)
-	if r.engine.SpillManager().Count() != 1 {
-		t.Fatalf("spills = %d, want 1", r.engine.SpillManager().Count())
+	if spills(r.engine) != 1 {
+		t.Fatalf("spills = %d, want 1", spills(r.engine))
 	}
 	if r.store.SegmentCount() == 0 {
 		t.Fatal("no segments persisted")
@@ -215,7 +218,7 @@ func TestEngineSpillTickBelowThresholdNoop(t *testing.T) {
 	r.gen.ep.Send("m1", dataMsg(t, mk(0, 1, 1)))
 	r.gen.ep.Send("m1", proto.Tick{Kind: proto.TickSpill})
 	r.drain(t)
-	if r.engine.SpillManager().Count() != 0 {
+	if spills(r.engine) != 0 {
 		t.Fatal("spilled below threshold")
 	}
 }
@@ -585,7 +588,7 @@ func TestForceSpillDuringRelocationKeepsRelocateMode(t *testing.T) {
 			t.Fatal("a stale ForceSpill was answered")
 		}
 	}
-	if n := r.engine.SpillManager().Count(); n != 0 {
+	if n := spills(r.engine); n != 0 {
 		t.Fatalf("a stale ForceSpill spilled (%d spills)", n)
 	}
 	if got := r.engine.mode(); got != core.RelocateMode {

@@ -82,7 +82,7 @@ func TestLateCptVLeavesRelocateMode(t *testing.T) {
 	r.gc.ep.Send("m1", cptv)
 	r.gc.ep.Send("m1", proto.Tick{Kind: proto.TickSpill})
 	r.drain(t)
-	if n := r.engine.SpillManager().Count(); n != 1 {
+	if n := spills(r.engine); n != 1 {
 		t.Fatalf("%d spills over the threshold after the relocation, want 1 (mode %v)", n, r.engine.mode())
 	}
 }
@@ -170,7 +170,7 @@ func (d *desk) effects() effects {
 		logs = append(logs, le.Event+" "+le.Attrs)
 	}
 	return effects{
-		mem: e.Op().MemBytes(), spilled: e.mgr.SpilledBytes(), standby: e.repl.standbyBytes,
+		mem: e.Op().MemBytes(), spilled: int64(e.reg.Sum("distq_engine_spill_bytes_total")), standby: e.repl.standbyBytes,
 		groups: e.Op().Groups(), segments: e.cfg.Store.SegmentCount(), standbySeg: e.cfg.StandbyStore.SegmentCount(),
 		logs: logs, metrics: e.Registry().Export(), mode: e.mode(),
 	}

@@ -205,7 +205,7 @@ func TestStandbyBytesCountTowardLocalSpill(t *testing.T) {
 	// The spill tick fires although the engine's own state is tiny.
 	r.gen.ep.Send("m1", proto.Tick{Kind: proto.TickSpill})
 	r.drain(t)
-	if r.engine.SpillManager().Count() == 0 {
+	if spills(r.engine) == 0 {
 		t.Fatal("standby-heavy follower did not spill locally")
 	}
 	if r.store.SegmentCount() == 0 {

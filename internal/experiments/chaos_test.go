@@ -94,7 +94,7 @@ func TestChaosProtocolMessageDrops(t *testing.T) {
 
 // retryCount is how many step re-sends the run's coordinator counted.
 func retryCount(res *cluster.Result) int {
-	return int(metricTotal(res, "distq_coordinator_reloc_retries_total"))
+	return int(res.Counter("distq_coordinator_reloc_retries_total"))
 }
 
 func isType[T proto.Message](_, _ partition.NodeID, msg proto.Message) bool {
@@ -119,9 +119,9 @@ func TestChaosSeededMatrix(t *testing.T) {
 				t.Fatalf("chaos run hung or failed: %v", err)
 			}
 			assertExact(t, res)
-			t.Logf("seed %d: relocations=%d aborted=%d retries=%d errors=%d",
+			t.Logf("seed %d: relocations=%d aborted=%d retries=%d errors=%.0f",
 				seed, res.Relocations, res.AbortedRelocations,
-				retryCount(res), res.CoordinatorErrors)
+				retryCount(res), res.Counter("distq_coordinator_errors_total"))
 		})
 	}
 }

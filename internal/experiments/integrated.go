@@ -190,8 +190,8 @@ func Fig13(o RunOpts) (*Report, error) {
 			(active.Throughput.Last()/lazy.Throughput.Last()-1)*100),
 		claimf("active-disk actually forced spills",
 			"the coordinator forces the less productive machines' partitions to disk",
-			active.ForcedSpills > 0 && lazy.ForcedSpills == 0,
-			"forced spills: active=%d, lazy=%d", active.ForcedSpills, lazy.ForcedSpills),
+			forcedSpills(active) > 0 && forcedSpills(lazy) == 0,
+			"forced spills: active=%d, lazy=%d", forcedSpills(active), forcedSpills(lazy)),
 	)
 	rep.Notes = append(rep.Notes, "θ_r = 0.8, τ_m = 45 s, λ = 2, spill threshold 55% of a machine's fair state share")
 	return rep, nil
@@ -247,7 +247,7 @@ func Fig14(o RunOpts) (*Report, error) {
 		claimf("forced spilling stays within the configured cap",
 			"the total amount of state pushed by the coordinator is capped (100 MB in the paper's runs)",
 			forcedWithinCap(active14, projectedStateBytes(wl14, duration)*30/100),
-			"forced spills=%d", active14.ForcedSpills),
+			"forced spills=%d", forcedSpills(active14)),
 	)
 	return rep, nil
 }
@@ -255,25 +255,11 @@ func Fig14(o RunOpts) (*Report, error) {
 // forcedWithinCap verifies the active-disk cap on the bytes the engines
 // counted as force-spilled.
 func forcedWithinCap(res *cluster.Result, cap int64) bool {
-	forced := metricTotal(res, "distq_engine_spill_bytes_total", obs.L("kind", "forced"))
+	forced := res.Counter("distq_engine_spill_bytes_total", obs.L("kind", "forced"))
 	return forced <= float64(cap+cap/10) // allow one overshooting selection
 }
 
-// metricTotal sums every node's series of metric name in res whose
-// labels include each of match.
-func metricTotal(res *cluster.Result, name string, match ...obs.Label) float64 {
-	var sum float64
-next:
-	for _, mv := range res.Metrics {
-		if mv.Name != name {
-			continue
-		}
-		for _, l := range match {
-			if mv.Labels[l.Key] != l.Value {
-				continue next
-			}
-		}
-		sum += mv.Value
-	}
-	return sum
+// forcedSpills counts the forced spills the coordinator completed.
+func forcedSpills(res *cluster.Result) int {
+	return int(res.Counter("distq_coordinator_forced_spills_total"))
 }

@@ -23,8 +23,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/proto"
 	"repro/internal/transport"
 	"repro/internal/transport/faulty"
 	"repro/internal/vclock"
@@ -217,14 +217,17 @@ func runChaosPromoteOver(inner transport.Network, faults faulty.Config) (*cluste
 type SpilledFailoverResult struct {
 	Res      *cluster.Result
 	Baseline *cluster.Result
-	// VictimSpilledBytes / VictimSegments are the victim's disk tier as
-	// of its last stats report before the crash.
+	// VictimSpilledBytes / VictimSegments are the victim's disk tier
+	// after the fence before the crash (settleSpilled).
 	VictimSpilledBytes int64
 	VictimSegments     int
 	// SurvivorCleanupSegments is how many disk segments the surviving
 	// engine's cleanup merged — it must include the segments adopted
 	// from the victim's replicated standby.
 	SurvivorCleanupSegments int
+	// Logs holds the coordinator's and both engines' log entries, for a
+	// failed run to show whether an unscripted death came first.
+	Logs []obs.LogEntry
 }
 
 // spilledFailoverSpill is the local-overflow configuration of the
@@ -254,16 +257,21 @@ func spilledCluster(engines []partition.NodeID, storeDir string, faults faulty.C
 // fraction is exactly what the tiered standby exists to preserve — then
 // settles: the fence counts spilled bytes too, so after it the
 // follower's standby holds the victim's memory tier and all of its
-// segments. It returns the victim's last stats report.
-func settleSpilled(c *cluster.Cluster, victim partition.NodeID) (proto.StatsReport, error) {
-	if !c.Await(30*time.Second, func() bool {
-		s := c.EngineStats(victim)
-		return s.SpilledBytes > 0 && s.DiskSegments > 0
-	}) {
-		return proto.StatsReport{}, fmt.Errorf("victim %s never spilled (stats %+v)", victim, c.EngineStats(victim))
+// segments. It returns the victim's disk tier after the fence, as its
+// current life's metrics count it (race-safe while the cluster runs):
+// the bytes its spills moved and the segments its last stats report saw.
+func settleSpilled(c *cluster.Cluster, victim partition.NodeID) (spilled int64, segments int, err error) {
+	reg := c.Engine(victim).Registry()
+	tier := func() (int64, int) {
+		return int64(reg.Sum("distq_engine_spill_bytes_total")), int(reg.Sum("distq_engine_disk_segments"))
 	}
-	err := settle(c)
-	return c.EngineStats(victim), err
+	if !c.Await(30*time.Second, func() bool { b, s := tier(); return b > 0 && s > 0 }) {
+		spilled, segments = tier()
+		return 0, 0, fmt.Errorf("victim %s never spilled (%d bytes, %d segments)", victim, spilled, segments)
+	}
+	err = settle(c)
+	spilled, segments = tier()
+	return spilled, segments, err
 }
 
 // failOver crashes victim and awaits the run's n-th promotion.
@@ -297,7 +305,7 @@ func RunChaosSpilledFailover(storeDir string, faults faulty.Config) (*SpilledFai
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	victimStats, err := settleSpilled(c, victim)
+	victimBytes, victimSegments, err := settleSpilled(c, victim)
 	if err != nil {
 		return nil, err
 	}
@@ -318,9 +326,11 @@ func RunChaosSpilledFailover(storeDir string, faults faulty.Config) (*SpilledFai
 	return &SpilledFailoverResult{
 		Res:                     res,
 		Baseline:                baseline,
-		VictimSpilledBytes:      victimStats.SpilledBytes,
-		VictimSegments:          victimStats.DiskSegments,
+		VictimSpilledBytes:      victimBytes,
+		VictimSegments:          victimSegments,
 		SurvivorCleanupSegments: res.Cleanup.PerNode[survivor].Segments,
+		Logs: append(append(c.Coordinator().Logger().Recent(0),
+			c.Engine(victim).Logger().Recent(0)...), c.Engine(survivor).Logger().Recent(0)...),
 	}, nil
 }
 
@@ -344,7 +354,8 @@ type CrashRecoveryResult struct {
 	Res      *cluster.Result
 	Baseline *cluster.Result
 	// VictimSegments is what the restarted engine's reopened store still
-	// held: its disk tier as of its last stats report before the crash.
+	// held: its disk tier after the fence before the crash
+	// (settleSpilled).
 	VictimSegments int
 	// RejoinDemote is the attributes of the restarted engine's
 	// groups_demoted log entry; they end with what the engine held
@@ -385,11 +396,11 @@ func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResu
 	}
 	// The first victim's segments stay behind in its store directory:
 	// the restart reopens that store.
-	victimStats, err := settleSpilled(c, rejoiner)
+	_, victimSegments, err := settleSpilled(c, rejoiner)
 	if err != nil {
 		return nil, err
 	}
-	out := &CrashRecoveryResult{VictimSegments: victimStats.DiskSegments}
+	out := &CrashRecoveryResult{VictimSegments: victimSegments}
 	want := c.Owned(follower) + c.Owned(rejoiner)
 	if err := failOver(c, rejoiner, 1); err != nil {
 		return nil, err
@@ -417,7 +428,7 @@ func RunCrashRecovery(storeDir string, faults faulty.Config) (*CrashRecoveryResu
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	if _, err := settleSpilled(c, second); err != nil {
+	if _, _, err := settleSpilled(c, second); err != nil {
 		return nil, fmt.Errorf("after the restart: %w", err)
 	}
 	// A shed that started late must not be caught between shipping its
@@ -492,15 +503,6 @@ func CheckMembershipExactness(res, baseline *cluster.Result) []string {
 	return bad
 }
 
-// FlapResult carries the heartbeat-flap run plus the demotion counts
-// its assertions need.
-type FlapResult struct {
-	Res *cluster.Result
-	// Demotions is how many revived stale copies were demoted; the
-	// scenario requires at least one (the flapping victim).
-	Demotions int
-}
-
 // RunChaosFlap scripts the heartbeat-flap scenario: the victim is not
 // killed but isolated, so the watchdog declares it dead and the
 // coordinator promotes its followers — then the victim revives while
@@ -508,7 +510,7 @@ type FlapResult struct {
 // must be demoted cleanly (its state dropped, never resumed), and the
 // result set must stay exact: no duplicates from the stale copy, no
 // losses from the failover.
-func RunChaosFlap(faults faulty.Config) (*FlapResult, error) {
+func RunChaosFlap(faults faulty.Config) (*cluster.Result, error) {
 	c, fnet, stop, err := membershipCluster([]partition.NodeID{"e1", "e2"}, faults, nil)
 	if err != nil {
 		return nil, err
@@ -542,9 +544,5 @@ func RunChaosFlap(faults faulty.Config) (*FlapResult, error) {
 	if err := c.Feed(membershipPhase); err != nil {
 		return nil, err
 	}
-	res, err := finishMembership(c, false)
-	if err != nil {
-		return nil, err
-	}
-	return &FlapResult{Res: res, Demotions: res.Demotions}, nil
+	return finishMembership(c, false)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestChaosJoinExact(t *testing.T) {
 		t.Fatalf("join run hung or failed: %v", err)
 	}
 	assertMembershipExact(t, res)
-	if metricTotal(res, "distq_coordinator_member_joins_total") == 0 {
+	if res.Counter("distq_coordinator_member_joins_total") == 0 {
 		t.Error("no member join counted")
 	}
 	if res.Relocations == 0 {
@@ -75,7 +76,7 @@ func TestChaosLeaveExact(t *testing.T) {
 		t.Fatalf("leave run hung or failed: %v", err)
 	}
 	assertMembershipExact(t, res)
-	if metricTotal(res, "distq_coordinator_member_leaves_total") == 0 {
+	if res.Counter("distq_coordinator_member_leaves_total") == 0 {
 		t.Error("no member leave counted")
 	}
 	drains := trace.ByName(trace.Build(res.Spans), obs.SpanRelocationDrain)
@@ -174,6 +175,11 @@ func TestChaosSpilledFailoverExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spilled-failover run hung or failed: %v", err)
 	}
+	defer func() {
+		if t.Failed() {
+			logFailover(t, sr)
+		}
+	}()
 	for _, v := range CheckSpilledFailoverExactness(sr.Res, sr.Baseline) {
 		t.Error(v)
 	}
@@ -195,6 +201,28 @@ func TestChaosSpilledFailoverExact(t *testing.T) {
 		sr.Res.CleanupSet.Len(), sr.Res.RuntimeSet.Len())
 }
 
+// logFailover prints what a failed spilled-failover run left behind:
+// the nodes' engine_dead, promotion_*, groups_demoted and step_exhausted
+// log entries in virtual-time order, and every engine life's spill and
+// segment counters, so a loss shows whether an unscripted death came before the
+// scripted crash.
+func logFailover(t *testing.T, sr *SpilledFailoverResult) {
+	sort.SliceStable(sr.Logs, func(i, j int) bool { return sr.Logs[i].VT < sr.Logs[j].VT })
+	for _, le := range sr.Logs {
+		switch {
+		case le.Event == "engine_dead", le.Event == "groups_demoted", le.Event == "step_exhausted",
+			strings.HasPrefix(le.Event, "promotion_"):
+			t.Log(le.String())
+		}
+	}
+	for _, mv := range sr.Res.Metrics {
+		switch mv.Name {
+		case "distq_engine_spills_total", "distq_engine_spill_bytes_total", "distq_engine_disk_segments":
+			t.Logf("%s %v = %v", mv.Name, mv.Labels, mv.Value)
+		}
+	}
+}
+
 // TestChaosHeartbeatFlap isolates an engine until the watchdog
 // declares it dead and its followers are promoted, then heals the
 // partition so the stale copy revives mid-promotion. The revived copy
@@ -202,19 +230,20 @@ func TestChaosSpilledFailoverExact(t *testing.T) {
 // and the result set must show no duplicates from the stale copy and
 // no losses from the failover.
 func TestChaosHeartbeatFlap(t *testing.T) {
-	fr, err := RunChaosFlap(membershipFaults(19))
+	res, err := RunChaosFlap(membershipFaults(19))
 	if err != nil {
 		t.Fatalf("flap run hung or failed: %v", err)
 	}
-	assertMembershipExact(t, fr.Res)
-	if fr.Res.Promotions == 0 {
+	assertMembershipExact(t, res)
+	if res.Promotions == 0 {
 		t.Error("no promotion completed for the flapping engine")
 	}
-	if fr.Demotions == 0 {
+	demotions := res.Counter("distq_coordinator_demotions_total")
+	if demotions == 0 {
 		t.Error("revived stale copy was never demoted")
 	}
-	t.Logf("flap: promotions=%d demotions=%d generated=%d results=%d",
-		fr.Res.Promotions, fr.Demotions, fr.Res.Generated, fr.Res.RuntimeSet.Len())
+	t.Logf("flap: promotions=%d demotions=%.0f generated=%d results=%d",
+		res.Promotions, demotions, res.Generated, res.RuntimeSet.Len())
 }
 
 // TestChaosCrashRecovery is cold restart as "rejoin empty and be seeded
@@ -250,7 +279,7 @@ func TestChaosCrashRecovery(t *testing.T) {
 		t.Errorf("second promotion: restarted engine owns %d groups, want its %d plus the second victim's %d",
 			crr.RejoinerOwnedAfter, crr.RejoinerOwnedBefore, crr.SecondVictimOwned)
 	}
-	if metricTotal(crr.Res, "distq_coordinator_engine_revivals_total") == 0 {
+	if crr.Res.Counter("distq_coordinator_engine_revivals_total") == 0 {
 		t.Error("no engine revival counted")
 	}
 	t.Logf("restart-reseed: victim segments=%d, rejoin demote=%q, rejoiner owned %d -> %d, relocations=%d, cleanup results=%d, runtime results=%d",

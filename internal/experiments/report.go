@@ -34,7 +34,7 @@ func (r *Report) AddRun(label string, res *cluster.Result) {
 		Generated:     res.Generated,
 		RuntimeOutput: res.RuntimeOutput,
 		Relocations:   res.Relocations,
-		ForcedSpills:  res.ForcedSpills,
+		ForcedSpills:  forcedSpills(res),
 		Spans:         res.Spans,
 		Metrics:       res.Metrics,
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -461,4 +462,30 @@ func (r *Registry) Export() []MetricValue {
 		return fmt.Sprint(out[i].Labels) < fmt.Sprint(out[j].Labels)
 	})
 	return out
+}
+
+// Sum adds up the current values of every counter or gauge series of
+// metric name whose labels include each of match: one engine's spills
+// of both kinds, read while it runs.
+func (r *Registry) Sum(name string, match ...Label) float64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	f, ok := r.families[name]
+	if !ok {
+		return 0
+	}
+	var sum float64
+next:
+	for _, s := range f.series {
+		for _, l := range match {
+			if !slices.Contains(s.labels, l) {
+				continue next
+			}
+		}
+		sum += s.c.Value() + s.g.Value()
+	}
+	return sum
 }

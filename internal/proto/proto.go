@@ -93,13 +93,10 @@ type StatsReport struct {
 	Node partition.NodeID
 	// MemBytes is all the engine holds in memory, Standby included: the
 	// follower copies of other engines' groups, which it cannot move.
-	MemBytes     int64
-	Standby      int64
-	Groups       int
-	Output       uint64
-	SpillCount   int
-	SpilledBytes int64
-	DiskSegments int
+	MemBytes int64
+	Standby  int64
+	Groups   int
+	Output   uint64
 	// ReplLag is the engine's per-group replication lag in bytes: state
 	// this primary has accepted but its followers have not yet
 	// acknowledged (zero/empty when replication is off).

@@ -66,8 +66,7 @@ var wireKinds = [...]wireCodec{
 	6: control(func(m *PauseMarker) []any { return []any{&m.Epoch, &m.Trace} }),
 	7: control(func(m *MarkerAck) []any { return []any{&m.Epoch, &m.Node} }),
 	8: control(func(m *StatsReport) []any {
-		return []any{&m.Node, &m.MemBytes, &m.Standby, &m.Groups, &m.Output, &m.SpillCount, &m.SpilledBytes,
-			&m.DiskSegments, &m.ReplLag, &m.ReplVersion}
+		return []any{&m.Node, &m.MemBytes, &m.Standby, &m.Groups, &m.Output, &m.ReplLag, &m.ReplVersion}
 	}),
 	9:  control(func(m *ResultCount) []any { return []any{&m.Node, &m.Delta} }),
 	10: control(func(m *CptV) []any { return []any{&m.Epoch, &m.Amount, &m.Receiver, &m.LowProd, &m.Trace} }),

@@ -369,7 +369,7 @@ func TestWireRejectsNonCanonicalControl(t *testing.T) {
 
 	rep := StatsReport{Node: "e", ReplLag: map[partition.ID]int64{1: 10, 2: 20}}
 	body = AppendWire(nil, rep)
-	first := 2 + 1 + 7*8 + 4 // node, seven 8-byte scalars, entry count
+	first := 2 + 1 + 4*8 + 4 // node, four 8-byte scalars, entry count
 	if binary.LittleEndian.Uint32(body[first:]) != 1 || binary.LittleEndian.Uint32(body[first+12:]) != 2 {
 		t.Fatalf("ReplLag not encoded in ascending key order: %x", body)
 	}

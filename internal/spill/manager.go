@@ -23,9 +23,6 @@ type Manager struct {
 	op     *join.Operator
 	store  Store
 	policy core.Policy
-
-	spills  int
-	spilled int64
 }
 
 // NewManager returns a Manager spilling from op into store using policy.
@@ -58,13 +55,5 @@ func (m *Manager) Spill(amount int64) (Result, error) {
 		res.Bytes += snap.MemBytes()
 		res.Tuples += snap.TupleCount()
 	}
-	m.spills++
-	m.spilled += res.Bytes
 	return res, err
 }
-
-// Count reports how many spill processes have run.
-func (m *Manager) Count() int { return m.spills }
-
-// SpilledBytes reports the cumulative bytes pushed to disk.
-func (m *Manager) SpilledBytes() int64 { return m.spilled }

@@ -31,8 +31,10 @@ const (
 	// negotiated format that still carried gob; version 2 shipped group
 	// state as separate resident/segment lists and deltas without an
 	// incarnation; version 3 carried a trace context on every control
-	// message and on StateDelta; version 4's StatsReport had no Standby.
-	wireVersion = 5
+	// message and on StateDelta; version 4's StatsReport had no Standby;
+	// version 5's carried spill count, spilled bytes and disk segments,
+	// which the engine's metrics report instead.
+	wireVersion = 6
 	// helloAckSize is the ack: magic(2) version(1) creditWindow(8).
 	helloAckSize = 2 + 1 + 8
 	// maxNodeIDLen bounds the node id a hello may carry.
